@@ -334,8 +334,6 @@ def allreduce_ring(comm: SimComm, arr: np.ndarray, op=np.add) -> np.ndarray:
     return allgather_ring(comm, block, arr.size)
 
 
-_DENSE_ALGOS: Dict[str, Callable[[SimComm, np.ndarray], np.ndarray]] = {}
-
 # Role aliases (see comm/fused.py "Algorithm roles"): the latency-optimal
 # schedule and the per-P bandwidth-optimal one.
 LATENCY_OPTIMAL = _fused.LATENCY_OPTIMAL
@@ -343,13 +341,21 @@ bandwidth_optimal = _fused.bandwidth_optimal
 allreduce_crossover_words = _fused.allreduce_crossover_words
 select_allreduce_algorithm = _fused.select_allreduce_algorithm
 
+#: concrete schedule (``fused.ALLREDUCE_ALGORITHMS``) -> implementation
+_ALLREDUCE_IMPLS: Dict[str, Callable[..., np.ndarray]] = {
+    "recursive_doubling": allreduce_recursive_doubling,
+    "rabenseifner": allreduce_rabenseifner,
+    "ring": allreduce_ring,
+}
+
 
 def allreduce(comm: SimComm, arr: np.ndarray, op=np.add,
               algo: str = "auto", *, algorithm: Optional[str] = None,
               ) -> np.ndarray:
     """Dense allreduce dispatch.
 
-    ``algorithm`` (``algo`` is the positional alias) selects the schedule:
+    ``algorithm`` (``algo`` is the positional alias) selects the schedule
+    (resolved by :func:`repro.comm.fused.resolve_allreduce`):
 
     * ``"auto"`` — the static P-based default (the paper's Dense baseline):
       Rabenseifner for powers of two, ring otherwise.
@@ -365,34 +371,12 @@ def allreduce(comm: SimComm, arr: np.ndarray, op=np.add,
     """
     if algorithm is not None:
         algo = algorithm
-    p = comm.size
-    if algo == "auto":
-        concrete, mode = (
-            "rabenseifner" if _is_pow2(p) else "ring"), "auto"
-    elif algo == "adaptive":
-        concrete = select_allreduce_algorithm(
-            p, payload_nwords(arr), comm.net.model)
-        mode = "adaptive"
-    elif algo == "latency":
-        concrete, mode = LATENCY_OPTIMAL, "forced"
-    elif algo == "bandwidth":
-        concrete, mode = bandwidth_optimal(p), "forced"
-    else:
-        concrete, mode = algo, "forced"
-    table = {
-        "rabenseifner": allreduce_rabenseifner,
-        "ring": allreduce_ring,
-        "recursive_doubling": allreduce_recursive_doubling,
-    }
-    try:
-        fn = table[concrete]
-    except KeyError:
-        raise ValueError(
-            f"unknown dense allreduce algorithm {algo!r}") from None
+    words = payload_nwords(arr)
+    concrete, mode = _fused.resolve_allreduce(algo, comm.size, words,
+                                              comm.net.model)
     if comm.rank == 0:  # once per collective call, not once per rank
-        comm.net.note_algorithm("allreduce", concrete, mode,
-                                payload_nwords(arr))
-    return fn(comm, arr, op)
+        comm.net.note_algorithm("allreduce", concrete, mode, words)
+    return _ALLREDUCE_IMPLS[concrete](comm, arr, op)
 
 
 # ---------------------------------------------------------------------------

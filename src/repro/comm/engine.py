@@ -43,7 +43,7 @@ from typing import Optional
 from ..errors import CommError, DeadlockError, RankFailedError, \
     SimulatedRankCrash
 from .communicator import SimComm
-from .fused import fusion_enabled
+from .fused import fusion_enabled, fusion_floors
 from .message import Message
 from .network import Network
 from .payload import freeze as _freeze
@@ -75,6 +75,11 @@ class CoopEngine:
         #: fused-collective fast path (see repro.comm.fused); resolved
         #: from REPRO_FUSED when not given explicitly
         self.fused = fusion_enabled() if fused is None else bool(fused)
+        #: ``(min_ranks, min_words_per_rank)`` profitability floors of the
+        #: dense fused collectives, resolved once from
+        #: REPRO_FUSED_MIN_RANKS / REPRO_FUSED_MIN_WPR so that no
+        #: collective call reads the environment
+        self.fused_floors = fusion_floors()
         #: schedule-perturbation source (sanitizer race detector): when
         #: set, :meth:`_pop_ready` picks a seeded-random runnable rank
         #: instead of the FIFO head.  Simulated time is

@@ -133,9 +133,30 @@ def _floor_from_env(env: str, default: int) -> int:
 
 def fusion_floors() -> Tuple[int, int]:
     """The ``(min_ranks, min_words_per_rank)`` profitability floors below
-    which dense-collective fusion is skipped (env-overridable)."""
+    which dense-collective fusion is skipped (env-overridable).  Parsed
+    once per engine (:class:`~repro.comm.engine.CoopEngine` keeps the pair
+    as ``fused_floors``); the collective hot path never reads the
+    environment."""
     return (_floor_from_env(FUSED_MIN_RANKS_ENV, _MIN_RANKS_DEFAULT),
             _floor_from_env(FUSED_MIN_WPR_ENV, _MIN_WPR_DEFAULT))
+
+
+def _below_floors(comm, nwords_: int) -> bool:
+    """Whether a dense collective of ``nwords_`` words sits below the
+    engine's profitability floors (callers checked :func:`_available`,
+    so ``net._sched`` is the engine that resolved them)."""
+    min_ranks, min_wpr = comm.net._sched.fused_floors
+    p = comm.size
+    return p < min_ranks or nwords_ < min_wpr * p
+
+
+def fusable(comm, nwords_: int) -> bool:
+    """The whole gate of a dense fused collective over ``nwords_`` words:
+    fast path :func:`_available` and payload/world above the floors.  For
+    callers that fuse *around* the dense entry points (the serving step
+    executor) and leave the skip provenance to the per-call path they
+    fall back to."""
+    return _available(comm) and not _below_floors(comm, nwords_)
 
 
 def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
@@ -150,9 +171,7 @@ def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
     recorded once per call in :attr:`Network.algorithm_log` under mode
     ``"unfused-small"`` — auditable next to the reference path's own
     ``forced``/``auto``/``adaptive`` entries."""
-    min_ranks, min_wpr = fusion_floors()
-    p = comm.size
-    if p >= min_ranks and nwords_ >= min_wpr * p:
+    if not _below_floors(comm, nwords_):
         return False
     if comm.rank == 0:  # once per collective call, not once per rank
         comm.net.note_algorithm(collective, algorithm, "unfused-small",
@@ -699,12 +718,19 @@ def allreduce_crossover_words(p: int, model) -> float:
     overtakes the latency-optimal one on ``model``'s alpha/beta
     constants; ``inf`` when it never does (P <= 2, where recursive
     doubling is also bandwidth-optimal, or ``beta == 0``)."""
+    return _crossover_words(p, model.alpha, model.beta)
+
+
+@lru_cache(maxsize=256)
+def _crossover_words(p: int, alpha: float, beta: float) -> float:
+    # ``adaptive`` asks per collective per rank; the answer only depends
+    # on the world size and the two model constants
     a_l, b_l = allreduce_alpha_beta_terms(p, LATENCY_OPTIMAL)
     a_b, b_b = allreduce_alpha_beta_terms(p, bandwidth_optimal(p))
-    d_beta = (b_l - b_b) * model.beta
+    d_beta = (b_l - b_b) * beta
     if d_beta <= 0.0:
         return float("inf")
-    return (a_b - a_l) * model.alpha / d_beta
+    return (a_b - a_l) * alpha / d_beta
 
 
 def select_allreduce_algorithm(p: int, nwords_: int, model) -> str:
@@ -717,6 +743,30 @@ def select_allreduce_algorithm(p: int, nwords_: int, model) -> str:
     return bandwidth_optimal(p)
 
 
+#: the concrete dense allreduce schedules
+ALLREDUCE_ALGORITHMS = ("recursive_doubling", "rabenseifner", "ring")
+
+
+def resolve_allreduce(algo: str, p: int, nwords_: int,
+                      model) -> Tuple[str, str]:
+    """Resolve an ``algorithm=`` role to ``(concrete schedule, selection
+    mode)`` — the one place the roles are spelled out, shared by
+    :func:`repro.comm.collectives.allreduce` and the serving step executor
+    (:mod:`repro.serve.model`); the pair is what
+    :attr:`Network.algorithm_log` records."""
+    if algo == "adaptive":
+        return select_allreduce_algorithm(p, nwords_, model), "adaptive"
+    if algo == "auto":
+        return bandwidth_optimal(p), "auto"
+    if algo == "latency":
+        return LATENCY_OPTIMAL, "forced"
+    if algo == "bandwidth":
+        return bandwidth_optimal(p), "forced"
+    if algo in ALLREDUCE_ALGORITHMS:
+        return algo, "forced"
+    raise ValueError(f"unknown dense allreduce algorithm {algo!r}")
+
+
 # ---------------------------------------------------------------------------
 # Central data computation (bit-identical association orders)
 # ---------------------------------------------------------------------------
@@ -724,7 +774,8 @@ def _fold_stack(payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
     """Stack the contributions in core (newrank) order, combining the
     fold-in pairs: row ``x < rem`` is ``a[2x+1] + a[2x]`` (the odd rank's
     ``op(acc, got)``), rows ``x >= rem`` pass through."""
-    arr = np.stack([np.asarray(a) for a in payloads])
+    arr = (payloads if isinstance(payloads, np.ndarray)
+           else np.stack([np.asarray(a) for a in payloads]))
     m = _core_size(p)
     rem = p - m
     if rem == 0:
@@ -827,20 +878,28 @@ def fused_allreduce(comm, arr: np.ndarray, op, algo: str):
     return comm.fused_collective(sig, a, _exec_allreduce)
 
 
-def _exec_allreduce(net, sig, payloads):
-    _, algo, n, wpe, _ = sig
+def replay_allreduce(net, algo: str, payloads) -> np.ndarray:
+    """Book one dense allreduce of the ``P`` equal-shape contributions
+    ``payloads`` (a sequence of arrays or one stacked ``(P, n)`` array)
+    against ``net`` — :func:`replay` of the cached compiled schedule(s) —
+    and return their sum, folded in that schedule's own association order.
+    The whole fused allreduce except the hand-out of results: shared by
+    :func:`_exec_allreduce` and the serving step executor."""
     p = len(payloads)
+    n, wpe = payloads[0].size, _wpe(payloads[0])
     if algo == "ring":
         replay(net, compile_reduce_scatter_ring(p, n, wpe))
         replay(net, compile_allgather_ring(p, n, wpe))
-        total = _sum_ring(payloads, p)
-    elif algo == "rabenseifner":
-        replay(net, compile_allreduce(p, n, wpe, algo))
-        total = _sum_rabenseifner(payloads, p)
-    else:
-        replay(net, compile_allreduce(p, n, wpe, algo))
-        total = _sum_recursive_doubling(payloads, p)
-    return [np.array(total, copy=True) for _ in range(p)]
+        return _sum_ring(payloads, p)
+    replay(net, compile_allreduce(p, n, wpe, algo))
+    if algo == "rabenseifner":
+        return _sum_rabenseifner(payloads, p)
+    return _sum_recursive_doubling(payloads, p)
+
+
+def _exec_allreduce(net, sig, payloads):
+    total = replay_allreduce(net, sig[1], payloads)
+    return [np.array(total, copy=True) for _ in payloads]
 
 
 def fused_reduce_scatter_ring(comm, arr: np.ndarray, op):

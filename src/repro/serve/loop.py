@@ -11,6 +11,14 @@ engine step is one of:
 * **idle jump** — no work pending: jump the simulated clock to the next
   admission time (a closed form over the open-loop arrivals).
 
+A prefill or decode step is one call, ``t = model.step(tokens)``: it runs
+the layers *and* the decision-clock sync below, and on the fused fast
+path the whole of it is **one rendezvous per step** (the world-level
+executor in :mod:`repro.serve.model`) instead of one per layer plus one
+for the sync.  The per-layer loop is the reference path — threads
+runner, ``fused=False``, tracing, any fault plan, a shrunk world, P
+below the fusion floor — with identical simulated results.
+
 Determinism contract
 --------------------
 
@@ -21,8 +29,9 @@ non-power-of-two P, the per-rank simulated clocks legitimately *diverge*
 (the fold-in/out ranks sit on different dependency chains), so admission
 decisions keyed on a rank-local clock would differ across ranks and
 deadlock the collectives.  The loop therefore synchronizes a **decision
-clock as data** at every step boundary: an ``allgather`` of the per-rank
-clocks whose max is the step's decision time on every rank.  All
+clock as data** at every step boundary
+(:func:`repro.serve.model.sync_decision_time`): an ``allgather`` of the
+per-rank clocks whose max is the step's decision time on every rank.  All
 admissions, token stamps and metrics use that shared value, so the
 records are bit-identical on every rank (asserted by the driver) and
 across runners; residual per-rank clock skew stays in the network, where
@@ -80,7 +89,7 @@ from ..comm.model import NetworkModel
 from ..errors import ConfigError, RankFailedError
 from .batcher import DynamicBatcher
 from .metrics import RequestRecord, ServeReport
-from .model import TPDecodeModel, TPModelConfig
+from .model import TPDecodeModel, TPModelConfig, sync_decision_time
 from .workload import Request, TokenSpec, Workload
 
 
@@ -127,16 +136,6 @@ class ServeConfig:
             output_tokens=self.output_tokens, seed=self.seed)
 
 
-def _sync_decision_time(comm: SimComm) -> float:
-    """Synchronize the step's decision clock as *data*: every rank posts
-    its clock, everyone takes the max, and local clocks advance to it.
-    The gathered set is identical on all ranks, so the max is too."""
-    clocks = coll.allgather_object(comm, comm.clock)
-    t = max(clocks)
-    comm._advance_clock(t)
-    return t
-
-
 def _retry_release(cfg: ServeConfig, rid: int, attempt: int,
                    now: float) -> float:
     """Release time of retry ``attempt`` (1-based) for request ``rid``:
@@ -163,25 +162,23 @@ def _rank_serve(comm: SimComm, cfg: ServeConfig, workload: Workload) -> Dict:
     decode_steps = 0
 
     with comm.phase("serve"):
-        t = _sync_decision_time(comm)
+        t = sync_decision_time(comm)
         while True:
             batch = batcher.admit(t, cfg.max_batch_size - len(active),
                                   bool(active))
             if batch:
                 for rq in batch:
                     admitted_at[rq.rid] = t
-                model.step(sum(rq.prompt_tokens for rq in batch))
+                t = model.step(sum(rq.prompt_tokens for rq in batch))
                 prefill_batches += 1
-                t = _sync_decision_time(comm)
                 for rq in batch:
                     token_times[rq.rid] = [t]
                     if rq.output_tokens > 1:
                         active.append([rq, 1])
                 continue
             if active:
-                model.step(len(active))
+                t = model.step(len(active))
                 decode_steps += 1
-                t = _sync_decision_time(comm)
                 still: List[List] = []
                 for rq, emitted in active:
                     emitted += 1
@@ -194,7 +191,7 @@ def _rank_serve(comm: SimComm, cfg: ServeConfig, workload: Workload) -> Dict:
             if t_next is None:
                 break
             comm._advance_clock(t_next)
-            t = _sync_decision_time(comm)
+            t = sync_decision_time(comm)
 
     records = [
         RequestRecord(rq.rid, rq.arrival, rq.prompt_tokens,
@@ -310,7 +307,7 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                     "old_size": old_size, "new_size": comm.size,
                     "detected": detected, "rollback": rollback,
                 })
-                t = _sync_decision_time(comm)
+                t = sync_decision_time(comm)
                 # In-flight requests' tokens died with the crashed world:
                 # deterministically re-enqueue (or shed at budget).
                 requeued: List[int] = []
@@ -331,7 +328,7 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                 events[-1].update(resumed=t, requeued=requeued,
                                   dropped=dropped)
             elif t is None:
-                t = _sync_decision_time(comm)
+                t = sync_decision_time(comm)
             step_no += 1
             comm.maybe_crash(iteration=step_no)
             # Timeout detection on the simulated clock: queued requests
@@ -356,9 +353,8 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                     continue
                 for rq in kept:
                     admitted_at[rq.rid] = t
-                model.step(sum(rq.prompt_tokens for rq in kept))
+                t = model.step(sum(rq.prompt_tokens for rq in kept))
                 prefill_batches += 1
-                t = _sync_decision_time(comm)
                 for rq in kept:
                     token_times[rq.rid] = [t]
                     if rq.output_tokens > 1:
@@ -366,9 +362,8 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                 commit_boundary()
                 continue
             if active:
-                model.step(len(active))
+                t = model.step(len(active))
                 decode_steps += 1
-                t = _sync_decision_time(comm)
                 still: List[List] = []
                 for rq, emitted in active:
                     emitted += 1
@@ -382,7 +377,7 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
             if t_next is None:
                 break
             comm._advance_clock(t_next)
-            t = _sync_decision_time(comm)
+            t = sync_decision_time(comm)
         except RankFailedError as exc_:
             failure = exc_  # recover at the top of the next pass
 

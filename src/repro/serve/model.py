@@ -19,6 +19,25 @@ Compute is charged analytically as this rank's 1/P shard of the dense
 transformer FLOPs (attention projections + MLP; attention scores are
 sequence-length dependent and deliberately excluded — the reduction
 traffic, not the FLOP model, is the object of study here).
+
+One rendezvous per step
+-----------------------
+
+A step's shapes never change between its layers, so where the fused fast
+path is available (cooperative engine, no plan, no tracing, full world,
+P at or above the fusion floors — the gate of every dense fused
+collective) :meth:`TPDecodeModel.step` is **one engine dispatch**: every
+rank parks once and the last arrival runs :func:`_exec_tp_step` for the
+whole world — algorithm role resolved once, per layer the FLOP charges,
+the provenance entry, the replay of the cached compiled schedule and one
+stacked ``(P, tokens * hidden)`` reduction in the schedule's association
+order, then the decision-clock sync the serving loop needs after every
+step.  Every link booking, clock and counter lands exactly where
+``layers`` separate allreduces plus one allgather would have left it;
+only the ``layers + 1`` park/wake cycles per rank, the P-fold redundant
+``tile``/``tanh`` and the per-call dispatch disappear.  Everywhere else
+the per-layer loop below runs — it is the reference path the identity
+tests compare the executor against.
 """
 
 from __future__ import annotations
@@ -31,8 +50,20 @@ import numpy as np
 from ..comm import collectives as coll
 from ..comm.communicator import SimComm
 from ..comm.fused import (LATENCY_OPTIMAL, allreduce_analytic_seconds,
-                          bandwidth_optimal)
+                          bandwidth_optimal, compile_allgatherv, fusable,
+                          replay, replay_allreduce, resolve_allreduce)
+from ..comm.payload import nwords as payload_nwords
 from ..errors import ConfigError
+
+
+def sync_decision_time(comm: SimComm) -> float:
+    """Synchronize the step's decision clock as *data*: every rank posts
+    its clock, everyone takes the max, and local clocks advance to it.
+    The gathered set is identical on all ranks, so the max is too."""
+    clocks = coll.allgather_object(comm, comm.clock)
+    t = max(clocks)
+    comm._advance_clock(t)
+    return t
 
 
 @dataclass(frozen=True)
@@ -82,18 +113,25 @@ class TPDecodeModel:
         #: bit-identity witness across runners and fused/unfused paths
         self.checksum = 0.0
 
-    def step(self, tokens: int) -> None:
-        """Run ``tokens`` activation rows through every layer.
+    def step(self, tokens: int) -> float:
+        """Run ``tokens`` activation rows through every layer and return
+        the synchronized decision time that follows the step.
 
         One call serves both phases: prefill passes the admitted batch's
         summed prompt length, a decode step passes the active batch size
         (one new token per request).  Per layer: charge this rank's 1/P
         FLOP shard, then allreduce the ``tokens * hidden`` partial sums
-        with the configured algorithm choice.
+        with the configured algorithm choice; after the last layer,
+        :func:`sync_decision_time`.  Where the fused fast path is available
+        the whole step is one rendezvous (:func:`_exec_tp_step`); the
+        per-layer loop here is the reference path.
         """
         if tokens < 1:
             raise ConfigError(f"step needs >= 1 token, got {tokens}")
         comm, cfg = self.comm, self.cfg
+        if fusable(comm, tokens * cfg.words_per_token_layer):
+            return comm.fused_collective(
+                ("tp_step", tokens, self.algorithm), self, _exec_tp_step)
         acts = np.tile(self._base, tokens) * self._carry
         flops_shard = cfg.flops_per_token_layer * tokens / comm.size
         for layer in range(cfg.layers):
@@ -102,10 +140,9 @@ class TPDecodeModel:
             reduced = coll.allreduce(comm, partial,
                                      algorithm=self.algorithm)
             acts = np.tanh(reduced)
-        # Chain steps: the next step's input scale depends on this step's
-        # reduced output, so any cross-runner divergence compounds.
-        self._carry = np.float32(1.0) + np.float32(0.5) * np.tanh(acts.mean())
-        self.checksum += float(np.asarray(acts, dtype=np.float64).sum())
+        self._carry, emitted = _step_outcome(acts)
+        self.checksum += emitted
+        return sync_decision_time(comm)
 
     # ------------------------------------------------------------------
     # Elastic recovery support (see repro.serve.loop)
@@ -147,3 +184,53 @@ class TPDecodeModel:
 
         return (step_seconds(prompt_tokens)
                 + (output_tokens - 1) * step_seconds(1))
+
+
+def _step_outcome(acts: np.ndarray) -> Tuple[np.float32, float]:
+    """What a step's last-layer activations leave behind: the next step's
+    carry (the input scale depends on this step's reduced output, so any
+    cross-runner divergence compounds) and the checksum increment."""
+    carry = np.float32(1.0) + np.float32(0.5) * np.tanh(acts.mean())
+    return carry, float(np.asarray(acts, dtype=np.float64).sum())
+
+
+def _exec_tp_step(net, sig, models):
+    """Rendezvous executor of :meth:`TPDecodeModel.step`: the whole world's
+    step in one dispatch (``models[r]`` is rank ``r``'s shard).
+
+    Mirrors the reference loop operation for operation on the simulated
+    side — per layer every rank's FLOP charge, rank 0's provenance entry
+    and the allreduce's schedule replay, then the decision-clock
+    allgather — while the data side runs once instead of P times: the
+    ranks' inputs are bit-identical (replicated ``_base``/``_carry``) and
+    so are their reduced outputs, so one stacked ``(P, n)`` product, one
+    fold in the schedule's association order and one ``tanh`` per layer
+    serve everybody.  Returns the synchronized decision time per rank.
+    """
+    _, tokens, algorithm = sig
+    p = len(models)
+    lead = models[0]
+    cfg = lead.cfg
+    n = tokens * cfg.words_per_token_layer
+    concrete, mode = resolve_allreduce(algorithm, p, n, net.model)
+    flops_shard = cfg.flops_per_token_layer * tokens / p
+    acts = np.tile(lead._base, tokens) * lead._carry
+    for gain in lead._gain:
+        for m in models:
+            m.comm.compute_flops(flops_shard)
+        net.note_algorithm("allreduce", concrete, mode, n)
+        acts = np.tanh(replay_allreduce(
+            net, concrete, acts[None, :] * gain[:, None]))
+    carry, emitted = _step_outcome(acts)
+    for m in models:
+        m._carry = carry
+        m.checksum += emitted
+    # sync_decision_time for the whole world: the 1-word allgather, then
+    # every clock advances to the max of the pre-gather clocks
+    clocks = net.clocks
+    t = max(clocks)
+    replay(net, compile_allgatherv(p, (payload_nwords(t),) * p))
+    for r in range(p):
+        if clocks[r] < t:
+            clocks[r] = t
+    return [t] * p

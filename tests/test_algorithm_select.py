@@ -15,7 +15,7 @@ from repro.comm import run_spmd
 from repro.comm.fused import (LATENCY_OPTIMAL, allreduce_alpha_beta_terms,
                               allreduce_analytic_seconds,
                               allreduce_crossover_words, bandwidth_optimal,
-                              select_allreduce_algorithm)
+                              resolve_allreduce, select_allreduce_algorithm)
 from repro.comm.model import NetworkModel
 
 PS = [2, 3, 4, 5, 6, 8, 12, 16, 24, 64]
@@ -78,6 +78,23 @@ class TestCrossover:
     def test_unknown_algorithm_raises(self):
         with pytest.raises(ValueError):
             allreduce_alpha_beta_terms(4, "nope")
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_resolve_allreduce_is_the_role_table(self, p):
+        m = NetworkModel()
+        cross = allreduce_crossover_words(p, m)
+        small, large = int(cross) - 1, int(cross) + 1
+        bw = bandwidth_optimal(p)
+        assert resolve_allreduce("adaptive", p, small, m) == (
+            LATENCY_OPTIMAL, "adaptive")
+        assert resolve_allreduce("adaptive", p, large, m) == (bw, "adaptive")
+        assert resolve_allreduce("auto", p, small, m) == (bw, "auto")
+        assert resolve_allreduce("latency", p, large, m) == (
+            LATENCY_OPTIMAL, "forced")
+        assert resolve_allreduce("bandwidth", p, small, m) == (bw, "forced")
+        assert resolve_allreduce("ring", p, small, m) == ("ring", "forced")
+        with pytest.raises(ValueError, match="unknown dense allreduce"):
+            resolve_allreduce("nope", p, small, m)
 
 
 def _allreduce_program(comm, n, algorithm):

@@ -298,6 +298,20 @@ class TestFusionFloors:
         monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "not-a-number")
         assert fused_mod.fusion_floors() == (2, 0)
 
+    def test_floors_are_resolved_at_engine_construction(self, monkeypatch):
+        """The collective hot path reads the engine's pair, never the
+        environment: a change after ``run_spmd`` started is too late."""
+        monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "4")
+
+        def prog(comm):
+            if comm.rank == 0:
+                monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "99")
+            self._prog(comm)
+
+        res = run_spmd(4, prog, runner="coop", fused=True)
+        assert not any(mode == "unfused-small"
+                       for _, _, mode in res.network.algorithm_log)
+
     def test_small_world_skip_records_provenance(self, monkeypatch):
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
         monkeypatch.delenv(fused_mod.FUSED_MIN_WPR_ENV, raising=False)

@@ -9,18 +9,30 @@ The load-bearing assertions are the ISSUE-7 acceptance criteria:
   diverge and the loop's decision-clock sync is what keeps batching
   deterministic);
 * the size-adaptive allreduce selector matches or beats both fixed
-  choices in a latency-bound and a bandwidth-bound regime.
+  choices in a latency-bound and a bandwidth-bound regime;
+* (ISSUE 16) the one-rendezvous step executor that coop+fused runs take
+  at P >= 4 leaves the world — records, checksum, every per-rank counter,
+  clock and link, the provenance log — exactly where the per-layer
+  reference loop leaves it, is entered once per rank per serving step,
+  and is never entered where the fused gate is closed.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.comm import run_spmd
+from repro.comm.communicator import SimComm
+from repro.comm.faults import FaultPlan, LinkSlowdown
 from repro.comm.fused import LATENCY_OPTIMAL
 from repro.errors import ConfigError
 from repro.serve import (DynamicBatcher, Request, ServeConfig, Workload,
                          percentile, simulate_serving, sweep_load)
+from repro.serve.loop import _rank_serve
+from repro.serve.model import TPDecodeModel, TPModelConfig
 
 
 class TestWorkload:
@@ -141,6 +153,53 @@ class TestPercentile:
 SMOKE = ServeConfig(p=4, rate=2000.0, n_requests=12, prompt_tokens=32,
                     output_tokens=3, max_batch_size=4, seed=0)
 
+#: batch size 1: every step is a one-token decode or a 320-token prefill
+#: (20480 words — past the adaptive crossover wherever P has one)
+EXTREMES = replace(SMOKE, n_requests=2, prompt_tokens=320, max_batch_size=1,
+                   hidden=64, layers=2)
+
+ALGORITHMS = ("adaptive", "latency", "bandwidth", "auto", "ring")
+
+
+def world_state(res):
+    """Everything an SPMD section leaves behind: per-rank results, makespan,
+    per-rank traffic counters, final clocks and link occupancy, and the
+    provenance log entry for entry ("unfused-small" notes a wall-clock
+    profitability skip only coop+fused runs can record, so it is left out
+    of the cross-path comparison)."""
+    net = res.network
+    log = {k: v for k, v in net.algorithm_log.items()
+           if k[2] != "unfused-small"}
+    return (res.results, res.makespan, net.words_sent, net.words_recv,
+            net.msgs_sent, net.msgs_recv, net.clocks, net.egress_free,
+            net.ingress_free, log)
+
+
+def serve_world(cfg, runner=None, fused=None, **kwargs):
+    """What ``simulate_serving`` runs, with the network kept readable."""
+    return run_spmd(cfg.p, _rank_serve, cfg, cfg.workload(), runner=runner,
+                    fused=fused, **kwargs)
+
+
+def _two_steps(comm, mcfg, algorithm, tokens):
+    model = TPDecodeModel(mcfg, comm, algorithm=algorithm, seed=3)
+    # the second step starts from the first one's carry
+    return model.step(tokens), model.step(tokens), model.snapshot()
+
+
+@pytest.fixture
+def rendezvous_log(monkeypatch):
+    """Every ``SimComm.fused_collective`` call as ``(rank, sig[0])``."""
+    calls = []
+    inner = SimComm.fused_collective
+
+    def logged(self, sig, payload, executor):
+        calls.append((self.rank, sig[0]))
+        return inner(self, sig, payload, executor)
+
+    monkeypatch.setattr(SimComm, "fused_collective", logged)
+    return calls
+
 
 class TestServing:
     def test_all_requests_complete_with_ordered_stamps(self):
@@ -160,23 +219,69 @@ class TestServing:
         assert rep.steps["prefill_batches"] >= 1
         assert rep.steps["decode_steps"] >= 2  # 2 post-prefill tokens each
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
-    def test_bit_identical_across_runners_and_fused(self, p):
-        cfg = replace(SMOKE, p=p, seed=11)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("shape, p", [
+        *((SMOKE, p) for p in (1, 2, 3, 4, 6)),
+        *((EXTREMES, p) for p in (2, 3, 4, 5, 8)),
+    ], ids=lambda v: "mixed" if v is SMOKE else
+        "decode1-prefill320" if v is EXTREMES else f"p{v}")
+    def test_bit_identical_across_runners_and_fused(self, shape, p,
+                                                    algorithm):
+        # coop/gen + fused at P >= 4 is the one-rendezvous step executor;
+        # everything else is the per-layer reference loop
+        cfg = replace(shape, p=p, seed=11, algorithm=algorithm)
         base = None
         for runner in ("coop", "gen", "threads"):
             for fused in (True, False):
-                rep = simulate_serving(cfg, runner=runner, fused=fused)
-                # "unfused-small" notes a wall-clock profitability skip;
-                # only coop+fused runs can record it, so it is excluded
-                # from the cross-runner semantic comparison.
-                algos = {k: v for k, v in rep.algorithms.items()
-                         if not k.endswith("/unfused-small")}
-                sig = (rep.requests, rep.summary(), rep.steps, algos)
+                state = world_state(serve_world(cfg, runner, fused))
                 if base is None:
-                    base = sig
+                    base = state
                 else:
-                    assert sig == base, (p, runner, fused)
+                    assert state == base, (p, runner, fused)
+        # the public entry point reports that same world
+        rep = simulate_serving(cfg)
+        rank0 = base[0][0]
+        algos = {k: v for k, v in rep.algorithms.items()
+                 if not k.endswith("/unfused-small")}
+        assert (rep.requests, rep.checksum, rep.steps, rep.makespan) == (
+            rank0["records"], rank0["checksum"], rank0["steps"], base[1])
+        assert algos == {"/".join(k): v for k, v in base[-1].items()}
+
+    @given(p=st.integers(2, 9), tokens=st.integers(1, 48),
+           hidden=st.integers(1, 40), layers=st.integers(1, 3),
+           algorithm=st.sampled_from(ALGORITHMS + ("recursive_doubling",
+                                                   "rabenseifner")))
+    @settings(max_examples=40, deadline=None)
+    def test_bare_step_executor_matches_reference(self, p, tokens, hidden,
+                                                  layers, algorithm):
+        mcfg = TPModelConfig(hidden=hidden, layers=layers)
+        fused, reference = (
+            world_state(run_spmd(p, _two_steps, mcfg, algorithm, tokens,
+                                 runner="coop", fused=flag))
+            for flag in (True, False))
+        assert fused == reference
+
+    def test_one_rendezvous_per_serving_step(self, rendezvous_log):
+        res = serve_world(SMOKE, "coop", True)
+        steps = sum(res[0]["steps"].values())
+        assert steps >= 3
+        per_rank = Counter(rendezvous_log)
+        for rank in range(SMOKE.p):
+            assert per_rank[(rank, "tp_step")] == steps
+        # nothing else but the idle-jump decision syncs enters the engine
+        assert {head for _, head in rendezvous_log} == {
+            "tp_step", "allgather_object"}
+
+    @pytest.mark.parametrize("kwargs, p", [
+        ({"faults": FaultPlan(links=[LinkSlowdown(rank=1, factor=3.0)])}, 4),
+        ({"trace": True}, 4),
+        ({}, 3),
+    ], ids=["fault-plan", "tracing", "below-rank-floor"])
+    def test_step_executor_is_transparent(self, rendezvous_log, kwargs, p):
+        cfg = replace(SMOKE, p=p)
+        got = world_state(serve_world(cfg, "coop", True, **kwargs))
+        assert "tp_step" not in {head for _, head in rendezvous_log}
+        assert got == world_state(serve_world(cfg, "coop", False, **kwargs))
 
     def test_pure_function_of_seed(self):
         a = simulate_serving(SMOKE).summary()
