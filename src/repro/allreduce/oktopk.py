@@ -115,6 +115,17 @@ def _exec_split_reduce(net, sig, payloads):
     without creating a single message object or parking a single thread.
     The reduction itself is one ``combine_sum`` per rank over the pieces
     in static request order, exactly what the per-message path folds.
+
+    Ranks are group ranks of the network's current world; per-slot
+    network state is reached through ``world[r]``.  Under a fault plan the
+    bookings take the same per-message factors the reference path applies
+    (:meth:`Network._serialize_link`, shared with ``post_batch``): a
+    link-faulty sender books through the scalar fold with its egress
+    windows (``isend_avail`` stays unscaled, as in ``post_batch``), a
+    link-faulty receiver through the same fold with its ingress windows
+    (what ``_deliver_batch_impl`` falls back to), and the ``o_inject``
+    and ``gamma`` charges carry the rank's straggler factor at its clock
+    before each charge (``SimComm.compute``).
     """
     from .schedule import buckets as _buckets, make_steps
     _, rotation, bucket_size = sig
@@ -122,9 +133,19 @@ def _exec_split_reduce(net, sig, payloads):
     model = net.model
     alpha, o_send = model.alpha, model.o_send
     o_inject, gamma = model.o_inject, model.gamma
+    world = net.world
     clocks = net.clocks
     eg = net.egress_free
     ing = net.ingress_free
+    faults = net.faults
+
+    def charge(slot, seconds):
+        """``SimComm.compute`` on ``slot`` (no crash can be pending while
+        the world is at a rendezvous)."""
+        if faults is not None and faults.straggler[slot]:
+            seconds *= faults.compute_factor(slot, clocks[slot])
+        clocks[slot] += seconds
+
     # inlined comm_nwords (2k wire words): the property chain costs real
     # time at 256 calls per dispatch
     nw = [[2 * piece.indices.size for piece in pieces]
@@ -146,7 +167,7 @@ def _exec_split_reduce(net, sig, payloads):
         # -- posts: one batched egress booking per rank (isend_batch) ----
         inbox: List[List[tuple]] = [[] for _ in range(p)]
         send_dones: List[List[float]] = [[] for _ in range(p)]
-        for r in range(p):
+        for r, s in enumerate(world):
             sends = [dst for step in rank_buckets[r][bb]
                      for dst in step.send_to]
             if not sends:
@@ -154,9 +175,10 @@ def _exec_split_reduce(net, sig, payloads):
             nwords = np.array([nw[r][dst] for dst in sends],
                               dtype=np.float64)
             n = nwords.size
-            avail = model.isend_avail(clocks[r], n)
-            starts, ends = model.serialize_batch(eg[r], avail, nwords)
-            eg[r] = float(ends[-1])
+            avail = model.isend_avail(clocks[s], n)
+            starts, ends = net._serialize_link(True, s, eg[s], avail,
+                                               nwords)
+            eg[s] = float(ends[-1])
             total = 0
             starts_l = starts.tolist()
             ends_l = ends.tolist()
@@ -164,17 +186,17 @@ def _exec_split_reduce(net, sig, payloads):
                 inbox[dst].append((starts_l[i] + alpha, r, nw[r][dst]))
                 send_dones[r].append(ends_l[i] + o_send)
                 total += nw[r][dst]
-            net.words_sent[r] += total
-            net.msgs_sent[r] += n
+            net.words_sent[s] += total
+            net.msgs_sent[s] += n
             if o_inject:
                 for _ in range(n):
-                    clocks[r] += o_inject
+                    charge(s, o_inject)
         # -- overlap: reduce the previous bucket while this one flies ----
-        for r in range(p):
+        for r, s in enumerate(world):
             if prev_words[r]:
-                clocks[r] += gamma * (2 * prev_words[r])
+                charge(s, gamma * (2 * prev_words[r]))
         # -- waitall: arrival-sorted batched delivery + send waits -------
-        for r in range(p):
+        for r, s in enumerate(world):
             msgs = sorted(inbox[r])  # (t_first, src, nwords)
             if msgs:
                 # serialize_batch is bit-identical to the one-message
@@ -182,17 +204,18 @@ def _exec_split_reduce(net, sig, payloads):
                 # call handles both the single and the batched delivery
                 avail = np.array([m[0] for m in msgs], dtype=np.float64)
                 nwords = np.array([m[2] for m in msgs], dtype=np.float64)
-                _, ends = model.serialize_batch(ing[r], avail, nwords)
+                _, ends = net._serialize_link(False, s, ing[s], avail,
+                                              nwords)
                 td = float(ends[-1])
-                ing[r] = td
+                ing[s] = td
                 total = sum(m[2] for m in msgs)
-                if td > clocks[r]:
-                    clocks[r] = td
-                net.words_recv[r] += total
-                net.msgs_recv[r] += len(msgs)
+                if td > clocks[s]:
+                    clocks[s] = td
+                net.words_recv[s] += total
+                net.msgs_recv[s] += len(msgs)
             for dn in send_dones[r]:
-                if dn > clocks[r]:
-                    clocks[r] = dn
+                if dn > clocks[s]:
+                    clocks[s] = dn
             # request order, not arrival order: the payload list the
             # reference waitall returns follows the irecv creation order
             arrived = [payloads[src][r] for step in rank_buckets[r][bb]
@@ -212,7 +235,7 @@ def _exec_split_reduce(net, sig, payloads):
     multi: List[int] = []
     for r in range(p):
         if prev_words[r]:
-            clocks[r] += gamma * (2 * prev_words[r])
+            charge(world[r], gamma * (2 * prev_words[r]))
         own = payloads[r][r]
         if not pending[r]:
             out[r] = own
@@ -264,15 +287,17 @@ def _exec_select_local(net, sig, payloads):
     selection-guard re-evaluation — is handled per rank with the scalar
     primitives (it is pure local compute, no lockstep needed).
     """
-    from ..train.rankbatch import stack_rows
+    from ..train.rankbatch import _world_state
     _, t, k = sig
-    xs = stack_rows([p[2] for p in payloads])
+    ws = _world_state(net)
+    xs = ws.stack("select_acc", [p[2] for p in payloads])
     nranks, n = xs.shape
+    mag = ws.scratch("select_mag", xs.shape, xs.dtype)
     entries = [(p[0], p[1], p[1]._state) for p in payloads]
     due = [st.local_th is None or ar._due(t, ar.tau_prime)
            for (_, ar, st) in entries]
     if all(due):
-        ths = batched_kth_largest_abs(xs, k)
+        ths = batched_kth_largest_abs(xs, k, mag)
         for r, (comm, _, st) in enumerate(entries):
             st.local_th = float(ths[r])
             st.local_evaluations += 1
@@ -287,7 +312,8 @@ def _exec_select_local(net, sig, payloads):
         comm.compute_scan(n)
     ths_now = [st.local_th for (_, _, st) in entries]
     if all(th > 0.0 for th in ths_now):
-        selected = batched_threshold_select(xs, ths_now)
+        selected = batched_threshold_select(
+            xs, ths_now, mag, ws.scratch("select_mask", xs.shape, bool))
     else:
         selected = [threshold_select(xs[r], ths_now[r])
                     if ths_now[r] > 0.0 else None

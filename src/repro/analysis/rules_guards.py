@@ -7,9 +7,12 @@ of faults.  Any dereference of the fault state (``self.faults.crash_time``,
 test therefore either crashes the common case or — worse — silently
 institutionalises a fault-plan dependency in the hot path.
 
-Scope: ``comm/network.py``, ``comm/communicator.py`` and
-``serve/loop.py`` (the hot paths; the serving loop's fault-free dispatch
-must stay a single ``faults is not None`` test).  The rule recognises as
+Scope: ``comm/network.py``, ``comm/communicator.py``, ``serve/loop.py``
+(the hot paths; the serving loop's fault-free dispatch must stay a single
+``faults is not None`` test) and the fast path that now runs under plans
+too — ``comm/engine.py``, ``comm/fused.py`` (the schedule replay) and
+``allreduce/oktopk.py`` (the split-and-reduce executor).  The rule
+recognises as
 a *fault expression* any attribute chain
 ending in ``.faults`` / ``._faults``, the bare names ``faults`` /
 ``_faults`` (parameters), and local aliases bound from one
@@ -44,7 +47,8 @@ _TERMINATORS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 
 def applies(path: str) -> bool:
     return path.endswith(("comm/network.py", "comm/communicator.py",
-                          "serve/loop.py"))
+                          "serve/loop.py", "comm/engine.py",
+                          "comm/fused.py", "allreduce/oktopk.py"))
 
 
 def _key(node: ast.AST) -> Optional[str]:

@@ -27,7 +27,8 @@ vectorized passes plus one stacked-numpy reduction — bit-identical to the
 per-message rounds below in results, traffic counters and simulated
 makespans.  The per-message implementations in this module remain the
 reference path (threaded runner, traced networks, ``P = 1``, non-``add``
-ops, or ``REPRO_FUSED=0``).
+ops, ``REPRO_FUSED=0``, and — under a fault plan — the step a planned
+crash can fire in; slowdowns, stragglers and shrunk worlds stay fused).
 """
 
 from __future__ import annotations

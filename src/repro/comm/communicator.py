@@ -273,7 +273,13 @@ class SimComm:
         self.rank = rank
         self.size = size
         self.slot = slot
-        self._group = group
+        #: the network slots this communicator spans, in rank order
+        self.slots: Tuple[int, ...] = (
+            tuple(range(size)) if group is None else group)
+        #: the step last announced through :meth:`maybe_crash` (under a
+        #: fault plan only, else None): the one an iteration-pinned crash
+        #: is tested against, here and in :meth:`_rendezvous_safe`
+        self.announced_step: Optional[int] = None
         self._phase_times: dict[str, float] = {}
         #: lockstep rank-batching handle, published by the trainer
         #: (see :mod:`repro.train.rankbatch`); None = per-rank execution
@@ -281,9 +287,7 @@ class SimComm:
 
     def _to_slot(self, r: int) -> int:
         """Translate a group-relative peer rank to its network slot."""
-        if self._group is None:
-            return r
-        return self._group[r]
+        return self.slots[r]
 
     # ------------------------------------------------------------------
     # Simulated clock
@@ -530,18 +534,38 @@ class SimComm:
     # ------------------------------------------------------------------
     # Fused collectives (engine-level macro-collectives)
     # ------------------------------------------------------------------
+    def _rendezvous_safe(self) -> bool:
+        """The world predicate every rendezvous gate shares
+        (:func:`repro.comm.fused._available`,
+        :meth:`repro.train.rankbatch.RankBatch.engaged`): a rendezvous
+        entered now is certain to complete.  That takes a communicator
+        spanning the network's current world (the rendezvous counts
+        exactly those slots — a full-world communicator after a shrink, or
+        a hand-built subgroup, does not qualify), no declared death inside
+        it, and no planned crash that could fire before the world leaves
+        the rendezvous (:meth:`repro.comm.faults.FaultState.crash_free`).
+        Deterministic and rank-uniform: every input is network state or
+        the step all ranks announced at the same program point."""
+        net = self.net
+        if self.slots != net.world or net._world_dead:
+            return False
+        f = net.faults
+        return f is None or f.crash_free(net.world, self.announced_step)
+
     def fused_collective(self, sig: tuple, payload: Any, executor) -> Any:
         """Enter a fused collective rendezvous (cooperative engine only;
         callers gate on :func:`repro.comm.fused._available` first).
 
-        Parks this rank until every rank has arrived with an identical
-        ``sig``, lets the last arrival run ``executor(net, sig,
-        payloads)`` — one vectorized dispatch replacing the per-message
-        round trips — and returns this rank's slot of the result list.
+        Parks this rank until every rank of the current world has arrived
+        with an identical ``sig``, lets the last arrival run
+        ``executor(net, sig, payloads)`` — one vectorized dispatch
+        replacing the per-message round trips, ``payloads`` in group-rank
+        order — and returns this rank's entry of the result list.
         See :mod:`repro.comm.fused` and
         :meth:`repro.comm.engine.CoopEngine.collective`.
         """
-        return self.net._sched.collective(self.rank, sig, payload, executor)
+        return self.net._sched.collective(self.slot, self.rank, sig,
+                                          payload, executor)
 
     # internal hooks used by RecvRequest/SendRequest ---------------------
     def _try_match(self, source: int, tag: int) -> Optional[Message]:
@@ -564,13 +588,17 @@ class SimComm:
     # Fault tolerance (see repro.comm.faults)
     # ------------------------------------------------------------------
     def maybe_crash(self, iteration: Optional[int] = None) -> None:
-        """Fire this rank's iteration-pinned crash, if the fault plan has
-        one for ``iteration`` (1-based).  Called by the trainer at the top
-        of each training iteration; a no-op without a plan.
+        """Announce step ``iteration`` (1-based) and fire this rank's
+        iteration-pinned crash if the fault plan has one for it.  Called
+        by the trainer and the serving loop at the top of every step; a
+        no-op without a plan.  The announcement is what keeps the step a
+        peer dies in off the world rendezvous (:meth:`_rendezvous_safe`):
+        its survivors must detect the death per message.
         """
         f = self.net.faults
         if f is None or iteration is None:
             return
+        self.announced_step = iteration
         slot = self.slot
         if f.crash_iter[slot] == iteration:
             raise self.net._crash_outside_lock(slot)

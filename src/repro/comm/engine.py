@@ -51,15 +51,16 @@ from .payload import freeze as _freeze
 
 class _Rendezvous:
     """State of one in-progress fused collective (engine-level
-    macro-collective).  At most one exists at a time: every rank of the
-    network participates in every collective, so a rank cannot reach
-    rendezvous ``g + 1`` before generation ``g`` completed."""
+    macro-collective) of the network's current world; payloads and
+    results are in group-rank order.  At most one exists at a time: every
+    rank of the world participates in every collective, so a rank cannot
+    reach rendezvous ``g + 1`` before generation ``g`` completed."""
 
     __slots__ = ("sig", "payloads", "results", "count")
 
-    def __init__(self, sig: tuple, nranks: int):
+    def __init__(self, sig: tuple, size: int):
         self.sig = sig
-        self.payloads: list = [None] * nranks
+        self.payloads: list = [None] * size
         self.results: list = []
         self.count = 0
 
@@ -91,7 +92,7 @@ class CoopEngine:
                           if schedule_seed is not None else None)
         #: in-progress fused collective, if any
         self._rv: Optional[_Rendezvous] = None
-        #: ranks parked at the rendezvous (in arrival order)
+        #: slots parked at the rendezvous (in arrival order)
         self._rv_parked: list[int] = []
         # Parking slots: raw locks are the cheapest wait/wake primitive in
         # CPython (a bare futex, ~3x cheaper than Event).  Each lock starts
@@ -144,11 +145,20 @@ class CoopEngine:
             self._hand_off()
             self._main.acquire()
         finally:
-            net._sched = None
-            self._drain_loans()
+            self._close_section()
         for t in threads:
             t.join()
         return results, failures
+
+    def _close_section(self) -> None:
+        """Detach from the network when the SPMD section ends."""
+        net = self.net
+        net._sched = None
+        self._drain_loans()
+        # The lockstep executors' world state (stacked model, (P, n)
+        # matrices, scratch) is only meaningful under a rendezvous engine:
+        # dropping it here frees a finished world by reference count.
+        net._rank_batch_state = None
 
     def _drain_loans(self) -> None:
         """End every outstanding loan when the SPMD section closes.
@@ -219,9 +229,19 @@ class CoopEngine:
             self._waiting[dst] = (source, tag)
             self._suspend(dst)
 
-    def collective(self, rank: int, sig: tuple, payload, executor):
-        """Run a fused collective: park ``rank`` at the rendezvous until
-        every rank has arrived, then execute once, centrally.
+    def collective(self, slot: int, rank: int, sig: tuple, payload,
+                   executor):
+        """Run a fused collective: park the caller at the rendezvous until
+        every rank of the network's current world has arrived, then
+        execute once, centrally.
+
+        The caller is rank ``rank`` of that world and runs on network slot
+        ``slot`` (equal until an elastic shrink re-numbers the survivors):
+        the rendezvous is sized by the world, payloads and results are
+        indexed by group rank, parking and waking go by slot.  Callers
+        gate on :meth:`SimComm._rendezvous_safe` — the communicator spans
+        the current world and nothing planned can kill a participant
+        before the rendezvous completes.
 
         ``sig`` is the collective's structural signature — it must be
         identical on every rank (same collective, entered in the same
@@ -241,31 +261,22 @@ class CoopEngine:
         net = self.net
         net._check_abort()
         if net.faults is not None:
-            net._crash_check(rank)
-        if net._dead:
-            # The rendezvous needs every rank; a declared death means it
-            # can never complete.
-            raise net._fail_detect(rank)
-        rv = self._rv
-        if rv is None:
-            rv = self._rv = _Rendezvous(sig, self.nranks)
-        elif rv.sig != sig:
-            exc = CommError(
-                f"fused collective mismatch: rank {rank} entered {sig[0]!r} "
-                f"{sig!r} while other ranks are in {rv.sig!r} — all ranks "
-                f"must run the same collectives in the same order")
-            net.abort(exc)
-            raise exc
+            net._crash_check(slot)
+        if net._world_dead:
+            # The rendezvous needs every rank of the world; a declared
+            # death inside it means it can never complete.
+            raise net._fail_detect(slot)
+        rv = self._enter_rendezvous(rank, sig)
         rv.payloads[rank] = payload
         rv.count += 1
-        if rv.count < self.nranks:
-            self._rv_parked.append(rank)
-            self._suspend(rank)
+        if rv.count < len(rv.payloads):
+            self._rv_parked.append(slot)
+            self._suspend(slot)
             net._check_abort()
             if not rv.results:
                 # Woken by the revoke path, not by completion: a
                 # participant died while we were parked.
-                raise net._fail_detect(rank)
+                raise net._fail_detect(slot)
             return rv.results[rank]
         # Last arrival: run the whole collective as one fused dispatch.
         self._rv = None
@@ -273,10 +284,25 @@ class CoopEngine:
         self._finish_rendezvous(rv)
         return rv.results[rank]
 
+    def _enter_rendezvous(self, rank: int, sig: tuple) -> _Rendezvous:
+        """The in-progress rendezvous of the current world — opened by
+        its first arrival — after checking ``sig`` against it."""
+        rv = self._rv
+        if rv is None:
+            rv = self._rv = _Rendezvous(sig, len(self.net.world))
+        elif rv.sig != sig:
+            exc = CommError(
+                f"fused collective mismatch: rank {rank} entered {sig[0]!r} "
+                f"{sig!r} while other ranks are in {rv.sig!r} — all ranks "
+                f"must run the same collectives in the same order")
+            self.net.abort(exc)
+            raise exc
+        return rv
+
     def _finish_rendezvous(self, rv: _Rendezvous) -> None:
         """Ready the parked participants of a completed rendezvous in
-        rank order (hook: the generator engine also has to hand each
-        parked continuation its result slot)."""
+        slot (= rank) order (hook: the generator engine also has to hand
+        each parked continuation the completed rendezvous)."""
         parked = self._rv_parked
         self._rv_parked = []
         parked.sort()
@@ -301,6 +327,9 @@ class CoopEngine:
         """Re-evaluate shrink-barrier completion (called at every park
         and rank-exit event)."""
         if self.net._maybe_finish_shrink():
+            # A rendezvous of the old world that a death interrupted was
+            # abandoned by its participants; the new world starts clean.
+            self._rv = None
             woken = sorted(self._shrink_waiting)
             self._shrink_waiting.clear()
             self._ready.extend(woken)
@@ -345,11 +374,12 @@ class CoopEngine:
 
         If nobody is runnable but ranks are still blocked, then (in
         priority order): under a declared death, wake the blocked ranks
-        that can now prove their operation will never complete (parked
-        rendezvous first — their unwind fail-stops them, which makes
-        receives *from* them detectable — then receives whose source is a
-        failed peer), one at a time, so each raises ``RankFailedError``
-        at its own blocking point; otherwise this is either the tail of
+        that can now prove their operation will never complete (ranks
+        parked at a rendezvous of a world the death is inside of first —
+        their unwind fail-stops them, which makes receives *from* them
+        detectable — then receives whose source is a failed peer), one at
+        a time, so each raises ``RankFailedError`` at its own blocking
+        point; otherwise this is either the tail of
         an abort (wake one so it observes the abort and unwinds, which
         chains to the rest) or a genuine deadlock (declare it with the
         full parked-rank report, then unwind the same way).  With no live
@@ -388,11 +418,11 @@ class CoopEngine:
             return None
         net = self.net
         if not net.aborted:
+            if net._world_dead and self._rv_parked:
+                rank = min(self._rv_parked)
+                self._rv_parked.remove(rank)
+                return rank
             if net._dead:
-                if self._rv_parked:
-                    rank = min(self._rv_parked)
-                    self._rv_parked.remove(rank)
-                    return rank
                 failed = net._failed_peers()
                 cand = [r for r, st in self._waiting.items()
                         if st[0] in failed]
@@ -598,8 +628,8 @@ class GenEngine(CoopEngine):
         self._carrier_job: List[Optional[Callable[[], Any]]] = \
             [None] * nranks
         self._carrier_ret: List[Optional[tuple]] = [None] * nranks
-        #: results for rendezvous-parked generator ranks, by rank
-        self._gen_rv_results: Dict[int, Any] = {}
+        #: the completed rendezvous of each parked generator rank, by slot
+        self._gen_rv_done: Dict[int, _Rendezvous] = {}
         #: ranks that already yielded once inside a try_match poll
         self._gen_polled: set[int] = set()
         #: ranks woken from the shrink barrier (retry returns the result)
@@ -637,9 +667,8 @@ class GenEngine(CoopEngine):
             self._ready.extend(range(self.nranks))
             self._trampoline()
         finally:
-            net._sched = None
+            self._close_section()
             self._tramp_ident = None
-            self._drain_loans()
             for r, th in enumerate(self._carrier):
                 if th is not None:
                     self._carrier_job[r] = None
@@ -841,36 +870,28 @@ class GenEngine(CoopEngine):
                 self._waiting[dst] = key
                 raise _WouldBlock()
 
-    def collective(self, rank: int, sig: tuple, payload, executor):
+    def collective(self, slot: int, rank: int, sig: tuple, payload,
+                   executor):
         if not self._on_trampoline():
-            return super().collective(rank, sig, payload, executor)
-        slots = self._gen_rv_results
-        if rank in slots:
-            # woken by rendezvous completion: deliver our result slot
+            return super().collective(slot, rank, sig, payload, executor)
+        done = self._gen_rv_done
+        if slot in done:
+            # woken by rendezvous completion: deliver our result entry
             self.net._check_abort()
-            return slots.pop(rank)
+            return done.pop(slot).results[rank]
         net = self.net
         net._check_abort()
         if net.faults is not None:
-            net._crash_check(rank)
-        if net._dead:
-            raise net._fail_detect(rank)
-        rv = self._rv
-        if rv is None:
-            rv = self._rv = _Rendezvous(sig, self.nranks)
-        elif rv.sig != sig:
-            exc = CommError(
-                f"fused collective mismatch: rank {rank} entered {sig[0]!r} "
-                f"{sig!r} while other ranks are in {rv.sig!r} — all ranks "
-                f"must run the same collectives in the same order")
-            net.abort(exc)
-            raise exc
-        if rv.count + 1 < self.nranks:
+            net._crash_check(slot)
+        if net._world_dead:
+            raise net._fail_detect(slot)
+        rv = self._enter_rendezvous(rank, sig)
+        if rv.count + 1 < len(rv.payloads):
             self._require_thunk()  # this arrival parks: thunk context only
         rv.payloads[rank] = payload
         rv.count += 1
-        if rv.count < self.nranks:
-            self._rv_parked.append(rank)
+        if rv.count < len(rv.payloads):
+            self._rv_parked.append(slot)
             raise _WouldBlock()
         self._rv = None
         rv.results = executor(net, sig, rv.payloads)
@@ -881,9 +902,9 @@ class GenEngine(CoopEngine):
         parked = self._rv_parked
         self._rv_parked = []
         parked.sort()
-        for r in parked:
-            if not self._on_carrier[r]:
-                self._gen_rv_results[r] = rv.results[r]
+        for slot in parked:
+            if not self._on_carrier[slot]:
+                self._gen_rv_done[slot] = rv
         self._ready.extend(parked)
 
     def try_match(self, dst: int, source: int, tag: int):

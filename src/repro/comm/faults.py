@@ -32,6 +32,25 @@ Determinism guarantees
   :class:`repro.errors.RankFailedError` with their clock charged to
   ``death_time + detect_timeout`` (the bounded detection latency).
 
+Plans and the fast path
+-----------------------
+
+Slowdowns and stragglers are per-message and per-rank *multipliers*, so a
+plan does not push a run off the compiled-schedule fast path
+(:mod:`repro.comm.fused`, :mod:`repro.train.rankbatch`): the replay books
+every round with factor arrays read from :meth:`FaultState.by_rank` — the
+plan's windows re-keyed from network slot to the group rank of the current
+world, so a shrunk world replays the same schedules — and only the few
+faulty ranks pay a scalar window lookup.  Crashes are different: survivors
+must detect a death at their own blocking points, with their own clocks
+and partial link bookings, and only the per-message path produces those.
+The world rendezvous is therefore entered only while
+:meth:`FaultState.crash_free` holds — no live slot carries a time-pinned
+crash, and none is due by the step the ranks announced through
+``comm.maybe_crash(iteration=t)`` — so the interrupted iteration, its
+detection clocks, rollback and shrink run per message exactly as they
+always did, and the fast path re-engages on the shrunk world.
+
 Seeded generators (:meth:`FaultPlan.straggler_skew`,
 :meth:`FaultPlan.jittery`) derive concrete plans from an integer seed, so
 benchmark scenarios are reproducible from ``(nranks, seed)`` alone.
@@ -54,6 +73,7 @@ __all__ = [
     "RankCrash",
     "FaultPlan",
     "FaultState",
+    "RankWindows",
 ]
 
 
@@ -261,18 +281,54 @@ def _window_factor(windows: List[Tuple[float, float, float]],
     return f
 
 
+class RankWindows:
+    """One direction of a compiled plan (egress, ingress or compute
+    windows) as one world sees it: keyed by *group rank*, the index the
+    compiled schedules address, instead of by network slot."""
+
+    __slots__ = ("windows", "mask")
+
+    def __init__(self, windows: List[List[Tuple[float, float, float]]]):
+        #: group rank -> that rank's windows (empty for a clean rank)
+        self.windows = windows
+        self.mask = np.array([bool(w) for w in windows])
+
+    def factor(self, rank: int, t: float) -> float:
+        """The factor of one booking or charge of ``rank`` starting at
+        ``t`` (1.0 for a clean rank)."""
+        return _window_factor(self.windows[rank], t)
+
+    def scale(self, x, ranks: np.ndarray, times: np.ndarray):
+        """``x`` times the per-message factor array of bookings by
+        ``ranks`` starting at ``times``: 1.0 everywhere except on this
+        plan's faulty ranks, the only ones that take a window lookup.
+        ``x`` itself comes back when none of them is in ``ranks`` — a
+        factor of 1.0 is bit-neutral, so that is the same result."""
+        hits = np.flatnonzero(self.mask[ranks])
+        if not hits.size:
+            return x
+        fac = np.ones(ranks.size)
+        for j in hits.tolist():
+            fac[j] = _window_factor(self.windows[ranks[j]], times[j])
+        return x * fac
+
+
 class FaultState:
     """A :class:`FaultPlan` compiled against a concrete rank count.
 
     Owned by a :class:`repro.comm.Network`; all lookups are keyed by
     *network slot* (the physical rank id), so shrunk communicators keep
-    consulting the right entries after an elastic resize.
+    consulting the right entries after an elastic resize.  The two
+    questions the fused fast path asks are answered per *world* (the
+    network's live slot tuple) and cached until the world changes:
+    :meth:`by_rank` and :meth:`crash_free`.
     """
 
     __slots__ = ("plan", "nranks", "detect_timeout",
                  "egress", "ingress", "compute",
                  "link_faulty", "straggler",
-                 "crash_time", "crash_iter")
+                 "crash_time", "crash_iter",
+                 "_world", "_by_rank", "_timed_crash", "_first_crash_iter")
 
     def __init__(self, plan: FaultPlan, nranks: int):
         self.plan = plan
@@ -313,6 +369,7 @@ class FaultState:
                 self.crash_time[c.rank] = float(c.time)
             else:
                 self.crash_iter[c.rank] = int(c.iteration)
+        self._world: Optional[Tuple[int, ...]] = None
 
     # hot-path lookups ---------------------------------------------------
     def egress_factor(self, rank: int, t: float) -> float:
@@ -323,3 +380,45 @@ class FaultState:
 
     def compute_factor(self, rank: int, t: float) -> float:
         return _window_factor(self.compute[rank], t)
+
+    # per-world views (the fused fast path) ---------------------------------
+    def _focus(self, world: Tuple[int, ...]) -> None:
+        """Re-key the per-world caches when the world changed (the
+        network replaces its world tuple only at an elastic shrink, so
+        identity is the whole test)."""
+        if world is self._world:
+            return
+        self._world = world
+        self._by_rank = tuple(
+            RankWindows([by_slot[s] for s in world])
+            if any(by_slot[s] for s in world) else None
+            for by_slot in (self.egress, self.ingress, self.compute))
+        self._timed_crash = any(self.crash_time[s] != inf for s in world)
+        self._first_crash_iter = min(
+            (self.crash_iter[s] for s in world
+             if self.crash_iter[s] is not None), default=inf)
+
+    def by_rank(self, world: Tuple[int, ...]) -> Tuple[
+            Optional[RankWindows], Optional[RankWindows],
+            Optional[RankWindows]]:
+        """The ``(egress, ingress, compute)`` windows of ``world`` keyed
+        by group rank; ``None`` for a direction no slot of the world has
+        a window in (every factor is 1.0 there)."""
+        self._focus(world)
+        return self._by_rank
+
+    def crash_free(self, world: Tuple[int, ...],
+                   step: Optional[int]) -> bool:
+        """Whether no planned crash can fire inside ``world`` before its
+        ranks announce their next step: no live slot has a time-pinned
+        crash, and none has an iteration-pinned crash due by ``step``
+        (the iteration last announced through
+        :meth:`repro.comm.SimComm.maybe_crash`; ``None`` = none yet, and
+        iteration-pinned crashes only ever fire there).  "Due by", not
+        "due in": a rank that ran ahead through a step without blocking
+        communication must not open a rendezvous its victim — still in
+        the live world, about to die in the earlier step — never joins."""
+        self._focus(world)
+        return not self._timed_crash and (
+            step is None or step < self._first_crash_iter)
+

@@ -33,9 +33,17 @@ simulated timestamp.  Every collective is split into:
 
 Execution model (the engine side lives in :mod:`repro.comm.engine`): a
 rank entering a fused collective parks at a **rendezvous**; when the last
-rank of the communicator arrives, that rank compiles (or re-uses) the
+rank of the current world arrives, that rank compiles (or re-uses) the
 schedule, replays it, computes all results, and wakes everyone.  One
 park/wake per rank per collective replaces one per blocked receive.
+
+The rendezvous is one of the network's *current world* — every slot
+until an elastic shrink, the survivor group afterwards
+(``Network.world``).  Schedules are compiled for group ranks ``0..P-1``;
+:func:`replay` gathers the world's clocks and link state by slot, books,
+and scatters back, so a shrunk (and re-numbered, possibly
+non-power-of-two) world replays the same cached schedules the full one
+does.
 
 Correctness of the central replay relies on two existing invariants:
 
@@ -52,12 +60,26 @@ Correctness of the central replay relies on two existing invariants:
   in-flight bucket traffic through the link-occupancy state alone, the
   same way ``serialize_batch`` bookings do.
 
+Fault plans ride the same schedules.  A link slowdown is a per-message
+multiplier on ``beta`` and a compute straggler a per-rank multiplier on
+every charge the replay makes, both evaluated at the booking's own start
+time — so :func:`replay` books each round with factor arrays that are 1.0
+everywhere except on the plan's few faulty ranks (a factor of 1.0 is
+bit-neutral; without a plan no factor is ever built).  What a plan still
+sends to the reference path is the step a planned crash can fire in:
+survivors must detect the death at their own blocking points, with their
+own clocks and partial link bookings, which only the per-message run
+produces.  The gate is one world predicate shared with rank batching
+(:meth:`repro.comm.SimComm._rendezvous_safe`, used by :func:`_available`).
+
 The per-message implementations remain the reference path (and the only
-path for the threaded runner, traced networks, ``P = 1`` and non-``add``
-reduction ops); ``REPRO_FUSED=0`` / ``run_spmd(..., fused=False)`` /
-``repro-bench --no-fused`` force it everywhere, giving a three-way
-bit-identity oracle (fused-coop == per-message-coop == threads) enforced
-by ``tests/test_fused_collectives.py``.
+path for the threaded runner, traced networks, ``P = 1``, non-``add``
+reduction ops, group communicators that are not the current world, and
+the step a crash interrupts); ``REPRO_FUSED=0`` /
+``run_spmd(..., fused=False)`` / ``repro-bench --no-fused`` force it
+everywhere, giving a three-way bit-identity oracle (fused-coop ==
+per-message-coop == threads) enforced by
+``tests/test_fused_collectives.py`` — with and without plans.
 """
 
 from __future__ import annotations
@@ -89,7 +111,8 @@ TAG_SCATTER = _TAG_BASE + 10
 TAG_FOLD = _TAG_BASE + 11
 
 #: sentinel returned by the ``fused_*`` entry points when the fast path is
-#: unavailable (wrong runner, tracing, P=1, non-add op, fusion disabled)
+#: unavailable (wrong runner, tracing, P=1, non-add op, fusion disabled, a
+#: crash pending in the live world, a group that is not the world)
 UNFUSED = object()
 
 #: environment variable disabling the fused fast path ("0"/"false"/"off")
@@ -181,20 +204,26 @@ def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
 
 def _available(comm) -> bool:
     """Cheap gate: fused execution needs the cooperative engine (with
-    fusion on), more than one rank, and no message tracing (the reference
-    path emits per-message ``TraceRecord``\\ s the replay does not).
+    fusion on), more than one rank, no message tracing (the reference
+    path emits per-message ``TraceRecord``\\ s the replay does not) and a
+    rendezvous that is certain to complete
+    (:meth:`SimComm._rendezvous_safe`, the world predicate shared with
+    rank batching): the communicator spans the network's current world —
+    the full one, or the survivor group after an elastic shrink — with no
+    death declared inside it and no planned crash that could fire before
+    the world leaves the rendezvous.
 
-    Fault plans and shrunk/revoked worlds also force the reference path:
-    the fused executors book links with the raw model beta and bypass
-    :meth:`SimComm.compute`, so they would not see link slowdowns,
-    straggler scaling or crash times — and they address physical slots
-    ``0..P-1``, which a group communicator no longer spans."""
+    Link slowdowns and compute stragglers do *not* close the gate: they
+    are per-message and per-rank multipliers the replay applies itself
+    (see :func:`replay`).  What stays on the reference path is the step a
+    planned crash fires in — survivors must detect the death at their own
+    blocking points, with their own clocks and partial link bookings —
+    and a hand-built group communicator that is not the current world."""
     net = comm.net
     sched = net._sched
     return (sched is not None and getattr(sched, "fused", False)
             and not net.trace_enabled and comm.size > 1
-            and net.faults is None and not net.revoked
-            and comm.size == net.nranks)
+            and comm._rendezvous_safe())
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +346,8 @@ class _Builder:
 # The vectorized executor
 # ---------------------------------------------------------------------------
 def replay(net, sched: Schedule) -> None:
-    """Book a compiled schedule against the network, bit-identically to
-    the per-message run.
+    """Book a compiled schedule against the network's current world,
+    bit-identically to the per-message run.
 
     Per round: all posts (egress bookings, element-wise ``max``/``+`` over
     the senders — identical IEEE operations to the scalar path), then all
@@ -328,6 +357,19 @@ def replay(net, sched: Schedule) -> None:
     back to the exact scalar fold.  Clocks, link occupancy and the traffic
     counters end up exactly where ``P log P`` individual ``post``/
     ``deliver`` calls would have left them.
+
+    The schedule addresses group ranks ``0..P-1``; the world's clocks and
+    link state are gathered by slot on entry and scattered back on exit
+    (the identity for a full world), so a shrunk world replays the same
+    compiled schedules.  Under a fault plan every booking takes a
+    per-message factor — egress ``beta * f(src, booking start)``, ingress
+    ``beta * f(dst, booking start)``, and every compute charge
+    (``o_inject``, the reductions, ``extra_seconds``) times the rank's
+    straggler factor at its clock *before* the charge, exactly as
+    ``Network._post_impl`` / ``_deliver_impl`` / ``SimComm.compute``
+    evaluate them.  The factors are 1.0 except on the plan's few faulty
+    ranks (:class:`~repro.comm.faults.RankWindows`), and multiplying by
+    1.0 is bit-neutral, so this is one booking body for every world.
     """
     model = net.model
     beta = model.beta
@@ -335,9 +377,16 @@ def replay(net, sched: Schedule) -> None:
     o_send = model.o_send
     o_inject = model.o_inject
     gamma = model.gamma
-    clocks = np.asarray(net.clocks, dtype=np.float64)
-    eg = np.asarray(net.egress_free, dtype=np.float64)
-    ing = np.asarray(net.ingress_free, dtype=np.float64)
+    world = net.world
+    full = len(world) == net.nranks
+    clocks = _gather(net.clocks, world, full)
+    eg = _gather(net.egress_free, world, full)
+    ing = _gather(net.ingress_free, world, full)
+    # the plan's windows by group rank; None = every factor is 1.0
+    egw = inw = cpw = None
+    faults = net.faults
+    if faults is not None:
+        egw, inw, cpw = faults.by_rank(world)
     msrc, mdst, mnw = sched.src, sched.dst, sched.nw_f
     t_first = np.empty(sched.nmsgs, dtype=np.float64)
     done = np.empty(sched.nmsgs, dtype=np.float64)
@@ -352,7 +401,8 @@ def replay(net, sched: Schedule) -> None:
                     ts = eg[s]
                     if clocks[s] > ts:
                         ts = clocks[s]
-                    te = ts + beta * mnw[i]
+                    b = beta if egw is None else beta * egw.factor(s, ts)
+                    te = ts + b * mnw[i]
                     eg[s] = te
                     t_first[i] = ts + alpha
                     dn = te + o_send
@@ -362,13 +412,15 @@ def replay(net, sched: Schedule) -> None:
             else:
                 src = msrc[pi]
                 ts = np.maximum(eg[src], clocks[src])
-                te = ts + beta * mnw[pi]
+                b = beta if egw is None else egw.scale(beta, src, ts)
+                te = ts + b * mnw[pi]
                 eg[src] = te
                 t_first[pi] = ts + alpha
                 dn = te + o_send
                 done[pi] = dn
                 if rnd.style == _SENDRECV:
-                    clocks[src] += o_inject
+                    if o_inject:
+                        _charge(clocks, src, o_inject, cpw)
                 else:
                     clocks[src] = np.maximum(clocks[src], dn)
         ri = rnd.recv
@@ -380,31 +432,54 @@ def replay(net, sched: Schedule) -> None:
                     td = ing[d]
                     if t_first[i] > td:
                         td = t_first[i]
-                    td += beta * mnw[i]
+                    b = beta if inw is None else beta * inw.factor(d, td)
+                    td += b * mnw[i]
                     ing[d] = td
                     if td > clocks[d]:
                         clocks[d] = td
             else:
                 dst = mdst[ri]
-                td = np.maximum(ing[dst], t_first[ri]) + beta * mnw[ri]
+                td = np.maximum(ing[dst], t_first[ri])
+                b = beta if inw is None else inw.scale(beta, dst, td)
+                td += b * mnw[ri]
                 ing[dst] = td
                 clocks[dst] = np.maximum(clocks[dst], td)
         if rnd.style == _SENDRECV and pi is not None:
             src = msrc[pi]
             clocks[src] = np.maximum(clocks[src], done[pi])
         if rnd.reduce_words is not None:
-            dst = mdst[ri]
-            clocks[dst] += gamma * rnd.reduce_words
+            _charge(clocks, mdst[ri], gamma * rnd.reduce_words, cpw)
         if rnd.extra_seconds is not None:
-            clocks[mdst[ri]] += rnd.extra_seconds
-    net.clocks[:] = clocks.tolist()
-    net.egress_free[:] = eg.tolist()
-    net.ingress_free[:] = ing.tolist()
-    for r in range(sched.p):
-        net.words_sent[r] += sched.words_sent[r]
-        net.words_recv[r] += sched.words_recv[r]
-        net.msgs_sent[r] += sched.msgs_sent[r]
-        net.msgs_recv[r] += sched.msgs_recv[r]
+            _charge(clocks, mdst[ri], rnd.extra_seconds, cpw)
+    for col, arr in ((net.clocks, clocks), (net.egress_free, eg),
+                     (net.ingress_free, ing)):
+        if full:
+            col[:] = arr.tolist()
+        else:
+            for s, v in zip(world, arr.tolist()):
+                col[s] = v
+    for r, s in enumerate(world):
+        net.words_sent[s] += sched.words_sent[r]
+        net.words_recv[s] += sched.words_recv[r]
+        net.msgs_sent[s] += sched.msgs_sent[r]
+        net.msgs_recv[s] += sched.msgs_recv[r]
+
+
+def _gather(col: List[float], world: Tuple[int, ...],
+            full: bool) -> np.ndarray:
+    """One per-slot column of the network as a float64 array in group-rank
+    order (``full``: the world is every slot, the gather is the identity)."""
+    return np.array(col if full else [col[s] for s in world],
+                    dtype=np.float64)
+
+
+def _charge(clocks: np.ndarray, ranks: np.ndarray, seconds, cpw) -> None:
+    """``SimComm.compute`` for distinct ``ranks`` at once: each pays
+    ``seconds`` (a scalar or an array aligned with ``ranks``) times its
+    straggler factor at its clock before the charge (``cpw`` = the
+    world's compute windows, ``None`` when it has none)."""
+    clocks[ranks] += (seconds if cpw is None
+                      else cpw.scale(seconds, ranks, clocks[ranks]))
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +905,33 @@ def _sum_ring(payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
     return out
 
 
+#: bytes of one stacked column block of :func:`_sum_blocked`
+_FOLD_BLOCK_BYTES = 1 << 18
+
+
+def _sum_blocked(fold, payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """``fold(payloads, p)`` (a ``_sum_*`` tree above), one block of
+    columns at a time.
+
+    The trees are elementwise across ranks, so folding column blocks
+    gives the same bits as folding whole vectors; what changes is that
+    the ``(P, n)`` stack and its partial sums never exist at full width:
+    the executing rank thread — a different one at every rendezvous —
+    allocates nothing multi-MB for its malloc arena to keep.
+    """
+    first = payloads[0]
+    step = max(1, _FOLD_BLOCK_BYTES // (p * first.itemsize))
+    if first.ndim != 1 or first.size <= step:
+        return fold(payloads, p)
+    stacked = isinstance(payloads, np.ndarray)
+    out = np.empty_like(first)
+    for lo in range(0, first.size, step):
+        hi = lo + step
+        out[lo:hi] = fold(payloads[:, lo:hi] if stacked
+                          else [a[lo:hi] for a in payloads], p)
+    return out
+
+
 def _sum_reduce_tree(payloads: Sequence[Any], p: int, root: int):
     """Binomial-tree association: at each mask level the surviving
     virtual rank folds its child subtree in (``op(acc, got)``)."""
@@ -892,9 +994,8 @@ def replay_allreduce(net, algo: str, payloads) -> np.ndarray:
         replay(net, compile_allgather_ring(p, n, wpe))
         return _sum_ring(payloads, p)
     replay(net, compile_allreduce(p, n, wpe, algo))
-    if algo == "rabenseifner":
-        return _sum_rabenseifner(payloads, p)
-    return _sum_recursive_doubling(payloads, p)
+    return _sum_blocked(_sum_rabenseifner if algo == "rabenseifner"
+                        else _sum_recursive_doubling, payloads, p)
 
 
 def _exec_allreduce(net, sig, payloads):

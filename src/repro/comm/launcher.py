@@ -149,8 +149,11 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             engine (see :mod:`repro.comm.fused`); ``None`` (default)
             defers to the ``REPRO_FUSED`` environment variable (on unless
             set to ``0``).  The threaded runner always takes the
-            per-message reference path.  Ignored under a fault plan (the
-            fused executors bypass the per-rank fault hooks).
+            per-message reference path.  Under a fault plan the fast path
+            stays on — slowdowns and stragglers are factors on the
+            compiled schedules, a shrunk world replays them through a
+            slot translation — except in the step a planned crash can
+            fire in (see :mod:`repro.comm.faults`).
         faults: declarative fault plan for this section (see module
             docstring); only valid with a fresh network.
         sanitize: runtime sanitizer mode; ``None`` (default) defers to
@@ -160,13 +163,18 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             ``isend`` buffer was made writable during its loan window,
             (2) raises :class:`repro.errors.MailboxLeakError` if any
             message was left undelivered, and (3) — fresh-network,
-            fault-free, multi-rank coop/gen sections only — re-runs the
-            program under a seeded perturbation of the engine's ready
-            queue and raises :class:`repro.errors.ScheduleRaceError`
-            unless results, clocks and traffic counters are
+            multi-rank coop/gen sections only — re-runs the program
+            (under the same fault plan, if any) with a seeded
+            perturbation of the engine's ready queue and raises
+            :class:`repro.errors.ScheduleRaceError` unless results,
+            clocks, traffic counters and the set of crashed ranks are
             bit-identical (simulated time is schedule-independent by
             construction, so any divergence is a message race through
-            shared Python state).  Under the threaded runner, received
+            shared Python state — including "which rank reached the
+            rendezvous last", on the full world and on a shrunk one).
+            A section in which a planned crash fired skips (1) and (2):
+            the dead rank's in-flight traffic is legitimately orphaned.
+            Under the threaded runner, received
             payload copies are additionally write-locked.  The replay
             re-executes ``fn``; programs with external side effects
             should not enable it.
@@ -218,15 +226,11 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
         results, failures = CoopEngine(net, nranks,
                                        fused=fused).run(fn, args, kwargs)
 
-    if failures:
-        crashes = {r: e for r, e in failures.items()
-                   if isinstance(e, SimulatedRankCrash)}
-        others = {r: e for r, e in failures.items() if r not in crashes}
-        if not others:
-            # Every failure was a planned fail-stop and every survivor
-            # returned normally (elastic recovery or no survivors left
-            # blocked): the section succeeded in the shrunk world.
-            return SpmdResult(results, net, crashed=crashes)
+    # When every failure was a planned fail-stop and every survivor
+    # returned normally (elastic recovery, or no survivor left blocked)
+    # the section succeeded in the shrunk world.
+    crashes, others = _split_failures(failures)
+    if others:
         genuine = {r: e for r, e in others.items()
                    if not isinstance(e, CommError)}
         if genuine:
@@ -240,12 +244,19 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             raise RankFailedError(merged)
         raise RankFailedError({**others, **crashes})
     if net.sanitize:
-        _sanitize_audit(net)
-        if network is None and faults is None and nranks > 1 \
-                and which in ("coop", "gen"):
+        if not crashes:
+            _sanitize_audit(net)
+        if network is None and nranks > 1 and which in ("coop", "gen"):
             _sanitize_replay(net, nranks, fn, args, kwargs, which, fused,
-                             results)
-    return SpmdResult(results, net)
+                             results, crashes)
+    return SpmdResult(results, net, crashed=crashes)
+
+
+def _split_failures(failures: Dict[int, BaseException]):
+    """``(planned crashes, every other failure)`` of a section."""
+    crashes = {r: e for r, e in failures.items()
+               if isinstance(e, SimulatedRankCrash)}
+    return crashes, {r: e for r, e in failures.items() if r not in crashes}
 
 
 def _sanitize_audit(net: Network) -> None:
@@ -261,10 +272,12 @@ def _sanitize_audit(net: Network) -> None:
 
 def _sanitize_replay(net: Network, nranks: int, fn: Callable[..., Any],
                      args: tuple, kwargs: dict, which: str,
-                     fused: Optional[bool], results: List[Any]) -> None:
-    """Race detector: re-run the section on a fresh network with a seeded
-    ready-queue perturbation and require a bit-identical outcome."""
-    net2 = Network(nranks, net.model, sanitize=True)
+                     fused: Optional[bool], results: List[Any],
+                     crashes: Dict[int, SimulatedRankCrash]) -> None:
+    """Race detector: re-run the section on a fresh network (same model,
+    same fault plan) with a seeded ready-queue perturbation and require a
+    bit-identical outcome, planned crashes included."""
+    net2 = Network(nranks, net.model, sanitize=True, faults=net.fault_plan)
     engine_cls = GenEngine if which == "gen" else CoopEngine
     try:
         results2, failures2 = engine_cls(
@@ -276,12 +289,16 @@ def _sanitize_replay(net: Network, nranks: int, fn: Callable[..., Any],
         raise ScheduleRaceError(
             [f"perturbed-schedule re-run raised "
              f"{type(exc).__name__}: {exc}"]) from exc
-    if failures2:
+    crashes2, others2 = _split_failures(failures2)
+    if others2:
         raise ScheduleRaceError(
             [f"rank {r} failed only under the perturbed schedule: "
              f"{type(e).__name__}: {e}"
-             for r, e in sorted(failures2.items())])
+             for r, e in sorted(others2.items())])
     diffs: List[str] = []
+    if sorted(crashes2) != sorted(crashes):
+        diffs.append(f"crashed ranks differ ({sorted(crashes)} vs "
+                     f"{sorted(crashes2)} under the perturbed schedule)")
     for rank in range(nranks):
         if not _deep_equal(results[rank], results2[rank]):
             diffs.append(f"rank {rank} result differs")

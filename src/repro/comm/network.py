@@ -92,6 +92,16 @@ class Network:
         if nranks < 1:
             raise ValueError(f"nranks must be >= 1, got {nranks}")
         self.nranks = nranks
+        #: the live slots in rank order: every slot until an elastic
+        #: shrink replaces the tuple with the survivor group (see
+        #: :meth:`_finish_shrink`).  A communicator that spans it can run
+        #: its collectives as one engine rendezvous; per-slot state below
+        #: is always indexed by slot, so world-level executors translate
+        #: group rank ``r`` to ``world[r]``.
+        self.world: Tuple[int, ...] = tuple(range(nranks))
+        #: a declared death inside ``world`` (cleared by the shrink that
+        #: removes it): the world's rendezvous can no longer complete
+        self._world_dead = False
         self.model = model or NetworkModel()
         self._lock = threading.Lock()
         self._conds = [threading.Condition(self._lock) for _ in range(nranks)]
@@ -126,6 +136,9 @@ class Network:
         #: cooperative scheduler, attached by the engine for the duration of
         #: a run; ``None`` means threaded (locked) mode
         self._sched = None
+        #: lockstep rank-batching state of the section in progress (see
+        #: :mod:`repro.train.rankbatch`); the engine drops it at section end
+        self._rank_batch_state = None
         #: send-buffer loan registry (cooperative zero-copy mode):
         #: id(arr) -> [arr, refcount]; arrays are write-locked while loaned
         self._loans: Dict[int, list] = {}
@@ -251,16 +264,8 @@ class Network:
         avail = m.isend_avail(sender_clock, n)
         if self.faults is not None:
             self._crash_check(src)
-            if self.faults.link_faulty[src]:
-                starts, ends = self._serialize_batch_faulted(
-                    self.faults.egress[src], self.egress_free[src], avail,
-                    nwords_arr)
-            else:
-                starts, ends = m.serialize_batch(self.egress_free[src],
-                                                 avail, nwords_arr)
-        else:
-            starts, ends = m.serialize_batch(self.egress_free[src], avail,
-                                             nwords_arr)
+        starts, ends = self._serialize_link(True, src, self.egress_free[src],
+                                            avail, nwords_arr)
         self.egress_free[src] = float(ends[-1])
         alpha = m.alpha
         row = self._seq[src]
@@ -509,11 +514,6 @@ class Network:
     # style); everyone else unwinds to the launcher.
 
     @property
-    def revoked(self) -> bool:
-        """True once any rank has been declared dead."""
-        return bool(self._dead)
-
-    @property
     def dead_ranks(self) -> tuple:
         return tuple(sorted(self._dead))
 
@@ -558,6 +558,8 @@ class Network:
         if rank in self._dead:
             return
         self._dead[rank] = exc
+        if rank in self.world:
+            self._world_dead = True
         timeout = self.faults.detect_timeout if self.faults is not None \
             else 0.0
         deadline = exc.time + timeout
@@ -658,6 +660,8 @@ class Network:
         self._failstop.difference_update(group)
         self._shrink_parked.clear()
         self._shrink_result = group
+        self.world = group
+        self._world_dead = not self._dead.keys().isdisjoint(group)
         self._shrink_epoch += 1
         if self._sched is None:
             self._shrink_cond.notify_all()
@@ -686,10 +690,25 @@ class Network:
                                 "seq": msg.seq, "nwords": msg.nwords})
         return out
 
+    def _serialize_link(self, egress: bool, slot: int, free: float,
+                        avail: np.ndarray, nwords: np.ndarray,
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """Book a message batch on ``slot``'s egress (or ingress) link,
+        free at ``free``: :meth:`NetworkModel.serialize_batch`, or the
+        per-message-factor fold when a plan slows a link of the slot.
+        Shared by :meth:`post_batch` and the fused Ok-Topk
+        split-and-reduce executor (which books both directions with it)."""
+        f = self.faults
+        if f is not None and f.link_faulty[slot]:
+            return self._serialize_batch_faulted(
+                (f.egress if egress else f.ingress)[slot], free, avail,
+                nwords)
+        return self.model.serialize_batch(free, avail, nwords)
+
     def _serialize_batch_faulted(self, windows: list, free: float,
                                  avail: np.ndarray, nwords: np.ndarray,
                                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scalar egress fold with the per-message slowdown factor
+        """Scalar link fold with the per-message slowdown factor
         evaluated at each booking start — the faulted counterpart of
         :meth:`NetworkModel.serialize_batch` (plain-float fold, so a
         factor-1.0 window set reproduces the unfaulted times exactly)."""

@@ -56,20 +56,21 @@ class Linear(Module):
         nranks = x.shape[0]
         x2 = x.reshape(nranks, -1, self.in_features)
         dy2 = dy.reshape(nranks, -1, self.out_features)
-        if dy2.shape[1] == 1:
-            # Per-rank batch of one: the weight gradient is a pure outer
-            # product — a broadcast multiply computes the identical single
-            # product per element several times faster than the batched
-            # GEMM (matmul's pathological K=1 case).
-            gw = dy2.reshape(nranks, self.out_features, 1) * x2
-        else:
-            gw = np.matmul(dy2.transpose(0, 2, 1), x2)
+        # Per-rank batch of one: the weight gradient is a pure outer
+        # product — a broadcast multiply computes the identical single
+        # product per element several times faster than the GEMM
+        # (matmul's pathological K=1 case).
+        outer = dy2.shape[1] == 1
         gW = grads[0]
         for r in range(nranks):
-            # per-slice adds hit the contiguous fast path the whole-array
-            # strided += misses (the rank axis strides across the shared
-            # gradient matrix)
-            gW[r] += gw[r]
+            # One rank slice at a time: the per-slice add hits the
+            # contiguous fast path the whole-array strided += misses (the
+            # rank axis strides across the shared gradient matrix), and
+            # the product never exists as a world-sized (P, out, in)
+            # temporary — nothing multi-MB for the executing rank
+            # thread's malloc arena to strand.
+            gW[r] += (dy2[r].reshape(self.out_features, 1) * x2[r] if outer
+                      else dy2[r].T @ x2[r])
         if self.b is not None:
             grads[1] += dy2.sum(axis=1)
         return np.matmul(dy2, self.W.data).reshape(x.shape)

@@ -12,19 +12,46 @@ rank's slice of the result is bit-identical to what that rank's own
 
 Weights: the SPMD invariant (identical init, identical allreduced
 updates) makes every row of the parameter matrix bit-equal, so the
-stacked forward reads rank 0's weight views.  :meth:`StackedModel.bind`
-verifies the invariant once at bind time; callers must fall back to
-per-rank execution whenever ranks diverge (faults, elastic shrink).
+stacked forward reads rank 0's weight views.  The constructor verifies
+the invariant once at bind time and refuses to bind diverged replicas;
+callers then run per-rank.  A fault plan does not break the invariant
+(stragglers and slow links scale simulated time, not the math), and
+neither does an elastic shrink: the survivors hold identical parameters
+and are simply re-stacked as a ``(P-1, n)`` world — only inputs that do
+not stack (uneven shards once the global batch no longer divides) keep
+the per-rank kernels, on the shared storage.
+
+The ``(P, n)`` matrices live on their own memory mappings
+(:func:`mapped_zeros`), not in the malloc arena of whichever rank thread
+happened to build the world.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from typing import List, Sequence
 
 import numpy as np
 
 from .losses import SoftmaxCrossEntropy
 from .module import DTYPE, FlatModel, Module, Sequential
+
+
+def mapped_zeros(shape, dtype) -> np.ndarray:
+    """A zero-filled array on its own anonymous memory mapping.
+
+    For world-sized ``(P, ...)`` matrices: they are allocated by whichever
+    rank thread reaches a rendezvous last and dropped by another when the
+    section closes.  Taken from malloc, each would land in a different
+    per-thread arena, and an arena keeps its high-water mark — a process
+    that runs section after section ends up holding one world per arena.
+    A private mapping goes back to the OS the moment the array is dropped,
+    whichever thread made it.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = mmap.mmap(-1, max(nbytes, 1), access=mmap.ACCESS_COPY)
+    return np.ndarray(shape, dtype=dtype, buffer=buf)
 
 
 def _leaf_supported(layer: Module) -> bool:
@@ -54,8 +81,8 @@ class StackedModel:
         m0 = self.models[0]
         nranks = len(self.models)
         n = m0.nparams
-        self.pmat = np.empty((nranks, n), dtype=DTYPE)
-        self.gmat = np.zeros((nranks, n), dtype=DTYPE)
+        self.pmat = mapped_zeros((nranks, n), DTYPE)
+        self.gmat = mapped_zeros((nranks, n), DTYPE)
         for r, m in enumerate(self.models):
             if m.nparams != n:
                 raise ValueError("stacked models must have equal nparams")

@@ -24,9 +24,12 @@ One rendezvous per step
 -----------------------
 
 A step's shapes never change between its layers, so where the fused fast
-path is available (cooperative engine, no plan, no tracing, full world,
-P at or above the fusion floors — the gate of every dense fused
-collective) :meth:`TPDecodeModel.step` is **one engine dispatch**: every
+path is available (cooperative engine, no tracing, a communicator that
+spans the current world — shrunk or not — with no crash pending in it, P
+at or above the fusion floors — the gate of every dense fused collective;
+slowdown and straggler plans ride along as factors, the FLOP charges go
+through each rank's own communicator) :meth:`TPDecodeModel.step` is **one
+engine dispatch**: every
 rank parks once and the last arrival runs :func:`_exec_tp_step` for the
 whole world — algorithm role resolved once, per layer the FLOP charges,
 the provenance entry, the replay of the cached compiled schedule and one
@@ -226,11 +229,13 @@ def _exec_tp_step(net, sig, models):
         m._carry = carry
         m.checksum += emitted
     # sync_decision_time for the whole world: the 1-word allgather, then
-    # every clock advances to the max of the pre-gather clocks
+    # every clock advances to the max of the pre-gather clocks (per-slot
+    # state: group rank r lives at world[r])
     clocks = net.clocks
-    t = max(clocks)
+    world = net.world
+    t = max(clocks[s] for s in world)
     replay(net, compile_allgatherv(p, (payload_nwords(t),) * p))
-    for r in range(p):
-        if clocks[r] < t:
-            clocks[r] = t
+    for s in world:
+        if clocks[s] < t:
+            clocks[s] = t
     return [t] * p

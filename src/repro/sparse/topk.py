@@ -76,10 +76,14 @@ def threshold_select(x: np.ndarray, threshold: float) -> COOVector:
 # Rank-batched variants: one numpy pass over a (P, n) matrix whose rows are
 # the per-rank vectors.  Each row's result is bit-identical to the scalar
 # function applied to that row alone (partition and comparisons are
-# row-independent).
+# row-independent).  The (P, n) temporaries can be handed in (``mag`` like
+# ``xs``, ``mask`` boolean, contents clobbered): the rendezvous executors
+# pass per-world scratch so that no multi-MB array is allocated per call.
 # ---------------------------------------------------------------------------
-def batched_kth_largest_abs(xs: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise :func:`kth_largest_abs` — one ``np.partition`` call.
+def batched_kth_largest_abs(xs: np.ndarray, k: int,
+                            mag: "np.ndarray | None" = None) -> np.ndarray:
+    """Row-wise :func:`kth_largest_abs` — one in-place partition of the
+    magnitudes.
 
     Returns a float64 array of per-row thresholds.
     """
@@ -88,12 +92,15 @@ def batched_kth_largest_abs(xs: np.ndarray, k: int) -> np.ndarray:
     nranks, n = xs.shape
     if k > n:
         return np.zeros(nranks, dtype=np.float64)
-    mag = np.abs(xs)
-    return np.partition(mag, n - k, axis=1)[:, n - k].astype(np.float64)
+    mag = np.abs(xs, out=mag)
+    mag.partition(n - k, axis=1)
+    return mag[:, n - k].astype(np.float64)
 
 
 def batched_threshold_select(xs: np.ndarray,
                              thresholds: "np.ndarray | list",
+                             mag: "np.ndarray | None" = None,
+                             mask: "np.ndarray | None" = None,
                              ) -> "list[COOVector]":
     """Row-wise :func:`threshold_select` — one mask + one ``nonzero`` pass.
 
@@ -104,7 +111,7 @@ def batched_threshold_select(xs: np.ndarray,
     """
     nranks, n = xs.shape
     ths = np.asarray(thresholds, dtype=xs.dtype).reshape(nranks, 1)
-    mask = np.abs(xs) >= ths
+    mask = np.greater_equal(np.abs(xs, out=mag), ths, out=mask)
     # 1-D nonzero is several times faster than the 2-D path; recover the
     # per-row split points from the flat indices afterwards.
     flat = np.flatnonzero(mask)

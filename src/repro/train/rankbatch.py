@@ -17,25 +17,46 @@ slice, and all simulated-time charges run through each rank's own
 included), so results, traffic counters, clocks and phase times are
 bit-identical to per-rank execution under any runner.
 
-Fallback rules (``engaged()``): batching disengages — deterministically
-and identically on every rank — whenever ranks can diverge: fault plans,
-a revoked world, group communicators (``comm.size != net.nranks``),
-message tracing, the threaded/inline runners (no rendezvous engine), or
-a model without a stacked execution path.  A disengaged call returns
-``None`` and the caller runs the ordinary per-rank code; mid-run
-divergence (e.g. elastic shrink) therefore lands on exactly the code a
-never-batched run executes.  ``REPRO_RANK_BATCH=0`` disables batching
-globally.
+Fallback rules (``engaged()``): batching needs a rendezvous that is
+certain to complete — the world predicate it shares with the fused
+collectives (:meth:`repro.comm.SimComm._rendezvous_safe`: the
+communicator spans the network's current world, shrunk or not, nothing
+inside it is dead and no planned crash can fire before the world leaves
+the rendezvous).  Slowdown and straggler plans do not disengage it — they
+scale simulated compute, not the host math — and neither does a shrunk
+world: after an elastic resize the survivors re-stack at P-1.  It
+disengages — deterministically and identically on every rank — in the
+step a planned crash fires in (so detection, rollback and shrink run on
+exactly the code a never-batched run executes), on group communicators
+that are not the current world, under message tracing, under the
+threaded/inline runners (no rendezvous engine), and for a model without
+a stacked execution path.  A disengaged call returns ``None`` and the
+caller runs the ordinary per-rank code.  Inside the rendezvous the
+executors keep per-rank fallbacks for what cannot stack (uneven shards
+after a 16 -> 15 shrink, diverged weights or scales).
+``REPRO_RANK_BATCH=0`` disables batching globally.
+
+World state: the stacked model, the accumulate buffers and the scratch of
+the executors' ``(P, n)`` temporaries live in one :class:`_WorldState`
+per network and section (the engine drops it when the section closes).
+The temporaries are written with ``out=`` into buffers sized once per
+shape: the executor runs on whichever rank thread arrives last, and a
+multi-MB array allocated and freed by a different thread every iteration
+leaves its high-water mark in every thread's malloc arena.  For the same
+reason everything world-sized sits on its own memory mapping
+(:func:`repro.nn.stacked.mapped_zeros`) — the section's buffers are made
+by one rank thread and dropped by another, section after section.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from ..nn.stacked import StackedModel, supports_stacking
+from ..nn.stacked import StackedModel, mapped_zeros, supports_stacking
 
 #: set to ``0``/``false``/``off`` to force per-rank execution everywhere
 RANK_BATCH_ENV = "REPRO_RANK_BATCH"
@@ -46,14 +67,8 @@ def rank_batching_enabled() -> bool:
         "0", "false", "off")
 
 
-def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """A ``(P, n)`` matrix over per-rank vectors.
-
-    Zero-copy when the vectors already are the consecutive rows of one
-    shared base matrix (the steady state: gradients live in the stacked
-    model's gradient matrix, residuals in the accumulate buffers);
-    ``np.stack`` copy otherwise.
-    """
+def _shared_base(rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """The matrix whose consecutive rows ``rows`` already are, if any."""
     base = rows[0].base
     if (base is not None and base.ndim == 2
             and base.shape[0] == len(rows)
@@ -62,21 +77,45 @@ def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
                     and r.ctypes.data == base.ctypes.data + i * base.strides[0]
                     for i, r in enumerate(rows))):
         return base
-    return np.stack(rows)
+    return None
 
 
 class _WorldState:
     """Per-network lockstep state shared by the executors: the stacked
-    model and the double-buffered accumulate matrices (two buffers
+    model, the double-buffered accumulate matrices (two buffers
     alternate so the new accumulator never overwrites the residual rows
-    that still point into the previous one)."""
+    that still point into the previous one) and the scratch buffers of
+    the executors' world-sized temporaries."""
 
-    __slots__ = ("stacked", "bufs", "flip")
+    __slots__ = ("stacked", "bufs", "flip", "_scratch")
 
     def __init__(self):
         self.stacked: Optional[StackedModel] = None
         self.bufs: List[Optional[np.ndarray]] = [None, None]
         self.flip = 0
+        self._scratch: dict = {}
+
+    def scratch(self, name: str, shape, dtype) -> np.ndarray:
+        """The buffer ``name``, (re)allocated only when its shape or
+        dtype changes (once per world size).  Contents are undefined on
+        return; a buffer is valid until the next request for its name."""
+        buf = self._scratch.get(name)
+        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
+            buf = self._scratch[name] = mapped_zeros(shape, dtype)
+        return buf
+
+    def stack(self, name: str, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """A ``(P, ...)`` matrix over per-rank arrays.
+
+        Zero-copy when they already are the consecutive rows of one
+        shared base matrix (the steady state: gradients live in the
+        stacked model's gradient matrix, residuals in the accumulate
+        buffers); copied into scratch ``name`` otherwise."""
+        base = _shared_base(rows)
+        if base is not None:
+            return base
+        return np.stack(rows, out=self.scratch(
+            name, (len(rows),) + rows[0].shape, rows[0].dtype))
 
 
 def _world_state(net) -> _WorldState:
@@ -106,7 +145,8 @@ def _exec_fwd_bwd(net, sig, payloads):
             or any(y.shape != ys[0].shape for y in ys)):
         # Uneven shards cannot stack; per-rank fallback (same kernels).
         return [m.loss_and_grad(x, y) for m, x, y in zip(models, xs, ys)]
-    losses, gmat = stacked.loss_and_grad(np.stack(xs), np.stack(ys))
+    losses, gmat = stacked.loss_and_grad(st.stack("fwdbwd_x", xs),
+                                         st.stack("fwdbwd_y", ys))
     return [(float(losses[r]), gmat[r]) for r in range(len(payloads))]
 
 
@@ -117,12 +157,12 @@ def _exec_accumulate(net, sig, payloads):
         # Diverged schedules: per-rank arithmetic (same expression).
         return [res + s * g.astype(np.float32, copy=False)
                 for res, s, g in payloads]
-    res = stack_rows([p[0] for p in payloads])
-    grads = stack_rows([p[2].astype(np.float32, copy=False)
-                        for p in payloads])
+    res = st.stack("accumulate_res", [p[0] for p in payloads])
+    grads = st.stack("accumulate_grad",
+                     [p[2].astype(np.float32, copy=False) for p in payloads])
     buf = st.bufs[st.flip]
     if buf is None or buf.shape != res.shape or buf is res or buf is grads:
-        buf = np.empty_like(res)
+        buf = mapped_zeros(res.shape, res.dtype)
     st.bufs[st.flip] = buf
     st.flip ^= 1
     # Same expression as the per-rank path (``residual + scale * grad``):
@@ -149,23 +189,31 @@ class RankBatch:
     """
 
     def __init__(self, comm, model: Any = None):
-        self.comm = comm
+        # Weak: ``comm.rank_batch`` points back here, and a strong cycle
+        # would leave the finished world (communicator -> network ->
+        # stacked model, (P, n) matrices) to the cyclic collector.  The
+        # handle is only ever used through a live communicator.
+        self._comm = weakref.ref(comm)
         self.model = model
         self._supported = rank_batching_enabled() and (
             model is None or supports_stacking(model))
 
+    @property
+    def comm(self):
+        """The communicator this handle batches for (``None`` once it is
+        gone)."""
+        return self._comm()
+
     def engaged(self) -> bool:
         """Deterministic, rank-uniform gate (see module docstring)."""
-        if not self._supported:
-            return False
         comm = self.comm
+        if not self._supported or comm is None:
+            return False
         net = comm.net
         sched = net._sched
         return (sched is not None and hasattr(sched, "collective")
-                and comm.size > 1
-                and comm.size == net.nranks
-                and net.faults is None and not net.revoked
-                and not net.trace_enabled)
+                and comm.size > 1 and not net.trace_enabled
+                and comm._rendezvous_safe())
 
     # -- trainer entry points ------------------------------------------
     def loss_and_grad(self, t: int, x: np.ndarray, y: np.ndarray):

@@ -225,10 +225,10 @@ class Trainer:
             self.comm.maybe_crash(iteration=t)
             try:
                 self._run_iteration(t)
-            except RankFailedError as exc:
+            except RankFailedError:
                 if not cfg.elastic:
                     raise
-                self._recover(exc, t)
+                self._recover(t)
                 continue  # redo the interrupted iteration at P-1
             t += 1
         return self.record
@@ -329,7 +329,7 @@ class Trainer:
         self.record.append(rec)
 
     # ------------------------------------------------------------------
-    def _recover(self, exc: RankFailedError, t: int) -> None:
+    def _recover(self, t: int) -> None:
         """Elastic recovery from peer fail-stops (ULFM shrink-and-go).
 
         The optimizer drivers mutate params/residual only *after* a
@@ -358,7 +358,11 @@ class Trainer:
             reshard(new.rank, new.size)
         self.record.events.append({
             "event": "shrink", "t": t,
-            "failed_ranks": list(exc.failed_ranks),
+            # every death the completed shrink accounts for — not
+            # ``exc.failed_ranks``, the subset this survivor happened to
+            # know of when it detected (schedule-dependent when several
+            # ranks die in one step)
+            "failed_ranks": list(new.net.dead_ranks),
             "old_size": old.size, "new_size": new.size,
             "clock": new.clock,
         })

@@ -540,20 +540,142 @@ class TestRevokeRendezvous:
         for r in (1, 2, 3):
             assert res.results[r] == ("detected", (0,))
 
-    def test_fused_fast_path_disabled_under_fault_plan(self):
-        from repro.comm.fused import _available
-
-        def prog(comm):
-            return _available(comm)
-
-        plan = FaultPlan(links=[LinkSlowdown(rank=0, factor=2.0)])
-        res = run_spmd(4, prog, runner="coop", fused=True, faults=plan)
-        assert res.results == [False] * 4
-        clean = run_spmd(4, prog, runner="coop", fused=True)
-        assert clean.results == [True] * 4
-
     def test_network_revoke_requires_valid_rank(self):
         net = Network(4)
         net.revoke(2)
-        assert net.revoked
         assert net.dead_ranks == (2,)
+
+
+# ---------------------------------------------------------------------------
+# The world predicate: which worlds may enter the engine rendezvous
+# (one gate behind fused._available and RankBatch.engaged)
+# ---------------------------------------------------------------------------
+def _gates(comm):
+    """(fused gate, rank-batch gate) of ``comm`` right now."""
+    from repro.comm.fused import _available
+    from repro.train.rankbatch import RankBatch
+    return _available(comm), RankBatch(comm).engaged()
+
+
+class TestFastPathGate:
+    """Slowdowns and stragglers are factors on the compiled schedules, so
+    a plan no longer closes the gate; what does is anything that could
+    leave a rendezvous incomplete — a crash that can still fire in the
+    live world, a death inside it, a communicator that is not it."""
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(stragglers=[ComputeStraggler(rank=1, factor=3.0)]),
+        FaultPlan(links=[LinkSlowdown(rank=0, factor=2.0)]),
+        FaultPlan.straggler_skew(4, seed=5),
+        FaultPlan(crashes=[RankCrash(rank=1, iteration=10**6)]),
+    ], ids=["straggler", "slow-link", "straggler-skew", "far-future-crash"])
+    def test_open_under_plans_that_cannot_break_a_rendezvous(
+            self, plan, rendezvous_log):
+        def prog(comm):
+            comm.maybe_crash(iteration=1)
+            gates = _gates(comm)
+            return gates, _allreduce_prog(comm, iters=3), comm.clock
+
+        fast = run_spmd(4, prog, runner="coop", fused=True, faults=plan)
+        assert [r[0] for r in fast.results] == [(True, True)] * 4
+        assert {e.head for e in rendezvous_log} == {"allreduce"}
+        del rendezvous_log[:]
+        ref = run_spmd(4, prog, runner="coop", fused=False, faults=plan)
+        assert not rendezvous_log
+        assert [r[0] for r in ref.results] == [(False, True)] * 4
+        for a, b in zip(fast.results, ref.results):
+            np.testing.assert_array_equal(a[1], b[1])
+            assert a[2] == b[2]
+        assert list(fast.network.clocks) == list(ref.network.clocks)
+        assert list(fast.network.egress_free) == \
+            list(ref.network.egress_free)
+        assert list(fast.network.ingress_free) == \
+            list(ref.network.ingress_free)
+
+    def test_closed_while_a_time_pinned_crash_is_pending(self,
+                                                         rendezvous_log):
+        """The crash time is never reached, but it could be: the world
+        stays per message for as long as the slot is alive."""
+        def prog(comm):
+            return _gates(comm), _allreduce_prog(comm)
+
+        plan = FaultPlan(crashes=[RankCrash(rank=2, time=1e9)])
+        res = run_spmd(4, prog, runner="coop", fused=True, faults=plan)
+        assert [r[0] for r in res.results] == [(False, False)] * 4
+        assert not rendezvous_log
+        assert res.crashed == {}
+
+    def test_closed_in_the_step_a_crash_is_due(self):
+        def prog(comm):
+            seen = []
+            for step in (1, 2, 3):
+                comm.maybe_crash(iteration=step)
+                seen.append(_gates(comm))
+            return seen
+
+        plan = FaultPlan(crashes=[RankCrash(rank=1, iteration=2)])
+        res = run_spmd(4, prog, runner="coop", fused=True, faults=plan)
+        assert set(res.crashed) == {1}
+        # Rank 0 runs all three steps before rank 1 is even scheduled
+        # (nothing here blocks): open in step 1, closed from the step the
+        # crash is due in — rank 1 is still in the live world, about to
+        # die.  Ranks 2 and 3 run after the death: closed throughout, a
+        # slot of the live world is dead and nobody shrank.
+        assert res.results[0] == [(True, True), (False, False),
+                                  (False, False)]
+        for r in (2, 3):
+            assert res.results[r] == [(False, False)] * 3
+
+    def test_closed_after_an_external_revoke(self, rendezvous_log):
+        def prog(comm):
+            if comm.rank == 0:      # runs first under coop: FIFO start
+                comm.net.revoke(0)
+                return None
+            gates = _gates(comm)
+            try:
+                collectives.allreduce(comm, np.ones(8, np.float32))
+            except RankFailedError as e:
+                return gates, e.failed_ranks
+            return gates, ()
+
+        res = run_spmd(4, prog, runner="coop", fused=True)
+        assert res.results[1:] == [((False, False), (0,))] * 3
+        assert not rendezvous_log
+
+    def test_closed_on_a_group_that_is_not_the_current_world(self):
+        from repro.comm import SimComm
+
+        def prog(comm):
+            sub = SimComm(comm.net, comm.rank % 2,
+                          group=(0, 1) if comm.rank < 2 else (2, 3))
+            whole = SimComm(comm.net, comm.rank,
+                            group=tuple(range(comm.size)))
+            return _gates(sub), _gates(whole)
+
+        res = run_spmd(4, prog, runner="coop", fused=True)
+        assert res.results == [((False, False), (True, True))] * 4
+
+    def test_shrink_moves_the_gate_to_the_survivor_world(self,
+                                                         rendezvous_log):
+        def prog(comm):
+            try:
+                _allreduce_prog(comm, iters=8)
+            except RankFailedError:
+                before = len(rendezvous_log)
+                sub = comm.shrink()
+                out = collectives.allreduce(
+                    sub, np.full(4, 1.0, dtype=np.float32))
+                return (_gates(comm), _gates(sub), float(out[0]),
+                        len(rendezvous_log) > before)
+            return None
+
+        plan = FaultPlan(crashes=[RankCrash(rank=1, time=3e-6)])
+        res = run_spmd(5, prog, runner="coop", fused=True, faults=plan)
+        # nothing entered the rendezvous while the crash was pending;
+        # the survivors' first collective after the shrink does
+        assert [(e.size, e.head) for e in rendezvous_log] == \
+            [(4, "allreduce")] * 4
+        for r in (0, 2, 3, 4):
+            assert res.results[r] == ((False, False), (True, True), 4.0,
+                                      True)
+

@@ -7,21 +7,35 @@ per-rank traffic counters, link occupancy and simulated clocks/makespans —
 for every collective, power-of-two and non-power-of-two P, object and
 array payloads, the schemes built on top, and fused collectives issued
 inside ``async_region`` under stream-mode contention.
+
+The same oracle holds under fault plans (ISSUE 17): slowdowns and
+stragglers are factors the replay applies, a shrunk world replays through
+a slot translation, and only the iteration a crash interrupts runs per
+message — so the plan matrix below also counts rendezvous entries per
+phase, and a silent fallback to the reference path fails a test.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.allreduce import ParamLayout, make_allreduce
 from repro.allreduce.session import run_session
+from repro.bench.harness import perf_proxy, proxy_network
 from repro.comm import NetworkModel, collectives as coll, fusion_enabled, \
     run_spmd
 from repro.comm import fused as fused_mod
+from repro.comm.faults import (ComputeStraggler, FaultPlan, LinkSlowdown,
+                               RankCrash)
+from repro.data import ShardedLoader
 from repro.errors import RankFailedError
+from repro.train import Trainer, TrainerConfig
+from repro.train.rankbatch import RANK_BATCH_ENV
 
 PS = [2, 3, 4, 5, 8]
 
@@ -39,11 +53,17 @@ def _fusion_floors_off(monkeypatch):
 # helpers
 # ---------------------------------------------------------------------------
 def net_state(res):
+    """Everything a section leaves on the network, plus who died:
+    clocks, link occupancy, traffic counters, the provenance log (minus
+    "unfused-small", a wall-clock skip note only coop+fused runs can
+    record) and the crashed set."""
     net = res.network
+    log = {k: v for k, v in net.algorithm_log.items()
+           if k[2] != "unfused-small"}
     return (list(net.clocks), list(net.egress_free),
             list(net.ingress_free), list(net.words_sent),
             list(net.words_recv), list(net.msgs_sent),
-            list(net.msgs_recv))
+            list(net.msgs_recv), log, sorted(res.crashed))
 
 
 def assert_same(a, b, path=""):
@@ -62,12 +82,19 @@ def assert_same(a, b, path=""):
         assert a == b, f"{path}: {a!r} != {b!r}"
 
 
-def three_way(prog, p, *args, model=None):
+def three_way(prog, p, *args, model=None, faults=None, log=None):
     """Run under fused coop / reference coop / threads; assert identical
-    network state; return the three results for result comparison."""
-    a = run_spmd(p, prog, *args, runner="coop", fused=True, model=model)
-    b = run_spmd(p, prog, *args, runner="coop", fused=False, model=model)
-    c = run_spmd(p, prog, *args, runner="threads", model=model)
+    network state and results; return the fused run.  ``log`` (the
+    ``rendezvous_log`` fixture) additionally pins which of the three
+    entered the engine rendezvous: the fused run did, the others never."""
+    kwargs = dict(model=model, faults=faults)
+    a = run_spmd(p, prog, *args, runner="coop", fused=True, **kwargs)
+    if log is not None:
+        assert log, f"fused run never entered the rendezvous (P={p})"
+        del log[:]
+    b = run_spmd(p, prog, *args, runner="coop", fused=False, **kwargs)
+    c = run_spmd(p, prog, *args, runner="threads", **kwargs)
+    assert not log, "a reference run entered the rendezvous"
     sa = net_state(a)
     assert sa == net_state(b), f"fused vs reference state differs (P={p})"
     assert sa == net_state(c), f"fused vs threads state differs (P={p})"
@@ -263,6 +290,22 @@ class TestThreeWayBitIdentity:
 
         three_way(prog, p)
 
+    @pytest.mark.parametrize("p", [4, 5, 16])
+    def test_wide_vectors_fold_in_column_blocks(self, p, monkeypatch):
+        """Past ``_FOLD_BLOCK_BYTES`` per stacked block the dense folds
+        run one block of columns at a time; the blocks must tile the
+        vector exactly (odd widths, a ragged last block) and give the
+        whole-vector bits."""
+        monkeypatch.setattr(fused_mod, "_FOLD_BLOCK_BYTES", 4096)
+
+        def prog(comm):
+            x = np.random.default_rng(comm.rank).standard_normal(
+                1237).astype(np.float32)
+            return [coll.allreduce(comm, x, algo=a)
+                    for a in ("rabenseifner", "recursive_doubling", "ring")]
+
+        three_way(prog, p)
+
     def test_trace_falls_back_to_reference(self):
         """Tracing needs per-message records: fusion must disengage."""
         def prog(comm):
@@ -278,6 +321,215 @@ class TestThreeWayBitIdentity:
         assert fusion_enabled()
         monkeypatch.delenv("REPRO_FUSED")
         assert fusion_enabled()
+
+
+# ---------------------------------------------------------------------------
+# The same oracle under fault plans: factor arrays in the replay, a slot
+# translation for shrunk worlds, the reference path only where a crash
+# interrupts
+# ---------------------------------------------------------------------------
+def _window_plans(p, prog):
+    """Slowdown/straggler plans shaped to the clean run of ``prog`` at
+    ``p`` ranks, so their windows open and close inside its collectives."""
+    clean = run_spmd(p, prog, runner="coop", trace=True)
+    span = clean.makespan
+    trace = sorted(clean.network.trace, key=lambda t: t.t_start_tx)
+    mid = trace[len(trace) // 2]
+    later = next(t for t in trace[len(trace) // 2 + 1:]
+                 if t.src == mid.src and t.t_start_tx > mid.t_start_tx)
+    jitter = FaultPlan.jittery(p, seed=p, windows=8, horizon=span,
+                               factor=3.0, window_frac=0.07)
+    return {
+        "straggler-skew": FaultPlan.straggler_skew(p, seed=p),
+        # eight link bursts of 7 % of the run each (shorter than one
+        # collective) plus a straggler that comes and goes
+        "jitter-inside-collectives": dataclasses.replace(
+            jitter, stragglers=(ComputeStraggler(
+                rank=1, factor=2.5, t_start=0.2 * span,
+                t_end=0.55 * span),)),
+        # a window that opens exactly on one egress booking start of the
+        # clean timeline and closes exactly on a later one
+        "boundary-on-a-booking-start": FaultPlan(links=[LinkSlowdown(
+            rank=mid.src, factor=2.0, direction="egress",
+            t_start=mid.t_start_tx, t_end=later.t_start_tx)]),
+        "overlapping-windows-on-one-slot": FaultPlan(
+            links=[LinkSlowdown(rank=0, factor=2.0, t_start=0.1 * span,
+                                t_end=0.6 * span),
+                   LinkSlowdown(rank=0, factor=3.0, direction="egress",
+                                t_start=0.3 * span, t_end=0.8 * span),
+                   LinkSlowdown(rank=0, factor=1.5, direction="ingress")],
+            stragglers=[ComputeStraggler(rank=0, factor=2.0),
+                        ComputeStraggler(rank=0, factor=1.5,
+                                         t_start=0.2 * span,
+                                         t_end=0.7 * span)]),
+    }
+
+
+#: factors of 1.0 everywhere a factor can apply: must change no bit
+UNIT_PLAN = FaultPlan(
+    links=[LinkSlowdown(rank=0, factor=1.0),
+           LinkSlowdown(rank=1, factor=1.0, direction="ingress",
+                        t_start=1e-6, t_end=1e-4)],
+    stragglers=[ComputeStraggler(rank=0, factor=1.0),
+                ComputeStraggler(rank=1, factor=1.0, t_start=0.0,
+                                 t_end=5e-5)])
+
+
+def _train_prog(comm, scheme, iters, seed):
+    """Elastic perf-proxy training; every rank returns its whole record."""
+    proxy = perf_proxy()
+    train, _ = proxy.make_splits()
+    loader = ShardedLoader(train, proxy.global_batch, comm.rank, comm.size,
+                           seed=seed)
+    cfg = TrainerConfig(iterations=iters, scheme=scheme, density=0.03,
+                        lr=proxy.lr, mode=proxy.mode, elastic=True)
+    record = Trainer(comm, proxy.make_model(), loader, cfg).run()
+    return ([dataclasses.asdict(r) for r in record.records], record.events)
+
+
+def train_three_way(monkeypatch, log, p, scheme, plan, iters=6, seed=0,
+                    threads=True):
+    """Training under ``plan`` on the fast path (fused + rank-batched),
+    on the per-message path (``fused=False``, ``REPRO_RANK_BATCH=0``) and
+    under ``threads``: every rank's records and events, the network state
+    and the crashed set must agree.  Returns the fast run and its
+    rendezvous entries."""
+    modes = [("coop", True, "1"), ("coop", False, "0")]
+    if threads:
+        modes.append(("threads", None, "1"))
+    runs = []
+    for runner, fused, batch in modes:
+        monkeypatch.setenv(RANK_BATCH_ENV, batch)
+        del log[:]
+        res = run_spmd(p, _train_prog, scheme, iters, seed, runner=runner,
+                       fused=fused, faults=plan, model=proxy_network())
+        runs.append((res, list(log)))
+    (fast, entries), *others = runs
+    for res, ref_entries in others:
+        assert not ref_entries, "a reference run entered the rendezvous"
+        assert net_state(res) == net_state(fast)
+        assert res.results == fast.results
+    return fast, entries
+
+
+def _victim(plan, p, seed=0):
+    """A seeded rank that is neither the plan's straggler nor its slow
+    link."""
+    taken = {x.rank for x in plan.links + plan.stragglers}
+    free = [r for r in range(p) if r not in taken]
+    return free[seed % len(free)]
+
+
+class TestThreeWayUnderPlans:
+    @pytest.mark.parametrize("p", [4, 5, 8, 16])
+    def test_collectives_under_window_plans(self, p, rendezvous_log):
+        for name, plan in _window_plans(p, _collective_torture).items():
+            res = three_way(_collective_torture, p, faults=plan,
+                            log=rendezvous_log)
+            assert res.makespan > 0, name
+
+    @pytest.mark.parametrize("p", [4, 5, 8, 16])
+    def test_unit_factor_plan_changes_no_bit(self, p, rendezvous_log):
+        planned = three_way(_collective_torture, p, faults=UNIT_PLAN,
+                            log=rendezvous_log)
+        bare = run_spmd(p, _collective_torture, runner="coop", fused=True)
+        assert net_state(planned) == net_state(bare)
+        assert_same(list(planned.results), list(bare.results))
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_window_plans_with_overheads(self, p, rendezvous_log):
+        """``o_inject`` / ``o_send`` put the straggler factor on the
+        per-post charges too."""
+        model = NetworkModel(o_inject=3e-8, o_send=1e-8)
+        for plan in _window_plans(p, _collective_torture).values():
+            three_way(_collective_torture, p, model=model, faults=plan,
+                      log=rendezvous_log)
+
+    @pytest.mark.parametrize("scheme", ["oktopk", "gtopk", "dense", "topka"])
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_training_through_an_iteration_pinned_crash(
+            self, p, scheme, monkeypatch, rendezvous_log):
+        """P -> P-1 with the fast path engaged before and after the
+        shrink and not once in the interrupted iteration."""
+        crash_at = 3
+        plan = FaultPlan.straggler_skew(p, seed=p)
+        plan = dataclasses.replace(plan, crashes=(RankCrash(
+            rank=_victim(plan, p), iteration=crash_at),))
+        fast, entries = train_three_way(monkeypatch, rendezvous_log, p,
+                                        scheme, plan)
+        events = next(r for r in fast.results if r is not None)[1]
+        assert [(e["old_size"], e["new_size"]) for e in events] == \
+            [(p, p - 1)]
+        before = [e for e in entries if e.size == p and e.step < crash_at]
+        interrupted = [e for e in entries
+                       if e.size == p and e.step >= crash_at]
+        after = [e for e in entries if e.size == p - 1]
+        assert before and after and not interrupted
+        assert len(before) + len(after) == len(entries)
+        # the redo of the interrupted iteration is already on the fast
+        # path, model math included
+        assert sum(e.step == crash_at and e.head == "rb_fwdbwd"
+                   for e in after) == p - 1
+
+    def test_training_through_a_time_pinned_crash(self, monkeypatch,
+                                                  rendezvous_log):
+        """A crash time could be reached inside any collective: nothing
+        enters the rendezvous until the shrink removed the slot."""
+        p = 8
+        clean = run_spmd(p, _train_prog, "oktopk", 6, 0,
+                         model=proxy_network())
+        plan = FaultPlan.straggler_skew(p, seed=1)
+        plan = dataclasses.replace(plan, crashes=(RankCrash(
+            rank=_victim(plan, p), time=0.4 * clean.makespan),))
+        fast, entries = train_three_way(monkeypatch, rendezvous_log, p,
+                                        "oktopk", plan)
+        assert len(fast.crashed) == 1
+        assert entries and {e.size for e in entries} == {p - 1}
+
+    def test_two_crashes_in_one_run(self, monkeypatch, rendezvous_log):
+        p = 8
+        plan = FaultPlan.straggler_skew(p, seed=2)
+        a = _victim(plan, p)
+        b = _victim(plan, p, seed=3)
+        assert a != b
+        plan = dataclasses.replace(plan, crashes=(
+            RankCrash(rank=a, iteration=2), RankCrash(rank=b, iteration=4)))
+        fast, entries = train_three_way(monkeypatch, rendezvous_log, p,
+                                        "oktopk", plan)
+        assert sorted(fast.crashed) == sorted((a, b))
+        by_size = Counter(e.size for e in entries)
+        assert set(by_size) == {8, 7, 6}
+        assert not [e for e in entries if (e.size, e.step) in
+                    {(8, 2), (7, 4)}]
+
+    def test_simultaneous_crashes_and_zero_detect_timeout(
+            self, monkeypatch, rendezvous_log):
+        p = 8
+        plan = FaultPlan(
+            links=[LinkSlowdown(rank=0, factor=3.0)],
+            stragglers=[ComputeStraggler(rank=2, factor=2.0)],
+            crashes=[RankCrash(rank=1, iteration=3),
+                     RankCrash(rank=5, iteration=3)],
+            detect_timeout=0.0)
+        fast, entries = train_three_way(monkeypatch, rendezvous_log, p,
+                                        "oktopk", plan)
+        assert sorted(fast.crashed) == [1, 5]
+        assert {e.size for e in entries} == {8, 6}
+
+    @given(p=st.integers(4, 9), seed=st.integers(0, 10**6),
+           crash_at=st.integers(1, 5))
+    @settings(max_examples=12, deadline=None)
+    def test_training_equality_is_a_property_of_the_plan(
+            self, p, seed, crash_at):
+        """Any (P, seeded slowdown plan, crash iteration): the fast path
+        and the per-message path leave the same world behind."""
+        plan = FaultPlan.straggler_skew(p, seed=seed)
+        plan = dataclasses.replace(plan, crashes=(RankCrash(
+            rank=_victim(plan, p, seed), iteration=crash_at),))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "0")
+            train_three_way(mp, [], p, "oktopk", plan, iters=5,
+                            seed=seed % 7, threads=False)
 
 
 # ---------------------------------------------------------------------------

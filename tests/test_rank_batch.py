@@ -3,13 +3,16 @@
 The batched executors (:mod:`repro.train.rankbatch`,
 :mod:`repro.nn.stacked`, the batched top-k of :mod:`repro.sparse.topk`)
 must produce results bit-identical to per-rank execution, and must
-disengage — deterministically, on every rank — whenever ranks can
-diverge (faults, elastic shrink, group communicators, tracing, runners
-without a rendezvous engine).  A divergent run must therefore land on
-exactly the code a never-batched run executes.
+disengage — deterministically, on every rank — wherever a rendezvous
+could be left incomplete (a planned crash that can still fire, group
+communicators that are not the current world, tracing, runners without a
+rendezvous engine).  Slowdown/straggler plans and shrunk worlds stay
+batched; the iteration a crash interrupts must land on exactly the code
+a never-batched run executes.
 """
 
 import os
+from collections import Counter
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -19,11 +22,11 @@ import pytest
 from repro.bench.harness import perf_proxy, proxy_network, train_scheme
 from repro.comm import run_spmd
 from repro.comm.faults import FaultPlan, RankCrash
-from repro.nn.stacked import StackedModel, supports_stacking
+from repro.nn.stacked import StackedModel, mapped_zeros, supports_stacking
 from repro.sparse.topk import (batched_kth_largest_abs,
                                batched_threshold_select, kth_largest_abs,
                                threshold_select)
-from repro.train.rankbatch import RANK_BATCH_ENV, RankBatch, stack_rows
+from repro.train.rankbatch import RANK_BATCH_ENV, RankBatch, _WorldState
 from repro.train.rankbatch import _exec_accumulate, _exec_fwd_bwd
 
 RUNNER_ENV = "REPRO_SPMD_RUNNER"
@@ -82,23 +85,36 @@ class TestStackedModel:
         np.testing.assert_array_equal(models[0].params_flat, before[0])
 
 
-class TestStackRows:
+class TestWorldStack:
     def test_consecutive_rows_of_one_base_are_zero_copy(self):
         base = np.arange(12, dtype=np.float32).reshape(3, 4).copy()
-        out = stack_rows([base[0], base[1], base[2]])
+        out = _WorldState().stack("x", [base[0], base[1], base[2]])
         assert out is base
 
-    def test_unrelated_rows_are_stacked_by_copy(self):
+    def test_unrelated_rows_are_copied_into_scratch(self):
+        ws = _WorldState()
         rows = [np.arange(4, dtype=np.float32) * i for i in range(3)]
-        out = stack_rows(rows)
-        assert out.flags.owndata  # a fresh np.stack, not a shared base
+        out = ws.stack("x", rows)
         np.testing.assert_array_equal(out, np.stack(rows))
+        # the same buffer serves the next call of that name and shape ...
+        again = ws.stack("x", [r + 1 for r in rows])
+        assert again is out
+        np.testing.assert_array_equal(again, np.stack(rows) + 1)
+        # ... and a new world size gets a new one
+        assert ws.stack("x", rows[:2]).shape == (2, 4)
 
     def test_out_of_order_rows_fall_back_to_copy(self):
         base = np.arange(8, dtype=np.float32).reshape(2, 4).copy()
-        out = stack_rows([base[1], base[0]])
+        out = _WorldState().stack("x", [base[1], base[0]])
         assert out is not base
         np.testing.assert_array_equal(out, np.stack([base[1], base[0]]))
+
+    def test_rows_of_a_mapped_matrix_are_recognised(self):
+        """World matrices live on their own mappings (not numpy-owned):
+        their rows must still stack zero-copy."""
+        base = mapped_zeros((3, 5), np.float32)
+        base[...] = np.arange(15, dtype=np.float32).reshape(3, 5)
+        assert _WorldState().stack("x", list(base)) is base
 
 
 class TestBatchedTopk:
@@ -122,6 +138,25 @@ class TestBatchedTopk:
             ref = threshold_select(xs[r], float(ths[r]))
             np.testing.assert_array_equal(outs[r].indices, ref.indices)
             np.testing.assert_array_equal(outs[r].values, ref.values)
+
+    def test_scratch_buffers_change_nothing(self):
+        """The rendezvous executors hand in per-world scratch for the
+        (P, n) temporaries; reused (dirty) buffers must give the bits of
+        the allocating calls."""
+        rng = np.random.default_rng(8)
+        mag = np.full((4, 200), np.nan, dtype=np.float32)
+        mask = np.ones((4, 200), dtype=bool)
+        for _ in range(3):
+            xs = rng.normal(size=(4, 200)).astype(np.float32)
+            keep = xs.copy()
+            ths = batched_kth_largest_abs(xs, 11, mag)
+            np.testing.assert_array_equal(
+                ths, batched_kth_largest_abs(xs, 11))
+            got = batched_threshold_select(xs, ths, mag, mask)
+            for a, b in zip(got, batched_threshold_select(xs, ths)):
+                np.testing.assert_array_equal(a.indices, b.indices)
+                np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(xs, keep)     # input untouched
 
     def test_batched_kth_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -211,15 +246,47 @@ class TestEngagementGate:
     def test_disengaged_by_env(self):
         assert self._gate(env="0") == [False, False]
 
-    def test_disengaged_under_fault_plan(self):
+    @pytest.mark.parametrize("plan, engaged", [
+        (FaultPlan(crashes=[RankCrash(rank=1, iteration=10**6)]), True),
+        (FaultPlan.straggler_skew(2, seed=3), True),
+        (FaultPlan(crashes=[RankCrash(rank=1, iteration=1)]), False),
+        (FaultPlan(crashes=[RankCrash(rank=1, time=1e9)]), False),
+    ], ids=["far-future-crash", "straggler-skew", "crash-due-this-step",
+            "time-pinned-crash-pending"])
+    def test_engagement_under_fault_plans(self, plan, engaged):
+        """A plan disengages batching only while one of its crashes can
+        still fire in the live world."""
         proxy = perf_proxy()
 
         def worker(comm):
-            return RankBatch(comm, proxy.make_model()).engaged()
+            rb = RankBatch(comm, proxy.make_model())
+            comm.maybe_crash(iteration=1)   # the top of the first step
+            return rb.engaged()
 
-        plan = FaultPlan(crashes=[RankCrash(rank=1, iteration=10**6)])
         res = run_spmd(2, worker, faults=plan)
-        assert res.results == [False, False]
+        assert [res[r] for r in res.survivors] == \
+            [engaged] * len(res.survivors)
+        assert res[0] is engaged    # rank 0 survives every one of these
+
+    def test_handle_holds_its_communicator_weakly(self):
+        """``comm.rank_batch`` points at the handle; a strong reference
+        back would leave every finished world to the cyclic collector."""
+        import gc
+        import weakref
+
+        def worker(comm):
+            comm.rank_batch = RankBatch(comm, None)
+            return comm.rank_batch, weakref.ref(comm)
+
+        gc.disable()
+        try:
+            res = run_spmd(2, worker)
+            handle, comm_ref = res.results[0]
+            del res
+            assert comm_ref() is None       # freed by reference count
+            assert handle.comm is None and not handle.engaged()
+        finally:
+            gc.enable()
 
     def test_unstackable_model_disengages(self):
         def worker(comm):
@@ -259,9 +326,11 @@ class TestTrainerLockstepIdentity:
         assert _fingerprints(batched) == _fingerprints(unbatched)
         assert _fingerprints(batched) == _fingerprints(threads)
 
-    def test_batching_actually_engages(self):
+    def test_batching_actually_engages(self, rendezvous_log):
         """Guard against the identity above passing vacuously: a
-        fault-free coop run must have bound a stacked model."""
+        fault-free coop run must have run its model math, accumulation
+        and selection at the rendezvous — and must not leave the world's
+        stacked state on the network once the section is closed."""
         proxy = perf_proxy()
         from repro.data import ShardedLoader
         from repro.train import Trainer, TrainerConfig
@@ -276,8 +345,48 @@ class TestTrainerLockstepIdentity:
             return None
 
         res = run_spmd(4, worker, runner="coop")
-        st = getattr(res.network, "_rank_batch_state", None)
-        assert st is not None and st.stacked is not None
+        per_head = Counter(e.head for e in rendezvous_log)
+        for head in ("rb_fwdbwd", "rb_accumulate", "oktopk_select"):
+            assert per_head[head] == 4 * 3      # every rank, every iteration
+        assert res.network._rank_batch_state is None
+
+
+class TestWorldLifetime:
+    @pytest.mark.parametrize("scheme", ["oktopk", "dense"])
+    def test_finished_training_world_is_freed_by_reference_count(
+            self, scheme):
+        """Communicators, the network and the world's stacked state
+        (model matrices, accumulate buffers, scratch) must not wait for
+        the cyclic collector: back-to-back runs would stack up one world
+        each until it happens to run."""
+        import gc
+        import weakref
+
+        proxy = perf_proxy()
+        from repro.data import ShardedLoader
+        from repro.train import Trainer, TrainerConfig
+
+        def worker(comm):
+            train, _ = proxy.make_splits()
+            loader = ShardedLoader(train, proxy.global_batch, comm.rank,
+                                   comm.size, seed=0)
+            cfg = TrainerConfig(iterations=2, scheme=scheme,
+                                density=0.05, lr=proxy.lr)
+            trainer = Trainer(comm, proxy.make_model(), loader, cfg)
+            trainer.run()
+            # the handle stays usable while its communicator lives
+            return trainer.comm.rank_batch.engaged()
+
+        gc.collect()
+        gc.disable()
+        try:
+            res = run_spmd(4, worker, runner="coop")
+            assert res.results == [True] * 4
+            net = weakref.ref(res.network)
+            del res
+            assert net() is None
+        finally:
+            gc.enable()
 
 
 class TestDivergenceFallback:

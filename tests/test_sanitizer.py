@@ -164,6 +164,42 @@ class TestRaceDetector:
             assert res[r].tobytes() == ref[r].tobytes()
 
 
+    def test_replay_runs_under_a_plan_and_on_a_shrunk_world(
+            self, rendezvous_log, monkeypatch):
+        """Which rank arrives at a rendezvous last must not matter —
+        also with factor arrays in the replay and after the survivors
+        were re-numbered.  The perturbed re-run carries the same plan and
+        must reproduce results, clocks, counters and the crashed set."""
+        from repro.bench.harness import perf_proxy, proxy_network, \
+            train_scheme
+        from repro.comm.faults import (ComputeStraggler, FaultPlan,
+                                       LinkSlowdown, RankCrash)
+
+        plan = FaultPlan(links=[LinkSlowdown(rank=3, factor=4.0)],
+                         stragglers=[ComputeStraggler(rank=2, factor=4.0)],
+                         crashes=[RankCrash(rank=1, iteration=3)])
+        base = train_scheme(perf_proxy(), "oktopk", 6, 5, density=0.05,
+                            network=proxy_network(), faults=plan,
+                            elastic=True)
+        once = len(rendezvous_log)
+        assert {e.size for e in rendezvous_log} == {6, 5}
+        del rendezvous_log[:]
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        sane = train_scheme(perf_proxy(), "oktopk", 6, 5, density=0.05,
+                            network=proxy_network(), faults=plan,
+                            elastic=True)
+        # the section ran twice: as given and under the perturbed schedule
+        assert len(rendezvous_log) == 2 * once
+        assert sane.records == base.records and sane.events == base.events
+
+    def test_order_sensitive_program_flagged_under_a_plan(self):
+        from repro.comm.faults import ComputeStraggler, FaultPlan
+
+        plan = FaultPlan(stragglers=[ComputeStraggler(rank=0, factor=2.0)])
+        with pytest.raises(ScheduleRaceError):
+            run_spmd(P, _make_racy_prog(), sanitize=True, faults=plan)
+
+
 # ---------------------------------------------------------------------------
 # transparency: the sanitizer must not change outcomes
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ The load-bearing assertions are the ISSUE-7 acceptance criteria:
 * (ISSUE 16) the one-rendezvous step executor that coop+fused runs take
   at P >= 4 leaves the world — records, checksum, every per-rank counter,
   clock and link, the provenance log — exactly where the per-layer
-  reference loop leaves it, is entered once per rank per serving step,
-  and is never entered where the fused gate is closed.
+  reference loop leaves it, is entered once per rank per serving step —
+  also under slowdown / straggler plans (ISSUE 17) — and is never entered
+  where the fused gate is closed.
 """
 
 from collections import Counter
@@ -25,8 +26,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm import run_spmd
-from repro.comm.communicator import SimComm
-from repro.comm.faults import FaultPlan, LinkSlowdown
+from repro.comm.faults import (ComputeStraggler, FaultPlan, LinkSlowdown,
+                               RankCrash)
 from repro.comm.fused import LATENCY_OPTIMAL
 from repro.errors import ConfigError
 from repro.serve import (DynamicBatcher, Request, ServeConfig, Workload,
@@ -187,20 +188,6 @@ def _two_steps(comm, mcfg, algorithm, tokens):
     return model.step(tokens), model.step(tokens), model.snapshot()
 
 
-@pytest.fixture
-def rendezvous_log(monkeypatch):
-    """Every ``SimComm.fused_collective`` call as ``(rank, sig[0])``."""
-    calls = []
-    inner = SimComm.fused_collective
-
-    def logged(self, sig, payload, executor):
-        calls.append((self.rank, sig[0]))
-        return inner(self, sig, payload, executor)
-
-    monkeypatch.setattr(SimComm, "fused_collective", logged)
-    return calls
-
-
 class TestServing:
     def test_all_requests_complete_with_ordered_stamps(self):
         rep = simulate_serving(SMOKE)
@@ -265,23 +252,36 @@ class TestServing:
         res = serve_world(SMOKE, "coop", True)
         steps = sum(res[0]["steps"].values())
         assert steps >= 3
-        per_rank = Counter(rendezvous_log)
+        per_rank = Counter((e.rank, e.head) for e in rendezvous_log)
         for rank in range(SMOKE.p):
             assert per_rank[(rank, "tp_step")] == steps
         # nothing else but the idle-jump decision syncs enters the engine
-        assert {head for _, head in rendezvous_log} == {
+        assert {e.head for e in rendezvous_log} == {
             "tp_step", "allgather_object"}
 
-    @pytest.mark.parametrize("kwargs, p", [
-        ({"faults": FaultPlan(links=[LinkSlowdown(rank=1, factor=3.0)])}, 4),
-        ({"trace": True}, 4),
-        ({}, 3),
-    ], ids=["fault-plan", "tracing", "below-rank-floor"])
-    def test_step_executor_is_transparent(self, rendezvous_log, kwargs, p):
+    @pytest.mark.parametrize("kwargs, p, entered", [
+        # slowdowns and stragglers ride the step executor as factors ...
+        ({"faults": FaultPlan(links=[LinkSlowdown(rank=1, factor=3.0)])},
+         4, True),
+        ({"faults": FaultPlan(
+            stragglers=[ComputeStraggler(rank=2, factor=5.0)],
+            links=[LinkSlowdown(rank=0, factor=2.0, direction="ingress",
+                                t_start=2e-4, t_end=9e-4)])}, 4, True),
+        # ... a crash that can still fire keeps the world per message
+        ({"faults": FaultPlan(crashes=[RankCrash(rank=1, time=1e9)])},
+         4, False),
+        ({"trace": True}, 4, False),
+        ({}, 3, False),
+    ], ids=["slow-link-plan", "straggler-window-plan", "pending-crash-plan",
+            "tracing", "below-rank-floor"])
+    def test_step_executor_is_transparent(self, rendezvous_log, kwargs, p,
+                                          entered):
         cfg = replace(SMOKE, p=p)
         got = world_state(serve_world(cfg, "coop", True, **kwargs))
-        assert "tp_step" not in {head for _, head in rendezvous_log}
+        assert ("tp_step" in {e.head for e in rendezvous_log}) == entered
+        del rendezvous_log[:]
         assert got == world_state(serve_world(cfg, "coop", False, **kwargs))
+        assert not rendezvous_log
 
     def test_pure_function_of_seed(self):
         a = simulate_serving(SMOKE).summary()
