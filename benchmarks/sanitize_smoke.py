@@ -4,12 +4,16 @@
 Three checks on the runtime sanitizer mode (``REPRO_SANITIZE=1`` /
 ``run_spmd(sanitize=True)``, see :mod:`repro.comm.launcher`):
 
-* **transparency** — P=4 training (Ok-Topk) and tensor-parallel serving
-  runs under the sanitizer are bit-identical to unsanitized runs (the
-  sanitizer observes, it must not perturb);
-* **schemes are race-free** — every shipped allreduce scheme passes the
+* **transparency** — P=4 training (Ok-Topk), bucketed-stream Ok-Topk
+  sessions and tensor-parallel serving runs under the sanitizer are
+  bit-identical to unsanitized runs (the sanitizer observes, it must not
+  perturb);
+* **schemes are race-free** — every shipped allreduce scheme (one-shot)
+  and the bucketed-stream ``oktopk`` / ``oktopk_q`` sessions pass the
   schedule-perturbation race detector: the section is replayed under a
-  seeded ready-queue rotation and results/clocks/counters must not move;
+  seeded ready-queue rotation and results/clocks/counters must not move —
+  a world-level executor runs on whichever rank arrives last, so "the
+  result does not depend on who that is" is exactly what it has to keep;
 * **detection** — the race detector flags a deliberately order-sensitive
   rank program, and the loan sanitizer flags a ``setflags(write=True)``
   bypass of the isend write-lock.
@@ -28,7 +32,8 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.allreduce import PAPER_ORDER, make_allreduce  # noqa: E402
+from repro.allreduce import (PAPER_ORDER, ParamLayout,  # noqa: E402
+                             make_allreduce, run_session)
 from repro.bench import perf_proxy, train_scheme  # noqa: E402
 from repro.comm import SANITIZE_ENV, run_spmd  # noqa: E402
 from repro.errors import LoanViolationError, ScheduleRaceError  # noqa: E402
@@ -40,10 +45,18 @@ SERVE_CFG = ServeConfig(p=P, rate=2000.0, n_requests=16, prompt_tokens=64,
                         output_tokens=6, max_batch_size=8, seed=0)
 
 
+#: bucketed-stream sessions: 3 buckets of >= 256 words, Ok-Topk family
+LAYOUT = ParamLayout.from_sizes([384, 128, 256, 160, 96])
+SESSION_SCHEMES = ("oktopk", "oktopk_q")
+
+
 def _train_and_serve() -> tuple:
     rec = train_scheme(perf_proxy(), "oktopk", P, 2, density=0.02, seed=0)
     rep = simulate_serving(SERVE_CFG)
-    return rec.records, rep.requests, rep.summary()
+    sessions = [[[o.tobytes() for o in outs]
+                 for outs in run_spmd(P, _session_prog, scheme).results]
+                for scheme in SESSION_SCHEMES]
+    return rec.records, rep.requests, rep.summary(), sessions
 
 
 def _scheme_prog(comm, scheme: str):
@@ -55,6 +68,23 @@ def _scheme_prog(comm, scheme: str):
         acc = rng.standard_normal(N).astype(np.float32)
         res = algo.reduce(comm, acc, t)
         outs.append(res.update_dense(N).copy())
+    return outs
+
+
+def _session_prog(comm, scheme: str):
+    """Bucketed, streamed sessions (one rendezvous per bucket on the fast
+    path); ``tau = tau' = 2`` so the periodic work fires too."""
+    algo = make_allreduce(scheme, density=0.05, tau=2, tau_prime=2)
+    rng = np.random.default_rng(4321 + comm.rank)
+    outs = []
+    for t in (1, 2, 3):
+        acc = rng.standard_normal(LAYOUT.n).astype(np.float32)
+        res = run_session(algo, comm, LAYOUT, t, acc, bucket_size=256,
+                          stream=True)
+        if res.nbuckets != 3 or res.bucket_stats[0].info.get(
+                "stream_fallback"):
+            raise RuntimeError("the smoke session did not stream 3 buckets")
+        outs.append(res.update_dense(LAYOUT.n).copy())
     return outs
 
 
@@ -95,8 +125,8 @@ def main() -> int:
     if sane != base:
         print("FAIL: REPRO_SANITIZE=1 changed the train/serve outcome")
         return 1
-    print(f"transparency: P={P} train + serve bit-identical under "
-          f"REPRO_SANITIZE=1")
+    print(f"transparency: P={P} train + bucketed-stream sessions + serve "
+          f"bit-identical under REPRO_SANITIZE=1")
 
     # 2. every shipped scheme passes the race detector
     for scheme in PAPER_ORDER:
@@ -107,6 +137,15 @@ def main() -> int:
                   f"detector: {exc}")
             return 1
         print(f"race detector: {scheme} clean under perturbed schedule")
+    for scheme in SESSION_SCHEMES:
+        try:
+            run_spmd(P, _session_prog, scheme, sanitize=True)
+        except ScheduleRaceError as exc:
+            print(f"FAIL: bucketed-stream {scheme!r} session flagged by "
+                  f"the race detector: {exc}")
+            return 1
+        print(f"race detector: {scheme} bucketed-stream session clean "
+              f"under perturbed schedule")
 
     # 3. the detectors actually detect
     try:

@@ -66,17 +66,55 @@ instead of thrashing it:
 
 A one-bucket plan never reaches this path (sessions delegate to the
 one-shot ``_reduce``, bit-identical by construction).
+
+Two drivers, one rendezvous per reduction
+-----------------------------------------
+
+Algorithm 1 is *one* sparse allreduce, and on the fast path it is one
+engine dispatch.  Both entry points — :meth:`OkTopkAllreduce._reduce`
+(one-shot) and :meth:`OkTopkAllreduce._reduce_bucket` (one session
+bucket, shared state as above) — first try
+:meth:`OkTopkAllreduce._reduce_world`: where the engine rendezvous is
+available (:func:`repro.comm.fused._available` — cooperative engine,
+fusion on, no tracing, the communicator spans the current world and no
+crash is pending in it) every rank parks once in
+``comm.fused_collective(("oktopk_reduce", ...))`` and the last arrival
+runs :func:`_exec_reduce` for the whole world: selection for every rank
+(stacked where the accumulators share a matrix, :func:`_select_world`),
+the split, :func:`_exec_split_reduce`, the global-threshold selection,
+phase 2 booked from compiled schedules, and the periodic tau / tau' work
+— consensus allreduce, exact global threshold, the bucketed
+end-of-iteration refresh — inline where its (rank-uniform,
+data-independent) schedule fires.  Simulated charges and phase deltas go
+through each rank's own communicator; the data side (``u_t``) is
+assembled once and shared write-protected.  A streamed session's
+per-rank ``async_region`` and pacer stay outside the rendezvous.
+
+Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
+step a planned crash fires in, ``P = 1`` — the per-rank methods below run
+Algorithm 1 message by message.  They are the reference path and the
+oracle of the identity suite
+(``tests/test_fused_collectives.py::TestOkTopkWorldExecutor``), which is
+why the executor mirrors them stage by stage instead of sharing their
+code; what the two do share are the purely local halves
+(:meth:`OkTopkAllreduce._select_local` / ``_select_local_bucket``,
+``_proposal``, ``_adopt_boundaries``, ``_estimate_global_th``, the
+refresh helpers) and the ``package_codec`` hook ``oktopk_q`` plugs its
+quantizer into.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import List, Optional
 
 import numpy as np
 
 from ..comm import SimComm, collectives as coll
 from ..comm import fused as _fused
+from ..comm.payload import nwords as payload_nwords
 from ..errors import ConfigError
 from ..sparse import (
     COOVector,
@@ -99,8 +137,9 @@ _TAG_SR = (1 << 21) + 21      # split-and-reduce region pieces
 _TAG_BAL = (1 << 21) + 22     # data-balancing moves
 
 
-def _exec_split_reduce(net, sig, payloads):
-    """Fused executor for split-and-reduce (the macro-collective form of
+def _exec_split_reduce(net, rotation, bucket_size, payloads):
+    """Split-and-reduce for the whole world (the stage of
+    :func:`_exec_reduce` that replaces
     :meth:`OkTopkAllreduce._split_and_reduce`'s exchange).
 
     ``payloads[r]`` is rank ``r``'s region pieces (one COO vector per
@@ -127,8 +166,6 @@ def _exec_split_reduce(net, sig, payloads):
     and ``gamma`` charges carry the rank's straggler factor at its clock
     before each charge (``SimComm.compute``).
     """
-    from .schedule import buckets as _buckets, make_steps
-    _, rotation, bucket_size = sig
     p = len(payloads)
     model = net.model
     alpha, o_send = model.alpha, model.o_send
@@ -157,8 +194,8 @@ def _exec_split_reduce(net, sig, payloads):
     if cached is not None and cached[0] == key:
         rank_buckets = cached[1]
     else:
-        rank_buckets = [list(_buckets(make_steps(r, p, rotation),
-                                      bucket_size)) for r in range(p)]
+        rank_buckets = [list(buckets(make_steps(r, p, rotation),
+                                     bucket_size)) for r in range(p)]
         net._sr_sched_cache = (key, rank_buckets)
     nbuckets = len(rank_buckets[0])
     prev_words = [0] * p
@@ -274,26 +311,31 @@ def _exec_split_reduce(net, sig, payloads):
     return out
 
 
-def _exec_select_local(net, sig, payloads):
-    """Rank-batched executor for :meth:`OkTopkAllreduce._select_local`.
+def _select_world(net, comms, schemes, accs, t, k):
+    """One-shot local selection (Algorithm 1 lines 2-4) for every rank.
 
-    ``payloads[r]`` is ``(comm, allreduce, acc)`` for rank ``r``.  The
-    periodic threshold re-evaluation becomes one row-wise
-    ``np.partition`` and the per-iteration selection one stacked
-    threshold scan; compute charges (`compute_sort`/`compute_scan`) run
-    through each rank's own communicator inside its open phase context,
-    so clocks and phase attribution match the serial path exactly.
-    Data-dependent divergence — the degenerate all-zero path and the
-    selection-guard re-evaluation — is handled per rank with the scalar
-    primitives (it is pure local compute, no lockstep needed).
+    Where the accumulators are the consecutive rows of one shared matrix
+    (lockstep rank batching: they live in the world's accumulate buffer)
+    the periodic threshold re-evaluation is one row-wise ``np.partition``
+    and the per-iteration selection one stacked threshold scan; compute
+    charges (`compute_sort`/`compute_scan`) run through each rank's own
+    communicator, so clocks and phase attribution match the serial path
+    exactly.  Data-dependent divergence — the degenerate all-zero path
+    and the selection-guard re-evaluation — is handled per rank with the
+    scalar primitives.  Rows that do not stack without a copy (per-rank
+    model math: the BERT proxy, uneven shards after a shrink) run
+    :meth:`OkTopkAllreduce._select_local` rank by rank — copying them
+    into a stack first measured no faster and cost memory.
     """
-    from ..train.rankbatch import _world_state
-    _, t, k = sig
+    from ..train.rankbatch import _shared_base, _world_state
+    xs = _shared_base(accs)
+    if xs is None:
+        return [ar._select_local(comm, acc, k, t)
+                for comm, ar, acc in zip(comms, schemes, accs)]
     ws = _world_state(net)
-    xs = ws.stack("select_acc", [p[2] for p in payloads])
     nranks, n = xs.shape
     mag = ws.scratch("select_mag", xs.shape, xs.dtype)
-    entries = [(p[0], p[1], p[1]._state) for p in payloads]
+    entries = [(comm, ar, ar._state) for comm, ar in zip(comms, schemes)]
     due = [st.local_th is None or ar._due(t, ar.tau_prime)
            for (_, ar, st) in entries]
     if all(due):
@@ -330,12 +372,229 @@ def _exec_select_local(net, sig, payloads):
         if local.nnz > g * k or local.nnz * g < k:
             st.local_th = kth_largest_abs(xs[r], k)
             st.local_evaluations += 1
+            st.guard_evaluations += 1
             comm.compute_sort(n)
             comm.compute_scan(n)
             local = (threshold_select(xs[r], st.local_th)
                      if st.local_th > 0 else exact_topk(xs[r], k))
         out.append(local)
     return out
+
+
+@contextmanager
+def _world_phase(net, comms, name: str):
+    """:meth:`SimComm.phase` for every rank of the world at once: each
+    rank's clock delta over the block goes to its own phase table (same
+    expression, so the accumulated floats match the per-rank contexts)."""
+    clocks = net.clocks
+    starts = [clocks[c.slot] for c in comms]
+    yield
+    for c, start in zip(comms, starts):
+        times = c._phase_times
+        times[name] = times.get(name, 0.0) + clocks[c.slot] - start
+
+
+def _consensus_world(net, schemes, proposals, n: int, t: int) -> None:
+    """:meth:`OkTopkAllreduce._consensus_boundaries` for the world: the
+    (P+1)-element recursive-doubling allreduce booked inline, every rank
+    adopting the same averaged boundaries."""
+    summed = _fused.replay_allreduce(net, "recursive_doubling", proposals)
+    for ar in schemes:
+        ar._adopt_boundaries(ar._state, summed, len(schemes), n, t)
+
+
+def _global_th_world(net, comms, schemes, values, words, k: int) -> None:
+    """The exact global-threshold estimate for the world: the allgatherv
+    of the reduced pieces (``words[r]`` wire words each) booked inline,
+    then every rank's own sort charge and counter
+    (:meth:`OkTopkAllreduce._estimate_global_th`)."""
+    with _world_phase(net, comms, PHASE_COMM):
+        _fused.replay(net, _fused.compile_allgatherv(len(comms),
+                                                     tuple(words)))
+    merged = np.concatenate(values)
+    for comm, ar in zip(comms, schemes):
+        ar._estimate_global_th(comm, ar._state, merged, k)
+
+
+def _refresh_world(net, comms, schemes, views, t: int) -> None:
+    """:meth:`OkTopkAllreduce._refresh_shared_state` for the world (same
+    three refreshes on the same schedules; their collectives — consensus
+    allreduce, values-only allgatherv — booked inline)."""
+    lead, st0 = schemes[0], schemes[0]._state
+    n = st0.n
+    k_total = lead.resolve_k(n)
+    due_th = lead._due(t, lead.tau_prime)
+    if due_th and st0.local_refresh_t != t:
+        with _world_phase(net, comms, PHASE_SPARSIFY):
+            for comm, ar, view in zip(comms, schemes, views):
+                ar._refresh_local_th(comm, ar._state, view.acc, k_total, t)
+    if lead._due(t, lead.tau) and st0.repartition_t != t:
+        with _world_phase(net, comms, PHASE_COMM):
+            proposals = [ar._full_proposal(comm, ar._state, view.acc)
+                         for comm, ar, view in zip(comms, schemes, views)]
+            _consensus_world(net, schemes, proposals, n, t)
+    if due_th and st0.global_refresh_t != t:
+        mine = [ar._state.take_reduced() for ar in schemes]
+        _global_th_world(net, comms, schemes, mine,
+                         [m.size for m in mine], k_total)
+        for ar in schemes:
+            ar._state.global_refresh_t = t
+
+
+def _exec_reduce(net, sig, lanes):
+    """Algorithm 1 for the whole current world in one rendezvous — the
+    fast path of :meth:`OkTopkAllreduce._reduce` (one-shot) and
+    :meth:`OkTopkAllreduce._reduce_bucket` (one session bucket).
+
+    ``lanes[r]`` is rank ``r``'s ``(comm, scheme, acc, k, view)``
+    (``view`` is ``None`` for a one-shot reduction).  Stage by stage this
+    is the per-rank driver: local selection for every rank, the split
+    against the (bucket-clipped) consensus boundaries, split-and-reduce
+    (:func:`_exec_split_reduce`), the global-threshold selection, then
+    phase 2 booked directly from compiled schedules — the size exchange,
+    the balancing moves exactly as :meth:`OkTopkAllreduce._rebalance`
+    would ship them, the package allgatherv — and the periodic
+    tau / tau' work (consensus allreduce, exact global threshold,
+    end-of-iteration refresh) inline where its schedule fires.  Every
+    simulated charge goes through the rank's own communicator and every
+    phase delta to its own phase table, every rank's
+    :class:`OkTopkState` is updated exactly as the per-rank driver does
+    it, and the bookings land on the same links at the same times
+    (simulated time is schedule independent; see :mod:`repro.comm.fused`).
+
+    The data side runs once.  Balancing moves whole runs of the
+    rank-ordered package sequence, so with or without it the allgatherv
+    delivers the concatenation of the selected region packages in rank
+    order: ``u_t`` is assembled once and handed to all P ranks as the
+    same write-protected arrays; only the contributed-index intersection
+    (Algorithm 1 line 14) is per rank.
+    """
+    t = sig[1]
+    p = len(lanes)
+    comms, schemes, accs, ks, views = zip(*lanes)
+    states = [ar._state for ar in schemes]
+    # SPMD: one configuration, one budget, one bucket extent
+    lead, k, view = schemes[0], ks[0], views[0]
+    n_b = accs[0].size
+    due_th = lead._due(t, lead.tau_prime)
+
+    # -- lines 2-4: local selection -------------------------------------
+    with _world_phase(net, comms, PHASE_SPARSIFY):
+        if view is None:
+            local = _select_world(net, comms, schemes, accs, t, k)
+        else:
+            k_total = lead.resolve_k(view.n)
+            local = [ar._select_local_bucket(comm, ar._state, acc, k,
+                                             k_total, vw)
+                     for comm, ar, acc, vw in zip(comms, schemes, accs,
+                                                  views)]
+
+    # -- lines 5-8: boundaries, split and reduce ------------------------
+    with _world_phase(net, comms, PHASE_COMM):
+        if view is not None:
+            bnd = lead._bucket_boundaries(comms[0], states[0], view)
+            bnd.setflags(write=False)
+            boundaries = [bnd] * p
+        else:
+            if states[0].boundaries is None or lead._due(t, lead.tau):
+                _consensus_world(
+                    net, schemes,
+                    [ar._proposal(loc.indices, n_b, p)
+                     for ar, loc in zip(schemes, local)], n_b, t)
+            boundaries = [st.boundaries for st in states]
+        pieces = []
+        for comm, loc, bnd in zip(comms, local, boundaries):
+            pieces.append(loc.split(bnd))
+            comm.compute_scan(loc.nnz)
+        reduced = _exec_split_reduce(net, lead.rotation, lead.bucket_size,
+                                     pieces)
+
+    # -- lines 9-12: global threshold ------------------------------------
+    if view is not None and due_th:
+        for st, red in zip(states, reduced):
+            st.keep_reduced(red.values, t)
+    if states[0].global_th is None or (view is None and due_th):
+        _global_th_world(net, comms, schemes, [v.values for v in reduced],
+                         [2 * v.indices.size for v in reduced], k)
+
+    # -- line 13: balance and allgatherv ---------------------------------
+    with _world_phase(net, comms, PHASE_COMM):
+        global_ths = [st.global_th for st in states]
+        mine = []
+        for comm, gth, red in zip(comms, global_ths, reduced):
+            mine.append(red.select_threshold(gth) if gth > 0 else red)
+            comm.compute_scan(red.indices.size)
+        sizes = [m.indices.size for m in mine]
+        _fused.replay(net, _fused.compile_allgatherv(p, (1,) * p))
+        total = sum(sizes)
+        balanced = (lead.data_balancing and total > 0
+                    and max(sizes) > lead.balance_trigger * total / p)
+        # cuts[r]:cuts[r+1] = the run of the rank-ordered package
+        # sequence rank r holds when the allgatherv starts
+        if balanced:
+            rows, cuts = _rebalance_plan(sizes)
+            _fused.replay(net, _fused.compile_alltoallv(p, rows))
+            for st in states:
+                st.balancing_triggered += 1
+        else:
+            cuts = list(accumulate(sizes, initial=0))
+        u_idx = np.concatenate([m.indices for m in mine])
+        u_val = np.concatenate([m.values for m in mine])
+        if lead.package_codec is None:
+            words = [2 * (hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+        else:
+            # each rank encodes the package it holds after balancing
+            wires, words = [], []
+            for comm, ar, lo, hi in zip(comms, schemes, cuts, cuts[1:]):
+                wires.append(ar.package_codec.encode(u_val[lo:hi]))
+                comm.compute_scan(hi - lo)
+                words.append(hi - lo + payload_nwords(wires[-1]))
+            u_val = np.concatenate(
+                [lead.package_codec.decode(w) for w in wires]
+            ).astype(VALUE_DTYPE, copy=False)
+        _fused.replay(net, _fused.compile_allgatherv(p, tuple(words)))
+
+    if view is not None and view.final:
+        _refresh_world(net, comms, schemes, views, t)
+
+    # shared by all P ranks: nobody may write what everybody reads
+    u_idx.setflags(write=False)
+    u_val.setflags(write=False)
+    u_t = COOVector(n_b, u_idx, u_val)
+    return [AllreduceResult(
+        update=u_t,
+        contributed_indices=intersect_sorted(loc.indices, u_idx),  # l. 14
+        info={
+            "k": k,
+            "selected_local": loc.indices.size,
+            "selected_global": u_idx.size,
+            "local_threshold": st.local_th,
+            "global_threshold": gth,
+            "balancing_triggered": balanced,
+            "boundaries": bnd,
+        }) for loc, st, gth, bnd in zip(local, states, global_ths,
+                                        boundaries)]
+
+
+def _rebalance_plan(sizes: List[int]):
+    """What :meth:`OkTopkAllreduce._rebalance` ships for these package
+    sizes: the alltoallv word matrix (``rows[i][j]`` = wire words of the
+    run rank ``i`` hands rank ``j``, COO pairs) and the near-equal target
+    cuts of the rank-ordered package sequence each rank holds afterwards."""
+    offsets, targets = _balance_cuts(sizes)
+    overlap = (np.minimum(offsets[1:, None], targets[None, 1:])
+               - np.maximum(offsets[:-1, None], targets[None, :-1]))
+    rows = (2 * np.maximum(overlap, 0)).tolist()
+    return tuple(map(tuple, rows)), targets.tolist()
+
+
+def _balance_cuts(sizes):
+    """The balancing policy: where each rank's package starts in the
+    rank-ordered sequence of all packages (``offsets``) and the
+    near-equal cuts it is rebalanced to (``targets``)."""
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    targets = np.linspace(0, offsets[-1], len(sizes) + 1).astype(np.int64)
+    return offsets, targets
 
 
 @dataclass
@@ -363,6 +622,9 @@ class OkTopkState:
     global_evaluations: int = 0
     repartitions: int = 0
     balancing_triggered: int = 0
+    #: how many of ``local_evaluations`` were selection-guard trips (a
+    #: stale threshold left ``[k/guard, guard*k]``), one-shot or per bucket
+    guard_evaluations: int = 0
     # iteration of the last full-gradient refresh (bucketed sessions only)
     local_refresh_t: int = 0
     global_refresh_t: int = 0
@@ -370,6 +632,22 @@ class OkTopkState:
     # per-iteration scratch for the bucketed global-threshold refresh
     pending_t: int = 0
     pending_reduced: List[np.ndarray] = field(default_factory=list)
+
+    def keep_reduced(self, values: np.ndarray, t: int) -> None:
+        """Collect one bucket's reduced values of due iteration ``t`` for
+        the end-of-iteration global-threshold refresh."""
+        if self.pending_t != t:
+            self.pending_t = t
+            self.pending_reduced = []
+        self.pending_reduced.append(values)
+
+    def take_reduced(self) -> np.ndarray:
+        """The collected values as one array; clears the scratch."""
+        mine = (np.concatenate(self.pending_reduced)
+                if self.pending_reduced else np.empty(0, VALUE_DTYPE))
+        self.pending_t = 0
+        self.pending_reduced = []
+        return mine
 
 
 class OkTopkAllreduce(GradientAllreduce):
@@ -395,6 +673,13 @@ class OkTopkAllreduce(GradientAllreduce):
     # periodic thresholds/boundaries to their slice.
     name = "oktopk"
     bucketable = True
+    #: value codec of the phase-2 packages (``encode(values)`` -> a
+    #: self-sizing wire object, ``decode(wire)`` -> float32 values), or
+    #: None to ship the float32 values themselves.  Both drivers — the
+    #: per-rank :meth:`_balance_and_allgatherv` and the world executor —
+    #: encode right before the allgatherv (one more scan) and decode what
+    #: it delivers; ``oktopk_q`` plugs its quantizer in here.
+    package_codec = None
 
     def __init__(self, *, tau: int = 64, tau_prime: int = 32,
                  balanced_partition: bool = True, rotation: bool = True,
@@ -502,21 +787,9 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     def _select_local(self, comm: SimComm, acc: np.ndarray,
                       k: int, t: int) -> COOVector:
-        """Threshold selection; under lockstep rank-batching (a
-        :class:`repro.train.rankbatch.RankBatch` published on the
-        communicator) the whole world's selection runs as one stacked
-        dispatch — one ``np.partition`` / one threshold scan over the
-        ``(P, n)`` accumulator matrix — bit-identical per rank to the
-        serial path."""
-        rb = getattr(comm, "rank_batch", None)
-        if rb is not None and rb.engaged():
-            return comm.fused_collective(("oktopk_select", t, k),
-                                         (comm, self, acc),
-                                         _exec_select_local)
-        return self._select_local_serial(comm, acc, k, t)
-
-    def _select_local_serial(self, comm: SimComm, acc: np.ndarray,
-                             k: int, t: int) -> COOVector:
+        """Threshold selection of one rank (the world executor stacks it
+        across ranks where the accumulators share a matrix; see
+        :func:`_select_world`)."""
         st = self._state
         n = acc.size
         if st.local_th is None or self._due(t, self.tau_prime):
@@ -533,6 +806,7 @@ class OkTopkAllreduce(GradientAllreduce):
             # Stale threshold drifted too far: re-evaluate immediately.
             st.local_th = kth_largest_abs(acc, k)
             st.local_evaluations += 1
+            st.guard_evaluations += 1
             comm.compute_sort(n)
             comm.compute_scan(n)
             local = (threshold_select(acc, st.local_th)
@@ -547,20 +821,27 @@ class OkTopkAllreduce(GradientAllreduce):
         """Average the boundary proposals across ranks (P+1-word
         allreduce), sanitize, and store as the shared boundaries."""
         summed = coll.allreduce_recursive_doubling(comm, proposal)
-        st.boundaries = sanitize_boundaries(summed / comm.size, n)
+        self._adopt_boundaries(st, summed, comm.size, n, t)
+
+    def _adopt_boundaries(self, st: OkTopkState, summed: np.ndarray,
+                          p: int, n: int, t: int) -> None:
+        st.boundaries = sanitize_boundaries(summed / p, n)
         st.repartitions += 1
         st.repartition_t = t
+
+    def _proposal(self, indices: np.ndarray, n: int, p: int) -> np.ndarray:
+        """This rank's boundary proposal from its selected coordinates."""
+        if self.balanced_partition:
+            return balanced_boundaries_local(indices, n, p)
+        return equal_boundaries(n, p).astype(np.float64)
 
     def _repartition(self, comm: SimComm, local: COOVector, n: int,
                      t: int) -> np.ndarray:
         st = self._state
         if st.boundaries is not None and not self._due(t, self.tau):
             return st.boundaries
-        if self.balanced_partition:
-            proposal = balanced_boundaries_local(local.indices, n, comm.size)
-        else:
-            proposal = equal_boundaries(n, comm.size).astype(np.float64)
-        self._consensus_boundaries(comm, st, proposal, n, t)
+        self._consensus_boundaries(
+            comm, st, self._proposal(local.indices, n, comm.size), n, t)
         return st.boundaries
 
     # ------------------------------------------------------------------
@@ -568,19 +849,17 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     def _split_and_reduce(self, comm: SimComm, local: COOVector,
                           boundaries: np.ndarray) -> COOVector:
+        """The per-message exchange (reference path): rotation/naive
+        schedule in buckets of ``bucket_size`` steps, batched egress
+        posts, the previous bucket's reduction overlapped with this one's
+        transfers.  :func:`_exec_split_reduce` books the identical
+        sequence for the whole world inside the fast path's executor."""
         p, r = comm.size, comm.rank
         pieces = local.split(boundaries)
         comm.compute_scan(local.nnz)
         reduced = pieces[r]
         if p == 1:
             return reduced
-        if _fused._available(comm):
-            # Fused macro-collective: the whole rotation schedule —
-            # batched egress posts, overlapped reductions, arrival-sorted
-            # deliveries — in one engine dispatch (see _exec_split_reduce).
-            return comm.fused_collective(
-                ("oktopk_sr", self.rotation, self.bucket_size), pieces,
-                _exec_split_reduce)
         steps = make_steps(r, p, self.rotation)
         # Simulated time is charged per bucket (the overlap model of
         # Figure 2c: the previous bucket's reduction hides behind the next
@@ -666,9 +945,14 @@ class OkTopkAllreduce(GradientAllreduce):
             balanced = True
             self._state.balancing_triggered += 1
         # (4) allgatherv via dissemination; region order keeps global sort
+        codec = self.package_codec
+        if codec is not None:
+            val = codec.encode(val)
+            comm.compute_scan(idx.size)
         pieces = coll.allgatherv(comm, (idx, val))
         cat_idx = np.concatenate([pc[0] for pc in pieces])
-        cat_val = np.concatenate([pc[1] for pc in pieces])
+        cat_val = np.concatenate([pc[1] if codec is None
+                                  else codec.decode(pc[1]) for pc in pieces])
         out = COOVector(n, cat_idx.astype(INDEX_DTYPE),
                         cat_val.astype(VALUE_DTYPE))
         return out, balanced
@@ -682,8 +966,7 @@ class OkTopkAllreduce(GradientAllreduce):
         moves.  Source-rank order preserves the global (sorted) order.
         """
         p, r = comm.size, comm.rank
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        targets = np.linspace(0, offsets[-1], p + 1).astype(np.int64)
+        offsets, targets = _balance_cuts(sizes)
         my_lo, my_hi = int(offsets[r]), int(offsets[r + 1])
         blocks = []
         for j in range(p):
@@ -704,11 +987,31 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     # Algorithm 1 driver
     # ------------------------------------------------------------------
+    def _reduce_world(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
+                      view: Optional[BucketView]):
+        """The fast path of both drivers: where the engine rendezvous is
+        available (cooperative engine with fusion on, no tracing, a
+        communicator spanning the current world with no crash pending in
+        it — :func:`repro.comm.fused._available`) the whole reduction is
+        ONE rendezvous whose executor (:func:`_exec_reduce`) runs
+        Algorithm 1 for every rank.  Returns ``None`` everywhere else; the
+        caller then runs the per-rank, per-message driver below it — the
+        reference path the identity suite compares the executor against."""
+        if not _fused._available(comm):
+            return None
+        lo, hi = (0, acc.size) if view is None else (view.lo, view.hi)
+        return comm.fused_collective(("oktopk_reduce", t, lo, hi, k),
+                                     (comm, self, acc, k, view),
+                                     _exec_reduce)
+
     def _reduce(self, comm: SimComm, acc: np.ndarray,
                 t: int) -> AllreduceResult:
         n = acc.size
         k = self.resolve_k(n)
         self._reset_state_if_needed(n)
+        result = self._reduce_world(comm, acc, t, k, None)
+        if result is not None:
+            return result
 
         with comm.phase(PHASE_SPARSIFY):                 # lines 2-4
             local = self._select_local(comm, acc, k, t)
@@ -757,6 +1060,9 @@ class OkTopkAllreduce(GradientAllreduce):
             k_b = max(1, min(n_b, int(round(k_total * n_b / view.n))))
         else:
             k_b = max(1, min(int(k), n_b))
+        result = self._reduce_world(comm, acc, t, k_b, view)
+        if result is not None:
+            return result
 
         with comm.phase(PHASE_SPARSIFY):
             local = self._select_local_bucket(comm, st, acc, k_b, k_total,
@@ -768,10 +1074,7 @@ class OkTopkAllreduce(GradientAllreduce):
             # This iteration ends with a global-threshold refresh: keep
             # the bucket's reduced values for the union (scratch, cleared
             # by the refresh).
-            if st.pending_t != t:
-                st.pending_t = t
-                st.pending_reduced = []
-            st.pending_reduced.append(reduced.values)
+            st.keep_reduced(reduced.values, t)
         global_th = self._global_threshold_bucket(comm, st, reduced, k_b)
         with comm.phase(PHASE_COMM):
             u_t, balanced = self._balance_and_allgatherv(
@@ -830,6 +1133,7 @@ class OkTopkAllreduce(GradientAllreduce):
             # counted like the one-shot guard path: the sort really ran,
             # even though the corrected threshold stays bucket-local
             st.local_evaluations += 1
+            st.guard_evaluations += 1
             comm.compute_sort(n_b)
             comm.compute_scan(n_b)
             local = (threshold_select(acc, th_b) if th_b > 0
@@ -882,37 +1186,35 @@ class OkTopkAllreduce(GradientAllreduce):
         k_total = self.resolve_k(n)
         if self._due(t, self.tau_prime) and st.local_refresh_t != t:
             with comm.phase(PHASE_SPARSIFY):
-                st.local_th = kth_largest_abs(acc_full, k_total)
-                st.local_evaluations += 1
-                st.local_refresh_t = t
-                comm.compute_sort(n)
+                self._refresh_local_th(comm, st, acc_full, k_total, t)
         if self._due(t, self.tau) and st.repartition_t != t:
             with comm.phase(PHASE_COMM):
-                self._repartition_full(comm, st, acc_full, t)
+                self._consensus_boundaries(
+                    comm, st, self._full_proposal(comm, st, acc_full), n, t)
         if self._due(t, self.tau_prime) and st.global_refresh_t != t:
-            mine = (np.concatenate(st.pending_reduced)
-                    if st.pending_reduced
-                    else np.empty(0, VALUE_DTYPE))
+            mine = st.take_reduced()
             with comm.phase(PHASE_COMM):
                 pieces = coll.allgatherv(comm, mine)
             merged_values = (np.concatenate(pieces) if pieces
                              else np.empty(0))
             self._estimate_global_th(comm, st, merged_values, k_total)
             st.global_refresh_t = t
-            st.pending_t = 0
-            st.pending_reduced = []
 
-    def _repartition_full(self, comm: SimComm, st: OkTopkState,
-                          acc_full: np.ndarray, t: int) -> None:
-        """The tau-schedule consensus repartition, run once per due
-        iteration from the fully pushed gradient (one threshold scan
-        recovers this rank's selected coordinates)."""
-        p = comm.size
+    def _refresh_local_th(self, comm: SimComm, st: OkTopkState,
+                          acc_full: np.ndarray, k_total: int, t: int) -> None:
+        st.local_th = kth_largest_abs(acc_full, k_total)
+        st.local_evaluations += 1
+        st.local_refresh_t = t
+        comm.compute_sort(acc_full.size)
+
+    def _full_proposal(self, comm: SimComm, st: OkTopkState,
+                       acc_full: np.ndarray) -> np.ndarray:
+        """This rank's proposal for the tau-schedule consensus
+        repartition, run once per due iteration from the fully pushed
+        gradient (one threshold scan recovers its selected coordinates)."""
         if self.balanced_partition and st.local_th is not None \
                 and st.local_th > 0.0:
             sel = np.flatnonzero(np.abs(acc_full) >= st.local_th)
             comm.compute_scan(acc_full.size)
-            proposal = balanced_boundaries_local(sel, acc_full.size, p)
-        else:
-            proposal = equal_boundaries(acc_full.size, p).astype(np.float64)
-        self._consensus_boundaries(comm, st, proposal, acc_full.size, t)
+            return balanced_boundaries_local(sel, acc_full.size, comm.size)
+        return equal_boundaries(acc_full.size, comm.size).astype(np.float64)

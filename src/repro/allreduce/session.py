@@ -18,6 +18,11 @@ the pieces of that execution model:
 * :func:`split_k` — the paper-order sparsification budget: the global ``k``
   is split across buckets proportionally to bucket length (largest
   remainder, deterministic);
+* :class:`SessionPlan` — everything above that depends only on
+  ``(layout, bucket_size, k, sparse)`` (buckets, extents, closing
+  positions, per-bucket k, release fractions), derived once and cached on
+  the layout: every rank opens one session per iteration, and re-deriving
+  the plan each time was pure overhead;
 * :class:`ReduceSession` — created by :meth:`GradientAllreduce.begin`;
   accepts ``push(segment, grad)`` calls as backward emits per-layer
   gradients and runs the scheme when buckets complete.  Two execution
@@ -153,6 +158,8 @@ class ParamLayout:
             ofs = seg.end
         self.segments: tuple = tuple(segments)
         self.n = ofs
+        #: session plans derived from this layout (see :meth:`session_plan`)
+        self._plans: Dict[tuple, "SessionPlan"] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -213,6 +220,18 @@ class ParamLayout:
             buckets.append(cur)
         return buckets
 
+    def session_plan(self, bucket_size: Optional[int], k_total: int,
+                     sparse: bool) -> "SessionPlan":
+        """The immutable :class:`SessionPlan` of a session over this
+        layout, derived once per ``(bucket_size, k_total, sparse)`` —
+        every rank opens one session per iteration on the same layout."""
+        key = (bucket_size, k_total, sparse)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = SessionPlan.derive(
+                self, bucket_size, k_total, sparse)
+        return plan
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParamLayout(n={self.n}, segments={len(self.segments)})"
 
@@ -248,6 +267,56 @@ def split_k(k: int, lengths: Sequence[int]) -> List[int]:
             base[donor] -= 1
             base[i] = 1
     return [int(b) for b in base]
+
+
+@dataclass(frozen=True)
+class SessionPlan:
+    """What a session derives from ``(layout, bucket_size, k, sparse)``
+    and never from the gradient: cached on the layout
+    (:meth:`ParamLayout.session_plan`), shared by every rank and
+    iteration; a :class:`ReduceSession` adds only its cursor and results.
+    """
+
+    #: fused buckets in push order, each a tuple of segments
+    buckets: tuple
+    #: flattened push order
+    sequence: tuple
+    #: ``closes[pos]`` = the bucket the push at ``pos`` completes, else -1
+    closes: tuple
+    #: ``(lo, hi)`` extent of each bucket in the flat vector
+    extents: tuple
+    #: fraction of the parameter mass pushed when each bucket completes
+    release: tuple
+    #: per-bucket top-k budget (``None`` entries for a dense scheme)
+    bucket_k: tuple
+    #: last bucket with a positive budget (zero-budget buckets never run)
+    last_funded: int
+
+    @classmethod
+    def derive(cls, layout: ParamLayout, bucket_size: Optional[int],
+               k_total: int, sparse: bool) -> "SessionPlan":
+        buckets = tuple(tuple(b) for b in layout.fuse(bucket_size))
+        closes: List[int] = []
+        release: List[float] = []
+        emitted = 0
+        for b, bucket in enumerate(buckets):
+            closes += [-1] * (len(bucket) - 1) + [b]
+            emitted += sum(seg.size for seg in bucket)
+            release.append(emitted / layout.n)
+        bucket_k = (split_k(k_total, [sum(s.size for s in b)
+                                      for b in buckets])
+                    if sparse else [None] * len(buckets))
+        # split_k hands out at least one positive share (k >= 1), so the
+        # plan always has a final funded bucket.
+        funded = [b for b, kb in enumerate(bucket_k) if kb is None or kb > 0]
+        return cls(
+            buckets=buckets,
+            sequence=tuple(seg for bucket in buckets for seg in bucket),
+            closes=tuple(closes),
+            extents=tuple((min(s.offset for s in b), max(s.end for s in b))
+                          for b in buckets),
+            release=tuple(release), bucket_k=tuple(bucket_k),
+            last_funded=funded[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -378,39 +447,21 @@ class ReduceSession:
         self._outstanding = 0.0
         #: selection time deferred off the async regions, charged at finish
         self._deferred_sparsify = 0.0
-        self._plan = layout.fuse(bucket_size)
-        self._native = bool(scheme.bucketable) and len(self._plan) > 1
-        # flattened push order + the bucket each position closes
-        self._sequence: List[ParamSegment] = [
-            seg for bucket in self._plan for seg in bucket]
-        self._closes: Dict[int, int] = {}
-        pos = 0
-        for b, bucket in enumerate(self._plan):
-            pos += len(bucket)
-            self._closes[pos - 1] = b
-        self._pos = 0
-        self._emitted = 0            # parameter mass pushed so far
+        plan = self._plan = layout.session_plan(
+            bucket_size, scheme.resolve_k(layout.n), bool(scheme.sparse))
+        self._native = bool(scheme.bucketable) and len(plan.buckets) > 1
+        self._pos = 0                # cursor into plan.sequence
         # Allocated on first push (np.empty is enough: finish() requires
         # every segment pushed, so every word is written before read);
-        # run_session adopts the caller's buffer instead.
+        # run_session adopts the caller's buffer instead and never pushes.
         self._acc: Optional[np.ndarray] = None
         self._partials: List[tuple] = []      # (lo, hi, AllreduceResult)
         self.bucket_stats: List[BucketStat] = []
         self._finished = False
-        if self._native:
-            k_total = scheme.resolve_k(layout.n)
-            lengths = [sum(s.size for s in b) for b in self._plan]
-            self._bucket_k = (split_k(k_total, lengths)
-                              if scheme.sparse else [None] * len(self._plan))
-            funded = [b for b, kb in enumerate(self._bucket_k)
-                      if kb is None or kb > 0]
-            # split_k hands out at least one positive share (k >= 1), so
-            # the plan always has a final funded bucket.
-            self._last_funded = funded[-1]
         #: stream=True that cannot stream: the delegating adapter runs
         #: post-backward, so the timings are analytic, not discrete-event.
         self.stream_fallback = self.stream and not self._native
-        if (self.stream and not scheme.bucketable and len(self._plan) > 1
+        if (self.stream and not scheme.bucketable and len(plan.buckets) > 1
                 and scheme.name not in _STREAM_FALLBACK_WARNED):
             _STREAM_FALLBACK_WARNED.add(scheme.name)
             warnings.warn(
@@ -423,16 +474,16 @@ class ReduceSession:
     # ------------------------------------------------------------------
     @property
     def nbuckets(self) -> int:
-        return len(self._plan)
+        return len(self._plan.buckets)
 
     def push(self, segment: Union[ParamSegment, int],
              grad: np.ndarray) -> None:
         """Feed one segment's accumulated gradient (backward order)."""
         if self._finished:
             raise RuntimeError("push() after finish()")
-        if self._pos >= len(self._sequence):
+        if self._pos >= len(self._plan.sequence):
             raise ValueError("all segments already pushed")
-        expect = self._sequence[self._pos]
+        expect = self._plan.sequence[self._pos]
         seg = (self.layout[segment] if isinstance(segment, (int, np.integer))
                else segment)
         if seg.index != expect.index:
@@ -447,16 +498,16 @@ class ReduceSession:
                 f"got {grad.size}")
         if self._acc is None:
             self._acc = np.empty(self.layout.n, dtype=VALUE_DTYPE)
-        acc = self._acc
-        if grad.ctypes.data != acc.ctypes.data + seg.offset * acc.itemsize:
-            # Skip the memcpy when the push is already a view of our
-            # accumulator (run_session adopts the caller's buffer).
-            acc[seg.sl] = grad
-        self._emitted += seg.size
-        bucket_idx = self._closes.get(self._pos)
+        self._acc[seg.sl] = grad
+        self._advance()
+
+    def _advance(self) -> None:
+        """Move the cursor past one pushed segment; the push that
+        completes a bucket reduces it on the spot (native path)."""
+        b = self._plan.closes[self._pos]
         self._pos += 1
-        if self._native and bucket_idx is not None:
-            self._run_bucket(bucket_idx)
+        if b >= 0 and self._native:
+            self._run_bucket(b)
 
     def finish(self) -> "AllreduceResult":
         """Complete the session; returns the merged AllreduceResult.
@@ -468,8 +519,8 @@ class ReduceSession:
         """
         if self._finished:
             raise RuntimeError("finish() called twice")
-        if self._pos != len(self._sequence):
-            missing = [s.name for s in self._sequence[self._pos:]]
+        if self._pos != len(self._plan.sequence):
+            missing = [s.name for s in self._plan.sequence[self._pos:]]
             raise ValueError(f"session incomplete; missing {missing}")
         self._finished = True
         if self._native:
@@ -517,12 +568,12 @@ class ReduceSession:
     def _run_bucket(self, b: int) -> None:
         from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult
         comm = self.comm
-        bucket = self._plan[b]
-        lo = min(s.offset for s in bucket)
-        hi = max(s.end for s in bucket)
-        k_b = self._bucket_k[b]
+        plan = self._plan
+        bucket = plan.buckets[b]
+        lo, hi = plan.extents[b]
+        k_b = plan.bucket_k[b]
         release = (0.0 if self.scheme.overlap_from_start
-                   else self._emitted / self.layout.n)
+                   else plan.release[b])
         if k_b is not None and k_b == 0:
             # split_k legally hands out zero-budget buckets when
             # k < nbuckets, but resolve_k floors every reduction at one
@@ -544,7 +595,7 @@ class ReduceSession:
         recv0 = int(comm.net.words_recv[comm.slot])
         view = BucketView(lo=lo, hi=hi, n=self.layout.n, index=b,
                           nbuckets=self.nbuckets,
-                          final=(b == self._last_funded), acc=self._acc)
+                          final=(b == plan.last_funded), acc=self._acc)
         if self.stream:
             # Issue the reduction *now*, at the rank's mid-backward clock:
             # its messages book (and contend for) links at this simulated
@@ -626,7 +677,7 @@ class ReduceSession:
                     if st.selected is not None]
         info: Dict[str, Any] = {
             "nbuckets": self.nbuckets,
-            "bucket_k": list(self._bucket_k),
+            "bucket_k": list(self._plan.bucket_k),
         }
         if selected:
             info["selected"] = int(sum(selected))
@@ -668,12 +719,14 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
         stream = pacer is not None
     session = scheme.begin(comm, layout, t, bucket_size=bucket_size,
                            stream=stream)
-    # Adopt the already-assembled accumulator: the pushes below then
-    # alias it, so no per-segment copy happens (the schemes treat acc as
-    # read-only, same as the one-shot reduce path).
+    # Adopt the already-assembled accumulator and advance the session
+    # over its segments directly: every push would alias ``acc``, so
+    # there is nothing to validate or copy (the schemes treat acc as
+    # read-only, same as the one-shot reduce path).  Buckets close at the
+    # same positions, the pacer still runs before each segment.
     session._acc = acc
-    for seg in layout.push_order():
+    for seg in session._plan.sequence:
         if pacer is not None:
             pacer(seg)
-        session.push(seg, acc[seg.sl])
+        session._advance()
     return session.finish()

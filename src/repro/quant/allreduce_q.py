@@ -19,10 +19,9 @@ from ..allreduce.base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, \
     GradientAllreduce
 from ..allreduce.oktopk import OkTopkAllreduce
 from ..comm import SimComm, collectives as coll
-from ..sparse import COOVector, combine_sum, exact_topk
-from ..sparse.coo import INDEX_DTYPE, VALUE_DTYPE
+from ..sparse import combine_sum, exact_topk
 from .codec import LinearQuantizer
-from .sparse_q import QCOOPayload, dequantize_coo, quantize_coo
+from .sparse_q import dequantize_coo, quantize_coo
 
 
 class QuantizedTopkAAllreduce(GradientAllreduce):
@@ -58,38 +57,15 @@ class QuantizedTopkAAllreduce(GradientAllreduce):
 
 
 class QuantizedOkTopkAllreduce(OkTopkAllreduce):
-    """Ok-Topk shipping quantized global top-k values in phase 2."""
+    """Ok-Topk shipping quantized global top-k values in phase 2: the
+    quantizer is the scheme's ``package_codec``, so the per-rank driver
+    and the world executor both run the quantized Algorithm 1 (encode and
+    one more scan before the allgatherv, decode after, packed-code word
+    counts on the wire)."""
 
     name = "oktopk_q"
 
     def __init__(self, *, bits: int = 8, stochastic: bool = True, **kwargs):
         super().__init__(**kwargs)
         self.quantizer = LinearQuantizer(bits, stochastic=stochastic)
-
-    def _balance_and_allgatherv(self, comm: SimComm, reduced: COOVector,
-                                global_th: float) -> tuple[COOVector, bool]:
-        p = comm.size
-        n = reduced.n
-        mine = (reduced.select_threshold(global_th) if global_th > 0
-                else reduced)
-        comm.compute_scan(reduced.nnz)
-        if p == 1:
-            return mine, False
-        sizes = coll.allgather_object(comm, mine.nnz)
-        total = int(sum(sizes))
-        balanced = False
-        idx, val = mine.indices, mine.values
-        if (self.data_balancing and total > 0
-                and max(sizes) > self.balance_trigger * total / p):
-            idx, val = self._rebalance(comm, idx, val, sizes)
-            balanced = True
-            self._state.balancing_triggered += 1
-        payload = QCOOPayload(n, idx, self.quantizer.encode(val))
-        comm.compute_scan(len(val))
-        pieces = coll.allgatherv(comm, payload)
-        cat_idx = np.concatenate(
-            [pc.indices for pc in pieces]).astype(INDEX_DTYPE)
-        cat_val = np.concatenate(
-            [self.quantizer.decode(pc.qvalues) for pc in pieces]
-        ).astype(VALUE_DTYPE)
-        return COOVector(n, cat_idx, cat_val), balanced
+        self.package_codec = self.quantizer

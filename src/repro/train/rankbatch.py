@@ -3,12 +3,24 @@
 SPMD data-parallel ranks execute the same numpy kernels at the same
 program points on different data.  Under a rendezvous-capable engine
 (:class:`repro.comm.engine.CoopEngine` and subclasses) this module turns
-the three per-rank compute hot spots of a training iteration — model
-fwd/bwd, the optimizer's residual accumulation and Ok-Topk's local
-selection — into *one* stacked numpy dispatch over a ``(P, ...)``
-rank-major axis, using the same engine-level rendezvous that carries the
-fused collectives of :mod:`repro.comm.fused` (the last rank to arrive
-executes for the whole world, then readies the others in rank order).
+the per-rank compute hot spots of a training iteration into *one*
+stacked numpy dispatch over a ``(P, ...)`` rank-major axis, using the
+same engine-level rendezvous that carries the fused collectives of
+:mod:`repro.comm.fused` (the last rank to arrive executes for the whole
+world, then readies the others in rank order).  The executors:
+
+* ``rb_fwdbwd`` (:func:`_exec_fwd_bwd`) — model forward/backward;
+* ``rb_accumulate`` (:func:`_exec_accumulate`) — the optimizer's residual
+  accumulation, into the world's double-buffered accumulate matrix;
+* Ok-Topk's local selection is no longer a rendezvous of its own: it is
+  the first stage of the scheme's one ``oktopk_reduce`` rendezvous per
+  reduction (:func:`repro.allreduce.oktopk._exec_reduce`), which stacks
+  it exactly when the accumulators are the rows of that matrix
+  (:func:`_shared_base`) and borrows this module's :class:`_WorldState`
+  scratch for the ``(P, n)`` temporaries.  That executor is gated by
+  :func:`repro.comm.fused._available`, not by :meth:`RankBatch.engaged`:
+  a model that does not stack (the BERT proxy) still gets one rendezvous
+  per reduction, with per-rank selection inside it.
 
 Bit-identity contract: every batched kernel is elementwise,
 row-independent or a gufunc looping the identical 2-D kernel per rank
@@ -182,8 +194,7 @@ def _exec_accumulate(net, sig, payloads):
 class RankBatch:
     """One rank's handle on the world's lockstep batched compute.
 
-    Created by the trainer and published as ``comm.rank_batch`` so that
-    deeper layers (the Ok-Topk local selection) can join the batch.  All
+    Created by the trainer and published as ``comm.rank_batch``.  All
     entry points return ``None`` when lockstep execution is not engaged;
     callers then run their ordinary per-rank code.
     """

@@ -207,9 +207,8 @@ class Trainer:
                                   bucket_size=cfg.bucket_size)
             self._alpha_for_xi = None  # use the schedule value per step
         self.record = RunRecord(scheme=cfg.scheme, p=comm.size)
-        # Lockstep rank-batched compute (see repro.train.rankbatch):
-        # published on the communicator so deeper layers (Ok-Topk local
-        # selection) can join the batch.  Disengages itself whenever
+        # Lockstep rank-batched compute (see repro.train.rankbatch),
+        # published on the communicator.  Disengages itself whenever
         # batching is unsupported or ranks can diverge.
         self._rb = RankBatch(comm, model)
         comm.rank_batch = self._rb

@@ -13,11 +13,19 @@ stragglers are factors the replay applies, a shrunk world replays through
 a slot translation, and only the iteration a crash interrupts runs per
 message — so the plan matrix below also counts rendezvous entries per
 phase, and a silent fallback to the reference path fails a test.
+
+Ok-Topk's fast path is one rendezvous per reduction whose executor runs
+Algorithm 1 for the whole world (ISSUE 18): ``TestOkTopkWorldExecutor``
+holds it to the same oracle — results, ``OkTopkState``, bucket stats,
+phase times and the network state — over both schemes, every execution
+mode, every data-dependent branch, a plan and a shrink, and counts the
+rendezvous entries.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 
 import numpy as np
@@ -375,20 +383,36 @@ UNIT_PLAN = FaultPlan(
                                  t_end=5e-5)])
 
 
-def _train_prog(comm, scheme, iters, seed):
-    """Elastic perf-proxy training; every rank returns its whole record."""
+def _plain(obj):
+    """Arrays as lists, so that ``==`` compares whole rank results."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x) for x in obj]
+    return obj
+
+
+def _train_prog(comm, scheme, iters, seed, bucket_size=None,
+                overlap_mode="analytic", scheme_kwargs=None):
+    """Elastic perf-proxy training; every rank returns its whole record
+    (plus the scheme's periodic state, where it has one)."""
     proxy = perf_proxy()
     train, _ = proxy.make_splits()
     loader = ShardedLoader(train, proxy.global_batch, comm.rank, comm.size,
                            seed=seed)
     cfg = TrainerConfig(iterations=iters, scheme=scheme, density=0.03,
-                        lr=proxy.lr, mode=proxy.mode, elastic=True)
-    record = Trainer(comm, proxy.make_model(), loader, cfg).run()
-    return ([dataclasses.asdict(r) for r in record.records], record.events)
+                        lr=proxy.lr, mode=proxy.mode, elastic=True,
+                        bucket_size=bucket_size, overlap_mode=overlap_mode,
+                        scheme_kwargs=scheme_kwargs or {})
+    trainer = Trainer(comm, proxy.make_model(), loader, cfg)
+    record = trainer.run()
+    state = getattr(trainer.allreduce, "state", None)
+    return ([dataclasses.asdict(r) for r in record.records], record.events,
+            _plain(dataclasses.astuple(state)) if state is not None else None)
 
 
 def train_three_way(monkeypatch, log, p, scheme, plan, iters=6, seed=0,
-                    threads=True):
+                    threads=True, **train_kwargs):
     """Training under ``plan`` on the fast path (fused + rank-batched),
     on the per-message path (``fused=False``, ``REPRO_RANK_BATCH=0``) and
     under ``threads``: every rank's records and events, the network state
@@ -402,7 +426,8 @@ def train_three_way(monkeypatch, log, p, scheme, plan, iters=6, seed=0,
         monkeypatch.setenv(RANK_BATCH_ENV, batch)
         del log[:]
         res = run_spmd(p, _train_prog, scheme, iters, seed, runner=runner,
-                       fused=fused, faults=plan, model=proxy_network())
+                       fused=fused, faults=plan, model=proxy_network(),
+                       **train_kwargs)
         runs.append((res, list(log)))
     (fast, entries), *others = runs
     for res, ref_entries in others:
@@ -530,6 +555,245 @@ class TestThreeWayUnderPlans:
             mp.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "0")
             train_three_way(mp, [], p, "oktopk", plan, iters=5,
                             seed=seed % 7, threads=False)
+
+
+# ---------------------------------------------------------------------------
+# Ok-Topk: Algorithm 1 as a world-level executor, one rendezvous per
+# reduction
+# ---------------------------------------------------------------------------
+OK_LAYOUT = ParamLayout.from_sizes([96, 64, 48, 32, 40, 24])
+OK_N = OK_LAYOUT.n                      # 304
+#: session buckets of >= 64 words: [240,304) [160,240) [96,160) [0,96)
+OK_BUCKET = 64
+MODES = ("oneshot", "analytic", "stream")
+
+
+def _acc_normal(rank, t):
+    return np.random.default_rng(1000 * rank + t).standard_normal(
+        OK_N).astype(np.float32)
+
+
+def _acc_one_region(rank, t):
+    """All top-k mass in the first eighth: with the naive equal split one
+    region owns everything (balancing triggers, other regions empty)."""
+    acc = np.zeros(OK_N, dtype=np.float32)
+    acc[:OK_N // 8] = 10.0 * _acc_normal(rank, t)[:OK_N // 8]
+    return acc
+
+
+def _acc_zero_tail(rank, t):
+    """The two segments pushed first are all zero: the bucket they form
+    bootstraps a zero threshold (``local_th <= 0`` -> exact top-k) at
+    iteration 1 and selects nothing by threshold afterwards."""
+    acc = _acc_normal(rank, t)
+    acc[240:] = 0.0
+    return acc
+
+
+def _acc_heavy_tailed(rank, t):
+    """Magnitudes three decades apart between layers: one full-gradient
+    threshold over- or under-selects every bucket (per-bucket guard)."""
+    acc = _acc_normal(rank, t)
+    for seg in OK_LAYOUT:
+        acc[seg.sl] *= np.float32(10.0 ** (seg.index % 4 - 2))
+    return acc
+
+
+def _fingerprint(res):
+    """Everything an Ok-Topk reduction hands back, as comparable leaves."""
+    stats = [(b.lo, b.hi, b.k, b.release_frac, b.comm_time, b.sparsify_time,
+              b.words_recv, b.selected) + tuple(b.info.get(key) for key in (
+                  "t_issue", "t_comm_finish", "local_threshold",
+                  "global_threshold", "balancing_triggered", "boundaries"))
+             for b in res.bucket_stats or ()]
+    info = res.info
+    return (res.update.indices, res.update.values, res.contributed_indices,
+            sorted(res.phase_times.items()), stats,
+            [info.get(key) for key in (
+                "k", "selected", "selected_local", "selected_global",
+                "local_threshold", "global_threshold",
+                "balancing_triggered", "boundaries", "bucket_k")])
+
+
+def _oktopk_prog(comm, scheme, mode, make_acc=_acc_normal, iters=4,
+                 bucket_size=OK_BUCKET, **kwargs):
+    """``iters`` chained reductions with ``tau = tau' = 2`` (every periodic
+    branch fires, and every steady-state one); returns per-iteration
+    fingerprints and clocks plus the final ``OkTopkState``."""
+    kwargs.setdefault("k", 30)
+    algo = make_allreduce(scheme, tau=2, tau_prime=2, **kwargs)
+    outs = []
+    for t in range(1, iters + 1):
+        acc = make_acc(comm.rank, t)
+        if mode == "oneshot":
+            res = algo.reduce(comm, acc, t)
+        else:
+            def pacer(seg, _c=comm):
+                _c.compute(2e-6)
+
+            res = run_session(algo, comm, OK_LAYOUT, t, acc,
+                              bucket_size=bucket_size,
+                              pacer=pacer if mode == "stream" else None)
+        outs.append((_fingerprint(res), comm.clock))
+    return outs, dataclasses.astuple(algo.state)
+
+
+def _final_state(res, rank=0):
+    """The ``OkTopkState`` rank ``rank`` ended with (``_oktopk_prog``)."""
+    from repro.allreduce import OkTopkState
+    return OkTopkState(*res.results[rank][1])
+
+
+class TestOkTopkWorldExecutor:
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("scheme", ["oktopk", "oktopk_q"])
+    def test_identity_matrix(self, scheme, mode, p, rendezvous_log):
+        """fused-coop == ``fused=False`` coop == threads on per-rank
+        results, ``OkTopkState``, bucket stats, phase times and the whole
+        network state — clean and under a straggler/slow-link plan."""
+        three_way(_oktopk_prog, p, scheme, mode, log=rendezvous_log)
+        three_way(_oktopk_prog, p, scheme, mode, log=rendezvous_log,
+                  faults=FaultPlan.straggler_skew(p, seed=p))
+
+    @pytest.mark.parametrize("p", [3, 8])
+    @pytest.mark.parametrize("mode", ["oneshot", "stream"])
+    def test_data_dependent_branches(self, mode, p, rendezvous_log):
+        """Inputs that force each branch the executor takes on data."""
+        def run(make_acc=_acc_normal, scheme="oktopk", **kwargs):
+            return three_way(
+                functools.partial(_oktopk_prog, make_acc=make_acc, **kwargs),
+                p, scheme, mode, log=rendezvous_log)
+
+        # balancing triggers, with empty regions around the loaded one
+        for scheme in ("oktopk", "oktopk_q"):
+            res = run(_acc_one_region, scheme, balanced_partition=False,
+                      balance_trigger=1.5)
+            assert _final_state(res).balancing_triggered > 0
+        # ... and the same skew with balancing switched off
+        res = run(_acc_one_region, balanced_partition=False,
+                  balance_trigger=1.5, data_balancing=False)
+        assert _final_state(res).balancing_triggered == 0
+        # a zero threshold: exact top-k instead of the scan
+        res = run(_acc_zero_tail)
+        assert _final_state(res).local_evaluations > 0
+        res = run(lambda rank, t: np.zeros(OK_N, dtype=np.float32))
+        assert res.results[0][0][0][0][0].size > 0     # still k selected
+        # the (per-bucket) selection guard
+        res = run(_acc_heavy_tailed)
+        if mode == "stream":
+            assert _final_state(res).guard_evaluations > 0
+        # the naive schedule in sub-buckets of two steps
+        run(rotation=False, bucket_size=2)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_zero_budget_buckets_are_skipped(self, p, rendezvous_log):
+        """k < nbuckets: unfunded buckets never reach the scheme, the last
+        *funded* one runs the end-of-iteration refresh."""
+        # scheme bucket_size (split-and-reduce sub-buckets) stays default;
+        # the session plan is 6 one-segment buckets for k = 2
+        def prog(comm):
+            algo = make_allreduce("oktopk", k=2, tau=2, tau_prime=2)
+            outs = []
+            for t in range(1, 4):
+                res = run_session(algo, comm, OK_LAYOUT, t,
+                                  _acc_normal(comm.rank, t), bucket_size=1)
+                outs.append(_fingerprint(res))
+            return outs, dataclasses.astuple(algo.state)
+
+        res = three_way(prog, p, log=rendezvous_log)
+        budgets = res.results[0][0][0][5][-1]
+        assert sorted(budgets) == [0, 0, 0, 0, 1, 1]
+
+    @given(p=st.integers(2, 6), n=st.integers(24, 400),
+           k=st.integers(1, 40), bucket_size=st.integers(1, 200),
+           seed=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_identity_is_a_property(self, p, n, k, bucket_size, seed):
+        """Any (P, n, k, session bucket size, seed): two chained
+        iterations, one-shot and streamed, agree three ways."""
+        layout = ParamLayout.from_sizes(
+            [n // 3, n // 4, n - n // 3 - n // 4])
+
+        def prog(comm):
+            rng = np.random.default_rng(seed + comm.rank)
+            oneshot = make_allreduce("oktopk", k=k, tau=1, tau_prime=2)
+            bucketed = make_allreduce("oktopk_q", k=k, tau=2, tau_prime=1)
+            outs = []
+            for t in (1, 2):
+                acc = rng.standard_normal(n).astype(np.float32)
+                outs.append(_fingerprint(oneshot.reduce(comm, acc, t)))
+                outs.append(_fingerprint(run_session(
+                    bucketed, comm, layout, t, acc, bucket_size=bucket_size,
+                    pacer=lambda seg: comm.compute(1e-6))))
+            return (outs, dataclasses.astuple(oneshot.state),
+                    dataclasses.astuple(bucketed.state))
+
+        three_way(prog, p)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_rendezvous_per_reduction(self, mode, rendezvous_log):
+        """Every rank enters exactly one ``oktopk_reduce`` rendezvous per
+        funded bucket (one per iteration one-shot) and no rendezvous of
+        any sub-collective — in the steady state *and* where the
+        tau / tau' work fires (it is booked inline) — and none at all
+        with fusion off."""
+        p, iters = 4, 4
+        nred = 1 if mode == "oneshot" else 4
+        run_spmd(p, _oktopk_prog, "oktopk", mode, iters=iters,
+                 runner="coop", fused=True)
+        assert Counter((e.rank, e.head) for e in rendezvous_log) == {
+            (r, "oktopk_reduce"): iters * nred for r in range(p)}
+        del rendezvous_log[:]
+        run_spmd(p, _oktopk_prog, "oktopk", mode, iters=iters,
+                 runner="coop", fused=False)
+        assert not rendezvous_log
+
+    def test_the_shared_update_is_write_protected(self):
+        """All P ranks hold the same ``u_t`` arrays: none may write them."""
+        def prog(comm):
+            res = make_allreduce("oktopk", k=30).reduce(
+                comm, _acc_normal(comm.rank, 1), 1)
+            with pytest.raises(ValueError, match="read-only"):
+                res.update.values[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                res.update.indices[0] = 0
+            return res.update
+
+        updates = run_spmd(4, prog, runner="coop", fused=True).results
+        assert all(u.values is updates[0].values for u in updates)
+
+    @pytest.mark.parametrize("scheme", ["oktopk", "oktopk_q"])
+    @pytest.mark.parametrize("bucket_size,overlap_mode", [
+        (None, "analytic"), (512, "analytic"), (512, "stream")])
+    def test_across_an_elastic_shrink(self, scheme, bucket_size,
+                                      overlap_mode, monkeypatch,
+                                      rendezvous_log):
+        """8 -> 7 mid-run under a straggler plan: records, events, the
+        re-keyed ``OkTopkState`` and the network agree with the
+        per-message run; one ``oktopk_reduce`` per reduction before and
+        after the shrink, none in the interrupted iteration."""
+        p, crash_at, iters = 8, 3, 6
+        plan = FaultPlan.straggler_skew(p, seed=p)
+        plan = dataclasses.replace(plan, crashes=(RankCrash(
+            rank=_victim(plan, p), iteration=crash_at),))
+        fast, entries = train_three_way(
+            monkeypatch, rendezvous_log, p, scheme, plan, iters=iters,
+            bucket_size=bucket_size, overlap_mode=overlap_mode,
+            scheme_kwargs={"tau": 2, "tau_prime": 2})
+        events = next(r for r in fast.results if r is not None)[1]
+        assert [(e["old_size"], e["new_size"]) for e in events] == \
+            [(p, p - 1)]
+        nred = 1 if bucket_size is None else 2
+        reduces = Counter((e.size, e.step) for e in entries
+                          if e.head == "oktopk_reduce")
+        expect = {(p, t): p * nred for t in range(1, crash_at)}
+        expect.update({(p - 1, t): (p - 1) * nred
+                       for t in range(crash_at, iters + 1)})
+        assert reduces == expect
+        assert not {e.head for e in entries} & {
+            "oktopk_select", "oktopk_sr", "allgatherv", "allgather_object",
+            "alltoallv"}
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,49 @@ class TestStateReset:
         assert triggered == via_state == 1
 
 
+class TestGuardCounter:
+    """``guard_evaluations``: how many threshold evaluations were guard
+    trips rather than scheduled (ROADMAP item 6a's instrument)."""
+
+    def test_one_shot_guard_trip_is_counted(self):
+        def prog(comm):
+            algo = _make(tau_prime=100)
+            algo.reduce(comm, _acc(comm.rank, 1), 1)
+            first = (algo.state.local_evaluations,
+                     algo.state.guard_evaluations)
+            # a 100x louder gradient: the reused threshold over-selects
+            algo.reduce(comm, 100 * _acc(comm.rank, 2), 2)
+            return first, (algo.state.local_evaluations,
+                           algo.state.guard_evaluations)
+
+        for runner in RUNNERS:
+            first, second = run_spmd(2, prog, runner=runner)[0]
+            assert first == (1, 0)
+            assert second == (2, 1)
+
+    def test_per_bucket_guard_trips_are_counted_not_written_back(self):
+        lay = _layout()
+
+        def prog(comm):
+            algo = _make(tau_prime=100)
+            run_session(algo, comm, lay, 1, _acc(comm.rank, 1),
+                        bucket_size=700)
+            th = algo.state.local_th
+            before = algo.state.local_evaluations
+            acc = _acc(comm.rank, 2)
+            acc[:1536] *= 1000          # one layer dwarfs the others
+            res = run_session(algo, comm, lay, 2, acc, bucket_size=700)
+            return (res.nbuckets, algo.state.local_evaluations - before,
+                    algo.state.guard_evaluations, algo.state.local_th == th)
+
+        for runner in RUNNERS:
+            nbuckets, evals, guards, kept = run_spmd(2, prog,
+                                                     runner=runner)[0]
+            assert 0 < guards <= nbuckets
+            assert evals == guards      # nothing was scheduled at t = 2
+            assert kept                 # the shared threshold is untouched
+
+
 class TestIterationContract:
     def test_due_rejects_non_positive_t(self):
         algo = _make()

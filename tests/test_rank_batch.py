@@ -326,14 +326,24 @@ class TestTrainerLockstepIdentity:
         assert _fingerprints(batched) == _fingerprints(unbatched)
         assert _fingerprints(batched) == _fingerprints(threads)
 
-    def test_batching_actually_engages(self, rendezvous_log):
+    def test_batching_actually_engages(self, rendezvous_log, monkeypatch):
         """Guard against the identity above passing vacuously: a
         fault-free coop run must have run its model math, accumulation
         and selection at the rendezvous — and must not leave the world's
         stacked state on the network once the section is closed."""
         proxy = perf_proxy()
+        from repro.allreduce import oktopk
         from repro.data import ShardedLoader
         from repro.train import Trainer, TrainerConfig
+
+        stacked_scans = []
+        inner = oktopk.batched_threshold_select
+
+        def spy(xs, *args):
+            stacked_scans.append(xs.shape[0])
+            return inner(xs, *args)
+
+        monkeypatch.setattr(oktopk, "batched_threshold_select", spy)
 
         def worker(comm):
             train, _ = proxy.make_splits()
@@ -346,8 +356,14 @@ class TestTrainerLockstepIdentity:
 
         res = run_spmd(4, worker, runner="coop")
         per_head = Counter(e.head for e in rendezvous_log)
-        for head in ("rb_fwdbwd", "rb_accumulate", "oktopk_select"):
+        # selection is a stage of the one Ok-Topk rendezvous per reduction
+        # (stacked there because the accumulators are rows of the world's
+        # accumulate buffer), no longer a rendezvous of its own
+        for head in ("rb_fwdbwd", "rb_accumulate", "oktopk_reduce"):
             assert per_head[head] == 4 * 3      # every rank, every iteration
+        assert set(per_head) == {"rb_fwdbwd", "rb_accumulate",
+                                 "oktopk_reduce"}
+        assert stacked_scans == [4] * 3         # one (P, n) scan per iteration
         assert res.network._rank_batch_state is None
 
 

@@ -436,6 +436,67 @@ class TestNativeBucketed:
         run_spmd(1, prog)
 
 
+    def test_plan_is_derived_once_per_layout_and_budget(self):
+        """Buckets, extents, closing positions, per-bucket k and release
+        fractions never depend on the gradient: one immutable plan per
+        ``(bucket_size, k, sparse)``, cached on the layout and shared by
+        every rank and iteration."""
+        n = 512
+        lay = _layout(n)
+
+        def prog(comm):
+            algo = _make("topka", n)
+            return [algo.begin(comm, lay, t, bucket_size=128)._plan
+                    for t in (1, 2)]
+
+        plans = [pl for rank in run_spmd(2, prog).results for pl in rank]
+        assert all(pl is plans[0] for pl in plans)
+        plan = plans[0]
+        assert plan is lay.session_plan(128, 51, True)
+        assert plan is not lay.session_plan(128, 50, True)
+        assert plan is not lay.session_plan(64, 51, True)
+        assert [len(b) for b in plan.buckets] == [1, 1, 2]
+        assert plan.extents == ((384, 512), (192, 384), (0, 192))
+        assert plan.closes == (0, 1, -1, 2)
+        assert plan.release == (0.25, 0.625, 1.0)
+        assert sum(plan.bucket_k) == 51 and plan.last_funded == 2
+        assert lay.session_plan(128, n, False).bucket_k == (None,) * 3
+
+    @pytest.mark.parametrize("scheme", ["topka", "oktopk", "dense_ovlp"])
+    def test_run_session_equals_incremental_pushes(self, scheme):
+        """``run_session`` walks the adopted accumulator without calling
+        ``push``; feeding the same segments one validated push at a time
+        must give the same bits, bucket stats and clocks."""
+        n, p = 512, 3
+        lay = _layout(n)
+
+        def prog(comm, pushed):
+            algo = _make(scheme, n)
+            outs = []
+            for t in (1, 2):
+                acc = _acc(comm.rank, n, t)
+                if pushed:
+                    sess = algo.begin(comm, lay, t, bucket_size=128,
+                                      stream=True)
+                    for seg in lay.push_order():
+                        comm.compute(1e-6)
+                        sess.push(seg.index, acc[seg.sl].copy())
+                    res = sess.finish()
+                else:
+                    res = run_session(algo, comm, lay, t, acc,
+                                      bucket_size=128,
+                                      pacer=lambda seg: comm.compute(1e-6))
+                outs.append((res.update_dense(n).tobytes(),
+                             res.phase_times, comm.clock,
+                             [(b.lo, b.hi, b.k, b.release_frac, b.comm_time,
+                               b.words_recv, b.info.get("t_issue"))
+                              for b in res.bucket_stats]))
+            return outs
+
+        assert (run_spmd(p, prog, True).results
+                == run_spmd(p, prog, False).results)
+
+
 # ---------------------------------------------------------------------------
 # Overlap timeline
 # ---------------------------------------------------------------------------
