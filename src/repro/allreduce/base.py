@@ -130,8 +130,8 @@ class GradientAllreduce(ABC):
     #: whether the scheme supports the native per-bucket session path —
     #: either ``_reduce`` is stateless and position-independent (it is run
     #: on each bucket slice as if it were a full gradient vector), or the
-    #: scheme overrides ``_reduce_bucket`` to consult the session's
-    #: ``BucketView`` (Ok-Topk's shared full-gradient periodic state)
+    #: scheme overrides ``_reduce_bucket`` and keys its periodic state by
+    #: the session's ``BucketView`` (Ok-Topk: one state per bucket)
     bucketable: bool = False
     #: True when the scheme's communication may overlap the *entire*
     #: backward pass (DenseOvlp's legacy contract); sessions report
@@ -227,9 +227,10 @@ class GradientAllreduce(ABC):
         overriding the scheme's budget for the slice — the stateless
         contract, which ignores ``view``.  Override for schemes whose
         one-shot path does internal bucketing of its own (DenseOvlp) or
-        that keep periodic state keyed to the full gradient and need the
-        session context (Ok-Topk reads its shared thresholds/boundaries
-        through ``view``; see :class:`~repro.allreduce.session.BucketView`).
+        that keep periodic state, which must then be kept per bucket
+        (Ok-Topk runs Algorithm 1 on the bucket's own thresholds and
+        boundaries, found through ``view``; see
+        :class:`~repro.allreduce.session.BucketView`).
         """
         self._k_override = k
         try:

@@ -23,49 +23,40 @@ exactly (sort-based) every ``tau_prime`` iterations and *reused* in between
 Total: less than ``6k (P-1)/P`` bandwidth — asymptotically optimal against
 the ``2k (P-1)/P`` lower bound of Theorem 3.1.
 
-Shared periodic state and bucketed sessions
--------------------------------------------
+Periodic state and bucketed sessions
+------------------------------------
 
 All periodic quantities — the reused local/global thresholds, the
 consensus region boundaries, and the evaluation/repartition counters —
-live in one :class:`OkTopkState` keyed to the *full* gradient length.  The
-one-shot :meth:`OkTopkAllreduce._reduce` reads and writes it exactly as
-before.  The scheme is additionally ``bucketable``: under a multi-bucket
-:class:`~repro.allreduce.session.ReduceSession` each bucket runs
-split-and-reduce + balance-and-allgatherv over its own slice (with its
-proportional ``split_k`` budget) while **reading** the shared state
-instead of thrashing it:
+live in an :class:`OkTopkState`, and the scheme keeps **one per extent it
+reduces**: the whole gradient ``[0, n)`` for the one-shot
+:meth:`OkTopkAllreduce._reduce`, and one per bucket ``[lo, hi)`` of a
+multi-bucket :class:`~repro.allreduce.session.ReduceSession`.  A session
+bucket is a complete Ok-Topk instance on its slice (the bucket is this
+repo's *block*, cf. SparDL's per-block top-k): with the plan's
+proportional ``split_k`` budget ``k_b`` it runs the same driver as the
+one-shot reduction against its own state, so
 
-* every bucket selects by one linear scan against the **shared local
-  threshold**; the selection guard is applied *per bucket* against the
-  bucket's own budget, and a guard-triggered re-evaluation stays
-  bucket-local (it is never written back — per-bucket writes would thrash
-  the full-gradient estimate the sibling buckets read).  Likewise the
-  per-bucket phase 2 reads the **shared global threshold**;
-* on the ``tau_prime`` schedule both thresholds are re-evaluated **once
-  per iteration, from the full gradient**: the last funded bucket — the
-  point where the concatenation of the pushed segments *is* the whole
-  gradient — re-estimates the local threshold from the full accumulator
-  (global ``k``) and the global threshold from the union of all buckets'
-  reduced slices (one values-only allgatherv), exactly the one-shot
-  estimates.  They take effect from the next iteration, so the reuse
-  window is at most ``tau_prime + 1`` iterations instead of
-  ``tau_prime`` — well inside the paper's slowly-changing-statistics
-  assumption.  At the very first iteration (no cached state yet) the
-  first funded bucket bootstraps cheap estimates: the local threshold
-  from the segments pushed so far (``k`` scaled to the visible
-  fraction), the global threshold from its own reduced slice (bucket
-  budget); the per-bucket guard covers the one-iteration bias;
-* the **region boundaries** stay keyed to the full gradient.  Each bucket
-  intersects the consensus boundaries with its extent (clip to
-  ``[lo, hi)``, shift by ``lo``), so worker ``i`` reduces
-  ``region i ∩ bucket``.  The consensus itself runs on the ``tau``
-  schedule in the last funded bucket and takes effect from the next
-  iteration; until the first consensus the naive equal split is used (it
-  needs no collective and is identical on every rank).
+* the **local threshold** is the bucket's own ``k_b``-th magnitude,
+  evaluated on the ``tau_prime`` schedule and reused in between — one
+  linear scan per bucket per iteration, as Section 3.1.3 promises.  A
+  selection-guard trip re-evaluates from the bucket's data and is
+  **written back** to that bucket's state (its siblings never see it);
+* the **global threshold** is estimated from the bucket's own reduced
+  slice with budget ``k_b`` on the same schedule;
+* the **region boundaries** partition ``[0, n_b)`` into P regions,
+  balanced over the bucket's own selected coordinates and agreed by
+  consensus every ``tau`` iterations from iteration 1 — every rank owns
+  a share of every bucket, which is what keeps the split-and-reduce
+  volume balanced (Section 3.1.1, Table 1).
 
-A one-bucket plan never reaches this path (sessions delegate to the
-one-shot ``_reduce``, bit-identical by construction).
+Each funded bucket therefore pays its own periodic work at due
+iterations (one sort, one (P+1)-word consensus allreduce, one allgatherv
+of its reduced slice) and nothing but scans in between.  A gradient-layout
+change discards every state together; :meth:`on_world_resize` re-keys
+every one of them.  A one-bucket plan never reaches the bucket entry
+(sessions delegate to the one-shot ``_reduce``, bit-identical by
+construction).
 
 Two drivers, one rendezvous per reduction
 -----------------------------------------
@@ -73,22 +64,22 @@ Two drivers, one rendezvous per reduction
 Algorithm 1 is *one* sparse allreduce, and on the fast path it is one
 engine dispatch.  Both entry points — :meth:`OkTopkAllreduce._reduce`
 (one-shot) and :meth:`OkTopkAllreduce._reduce_bucket` (one session
-bucket, shared state as above) — first try
-:meth:`OkTopkAllreduce._reduce_world`: where the engine rendezvous is
+bucket) — hand ``(acc, k, state)`` to
+:meth:`OkTopkAllreduce._algorithm1`.  Where the engine rendezvous is
 available (:func:`repro.comm.fused._available` — cooperative engine,
 fusion on, no tracing, the communicator spans the current world and no
 crash is pending in it) every rank parks once in
-``comm.fused_collective(("oktopk_reduce", ...))`` and the last arrival
-runs :func:`_exec_reduce` for the whole world: selection for every rank
-(stacked where the accumulators share a matrix, :func:`_select_world`),
-the split, :func:`_exec_split_reduce`, the global-threshold selection,
-phase 2 booked from compiled schedules, and the periodic tau / tau' work
-— consensus allreduce, exact global threshold, the bucketed
-end-of-iteration refresh — inline where its (rank-uniform,
-data-independent) schedule fires.  Simulated charges and phase deltas go
-through each rank's own communicator; the data side (``u_t``) is
-assembled once and shared write-protected.  A streamed session's
-per-rank ``async_region`` and pacer stay outside the rendezvous.
+``comm.fused_collective(("oktopk_reduce", t, lo, hi, k))`` and the last
+arrival runs :func:`_exec_reduce` for the whole world: selection for
+every rank (stacked where the accumulators are the rows of one matrix,
+:func:`_select_world`), the split, :func:`_exec_split_reduce`, the
+global-threshold selection, phase 2 booked from compiled schedules, and
+the periodic tau / tau' work — consensus allreduce, exact global
+threshold — inline where its (rank-uniform, data-independent) schedule
+fires.  Simulated charges and phase deltas go through each rank's own
+communicator; the data side (``u_t``) is assembled once and shared
+write-protected.  A streamed session's per-rank ``async_region`` and
+pacer stay outside the rendezvous.
 
 Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
 step a planned crash fires in, ``P = 1`` — the per-rank methods below run
@@ -97,18 +88,17 @@ oracle of the identity suite
 (``tests/test_fused_collectives.py::TestOkTopkWorldExecutor``), which is
 why the executor mirrors them stage by stage instead of sharing their
 code; what the two do share are the purely local halves
-(:meth:`OkTopkAllreduce._select_local` / ``_select_local_bucket``,
-``_proposal``, ``_adopt_boundaries``, ``_estimate_global_th``, the
-refresh helpers) and the ``package_codec`` hook ``oktopk_q`` plugs its
-quantizer into.
+(:meth:`OkTopkAllreduce._select_local`, ``_proposal``,
+``_adopt_boundaries``, ``_estimate_global_th``) and the ``package_codec``
+hook ``oktopk_q`` plugs its quantizer into.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -311,8 +301,8 @@ def _exec_split_reduce(net, rotation, bucket_size, payloads):
     return out
 
 
-def _select_world(net, comms, schemes, accs, t, k):
-    """One-shot local selection (Algorithm 1 lines 2-4) for every rank.
+def _select_world(net, comms, schemes, states, accs, t, k):
+    """Local selection (Algorithm 1 lines 2-4) for every rank.
 
     Where the accumulators are the consecutive rows of one shared matrix
     (lockstep rank batching: they live in the world's accumulate buffer)
@@ -323,19 +313,20 @@ def _select_world(net, comms, schemes, accs, t, k):
     exactly.  Data-dependent divergence — the degenerate all-zero path
     and the selection-guard re-evaluation — is handled per rank with the
     scalar primitives.  Rows that do not stack without a copy (per-rank
-    model math: the BERT proxy, uneven shards after a shrink) run
+    model math: the BERT proxy, uneven shards after a shrink, the slices
+    of a session bucket) run
     :meth:`OkTopkAllreduce._select_local` rank by rank — copying them
     into a stack first measured no faster and cost memory.
     """
     from ..train.rankbatch import _shared_base, _world_state
     xs = _shared_base(accs)
     if xs is None:
-        return [ar._select_local(comm, acc, k, t)
-                for comm, ar, acc in zip(comms, schemes, accs)]
+        return [ar._select_local(comm, st, acc, k, t)
+                for comm, ar, st, acc in zip(comms, schemes, states, accs)]
     ws = _world_state(net)
     nranks, n = xs.shape
     mag = ws.scratch("select_mag", xs.shape, xs.dtype)
-    entries = [(comm, ar, ar._state) for comm, ar in zip(comms, schemes)]
+    entries = list(zip(comms, schemes, states))
     due = [st.local_th is None or ar._due(t, ar.tau_prime)
            for (_, ar, st) in entries]
     if all(due):
@@ -394,16 +385,17 @@ def _world_phase(net, comms, name: str):
         times[name] = times.get(name, 0.0) + clocks[c.slot] - start
 
 
-def _consensus_world(net, schemes, proposals, n: int, t: int) -> None:
+def _consensus_world(net, schemes, states, proposals, n: int) -> None:
     """:meth:`OkTopkAllreduce._consensus_boundaries` for the world: the
     (P+1)-element recursive-doubling allreduce booked inline, every rank
     adopting the same averaged boundaries."""
     summed = _fused.replay_allreduce(net, "recursive_doubling", proposals)
-    for ar in schemes:
-        ar._adopt_boundaries(ar._state, summed, len(schemes), n, t)
+    for ar, st in zip(schemes, states):
+        ar._adopt_boundaries(st, summed, len(schemes), n)
 
 
-def _global_th_world(net, comms, schemes, values, words, k: int) -> None:
+def _global_th_world(net, comms, schemes, states, values, words,
+                     k: int) -> None:
     """The exact global-threshold estimate for the world: the allgatherv
     of the reduced pieces (``words[r]`` wire words each) booked inline,
     then every rank's own sort charge and counter
@@ -412,55 +404,30 @@ def _global_th_world(net, comms, schemes, values, words, k: int) -> None:
         _fused.replay(net, _fused.compile_allgatherv(len(comms),
                                                      tuple(words)))
     merged = np.concatenate(values)
-    for comm, ar in zip(comms, schemes):
-        ar._estimate_global_th(comm, ar._state, merged, k)
-
-
-def _refresh_world(net, comms, schemes, views, t: int) -> None:
-    """:meth:`OkTopkAllreduce._refresh_shared_state` for the world (same
-    three refreshes on the same schedules; their collectives — consensus
-    allreduce, values-only allgatherv — booked inline)."""
-    lead, st0 = schemes[0], schemes[0]._state
-    n = st0.n
-    k_total = lead.resolve_k(n)
-    due_th = lead._due(t, lead.tau_prime)
-    if due_th and st0.local_refresh_t != t:
-        with _world_phase(net, comms, PHASE_SPARSIFY):
-            for comm, ar, view in zip(comms, schemes, views):
-                ar._refresh_local_th(comm, ar._state, view.acc, k_total, t)
-    if lead._due(t, lead.tau) and st0.repartition_t != t:
-        with _world_phase(net, comms, PHASE_COMM):
-            proposals = [ar._full_proposal(comm, ar._state, view.acc)
-                         for comm, ar, view in zip(comms, schemes, views)]
-            _consensus_world(net, schemes, proposals, n, t)
-    if due_th and st0.global_refresh_t != t:
-        mine = [ar._state.take_reduced() for ar in schemes]
-        _global_th_world(net, comms, schemes, mine,
-                         [m.size for m in mine], k_total)
-        for ar in schemes:
-            ar._state.global_refresh_t = t
+    for comm, ar, st in zip(comms, schemes, states):
+        ar._estimate_global_th(comm, st, merged, k)
 
 
 def _exec_reduce(net, sig, lanes):
     """Algorithm 1 for the whole current world in one rendezvous — the
-    fast path of :meth:`OkTopkAllreduce._reduce` (one-shot) and
-    :meth:`OkTopkAllreduce._reduce_bucket` (one session bucket).
+    fast path of :meth:`OkTopkAllreduce._algorithm1` (a one-shot
+    reduction or one session bucket; the executor cannot tell them
+    apart).
 
-    ``lanes[r]`` is rank ``r``'s ``(comm, scheme, acc, k, view)``
-    (``view`` is ``None`` for a one-shot reduction).  Stage by stage this
-    is the per-rank driver: local selection for every rank, the split
-    against the (bucket-clipped) consensus boundaries, split-and-reduce
+    ``lanes[r]`` is rank ``r``'s ``(comm, scheme, acc, k, state)``.  Stage
+    by stage this is the per-rank driver: local selection for every rank,
+    the split against the consensus boundaries, split-and-reduce
     (:func:`_exec_split_reduce`), the global-threshold selection, then
     phase 2 booked directly from compiled schedules — the size exchange,
     the balancing moves exactly as :meth:`OkTopkAllreduce._rebalance`
     would ship them, the package allgatherv — and the periodic
-    tau / tau' work (consensus allreduce, exact global threshold,
-    end-of-iteration refresh) inline where its schedule fires.  Every
-    simulated charge goes through the rank's own communicator and every
-    phase delta to its own phase table, every rank's
-    :class:`OkTopkState` is updated exactly as the per-rank driver does
-    it, and the bookings land on the same links at the same times
-    (simulated time is schedule independent; see :mod:`repro.comm.fused`).
+    tau / tau' work (consensus allreduce, exact global threshold) inline
+    where its schedule fires.  Every simulated charge goes through the
+    rank's own communicator and every phase delta to its own phase
+    table, every rank's :class:`OkTopkState` is updated exactly as the
+    per-rank driver does it, and the bookings land on the same links at
+    the same times (simulated time is schedule independent; see
+    :mod:`repro.comm.fused`).
 
     The data side runs once.  Balancing moves whole runs of the
     rank-ordered package sequence, so with or without it the allgatherv
@@ -471,37 +438,23 @@ def _exec_reduce(net, sig, lanes):
     """
     t = sig[1]
     p = len(lanes)
-    comms, schemes, accs, ks, views = zip(*lanes)
-    states = [ar._state for ar in schemes]
-    # SPMD: one configuration, one budget, one bucket extent
-    lead, k, view = schemes[0], ks[0], views[0]
-    n_b = accs[0].size
-    due_th = lead._due(t, lead.tau_prime)
+    comms, schemes, accs, ks, states = zip(*lanes)
+    # SPMD: one configuration, one budget, one extent
+    lead, k = schemes[0], ks[0]
+    n = accs[0].size
 
     # -- lines 2-4: local selection -------------------------------------
     with _world_phase(net, comms, PHASE_SPARSIFY):
-        if view is None:
-            local = _select_world(net, comms, schemes, accs, t, k)
-        else:
-            k_total = lead.resolve_k(view.n)
-            local = [ar._select_local_bucket(comm, ar._state, acc, k,
-                                             k_total, vw)
-                     for comm, ar, acc, vw in zip(comms, schemes, accs,
-                                                  views)]
+        local = _select_world(net, comms, schemes, states, accs, t, k)
 
     # -- lines 5-8: boundaries, split and reduce ------------------------
     with _world_phase(net, comms, PHASE_COMM):
-        if view is not None:
-            bnd = lead._bucket_boundaries(comms[0], states[0], view)
-            bnd.setflags(write=False)
-            boundaries = [bnd] * p
-        else:
-            if states[0].boundaries is None or lead._due(t, lead.tau):
-                _consensus_world(
-                    net, schemes,
-                    [ar._proposal(loc.indices, n_b, p)
-                     for ar, loc in zip(schemes, local)], n_b, t)
-            boundaries = [st.boundaries for st in states]
+        if states[0].boundaries is None or lead._due(t, lead.tau):
+            _consensus_world(
+                net, schemes, states,
+                [ar._proposal(loc.indices, n, p)
+                 for ar, loc in zip(schemes, local)], n)
+        boundaries = [st.boundaries for st in states]
         pieces = []
         for comm, loc, bnd in zip(comms, local, boundaries):
             pieces.append(loc.split(bnd))
@@ -510,11 +463,9 @@ def _exec_reduce(net, sig, lanes):
                                      pieces)
 
     # -- lines 9-12: global threshold ------------------------------------
-    if view is not None and due_th:
-        for st, red in zip(states, reduced):
-            st.keep_reduced(red.values, t)
-    if states[0].global_th is None or (view is None and due_th):
-        _global_th_world(net, comms, schemes, [v.values for v in reduced],
+    if states[0].global_th is None or lead._due(t, lead.tau_prime):
+        _global_th_world(net, comms, schemes, states,
+                         [v.values for v in reduced],
                          [2 * v.indices.size for v in reduced], k)
 
     # -- line 13: balance and allgatherv ---------------------------------
@@ -554,13 +505,10 @@ def _exec_reduce(net, sig, lanes):
             ).astype(VALUE_DTYPE, copy=False)
         _fused.replay(net, _fused.compile_allgatherv(p, tuple(words)))
 
-    if view is not None and view.final:
-        _refresh_world(net, comms, schemes, views, t)
-
     # shared by all P ranks: nobody may write what everybody reads
     u_idx.setflags(write=False)
     u_val.setflags(write=False)
-    u_t = COOVector(n_b, u_idx, u_val)
+    u_t = COOVector(n, u_idx, u_val)
     return [AllreduceResult(
         update=u_t,
         contributed_indices=intersect_sorted(loc.indices, u_idx),  # l. 14
@@ -599,18 +547,14 @@ def _balance_cuts(sizes):
 
 @dataclass
 class OkTopkState:
-    """Ok-Topk's periodic state, keyed to one full-gradient length.
+    """Ok-Topk's periodic state over one extent of ``n`` words — the whole
+    gradient (one-shot) or one session bucket.
 
-    One instance per worker and gradient layout; a gradient-size change
-    discards the whole object, so the cached thresholds, the consensus
-    boundaries **and** the ablation counters always describe the same
-    model (resetting only the thresholds used to leave stale counters
-    behind).  The ``*_t`` markers record the iteration of the last
-    full-gradient re-estimate so a bucketed session refreshes each shared
-    quantity at most once per iteration — per-bucket execution reads this
-    state, it never thrashes it.  ``pending_reduced`` is per-iteration
-    scratch: the buckets' reduced values collected for the end-of-iteration
-    global-threshold refresh.
+    One instance per worker and extent; a gradient-layout change discards
+    every state of the scheme together, so the cached thresholds, the
+    consensus boundaries **and** the ablation counters always describe
+    the same model (resetting only the thresholds used to leave stale
+    counters behind).
     """
 
     n: int
@@ -623,31 +567,8 @@ class OkTopkState:
     repartitions: int = 0
     balancing_triggered: int = 0
     #: how many of ``local_evaluations`` were selection-guard trips (a
-    #: stale threshold left ``[k/guard, guard*k]``), one-shot or per bucket
+    #: stale threshold left ``[k/guard, guard*k]``)
     guard_evaluations: int = 0
-    # iteration of the last full-gradient refresh (bucketed sessions only)
-    local_refresh_t: int = 0
-    global_refresh_t: int = 0
-    repartition_t: int = 0
-    # per-iteration scratch for the bucketed global-threshold refresh
-    pending_t: int = 0
-    pending_reduced: List[np.ndarray] = field(default_factory=list)
-
-    def keep_reduced(self, values: np.ndarray, t: int) -> None:
-        """Collect one bucket's reduced values of due iteration ``t`` for
-        the end-of-iteration global-threshold refresh."""
-        if self.pending_t != t:
-            self.pending_t = t
-            self.pending_reduced = []
-        self.pending_reduced.append(values)
-
-    def take_reduced(self) -> np.ndarray:
-        """The collected values as one array; clears the scratch."""
-        mine = (np.concatenate(self.pending_reduced)
-                if self.pending_reduced else np.empty(0, VALUE_DTYPE))
-        self.pending_t = 0
-        self.pending_reduced = []
-        return mine
 
 
 class OkTopkAllreduce(GradientAllreduce):
@@ -668,9 +589,8 @@ class OkTopkAllreduce(GradientAllreduce):
             catches pathological drift).
     """
 
-    # Bucketable via the shared-state session path (module docstring):
-    # buckets read the full-gradient OkTopkState instead of re-keying the
-    # periodic thresholds/boundaries to their slice.
+    # Bucketable: a session bucket is a complete Ok-Topk instance on its
+    # slice, with its own OkTopkState (module docstring).
     name = "oktopk"
     bucketable = True
     #: value codec of the phase-2 packages (``encode(values)`` -> a
@@ -697,43 +617,52 @@ class OkTopkAllreduce(GradientAllreduce):
         self.data_balancing = data_balancing
         self.balance_trigger = balance_trigger
         self.selection_guard = selection_guard
-        #: shared periodic state, created lazily per gradient length
-        self._state: Optional[OkTopkState] = None
+        #: gradient length the states below belong to
+        self._n: Optional[int] = None
+        #: periodic state per reduced extent ``(lo, hi)``, created lazily
+        self._states: Dict[tuple, OkTopkState] = {}
 
     # ------------------------------------------------------------------
-    # Back-compat accessors over the state object
+    # Accessors over the state objects
     # ------------------------------------------------------------------
     @property
+    def states(self) -> Dict[tuple, OkTopkState]:
+        """Every extent's state, keyed ``(lo, hi)``."""
+        return self._states
+
+    @property
     def state(self) -> Optional[OkTopkState]:
-        return self._state
+        """The one-shot (whole-gradient) state."""
+        return self._states.get((0, self._n))
+
+    def _total(self, counter: str) -> int:
+        """Everything this rank counted, over all of its extents."""
+        return sum(getattr(st, counter) for st in self._states.values())
 
     @property
     def local_evaluations(self) -> int:
-        return self._state.local_evaluations if self._state else 0
+        return self._total("local_evaluations")
 
     @property
     def global_evaluations(self) -> int:
-        return self._state.global_evaluations if self._state else 0
+        return self._total("global_evaluations")
 
     @property
     def repartitions(self) -> int:
-        return self._state.repartitions if self._state else 0
+        return self._total("repartitions")
 
     @property
     def balancing_triggered(self) -> int:
-        return self._state.balancing_triggered if self._state else 0
+        return self._total("balancing_triggered")
+
+    @property
+    def guard_evaluations(self) -> int:
+        return self._total("guard_evaluations")
 
     @property
     def _local_th(self) -> Optional[float]:
-        return self._state.local_th if self._state else None
-
-    @property
-    def _global_th(self) -> Optional[float]:
-        return self._state.global_th if self._state else None
-
-    @property
-    def _boundaries(self) -> Optional[np.ndarray]:
-        return self._state.boundaries if self._state else None
+        st = self.state
+        return st.local_th if st else None
 
     # ------------------------------------------------------------------
     def _due(self, t: int, period: int) -> bool:
@@ -753,44 +682,42 @@ class OkTopkAllreduce(GradientAllreduce):
         return (t - 1) % period == 0
 
     def on_world_resize(self, size: int) -> None:
-        """Re-key the periodic state to a shrunk world (elastic recovery).
+        """Re-key every extent's state to a shrunk world (elastic
+        recovery).
 
-        The consensus boundaries partition gradient space over P ranks
-        and the thresholds were estimated from P-way contributions, so
-        both are dropped: clearing ``boundaries`` forces the next
+        The consensus boundaries partition an extent over P ranks and the
+        thresholds were estimated from P-way contributions, so both are
+        dropped: clearing ``boundaries`` forces the next
         :meth:`_repartition` to re-run the consensus at the new size, and
-        clearing the thresholds forces fresh estimates.  The interrupted
-        iteration's bucket scratch is discarded (its traffic was flushed
-        by the shrink barrier); ablation counters are cumulative across
-        the resize and are kept.
+        clearing the thresholds forces fresh estimates.  Ablation
+        counters are cumulative across the resize and are kept.
         """
-        st = self._state
-        if st is None:
-            return
-        st.local_th = None
-        st.global_th = None
-        st.boundaries = None
-        st.pending_t = 0
-        st.pending_reduced = []
+        for st in self._states.values():
+            st.local_th = None
+            st.global_th = None
+            st.boundaries = None
 
-    def _reset_state_if_needed(self, n: int) -> OkTopkState:
-        st = self._state
-        if st is None or st.n != n:
+    def _state_for(self, n: int, lo: int, hi: int) -> OkTopkState:
+        """The state of extent ``[lo, hi)`` of an ``n``-word gradient."""
+        if self._n != n:
             # Thresholds, boundaries and the ablation counters reset
-            # *together*: an instance reused across models must not carry
-            # stale evaluation/repartition stats into the new run.
-            st = self._state = OkTopkState(n)
+            # *together*, for every extent: an instance reused across
+            # models must not carry stale evaluation/repartition stats
+            # into the new run.
+            self._n, self._states = n, {}
+        st = self._states.get((lo, hi))
+        if st is None:
+            st = self._states[(lo, hi)] = OkTopkState(hi - lo)
         return st
 
     # ------------------------------------------------------------------
     # Local selection (Algorithm 1 lines 2-4)
     # ------------------------------------------------------------------
-    def _select_local(self, comm: SimComm, acc: np.ndarray,
-                      k: int, t: int) -> COOVector:
+    def _select_local(self, comm: SimComm, st: OkTopkState,
+                      acc: np.ndarray, k: int, t: int) -> COOVector:
         """Threshold selection of one rank (the world executor stacks it
         across ranks where the accumulators share a matrix; see
         :func:`_select_world`)."""
-        st = self._state
         n = acc.size
         if st.local_th is None or self._due(t, self.tau_prime):
             st.local_th = kth_largest_abs(acc, k)
@@ -816,18 +743,10 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     # Space repartition (Algorithm 1 lines 5-7)
     # ------------------------------------------------------------------
-    def _consensus_boundaries(self, comm: SimComm, st: OkTopkState,
-                              proposal: np.ndarray, n: int, t: int) -> None:
-        """Average the boundary proposals across ranks (P+1-word
-        allreduce), sanitize, and store as the shared boundaries."""
-        summed = coll.allreduce_recursive_doubling(comm, proposal)
-        self._adopt_boundaries(st, summed, comm.size, n, t)
-
     def _adopt_boundaries(self, st: OkTopkState, summed: np.ndarray,
-                          p: int, n: int, t: int) -> None:
+                          p: int, n: int) -> None:
         st.boundaries = sanitize_boundaries(summed / p, n)
         st.repartitions += 1
-        st.repartition_t = t
 
     def _proposal(self, indices: np.ndarray, n: int, p: int) -> np.ndarray:
         """This rank's boundary proposal from its selected coordinates."""
@@ -835,13 +754,14 @@ class OkTopkAllreduce(GradientAllreduce):
             return balanced_boundaries_local(indices, n, p)
         return equal_boundaries(n, p).astype(np.float64)
 
-    def _repartition(self, comm: SimComm, local: COOVector, n: int,
-                     t: int) -> np.ndarray:
-        st = self._state
-        if st.boundaries is not None and not self._due(t, self.tau):
-            return st.boundaries
-        self._consensus_boundaries(
-            comm, st, self._proposal(local.indices, n, comm.size), n, t)
+    def _repartition(self, comm: SimComm, st: OkTopkState,
+                     local: COOVector, n: int, t: int) -> np.ndarray:
+        """The consensus boundaries: proposals averaged across ranks
+        (P+1-word allreduce) every ``tau`` iterations, reused between."""
+        if st.boundaries is None or self._due(t, self.tau):
+            summed = coll.allreduce_recursive_doubling(
+                comm, self._proposal(local.indices, n, comm.size))
+            self._adopt_boundaries(st, summed, comm.size, n)
         return st.boundaries
 
     # ------------------------------------------------------------------
@@ -910,9 +830,8 @@ class OkTopkAllreduce(GradientAllreduce):
         st.global_evaluations += 1
         return st.global_th
 
-    def _global_threshold(self, comm: SimComm, reduced: COOVector,
-                          k: int, t: int) -> float:
-        st = self._state
+    def _global_threshold(self, comm: SimComm, st: OkTopkState,
+                          reduced: COOVector, k: int, t: int) -> float:
         if st.global_th is not None and not self._due(t, self.tau_prime):
             return st.global_th
         with comm.phase(PHASE_COMM):
@@ -924,8 +843,9 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     # Phase 2: balance and allgatherv (Section 3.1.2)
     # ------------------------------------------------------------------
-    def _balance_and_allgatherv(self, comm: SimComm, reduced: COOVector,
-                                global_th: float) -> tuple[COOVector, bool]:
+    def _balance_and_allgatherv(self, comm: SimComm, st: OkTopkState,
+                                reduced: COOVector, global_th: float,
+                                ) -> tuple[COOVector, bool]:
         p = comm.size
         n = reduced.n
         # (1) global top-k selection inside my region + (2) packaging
@@ -943,7 +863,7 @@ class OkTopkAllreduce(GradientAllreduce):
                 and max(sizes) > self.balance_trigger * total / p):
             idx, val = self._rebalance(comm, idx, val, sizes)
             balanced = True
-            self._state.balancing_triggered += 1
+            st.balancing_triggered += 1
         # (4) allgatherv via dissemination; region order keeps global sort
         codec = self.package_codec
         if codec is not None:
@@ -987,41 +907,55 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     # Algorithm 1 driver
     # ------------------------------------------------------------------
-    def _reduce_world(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
-                      view: Optional[BucketView]):
-        """The fast path of both drivers: where the engine rendezvous is
-        available (cooperative engine with fusion on, no tracing, a
-        communicator spanning the current world with no crash pending in
-        it — :func:`repro.comm.fused._available`) the whole reduction is
-        ONE rendezvous whose executor (:func:`_exec_reduce`) runs
-        Algorithm 1 for every rank.  Returns ``None`` everywhere else; the
-        caller then runs the per-rank, per-message driver below it — the
-        reference path the identity suite compares the executor against."""
-        if not _fused._available(comm):
-            return None
-        lo, hi = (0, acc.size) if view is None else (view.lo, view.hi)
-        return comm.fused_collective(("oktopk_reduce", t, lo, hi, k),
-                                     (comm, self, acc, k, view),
-                                     _exec_reduce)
-
     def _reduce(self, comm: SimComm, acc: np.ndarray,
                 t: int) -> AllreduceResult:
         n = acc.size
-        k = self.resolve_k(n)
-        self._reset_state_if_needed(n)
-        result = self._reduce_world(comm, acc, t, k, None)
-        if result is not None:
-            return result
+        return self._algorithm1(comm, acc, t, self.resolve_k(n),
+                                self._state_for(n, 0, n), 0)
+
+    def _reduce_bucket(self, comm: SimComm, acc: np.ndarray, t: int, *,
+                       k: Optional[int] = None,
+                       view: Optional[BucketView] = None) -> AllreduceResult:
+        """Run Algorithm 1 over one session bucket, on the bucket's own
+        periodic state.
+
+        ``view`` locates the bucket inside the full gradient (sessions
+        always provide it, with the plan's budget ``k``); without one the
+        slice is treated as a complete gradient.
+        """
+        n_b = acc.size
+        lo, n = (0, n_b) if view is None else (view.lo, view.n)
+        k_b = self.resolve_k(n_b) if k is None else max(1, min(int(k), n_b))
+        return self._algorithm1(comm, acc, t, k_b,
+                                self._state_for(n, lo, lo + n_b), lo)
+
+    def _algorithm1(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
+                    st: OkTopkState, lo: int) -> AllreduceResult:
+        """Algorithm 1 over ``acc`` with budget ``k`` on state ``st``.
+
+        Where the engine rendezvous is available (cooperative engine with
+        fusion on, no tracing, a communicator spanning the current world
+        with no crash pending in it — :func:`repro.comm.fused._available`)
+        the whole reduction is ONE rendezvous whose executor
+        (:func:`_exec_reduce`) runs it for every rank; ``lo`` only tells
+        the extents of one iteration apart in its signature.  Everywhere
+        else the per-rank, per-message stages below run — the reference
+        path the identity suite compares the executor against."""
+        n = acc.size
+        if _fused._available(comm):
+            return comm.fused_collective(("oktopk_reduce", t, lo, lo + n, k),
+                                         (comm, self, acc, k, st),
+                                         _exec_reduce)
 
         with comm.phase(PHASE_SPARSIFY):                 # lines 2-4
-            local = self._select_local(comm, acc, k, t)
+            local = self._select_local(comm, st, acc, k, t)
         with comm.phase(PHASE_COMM):                      # lines 5-7
-            boundaries = self._repartition(comm, local, n, t)
+            boundaries = self._repartition(comm, st, local, n, t)
             reduced = self._split_and_reduce(comm, local, boundaries)  # l.8
-        global_th = self._global_threshold(comm, reduced, k, t)  # lines 9-12
+        global_th = self._global_threshold(comm, st, reduced, k, t)  # 9-12
         with comm.phase(PHASE_COMM):                      # line 13
             u_t, balanced = self._balance_and_allgatherv(
-                comm, reduced, global_th)
+                comm, st, reduced, global_th)
         indexes = intersect_sorted(local.indices, u_t.indices)   # line 14
 
         return AllreduceResult(
@@ -1031,190 +965,9 @@ class OkTopkAllreduce(GradientAllreduce):
                 "k": k,
                 "selected_local": local.nnz,
                 "selected_global": u_t.nnz,
-                "local_threshold": self._state.local_th,
+                "local_threshold": st.local_th,
                 "global_threshold": global_th,
                 "balancing_triggered": balanced,
                 "boundaries": boundaries,
             },
         )
-
-    # ------------------------------------------------------------------
-    # Native bucketed sessions (shared periodic state; module docstring)
-    # ------------------------------------------------------------------
-    def _reduce_bucket(self, comm: SimComm, acc: np.ndarray, t: int, *,
-                       k: Optional[int] = None,
-                       view: Optional[BucketView] = None) -> AllreduceResult:
-        """Run Algorithm 1 over one session bucket, reading shared state.
-
-        ``view`` locates the bucket inside the full gradient (sessions
-        always provide it); without one the slice is treated as a complete
-        single-bucket gradient.
-        """
-        n_b = acc.size
-        if view is None:
-            view = BucketView(lo=0, hi=n_b, n=n_b, index=0, nbuckets=1,
-                              final=True, acc=acc)
-        st = self._reset_state_if_needed(view.n)
-        k_total = self.resolve_k(view.n)
-        if k is None:
-            k_b = max(1, min(n_b, int(round(k_total * n_b / view.n))))
-        else:
-            k_b = max(1, min(int(k), n_b))
-        result = self._reduce_world(comm, acc, t, k_b, view)
-        if result is not None:
-            return result
-
-        with comm.phase(PHASE_SPARSIFY):
-            local = self._select_local_bucket(comm, st, acc, k_b, k_total,
-                                              view)
-        with comm.phase(PHASE_COMM):
-            bnd = self._bucket_boundaries(comm, st, view)
-            reduced = self._split_and_reduce(comm, local, bnd)
-        if self._due(t, self.tau_prime):
-            # This iteration ends with a global-threshold refresh: keep
-            # the bucket's reduced values for the union (scratch, cleared
-            # by the refresh).
-            st.keep_reduced(reduced.values, t)
-        global_th = self._global_threshold_bucket(comm, st, reduced, k_b)
-        with comm.phase(PHASE_COMM):
-            u_t, balanced = self._balance_and_allgatherv(
-                comm, reduced, global_th)
-        if view.final:
-            # The whole gradient has been pushed by now: run the scheduled
-            # full-gradient re-estimates (thresholds, consensus
-            # boundaries) for the *next* iterations — this one already ran
-            # every bucket on the previous estimates.
-            self._refresh_shared_state(comm, st, view, t)
-        indexes = intersect_sorted(local.indices, u_t.indices)
-
-        return AllreduceResult(
-            update=u_t,
-            contributed_indices=indexes,
-            info={
-                "k": k_b,
-                "selected_local": local.nnz,
-                "selected_global": u_t.nnz,
-                "local_threshold": st.local_th,
-                "global_threshold": global_th,
-                "balancing_triggered": balanced,
-                "boundaries": bnd,
-            },
-        )
-
-    def _select_local_bucket(self, comm: SimComm, st: OkTopkState,
-                             acc: np.ndarray, k_b: int, k_total: int,
-                             view: BucketView) -> COOVector:
-        """Per-bucket threshold selection against the shared local threshold.
-
-        The shared threshold is normally refreshed from the full gradient
-        at the end of each due iteration (:meth:`_refresh_shared_state`);
-        only the very first bucket ever run bootstraps it from the
-        concatenation of the segments pushed so far, with ``k`` scaled to
-        the visible fraction of the gradient.  The guard is applied per
-        bucket against its own budget; a guard re-evaluation is
-        bucket-local and never written back (writing it would thrash the
-        full-gradient estimate the other buckets read).
-        """
-        n_b = acc.size
-        if st.local_th is None:
-            pushed = view.pushed
-            k_eval = max(1, min(pushed.size,
-                                int(round(k_total * pushed.size / view.n))))
-            st.local_th = kth_largest_abs(pushed, k_eval)
-            st.local_evaluations += 1
-            comm.compute_sort(pushed.size)
-        comm.compute_scan(n_b)
-        if st.local_th <= 0.0:
-            return exact_topk(acc, k_b)
-        local = threshold_select(acc, st.local_th)
-        g = self.selection_guard
-        if local.nnz > g * k_b or local.nnz * g < k_b:
-            th_b = kth_largest_abs(acc, k_b)
-            # counted like the one-shot guard path: the sort really ran,
-            # even though the corrected threshold stays bucket-local
-            st.local_evaluations += 1
-            st.guard_evaluations += 1
-            comm.compute_sort(n_b)
-            comm.compute_scan(n_b)
-            local = (threshold_select(acc, th_b) if th_b > 0
-                     else exact_topk(acc, k_b))
-        return local
-
-    def _bucket_boundaries(self, comm: SimComm, st: OkTopkState,
-                           view: BucketView) -> np.ndarray:
-        """Consensus full-gradient boundaries intersected with the bucket.
-
-        Worker ``i`` reduces ``region i ∩ [lo, hi)``; regions that miss the
-        bucket degenerate to empty slices (their pieces carry no words).
-        Before the first consensus (iteration 1's buckets) the naive equal
-        split is used — identical on every rank without a collective.
-        """
-        full = st.boundaries
-        if full is None:
-            full = equal_boundaries(view.n, comm.size)
-        return np.clip(full, view.lo, view.hi) - view.lo
-
-    def _global_threshold_bucket(self, comm: SimComm, st: OkTopkState,
-                                 reduced: COOVector, k_b: int) -> float:
-        """Shared global threshold; bootstrapped by the first bucket ever
-        run (from its own reduced slice, bucket budget) and otherwise
-        refreshed from the full reduced gradient at the end of each due
-        iteration (:meth:`_refresh_shared_state`)."""
-        if st.global_th is not None:
-            return st.global_th
-        with comm.phase(PHASE_COMM):
-            all_reduced = coll.allgatherv_coo(comm, reduced)
-        merged_values = np.concatenate(
-            [v.values for v in all_reduced]) if all_reduced else np.empty(0)
-        return self._estimate_global_th(comm, st, merged_values, k_b)
-
-    def _refresh_shared_state(self, comm: SimComm, st: OkTopkState,
-                              view: BucketView, t: int) -> None:
-        """End-of-iteration re-estimates from the fully pushed gradient.
-
-        Runs inside the last funded bucket, after its phase 2: each shared
-        quantity is refreshed at most once per iteration, on its own
-        schedule, and takes effect from the next iteration.  The local
-        threshold is the exact ``k``-th magnitude of the full accumulator
-        and the global threshold the ``k``-th magnitude of the union of
-        all buckets' reduced values (one values-only allgatherv) — the
-        same estimates the one-shot path computes, evaluated one bucket
-        plan later.
-        """
-        acc_full = view.acc
-        n = acc_full.size
-        k_total = self.resolve_k(n)
-        if self._due(t, self.tau_prime) and st.local_refresh_t != t:
-            with comm.phase(PHASE_SPARSIFY):
-                self._refresh_local_th(comm, st, acc_full, k_total, t)
-        if self._due(t, self.tau) and st.repartition_t != t:
-            with comm.phase(PHASE_COMM):
-                self._consensus_boundaries(
-                    comm, st, self._full_proposal(comm, st, acc_full), n, t)
-        if self._due(t, self.tau_prime) and st.global_refresh_t != t:
-            mine = st.take_reduced()
-            with comm.phase(PHASE_COMM):
-                pieces = coll.allgatherv(comm, mine)
-            merged_values = (np.concatenate(pieces) if pieces
-                             else np.empty(0))
-            self._estimate_global_th(comm, st, merged_values, k_total)
-            st.global_refresh_t = t
-
-    def _refresh_local_th(self, comm: SimComm, st: OkTopkState,
-                          acc_full: np.ndarray, k_total: int, t: int) -> None:
-        st.local_th = kth_largest_abs(acc_full, k_total)
-        st.local_evaluations += 1
-        st.local_refresh_t = t
-        comm.compute_sort(acc_full.size)
-
-    def _full_proposal(self, comm: SimComm, st: OkTopkState,
-                       acc_full: np.ndarray) -> np.ndarray:
-        """This rank's proposal for the tau-schedule consensus
-        repartition, run once per due iteration from the fully pushed
-        gradient (one threshold scan recovers its selected coordinates)."""
-        if self.balanced_partition and st.local_th is not None \
-                and st.local_th > 0.0:
-            sel = np.flatnonzero(np.abs(acc_full) >= st.local_th)
-            comm.compute_scan(acc_full.size)
-            return balanced_boundaries_local(sel, acc_full.size, comm.size)
-        return equal_boundaries(acc_full.size, comm.size).astype(np.float64)

@@ -39,9 +39,9 @@ the pieces of that execution model:
     share, and :meth:`ReduceSession.finish` merges the per-bucket results
     back into one :class:`AllreduceResult`.  Each reduction receives a
     :class:`BucketView` locating the bucket inside the full gradient;
-    stateless schemes ignore it, while Ok-Topk reads its shared periodic
-    state (thresholds, consensus boundaries) through it so per-bucket
-    execution never thrashes the full-gradient estimates (see
+    stateless schemes ignore it, while Ok-Topk keys the bucket's own
+    periodic state (thresholds, consensus boundaries) by it, so every
+    bucket reuses *its* estimates from iteration to iteration (see
     :mod:`repro.allreduce.oktopk`);
 
 * :class:`BucketStat` / :func:`visible_comm_time` — the generic overlap
@@ -287,10 +287,9 @@ class SessionPlan:
     extents: tuple
     #: fraction of the parameter mass pushed when each bucket completes
     release: tuple
-    #: per-bucket top-k budget (``None`` entries for a dense scheme)
+    #: per-bucket top-k budget (``None`` entries for a dense scheme;
+    #: zero-budget buckets never run)
     bucket_k: tuple
-    #: last bucket with a positive budget (zero-budget buckets never run)
-    last_funded: int
 
     @classmethod
     def derive(cls, layout: ParamLayout, bucket_size: Optional[int],
@@ -306,17 +305,13 @@ class SessionPlan:
         bucket_k = (split_k(k_total, [sum(s.size for s in b)
                                       for b in buckets])
                     if sparse else [None] * len(buckets))
-        # split_k hands out at least one positive share (k >= 1), so the
-        # plan always has a final funded bucket.
-        funded = [b for b, kb in enumerate(bucket_k) if kb is None or kb > 0]
         return cls(
             buckets=buckets,
             sequence=tuple(seg for bucket in buckets for seg in bucket),
             closes=tuple(closes),
             extents=tuple((min(s.offset for s in b), max(s.end for s in b))
                           for b in buckets),
-            release=tuple(release), bucket_k=tuple(bucket_k),
-            last_funded=funded[-1])
+            release=tuple(release), bucket_k=tuple(bucket_k))
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +319,19 @@ class SessionPlan:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class BucketView:
-    """Where a session bucket sits inside the full gradient.
+    """Where a session bucket sits inside the full gradient: the slice
+    ``[lo, hi)`` of an ``n``-word flat vector.
 
     Passed by the native path to :meth:`GradientAllreduce._reduce_bucket`
     alongside the bucket slice ``acc[lo:hi]``.  Stateless schemes ignore
-    it; schemes with full-gradient periodic state (Ok-Topk) use it to read
-    that state and to see the data pushed so far.  Because pushes arrive
-    in reverse layout order and a bucket runs the moment its last segment
-    lands, the pushed region is exactly the suffix ``[lo, n)`` —
-    :attr:`pushed` exposes it.  ``final`` marks the last *funded* bucket
-    of the plan (zero-budget buckets are skipped and never run), i.e. the
-    point where the whole gradient is available.
+    it; a scheme with periodic state keeps one state per extent and finds
+    the bucket's through it (Ok-Topk: the bucket's own thresholds and
+    region boundaries, reused across iterations).
     """
 
     lo: int
     hi: int
     n: int
-    index: int
-    nbuckets: int
-    final: bool
-    acc: np.ndarray
-
-    @property
-    def pushed(self) -> np.ndarray:
-        """The segments pushed so far (suffix of the flat gradient)."""
-        return self.acc[self.lo:]
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +576,7 @@ class ReduceSession:
             return
         phases0 = comm.phase_times()
         recv0 = int(comm.net.words_recv[comm.slot])
-        view = BucketView(lo=lo, hi=hi, n=self.layout.n, index=b,
-                          nbuckets=self.nbuckets,
-                          final=(b == plan.last_funded), acc=self._acc)
+        view = BucketView(lo=lo, hi=hi, n=self.layout.n)
         if self.stream:
             # Issue the reduction *now*, at the rank's mid-backward clock:
             # its messages book (and contend for) links at this simulated

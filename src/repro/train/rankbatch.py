@@ -85,6 +85,9 @@ def _shared_base(rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     if (base is not None and base.ndim == 2
             and base.shape[0] == len(rows)
             and all(r.base is base
+                    # whole rows only: a session bucket's prefix slice
+                    # starts where its row does
+                    and r.shape == base.shape[1:]
                     and r.strides == base.strides[1:]
                     and r.ctypes.data == base.ctypes.data + i * base.strides[0]
                     for i, r in enumerate(rows))):

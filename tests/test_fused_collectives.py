@@ -392,6 +392,13 @@ def _plain(obj):
     return obj
 
 
+def _state_leaves(algo):
+    """Every extent's ``OkTopkState`` of a scheme (none for the stateless
+    ones), as comparable leaves in extent order."""
+    return sorted((extent, dataclasses.astuple(state))
+                  for extent, state in getattr(algo, "states", {}).items())
+
+
 def _train_prog(comm, scheme, iters, seed, bucket_size=None,
                 overlap_mode="analytic", scheme_kwargs=None):
     """Elastic perf-proxy training; every rank returns its whole record
@@ -406,9 +413,8 @@ def _train_prog(comm, scheme, iters, seed, bucket_size=None,
                         scheme_kwargs=scheme_kwargs or {})
     trainer = Trainer(comm, proxy.make_model(), loader, cfg)
     record = trainer.run()
-    state = getattr(trainer.allreduce, "state", None)
     return ([dataclasses.asdict(r) for r in record.records], record.events,
-            _plain(dataclasses.astuple(state)) if state is not None else None)
+            _plain(_state_leaves(trainer.allreduce)))
 
 
 def train_three_way(monkeypatch, log, p, scheme, plan, iters=6, seed=0,
@@ -590,13 +596,11 @@ def _acc_zero_tail(rank, t):
     return acc
 
 
-def _acc_heavy_tailed(rank, t):
-    """Magnitudes three decades apart between layers: one full-gradient
-    threshold over- or under-selects every bucket (per-bucket guard)."""
-    acc = _acc_normal(rank, t)
-    for seg in OK_LAYOUT:
-        acc[seg.sl] *= np.float32(10.0 ** (seg.index % 4 - 2))
-    return acc
+def _acc_loud_step(rank, t):
+    """Even iterations are 1000x louder than the odd ones the thresholds
+    were evaluated on (``tau' = 2``): the reused threshold over-selects
+    and the guard re-evaluates, one-shot and in every bucket."""
+    return _acc_normal(rank, t) * np.float32(1000.0 if t % 2 == 0 else 1.0)
 
 
 def _fingerprint(res):
@@ -619,7 +623,8 @@ def _oktopk_prog(comm, scheme, mode, make_acc=_acc_normal, iters=4,
                  bucket_size=OK_BUCKET, **kwargs):
     """``iters`` chained reductions with ``tau = tau' = 2`` (every periodic
     branch fires, and every steady-state one); returns per-iteration
-    fingerprints and clocks plus the final ``OkTopkState``."""
+    fingerprints and clocks plus the final ``OkTopkState`` of every extent
+    (one one-shot, one per session bucket)."""
     kwargs.setdefault("k", 30)
     algo = make_allreduce(scheme, tau=2, tau_prime=2, **kwargs)
     outs = []
@@ -635,13 +640,15 @@ def _oktopk_prog(comm, scheme, mode, make_acc=_acc_normal, iters=4,
                               bucket_size=bucket_size,
                               pacer=pacer if mode == "stream" else None)
         outs.append((_fingerprint(res), comm.clock))
-    return outs, dataclasses.astuple(algo.state)
+    return outs, _state_leaves(algo)
 
 
-def _final_state(res, rank=0):
-    """The ``OkTopkState`` rank ``rank`` ended with (``_oktopk_prog``)."""
+def _final_count(res, counter, rank=0):
+    """``counter`` summed over the ``OkTopkState`` of every extent rank
+    ``rank`` ended with (``_oktopk_prog``)."""
     from repro.allreduce import OkTopkState
-    return OkTopkState(*res.results[rank][1])
+    return sum(getattr(OkTopkState(*leaves), counter)
+               for _, leaves in res.results[rank][1])
 
 
 class TestOkTopkWorldExecutor:
@@ -669,27 +676,26 @@ class TestOkTopkWorldExecutor:
         for scheme in ("oktopk", "oktopk_q"):
             res = run(_acc_one_region, scheme, balanced_partition=False,
                       balance_trigger=1.5)
-            assert _final_state(res).balancing_triggered > 0
+            assert _final_count(res, "balancing_triggered") > 0
         # ... and the same skew with balancing switched off
         res = run(_acc_one_region, balanced_partition=False,
                   balance_trigger=1.5, data_balancing=False)
-        assert _final_state(res).balancing_triggered == 0
+        assert _final_count(res, "balancing_triggered") == 0
         # a zero threshold: exact top-k instead of the scan
         res = run(_acc_zero_tail)
-        assert _final_state(res).local_evaluations > 0
+        assert _final_count(res, "local_evaluations") > 0
         res = run(lambda rank, t: np.zeros(OK_N, dtype=np.float32))
         assert res.results[0][0][0][0][0].size > 0     # still k selected
-        # the (per-bucket) selection guard
-        res = run(_acc_heavy_tailed)
-        if mode == "stream":
-            assert _final_state(res).guard_evaluations > 0
+        # the selection guard: the same state sees a 1000x louder step
+        res = run(_acc_loud_step)
+        assert _final_count(res, "guard_evaluations") > 0
         # the naive schedule in sub-buckets of two steps
         run(rotation=False, bucket_size=2)
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_zero_budget_buckets_are_skipped(self, p, rendezvous_log):
-        """k < nbuckets: unfunded buckets never reach the scheme, the last
-        *funded* one runs the end-of-iteration refresh."""
+        """k < nbuckets: unfunded buckets never reach the scheme (and get
+        no state), the funded ones run as usual."""
         # scheme bucket_size (split-and-reduce sub-buckets) stays default;
         # the session plan is 6 one-segment buckets for k = 2
         def prog(comm):
@@ -699,11 +705,55 @@ class TestOkTopkWorldExecutor:
                 res = run_session(algo, comm, OK_LAYOUT, t,
                                   _acc_normal(comm.rank, t), bucket_size=1)
                 outs.append(_fingerprint(res))
-            return outs, dataclasses.astuple(algo.state)
+            return outs, _state_leaves(algo)
 
         res = three_way(prog, p, log=rendezvous_log)
         budgets = res.results[0][0][0][5][-1]
         assert sorted(budgets) == [0, 0, 0, 0, 1, 1]
+
+    @pytest.mark.parametrize("p", [4, 5])
+    @pytest.mark.parametrize("k", [3, 12, 200])
+    def test_degenerate_buckets(self, k, p, rendezvous_log):
+        """Buckets shorter than the world (``n_b`` = 1, 2, 3 < P), budgets
+        of one, budgets covering the whole bucket (``k_b >= n_b``), an
+        all-zero bucket and a ``k < nbuckets`` plan: each is a defined
+        Ok-Topk instance — every rank gets the same valid update, every
+        entry where the budget covers the bucket — and the executor
+        agrees with the per-rank driver on all of it."""
+        layout = ParamLayout.from_sizes([2, 40, 3, 64, 1, 30])
+        zero = layout[3].sl
+
+        def prog(comm):
+            algo = make_allreduce("oktopk", k=k, tau=2, tau_prime=2)
+            outs = []
+            for t in range(1, 4):
+                acc = np.random.default_rng(100 * comm.rank + t) \
+                    .standard_normal(layout.n).astype(np.float32)
+                acc[zero] = 0.0
+                res = run_session(algo, comm, layout, t, acc, bucket_size=1)
+                res.update.validate()
+                outs.append(_fingerprint(res))
+            return outs, _state_leaves(algo)
+
+        res = three_way(prog, p, log=rendezvous_log)
+        for outs, states in res.results:
+            budgets = outs[0][5][-1]
+            assert sum(budgets) == min(k, layout.n)
+            # a state per funded bucket, each fitted to its own length
+            funded = [seg for seg, kb in zip(layout.push_order(), budgets)
+                      if kb]
+            assert [ext for ext, _ in states] == sorted(
+                (seg.offset, seg.end) for seg in funded)
+            assert all(leaves[0] == hi - lo for (lo, hi), leaves in states)
+            for t, ((idx, val, *_), (ref, *_)) in enumerate(
+                    zip(outs, res.results[0][0]), 1):
+                assert_same(idx, ref)
+                # the all-zero bucket ships its budget as explicit zeros
+                in_zero = (idx >= zero.start) & (idx < zero.stop)
+                assert in_zero.sum() == budgets[2] and not val[in_zero].any()
+                if k >= layout.n and t % 2:
+                    # fresh thresholds: every bucket ships all it has
+                    assert idx.size == layout.n
 
     @given(p=st.integers(2, 6), n=st.integers(24, 400),
            k=st.integers(1, 40), bucket_size=st.integers(1, 200),
@@ -726,8 +776,7 @@ class TestOkTopkWorldExecutor:
                 outs.append(_fingerprint(run_session(
                     bucketed, comm, layout, t, acc, bucket_size=bucket_size,
                     pacer=lambda seg: comm.compute(1e-6))))
-            return (outs, dataclasses.astuple(oneshot.state),
-                    dataclasses.astuple(bucketed.state))
+            return outs, _state_leaves(oneshot), _state_leaves(bucketed)
 
         three_way(prog, p)
 

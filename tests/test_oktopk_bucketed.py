@@ -1,13 +1,13 @@
-"""Native bucketed Ok-Topk sessions: shared periodic state across buckets,
-one-bucket bit-identity with one-shot reduce, stream-mode overlap wins,
-convergence parity, and the session/state bugfix regressions (counter
-reset, 1-based iteration contract)."""
+"""Native bucketed Ok-Topk sessions: every bucket is Algorithm 1 on its own
+periodic state (threshold reuse, balanced regions and the volume bound per
+bucket, degenerate buckets), one-bucket bit-identity with one-shot reduce,
+stream-mode overlap wins, convergence parity, and the session/state bugfix
+regressions (counter reset, 1-based iteration contract)."""
 
 import numpy as np
 import pytest
 
 from repro.allreduce import (
-    BucketView,
     OkTopkState,
     ParamLayout,
     make_allreduce,
@@ -151,11 +151,11 @@ class TestNativeBucketed:
         for st in res.bucket_stats:
             assert st.k == pytest.approx(100 * st.words / N, abs=1)
 
-    def test_shared_state_not_thrashed_across_buckets(self):
-        """The no-thrash regression at the heart of the tentpole: periodic
-        evaluations happen on the iteration schedule, NOT once per bucket.
-        tau = tau' = 2 over 4 iterations with a 4-bucket plan: one
-        bootstrap plus re-estimates at t = 1 and t = 3 — never 4x that."""
+    def test_periodic_work_is_per_bucket_on_the_iteration_schedule(self):
+        """Every funded bucket evaluates its own thresholds and boundaries
+        exactly when the iteration schedule says so — and reuses them in
+        between.  tau = tau' = 2 over 4 iterations with a 4-bucket plan:
+        4 buckets x the due iterations t = 1 and t = 3, nothing extra."""
         p = 2
         lay = _layout()
 
@@ -166,45 +166,45 @@ class TestNativeBucketed:
                                   bucket_size=180)
                 assert res.nbuckets == 4
             return (algo.local_evaluations, algo.global_evaluations,
-                    algo.repartitions)
+                    algo.repartitions, algo.guard_evaluations,
+                    sorted(algo.states), algo.state)
 
-        local, glob, reparts = run_spmd(p, prog)[0]
-        # bootstrap (first bucket ever) + full-gradient refresh at t=1,3
-        assert local == 3
-        assert glob == 3
-        # consensus repartition has no bootstrap (equal split needs none)
-        assert reparts == 2
+        local, glob, reparts, guards, extents, oneshot = run_spmd(p, prog)[0]
+        assert (local, glob, reparts, guards) == (8, 8, 8, 0)
+        # one state per bucket extent, none for the whole gradient
+        assert len(extents) == 4 and extents[0][0] == 0
+        assert all(a[1] == b[0] for a, b in zip(extents, extents[1:]))
+        assert extents[-1][1] == N and oneshot is None
 
-    def test_boundaries_keyed_to_full_gradient(self):
-        """After the first consensus the shared boundaries span the full
-        layout; each bucket's reported boundaries are the intersection
-        with its extent."""
+    def test_boundaries_partition_each_bucket(self):
+        """Each bucket's consensus boundaries split ``[0, n_b)`` into P
+        regions from iteration 1 on, and every rank owns a share of every
+        bucket (no region swallows the slice)."""
         p = 4
         lay = _layout()
 
         def prog(comm):
             algo = _make()
-            res1 = run_session(algo, comm, lay, 1, _acc(comm.rank, 1),
-                               bucket_size=700)
-            res2 = run_session(algo, comm, lay, 2, _acc(comm.rank, 2),
-                               bucket_size=700)
-            return res1, res2, algo.state.boundaries
+            res = [run_session(algo, comm, lay, t, _acc(comm.rank, t),
+                               bucket_size=700) for t in (1, 2)]
+            return res, {ext: st.boundaries
+                         for ext, st in algo.states.items()}
 
-        res1, res2, full = run_spmd(p, prog)[0]
-        assert full[0] == 0 and full[-1] == N and len(full) == p + 1
+        (res1, res2), kept = run_spmd(p, prog)[0]
         for res in (res1, res2):
+            assert len(res.bucket_stats) == len(kept) == 3
             for st in res.bucket_stats:
                 bnd = st.info["boundaries"]
                 assert bnd[0] == 0 and bnd[-1] == st.words
                 assert len(bnd) == p + 1
-                assert np.all(np.diff(bnd) >= 0)
-        # iteration 1 ran on the equal-split bootstrap; its consensus
-        # (computed at the last bucket) applies from iteration 2
-        eq = np.linspace(0, N, p + 1).astype(np.int64)
-        first = res1.bucket_stats[0]
-        np.testing.assert_array_equal(
-            first.info["boundaries"],
-            np.clip(eq, first.lo, first.hi) - first.lo)
+                assert np.all(np.diff(bnd) > 0.1 * st.words / p)
+        # tau = 2: iteration 2 reuses what iteration 1 agreed on, and that
+        # is what the bucket's state holds
+        for s1, s2 in zip(res1.bucket_stats, res2.bucket_stats):
+            np.testing.assert_array_equal(s1.info["boundaries"],
+                                          s2.info["boundaries"])
+            np.testing.assert_array_equal(kept[(s1.lo, s1.hi)],
+                                          s1.info["boundaries"])
 
     def test_zero_k_buckets_skipped(self):
         """k < nbuckets: unfunded buckets are skipped outright and the
@@ -226,8 +226,8 @@ class TestNativeBucketed:
         res.update.validate()
 
     def test_oktopk_q_native_buckets(self):
-        """The quantized variant inherits the shared-state bucketed path
-        (quantized phase-2 payloads per bucket)."""
+        """The quantized variant inherits the per-bucket driver (quantized
+        phase-2 payloads per bucket)."""
         p = 2
         lay = _layout()
 
@@ -320,27 +320,37 @@ class TestGuardCounter:
             assert first == (1, 0)
             assert second == (2, 1)
 
-    def test_per_bucket_guard_trips_are_counted_not_written_back(self):
+    def test_per_bucket_guard_trip_updates_only_that_bucket(self):
         lay = _layout()
 
         def prog(comm):
             algo = _make(tau_prime=100)
             run_session(algo, comm, lay, 1, _acc(comm.rank, 1),
                         bucket_size=700)
-            th = algo.state.local_th
-            before = algo.state.local_evaluations
+            before = {ext: st.local_th for ext, st in algo.states.items()}
+            evals = algo.local_evaluations
             acc = _acc(comm.rank, 2)
             acc[:1536] *= 1000          # one layer dwarfs the others
-            res = run_session(algo, comm, lay, 2, acc, bucket_size=700)
-            return (res.nbuckets, algo.state.local_evaluations - before,
-                    algo.state.guard_evaluations, algo.state.local_th == th)
+            run_session(algo, comm, lay, 2, acc, bucket_size=700)
+            after = {ext: st.local_th for ext, st in algo.states.items()}
+            return (before, after, algo.local_evaluations - evals,
+                    {ext: st.guard_evaluations
+                     for ext, st in algo.states.items()},
+                    algo.guard_evaluations)
 
         for runner in RUNNERS:
-            nbuckets, evals, guards, kept = run_spmd(2, prog,
-                                                     runner=runner)[0]
-            assert 0 < guards <= nbuckets
-            assert evals == guards      # nothing was scheduled at t = 2
-            assert kept                 # the shared threshold is untouched
+            before, after, evals, guards, total = run_spmd(
+                2, prog, runner=runner)[0]
+            loud = min(before)          # the bucket holding [0, 1536)
+            assert loud[0] == 0 and loud[1] >= 1536 and len(before) == 3
+            # the trip re-evaluated the loud bucket's threshold in place ...
+            assert after[loud] > 100 * before[loud]
+            assert guards[loud] == 1
+            # ... and its siblings kept reusing theirs
+            for ext in before:
+                if ext != loud:
+                    assert after[ext] == before[ext] and guards[ext] == 0
+            assert evals == total == 1  # nothing was scheduled at t = 2
 
 
 class TestIterationContract:
@@ -489,25 +499,84 @@ class TestConvergenceParity:
 
 
 # ---------------------------------------------------------------------------
-# BucketView defaults
+# What the paper promises, per bucket
+# ---------------------------------------------------------------------------
+#: six layers -> six one-segment buckets; layer 2 is 100x louder
+MIX_LAYOUT = ParamLayout.from_sizes([600, 400, 500, 300, 450, 350])
+MIX_SCALE = np.ones(MIX_LAYOUT.n, dtype=np.float32)
+MIX_SCALE[MIX_LAYOUT[2].sl] = 100.0
+
+
+def _mix_acc(rank, t):
+    rng = np.random.default_rng(1000 * rank + t)
+    return rng.standard_normal(MIX_LAYOUT.n).astype(np.float32) * MIX_SCALE
+
+
+class TestPerBucketPromises:
+    def test_thresholds_are_reused_on_a_stationary_layer_mix(self):
+        """Section 3.1.3 per bucket: with stationary statistics — however
+        different from layer to layer — a bucket sorts at its tau'
+        iterations and scans in between."""
+        iters, nb = 40, len(MIX_LAYOUT)
+
+        def prog(comm):
+            algo = make_allreduce("oktopk", density=0.05, tau=64,
+                                  tau_prime=32)
+            for t in range(1, iters + 1):
+                res = run_session(algo, comm, MIX_LAYOUT, t,
+                                  _mix_acc(comm.rank, t), bucket_size=1)
+                assert res.nbuckets == nb
+            return algo.local_evaluations, algo.guard_evaluations
+
+        for local, guards in run_spmd(4, prog).results:
+            assert guards <= 0.10 * nb * iters
+            assert local - guards == nb * 2       # t = 1 and t = 33
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_volume_bound_and_balance_hold_per_bucket(self, p):
+        """Table 1 per bucket: once the thresholds and boundaries exist,
+        no rank receives more than ``6 k_b (P-1)/P`` words for a bucket —
+        scaled by how far the reused thresholds over-select, plus the
+        P-1 words of the package-size exchange — and uniform input never
+        needs the balancing step."""
+        iters = 6
+
+        def prog(comm):
+            algo = make_allreduce("oktopk", density=0.05, tau=64,
+                                  tau_prime=64)
+            stats = []
+            for t in range(1, iters + 1):
+                res = run_session(algo, comm, MIX_LAYOUT, t,
+                                  _mix_acc(comm.rank, t), bucket_size=1)
+                stats.append([(b.k, b.words_recv, b.selected,
+                               b.info["selected_global"])
+                              for b in res.bucket_stats])
+            return stats, algo.balancing_triggered
+
+        results = run_spmd(p, prog).results
+        assert all(balancing == 0 for _, balancing in results)
+        for t in range(1, iters):                 # skip iteration 1
+            for b in range(len(MIX_LAYOUT)):
+                per_rank = [stats[t][b] for stats, _ in results]
+                k_b = per_rank[0][0]
+                over = max(max(sel, glob) for _, _, sel, glob in per_rank)
+                bound = 6 * k_b * (p - 1) / p * max(1.0, over / k_b) + p - 1
+                assert max(recv for _, recv, _, _ in per_rank) <= bound, (t, b)
+
+
+# ---------------------------------------------------------------------------
+# _reduce_bucket outside a session
 # ---------------------------------------------------------------------------
 def test_reduce_bucket_standalone_without_view():
     """Calling _reduce_bucket without a session context treats the slice
-    as a complete single-bucket gradient (synthetic BucketView)."""
+    as a complete gradient (it is the one-shot extent)."""
 
     def prog(comm):
         algo = _make()
         res = algo._reduce_bucket(comm, _acc(comm.rank, 1, 256), 1)
         res.update.validate()
-        return res
+        return res, algo.state.n
 
-    res = run_spmd(2, prog)[0]
-    assert res.update.n == 256
+    res, n = run_spmd(2, prog)[0]
+    assert res.update.n == n == 256
     assert res.info["k"] >= 1
-
-
-def test_bucket_view_pushed_suffix():
-    acc = np.arange(10, dtype=np.float32)
-    view = BucketView(lo=4, hi=7, n=10, index=1, nbuckets=3, final=False,
-                      acc=acc)
-    np.testing.assert_array_equal(view.pushed, acc[4:])
