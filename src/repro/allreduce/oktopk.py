@@ -72,14 +72,16 @@ crash is pending in it) every rank parks once in
 ``comm.fused_collective(("oktopk_reduce", t, lo, hi, k))`` and the last
 arrival runs :func:`_exec_reduce` for the whole world: selection for
 every rank (stacked where the accumulators are the rows of one matrix,
-:func:`_select_world`), the split, :func:`_exec_split_reduce`, the
-global-threshold selection, phase 2 booked from compiled schedules, and
-the periodic tau / tau' work — consensus allreduce, exact global
-threshold — inline where its (rank-uniform, data-independent) schedule
-fires.  Simulated charges and phase deltas go through each rank's own
-communicator; the data side (``u_t``) is assembled once and shared
-write-protected.  A streamed session's per-rank ``async_region`` and
-pacer stay outside the rendezvous.
+:func:`_select_world`), split-and-reduce as one array program over the
+world (:func:`_exec_split_reduce`: ``(P, m)`` bookings from compiled
+schedule tables, one sort for all P regions), the global-threshold
+selection, phase 2 booked from compiled schedules, and the periodic
+tau / tau' work — consensus allreduce, exact global threshold — inline
+where its (rank-uniform, data-independent) schedule fires.  Simulated
+charges and phase deltas go through each rank's own communicator; the
+data side (``u_t``) is assembled once and shared write-protected.  A
+streamed session's per-rank ``async_region`` and pacer stay outside the
+rendezvous.
 
 Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
 step a planned crash fires in, ``P = 1`` — the per-rank methods below run
@@ -120,188 +122,156 @@ from ..sparse import (
 from ..sparse.coo import INDEX_DTYPE, VALUE_DTYPE
 from ..sparse.topk import batched_kth_largest_abs, batched_threshold_select
 from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, GradientAllreduce
-from .schedule import buckets, make_steps
+from .schedule import buckets, compile_split_reduce, make_steps
 from .session import BucketView
 
 _TAG_SR = (1 << 21) + 21      # split-and-reduce region pieces
 _TAG_BAL = (1 << 21) + 22     # data-balancing moves
 
 
-def _exec_split_reduce(net, rotation, bucket_size, payloads):
-    """Split-and-reduce for the whole world (the stage of
-    :func:`_exec_reduce` that replaces
-    :meth:`OkTopkAllreduce._split_and_reduce`'s exchange).
+def _exec_split_reduce(net, ws, rotation, bucket_size, local, boundaries):
+    """Split-and-reduce for the whole world as one array program — the
+    stage of :func:`_exec_reduce` that replaces
+    :meth:`OkTopkAllreduce._split_and_reduce`; ``ws`` lends the buffers.
 
-    ``payloads[r]`` is rank ``r``'s region pieces (one COO vector per
-    destination).  The replay walks the rotation/naive schedule bucket by
-    bucket, reproducing the reference path's exact booking sequence per
-    rank — ``isend_batch``'s egress serialization (the shared
-    ``NetworkModel.isend_avail`` chain + ``serialize_batch``, the same
-    helpers ``Network.post_batch`` uses), the overlap
-    ``compute_words(2 * prev_words)`` charge, ``waitall``'s
-    arrival-sorted batched ingress delivery (one ``serialize_batch``
-    fold, exact for single messages too), and the send-request waits —
-    without creating a single message object or parking a single thread.
-    The reduction itself is one ``combine_sum`` per rank over the pieces
-    in static request order, exactly what the per-message path folds.
-
-    Ranks are group ranks of the network's current world; per-slot
-    network state is reached through ``world[r]``.  Under a fault plan the
-    bookings take the same per-message factors the reference path applies
-    (:meth:`Network._serialize_link`, shared with ``post_batch``): a
-    link-faulty sender books through the scalar fold with its egress
-    windows (``isend_avail`` stays unscaled, as in ``post_batch``), a
-    link-faulty receiver through the same fold with its ingress windows
-    (what ``_deliver_batch_impl`` falls back to), and the ``o_inject``
-    and ``gamma`` charges carry the rank's straggler factor at its clock
-    before each charge (``SimComm.compute``).
+    No piece object and no message exists on the way.  The piece sizes
+    are the differences of one ``searchsorted`` per rank, and
+    :func:`_book_split_reduce` books the exchange from them.  The P
+    regions are reduced by ONE sort of ``idx * P + order[owner, src]``
+    over the concatenated selections: an index's contributions come out
+    adjacent and in its owner's reduction order (own piece, then request
+    order — what ``combine_sum`` concatenates), ``reduceat`` accumulates
+    them in float64 as the per-owner call does, one float32 cast follows,
+    and the consensus boundaries cut the result back into regions.
     """
-    p = len(payloads)
+    p = len(local)
+    tables, order = compile_split_reduce(p, rotation, bucket_size)
+    inner = np.array(boundaries, dtype=INDEX_DTYPE)[:, 1:-1]
+    cut = np.zeros((p, p + 1), dtype=np.int64)
+    for r, loc in enumerate(local):
+        cut[r, 1:-1] = loc.indices.searchsorted(inner[r])
+        cut[r, -1] = loc.indices.size
+    count = np.diff(cut)                    # count[src, owner]
+    _book_split_reduce(net, ws, tables, count)
+
+    total = int(cut[:, -1].sum())
+    all_idx = np.concatenate([loc.indices for loc in local],
+                             out=ws.flat("sr_idx", total, INDEX_DTYPE))
+    all_val = np.concatenate([loc.values for loc in local],
+                             out=ws.flat("sr_val", total, VALUE_DTYPE))
+    key = np.multiply(all_idx, p, dtype=np.int64,
+                      out=ws.flat("sr_key", total, np.int64))
+    # entries run source by source, owners ascending within a source
+    key += np.repeat(order.T.ravel(), count.ravel())
+    perm = key.argsort()        # keys are unique: any sort, one answer
+    all_idx = all_idx.take(perm, out=ws.flat("sr_idx_sorted", total,
+                                             INDEX_DTYPE))
+    all_val = all_val.take(perm, out=ws.flat("sr_val_sorted", total,
+                                             VALUE_DTYPE))
+    first = np.empty(total, dtype=bool)     # of its index's run
+    first[:1] = True
+    np.not_equal(all_idx[1:], all_idx[:-1], out=first[1:])
+    head = np.flatnonzero(first)
+    idx = all_idx[head]
+    val = np.add.reduceat(all_val, head,
+                          dtype=np.float64).astype(VALUE_DTYPE)
+    cuts = [0, *idx.searchsorted(inner[0]).tolist(), idx.size]
+    n = local[0].n
+    return [COOVector(n, idx[lo:hi], val[lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _book_split_reduce(net, ws, tables, count):
+    """Book the exchange of ``count[src, owner]``-entry pieces (2 wire
+    words each) for the whole world: the reference path's exact booking
+    sequence, a few operations on ``(P, m)`` matrices per bucket of
+    :func:`~.schedule.compile_split_reduce`'s ``tables``.
+
+    ``isend_batch`` is the sizes gathered from the piece-size matrix,
+    ``isend_avail``'s chain as a row-wise ``cumsum``, all P egress links
+    in one :meth:`NetworkModel.serialize_stacked` fold and one
+    ``o_inject`` charge per post; ``waitall`` reads each ``t_first`` at
+    the message's column of its sender's row, sorts the inbox by a
+    row-wise ``lexsort`` on ``(t_first, src)`` (one message per source:
+    the word count never breaks a tie), books the ingress links with the
+    same fold and ends the send waits with the row's last egress booking
+    (ends only grow).  The filler of ragged rows is zero-word messages
+    available at ``-inf``, which no fold, charge or maximum can see.
+
+    Under a plan the rows of a ``link_faulty`` slot are re-booked through
+    :meth:`Network._serialize_link` (per-message factors; ``isend_avail``
+    stays unscaled, as in ``post_batch``) and the ``o_inject`` / ``gamma``
+    charges take the straggler factor at the rank's clock before each
+    charge (``_fused._charge``, i.e. ``SimComm.compute``).
+    """
+    p = len(count)
     model = net.model
     alpha, o_send = model.alpha, model.o_send
     o_inject, gamma = model.o_inject, model.gamma
     world = net.world
-    clocks = net.clocks
-    eg = net.egress_free
-    ing = net.ingress_free
+    ranks = np.arange(p)
+    rows = ranks[:, None]
+    nw = 2.0 * count
+    clocks, eg, ing = _fused._gather_links(net)
+    cpw, slow = None, ()
     faults = net.faults
-
-    def charge(slot, seconds):
-        """``SimComm.compute`` on ``slot`` (no crash can be pending while
-        the world is at a rendezvous)."""
-        if faults is not None and faults.straggler[slot]:
-            seconds *= faults.compute_factor(slot, clocks[slot])
-        clocks[slot] += seconds
-
-    # inlined comm_nwords (2k wire words): the property chain costs real
-    # time at 256 calls per dispatch
-    nw = [[2 * piece.indices.size for piece in pieces]
-          for pieces in payloads]
-    # The rotation/bucket schedule depends only on (p, rotation,
-    # bucket_size) — cache it on the network across iterations.
-    key = (p, rotation, bucket_size)
-    cached = getattr(net, "_sr_sched_cache", None)
-    if cached is not None and cached[0] == key:
-        rank_buckets = cached[1]
-    else:
-        rank_buckets = [list(buckets(make_steps(r, p, rotation),
-                                     bucket_size)) for r in range(p)]
-        net._sr_sched_cache = (key, rank_buckets)
-    nbuckets = len(rank_buckets[0])
-    prev_words = [0] * p
-    pending: List[List] = [[] for _ in range(p)]
-    for bb in range(nbuckets):
-        # -- posts: one batched egress booking per rank (isend_batch) ----
-        inbox: List[List[tuple]] = [[] for _ in range(p)]
-        send_dones: List[List[float]] = [[] for _ in range(p)]
-        for r, s in enumerate(world):
-            sends = [dst for step in rank_buckets[r][bb]
-                     for dst in step.send_to]
-            if not sends:
-                continue
-            nwords = np.array([nw[r][dst] for dst in sends],
-                              dtype=np.float64)
-            n = nwords.size
-            avail = model.isend_avail(clocks[s], n)
-            starts, ends = net._serialize_link(True, s, eg[s], avail,
-                                               nwords)
-            eg[s] = float(ends[-1])
-            total = 0
-            starts_l = starts.tolist()
-            ends_l = ends.tolist()
-            for i, dst in enumerate(sends):
-                inbox[dst].append((starts_l[i] + alpha, r, nw[r][dst]))
-                send_dones[r].append(ends_l[i] + o_send)
-                total += nw[r][dst]
-            net.words_sent[s] += total
-            net.msgs_sent[s] += n
-            if o_inject:
-                for _ in range(n):
-                    charge(s, o_inject)
-        # -- overlap: reduce the previous bucket while this one flies ----
-        for r, s in enumerate(world):
-            if prev_words[r]:
-                charge(s, gamma * (2 * prev_words[r]))
-        # -- waitall: arrival-sorted batched delivery + send waits -------
-        for r, s in enumerate(world):
-            msgs = sorted(inbox[r])  # (t_first, src, nwords)
-            if msgs:
-                # serialize_batch is bit-identical to the one-message
-                # scalar fold (its fast paths cover n=1 exactly), so one
-                # call handles both the single and the batched delivery
-                avail = np.array([m[0] for m in msgs], dtype=np.float64)
-                nwords = np.array([m[2] for m in msgs], dtype=np.float64)
-                _, ends = net._serialize_link(False, s, ing[s], avail,
-                                              nwords)
-                td = float(ends[-1])
-                ing[s] = td
-                total = sum(m[2] for m in msgs)
-                if td > clocks[s]:
-                    clocks[s] = td
-                net.words_recv[s] += total
-                net.msgs_recv[s] += len(msgs)
-            for dn in send_dones[r]:
-                if dn > clocks[s]:
-                    clocks[s] = dn
-            # request order, not arrival order: the payload list the
-            # reference waitall returns follows the irecv creation order
-            arrived = [payloads[src][r] for step in rank_buckets[r][bb]
-                       for src in step.recv_from]
-            pending[r].extend(arrived)
-            prev_words[r] = sum(v.indices.size for v in arrived)
-    # -- final reductions: one global sort instead of p combine_sum ------
-    # Region index ranges are disjoint per owner, so biasing each owner's
-    # indices by ``r * n`` and running ONE stable argsort + reduceat over
-    # the world reproduces every per-rank ``combine_sum`` fold exactly:
-    # within an owner the stable sort keeps pieces in request order (the
-    # order combine_sum concatenates), reduceat accumulates the identical
-    # float64 partial sums, and the single float32 cast matches.
-    out: List[Optional[COOVector]] = [None] * p
-    cat_keys: List[np.ndarray] = []
-    cat_vals: List[np.ndarray] = []
-    multi: List[int] = []
-    for r in range(p):
-        if prev_words[r]:
-            charge(world[r], gamma * (2 * prev_words[r]))
-        own = payloads[r][r]
-        if not pending[r]:
-            out[r] = own
-            continue
-        live = [v for v in (own, *pending[r]) if v.nnz]
-        if not live:
-            out[r] = COOVector.empty(own.n)
-        elif len(live) == 1:
-            out[r] = live[0]
+    if faults is not None:
+        cpw = faults.by_rank(world)[2]
+        slow = [(r, s) for r, s in enumerate(world) if faults.link_faulty[s]]
+    links = ws.scratch("sr_links", (3, p, p), np.float64)   # rows: < p long
+    prev = None
+    for tb in tables:
+        # posts: one batched egress booking per rank (isend_batch)
+        avail, starts, ends = links[:, :, :tb.send_to.shape[1]]
+        sent = nw[rows, tb.send_to]
+        sent[tb.send_pad] = 0.0
+        if o_inject:
+            avail[:] = o_inject
+            avail[:, 0] = clocks
+            np.cumsum(avail, axis=1, out=avail)
         else:
-            keys = np.concatenate([v.indices for v in live]).astype(np.int64)
-            keys += r * own.n
-            cat_keys.append(keys)
-            cat_vals.append(np.concatenate([v.values for v in live]))
-            multi.append(r)
-    if multi:
-        n = payloads[0][0].n
-        all_key = np.concatenate(cat_keys)
-        all_val = np.concatenate(cat_vals)
-        order = np.argsort(all_key, kind="stable")
-        key_sorted = all_key[order]
-        val_sorted = all_val[order]
-        boundary = np.empty(key_sorted.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(key_sorted[1:], key_sorted[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        sums = np.add.reduceat(val_sorted, starts,
-                               dtype=np.float64).astype(VALUE_DTYPE)
-        group_keys = key_sorted[starts]
-        cuts = np.searchsorted(group_keys,
-                               np.asarray(multi, dtype=np.int64) * n)
-        ends = np.append(cuts[1:], group_keys.size)
-        for r, lo, hi in zip(multi, cuts, ends):
-            idx = (group_keys[lo:hi] - r * n).astype(INDEX_DTYPE)
-            out[r] = COOVector(n, idx, sums[lo:hi])
-    return out
+            avail[:] = clocks[:, None]
+        avail[tb.send_pad] = -np.inf
+        model.serialize_stacked(eg, avail, sent, starts, ends)
+        for r, s in slow:
+            starts[r], ends[r] = net._serialize_link(True, s, eg[r],
+                                                     avail[r], sent[r])
+        eg = ends[:, -1].copy()
+        t_first = starts[tb.recv_from, tb.recv_col] + alpha
+        t_first[tb.recv_pad] = -np.inf
+        got = sent[tb.recv_from, tb.recv_col]
+        got[tb.recv_pad] = 0.0
+        if o_inject:
+            for pad in tb.send_pad.T:
+                _fused._charge(clocks, ranks, o_inject * ~pad, cpw)
+        # overlap: reduce the previous bucket while this one flies
+        if prev is not None:
+            _fused._charge(clocks, ranks, gamma * prev, cpw)
+        # waitall: arrival-sorted batched delivery + send waits
+        arrival = np.lexsort((tb.recv_from, t_first))
+        t_first, got = t_first[rows, arrival], got[rows, arrival]
+        m = arrival.shape[1]
+        _, ends = model.serialize_stacked(ing, t_first, got,
+                                          links[0, :, :m], links[1, :, :m])
+        for r, s in slow:
+            ends[r] = net._serialize_link(False, s, ing[r], t_first[r],
+                                          got[r])[1]
+        ing = ends[:, -1].copy()
+        np.maximum(clocks, ing, out=clocks, where=~tb.recv_pad[:, 0])
+        np.maximum(clocks, eg + o_send, out=clocks, where=~tb.send_pad[:, 0])
+        prev = got.sum(axis=1)          # 2 * prev_words
+    _fused._charge(clocks, ranks, gamma * prev, cpw)
+    _fused._scatter_links(net, clocks, eg, ing)
+    own = count.diagonal()
+    for s, out_w, in_w in zip(world, (2 * (count.sum(axis=1) - own)).tolist(),
+                              (2 * (count.sum(axis=0) - own)).tolist()):
+        net.words_sent[s] += out_w
+        net.words_recv[s] += in_w
+        net.msgs_sent[s] += p - 1
+        net.msgs_recv[s] += p - 1
 
 
-def _select_world(net, comms, schemes, states, accs, t, k):
+def _select_world(ws, comms, schemes, states, accs, t, k):
     """Local selection (Algorithm 1 lines 2-4) for every rank.
 
     Where the accumulators are the consecutive rows of one shared matrix
@@ -318,12 +288,11 @@ def _select_world(net, comms, schemes, states, accs, t, k):
     :meth:`OkTopkAllreduce._select_local` rank by rank — copying them
     into a stack first measured no faster and cost memory.
     """
-    from ..train.rankbatch import _shared_base, _world_state
+    from ..train.rankbatch import _shared_base
     xs = _shared_base(accs)
     if xs is None:
         return [ar._select_local(comm, st, acc, k, t)
                 for comm, ar, st, acc in zip(comms, schemes, states, accs)]
-    ws = _world_state(net)
     nranks, n = xs.shape
     mag = ws.scratch("select_mag", xs.shape, xs.dtype)
     entries = list(zip(comms, schemes, states))
@@ -416,7 +385,7 @@ def _exec_reduce(net, sig, lanes):
 
     ``lanes[r]`` is rank ``r``'s ``(comm, scheme, acc, k, state)``.  Stage
     by stage this is the per-rank driver: local selection for every rank,
-    the split against the consensus boundaries, split-and-reduce
+    split-and-reduce against the consensus boundaries
     (:func:`_exec_split_reduce`), the global-threshold selection, then
     phase 2 booked directly from compiled schedules — the size exchange,
     the balancing moves exactly as :meth:`OkTopkAllreduce._rebalance`
@@ -433,9 +402,12 @@ def _exec_reduce(net, sig, lanes):
     rank-ordered package sequence, so with or without it the allgatherv
     delivers the concatenation of the selected region packages in rank
     order: ``u_t`` is assembled once and handed to all P ranks as the
-    same write-protected arrays; only the contributed-index intersection
-    (Algorithm 1 line 14) is per rank.
+    same write-protected arrays; the contributed indices (Algorithm 1
+    line 14) are each rank's selection read through one membership mask
+    of ``u_t``.
     """
+    from ..train.rankbatch import _world_state
+    ws = _world_state(net)
     t = sig[1]
     p = len(lanes)
     comms, schemes, accs, ks, states = zip(*lanes)
@@ -445,7 +417,7 @@ def _exec_reduce(net, sig, lanes):
 
     # -- lines 2-4: local selection -------------------------------------
     with _world_phase(net, comms, PHASE_SPARSIFY):
-        local = _select_world(net, comms, schemes, states, accs, t, k)
+        local = _select_world(ws, comms, schemes, states, accs, t, k)
 
     # -- lines 5-8: boundaries, split and reduce ------------------------
     with _world_phase(net, comms, PHASE_COMM):
@@ -455,12 +427,10 @@ def _exec_reduce(net, sig, lanes):
                 [ar._proposal(loc.indices, n, p)
                  for ar, loc in zip(schemes, local)], n)
         boundaries = [st.boundaries for st in states]
-        pieces = []
-        for comm, loc, bnd in zip(comms, local, boundaries):
-            pieces.append(loc.split(bnd))
-            comm.compute_scan(loc.nnz)
-        reduced = _exec_split_reduce(net, lead.rotation, lead.bucket_size,
-                                     pieces)
+        for comm, loc in zip(comms, local):
+            comm.compute_scan(loc.indices.size)      # the split
+        reduced = _exec_split_reduce(net, ws, lead.rotation,
+                                     lead.bucket_size, local, boundaries)
 
     # -- lines 9-12: global threshold ------------------------------------
     if states[0].global_th is None or lead._due(t, lead.tau_prime):
@@ -509,9 +479,14 @@ def _exec_reduce(net, sig, lanes):
     u_idx.setflags(write=False)
     u_val.setflags(write=False)
     u_t = COOVector(n, u_idx, u_val)
+    # line 14, one membership mask for all ranks (all-False between calls)
+    member = ws.flat("member", n, bool)
+    member[u_idx] = True
+    contributed = [loc.indices[member[loc.indices]] for loc in local]
+    member[u_idx] = False
     return [AllreduceResult(
         update=u_t,
-        contributed_indices=intersect_sorted(loc.indices, u_idx),  # l. 14
+        contributed_indices=mine_in_u,
         info={
             "k": k,
             "selected_local": loc.indices.size,
@@ -520,8 +495,8 @@ def _exec_reduce(net, sig, lanes):
             "global_threshold": gth,
             "balancing_triggered": balanced,
             "boundaries": bnd,
-        }) for loc, st, gth, bnd in zip(local, states, global_ths,
-                                        boundaries)]
+        }) for loc, mine_in_u, st, gth, bnd in zip(
+            local, contributed, states, global_ths, boundaries)]
 
 
 def _rebalance_plan(sizes: List[int]):
@@ -772,7 +747,7 @@ class OkTopkAllreduce(GradientAllreduce):
         """The per-message exchange (reference path): rotation/naive
         schedule in buckets of ``bucket_size`` steps, batched egress
         posts, the previous bucket's reduction overlapped with this one's
-        transfers.  :func:`_exec_split_reduce` books the identical
+        transfers.  :func:`_book_split_reduce` books the identical
         sequence for the whole world inside the fast path's executor."""
         p, r = comm.size, comm.rank
         pieces = local.split(boundaries)

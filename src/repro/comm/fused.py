@@ -378,10 +378,7 @@ def replay(net, sched: Schedule) -> None:
     o_inject = model.o_inject
     gamma = model.gamma
     world = net.world
-    full = len(world) == net.nranks
-    clocks = _gather(net.clocks, world, full)
-    eg = _gather(net.egress_free, world, full)
-    ing = _gather(net.ingress_free, world, full)
+    clocks, eg, ing = _gather_links(net)
     # the plan's windows by group rank; None = every factor is 1.0
     egw = inw = cpw = None
     faults = net.faults
@@ -451,13 +448,7 @@ def replay(net, sched: Schedule) -> None:
             _charge(clocks, mdst[ri], gamma * rnd.reduce_words, cpw)
         if rnd.extra_seconds is not None:
             _charge(clocks, mdst[ri], rnd.extra_seconds, cpw)
-    for col, arr in ((net.clocks, clocks), (net.egress_free, eg),
-                     (net.ingress_free, ing)):
-        if full:
-            col[:] = arr.tolist()
-        else:
-            for s, v in zip(world, arr.tolist()):
-                col[s] = v
+    _scatter_links(net, clocks, eg, ing)
     for r, s in enumerate(world):
         net.words_sent[s] += sched.words_sent[r]
         net.words_recv[s] += sched.words_recv[r]
@@ -465,12 +456,27 @@ def replay(net, sched: Schedule) -> None:
         net.msgs_recv[s] += sched.msgs_recv[r]
 
 
-def _gather(col: List[float], world: Tuple[int, ...],
-            full: bool) -> np.ndarray:
-    """One per-slot column of the network as a float64 array in group-rank
-    order (``full``: the world is every slot, the gather is the identity)."""
-    return np.array(col if full else [col[s] for s in world],
-                    dtype=np.float64)
+def _gather_links(net) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clocks and egress / ingress link-free times of the current world as
+    float64 arrays in group-rank order (the identity for a full world)."""
+    world = net.world
+    full = len(world) == net.nranks
+    return tuple(np.array(col if full else [col[s] for s in world],
+                          dtype=np.float64)
+                 for col in (net.clocks, net.egress_free, net.ingress_free))
+
+
+def _scatter_links(net, clocks, eg, ing) -> None:
+    """Write :func:`_gather_links`' arrays back to their slots."""
+    world = net.world
+    full = len(world) == net.nranks
+    for col, arr in ((net.clocks, clocks), (net.egress_free, eg),
+                     (net.ingress_free, ing)):
+        if full:
+            col[:] = arr.tolist()
+        else:
+            for s, v in zip(world, arr.tolist()):
+                col[s] = v
 
 
 def _charge(clocks: np.ndarray, ranks: np.ndarray, seconds, cpw) -> None:

@@ -208,3 +208,23 @@ class NetworkModel:
             end += bl[i]
             out[i] = end
         return starts, out
+
+    def serialize_stacked(self, free: np.ndarray, avail: np.ndarray,
+                          nwords: np.ndarray, starts=None, ends=None,
+                          ) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`serialize_batch` on P links at once: row ``r`` of the
+        ``(P, m)`` matrices is the batch of the link free at ``free[r]``;
+        ``(starts, ends)`` land in the float64 buffers given, if any.
+        The scalar fold runs column by column over all rows — per row the
+        message-by-message operations all three regimes of
+        :meth:`serialize_batch` reproduce, so bit-identical to P calls of
+        it.  Pad ragged rows with ``nwords = 0``, ``avail = -inf``: such
+        a message starts where the link stands and adds 0.0."""
+        ends = np.multiply(self.beta, nwords, out=ends, dtype=np.float64)
+        if starts is None:
+            starts = np.empty_like(ends)
+        end = free
+        for a, s, e in zip(avail.T, starts.T, ends.T):
+            np.maximum(end, a, out=s)
+            end = np.add(s, e, out=e)
+        return starts, ends

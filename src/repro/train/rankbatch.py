@@ -119,6 +119,15 @@ class _WorldState:
             buf = self._scratch[name] = mapped_zeros(shape, dtype)
         return buf
 
+    def flat(self, name: str, size: int, dtype) -> np.ndarray:
+        """The first ``size`` entries of the grow-only 1-D buffer ``name``
+        (for temporaries whose length changes with every call): zeros
+        when it is (re)allocated, undefined otherwise."""
+        buf = self._scratch.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._scratch[name] = mapped_zeros((size * 3 // 2,), dtype)
+        return buf[:size]
+
     def stack(self, name: str, rows: Sequence[np.ndarray]) -> np.ndarray:
         """A ``(P, ...)`` matrix over per-rank arrays.
 

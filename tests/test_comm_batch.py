@@ -80,6 +80,71 @@ class TestSerializeBatch:
         np.testing.assert_allclose(ends, ref, rtol=1e-12)
 
 
+class TestSerializeStacked:
+    """The stacked fold books P links at once; every row must carry the
+    bits of its own ``serialize_batch`` call and of the scalar fold."""
+
+    def _rows(self, rng, p, m):
+        """``p`` links of ``m`` messages: saturated rows (everything
+        waiting), idle rows (gaps longer than any message), mixed rows."""
+        free = rng.uniform(0, 1e-3, size=p)
+        nwords = rng.integers(0, 5000, size=(p, m)).astype(np.float64)
+        avail = np.sort(rng.uniform(0, 2e-3, size=(p, m)), axis=1)
+        regime = rng.integers(0, 3, size=p)
+        avail[regime == 0] = 0.0
+        avail[regime == 1] = (free[regime == 1, None] + 1e-3
+                              + 1e-3 * np.arange(m))
+        return free, avail, nwords
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_are_bitwise_the_scalar_fold(self, seed):
+        model = NetworkModel()
+        rng = np.random.default_rng(seed)
+        for p, m in ((1, 1), (3, 2), (16, 8), (5, 15)):
+            free, avail, nwords = self._rows(rng, p, m)
+            starts, ends = model.serialize_stacked(free, avail, nwords)
+            for r in range(p):
+                for ref in (model.serialize_batch(free[r], avail[r],
+                                                  nwords[r]),
+                            _fold(free[r], avail[r], nwords[r], model.beta)):
+                    assert np.array_equal(starts[r], ref[0])
+                    assert np.array_equal(ends[r], ref[1])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_padding_is_neutral_wherever_it_sits(self, seed):
+        """Ragged rows: ``nwords = 0``, ``avail = -inf`` filler changes no
+        real booking and leaves the link where the real messages did — a
+        row of nothing but filler leaves it untouched."""
+        model = NetworkModel()
+        rng = np.random.default_rng(seed)
+        p, m = 6, 9
+        free, avail, nwords = self._rows(rng, p, m)
+        pad = rng.random((p, m)) < 0.4
+        pad[0] = True                       # a rank that sends nothing
+        pad[1] = False
+        avail[pad], nwords[pad] = -np.inf, 0.0
+        starts, ends = model.serialize_stacked(free, avail, nwords)
+        for r in range(p):
+            real = ~pad[r]
+            ref_s, ref_e = _fold(free[r], avail[r, real], nwords[r, real],
+                                 model.beta)
+            assert np.array_equal(starts[r, real], ref_s)
+            assert np.array_equal(ends[r, real], ref_e)
+            assert ends[r, -1] == (ref_e[-1] if real.any() else free[r])
+
+    def test_writes_the_buffers_it_is_given(self):
+        model = NetworkModel()
+        free, avail, nwords = self._rows(np.random.default_rng(0), 4, 5)
+        buf = np.full((2, 4, 7), np.nan)
+        starts, ends = model.serialize_stacked(free, avail, nwords,
+                                               buf[0, :, :5], buf[1, :, :5])
+        assert np.shares_memory(starts, buf) and np.shares_memory(ends, buf)
+        ref = model.serialize_stacked(free, avail, nwords)
+        assert np.array_equal(starts, ref[0])
+        assert np.array_equal(ends, ref[1])
+        assert np.isnan(buf[:, :, 5:]).all()
+
+
 # ---------------------------------------------------------------------------
 # isend_batch == sequential isend (clocks, traffic, payloads)
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.allreduce import ParamLayout, make_allreduce
+from repro.allreduce import oktopk as oktopk_mod
 from repro.allreduce.session import run_session
 from repro.bench.harness import perf_proxy, proxy_network
 from repro.comm import NetworkModel, collectives as coll, fusion_enabled, \
@@ -42,8 +43,9 @@ from repro.comm.faults import (ComputeStraggler, FaultPlan, LinkSlowdown,
                                RankCrash)
 from repro.data import ShardedLoader
 from repro.errors import RankFailedError
+from repro.sparse import exact_topk
 from repro.train import Trainer, TrainerConfig
-from repro.train.rankbatch import RANK_BATCH_ENV
+from repro.train.rankbatch import RANK_BATCH_ENV, _world_state
 
 PS = [2, 3, 4, 5, 8]
 
@@ -843,6 +845,112 @@ class TestOkTopkWorldExecutor:
         assert not {e.head for e in entries} & {
             "oktopk_select", "oktopk_sr", "allgatherv", "allgather_object",
             "alltoallv"}
+
+
+# ---------------------------------------------------------------------------
+# Split-and-reduce alone: the world array program against the per-message
+# exchange, stage against stage
+# ---------------------------------------------------------------------------
+SR_N, SR_K = 600, 48
+
+
+def _exec_sr_stage(net, sig, payloads):
+    """The executor half of :func:`_sr_prog`: what ``_exec_reduce`` does
+    around its split-and-reduce stage."""
+    comms, local, boundaries = zip(*payloads)
+    for comm, loc in zip(comms, local):
+        comm.compute_scan(loc.nnz)
+    return oktopk_mod._exec_split_reduce(
+        net, _world_state(net), sig[1], sig[2], local, boundaries)
+
+
+def _sr_prog(comm, rotation, bucket_size, stagger=True, rounds=3):
+    """``rounds`` chained split-and-reduce exchanges (the links carry one
+    exchange's bookings into the next: every fold regime shows), through
+    the rendezvous where the run has one and message by message where it
+    does not."""
+    p, r = comm.size, comm.rank
+    algo = make_allreduce("oktopk", k=SR_K, rotation=rotation,
+                          bucket_size=bucket_size)
+    outs = []
+    for t in range(rounds):
+        rng = np.random.default_rng(31 * t + r)
+        if stagger:
+            comm.compute(float(rng.uniform(0, 4e-6)))
+        # uneven regions, one of them empty; rank 0 selects nothing on
+        # odd rounds
+        acc = rng.standard_normal(SR_N).astype(np.float32)
+        local = exact_topk(acc, SR_K if (r or t % 2 == 0) else 0)
+        bnd = np.random.default_rng(t).integers(0, SR_N, size=p - 1)
+        boundaries = np.concatenate(([0], np.sort(bnd), [SR_N]))
+        boundaries[min(2, p - 1)] = boundaries[min(1, p - 1)]
+        if fused_mod._available(comm):
+            red = comm.fused_collective(
+                ("sr_stage", rotation, bucket_size, t),
+                (comm, local, boundaries), _exec_sr_stage)
+        else:
+            red = algo._split_and_reduce(comm, local, boundaries)
+        outs.append((red.indices, red.values, red.n, comm.clock))
+    return outs
+
+
+class TestSplitReduceStage:
+    SCHEDULES = [(True, 8), (True, 3), (False, 2), (False, 1), (False, 64)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 8])
+    @pytest.mark.parametrize("rotation,bucket_size", SCHEDULES)
+    def test_stage_identity(self, rotation, bucket_size, p, rendezvous_log):
+        """Reduced regions, clocks, links and counters: clean, with the
+        per-post overheads, and under the benchmark's plan."""
+        three_way(_sr_prog, p, rotation, bucket_size, log=rendezvous_log)
+        overheads = NetworkModel(o_inject=3e-8, o_send=1e-8)
+        three_way(_sr_prog, p, rotation, bucket_size, model=overheads,
+                  log=rendezvous_log)
+        three_way(_sr_prog, p, rotation, bucket_size, model=overheads,
+                  faults=FaultPlan.straggler_skew(p, seed=p),
+                  log=rendezvous_log)
+
+    @pytest.mark.parametrize("p", [4, 5])
+    @pytest.mark.parametrize("rotation,bucket_size", SCHEDULES)
+    def test_link_faulty_rows(self, rotation, bucket_size, p,
+                              rendezvous_log):
+        """A slowdown on a sender's egress and on a receiver's ingress,
+        persistent and in windows that open and close inside the
+        exchange: those rows take the per-message factors."""
+        prog = functools.partial(_sr_prog, rotation=rotation,
+                                 bucket_size=bucket_size)
+        span = run_spmd(p, prog, runner="coop").makespan
+        plans = dict(_window_plans(p, prog))
+        plans["sender-and-receiver"] = FaultPlan(links=[
+            LinkSlowdown(rank=1, factor=2.5, direction="egress"),
+            LinkSlowdown(rank=1, factor=1.5, direction="egress",
+                         t_start=0.3 * span, t_end=0.5 * span),
+            LinkSlowdown(rank=2, factor=3.0, direction="ingress",
+                         t_start=0.2 * span, t_end=0.7 * span)])
+        model = NetworkModel(o_inject=3e-8, o_send=1e-8)
+        for plan in plans.values():
+            three_way(prog, p, faults=plan, log=rendezvous_log)
+            three_way(prog, p, faults=plan, model=model, log=rendezvous_log)
+
+    @pytest.mark.parametrize("p", [4, 7])
+    def test_arrival_ties_resolve_in_source_order(self, p, rendezvous_log):
+        """Lockstep ranks on the naive schedule: every message of step 0
+        reaches rank 0 at the same instant, so the inbox order is the
+        source order — and under an ingress slowdown window that order
+        decides which messages are booked slow."""
+        prog = functools.partial(_sr_prog, rotation=False, bucket_size=2,
+                                 stagger=False, rounds=1)
+        ref = run_spmd(p, prog, runner="coop", trace=True)
+        to_zero = [t for t in ref.network.trace if t.dst == 0]
+        assert len(to_zero) == p - 1
+        assert len({t.t_first for t in to_zero}) == 1           # all tied
+        assert len({t.nwords for t in to_zero}) > 1
+        done = sorted(t.t_done for t in to_zero)
+        plan = FaultPlan(links=[LinkSlowdown(
+            rank=0, factor=4.0, direction="ingress",
+            t_start=done[0], t_end=done[-2])])
+        three_way(prog, p, log=rendezvous_log)
+        three_way(prog, p, faults=plan, log=rendezvous_log)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.allreduce import make_allreduce
-from repro.allreduce.schedule import buckets, make_steps, naive_steps, rotated_steps
+from repro.allreduce.schedule import (buckets, compile_split_reduce,
+                                      make_steps, naive_steps, rotated_steps)
 from repro.comm import NetworkModel, run_spmd
 
 
@@ -49,6 +50,58 @@ class TestSchedules:
     def test_bucket_size_validation(self):
         with pytest.raises(ValueError):
             list(buckets([], 0))
+
+
+class TestCompiledTables:
+    """``compile_split_reduce`` is the per-rank step lists, stacked."""
+
+    @pytest.mark.parametrize("rotation", [True, False])
+    @pytest.mark.parametrize("p,bucket_size", [(2, 1), (3, 2), (5, 8),
+                                               (8, 3), (16, 8)])
+    def test_tables_are_the_step_lists(self, p, bucket_size, rotation):
+        tables, order = compile_split_reduce(p, rotation, bucket_size)
+        per_rank = [list(buckets(make_steps(r, p, rotation), bucket_size))
+                    for r in range(p)]
+        assert len(tables) == len(per_rank[0])
+        reduce_order = [[r] for r in range(p)]      # own piece first
+        for bb, tb in enumerate(tables):
+            assert max(tb.send_to.shape[1], tb.recv_from.shape[1]) < p
+            for r in range(p):
+                sends = [d for st in per_rank[r][bb] for d in st.send_to]
+                recvs = [s for st in per_rank[r][bb] for s in st.recv_from]
+                # real entries first, in program order; the rest is filler
+                assert tb.send_to[r, :len(sends)].tolist() == sends
+                assert tb.send_pad[r].tolist() == \
+                    [i >= len(sends) for i in range(tb.send_to.shape[1])]
+                assert tb.recv_from[r, :len(recvs)].tolist() == recvs
+                assert tb.recv_pad[r].tolist() == \
+                    [i >= len(recvs) for i in range(tb.recv_from.shape[1])]
+                # every received message sits at its column of its
+                # sender's row of the same bucket
+                for j, src in enumerate(recvs):
+                    assert tb.send_to[src, tb.recv_col[r, j]] == r
+                    assert not tb.send_pad[src, tb.recv_col[r, j]]
+                reduce_order[r].extend(recvs)
+        for r in range(p):
+            assert sorted(reduce_order[r]) == list(range(p))
+            assert order[r, reduce_order[r]].tolist() == \
+                list(range(p))
+
+    def test_pure_cached_and_read_only(self):
+        tables, order = compile_split_reduce(8, False, 2)
+        assert compile_split_reduce(8, False, 2)[0] is tables
+        with pytest.raises(ValueError, match="read-only"):
+            order[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            tables[0].send_to[0, 0] = 1
+        # the naive schedule is ragged, the rotated one is not
+        assert any(tb.send_pad.any() for tb in tables)
+        assert not any(tb.send_pad.any() or tb.recv_pad.any()
+                       for tb in compile_split_reduce(8, True, 2)[0])
+
+    def test_bucket_size_validation(self):
+        with pytest.raises(ValueError):
+            compile_split_reduce(4, True, 0)
 
 
 class TestRotationCongestion:
