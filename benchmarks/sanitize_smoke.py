@@ -5,11 +5,13 @@ Three checks on the runtime sanitizer mode (``REPRO_SANITIZE=1`` /
 ``run_spmd(sanitize=True)``, see :mod:`repro.comm.launcher`):
 
 * **transparency** — P=4 training (Ok-Topk), bucketed-stream Ok-Topk
-  sessions and tensor-parallel serving runs under the sanitizer are
-  bit-identical to unsanitized runs (the sanitizer observes, it must not
-  perturb);
-* **schemes are race-free** — every shipped allreduce scheme (one-shot)
-  and the bucketed-stream ``oktopk`` / ``oktopk_q`` sessions pass the
+  sessions, bucketed-stream training of the BERT proxy with its model
+  math rank-batched, and tensor-parallel serving runs under the sanitizer
+  are bit-identical to unsanitized runs (the sanitizer observes, it must
+  not perturb);
+* **schemes are race-free** — every shipped allreduce scheme (one-shot),
+  the bucketed-stream ``oktopk`` / ``oktopk_q`` sessions and the
+  rank-batched BERT training run pass the
   schedule-perturbation race detector: the section is replayed under a
   seeded ready-queue rotation and results/clocks/counters must not move —
   a world-level executor runs on whichever rank arrives last, so "the
@@ -34,10 +36,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.allreduce import (PAPER_ORDER, ParamLayout,  # noqa: E402
                              make_allreduce, run_session)
-from repro.bench import perf_proxy, train_scheme  # noqa: E402
+from repro.bench import bert_proxy, perf_proxy, train_scheme  # noqa: E402
+from repro.bench.harness import proxy_network  # noqa: E402
 from repro.comm import SANITIZE_ENV, run_spmd  # noqa: E402
+from repro.data import ShardedLoader  # noqa: E402
 from repro.errors import LoanViolationError, ScheduleRaceError  # noqa: E402
 from repro.serve import ServeConfig, simulate_serving  # noqa: E402
+from repro.train import Trainer, TrainerConfig  # noqa: E402
 
 P = 4
 N = 1024
@@ -56,7 +61,25 @@ def _train_and_serve() -> tuple:
     sessions = [[[o.tobytes() for o in outs]
                  for outs in run_spmd(P, _session_prog, scheme).results]
                 for scheme in SESSION_SCHEMES]
-    return rec.records, rep.requests, rep.summary(), sessions
+    bert = run_spmd(P, _bert_prog, model=proxy_network()).results
+    return rec.records, rep.requests, rep.summary(), sessions, bert
+
+
+def _bert_prog(comm):
+    """Two iterations of the BERT proxy, bucketed-stream Ok-Topk, with the
+    model math and residual accumulation rank-batched."""
+    proxy = bert_proxy()
+    train, _ = proxy.make_splits()
+    loader = ShardedLoader(train, proxy.global_batch, comm.rank, comm.size,
+                           seed=0)
+    cfg = TrainerConfig(iterations=2, scheme="oktopk", density=0.01,
+                        bucket_size=4096, overlap_mode="stream",
+                        lr=proxy.lr, mode=proxy.mode)
+    trainer = Trainer(comm, proxy.make_model(), loader, cfg)
+    rec = trainer.run()
+    if not trainer.comm.rank_batch.engaged():
+        raise RuntimeError("the BERT smoke run is not rank-batched")
+    return rec.records, trainer.model.params_flat.tobytes()
 
 
 def _scheme_prog(comm, scheme: str):
@@ -125,8 +148,8 @@ def main() -> int:
     if sane != base:
         print("FAIL: REPRO_SANITIZE=1 changed the train/serve outcome")
         return 1
-    print(f"transparency: P={P} train + bucketed-stream sessions + serve "
-          f"bit-identical under REPRO_SANITIZE=1")
+    print(f"transparency: P={P} train + bucketed-stream sessions + "
+          f"rank-batched BERT + serve bit-identical under REPRO_SANITIZE=1")
 
     # 2. every shipped scheme passes the race detector
     for scheme in PAPER_ORDER:
@@ -146,6 +169,14 @@ def main() -> int:
             return 1
         print(f"race detector: {scheme} bucketed-stream session clean "
               f"under perturbed schedule")
+    try:
+        run_spmd(P, _bert_prog, model=proxy_network(), sanitize=True)
+    except ScheduleRaceError as exc:
+        print(f"FAIL: rank-batched BERT training flagged by the race "
+              f"detector: {exc}")
+        return 1
+    print("race detector: rank-batched BERT bucketed-stream training clean "
+          "under perturbed schedule")
 
     # 3. the detectors actually detect
     try:

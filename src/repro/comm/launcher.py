@@ -32,6 +32,7 @@ dead ranks; the launcher merges those into one error.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -69,6 +70,25 @@ _RUNNER_ALIASES = {
     "gen": "gen",
     "generator": "gen",
 }
+
+
+def _single_malloc_arena() -> None:
+    """One glibc malloc arena for the process, set before any rank thread
+    exists; a no-op off glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # Rank threads run one at a time: per-thread arenas buy no concurrency,
+    # they only strand each thread's high-water mark.
+    mallopt(-8, 1)      # M_ARENA_MAX
+
+
+_single_malloc_arena()
 
 
 def sanitize_enabled(sanitize: Optional[bool] = None) -> bool:

@@ -10,8 +10,6 @@ from .module import Module
 
 
 class ReLU(Module):
-    stacked_elementwise = True
-
     def __init__(self):
         super().__init__()
         self._mask: Optional[np.ndarray] = None
@@ -26,8 +24,6 @@ class ReLU(Module):
 
 class GELU(Module):
     """tanh approximation of GELU (as used in BERT)."""
-
-    stacked_elementwise = True
 
     _C = np.sqrt(2.0 / np.pi).astype(np.float32) if hasattr(
         np.sqrt(2.0 / np.pi), "astype") else np.sqrt(2.0 / np.pi)
@@ -51,8 +47,6 @@ class GELU(Module):
 
 
 class Tanh(Module):
-    stacked_elementwise = True
-
     def __init__(self):
         super().__init__()
         self._y: Optional[np.ndarray] = None
@@ -66,8 +60,6 @@ class Tanh(Module):
 
 
 class Sigmoid(Module):
-    stacked_elementwise = True
-
     def __init__(self):
         super().__init__()
         self._y: Optional[np.ndarray] = None

@@ -34,35 +34,38 @@ class MultiHeadSelfAttention(Module):
         self.proj = self.add_module(Linear(dim, dim, rng=rng))
         self._cache = None
 
+    # Shapes below are written for (B, T, D); any leading axes (a rank
+    # axis before B) ride along in ``lead``.
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        B, T, D = x.shape
+        *lead, T, D = x.shape
         h, dh = self.heads, self.dh
         qkv = self.qkv.forward(x, training)           # (B, T, 3D)
-        qkv = qkv.reshape(B, T, 3, h, dh).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]               # (B, h, T, dh)
-        scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(dh)  # (B,h,T,T)
+        qkv = qkv.reshape(*lead, T, 3, h, dh)
+        q, k, v = (qkv[..., i, :, :].swapaxes(-3, -2)  # (B, h, T, dh)
+                   for i in range(3))
+        scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(dh)  # (B, h, T, T)
         attn = _softmax(scores)
         ctx = attn @ v                                 # (B, h, T, dh)
-        out = ctx.transpose(0, 2, 1, 3).reshape(B, T, D)
+        out = ctx.swapaxes(-3, -2).reshape(*lead, T, D)
         self._cache = (q, k, v, attn)
         return self.proj.forward(out, training)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         q, k, v, attn = self._cache
-        B, h, T, dh = q.shape
+        *lead, h, T, dh = q.shape
         D = self.dim
         dctx_flat = self.proj.backward(dy)             # (B, T, D)
-        dctx = dctx_flat.reshape(B, T, h, dh).transpose(0, 2, 1, 3)
-        dattn = dctx @ v.transpose(0, 1, 3, 2)         # (B, h, T, T)
-        dv = attn.transpose(0, 1, 3, 2) @ dctx
+        dctx = dctx_flat.reshape(*lead, T, h, dh).swapaxes(-3, -2)
+        dattn = dctx @ v.swapaxes(-1, -2)              # (B, h, T, T)
+        dv = attn.swapaxes(-1, -2) @ dctx
         # softmax backward: ds = attn * (dattn - sum(dattn*attn))
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
         dscores /= np.sqrt(dh)
         dq = dscores @ k
-        dk = dscores.transpose(0, 1, 3, 2) @ q
-        dqkv = np.stack([dq, dk, dv])                  # (3, B, h, T, dh)
-        dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(B, T, 3 * D)
-        return self.qkv.backward(dqkv)
+        dk = dscores.swapaxes(-1, -2) @ q
+        dqkv = np.stack([d.swapaxes(-3, -2) for d in (dq, dk, dv)],
+                        axis=-3)                       # (B, T, 3, h, dh)
+        return self.qkv.backward(dqkv.reshape(*lead, T, 3 * D))
 
 
 class TransformerEncoderLayer(Module):

@@ -30,6 +30,10 @@ class Embedding(Module):
         return self.W.data[ids]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        np.add.at(self.W.grad, self._ids.reshape(-1),
-                  dy.reshape(-1, self.dim))
-        return np.zeros(self._ids.shape + (0,), dtype=dy.dtype)  # no dx
+        ids = self._ids
+        rows = ids.reshape(-1)
+        if self._rank_axes:     # scatter into (rank, id)
+            ranks = np.arange(ids.shape[0]).repeat(ids[0].size)
+            rows = (ranks, rows)
+        np.add.at(self.W.grad, rows, dy.reshape(-1, self.dim))
+        return np.zeros(ids.shape + (0,), dtype=dy.dtype)  # no dx

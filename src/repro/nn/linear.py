@@ -11,7 +11,8 @@ from .module import Module, kaiming_normal
 
 class Linear(Module):
     """``y = x @ W^T + b`` over the last axis (supports (B, D) and
-    (B, T, D) inputs)."""
+    (B, T, D) inputs, behind any leading rank axis: a gufunc matmul runs
+    the identical 2-D GEMM per rank slice)."""
 
     def __init__(self, in_features: int, out_features: int, *,
                  bias: bool = True, rng: Optional[np.random.Generator] = None):
@@ -33,44 +34,26 @@ class Linear(Module):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
-        x2 = x.reshape(-1, self.in_features)
-        dy2 = dy.reshape(-1, self.out_features)
-        self.W.grad += dy2.T @ x2
+        ra = self._rank_axes
+        x2 = x.reshape(x.shape[:ra] + (-1, self.in_features))
+        dy2 = dy.reshape(dy.shape[:ra] + (-1, self.out_features))
+        gW = self.W.grad
+        if not ra:
+            gW += dy2.T @ x2
+        else:
+            # Per-rank batch of one: the weight gradient is a pure outer
+            # product — a broadcast multiply computes the identical single
+            # product per element several times faster than the GEMM
+            # (matmul's pathological K=1 case).
+            outer = dy2.shape[1] == 1
+            for r in range(len(gW)):
+                # One rank slice at a time: the per-slice add hits the
+                # contiguous fast path the whole-array strided += misses
+                # (the rank axis strides across the shared gradient
+                # matrix), and the product never exists as a world-sized
+                # (P, out, in) temporary.
+                gW[r] += (dy2[r].reshape(self.out_features, 1) * x2[r]
+                          if outer else dy2[r].T @ x2[r])
         if self.b is not None:
-            self.b.grad += dy2.sum(axis=0)
+            self.b.grad += dy2.sum(axis=ra)
         return (dy2 @ self.W.data).reshape(x.shape)
-
-    # rank-stacked execution ---------------------------------------------
-    # One gufunc matmul over the (P, ...) rank axis runs the identical 2-D
-    # GEMM per rank slice, so results are bit-equal to P per-rank calls.
-    def forward_stacked(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        y = x @ self.W.data.T
-        if self.b is not None:
-            y += self.b.data
-        return y
-
-    def backward_stacked(self, dy: np.ndarray,
-                         grads: list) -> np.ndarray:
-        x = self._x
-        nranks = x.shape[0]
-        x2 = x.reshape(nranks, -1, self.in_features)
-        dy2 = dy.reshape(nranks, -1, self.out_features)
-        # Per-rank batch of one: the weight gradient is a pure outer
-        # product — a broadcast multiply computes the identical single
-        # product per element several times faster than the GEMM
-        # (matmul's pathological K=1 case).
-        outer = dy2.shape[1] == 1
-        gW = grads[0]
-        for r in range(nranks):
-            # One rank slice at a time: the per-slice add hits the
-            # contiguous fast path the whole-array strided += misses (the
-            # rank axis strides across the shared gradient matrix), and
-            # the product never exists as a world-sized (P, out, in)
-            # temporary — nothing multi-MB for the executing rank
-            # thread's malloc arena to strand.
-            gW[r] += (dy2[r].reshape(self.out_features, 1) * x2[r] if outer
-                      else dy2[r].T @ x2[r])
-        if self.b is not None:
-            grads[1] += dy2.sum(axis=1)
-        return np.matmul(dy2, self.W.data).reshape(x.shape)

@@ -96,11 +96,11 @@ class MiniBertLM(Module):
         self._T = None
 
     def forward(self, ids: np.ndarray, training: bool = True) -> np.ndarray:
-        B, T = ids.shape
+        T = ids.shape[-1]
         if T > self.cfg.max_seq:
             raise ValueError(f"sequence length {T} > max_seq {self.cfg.max_seq}")
         self._T = T
-        positions = np.broadcast_to(np.arange(T, dtype=np.int64), (B, T))
+        positions = np.broadcast_to(np.arange(T, dtype=np.int64), ids.shape)
         x = self.tok.forward(ids, training) + self.pos.forward(
             positions.copy(), training)
         x = self.emb_ln.forward(x, training)

@@ -38,7 +38,14 @@ class Parameter:
 
 
 class Module:
-    """Base class; subclasses register params/submodules as attributes."""
+    """Base class; subclasses register params/submodules as attributes.
+
+    ``_rank_axes`` is 1 on a world copy made by
+    :class:`repro.nn.stacked.StackedModel`: its inputs carry a leading
+    rank axis and its gradients are ``(P,) + shape`` views, so a layer
+    that reduces over batch axes keeps that one apart."""
+
+    _rank_axes = 0
 
     def __init__(self):
         self._params: List[Parameter] = []
@@ -102,7 +109,7 @@ class Sequential(Module):
 
 
 class Flatten(Module):
-    """(B, ...) -> (B, prod(...))."""
+    """(B, ...) -> (B, prod(...)), behind any leading rank axis."""
 
     def __init__(self):
         super().__init__()
@@ -110,18 +117,9 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[:self._rank_axes + 1] + (-1,))
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy.reshape(self._shape)
-
-    # rank-stacked execution: (P, B, ...) -> (P, B, prod(...))
-    def forward_stacked(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], x.shape[1], -1)
-
-    def backward_stacked(self, dy: np.ndarray, grads: List[np.ndarray]
-                         ) -> np.ndarray:
         return dy.reshape(self._shape)
 
 

@@ -70,9 +70,10 @@ class LayerNorm(Module):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         xhat, inv = self._cache
-        d = self.dim
-        self.gamma.grad += (dy * xhat).reshape(-1, d).sum(axis=0)
-        self.beta.grad += dy.reshape(-1, d).sum(axis=0)
+        d, ra = self.dim, self._rank_axes
+        rows = dy.shape[:ra] + (-1, d)      # a rank axis stays apart
+        self.gamma.grad += (dy * xhat).reshape(rows).sum(axis=ra)
+        self.beta.grad += dy.reshape(rows).sum(axis=ra)
         dxhat = dy * self.gamma.data
         s1 = dxhat.sum(axis=-1, keepdims=True)
         s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)

@@ -4,22 +4,31 @@ Data-parallel ranks run the *same* model graph on different data shards,
 so the per-rank fwd/bwd calls are P independent invocations of identical
 numpy kernels.  :class:`StackedModel` binds P :class:`FlatModel` replicas
 onto two shared ``(P, n)`` matrices (parameters and gradients) and runs
-the whole world's fwd/bwd as single numpy calls with a rank-major leading
-axis.  Every kernel used here is either elementwise, row-independent, or
-a gufunc that loops the identical 2-D kernel per rank slice, so each
-rank's slice of the result is bit-identical to what that rank's own
-``loss_and_grad`` would have produced.
+the whole world's fwd/bwd as one call of a *world module*: a copy of rank
+0's module whose inputs carry a leading rank axis.
+
+There is one body per layer.  The world copy is marked ``_rank_axes = 1``
+(:class:`~repro.nn.module.Module` defaults to 0) and its parameter
+gradients are ``(P,) + shape`` views of the gradient matrix, so a layer
+that reduces over batch axes (``Linear``, ``LayerNorm``, ``Embedding``)
+keeps the rank axis apart; everything else is elementwise,
+row-independent, or a gufunc that loops the identical 2-D kernel per rank
+slice.  Each rank's slice of the result is therefore bit-identical to
+what that rank's own ``loss_and_grad`` — the same code, without the rank
+axis — would have produced.  :func:`supports_stacking` names the layer
+types written that way; convolution, pooling, batch norm and the LSTM
+stay per rank.
 
 Weights: the SPMD invariant (identical init, identical allreduced
-updates) makes every row of the parameter matrix bit-equal, so the
-stacked forward reads rank 0's weight views.  The constructor verifies
-the invariant once at bind time and refuses to bind diverged replicas;
-callers then run per-rank.  A fault plan does not break the invariant
-(stragglers and slow links scale simulated time, not the math), and
-neither does an elastic shrink: the survivors hold identical parameters
-and are simply re-stacked as a ``(P-1, n)`` world — only inputs that do
-not stack (uneven shards once the global batch no longer divides) keep
-the per-rank kernels, on the shared storage.
+updates) makes every row of the parameter matrix bit-equal, so the world
+module reads rank 0's row.  The constructor verifies the invariant once
+at bind time and refuses to bind diverged replicas; callers then run
+per-rank.  A fault plan does not break the invariant (stragglers and slow
+links scale simulated time, not the math), and neither does an elastic
+shrink: the survivors hold identical parameters and are simply re-stacked
+as a ``(P-1, n)`` world — only inputs that do not stack (uneven shards
+once the global batch no longer divides) keep the per-rank kernels, on
+the shared storage.
 
 The ``(P, n)`` matrices live on their own memory mappings
 (:func:`mapped_zeros`), not in the malloc arena of whichever rank thread
@@ -28,14 +37,28 @@ happened to build the world.
 
 from __future__ import annotations
 
+import copy
 import math
 import mmap
-from typing import List, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .activation import GELU, ReLU, Sigmoid, Tanh
+from .attention import MultiHeadSelfAttention, TransformerEncoderLayer
+from .dropout import Dropout
+from .embedding import Embedding
+from .linear import Linear
 from .losses import SoftmaxCrossEntropy
-from .module import DTYPE, FlatModel, Module, Sequential
+from .models.bert import MiniBertLM
+from .module import DTYPE, FlatModel, Flatten, Module, Sequential
+from .norm import LayerNorm
+
+#: module types whose forward/backward accept a leading rank axis
+_RANK_AXIS_MODULES = frozenset({
+    Sequential, Flatten, Linear, ReLU, GELU, Tanh, Sigmoid, Dropout,
+    LayerNorm, Embedding, MultiHeadSelfAttention, TransformerEncoderLayer,
+    MiniBertLM})
 
 
 def mapped_zeros(shape, dtype) -> np.ndarray:
@@ -54,27 +77,28 @@ def mapped_zeros(shape, dtype) -> np.ndarray:
     return np.ndarray(shape, dtype=dtype, buffer=buf)
 
 
-def _leaf_supported(layer: Module) -> bool:
-    if layer._modules:
-        return False
-    return (hasattr(layer, "forward_stacked")
-            or getattr(layer, "stacked_elementwise", False))
+def _modules(mod: Module) -> Iterator[Module]:
+    yield mod
+    for m in mod._modules:
+        yield from _modules(m)
 
 
 def supports_stacking(model) -> bool:
-    """True when ``model`` is a FlatModel whose every layer (and loss) has
-    a rank-stacked execution path."""
+    """True when ``model`` is a FlatModel with a softmax cross-entropy loss
+    whose every module accepts a rank axis (dropout only when inactive:
+    its mask would be drawn for the world, not per rank)."""
     if not isinstance(model, FlatModel):
         return False
     if type(model.loss) is not SoftmaxCrossEntropy:
         return False
-    mod = model.module
-    layers = mod.layers if isinstance(mod, Sequential) else [mod]
-    return all(_leaf_supported(layer) for layer in layers)
+    return all(type(m) in _RANK_AXIS_MODULES
+               and not (type(m) is Dropout and m.p != 0.0)
+               for m in _modules(model.module))
 
 
 class StackedModel:
-    """P FlatModel replicas re-homed onto shared (P, n) matrices."""
+    """P FlatModel replicas re-homed onto shared (P, n) matrices, run
+    through one world module."""
 
     def __init__(self, models: Sequence[FlatModel]):
         self.models = list(models)
@@ -95,25 +119,21 @@ class StackedModel:
                              "vectors differ at bind time")
         for r, m in enumerate(self.models):
             m.rebind_storage(self.pmat[r], self.gmat[r])
-        mod = m0.module
-        self.layers = mod.layers if isinstance(mod, Sequential) else [mod]
-        self.loss = m0.loss
-        # per-layer stacked gradient views: Gmat[:, seg] reshaped to
-        # (P,) + param.shape — valid strided views because each rank's
-        # segment is row-contiguous.
-        self.layer_grads: List[List[np.ndarray]] = []
+        params = m0.module.parameters()
+        # The world module: parameter storage is re-pointed below, so the
+        # copy skips it (the memo maps each array to a placeholder).
+        self.world = copy.deepcopy(
+            m0.module, {id(a): None for p in params for a in (p.data, p.grad)})
         ofs = 0
-        for layer in self.layers:
-            views = []
-            for p in layer._params:
-                sl = slice(ofs, ofs + p.size)
-                views.append(self.gmat[:, sl].reshape((nranks,)
-                                                      + p.data.shape))
-                ofs += p.size
-            self.layer_grads.append(views)
-        if ofs != n:
-            raise ValueError("stacked layer segments do not cover the "
-                             "flat vector (nested modules?)")
+        for p, wp in zip(params, self.world.parameters()):
+            sl = slice(ofs, ofs + p.size)
+            wp.data = self.pmat[0, sl].reshape(p.data.shape)
+            # a valid strided view: each rank's segment is row-contiguous
+            wp.grad = self.gmat[:, sl].reshape((nranks,) + p.data.shape)
+            ofs += p.size
+        for m in _modules(self.world):
+            m._rank_axes = 1
+        self.loss = m0.loss
 
     @property
     def nranks(self) -> int:
@@ -128,17 +148,7 @@ class StackedModel:
         bit-identical to rank ``r``'s ``FlatModel.loss_and_grad``.
         """
         self.gmat[...] = 0.0
-        x = xs
-        for layer in self.layers:
-            if getattr(layer, "stacked_elementwise", False):
-                x = layer.forward(x, True)
-            else:
-                x = layer.forward_stacked(x)
-        losses, dy = self.loss.forward_backward_stacked(x, ys)
-        for layer, grads in zip(reversed(self.layers),
-                                reversed(self.layer_grads)):
-            if getattr(layer, "stacked_elementwise", False):
-                dy = layer.backward(dy)
-            else:
-                dy = layer.backward_stacked(dy, grads)
+        out = self.world.forward(xs, True)
+        losses, dy = self.loss.forward_backward_stacked(out, ys)
+        self.world.backward(dy)
         return losses, self.gmat

@@ -9,7 +9,10 @@ same engine-level rendezvous that carries the fused collectives of
 :mod:`repro.comm.fused` (the last rank to arrive executes for the whole
 world, then readies the others in rank order).  The executors:
 
-* ``rb_fwdbwd`` (:func:`_exec_fwd_bwd`) — model forward/backward;
+* ``rb_fwdbwd`` (:func:`_exec_fwd_bwd`) — model forward/backward, one
+  call of the world module of :class:`repro.nn.stacked.StackedModel` (the
+  same layer code as per-rank, with a leading rank axis; the mlp and BERT
+  proxies stack, the VGG and LSTM proxies run per rank);
 * ``rb_accumulate`` (:func:`_exec_accumulate`) — the optimizer's residual
   accumulation, into the world's double-buffered accumulate matrix;
 * Ok-Topk's local selection is no longer a rendezvous of its own: it is
@@ -19,8 +22,8 @@ world, then readies the others in rank order).  The executors:
   (:func:`_shared_base`) and borrows this module's :class:`_WorldState`
   scratch for the ``(P, n)`` temporaries.  That executor is gated by
   :func:`repro.comm.fused._available`, not by :meth:`RankBatch.engaged`:
-  a model that does not stack (the BERT proxy) still gets one rendezvous
-  per reduction, with per-rank selection inside it.
+  a model that does not stack still gets one rendezvous per reduction,
+  with per-rank selection inside it.
 
 Bit-identity contract: every batched kernel is elementwise,
 row-independent or a gufunc looping the identical 2-D kernel per rank

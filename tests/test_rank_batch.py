@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.bench.harness import perf_proxy, proxy_network, train_scheme
+from repro.bench.harness import (bert_proxy, perf_proxy, proxy_network,
+                                 train_scheme)
 from repro.comm import run_spmd
 from repro.comm.faults import FaultPlan, RankCrash
 from repro.nn.stacked import StackedModel, mapped_zeros, supports_stacking
@@ -326,12 +327,15 @@ class TestTrainerLockstepIdentity:
         assert _fingerprints(batched) == _fingerprints(unbatched)
         assert _fingerprints(batched) == _fingerprints(threads)
 
-    def test_batching_actually_engages(self, rendezvous_log, monkeypatch):
+    @pytest.mark.parametrize("bert", [False, True],
+                             ids=["mlp", "bert-bucketed-stream"])
+    def test_batching_actually_engages(self, rendezvous_log, monkeypatch,
+                                       bert):
         """Guard against the identity above passing vacuously: a
         fault-free coop run must have run its model math, accumulation
         and selection at the rendezvous — and must not leave the world's
         stacked state on the network once the section is closed."""
-        proxy = perf_proxy()
+        proxy = bert_proxy() if bert else perf_proxy()
         from repro.allreduce import oktopk
         from repro.data import ShardedLoader
         from repro.train import Trainer, TrainerConfig
@@ -350,20 +354,30 @@ class TestTrainerLockstepIdentity:
             loader = ShardedLoader(train, proxy.global_batch, comm.rank,
                                    comm.size, seed=0)
             cfg = TrainerConfig(iterations=3, scheme="oktopk",
-                                density=0.05, lr=proxy.lr)
+                                density=0.05, lr=proxy.lr, mode=proxy.mode,
+                                **(dict(bucket_size=4096,
+                                        overlap_mode="stream")
+                                   if bert else {}))
             Trainer(comm, proxy.make_model(), loader, cfg).run()
             return None
 
         res = run_spmd(4, worker, runner="coop")
         per_head = Counter(e.head for e in rendezvous_log)
-        # selection is a stage of the one Ok-Topk rendezvous per reduction
-        # (stacked there because the accumulators are rows of the world's
-        # accumulate buffer), no longer a rendezvous of its own
-        for head in ("rb_fwdbwd", "rb_accumulate", "oktopk_reduce"):
+        for head in ("rb_fwdbwd", "rb_accumulate"):
             assert per_head[head] == 4 * 3      # every rank, every iteration
         assert set(per_head) == {"rb_fwdbwd", "rb_accumulate",
                                  "oktopk_reduce"}
-        assert stacked_scans == [4] * 3         # one (P, n) scan per iteration
+        if bert:
+            # one Ok-Topk rendezvous per funded bucket, every rank
+            assert per_head["oktopk_reduce"] % 4 == 0
+            assert per_head["oktopk_reduce"] > 4 * 3
+        else:
+            # selection is a stage of the one Ok-Topk rendezvous per
+            # reduction (stacked there because the accumulators are rows
+            # of the world's accumulate buffer), not a rendezvous of its
+            # own
+            assert per_head["oktopk_reduce"] == 4 * 3
+            assert stacked_scans == [4] * 3     # one (P, n) scan per iteration
         assert res.network._rank_batch_state is None
 
 
