@@ -7,8 +7,8 @@ probe — under the cooperative runner with the **fused collective fast
 path** (the default), the per-message **reference** path
 (``REPRO_FUSED=0``) and the legacy **threaded** runner — plus
 bucketed-session and streaming-session cases for {dense, topka, oktopk},
-Ok-Topk **scale cases at P in {64, 128}** on all three engines (coop /
-generator / threads, one sample per rank),
+Ok-Topk **scale cases at P in {64, 128}** on both runners (coop /
+threads, one sample per rank),
 a pure comm-layer message-storm microbenchmark at P in {16, 64}, and a
 **per-phase breakdown** (model compute / selection / comm layer / engine
 hand-offs / fused dispatch) so a regression in any future run is
@@ -446,29 +446,26 @@ def main(argv=None) -> int:
                          f"{entry['threads']:.3f}",
                          f"{entry['speedup_coop_vs_threads']:.2f}x"])
 
-    # Scale cases: the paper's regime is P in the hundreds, and the
-    # PR-8 acceptance bar is a P=128 Ok-Topk run on every engine.  One
-    # sample per rank, few iterations (wall seconds per iteration at
-    # P=128), min-of-1 in quick mode.  The generator engine ("gen") rides
-    # along as a third runner — same simulated results, different
-    # scheduling substrate.
+    # Scale cases: the paper's regime is P in the hundreds, so a P=128
+    # Ok-Topk run is timed on both runners.  One sample per rank, few
+    # iterations (wall seconds per iteration at P=128), min-of-1 in quick
+    # mode.
     scale_rows = []
     results["train_scheme_scale"] = {}
     scale_reps = 1 if args.quick else 2
     for p, iters in ((64, 2 if args.quick else 4),
                      (128, 1 if args.quick else 2)):
         entry = {"fused_path": fused_on, "iterations": iters}
-        for runner in ("coop", "gen", "threads"):
+        for runner in RUNNERS:
             entry[runner] = time_train_scheme(p, "oktopk", runner, iters,
                                               scale_reps)
         entry["speedup_coop_vs_threads"] = entry["threads"] / entry["coop"]
-        entry["speedup_coop_vs_gen"] = entry["gen"] / entry["coop"]
         # deliberately NOT in results["speedups"]: at min-of-1/2 these
         # rows swing far more than the 25% gate threshold; they are
         # trajectory data, not a regression gate.
         results["train_scheme_scale"][str(p)] = entry
         scale_rows.append([p, iters, f"{entry['coop']:.3f}",
-                           f"{entry['gen']:.3f}", f"{entry['threads']:.3f}",
+                           f"{entry['threads']:.3f}",
                            f"{entry['speedup_coop_vs_threads']:.2f}x"])
 
     # Bucketed-session path (native per-bucket reductions + overlap
@@ -518,15 +515,11 @@ def main(argv=None) -> int:
 
     storm_rows = []
     for p, iters in storm_iters.items():
-        entry = {r: time_storm(p, r, iters, storm_reps)
-                 for r in ("coop", "gen", "threads")}
+        entry = {r: time_storm(p, r, iters, storm_reps) for r in RUNNERS}
         entry["speedup_coop_vs_threads"] = (
             entry["threads"]["seconds"] / entry["coop"]["seconds"])
-        entry["speedup_coop_vs_gen"] = (
-            entry["gen"]["seconds"] / entry["coop"]["seconds"])
         results["comm_storm"][str(p)] = entry
         storm_rows.append([p, f"{entry['coop']['us_per_message']:.1f}",
-                           f"{entry['gen']['us_per_message']:.1f}",
                            f"{entry['threads']['us_per_message']:.1f}",
                            f"{entry['speedup_coop_vs_threads']:.2f}x"])
         results["speedups"][f"storm_p{p}_coop_vs_threads"] = (
@@ -559,7 +552,7 @@ def main(argv=None) -> int:
                     f"fused={'on' if fused_on else 'off'})"))
     print()
     print(format_table(
-        ["P", "iters", "coop (s)", "gen (s)", "threads (s)", "speedup"],
+        ["P", "iters", "coop (s)", "threads (s)", "speedup"],
         scale_rows,
         title="scale cases (oktopk, one sample per rank, "
               f"min of {scale_reps})"))
@@ -575,8 +568,7 @@ def main(argv=None) -> int:
         title="streaming sessions (--overlap-mode stream, coop runner)"))
     print()
     print(format_table(
-        ["P", "coop (us/msg)", "gen (us/msg)", "threads (us/msg)",
-         "speedup"],
+        ["P", "coop (us/msg)", "threads (us/msg)", "speedup"],
         storm_rows, title="comm-layer message storm (COO payloads)"))
     print()
     fd = results["fault_degradation"]

@@ -145,8 +145,8 @@ class LintReport:
 
 
 def _load_rules():
-    from . import rules_buffers, rules_determinism, rules_engine, rules_guards
-    return (rules_determinism, rules_buffers, rules_guards, rules_engine)
+    from . import rules_buffers, rules_determinism, rules_guards
+    return (rules_determinism, rules_buffers, rules_guards)
 
 
 #: the shipped rules, in code order (import is deferred to avoid cycles)

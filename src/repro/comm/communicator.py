@@ -499,15 +499,6 @@ class SimComm:
         """
         recvs = [r for r in requests if isinstance(r, RecvRequest)
                  and not r.completed]
-        if recvs:
-            # Generator-engine pre-flight: park (without consuming any
-            # message) until every channel below can satisfy its pops, so
-            # the retried call starts from unconsumed state.  The hook is
-            # absent on the other schedulers and a carrier-thread no-op.
-            ensure = getattr(self.net._sched, "ensure_recvs", None)
-            if ensure is not None:
-                ensure(self.slot,
-                       [(self._to_slot(r.source), r.tag) for r in recvs])
         msgs: List[tuple[Message, RecvRequest]] = []
         for r in recvs:
             msgs.append((self._match_blocking(r.source, r.tag), r))

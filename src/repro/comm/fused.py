@@ -118,24 +118,19 @@ UNFUSED = object()
 #: environment variable disabling the fused fast path ("0"/"false"/"off")
 FUSED_ENV = "REPRO_FUSED"
 
-#: profitability floors for the dense fused collectives (allreduce,
+#: profitability floor for the dense fused collectives (allreduce,
 #: reduce-scatter/allgather ring, reduce): worlds smaller than
-#: ``REPRO_FUSED_MIN_RANKS`` ranks, or payloads smaller than
-#: ``REPRO_FUSED_MIN_WPR`` words per rank, take the per-message path
-#: instead (recorded in ``algorithm_log`` as mode ``"unfused-small"``).
-#: Simulated time is identical either way; the floors are wall-clock-only.
+#: ``REPRO_FUSED_MIN_RANKS`` ranks take the per-message path instead
+#: (recorded in ``algorithm_log`` as mode ``"unfused-small"``).  Simulated
+#: time is identical either way; the floor is wall-clock-only.
 FUSED_MIN_RANKS_ENV = "REPRO_FUSED_MIN_RANKS"
-FUSED_MIN_WPR_ENV = "REPRO_FUSED_MIN_WPR"
 
-#: measured single-core defaults (see BENCH_PERF meta): at P <= 3 the
+#: measured single-core default (see BENCH_PERF meta): at P <= 3 the
 #: rendezvous park/wake plus central replay never beats the handful of
 #: per-message posts (fused/reference ratios 0.75-1.10 across payloads of
 #: 16..50k words), while at P >= 4 fusion wins at every measured size down
-#: to one word per rank (1.04x-4.3x) — so the rank floor is 4 and the
-#: words-per-rank floor defaults to 0 (a knob for hosts where tiny fused
-#: payloads measure slower than this box).
+#: to one word per rank (1.04x-4.3x).
 _MIN_RANKS_DEFAULT = 4
-_MIN_WPR_DEFAULT = 0
 
 
 def fusion_enabled() -> bool:
@@ -144,42 +139,31 @@ def fusion_enabled() -> bool:
         "0", "false", "off", "no")
 
 
-def _floor_from_env(env: str, default: int) -> int:
-    raw = os.environ.get(env)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def fusion_floors() -> Tuple[int, int]:
-    """The ``(min_ranks, min_words_per_rank)`` profitability floors below
-    which dense-collective fusion is skipped (env-overridable).  Parsed
-    once per engine (:class:`~repro.comm.engine.CoopEngine` keeps the pair
-    as ``fused_floors``); the collective hot path never reads the
+def fusion_floors() -> int:
+    """The world-size floor below which dense-collective fusion is
+    skipped (env-overridable).  Parsed once per engine
+    (:class:`~repro.comm.engine.CoopEngine` keeps it as
+    ``fused_floors``); the collective hot path never reads the
     environment."""
-    return (_floor_from_env(FUSED_MIN_RANKS_ENV, _MIN_RANKS_DEFAULT),
-            _floor_from_env(FUSED_MIN_WPR_ENV, _MIN_WPR_DEFAULT))
+    try:
+        return int(os.environ.get(FUSED_MIN_RANKS_ENV, _MIN_RANKS_DEFAULT))
+    except ValueError:
+        return _MIN_RANKS_DEFAULT
 
 
-def _below_floors(comm, nwords_: int) -> bool:
-    """Whether a dense collective of ``nwords_`` words sits below the
-    engine's profitability floors (callers checked :func:`_available`,
-    so ``net._sched`` is the engine that resolved them)."""
-    min_ranks, min_wpr = comm.net._sched.fused_floors
-    p = comm.size
-    return p < min_ranks or nwords_ < min_wpr * p
+def _below_floors(comm) -> bool:
+    """Whether the world sits below the engine's profitability floor
+    (callers checked :func:`_available`, so ``net._sched`` is the engine
+    that resolved it)."""
+    return comm.size < comm.net._sched.fused_floors
 
 
-def fusable(comm, nwords_: int) -> bool:
-    """The whole gate of a dense fused collective over ``nwords_`` words:
-    fast path :func:`_available` and payload/world above the floors.  For
-    callers that fuse *around* the dense entry points (the serving step
-    executor) and leave the skip provenance to the per-call path they
-    fall back to."""
-    return _available(comm) and not _below_floors(comm, nwords_)
+def fusable(comm) -> bool:
+    """The whole gate of a dense fused collective: fast path
+    :func:`_available` and the world above the floor.  For callers that
+    fuse *around* the dense entry points (the serving step executor) and
+    leave the skip provenance to the per-call path they fall back to."""
+    return _available(comm) and not _below_floors(comm)
 
 
 def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
@@ -187,14 +171,14 @@ def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
 
     Fusion replaces ``O(P log P)`` per-message park/wake cycles with one
     rendezvous plus a vectorized replay — a win that has to amortize the
-    rendezvous itself.  When the world or the payload is below the
+    rendezvous itself.  When the world is below the
     :func:`fusion_floors`, the per-message path is faster in wall-clock
     terms (simulated results/clocks/counters are bit-identical either
     way), so the entry point returns :data:`UNFUSED` and the skip is
     recorded once per call in :attr:`Network.algorithm_log` under mode
     ``"unfused-small"`` — auditable next to the reference path's own
     ``forced``/``auto``/``adaptive`` entries."""
-    if not _below_floors(comm, nwords_):
+    if not _below_floors(comm):
         return False
     if comm.rank == 0:  # once per collective call, not once per rank
         comm.net.note_algorithm(collective, algorithm, "unfused-small",

@@ -45,7 +45,7 @@ import numpy as np
 from ..errors import CommError, LoanViolationError, MailboxLeakError, \
     RankFailedError, ScheduleRaceError, SimulatedRankCrash
 from .communicator import SimComm
-from .engine import CoopEngine, GenEngine, drive_program
+from .engine import CoopEngine
 from .faults import FaultPlan
 from .model import NetworkModel
 from .network import Network, TrafficStats
@@ -67,8 +67,6 @@ _RUNNER_ALIASES = {
     "cooperative": "coop",
     "threads": "threads",
     "threaded": "threads",
-    "gen": "gen",
-    "generator": "gen",
 }
 
 
@@ -183,7 +181,7 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             ``isend`` buffer was made writable during its loan window,
             (2) raises :class:`repro.errors.MailboxLeakError` if any
             message was left undelivered, and (3) — fresh-network,
-            multi-rank coop/gen sections only — re-runs the program
+            multi-rank coop sections only — re-runs the program
             (under the same fault plan, if any) with a seeded
             perturbation of the engine's ready queue and raises
             :class:`repro.errors.ScheduleRaceError` unless results,
@@ -203,6 +201,8 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
         :class:`SpmdResult` with per-rank return values and the network.
 
     Raises:
+        TypeError: if ``fn`` is a generator function (rank programs are
+            plain blocking functions).
         RankFailedError: if any rank raised; other ranks are unblocked via
             the network abort flag and their secondary errors suppressed.
             A global deadlock surfaces as a wrapped
@@ -210,6 +210,11 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             Under a fault plan, planned crashes with non-recovering
             survivors raise one merged error naming the dead ranks.
     """
+    if inspect.isgeneratorfunction(fn):
+        raise TypeError(
+            f"rank program {getattr(fn, '__name__', fn)!r} is a generator "
+            f"function; write it as a plain function that calls the "
+            f"blocking communicator methods directly")
     if network is not None and faults is not None:
         raise ValueError(
             "pass faults= only with a fresh network (the plan is compiled "
@@ -225,23 +230,12 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             f"network has {net.nranks} ranks but nranks={nranks} requested")
     which = resolve_runner(runner)
 
-    if which != "gen" and inspect.isgeneratorfunction(fn):
-        # Generator rank-programs run under every runner: outside the
-        # generator engine the yielded thunks execute inline on the
-        # rank's own thread (see repro.comm.engine.drive_program).
-        fn = drive_program(fn)
-
     if nranks == 1:
         # Fast path: single rank runs inline on the calling thread (keeps
         # tracebacks simple; payload semantics are the threaded ones).
-        if inspect.isgeneratorfunction(fn):
-            fn = drive_program(fn)
         results, failures = _run_inline(net, fn, args, kwargs)
     elif which == "threads":
         results, failures = _run_threads(net, nranks, fn, args, kwargs)
-    elif which == "gen":
-        results, failures = GenEngine(net, nranks,
-                                      fused=fused).run(fn, args, kwargs)
     else:
         results, failures = CoopEngine(net, nranks,
                                        fused=fused).run(fn, args, kwargs)
@@ -266,8 +260,8 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
     if net.sanitize:
         if not crashes:
             _sanitize_audit(net)
-        if network is None and nranks > 1 and which in ("coop", "gen"):
-            _sanitize_replay(net, nranks, fn, args, kwargs, which, fused,
+        if network is None and nranks > 1 and which == "coop":
+            _sanitize_replay(net, nranks, fn, args, kwargs, fused,
                              results, crashes)
     return SpmdResult(results, net, crashed=crashes)
 
@@ -291,16 +285,15 @@ def _sanitize_audit(net: Network) -> None:
 
 
 def _sanitize_replay(net: Network, nranks: int, fn: Callable[..., Any],
-                     args: tuple, kwargs: dict, which: str,
+                     args: tuple, kwargs: dict,
                      fused: Optional[bool], results: List[Any],
                      crashes: Dict[int, SimulatedRankCrash]) -> None:
     """Race detector: re-run the section on a fresh network (same model,
     same fault plan) with a seeded ready-queue perturbation and require a
     bit-identical outcome, planned crashes included."""
     net2 = Network(nranks, net.model, sanitize=True, faults=net.fault_plan)
-    engine_cls = GenEngine if which == "gen" else CoopEngine
     try:
-        results2, failures2 = engine_cls(
+        results2, failures2 = CoopEngine(
             net2, nranks, fused=fused,
             schedule_seed=SANITIZE_SCHEDULE_SEED).run(fn, args, kwargs)
     except ScheduleRaceError:

@@ -25,7 +25,7 @@ Determinism contract
 --------------------
 
 The repo's core invariant — a run is a pure function of ``(seed,
-config)``, bit-identical across the ``coop``, ``gen`` and ``threads``
+config)``, bit-identical across the ``coop`` and ``threads``
 runners — has one serving-specific hazard: after a dense allreduce at
 non-power-of-two P, the per-rank simulated clocks legitimately *diverge*
 (the fold-in/out ranks sit on different dependency chains), so admission

@@ -4,7 +4,7 @@ All times are simulated seconds.  The report is built from the first
 surviving rank's request records (which are bit-identical on every
 surviving rank — the serving loop stamps them with the synchronized
 decision clock), so two reports from the same ``(seed, config, plan)``
-compare equal field-for-field across the ``coop``/``gen``/``threads``
+compare equal field-for-field across the ``coop``/``threads``
 runners and the fused/unfused paths.
 
 Terminal request states (first-class data, never exceptions):

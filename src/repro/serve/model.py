@@ -132,7 +132,7 @@ class TPDecodeModel:
         if tokens < 1:
             raise ConfigError(f"step needs >= 1 token, got {tokens}")
         comm, cfg = self.comm, self.cfg
-        if fusable(comm, tokens * cfg.words_per_token_layer):
+        if fusable(comm):
             return comm.fused_collective(
                 ("tp_step", tokens, self.algorithm), self, _exec_tp_step)
         acts = np.tile(self._base, tokens) * self._carry

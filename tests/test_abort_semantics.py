@@ -5,14 +5,17 @@ blocked primitive — blocking receive, ``waitall`` (batched delivery), and
 the fused-collective rendezvous — must wake promptly, raise ``CommError``,
 and never hand over partial data.  Plus diagnosability of
 ``DeadlockError`` (structured ``blocked`` report: parked ranks, the
-operation each is blocked on, per-rank simulated clocks).
+operation each is blocked on, per-rank simulated clocks), and how a
+planned crash reaches the survivors.
 """
 
 import numpy as np
 import pytest
 
 from repro.comm import Network, collectives, run_spmd
-from repro.errors import CommError, DeadlockError, RankFailedError
+from repro.comm.faults import FaultPlan, RankCrash
+from repro.errors import CommError, DeadlockError, RankFailedError, \
+    SimulatedRankCrash
 
 RUNNERS = ("coop", "threads")
 
@@ -99,6 +102,23 @@ class TestAbortWakesBlockedPrimitives:
         assert isinstance(ei.value.failures[0], RuntimeError)
 
     @pytest.mark.parametrize("runner", RUNNERS)
+    def test_survivor_that_catches_the_abort_is_not_a_failure(self, runner):
+        """A rank may catch the CommError from an abort and return; only
+        the rank that raised is reported."""
+        def prog(comm):
+            if comm.rank == 0:
+                raise RuntimeError("boom")
+            try:
+                comm.recv(0)
+            except CommError as exc:
+                return type(exc).__name__
+            return "no error"
+
+        with pytest.raises(RankFailedError) as ei:
+            run_spmd(2, prog, runner=runner)
+        assert list(ei.value.failures) == [0]
+
+    @pytest.mark.parametrize("runner", RUNNERS)
     def test_abort_exc_is_reported_not_secondary(self, runner):
         """Only the genuine origin appears in failures; the unblocked
         peers' secondary CommErrors are suppressed."""
@@ -158,6 +178,24 @@ class TestDeadlockDiagnosability:
             assert entry["tag"] == 42 + entry["rank"]
             assert entry["clock"] >= 0.0
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_ring_deadlock_reports_every_parked_rank(self, p):
+        """Every rank waits on a message its neighbour never sends: the
+        detector names all ``p`` parked receives."""
+        holder = {}
+
+        def prog(comm):
+            holder["net"] = comm.net
+            comm.recv((comm.rank + 1) % comm.size, 9)
+
+        with pytest.raises(RankFailedError) as ei:
+            run_spmd(p, prog, runner="coop")
+        assert "can never match" in str(ei.value)
+        exc = holder["net"]._abort_exc
+        assert isinstance(exc, DeadlockError)
+        assert sorted(e["rank"] for e in exc.blocked) == list(range(p))
+        assert all(entry["op"] == "recv" for entry in exc.blocked)
+
     def test_rendezvous_deadlock_reports_collective_sig(self, monkeypatch):
         monkeypatch.setenv("REPRO_FUSED_MIN_RANKS", "0")
 
@@ -191,3 +229,51 @@ class TestDeadlockDiagnosability:
         assert res.results[0] == "dead"
         assert res.results[1] == ("shrunk", 2)
         assert res.results[2] == ("shrunk", 2)
+
+
+class TestPlannedCrash:
+    @pytest.mark.parametrize("runner,fused", [("coop", True), ("coop", False),
+                                              ("threads", None)])
+    def test_crash_inside_allreduce_reported(self, runner, fused):
+        """A rank that crashes at its first message of a dense allreduce
+        is reported as crashed on every execution path."""
+        plan = FaultPlan(crashes=[RankCrash(rank=2, time=0.0)])
+
+        def prog(comm):
+            return collectives.allreduce(comm, np.ones(64, np.float32))
+
+        with pytest.raises(RankFailedError) as ei:
+            run_spmd(4, prog, runner=runner, fused=fused, faults=plan)
+        assert isinstance(ei.value.failures[2], SimulatedRankCrash)
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_planned_crash_reported_to_survivors(self, runner):
+        """Survivors that talk to the dead rank get a RankFailedError;
+        the launcher reports the crash under the dead rank."""
+        plan = FaultPlan(crashes=[RankCrash(rank=1, time=0.0)])
+
+        def prog(comm):
+            comm.send(np.ones(4, np.float32), (comm.rank + 1) % comm.size, 1)
+            return float(comm.recv((comm.rank - 1) % comm.size, 1).sum())
+
+        with pytest.raises(RankFailedError) as ei:
+            run_spmd(3, prog, runner=runner, faults=plan)
+        assert isinstance(ei.value.failures[1], SimulatedRankCrash)
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_elastic_crash_with_indifferent_survivors(self, runner):
+        """Survivors that never touch the dead rank finish normally: the
+        section succeeds and reports the crash in ``SpmdResult.crashed``."""
+        plan = FaultPlan(crashes=[RankCrash(rank=2, time=0.0)])
+
+        def prog(comm):
+            if comm.rank == 2:
+                comm.send(np.ones(2, np.float32), 0, 5)  # crashes here
+                return None
+            peer = 1 - comm.rank
+            comm.send(comm.rank, peer, 1)
+            return comm.recv(peer, 1)
+
+        res = run_spmd(3, prog, runner=runner, faults=plan)
+        assert list(res.crashed) == [2]
+        assert res.results[0] == 1 and res.results[1] == 0

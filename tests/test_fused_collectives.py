@@ -52,11 +52,10 @@ PS = [2, 3, 4, 5, 8]
 
 @pytest.fixture(autouse=True)
 def _fusion_floors_off(monkeypatch):
-    """Pin the profitability floors to zero so every P in ``PS`` exercises
-    the fused path (the default floors route P <= 3 to the per-message
+    """Pin the profitability floor to zero so every P in ``PS`` exercises
+    the fused path (the default floor routes P <= 3 to the per-message
     path for wall-clock reasons — semantics coverage must not shrink)."""
     monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "0")
-    monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "0")
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +953,7 @@ class TestSplitReduceStage:
 
 
 # ---------------------------------------------------------------------------
-# Profitability floors (words/P + world-size gate)
+# Profitability floor (world-size gate)
 # ---------------------------------------------------------------------------
 class TestFusionFloors:
     def _prog(self, comm):
@@ -963,16 +962,14 @@ class TestFusionFloors:
 
     def test_floor_defaults_and_env_parsing(self, monkeypatch):
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
-        monkeypatch.delenv(fused_mod.FUSED_MIN_WPR_ENV, raising=False)
-        assert fused_mod.fusion_floors() == (4, 0)
+        assert fused_mod.fusion_floors() == 4
         monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "2")
-        monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "64")
-        assert fused_mod.fusion_floors() == (2, 64)
-        monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "not-a-number")
-        assert fused_mod.fusion_floors() == (2, 0)
+        assert fused_mod.fusion_floors() == 2
+        monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "not-a-number")
+        assert fused_mod.fusion_floors() == 4
 
     def test_floors_are_resolved_at_engine_construction(self, monkeypatch):
-        """The collective hot path reads the engine's pair, never the
+        """The collective hot path reads the engine's floor, never the
         environment: a change after ``run_spmd`` started is too late."""
         monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "4")
 
@@ -987,31 +984,33 @@ class TestFusionFloors:
 
     def test_small_world_skip_records_provenance(self, monkeypatch):
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
-        monkeypatch.delenv(fused_mod.FUSED_MIN_WPR_ENV, raising=False)
         res = run_spmd(3, self._prog, runner="coop", fused=True)
         log = res.network.algorithm_log
         assert log[("allreduce", "recursive_doubling", "unfused-small")] \
             == {"calls": 1, "words": 256}
         # the reference path ran and recorded its own entry
         assert ("allreduce", "recursive_doubling", "forced") in log
-        # above both floors nothing is skipped
+        # above the floor nothing is skipped
         res = run_spmd(4, self._prog, runner="coop", fused=True)
         assert not any(mode == "unfused-small"
                        for _, _, mode in res.network.algorithm_log)
 
-    def test_words_per_rank_floor(self, monkeypatch):
-        monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "128")
-        res = run_spmd(4, self._prog, runner="coop", fused=True)  # w/P=64
-        assert ("allreduce", "recursive_doubling",
-                "unfused-small") in res.network.algorithm_log
-        monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "64")
-        res = run_spmd(4, self._prog, runner="coop", fused=True)
-        assert ("allreduce", "recursive_doubling",
-                "unfused-small") not in res.network.algorithm_log
+    @pytest.mark.parametrize("nwords", [4, 256])
+    def test_payload_size_does_not_gate_fusion(self, monkeypatch, nwords):
+        """Only the world size is a floor: a tiny payload at P=4 fuses
+        just like a large one."""
+        monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
+
+        def prog(comm):
+            coll.allreduce(comm, np.ones(nwords, dtype=np.float32),
+                           algo="recursive_doubling")
+
+        res = run_spmd(4, prog, runner="coop", fused=True)
+        assert not any(mode == "unfused-small"
+                       for _, _, mode in res.network.algorithm_log)
 
     def test_ring_decomposition_skip_records_both_phases(self, monkeypatch):
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
-        monkeypatch.delenv(fused_mod.FUSED_MIN_WPR_ENV, raising=False)
 
         def prog(comm):
             coll.allreduce(comm, np.ones(256, dtype=np.float32),
@@ -1023,10 +1022,9 @@ class TestFusionFloors:
         assert ("allgather_ring", "ring", "unfused-small") in log
 
     def test_skipped_run_stays_bit_identical(self, monkeypatch):
-        """With the default floors tripping (P=2), fused=True must land on
+        """With the default floor tripping (P=2), fused=True must land on
         exactly the reference execution."""
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
-        monkeypatch.delenv(fused_mod.FUSED_MIN_WPR_ENV, raising=False)
         three_way(_collective_torture, 2)
 
 

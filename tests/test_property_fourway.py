@@ -1,27 +1,26 @@
-"""Randomized-program four-way equivalence property test.
+"""Randomized-program equivalence property test across execution paths.
 
-One generator rank-program source, built from a random op sequence mixing
+One rank-program source, built from a random op sequence mixing
 point-to-point meshes, dense collectives, async regions, sparse allreduce
-schemes and bucketed sessions, runs under four execution configurations —
-the generator engine, the cooperative engine with and without the fused
-fast path, and the threaded runner — and every observable (results,
-traffic counters, simulated makespan) must be bit-identical across all
-four.  Fault plans (stragglers, link slowdowns, crashes) get the same
-treatment over the runners that support them.
+schemes and bucketed sessions, runs under three execution configurations —
+the cooperative engine with and without the fused fast path, and the
+threaded runner — and every observable (results, traffic counters,
+simulated makespan) must be bit-identical across all three.  Fault plans
+(stragglers, link slowdowns, crashes) get the same treatment over both
+runners.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.allreduce import ParamLayout, make_allreduce, run_session
-from repro.comm import Call, run_spmd
+from repro.comm import run_spmd
 from repro.comm import collectives as coll
 from repro.comm.faults import FaultPlan, RankCrash
 from repro.errors import RankFailedError
 
-#: (runner, fused) — the four execution configurations under test
-CONFIGS = (("gen", None), ("coop", True), ("coop", False),
-           ("threads", None))
+#: (runner, fused) — the execution configurations under test
+CONFIGS = (("coop", True), ("coop", False), ("threads", None))
 
 OPS = ("mesh", "allreduce", "sendrecv", "async", "oktopk", "session",
        "compute")
@@ -50,47 +49,39 @@ def _prog(comm, seed, ops):
                 reqs.append(comm.isend(
                     drng.normal(size=n).astype(np.float32),
                     (r + s) % p, i))
-            got = yield (lambda reqs=reqs: comm.waitall(reqs))
+            got = comm.waitall(reqs)
             out.append(sum(float(g.sum()) for g in got if g is not None))
         elif op == "sendrecv":
-            got = yield Call(lambda i=i: comm.sendrecv(
+            out.append(comm.sendrecv(
                 float(r * 10 + i), (r + 1) % p, (r - 1) % p, 100 + i))
-            out.append(got)
         elif op == "allreduce":
             algo = ("ring", "recursive_doubling",
                     "rabenseifner")[int(srng.integers(0, 3))]
             x = drng.normal(size=int(srng.integers(8, 128))).astype(
                 np.float32)
-            s = yield Call(lambda x=x, algo=algo: coll.allreduce(
-                comm, x, algo=algo))
-            out.append(float(s.sum()))
+            out.append(float(coll.allreduce(comm, x, algo=algo).sum()))
         elif op == "async":
-            def sub(i=i, drng=drng):
-                payload = drng.normal(size=16).astype(np.float32)
-                with comm.async_region() as reg:
-                    req = comm.isend(payload, (r + 1) % p, 200 + i)
-                got = comm.recv((r - 1) % p, 200 + i)
-                comm.waitall([req])
-                comm._advance_clock(reg.finish)
-                return float(got.sum())
-
-            out.append((yield Call(sub)))
+            payload = drng.normal(size=16).astype(np.float32)
+            with comm.async_region() as reg:
+                req = comm.isend(payload, (r + 1) % p, 200 + i)
+            got = comm.recv((r - 1) % p, 200 + i)
+            comm.waitall([req])
+            comm._advance_clock(reg.finish)
+            out.append(float(got.sum()))
         elif op == "oktopk":
             algo = make_allreduce("oktopk", density=0.1, tau=2,
                                   tau_prime=2)
             acc = drng.normal(size=int(srng.integers(64, 256))).astype(
                 np.float32)
-            res = yield Call(lambda algo=algo, acc=acc:
-                             algo.reduce(comm, acc, 1))
+            res = algo.reduce(comm, acc, 1)
             out.append(float(np.abs(res.update.to_dense()).sum()))
         elif op == "session":
             n = int(srng.integers(96, 256))
             algo = make_allreduce("gtopk", density=0.1)
             lay = ParamLayout.from_sizes([n // 3, n - n // 3], ["a", "b"])
             acc = drng.normal(size=n).astype(np.float32)
-            res = yield Call(lambda algo=algo, lay=lay, acc=acc:
-                             run_session(algo, comm, lay, 1, acc,
-                                         bucket_size=max(32, n // 4)))
+            res = run_session(algo, comm, lay, 1, acc,
+                              bucket_size=max(32, n // 4))
             out.append(float(np.abs(res.update.to_dense()).sum()))
     return out
 
@@ -121,12 +112,12 @@ class TestFourWayRandomPrograms:
     @settings(max_examples=8, deadline=None)
     def test_random_program_under_straggler_plan(self, p, seed):
         """Fault plans without crashes complete normally: runners must
-        still agree bit-for-bit (the fused path is auto-disabled)."""
+        still agree bit-for-bit."""
         ops = _op_plan(seed)
         plan = FaultPlan.straggler_skew(p, seed=seed % 97)
         runs = [(runner,
                  run_spmd(p, _prog, seed, ops, runner=runner, faults=plan))
-                for runner in ("gen", "coop", "threads")]
+                for runner in ("coop", "threads")]
         _assert_all_identical(runs)
 
     @given(st.integers(0, 1000))
@@ -139,11 +130,11 @@ class TestFourWayRandomPrograms:
         ops = ["mesh", "mesh", "mesh"]
         plan = FaultPlan(crashes=[RankCrash(rank=1, time=2e-6)])
         failed = {}
-        for runner in ("gen", "coop", "threads"):
+        for runner in ("coop", "threads"):
             try:
                 run_spmd(p, _prog, seed, ops, runner=runner, faults=plan)
                 failed[runner] = frozenset()
             except RankFailedError as e:
                 failed[runner] = frozenset(e.failures)
-        assert failed["gen"] == failed["coop"] == failed["threads"]
-        assert 1 in failed["gen"]
+        assert failed["coop"] == failed["threads"]
+        assert 1 in failed["coop"]

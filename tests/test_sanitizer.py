@@ -24,6 +24,10 @@ pytestmark = pytest.mark.analysis
 
 P = 4
 
+#: the race detector replays on the cooperative engine, fused or not
+FUSED = (True, False)
+FUSED_IDS = ("fused", "unfused")
+
 
 # ---------------------------------------------------------------------------
 # rank programs
@@ -145,21 +149,23 @@ class TestMailboxAudit:
 # schedule-perturbation race detector
 # ---------------------------------------------------------------------------
 class TestRaceDetector:
-    @pytest.mark.parametrize("runner", ["coop", "gen"])
-    def test_order_sensitive_program_flagged(self, runner):
+    @pytest.mark.parametrize("fused", FUSED, ids=FUSED_IDS)
+    def test_order_sensitive_program_flagged(self, fused):
         with pytest.raises(ScheduleRaceError) as exc_info:
-            run_spmd(P, _make_racy_prog(), runner=runner, sanitize=True)
+            run_spmd(P, _make_racy_prog(), runner="coop", fused=fused,
+                     sanitize=True)
         assert exc_info.value.differences
 
-    @pytest.mark.parametrize("runner", ["coop", "gen"])
-    def test_order_sensitive_program_passes_without_sanitizer(self, runner):
+    @pytest.mark.parametrize("fused", FUSED, ids=FUSED_IDS)
+    def test_order_sensitive_program_passes_without_sanitizer(self, fused):
         # Deterministic schedule means the race never shows up unperturbed.
-        run_spmd(P, _make_racy_prog(), runner=runner)
+        run_spmd(P, _make_racy_prog(), runner="coop", fused=fused)
 
-    @pytest.mark.parametrize("runner", ["coop", "gen"])
-    def test_allreduce_clean_under_perturbation(self, runner):
-        res = run_spmd(P, _allreduce_prog, runner=runner, sanitize=True)
-        ref = run_spmd(P, _allreduce_prog, runner=runner)
+    @pytest.mark.parametrize("fused", FUSED, ids=FUSED_IDS)
+    def test_allreduce_clean_under_perturbation(self, fused):
+        res = run_spmd(P, _allreduce_prog, runner="coop", fused=fused,
+                       sanitize=True)
+        ref = run_spmd(P, _allreduce_prog, runner="coop", fused=fused)
         for r in range(P):
             assert res[r].tobytes() == ref[r].tobytes()
 
@@ -204,13 +210,21 @@ class TestRaceDetector:
 # transparency: the sanitizer must not change outcomes
 # ---------------------------------------------------------------------------
 class TestTransparency:
-    @pytest.mark.parametrize("runner", ["coop", "gen", "threads"])
+    @pytest.mark.parametrize("runner", ["coop", "threads"])
     def test_results_and_makespan_identical(self, runner):
         base = run_spmd(P, _allreduce_prog, runner=runner)
         sane = run_spmd(P, _allreduce_prog, runner=runner, sanitize=True)
         assert sane.makespan == base.makespan
         for r in range(P):
             assert sane[r].dtype == base[r].dtype
+            assert sane[r].tobytes() == base[r].tobytes()
+
+    def test_unfused_coop_results_and_makespan_identical(self):
+        base = run_spmd(P, _allreduce_prog, runner="coop", fused=False)
+        sane = run_spmd(P, _allreduce_prog, runner="coop", fused=False,
+                        sanitize=True)
+        assert sane.makespan == base.makespan
+        for r in range(P):
             assert sane[r].tobytes() == base[r].tobytes()
 
 

@@ -3,8 +3,8 @@
 The load-bearing assertions are the ISSUE-7 acceptance criteria:
 
 * a serving run is a pure function of ``(seed, config)`` — bit-identical
-  request records, percentiles, goodput and checksum across the ``coop``,
-  ``gen`` and ``threads`` runners and the fused/unfused collective paths,
+  request records, percentiles, goodput and checksum across the ``coop``
+  and ``threads`` runners and the fused/unfused collective paths,
   including non-power-of-two P (where per-rank clocks legitimately
   diverge and the loop's decision-clock sync is what keeps batching
   deterministic);
@@ -214,11 +214,11 @@ class TestServing:
         "decode1-prefill320" if v is EXTREMES else f"p{v}")
     def test_bit_identical_across_runners_and_fused(self, shape, p,
                                                     algorithm):
-        # coop/gen + fused at P >= 4 is the one-rendezvous step executor;
+        # coop + fused at P >= 4 is the one-rendezvous step executor;
         # everything else is the per-layer reference loop
         cfg = replace(shape, p=p, seed=11, algorithm=algorithm)
         base = None
-        for runner in ("coop", "gen", "threads"):
+        for runner in ("coop", "threads"):
             for fused in (True, False):
                 state = world_state(serve_world(cfg, runner, fused))
                 if base is None:

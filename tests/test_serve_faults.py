@@ -5,7 +5,7 @@ The ISSUE-10 acceptance criteria, as tests:
 * a P=4 serving run with a mid-run ``RankCrash`` completes — survivors
   shrink to 3, re-enqueued in-flight requests finish, goodput is positive
   on both sides of the failure — and the full report is bit-identical
-  across the ``coop``/``gen``/``threads`` runners and fused/unfused
+  across the ``coop``/``threads`` runners and fused/unfused
   collective paths (crash recovery is a pure function of
   ``(seed, config, plan)``);
 * request-level robustness: per-request deadlines, timeout reaping,
@@ -28,7 +28,7 @@ from repro.serve.loop import _retry_release
 SMOKE = ServeConfig(p=4, rate=2000.0, n_requests=12, prompt_tokens=32,
                     output_tokens=3, max_batch_size=4, seed=0)
 
-RUNNERS = ("coop", "gen", "threads")
+RUNNERS = ("coop", "threads")
 
 
 def crash_at(time, rank=1, detect_timeout=1e-4):
