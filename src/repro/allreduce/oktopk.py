@@ -282,9 +282,11 @@ def _select_world(ws, comms, schemes, states, accs, t, k):
     communicator, so clocks and phase attribution match the serial path
     exactly.  Data-dependent divergence — the degenerate all-zero path
     and the selection-guard re-evaluation — is handled per rank with the
-    scalar primitives.  Rows that do not stack without a copy (per-rank
-    model math: the BERT proxy, uneven shards after a shrink, the slices
-    of a session bucket) run
+    scalar primitives.  Uneven shards after a shrink still stack: the
+    world fwd/bwd runs per run of equal shards, into one gradient matrix.
+    Rows that do not stack without a copy (per-rank model math: the VGG
+    and LSTM proxies or diverged replicas, the slices of a session
+    bucket) run
     :meth:`OkTopkAllreduce._select_local` rank by rank — copying them
     into a stack first measured no faster and cost memory.
     """

@@ -313,8 +313,11 @@ class CoopEngine:
         and rank-exit event)."""
         if self.net._maybe_finish_shrink():
             # A rendezvous of the old world that a death interrupted was
-            # abandoned by its participants; the new world starts clean.
+            # abandoned by its participants; the new world starts clean,
+            # and so does its lockstep state (the P-1 world must not
+            # allocate beside the P world's matrices and scratch).
             self._rv = None
+            self.net._rank_batch_state = None
             woken = sorted(self._shrink_waiting)
             self._shrink_waiting.clear()
             self._ready.extend(woken)

@@ -54,25 +54,31 @@ class SoftmaxCrossEntropy(Loss):
         """Rank-stacked loss: ``logits`` has a leading (P, ...) rank axis.
 
         Bit-identical per rank slice to :meth:`forward_backward`: the
-        softmax is row-independent and the per-rank mean reduces over the
-        same values in the same order.  Ranks with masked targets fall
-        back to the per-rank path so the ``valid``-subset arithmetic stays
-        untouched.
+        softmax is row-independent, so it runs once over the valid rows of
+        the whole world; each rank's loss is the mean of its own
+        contiguous segment of them (the same values in the same order),
+        and its gradient rows are divided by its own valid count.  A rank
+        with no valid target gets a loss of 0.0 and a zero gradient.
         """
         nranks = logits.shape[0]
         C = logits.shape[-1]
-        tgt = targets.reshape(nranks, -1)
-        if (tgt == self.ignore_index).any():
-            pairs = [self.forward_backward(logits[r], targets[r])
-                     for r in range(nranks)]
-            losses = np.array([loss for loss, _ in pairs], dtype=np.float64)
-            return losses, np.stack([d for _, d in pairs])
-        M = tgt.shape[1]
-        logp = _log_softmax(logits.reshape(-1, C).astype(np.float64))
-        rows = np.arange(nranks * M)
-        picked = tgt.reshape(-1).astype(np.int64)
-        losses = -logp[rows, picked].reshape(nranks, M).mean(axis=1)
+        flat = logits.reshape(-1, C)
+        tgt = targets.reshape(-1)
+        valid = tgt != self.ignore_index
+        counts = valid.reshape(nranks, -1).sum(axis=1)
+        logp = _log_softmax(flat[valid].astype(np.float64))
+        rows = np.arange(len(logp))
+        picked = tgt[valid].astype(np.int64)
+        nll = logp[rows, picked]
+        if counts.all() and (counts == counts[0]).all():
+            # equal segments (no mask): the same row reduction, one call
+            losses = -nll.reshape(nranks, -1).mean(axis=1)
+        else:
+            losses = np.array([-seg.mean() if seg.size else 0.0 for seg
+                               in np.split(nll, np.cumsum(counts)[:-1])])
         probs = np.exp(logp)
         probs[rows, picked] -= 1.0
-        dflat = (probs / M).astype(logits.dtype)
+        dflat = np.zeros_like(flat)
+        dflat[valid] = (probs / counts.repeat(counts)[:, None]).astype(
+            logits.dtype)
         return losses, dflat.reshape(logits.shape)

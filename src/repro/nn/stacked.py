@@ -26,9 +26,14 @@ at bind time and refuses to bind diverged replicas; callers then run
 per-rank.  A fault plan does not break the invariant (stragglers and slow
 links scale simulated time, not the math), and neither does an elastic
 shrink: the survivors hold identical parameters and are simply re-stacked
-as a ``(P-1, n)`` world — only inputs that do not stack (uneven shards
-once the global batch no longer divides) keep the per-rank kernels, on
-the shared storage.
+as a ``(P-1, n)`` world.
+
+Ragged data does not make a world less SPMD.  When the shards stop
+dividing the global batch (16 over 15 ranks gives shards of 1 and 2),
+the world module runs once per contiguous run of ranks ``[lo, hi)`` with
+equal input shapes: its gradient views are re-pointed at the rows
+``gmat[lo:hi]``, and every layer and the loss take the leading size from
+the data.
 
 The ``(P, n)`` matrices live on their own memory mappings
 (:func:`mapped_zeros`), not in the malloc arena of whichever rank thread
@@ -124,13 +129,13 @@ class StackedModel:
         # copy skips it (the memo maps each array to a placeholder).
         self.world = copy.deepcopy(
             m0.module, {id(a): None for p in params for a in (p.data, p.grad)})
+        self._segments = []
         ofs = 0
         for p, wp in zip(params, self.world.parameters()):
-            sl = slice(ofs, ofs + p.size)
-            wp.data = self.pmat[0, sl].reshape(p.data.shape)
-            # a valid strided view: each rank's segment is row-contiguous
-            wp.grad = self.gmat[:, sl].reshape((nranks,) + p.data.shape)
+            wp.data = self.pmat[0, ofs:ofs + p.size].reshape(p.data.shape)
+            self._segments.append((wp, slice(ofs, ofs + p.size)))
             ofs += p.size
+        self._point_grads(0, nranks)
         for m in _modules(self.world):
             m._rank_axes = 1
         self.loss = m0.loss
@@ -139,16 +144,29 @@ class StackedModel:
     def nranks(self) -> int:
         return len(self.models)
 
-    def loss_and_grad(self, xs: np.ndarray, ys: np.ndarray
-                      ) -> "tuple[np.ndarray, np.ndarray]":
-        """World fwd/bwd over rank-stacked inputs ``(P, batch, ...)``.
+    def _point_grads(self, lo: int, hi: int) -> None:
+        """Point the world module's gradients at the rows ``[lo, hi)``."""
+        for wp, sl in self._segments:
+            # a valid strided view: each rank's segment is row-contiguous
+            wp.grad = self.gmat[lo:hi, sl].reshape((hi - lo,) + wp.data.shape)
+        self._run = (lo, hi)
 
-        Returns ``(losses, gmat)`` where ``losses`` is float64 ``(P,)``
-        and ``gmat`` the shared gradient matrix; row ``r`` of both is
-        bit-identical to rank ``r``'s ``FlatModel.loss_and_grad``.
+    def loss_and_grad(self, xs: np.ndarray, ys: np.ndarray, lo: int = 0
+                      ) -> "tuple[np.ndarray, np.ndarray]":
+        """World fwd/bwd over the run of ranks ``[lo, lo + R)``, whose
+        inputs are rank-stacked ``(R, batch, ...)``.
+
+        Returns ``(losses, grads)`` where ``losses`` is float64 ``(R,)``
+        and ``grads`` the run's rows of the shared gradient matrix; row
+        ``i`` of both is bit-identical to rank ``lo + i``'s
+        ``FlatModel.loss_and_grad``.
         """
-        self.gmat[...] = 0.0
+        hi = lo + len(xs)
+        if self._run != (lo, hi):
+            self._point_grads(lo, hi)
+        grads = self.gmat[lo:hi]
+        grads[...] = 0.0
         out = self.world.forward(xs, True)
         losses, dy = self.loss.forward_backward_stacked(out, ys)
         self.world.backward(dy)
-        return losses, self.gmat
+        return losses, grads

@@ -46,9 +46,11 @@ exactly the code a never-batched run executes), on group communicators
 that are not the current world, under message tracing, under the
 threaded/inline runners (no rendezvous engine), and for a model without
 a stacked execution path.  A disengaged call returns ``None`` and the
-caller runs the ordinary per-rank code.  Inside the rendezvous the
-executors keep per-rank fallbacks for what cannot stack (uneven shards
-after a 16 -> 15 shrink, diverged weights or scales).
+caller runs the ordinary per-rank code.  Ragged data is not a fallback:
+uneven shards after a 16 -> 15 shrink run the world module once per
+contiguous run of equal shard shapes, into the one gradient matrix.
+Inside the rendezvous the executors keep per-rank fallbacks only for
+what is not SPMD (diverged weights or scales).
 ``REPRO_RANK_BATCH=0`` disables batching globally.
 
 World state: the stacked model, the accumulate buffers and the scratch of
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import os
 import weakref
+from itertools import groupby
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
@@ -158,8 +161,6 @@ def _world_state(net) -> _WorldState:
 def _exec_fwd_bwd(net, sig, payloads):
     st = _world_state(net)
     models = [p[0] for p in payloads]
-    xs = [p[1] for p in payloads]
-    ys = [p[2] for p in payloads]
     stacked = st.stacked
     if stacked is None or stacked.models != models:
         try:
@@ -167,14 +168,17 @@ def _exec_fwd_bwd(net, sig, payloads):
         except ValueError:
             # Not actually SPMD (diverged weights/shapes): run each
             # rank's own math — identical kernels, identical results.
-            return [m.loss_and_grad(x, y) for m, x, y in zip(models, xs, ys)]
-    if (any(x.shape != xs[0].shape for x in xs)
-            or any(y.shape != ys[0].shape for y in ys)):
-        # Uneven shards cannot stack; per-rank fallback (same kernels).
-        return [m.loss_and_grad(x, y) for m, x, y in zip(models, xs, ys)]
-    losses, gmat = stacked.loss_and_grad(st.stack("fwdbwd_x", xs),
-                                         st.stack("fwdbwd_y", ys))
-    return [(float(losses[r]), gmat[r]) for r in range(len(payloads))]
+            return [m.loss_and_grad(x, y) for m, x, y in payloads]
+    # One world call per maximal run of ranks with equal shard shapes
+    # (``ShardedLoader``'s bounds make uneven shards a few such runs).
+    losses = []
+    for _, run in groupby(payloads, lambda p: (p[1].shape, p[2].shape)):
+        _, xs, ys = zip(*run)
+        lo = len(losses)
+        out, _ = stacked.loss_and_grad(st.stack(f"fwdbwd_x{lo}", xs),
+                                       st.stack(f"fwdbwd_y{lo}", ys), lo)
+        losses.extend(out.tolist())
+    return list(zip(losses, stacked.gmat))
 
 
 def _exec_accumulate(net, sig, payloads):

@@ -27,3 +27,37 @@ def rendezvous_log(monkeypatch):
 
     monkeypatch.setattr(SimComm, "fused_collective", logged)
     return calls
+
+
+@pytest.fixture
+def world_fwdbwd(monkeypatch):
+    """The row count of every world fwd/bwd call, in call order; a
+    per-rank ``FlatModel.loss_and_grad`` inside the ``rb_fwdbwd`` executor
+    fails the test (the executor must stack ragged shards, not fall back)."""
+    from repro.nn.module import FlatModel
+    from repro.nn.stacked import StackedModel
+    from repro.train import rankbatch
+
+    sizes, inside = [], []
+    world, per_rank = StackedModel.loss_and_grad, FlatModel.loss_and_grad
+    executor = rankbatch._exec_fwd_bwd
+
+    def world_call(self, xs, ys, lo=0):
+        sizes.append(len(xs))
+        return world(self, xs, ys, lo)
+
+    def rank_call(self, x, y):
+        assert not inside, "per-rank loss_and_grad inside rb_fwdbwd"
+        return per_rank(self, x, y)
+
+    def executor_call(net, sig, payloads):
+        inside.append(sig)
+        try:
+            return executor(net, sig, payloads)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(StackedModel, "loss_and_grad", world_call)
+    monkeypatch.setattr(FlatModel, "loss_and_grad", rank_call)
+    monkeypatch.setattr(rankbatch, "_exec_fwd_bwd", executor_call)
+    return sizes

@@ -13,7 +13,7 @@ a never-batched run executes.
 
 import os
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +29,7 @@ from repro.sparse.topk import (batched_kth_largest_abs,
                                threshold_select)
 from repro.train.rankbatch import RANK_BATCH_ENV, RankBatch, _WorldState
 from repro.train.rankbatch import _exec_accumulate, _exec_fwd_bwd
+from util_rankbatch import check_grouped_fwd_bwd, runs
 
 RUNNER_ENV = "REPRO_SPMD_RUNNER"
 
@@ -180,18 +181,6 @@ class TestExecutorFallbacks:
         np.testing.assert_array_equal(out[0][1], ref[0][1])
         assert net._rank_batch_state.stacked is None  # never bound
 
-    def test_fwd_bwd_uneven_shards_run_per_rank(self):
-        net = SimpleNamespace()
-        models = _models(2)
-        rng = np.random.default_rng(10)
-        xs, ys = _batch(rng, 2)
-        payloads = [(models[0], xs[0], ys[0]),
-                    (models[1], xs[1][:-1], ys[1][:-1])]  # short shard
-        out = _exec_fwd_bwd(net, ("rb_fwdbwd", 1), payloads)
-        ref = _models(1)[0].loss_and_grad(xs[1][:-1], ys[1][:-1])
-        assert out[1][0] == ref[0]
-        np.testing.assert_array_equal(out[1][1], ref[1])
-
     def test_accumulate_matches_per_rank_expression(self):
         net = SimpleNamespace()
         rng = np.random.default_rng(12)
@@ -215,6 +204,32 @@ class TestExecutorFallbacks:
                                 (res[1], 0.5, grads[1])])
         np.testing.assert_array_equal(out[0], res[0] + 1.0 * grads[0])
         np.testing.assert_array_equal(out[1], res[1] + 0.5 * grads[1])
+
+
+class TestRunGrouping:
+    """Uneven shards after a shrink stay inside one executor call: one
+    world fwd/bwd per contiguous run of equal shapes, no per-rank
+    ``loss_and_grad``."""
+
+    @pytest.mark.parametrize("p, expect", [
+        (16, [16]), (15, [14, 1]), (13, [4, 1, 3, 1, 3, 1])])
+    def test_perf_proxy_after_a_shrink(self, world_fwdbwd, p, expect):
+        # ``ShardedLoader``'s shard sizes for p ranks
+        sizes = np.diff(np.linspace(0, perf_proxy().global_batch, p + 1)
+                        .astype(int)).tolist()
+        assert runs(sizes) == expect
+        rng = np.random.default_rng(p)
+        shards = [_batch(rng, 1, b) for b in sizes]
+        check_grouped_fwd_bwd(perf_proxy().make_model,
+                              [(x[0], y[0]) for x, y in shards], world_fwdbwd)
+
+    def test_single_row_run_between_two_runs(self, world_fwdbwd):
+        rng = np.random.default_rng(10)
+        shards = [_batch(rng, 1, b) for b in (2, 2, 3, 2)]
+        check_grouped_fwd_bwd(perf_proxy().make_model,
+                              [(x[0], y[0]) for x, y in shards], world_fwdbwd,
+                              calls=1)
+        assert world_fwdbwd == [2, 1, 1]
 
 
 class TestEngagementGate:
@@ -431,6 +446,51 @@ class TestDivergenceFallback:
         assert _fingerprints(on) == _fingerprints(off)
         assert on.events == off.events
         assert on.events[0]["new_size"] == 3
+
+    def test_shrink_16_to_15_stays_rank_batched(self, monkeypatch,
+                                                rendezvous_log, world_fwdbwd):
+        """The faulted perfbench workload's shape: straggler skew plus a
+        crash that leaves 15 ranks with shards of 1 and 2 samples.
+        Rank-batched coop == ``REPRO_RANK_BATCH=0`` == ``threads`` —
+        records, final parameters, network state — and every iteration
+        after the shrink runs its model math as the two runs of the
+        15-rank world, inside ``rb_fwdbwd``."""
+        from repro.data import ShardedLoader
+        from repro.train import Trainer, TrainerConfig
+
+        proxy = perf_proxy()
+        plan = replace(FaultPlan.straggler_skew(16, seed=0),
+                       crashes=(RankCrash(rank=5, iteration=3),))
+        assert 5 not in {plan.links[0].rank, plan.stragglers[0].rank}
+
+        def worker(comm):
+            train, _ = proxy.make_splits()
+            model = proxy.make_model()
+            loader = ShardedLoader(train, proxy.global_batch, comm.rank,
+                                   comm.size, seed=0)
+            cfg = TrainerConfig(iterations=5, scheme="oktopk", density=0.05,
+                                lr=proxy.lr, elastic=True)
+            rec = Trainer(comm, model, loader, cfg).run()
+            return (_fingerprints(rec), rec.events,
+                    model.params_flat.tobytes())
+
+        def run(batch_env, runner):
+            monkeypatch.setenv(RANK_BATCH_ENV, batch_env)
+            monkeypatch.setenv(RUNNER_ENV, runner)
+            res = run_spmd(16, worker, model=proxy_network(), faults=plan)
+            net = res.network
+            return res.results, (float(res.makespan).hex(), list(net.clocks),
+                                 list(net.words_sent), list(net.words_recv),
+                                 list(net.msgs_sent), list(net.msgs_recv))
+
+        batched = run("1", "coop")
+        fwdbwd = Counter((e.step, e.size) for e in rendezvous_log
+                         if e.head == "rb_fwdbwd")
+        assert fwdbwd == {(1, 16): 16, (2, 16): 16,
+                          (3, 15): 15, (4, 15): 15, (5, 15): 15}
+        assert world_fwdbwd == [16, 16] + [14, 1] * 3
+        assert batched == run("0", "coop") == run("1", "threads")
+        assert batched[0][5] is None and batched[0][0][1][0]["new_size"] == 15
 
     def test_midrun_crash_identical_across_runners(self):
         plan = FaultPlan(crashes=[RankCrash(rank=0, iteration=2)])

@@ -12,7 +12,6 @@ training run must not move whichever way its model math ran.
 import os
 from collections import Counter
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +28,8 @@ from repro.nn.module import Loss
 from repro.nn.stacked import StackedModel, supports_stacking
 from repro.optim.adam import Adam
 from repro.train import Trainer, TrainerConfig
-from repro.train.rankbatch import RANK_BATCH_ENV, _exec_fwd_bwd
+from repro.train.rankbatch import RANK_BATCH_ENV
+from util_rankbatch import check_grouped_fwd_bwd
 
 RUNNER_ENV = "REPRO_SPMD_RUNNER"
 
@@ -107,26 +107,74 @@ class TestWorldEqualsPerRank:
             assert p.grad.shape == (2,) + p.data.shape
             assert np.shares_memory(p.grad, world.gmat)
 
-    def test_uneven_shards_after_a_shrink_run_per_rank(self):
-        """Global batch 16 over 7 survivors: shards of 3 and 2 sequences do
-        not stack, so the executor runs each rank's own math on the
-        shared storage — the same bits."""
-        net = SimpleNamespace()
-        p = 7
-        models = [bert_proxy().make_model() for _ in range(p)]
+    def test_uneven_shards_after_a_shrink_stack_per_run(self, world_fwdbwd):
+        """Global batch 16 over 7 survivors: shards of 3 and 2 sequences
+        stack as two runs on the shared ``(7, n)`` storage — the bits of
+        each rank's own math."""
         train, _ = bert_proxy().make_splits()
-        sizes = [3, 3, 2, 2, 2, 2, 2]
-        ofs = np.cumsum([0] + sizes)
-        payloads = [(models[r], train.x[ofs[r]:ofs[r + 1]],
-                     train.y[ofs[r]:ofs[r + 1]]) for r in range(p)]
-        out = _exec_fwd_bwd(net, ("rb_fwdbwd", 1), payloads)
-        for r in range(p):
-            loss, grad = bert_proxy().make_model().loss_and_grad(
-                *payloads[r][1:])
-            assert out[r][0] == loss
-            np.testing.assert_array_equal(out[r][1], grad)
-        # bound for the world all the same: storage is the (7, n) matrix
-        assert net._rank_batch_state.stacked.gmat.shape[0] == p
+        ofs = np.cumsum([0, 3, 3, 2, 2, 2, 2, 2])
+        check_grouped_fwd_bwd(
+            bert_proxy().make_model,
+            [(train.x[a:b], train.y[a:b]) for a, b in zip(ofs, ofs[1:])],
+            world_fwdbwd)
+        assert world_fwdbwd == [2, 5] * 2
+
+
+def _logits_and_targets(p, seed=0, b=3, t=4, c=7):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(p, b, t, c)).astype(np.float32)
+    return logits, rng.integers(0, c, size=(p, b, t))
+
+
+class TestStackedLoss:
+    """``forward_backward_stacked`` against per-rank ``forward_backward``
+    on the same logits: bit-equal losses and gradients, with the per-rank
+    path made to fail if the stacked one calls it."""
+
+    def _check(self, monkeypatch, logits, targets):
+        loss = SoftmaxCrossEntropy()
+        ref = [loss.forward_backward(logits[r], targets[r])
+               for r in range(len(logits))]
+
+        def per_rank(*_):
+            raise AssertionError("per-rank forward_backward ran")
+
+        monkeypatch.setattr(SoftmaxCrossEntropy, "forward_backward", per_rank)
+        losses, dy = loss.forward_backward_stacked(logits, targets)
+        assert losses.dtype == np.float64 and dy.dtype == logits.dtype
+        for r, (rl, rd) in enumerate(ref):
+            assert float(losses[r]) == rl, f"rank {r} loss"
+            np.testing.assert_array_equal(dy[r], rd, err_msg=f"rank {r}")
+        return losses, dy
+
+    def test_no_mask(self, monkeypatch):
+        self._check(monkeypatch, *_logits_and_targets(4))
+
+    def test_mixed_masks(self, monkeypatch):
+        logits, targets = _logits_and_targets(5, seed=1)
+        rng = np.random.default_rng(2)
+        targets[rng.random(targets.shape) < 0.6] = IGNORE_INDEX
+        counts = (targets != IGNORE_INDEX).reshape(5, -1).sum(axis=1)
+        assert len(set(counts.tolist())) > 1 and counts.all()
+        self._check(monkeypatch, logits, targets)
+
+    def test_equal_masks(self, monkeypatch):
+        logits, targets = _logits_and_targets(4, seed=5)
+        targets[:, 0, 1:] = IGNORE_INDEX     # every rank keeps 9 of 12
+        self._check(monkeypatch, logits, targets)
+
+    def test_a_rank_with_no_valid_target(self, monkeypatch):
+        logits, targets = _logits_and_targets(3, seed=3)
+        targets[1] = IGNORE_INDEX
+        targets[2, 0] = IGNORE_INDEX
+        losses, dy = self._check(monkeypatch, logits, targets)
+        assert losses[1] == 0.0 and not dy[1].any()
+
+    def test_fully_masked_world(self, monkeypatch):
+        logits, targets = _logits_and_targets(3, seed=4)
+        targets[...] = IGNORE_INDEX
+        losses, dy = self._check(monkeypatch, logits, targets)
+        assert not losses.any() and not dy.any()
 
 
 class TestGate:
@@ -213,15 +261,18 @@ class TestBertTraining:
         assert [r[:3] for r in batched] == [r[:3] for r in threads]
         assert net_b == net_u == net_t
 
-    def test_shrink_8_to_7_restacks_with_uneven_shards(self, rendezvous_log):
+    def test_shrink_8_to_7_restacks_with_uneven_shards(self, rendezvous_log,
+                                                       world_fwdbwd):
         """After an 8 -> 7 shrink the survivors re-stack and their shards
-        no longer divide the global batch: the per-rank fallback inside the
-        rendezvous must land on the bits of a never-batched run."""
+        (2, 2, 2, 3, 2, 2, 3) no longer divide the global batch: the world
+        module runs once per run of equal shards and lands on the bits of
+        a never-batched run."""
         plan = FaultPlan(crashes=[RankCrash(rank=3, iteration=2)])
         on, _ = _train_bert(8, 3, batch_env="1", faults=plan)
         sizes = Counter(e.size for e in rendezvous_log
                         if e.head == "rb_fwdbwd")
         assert sizes[8] == 8 and sizes[7] == 7 * 2   # iterations 1 | 2, 3
+        assert world_fwdbwd == [8] + [3, 1, 2, 1] * 2
         off, _ = _train_bert(8, 3, batch_env="0", faults=plan)
         assert on[3] is None and off[3] is None
         assert [r[:3] for r in on if r] == [r[:3] for r in off if r]
