@@ -25,8 +25,7 @@ class ReLU(Module):
 class GELU(Module):
     """tanh approximation of GELU (as used in BERT)."""
 
-    _C = np.sqrt(2.0 / np.pi).astype(np.float32) if hasattr(
-        np.sqrt(2.0 / np.pi), "astype") else np.sqrt(2.0 / np.pi)
+    _C = np.float32(np.sqrt(2.0 / np.pi))
 
     def __init__(self):
         super().__init__()
@@ -35,7 +34,8 @@ class GELU(Module):
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         self._x = x
-        inner = self._C * (x + 0.044715 * x ** 3)
+        # x * x * x, not x ** 3: float32 ``pow`` is slow for negative bases
+        inner = self._C * (x + 0.044715 * (x * x * x))
         self._t = np.tanh(inner)
         return 0.5 * x * (1.0 + self._t)
 

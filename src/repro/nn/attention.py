@@ -43,7 +43,8 @@ class MultiHeadSelfAttention(Module):
         qkv = qkv.reshape(*lead, T, 3, h, dh)
         q, k, v = (qkv[..., i, :, :].swapaxes(-3, -2)  # (B, h, T, dh)
                    for i in range(3))
-        scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(dh)  # (B, h, T, T)
+        # np.float32: a float64 numpy scalar would promote the scores (NEP 50)
+        scores = (q @ k.swapaxes(-1, -2)) / np.float32(np.sqrt(dh))  # (B, h, T, T)
         attn = _softmax(scores)
         ctx = attn @ v                                 # (B, h, T, dh)
         out = ctx.swapaxes(-3, -2).reshape(*lead, T, D)
@@ -60,7 +61,7 @@ class MultiHeadSelfAttention(Module):
         dv = attn.swapaxes(-1, -2) @ dctx
         # softmax backward: ds = attn * (dattn - sum(dattn*attn))
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores /= np.sqrt(dh)
+        dscores /= np.float32(np.sqrt(dh))
         dq = dscores @ k
         dk = dscores.swapaxes(-1, -2) @ q
         dqkv = np.stack([d.swapaxes(-3, -2) for d in (dq, dk, dv)],

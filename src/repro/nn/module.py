@@ -8,6 +8,13 @@ Design rules (keep the math simple and the memory layout flat):
   gradient) into one contiguous flat buffer so the distributed optimizers
   can treat the model as a single vector — mutating the flat vector mutates
   the layers' views and vice versa.
+
+Dtype contract: parameters, activations and gradients are float32 end to
+end (``tests/test_nn_dtype.py``).  Only the loss's softmax runs in float64,
+inside the loss, by design; token ids are integers.  A float64 input (the
+gradient checks) stays float64.  Under NumPy 2's promotion rules (NEP 50) a
+numpy scalar such as ``np.sqrt(d)`` is float64 and promotes a float32 array
+it touches, so layer math uses Python floats or ``np.float32`` constants.
 """
 
 from __future__ import annotations

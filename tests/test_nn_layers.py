@@ -64,6 +64,21 @@ class TestActivations:
         out = g.forward(np.array([0.0, 1.0, -1.0], dtype=np.float32))
         np.testing.assert_allclose(out, [0.0, 0.8412, -0.1588], atol=1e-3)
 
+    def test_gelu_float32_matches_the_float64_formula(self):
+        """Absolute tolerance: ``1 + tanh`` cancels for negative inputs,
+        so ULPs of the result mean nothing there."""
+        x = np.linspace(-10.0, 10.0, 20001, dtype=np.float32)
+        out = GELU().forward(x)
+        assert out.dtype == np.float32
+        x64 = x.astype(np.float64)
+        ref = 0.5 * x64 * (1.0 + np.tanh(
+            np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * x64 ** 3)))
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
+    def test_gelu_constant_is_float32(self):
+        assert type(GELU._C) is np.float32
+        assert GELU._C == np.float32(np.sqrt(2.0 / np.pi))
+
 
 class TestConv2d:
     def test_output_shape(self):
@@ -208,6 +223,16 @@ class TestAttention:
     def test_output_shape(self):
         attn = MultiHeadSelfAttention(8, 2, rng=np.random.default_rng(27))
         assert attn.forward(_x(2, 5, 8, seed=28)).shape == (2, 5, 8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_follows_the_input(self, dtype):
+        """float32 stays float32 (the head scale must not promote it), and
+        float64 stays float64 so the gradient checks keep their precision."""
+        attn = MultiHeadSelfAttention(12, 4, rng=np.random.default_rng(27))
+        x = _x(2, 5, 12, seed=28).astype(dtype)
+        out = attn.forward(x)
+        assert out.dtype == dtype
+        assert attn.backward(np.ones_like(out)).dtype == dtype
 
     def test_dim_head_mismatch(self):
         with pytest.raises(ValueError):
