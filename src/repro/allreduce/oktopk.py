@@ -142,7 +142,12 @@ def _exec_split_reduce(net, ws, rotation, bucket_size, local, boundaries):
     adjacent and in its owner's reduction order (own piece, then request
     order — what ``combine_sum`` concatenates), ``reduceat`` accumulates
     them in float64 as the per-owner call does, one float32 cast follows,
-    and the consensus boundaries cut the result back into regions.
+    and the consensus boundaries cut the result into regions.
+
+    Returns the reduced ``idx`` / ``val`` of all regions in index order,
+    the region cuts (region ``r`` is ``idx[cuts[r]:cuts[r + 1]]``) and
+    the source-order concatenation of the selections (``ws`` scratch,
+    valid until the next call).
     """
     p = len(local)
     tables, order = compile_split_reduce(p, rotation, bucket_size)
@@ -155,16 +160,16 @@ def _exec_split_reduce(net, ws, rotation, bucket_size, local, boundaries):
     _book_split_reduce(net, ws, tables, count)
 
     total = int(cut[:, -1].sum())
-    all_idx = np.concatenate([loc.indices for loc in local],
+    src_idx = np.concatenate([loc.indices for loc in local],
                              out=ws.flat("sr_idx", total, INDEX_DTYPE))
     all_val = np.concatenate([loc.values for loc in local],
                              out=ws.flat("sr_val", total, VALUE_DTYPE))
-    key = np.multiply(all_idx, p, dtype=np.int64,
+    key = np.multiply(src_idx, p, dtype=np.int64,
                       out=ws.flat("sr_key", total, np.int64))
     # entries run source by source, owners ascending within a source
     key += np.repeat(order.T.ravel(), count.ravel())
     perm = key.argsort()        # keys are unique: any sort, one answer
-    all_idx = all_idx.take(perm, out=ws.flat("sr_idx_sorted", total,
+    all_idx = src_idx.take(perm, out=ws.flat("sr_idx_sorted", total,
                                              INDEX_DTYPE))
     all_val = all_val.take(perm, out=ws.flat("sr_val_sorted", total,
                                              VALUE_DTYPE))
@@ -176,9 +181,7 @@ def _exec_split_reduce(net, ws, rotation, bucket_size, local, boundaries):
     val = np.add.reduceat(all_val, head,
                           dtype=np.float64).astype(VALUE_DTYPE)
     cuts = [0, *idx.searchsorted(inner[0]).tolist(), idx.size]
-    n = local[0].n
-    return [COOVector(n, idx[lo:hi], val[lo:hi])
-            for lo, hi in zip(cuts, cuts[1:])]
+    return idx, val, cuts, src_idx
 
 
 def _book_split_reduce(net, ws, tables, count):
@@ -365,16 +368,15 @@ def _consensus_world(net, schemes, states, proposals, n: int) -> None:
         ar._adopt_boundaries(st, summed, len(schemes), n)
 
 
-def _global_th_world(net, comms, schemes, states, values, words,
+def _global_th_world(net, comms, schemes, states, merged, words,
                      k: int) -> None:
     """The exact global-threshold estimate for the world: the allgatherv
-    of the reduced pieces (``words[r]`` wire words each) booked inline,
-    then every rank's own sort charge and counter
-    (:meth:`OkTopkAllreduce._estimate_global_th`)."""
+    of the reduced pieces (``words[r]`` wire words each; ``merged`` is
+    their values in rank order) booked inline, then every rank's own sort
+    charge and counter (:meth:`OkTopkAllreduce._estimate_global_th`)."""
     with _world_phase(net, comms, PHASE_COMM):
         _fused.replay(net, _fused.compile_allgatherv(len(comms),
                                                      tuple(words)))
-    merged = np.concatenate(values)
     for comm, ar, st in zip(comms, schemes, states):
         ar._estimate_global_th(comm, st, merged, k)
 
@@ -431,23 +433,28 @@ def _exec_reduce(net, sig, lanes):
         boundaries = [st.boundaries for st in states]
         for comm, loc in zip(comms, local):
             comm.compute_scan(loc.indices.size)      # the split
-        reduced = _exec_split_reduce(net, ws, lead.rotation,
-                                     lead.bucket_size, local, boundaries)
+        idx, val, rcuts, src_idx = _exec_split_reduce(
+            net, ws, lead.rotation, lead.bucket_size, local, boundaries)
+    region = np.diff(rcuts)
 
     # -- lines 9-12: global threshold ------------------------------------
     if states[0].global_th is None or lead._due(t, lead.tau_prime):
-        _global_th_world(net, comms, schemes, states,
-                         [v.values for v in reduced],
-                         [2 * v.indices.size for v in reduced], k)
+        _global_th_world(net, comms, schemes, states, val,
+                         (2 * region).tolist(), k)
 
     # -- line 13: balance and allgatherv ---------------------------------
     with _world_phase(net, comms, PHASE_COMM):
+        # one masked pass: region r keeps |val| >= its rank's global
+        # threshold (float32, as COOVector.select_threshold compares)
         global_ths = [st.global_th for st in states]
-        mine = []
-        for comm, gth, red in zip(comms, global_ths, reduced):
-            mine.append(red.select_threshold(gth) if gth > 0 else red)
-            comm.compute_scan(red.indices.size)
-        sizes = [m.indices.size for m in mine]
+        keep = np.abs(val) >= np.repeat(
+            np.array(global_ths, dtype=VALUE_DTYPE), region)
+        for comm, gth, lo, hi in zip(comms, global_ths, rcuts, rcuts[1:]):
+            if not gth > 0:
+                keep[lo:hi] = True      # no threshold: the region ships whole
+            comm.compute_scan(hi - lo)
+        kept = np.flatnonzero(keep)
+        sizes = np.diff(kept.searchsorted(rcuts)).tolist()
         _fused.replay(net, _fused.compile_allgatherv(p, (1,) * p))
         total = sum(sizes)
         balanced = (lead.data_balancing and total > 0
@@ -461,8 +468,7 @@ def _exec_reduce(net, sig, lanes):
                 st.balancing_triggered += 1
         else:
             cuts = list(accumulate(sizes, initial=0))
-        u_idx = np.concatenate([m.indices for m in mine])
-        u_val = np.concatenate([m.values for m in mine])
+        u_idx, u_val = idx[kept], val[kept]
         if lead.package_codec is None:
             words = [2 * (hi - lo) for lo, hi in zip(cuts, cuts[1:])]
         else:
@@ -481,11 +487,16 @@ def _exec_reduce(net, sig, lanes):
     u_idx.setflags(write=False)
     u_val.setflags(write=False)
     u_t = COOVector(n, u_idx, u_val)
-    # line 14, one membership mask for all ranks (all-False between calls)
+    # line 14: one membership mask for all ranks (all-False between calls)
+    # read through the source-order selections, split per rank
     member = ws.flat("member", n, bool)
     member[u_idx] = True
-    contributed = [loc.indices[member[loc.indices]] for loc in local]
+    hit = np.flatnonzero(member[src_idx])
     member[u_idx] = False
+    got = src_idx[hit]
+    ends = hit.searchsorted(
+        list(accumulate(loc.indices.size for loc in local))).tolist()
+    contributed = [got[lo:hi] for lo, hi in zip([0, *ends], ends)]
     return [AllreduceResult(
         update=u_t,
         contributed_indices=mine_in_u,

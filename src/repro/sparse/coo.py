@@ -198,8 +198,12 @@ def combine_sum(vectors: Iterable[COOVector]) -> COOVector:
     cast back to float32 — same precision as the historical
     ``bincount(weights=...astype(float64))`` path, but without materializing
     the float64 temporary or ``np.unique``'s inverse array.  The stable sort
-    preserves appearance order within an index, so sums are bit-identical to
-    the bincount formulation.
+    preserves appearance order within an index, but ``reduceat`` does not
+    add a run left to right: runs of 8 or more entries are summed pairwise
+    (the float64 run ``[1e20, 1, -1e20, 1 x7, 3, 1e-30]`` gives 0.0, a
+    sequential sum 10.0).  What holds is that the same run layout — the
+    same values, in the same order — gives the same bits, which is what
+    the world executor's split-and-reduce relies on.
 
     This is the local reduction performed by the owner rank in
     split-and-reduce, and the source of the *fill-in* effect for

@@ -17,12 +17,14 @@ Three estimators, matching Section 3.1.3 and Figure 4 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
 
 from .topk import kth_largest_abs
+
+_STD_NORMAL = NormalDist()
 
 
 def exact_threshold(x: np.ndarray, k: int) -> float:
@@ -35,6 +37,8 @@ def gaussian_threshold(x: np.ndarray, k: int) -> float:
 
     With ``X ~ N(mu, sigma)`` fitted to the gradient values, the two-sided
     tail ``P(|X - mu| > t) = k/n`` gives ``t = sigma * ppf(1 - k/(2n))``.
+    The standard-library ``ppf`` (Wichura's AS241) agrees with the usual
+    Cephes ``ndtri`` to a few ULP.
     """
     n = x.size
     if k <= 0:
@@ -46,7 +50,7 @@ def gaussian_threshold(x: np.ndarray, k: int) -> float:
     if sigma == 0.0:
         return abs(mu)
     q = 1.0 - 0.5 * k / n
-    return abs(mu) + sigma * float(stats.norm.ppf(q))
+    return abs(mu) + sigma * _STD_NORMAL.inv_cdf(q)
 
 
 def adjusted_gaussian_threshold(x: np.ndarray, k: int, *,

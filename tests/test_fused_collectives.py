@@ -43,7 +43,7 @@ from repro.comm.faults import (ComputeStraggler, FaultPlan, LinkSlowdown,
                                RankCrash)
 from repro.data import ShardedLoader
 from repro.errors import RankFailedError
-from repro.sparse import exact_topk
+from repro.sparse import COOVector, exact_topk
 from repro.train import Trainer, TrainerConfig
 from repro.train.rankbatch import RANK_BATCH_ENV, _world_state
 
@@ -604,6 +604,21 @@ def _acc_loud_step(rank, t):
     return _acc_normal(rank, t) * np.float32(1000.0 if t % 2 == 0 else 1.0)
 
 
+#: twelve magnitudes spanning 20 decades that cancel in float64
+CANCEL = np.array([1e20, 1, -1e20] + [1] * 7 + [3, 2], dtype=np.float32)
+
+
+def _acc_cancelling(rank, t):
+    """Every 19th entry holds one of :data:`CANCEL`, rotated across ranks
+    and iterations, over a quiet background: every rank selects all of
+    them, so at P = 12 each of those indices is reduced from 12
+    contributions that cancel."""
+    acc = _acc_normal(rank, t) * np.float32(1e-3)
+    hot = np.arange(0, OK_N, 19)
+    acc[hot] = CANCEL[(rank + hot + t) % CANCEL.size]
+    return acc
+
+
 def _fingerprint(res):
     """Everything an Ok-Topk reduction hands back, as comparable leaves."""
     stats = [(b.lo, b.hi, b.k, b.release_frac, b.comm_time, b.sparsify_time,
@@ -692,6 +707,21 @@ class TestOkTopkWorldExecutor:
         assert _final_count(res, "guard_evaluations") > 0
         # the naive schedule in sub-buckets of two steps
         run(rotation=False, bucket_size=2)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_identity_in_the_pairwise_regime(self, mode, rendezvous_log):
+        """P = 12, all ranks contributing to the same indices with
+        cancelling magnitudes (:func:`_acc_cancelling`): runs of 12
+        entries, which ``reduceat`` sums pairwise, so only the reference
+        path's run order gives its bits.  The P = 16 perfbench workload
+        is in this regime every step; P <= 6 never reaches it."""
+        res = three_way(functools.partial(_oktopk_prog,
+                                          make_acc=_acc_cancelling),
+                        12, "oktopk", mode, log=rendezvous_log)
+        hot = set(range(0, OK_N, 19))
+        for outs, _ in res.results:
+            for (idx, *_), _clock in outs:
+                assert hot & set(idx.tolist())      # cancelled sums ship
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_zero_budget_buckets_are_skipped(self, p, rendezvous_log):
@@ -859,8 +889,10 @@ def _exec_sr_stage(net, sig, payloads):
     comms, local, boundaries = zip(*payloads)
     for comm, loc in zip(comms, local):
         comm.compute_scan(loc.nnz)
-    return oktopk_mod._exec_split_reduce(
+    idx, val, cuts, _ = oktopk_mod._exec_split_reduce(
         net, _world_state(net), sig[1], sig[2], local, boundaries)
+    return [COOVector(loc.n, idx[lo:hi], val[lo:hi])
+            for loc, lo, hi in zip(local, cuts, cuts[1:])]
 
 
 def _sr_prog(comm, rotation, bucket_size, stagger=True, rounds=3):

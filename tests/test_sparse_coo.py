@@ -75,6 +75,16 @@ class TestCOOVector:
             expect[v.indices] += v.values
         np.testing.assert_allclose(got, expect, rtol=1e-5, atol=1e-6)
 
+    def test_combine_sum_is_its_run_layout(self):
+        """Twelve contributions to one index with cancelling magnitudes:
+        the sum is ``reduceat`` over the run in appearance order, which
+        at this length adds pairwise — a left-to-right sum differs."""
+        run = np.array([1e20, 1, -1e20] + [1] * 7 + [3, 2], dtype=np.float32)
+        got = combine_sum([COOVector.from_arrays(8, [5], [v]) for v in run])
+        expect = np.add.reduceat(run, [0], dtype=np.float64)
+        assert got.values.tobytes() == expect.astype(np.float32).tobytes()
+        assert got.values[0] != sum(run.tolist())
+
     def test_combine_mismatched_length_raises(self):
         a = COOVector.empty(10)
         b = COOVector.empty(11)

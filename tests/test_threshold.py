@@ -53,6 +53,23 @@ class TestGaussianThreshold:
         assert t_gauss > t_exact
         assert np.count_nonzero(np.abs(x) >= t_gauss) < k
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,z", [
+        (50_000, 1.9599639845400539),       # z(0.975)
+        (10_000, 2.5758293035489005),       # z(0.995)
+        (1_000, 3.2905267314919258),        # z(0.9995)
+        (1, 4.8916384757147790),            # z(1 - 5e-7)
+    ])
+    def test_tabulated_normal_quantiles(self, k, z, dtype):
+        """A sample with exact mean -0.25 and standard deviation 0.5
+        (n = 10**6, so ``q = 1 - k/(2n)`` is the tabulated level): the
+        threshold is ``|mu| + sigma * z`` to a few ULP."""
+        mu, sigma = -0.25, 0.5
+        x = np.full(1_000_000, mu - sigma, dtype=dtype)
+        x[::2] = mu + sigma
+        assert gaussian_threshold(x, k) == pytest.approx(
+            abs(mu) + sigma * z, rel=1e-14, abs=0)
+
     def test_k_geq_n_returns_zero(self):
         assert gaussian_threshold(np.ones(5, np.float32), 5) == 0.0
 
