@@ -2,40 +2,26 @@
 """Run the benchmark suite.
 
 * default: every ``bench_*.py`` pytest benchmark (the paper-figure
-  reproductions) followed by the wall-clock perf benchmark;
+  reproductions) followed by the repo's wall-clock benchmark,
+  ``perfbench/run.py``;
 * ``--quick``: a post-merge smoke check — the fast non-slow unit tests,
   the fault-injection, serving and sanitizer smokes
   (``sanitize_smoke.py``: P=4 train + serve bit-identical under
   ``REPRO_SANITIZE=1``, every shipped scheme race-free under a perturbed
   schedule, and the detectors proven live on injected bugs), plus
-  ``bench_perf_wallclock.py --quick`` (a couple of minutes total).  The
-  quick perf run covers the bucketed and streaming session cases for
-  dense/topka/oktopk, so the Ok-Topk shared-state bucketed-stream path is
-  exercised on every post-merge smoke; the serving smoke pins the
-  P=4 tensor-parallel serving loop's cross-runner bit-identity and the
+  ``perfbench/run.py --smoke`` (every perfbench workload end to end,
+  traced digest == untraced digest).  The serving smoke pins the P=4
+  tensor-parallel serving loop's cross-runner bit-identity and the
   size-adaptive allreduce selector.
-
-Perf regression gate
---------------------
-
-``--quick`` runs the perf benchmark into a scratch file
-(``BENCH_PERF.quick.json``, not committed — the committed
-``BENCH_PERF.json`` baseline is only refreshed by full runs) and compares
-its ``speedups`` entries against the committed baseline, **failing** when
-any shared entry regressed by more than ``--gate-threshold`` (default
-25%).  Re-baselining on purpose?  Pass ``--rebaseline`` to skip the
-comparison.
 
 Usage::
 
-    python benchmarks/run_all.py [--quick] [--skip-tests] [--rebaseline]
-        [--gate-threshold 0.25]
+    python benchmarks/run_all.py [--quick] [--skip-tests]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -43,7 +29,7 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
-BENCH_JSON = REPO_ROOT / "BENCH_PERF.json"
+PERFBENCH = REPO_ROOT / "perfbench" / "run.py"
 
 
 def _run(cmd: list[str], **kwargs) -> int:
@@ -54,72 +40,24 @@ def _run(cmd: list[str], **kwargs) -> int:
     return subprocess.run(cmd, cwd=REPO_ROOT, env=env, **kwargs).returncode
 
 
-def check_perf_gate(baseline: dict, fresh: dict,
-                    threshold: float = 0.25) -> list[str]:
-    """Compare ``speedups`` entries; return the failing keys.
-
-    Only keys present in both files are gated (new benchmarks grow the
-    dict freely).  An entry fails when the fresh speedup dropped more
-    than ``threshold`` (fractional) below the committed baseline.
-    """
-    base = baseline.get("speedups", {})
-    new = fresh.get("speedups", {})
-    failures = []
-    for key in sorted(set(base) & set(new)):
-        b, f = float(base[key]), float(new[key])
-        if b <= 0:
-            continue
-        drop = 1.0 - f / b
-        status = "FAIL" if drop > threshold else "ok"
-        print(f"  gate {key}: baseline {b:.2f}x -> fresh {f:.2f}x "
-              f"({-drop * 100:+.1f}%) {status}")
-        if drop > threshold:
-            failures.append(key)
-    return failures
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
-                    help="post-merge smoke: fast tests + quick perf run")
+                    help="post-merge smoke: fast tests + smokes + "
+                         "perfbench --smoke")
     ap.add_argument("--skip-tests", action="store_true",
                     help="benchmarks only, no pytest smoke")
-    ap.add_argument("--rebaseline", action="store_true",
-                    help="skip the perf regression gate (intentional "
-                         "re-baselining of BENCH_PERF.json)")
-    ap.add_argument("--gate-threshold", type=float, default=0.25,
-                    help="fractional speedup regression that fails the "
-                         "gate (default 0.25)")
     args = ap.parse_args(argv)
 
     rc = 0
     if args.quick:
-        baseline = None
-        if BENCH_JSON.exists() and not args.rebaseline:
-            baseline = json.loads(BENCH_JSON.read_text())
         if not args.skip_tests:
             rc |= _run([sys.executable, "-m", "pytest", "-q",
                         "-m", "not slow", "tests"])
         rc |= _run([sys.executable, str(BENCH_DIR / "fault_smoke.py")])
         rc |= _run([sys.executable, str(BENCH_DIR / "serve_smoke.py")])
         rc |= _run([sys.executable, str(BENCH_DIR / "sanitize_smoke.py")])
-        quick_json = REPO_ROOT / "BENCH_PERF.quick.json"
-        rc |= _run([sys.executable, str(BENCH_DIR / "bench_perf_wallclock.py"),
-                    "--quick", "--out", str(quick_json)])
-        if baseline is not None and quick_json.exists():
-            fresh = json.loads(quick_json.read_text())
-            print("perf regression gate (fresh BENCH_PERF.json vs "
-                  "committed baseline):")
-            failures = check_perf_gate(baseline, fresh,
-                                       args.gate_threshold)
-            if failures:
-                print(f"PERF GATE FAILED: {len(failures)} speedup entr"
-                      f"{'y' if len(failures) == 1 else 'ies'} regressed "
-                      f"more than {args.gate_threshold * 100:.0f}%: "
-                      + ", ".join(failures))
-                print("(re-baselining on purpose? rerun with "
-                      "--rebaseline)")
-                rc |= 1
+        rc |= _run([sys.executable, str(PERFBENCH), "--smoke"])
         return rc
 
     if not args.skip_tests:
@@ -130,7 +68,7 @@ def main(argv=None) -> int:
         sorted(BENCH_DIR.glob("bench_ext*.py"))
     rc |= _run([sys.executable, "-m", "pytest", "-q", "-p",
                 "no:cacheprovider"] + [str(f) for f in bench_files])
-    rc |= _run([sys.executable, str(BENCH_DIR / "bench_perf_wallclock.py")])
+    rc |= _run([sys.executable, str(PERFBENCH)])
     return rc
 
 

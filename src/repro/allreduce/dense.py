@@ -34,7 +34,7 @@ class DenseAllreduce(GradientAllreduce):
     sparse = False
     bucketable = True
 
-    def __init__(self, *, algo: str = "auto", **kwargs):
+    def __init__(self, *, algo: str = "bandwidth", **kwargs):
         super().__init__(**kwargs)
         self.algo = algo
 
@@ -53,7 +53,8 @@ class DenseOvlpAllreduce(DenseAllreduce):
     bucketable = True
     overlap_from_start = True
 
-    def __init__(self, *, nbuckets: int = 4, algo: str = "auto", **kwargs):
+    def __init__(self, *, nbuckets: int = 4, algo: str = "bandwidth",
+                 **kwargs):
         super().__init__(algo=algo, **kwargs)
         if nbuckets < 1:
             raise ValueError("nbuckets must be >= 1")

@@ -141,14 +141,13 @@ def perf_proxy(hidden: int = 64, image_size: int = 16,
 
     A deliberately tiny MLP (~50k params, microseconds of numpy compute per
     iteration) so that `train_scheme` wall time is dominated by the
-    simulator's communication layer — the thing `bench_perf_wallclock.py`
-    tracks across PRs.  Not one of the paper's workloads.
+    simulator's communication layer — what perfbench's mlp workloads
+    (``perfbench/workloads.py``) time.  Not one of the paper's workloads.
 
     ``global_batch``/``n_train`` exist for the P >= 64 scale cases:
     :class:`~repro.data.ShardedLoader` requires ``size <= global_batch <=
     n_train``, so e.g. ``perf_proxy(n_train=128, global_batch=128)`` runs
-    a P=128 world at one sample per rank.  The P <= 16 perf-trajectory
-    rows keep the historical defaults.
+    a P=128 world at one sample per rank (``tests/test_scale_identity.py``).
     """
     from ..nn.activation import ReLU
     from ..nn.linear import Linear

@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--hidden", type=int, default=256)
     sv.add_argument("--layers", type=int, default=4)
     sv.add_argument("--algorithm", default="adaptive",
-                    choices=["adaptive", "latency", "bandwidth", "auto",
+                    choices=["adaptive", "latency", "bandwidth",
                              "recursive_doubling", "rabenseifner", "ring"],
                     help="per-layer allreduce schedule: size-adaptive "
                          "(default), a forced role, or a concrete algorithm")

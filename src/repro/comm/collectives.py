@@ -351,19 +351,20 @@ _ALLREDUCE_IMPLS: Dict[str, Callable[..., np.ndarray]] = {
 
 
 def allreduce(comm: SimComm, arr: np.ndarray, op=np.add,
-              algo: str = "auto", *, algorithm: Optional[str] = None,
+              algo: str = "bandwidth", *, algorithm: Optional[str] = None,
               ) -> np.ndarray:
     """Dense allreduce dispatch.
 
     ``algorithm`` (``algo`` is the positional alias) selects the schedule
     (resolved by :func:`repro.comm.fused.resolve_allreduce`):
 
-    * ``"auto"`` — the static P-based default (the paper's Dense baseline):
-      Rabenseifner for powers of two, ring otherwise.
+    * ``"bandwidth"`` (default) — the bandwidth-optimal schedule at this
+      P (the paper's Dense baseline): Rabenseifner for powers of two,
+      ring otherwise.
+    * ``"latency"`` — the latency-optimal schedule (recursive doubling).
     * ``"adaptive"`` — size-adaptive: the latency-optimal schedule below
       the network's alpha/beta crossover size, the bandwidth-optimal one
       at/above it (:func:`repro.comm.fused.select_allreduce_algorithm`).
-    * ``"latency"`` / ``"bandwidth"`` — force the role regardless of size.
     * a concrete name (``"recursive_doubling"``, ``"rabenseifner"``,
       ``"ring"``) — force that exact schedule.
 

@@ -42,7 +42,7 @@ from typing import Optional
 from ..errors import CommError, DeadlockError, RankFailedError, \
     SimulatedRankCrash
 from .communicator import SimComm
-from .fused import fusion_enabled, fusion_floors
+from . import fused as _fused
 from .message import Message
 from .network import Network
 from .payload import freeze as _freeze
@@ -74,11 +74,10 @@ class CoopEngine:
         self.nranks = nranks
         #: fused-collective fast path (see repro.comm.fused); resolved
         #: from REPRO_FUSED when not given explicitly
-        self.fused = fusion_enabled() if fused is None else bool(fused)
-        #: world-size profitability floor of the dense fused collectives,
-        #: resolved once from REPRO_FUSED_MIN_RANKS so that no collective
-        #: call reads the environment
-        self.fused_floors = fusion_floors()
+        self.fused = _fused.fusion_enabled() if fused is None else bool(fused)
+        #: world-size profitability floor of the dense fused collectives
+        #: (:data:`repro.comm.fused.FUSED_MIN_RANKS`, read once per engine)
+        self.fused_floors = _fused.FUSED_MIN_RANKS
         #: schedule-perturbation source (sanitizer race detector): when
         #: set, :meth:`_pop_ready` picks a seeded-random runnable rank
         #: instead of the FIFO head.  Simulated time is

@@ -6,7 +6,7 @@ calls, each paying for payload wrapping, a ``Message`` object, mailbox
 bookkeeping and — under the cooperative engine — a parked-thread hand-off
 whenever a receive misses.  For a P-rank collective that is ``O(P log P)``
 context switches per call, which dominates the simulator's wall-clock
-(``BENCH_PERF.json``).
+(``perfbench``'s ``comm.engine`` layer).
 
 This module removes that interpreter overhead without changing a single
 simulated timestamp.  Every collective is split into:
@@ -119,36 +119,57 @@ UNFUSED = object()
 FUSED_ENV = "REPRO_FUSED"
 
 #: profitability floor for the dense fused collectives (allreduce,
-#: reduce-scatter/allgather ring, reduce): worlds smaller than
-#: ``REPRO_FUSED_MIN_RANKS`` ranks take the per-message path instead
-#: (recorded in ``algorithm_log`` as mode ``"unfused-small"``).  Simulated
-#: time is identical either way; the floor is wall-clock-only.
-FUSED_MIN_RANKS_ENV = "REPRO_FUSED_MIN_RANKS"
-
-#: measured single-core default (see BENCH_PERF meta): at P <= 3 the
-#: rendezvous park/wake plus central replay never beats the handful of
-#: per-message posts (fused/reference ratios 0.75-1.10 across payloads of
-#: 16..50k words), while at P >= 4 fusion wins at every measured size down
-#: to one word per rank (1.04x-4.3x).
-_MIN_RANKS_DEFAULT = 4
+#: reduce-scatter/allgather ring, reduce): worlds smaller than this take
+#: the per-message path instead (recorded in ``algorithm_log`` as mode
+#: ``"unfused-small"``).  Simulated time is identical either way; the
+#: floor is wall-clock-only.  Each engine reads it once, at construction
+#: (:attr:`~repro.comm.engine.CoopEngine.fused_floors`).
+#:
+#: Why 4: ms of host time per ``collectives.allreduce`` call (default
+#: ``bandwidth`` role, float32 payload), min-max over 14-21 alternating
+#: runs of 200 calls, on a 2-vCPU Intel Xeon VM pinned to one core.
+#: "fused" sets this floor to 0, "per-message" sets it above P:
+#:
+#:   P  words    fused        per-message
+#:   2  16       0.046-0.077  0.042-0.069   tie
+#:   2  4096     0.050-0.084  0.045-0.073   tie
+#:   2  50 000   0.26-0.43    0.074-0.117   fused ~3x slower
+#:   3  16       0.135-0.238  0.114-0.194   fused ~1.2x slower
+#:   3  50 000   0.44-0.80    0.31-0.56     fused ~1.4x slower
+#:   4  16       0.078-0.147  0.150-0.246   fused ~1.8x faster
+#:   4  4096     0.086-0.162  0.171-0.281   fused ~1.8x faster
+#:   4  50 000   0.53-0.85    0.30-0.46     fused ~1.8x slower
+#:
+#: Below 4 ranks fusion buys nothing at any payload; from 4 ranks it
+#: wins on latency-bound payloads and loses on large dense ones.
+#: Changing the gate (another floor, or a payload term) is its own
+#: measured change: no perfbench workload runs below P = 4 or times
+#: this per-call path at large payloads.  Each row came from
+#: ``PYTHONPATH=src taskset -c 1 python ms.py`` with ``ms.py``::
+#:
+#:   import time, numpy as np
+#:   from repro.comm import collectives, fused, run_spmd
+#:   def ms(p, words, floor, reps=200):
+#:       fused.FUSED_MIN_RANKS = floor
+#:       x = np.ones(words, np.float32)
+#:       def prog(comm):
+#:           for _ in range(reps):
+#:               collectives.allreduce(comm, x)
+#:       run_spmd(p, prog)                       # warm-up
+#:       t0 = time.perf_counter()
+#:       run_spmd(p, prog)
+#:       return (time.perf_counter() - t0) / reps * 1e3
+#:   for p, words in ((2, 16), (2, 4096), (2, 50_000), (3, 16),
+#:                    (3, 50_000), (4, 16), (4, 4096), (4, 50_000)):
+#:       for floor in (0, p + 1) * 7:
+#:           print(p, words, floor, ms(p, words, floor))
+FUSED_MIN_RANKS = 4
 
 
 def fusion_enabled() -> bool:
     """Whether the fused fast path is enabled for new engines (env gate)."""
     return os.environ.get(FUSED_ENV, "1").lower() not in (
         "0", "false", "off", "no")
-
-
-def fusion_floors() -> int:
-    """The world-size floor below which dense-collective fusion is
-    skipped (env-overridable).  Parsed once per engine
-    (:class:`~repro.comm.engine.CoopEngine` keeps it as
-    ``fused_floors``); the collective hot path never reads the
-    environment."""
-    try:
-        return int(os.environ.get(FUSED_MIN_RANKS_ENV, _MIN_RANKS_DEFAULT))
-    except ValueError:
-        return _MIN_RANKS_DEFAULT
 
 
 def _below_floors(comm) -> bool:
@@ -171,13 +192,13 @@ def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
 
     Fusion replaces ``O(P log P)`` per-message park/wake cycles with one
     rendezvous plus a vectorized replay — a win that has to amortize the
-    rendezvous itself.  When the world is below the
-    :func:`fusion_floors`, the per-message path is faster in wall-clock
-    terms (simulated results/clocks/counters are bit-identical either
-    way), so the entry point returns :data:`UNFUSED` and the skip is
+    rendezvous itself.  When the world is below
+    :data:`FUSED_MIN_RANKS`, the per-message path is no slower in
+    wall-clock terms (simulated results/clocks/counters are bit-identical
+    either way), so the entry point returns :data:`UNFUSED` and the skip is
     recorded once per call in :attr:`Network.algorithm_log` under mode
     ``"unfused-small"`` — auditable next to the reference path's own
-    ``forced``/``auto``/``adaptive`` entries."""
+    ``forced``/``adaptive`` entries."""
     if not _below_floors(comm):
         return False
     if comm.rank == 0:  # once per collective call, not once per rank
@@ -743,8 +764,8 @@ LATENCY_OPTIMAL = "recursive_doubling"
 
 
 def bandwidth_optimal(p: int) -> str:
-    """The bandwidth-optimal dense allreduce at ``p`` ranks (the static
-    ``algo="auto"`` baseline): Rabenseifner for powers of two, the
+    """The bandwidth-optimal dense allreduce at ``p`` ranks (the
+    ``algo="bandwidth"`` default): Rabenseifner for powers of two, the
     bandwidth-equivalent ring otherwise (any P, no fold-in volume)."""
     return "rabenseifner" if p > 0 and (p & (p - 1)) == 0 else "ring"
 
@@ -821,8 +842,6 @@ def resolve_allreduce(algo: str, p: int, nwords_: int,
     :attr:`Network.algorithm_log` records."""
     if algo == "adaptive":
         return select_allreduce_algorithm(p, nwords_, model), "adaptive"
-    if algo == "auto":
-        return bandwidth_optimal(p), "auto"
     if algo == "latency":
         return LATENCY_OPTIMAL, "forced"
     if algo == "bandwidth":

@@ -113,7 +113,7 @@ class ServeConfig:
     layers: int = 4
     ffn_mult: int = 4
     # --- collectives ---
-    #: "adaptive" | "latency" | "bandwidth" | "auto" | concrete name
+    #: "adaptive" | "latency" | "bandwidth" | concrete name
     algorithm: str = "adaptive"
     seed: int = 0
     # --- request-level robustness (consulted by the fault-aware loop;

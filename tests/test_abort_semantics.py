@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.comm import Network, collectives, run_spmd
+from repro.comm import fused as fused_mod
 from repro.comm.faults import FaultPlan, RankCrash
 from repro.errors import CommError, DeadlockError, RankFailedError, \
     SimulatedRankCrash
@@ -197,7 +198,7 @@ class TestDeadlockDiagnosability:
         assert all(entry["op"] == "recv" for entry in exc.blocked)
 
     def test_rendezvous_deadlock_reports_collective_sig(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_MIN_RANKS", "0")
+        monkeypatch.setattr(fused_mod, "FUSED_MIN_RANKS", 0)
 
         def prog(comm):
             if comm.rank == 0:

@@ -88,13 +88,13 @@ class TestCrossover:
         assert resolve_allreduce("adaptive", p, small, m) == (
             LATENCY_OPTIMAL, "adaptive")
         assert resolve_allreduce("adaptive", p, large, m) == (bw, "adaptive")
-        assert resolve_allreduce("auto", p, small, m) == (bw, "auto")
         assert resolve_allreduce("latency", p, large, m) == (
             LATENCY_OPTIMAL, "forced")
         assert resolve_allreduce("bandwidth", p, small, m) == (bw, "forced")
         assert resolve_allreduce("ring", p, small, m) == ("ring", "forced")
-        with pytest.raises(ValueError, match="unknown dense allreduce"):
-            resolve_allreduce("nope", p, small, m)
+        for name in ("nope", "auto"):  # "auto" is not a role
+            with pytest.raises(ValueError, match="unknown dense allreduce"):
+                resolve_allreduce(name, p, small, m)
 
 
 def _allreduce_program(comm, n, algorithm):
@@ -109,7 +109,7 @@ def _run(p, n, algorithm, **kw):
 class TestDispatch:
     @pytest.mark.parametrize("p", [3, 4])
     @pytest.mark.parametrize("algorithm",
-                             ["adaptive", "latency", "bandwidth", "auto"])
+                             ["adaptive", "latency", "bandwidth"])
     def test_results_correct(self, p, algorithm):
         n = 257
         res = _run(p, n, algorithm)
@@ -147,9 +147,10 @@ class TestDispatch:
         net = _run(6, 8, "bandwidth").network  # non-pow2 -> ring
         assert ("allreduce", "ring", "forced") in net.algorithm_log
 
-    def test_auto_mode_recorded(self):
-        net = _run(4, 8, "auto").network
-        assert ("allreduce", "rabenseifner", "auto") in net.algorithm_log
+    def test_default_is_the_bandwidth_role(self):
+        net = _run(4, 8, None).network
+        assert list(net.algorithm_log) == [
+            ("allreduce", "rabenseifner", "forced")]
 
     def test_unknown_algorithm_raises(self):
         with pytest.raises(Exception):

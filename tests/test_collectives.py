@@ -56,7 +56,7 @@ class TestReduce:
 class TestAllreduce:
     @pytest.mark.parametrize("p", SIZES)
     @pytest.mark.parametrize("algo", ["recursive_doubling", "ring",
-                                      "rabenseifner", "auto"])
+                                      "rabenseifner", "bandwidth"])
     def test_allreduce_sum(self, p, algo):
         def prog(comm):
             return coll.allreduce(comm, _rank_vector(comm.rank), algo=algo)

@@ -48,6 +48,8 @@ from repro.train import Trainer, TrainerConfig
 from repro.train.rankbatch import RANK_BATCH_ENV, _world_state
 
 PS = [2, 3, 4, 5, 8]
+#: the floor as shipped, read before any fixture patches it
+SHIPPED_FLOOR = fused_mod.FUSED_MIN_RANKS
 
 
 @pytest.fixture(autouse=True)
@@ -55,7 +57,7 @@ def _fusion_floors_off(monkeypatch):
     """Pin the profitability floor to zero so every P in ``PS`` exercises
     the fused path (the default floor routes P <= 3 to the per-message
     path for wall-clock reasons — semantics coverage must not shrink)."""
-    monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "0")
+    monkeypatch.setattr(fused_mod, "FUSED_MIN_RANKS", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +561,7 @@ class TestThreeWayUnderPlans:
         plan = dataclasses.replace(plan, crashes=(RankCrash(
             rank=_victim(plan, p, seed), iteration=crash_at),))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "0")
+            mp.setattr(fused_mod, "FUSED_MIN_RANKS", 0)
             train_three_way(mp, [], p, "oktopk", plan, iters=5,
                             seed=seed % 7, threads=False)
 
@@ -992,30 +994,28 @@ class TestFusionFloors:
         coll.allreduce(comm, np.ones(256, dtype=np.float32),
                        algo="recursive_doubling")
 
-    def test_floor_defaults_and_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
-        assert fused_mod.fusion_floors() == 4
-        monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "2")
-        assert fused_mod.fusion_floors() == 2
-        monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "not-a-number")
-        assert fused_mod.fusion_floors() == 4
+    @pytest.fixture(autouse=True)
+    def _shipped_floor(self, monkeypatch):
+        """These tests run at the shipped floor, not the module's zero."""
+        monkeypatch.setattr(fused_mod, "FUSED_MIN_RANKS", SHIPPED_FLOOR)
+
+    def test_floor_default(self):
+        assert SHIPPED_FLOOR == 4
 
     def test_floors_are_resolved_at_engine_construction(self, monkeypatch):
         """The collective hot path reads the engine's floor, never the
-        environment: a change after ``run_spmd`` started is too late."""
-        monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "4")
-
+        module constant: a change after ``run_spmd`` started is too
+        late."""
         def prog(comm):
             if comm.rank == 0:
-                monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "99")
+                monkeypatch.setattr(fused_mod, "FUSED_MIN_RANKS", 99)
             self._prog(comm)
 
         res = run_spmd(4, prog, runner="coop", fused=True)
         assert not any(mode == "unfused-small"
                        for _, _, mode in res.network.algorithm_log)
 
-    def test_small_world_skip_records_provenance(self, monkeypatch):
-        monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
+    def test_small_world_skip_records_provenance(self):
         res = run_spmd(3, self._prog, runner="coop", fused=True)
         log = res.network.algorithm_log
         assert log[("allreduce", "recursive_doubling", "unfused-small")] \
@@ -1028,10 +1028,9 @@ class TestFusionFloors:
                        for _, _, mode in res.network.algorithm_log)
 
     @pytest.mark.parametrize("nwords", [4, 256])
-    def test_payload_size_does_not_gate_fusion(self, monkeypatch, nwords):
+    def test_payload_size_does_not_gate_fusion(self, nwords):
         """Only the world size is a floor: a tiny payload at P=4 fuses
         just like a large one."""
-        monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
 
         def prog(comm):
             coll.allreduce(comm, np.ones(nwords, dtype=np.float32),
@@ -1041,8 +1040,7 @@ class TestFusionFloors:
         assert not any(mode == "unfused-small"
                        for _, _, mode in res.network.algorithm_log)
 
-    def test_ring_decomposition_skip_records_both_phases(self, monkeypatch):
-        monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
+    def test_ring_decomposition_skip_records_both_phases(self):
 
         def prog(comm):
             coll.allreduce(comm, np.ones(256, dtype=np.float32),
@@ -1053,10 +1051,9 @@ class TestFusionFloors:
         assert ("reduce_scatter_ring", "ring", "unfused-small") in log
         assert ("allgather_ring", "ring", "unfused-small") in log
 
-    def test_skipped_run_stays_bit_identical(self, monkeypatch):
+    def test_skipped_run_stays_bit_identical(self):
         """With the default floor tripping (P=2), fused=True must land on
         exactly the reference execution."""
-        monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
         three_way(_collective_torture, 2)
 
 

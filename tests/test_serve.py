@@ -159,7 +159,7 @@ SMOKE = ServeConfig(p=4, rate=2000.0, n_requests=12, prompt_tokens=32,
 EXTREMES = replace(SMOKE, n_requests=2, prompt_tokens=320, max_batch_size=1,
                    hidden=64, layers=2)
 
-ALGORITHMS = ("adaptive", "latency", "bandwidth", "auto", "ring")
+ALGORITHMS = ("adaptive", "latency", "bandwidth", "ring")
 
 
 def world_state(res):
@@ -317,10 +317,9 @@ class TestServing:
                           n_requests=16)),
     ])
     def test_adaptive_matches_or_beats_fixed(self, regime, cfg):
-        # Governing metric per regime (mirrors the BENCH_PERF serving
-        # case): p99 inter-token latency when decode-dominated — the
-        # makespan of a drained open-loop run is a batching outcome
-        # there — and end-to-end makespan otherwise.
+        # Governing metric per regime: p99 inter-token latency when
+        # decode-dominated — the makespan of a drained open-loop run is a
+        # batching outcome there — and end-to-end makespan otherwise.
         def score(alg):
             rep = simulate_serving(replace(cfg, algorithm=alg))
             if regime == "latency_bound":

@@ -698,11 +698,12 @@ class TestStreamingOverlap:
         with pytest.raises(ConfigError):
             TrainerConfig(iterations=1, overlap_mode="magic")
 
-    def test_zero_contention_matches_analytic_replay(self):
+    @pytest.mark.parametrize("scheme", ["topka", "dense"])
+    def test_zero_contention_matches_analytic_replay(self, scheme):
         """With nothing to contend against, the streamed discrete-event
         timeline reproduces the analytic visible_comm_time replay."""
-        an = _train("topka", p=4, bucket_size=24, net=ZERO_CONTENTION_NET)
-        st = _train("topka", p=4, bucket_size=24, net=ZERO_CONTENTION_NET,
+        an = _train(scheme, p=4, bucket_size=24, net=ZERO_CONTENTION_NET)
+        st = _train(scheme, p=4, bucket_size=24, net=ZERO_CONTENTION_NET,
                     overlap_mode="stream")
         for ra, rs in zip(an.records, st.records):
             assert rs.nbuckets > 1
@@ -823,7 +824,8 @@ class TestStreamingOverlap:
         rec_an = _train("topka", p=2, bucket_size=64, net=COMM_BOUND_NET)
         assert not any(r.stream_fallback for r in rec_an.records)
 
-    def test_stream_runner_equivalence(self):
+    @pytest.mark.parametrize("scheme", ["topka", "dense"])
+    def test_stream_runner_equivalence(self, scheme):
         """Streamed timelines are schedule-independent like everything
         else: both runners agree bit-for-bit."""
         import os
@@ -831,7 +833,7 @@ class TestStreamingOverlap:
         for runner in ("coop", "threads"):
             os.environ["REPRO_SPMD_RUNNER"] = runner
             try:
-                recs[runner] = _train("topka", p=4, bucket_size=24,
+                recs[runner] = _train(scheme, p=4, bucket_size=24,
                                       net=COMM_BOUND_NET,
                                       overlap_mode="stream")
             finally:
