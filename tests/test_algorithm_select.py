@@ -109,7 +109,8 @@ def _run(p, n, algorithm, **kw):
 class TestDispatch:
     @pytest.mark.parametrize("p", [3, 4])
     @pytest.mark.parametrize("algorithm",
-                             ["adaptive", "latency", "bandwidth"])
+                             ["adaptive", "latency", "bandwidth", None],
+                             ids=str)
     def test_results_correct(self, p, algorithm):
         n = 257
         res = _run(p, n, algorithm)
@@ -147,10 +148,11 @@ class TestDispatch:
         net = _run(6, 8, "bandwidth").network  # non-pow2 -> ring
         assert ("allreduce", "ring", "forced") in net.algorithm_log
 
-    def test_default_is_the_bandwidth_role(self):
-        net = _run(4, 8, None).network
-        assert list(net.algorithm_log) == [
-            ("allreduce", "rabenseifner", "forced")]
+    @pytest.mark.parametrize("p, schedule", [(4, "rabenseifner"),
+                                             (6, "ring")])
+    def test_default_is_the_bandwidth_role(self, p, schedule):
+        net = _run(p, 8, None).network
+        assert list(net.algorithm_log) == [("allreduce", schedule, "forced")]
 
     def test_unknown_algorithm_raises(self):
         with pytest.raises(Exception):
