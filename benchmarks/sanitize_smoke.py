@@ -17,8 +17,10 @@ Three checks on the runtime sanitizer mode (``REPRO_SANITIZE=1`` /
   a world-level executor runs on whichever rank arrives last, so "the
   result does not depend on who that is" is exactly what it has to keep;
 * **detection** — the race detector flags a deliberately order-sensitive
-  rank program, and the loan sanitizer flags a ``setflags(write=True)``
-  bypass of the isend write-lock.
+  rank program, the loan sanitizer flags a ``setflags(write=True)``
+  bypass of the isend write-lock, and the replica check of the world
+  optimizer step (``rb_apply``) flags one rank's parameter row perturbed
+  between two rank-batched Adam steps.
 
 Everything is simulated time; the whole smoke takes a few seconds.
 """
@@ -40,9 +42,12 @@ from repro.bench import bert_proxy, perf_proxy, train_scheme  # noqa: E402
 from repro.bench.harness import proxy_network  # noqa: E402
 from repro.comm import SANITIZE_ENV, run_spmd  # noqa: E402
 from repro.data import ShardedLoader  # noqa: E402
-from repro.errors import LoanViolationError, ScheduleRaceError  # noqa: E402
+from repro.errors import (LoanViolationError,  # noqa: E402
+                          ReplicaDivergenceError, ScheduleRaceError)
+from repro.optim import Adam, SparseOptimWrapper  # noqa: E402
 from repro.serve import ServeConfig, simulate_serving  # noqa: E402
 from repro.train import Trainer, TrainerConfig  # noqa: E402
+from repro.train.rankbatch import RankBatch  # noqa: E402
 
 P = 4
 N = 1024
@@ -137,6 +142,20 @@ def _loan_violator(comm):
         comm.recv(0)
 
 
+def _diverged_replica(comm):
+    """Rank-batched Adam steps (one ``rb_apply`` per step) with rank 1's
+    parameter row perturbed before the third."""
+    rb = comm.rank_batch = RankBatch(comm)
+    opt = SparseOptimWrapper(make_allreduce("oktopk", density=0.05),
+                             Adam(lr=0.01), N)
+    w = np.zeros(N, dtype=np.float32)
+    rng = np.random.default_rng(comm.rank)
+    for t in (1, 2, 3):
+        if t == 3 and comm.rank == 1:
+            w[7] += 1e-3
+        opt.step(comm, w, rng.standard_normal(N).astype(np.float32), rb=rb)
+
+
 def main() -> int:
     # 1. sanitizer transparency on train + serve
     base = _train_and_serve()
@@ -191,6 +210,15 @@ def main() -> int:
         return 1
     except LoanViolationError:
         print("loan sanitizer: setflags bypass flagged")
+    try:
+        run_spmd(P, _diverged_replica, sanitize=True)
+        print("FAIL: diverged parameter replica not flagged")
+        return 1
+    except ReplicaDivergenceError as exc:
+        if exc.rank != 1:
+            print(f"FAIL: replica check named rank {exc.rank}, not 1")
+            return 1
+        print("replica check: perturbed parameter row flagged")
 
     print("sanitize smoke OK")
     return 0

@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import chain
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -280,21 +281,32 @@ class Schedule:
         self.p = p
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
-        self.nw = np.asarray(nw, dtype=np.int64)
-        self.nw_f = self.nw.astype(np.float64)
         self.tag = np.asarray(tag, dtype=np.int64)
         self.rounds = tuple(rounds)
+        self.msgs_sent = np.bincount(self.src, minlength=p).tolist()
+        self.msgs_recv = np.bincount(self.dst, minlength=p).tolist()
+        self._set_words(np.asarray(nw, dtype=np.int64))
+
+    def _set_words(self, nw: np.ndarray) -> None:
         # every compiled message is delivered, so the totals are symmetric
-        # sums over the table (ints, to match the counter lists exactly)
-        self.words_sent = [0] * p
-        self.words_recv = [0] * p
-        self.msgs_sent = [0] * p
-        self.msgs_recv = [0] * p
-        for s, d, w in zip(src, dst, nw):
-            self.words_sent[s] += int(w)
-            self.words_recv[d] += int(w)
-            self.msgs_sent[s] += 1
-            self.msgs_recv[d] += 1
+        # sums over the table (Python ints, like the counter lists they
+        # are added to; float64 sums of word counts are exact)
+        self.nw = nw
+        self.nw_f = nw.astype(np.float64)
+        self.words_sent = np.bincount(self.src, self.nw_f, self.p).astype(
+            np.int64).tolist()
+        self.words_recv = np.bincount(self.dst, self.nw_f, self.p).astype(
+            np.int64).tolist()
+
+    def with_words(self, nw: np.ndarray) -> "Schedule":
+        """This schedule's structure (message table, rounds) with the
+        message sizes ``nw`` (int64, aligned with the message table)."""
+        sched = object.__new__(Schedule)
+        for name in ("p", "src", "dst", "tag", "rounds", "msgs_sent",
+                     "msgs_recv"):
+            setattr(sched, name, getattr(self, name))
+        sched._set_words(nw)
+        return sched
 
     @property
     def nmsgs(self) -> int:
@@ -633,23 +645,58 @@ def compile_allgather_ring(p: int, n: int, wpe: int) -> Schedule:
     return b.build()
 
 
+# The v collectives change sizes on almost every call (Ok-Topk's package
+# exchanges), so their compilers cache the size-free structure per P — the
+# message table, the rounds and where each message's words come from —
+# and only fill in the words on a miss of the per-signature cache.
+@lru_cache(maxsize=64)
+def _allgatherv_template(p: int, tag: int) -> Tuple[Schedule, np.ndarray]:
+    """Bruck dissemination at ``p`` ranks: the schedule with zero-word
+    messages and its (messages x P) 0/1 block matrix (row ``i`` marks the
+    ranks whose contributions message ``i`` carries)."""
+    b = _Builder(p)
+    blocks = []
+    d = 1
+    while d < p:
+        count = min(d, p - d)
+        post = []
+        for r in range(p):
+            post.append(b.msg(r, (r - d) % p, 0, tag))
+            row = [0] * p
+            for j in range(count):
+                row[(r + j) % p] = 1
+            blocks.append(row)
+        recv = [post[(r + d) % p] for r in range(p)]
+        b.round(_SENDRECV, post, recv)
+        d <<= 1
+    return b.build(), np.array(blocks, dtype=np.int64).reshape(-1, p)
+
+
 @lru_cache(maxsize=1024)
 def compile_allgatherv(p: int, sizes: Tuple[int, ...],
                        tag: int = TAG_AGV) -> Schedule:
     """Bruck dissemination with per-rank contribution sizes (in words):
     the step at distance ``d`` ships each rank's first ``min(d, P - d)``
     held blocks (blocks of ranks ``r .. r+count-1``)."""
+    sched, blocks = _allgatherv_template(p, tag)
+    return sched.with_words(blocks @ np.array(sizes, dtype=np.int64))
+
+
+@lru_cache(maxsize=64)
+def _alltoallv_template(p: int) -> Tuple[Schedule, np.ndarray]:
+    """Pairwise rotation at ``p`` ranks: the schedule with zero-word
+    messages and, per message, its position in the row-major flattened
+    (P x P) size matrix."""
     b = _Builder(p)
-    d = 1
-    while d < p:
-        count = min(d, p - d)
-        post = [b.msg(r, (r - d) % p,
-                      sum(sizes[(r + j) % p] for j in range(count)), tag)
-                for r in range(p)]
-        recv = [post[(r + d) % p] for r in range(p)]
+    cell = []
+    for s in range(1, p):
+        post = []
+        for r in range(p):
+            post.append(b.msg(r, (r + s) % p, 0, TAG_A2A))
+            cell.append(r * p + (r + s) % p)
+        recv = [post[(r - s) % p] for r in range(p)]
         b.round(_SENDRECV, post, recv)
-        d <<= 1
-    return b.build()
+    return b.build(), np.array(cell, dtype=np.int64)
 
 
 @lru_cache(maxsize=256)
@@ -657,13 +704,9 @@ def compile_alltoallv(p: int, rows: Tuple[Tuple[int, ...], ...]) -> Schedule:
     """Pairwise rotation: at step ``s`` rank ``r`` sends block
     ``(r+s) % P`` and receives from ``(r-s) % P``; ``rows[i][j]`` is the
     word size of rank ``i``'s block for rank ``j``."""
-    b = _Builder(p)
-    for s in range(1, p):
-        post = [b.msg(r, (r + s) % p, rows[r][(r + s) % p], TAG_A2A)
-                for r in range(p)]
-        recv = [post[(r - s) % p] for r in range(p)]
-        b.round(_SENDRECV, post, recv)
-    return b.build()
+    sched, cell = _alltoallv_template(p)
+    flat = np.fromiter(chain.from_iterable(rows), np.int64, p * p)
+    return sched.with_words(flat[cell])
 
 
 @lru_cache(maxsize=1024)

@@ -43,7 +43,7 @@ import inspect
 import numpy as np
 
 from ..errors import CommError, LoanViolationError, MailboxLeakError, \
-    RankFailedError, ScheduleRaceError, SimulatedRankCrash
+    RankFailedError, SanitizerError, ScheduleRaceError, SimulatedRankCrash
 from .communicator import SimComm
 from .engine import CoopEngine
 from .faults import FaultPlan
@@ -209,6 +209,8 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             :class:`repro.errors.DeadlockError` (cooperative runner only).
             Under a fault plan, planned crashes with non-recovering
             survivors raise one merged error naming the dead ranks.
+        SanitizerError: raised as is when a sanitizer check inside the
+            section fails (e.g. :class:`repro.errors.ReplicaDivergenceError`).
     """
     if inspect.isgeneratorfunction(fn):
         raise TypeError(
@@ -245,6 +247,9 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
     # the section succeeded in the shrunk world.
     crashes, others = _split_failures(failures)
     if others:
+        for e in others.values():
+            if isinstance(e, SanitizerError):
+                raise e  # a finding, not a rank failure
         genuine = {r: e for r, e in others.items()
                    if not isinstance(e, CommError)}
         if genuine:

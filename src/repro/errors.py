@@ -167,6 +167,31 @@ class ScheduleRaceError(SanitizerError):
             + "; ".join(self.differences))
 
 
+class ReplicaDivergenceError(SanitizerError):
+    """Data-parallel replicas that must be bit-equal are not.
+
+    Every rank applies the same allreduced update to the same parameters
+    with the same optimizer (Algorithm 2), so every rank's parameters and
+    optimizer state stay bit-equal.  Rank-batched training relies on it:
+    the ``rb_apply`` executor (:mod:`repro.train.rankbatch`) runs one
+    optimizer step for the world and copies the result to every rank.
+    Under the sanitizer it first compares each rank's replica with rank
+    0's.
+
+    Attributes:
+        rank: the first rank whose replica differs from rank 0's.
+        what: the part that differs (parameters, a moment, the step
+            counter).
+    """
+
+    def __init__(self, rank: int, what: str):
+        self.rank = rank
+        self.what = what
+        super().__init__(
+            f"rank {rank}'s {what} differ from rank 0's before the "
+            f"world's optimizer step: the data-parallel replicas diverged")
+
+
 class SparseFormatError(ReproError):
     """A sparse vector violated its format invariants."""
 

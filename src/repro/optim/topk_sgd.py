@@ -172,8 +172,12 @@ class SparseOptimWrapper:
             self.residual = np.zeros_like(acc)
         else:
             self.residual[result.contributed_indices] = 0.0
-        g_hat = result.update_dense(params.size) / comm.size
-        self.inner.step(params, g_hat)
+        # one step for the whole world when rank-batched (every rank's
+        # is identical; see repro.train.rankbatch), else this rank's own
+        if rb is None or rb.apply(self.t, params, result,
+                                  self.inner) is None:
+            self.inner.step(params,
+                            result.update_dense(params.size) / comm.size)
         lr = self.inner.lr(self.inner.t) if hasattr(self.inner, "lr") else 0.0
         return StepInfo(t=self.t, lr=float(lr), result=result,
                         _residual=self.residual)

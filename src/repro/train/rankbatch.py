@@ -15,6 +15,11 @@ world, then readies the others in rank order).  The executors:
   proxies stack, the VGG and LSTM proxies run per rank);
 * ``rb_accumulate`` (:func:`_exec_accumulate`) — the optimizer's residual
   accumulation, into the world's double-buffered accumulate matrix;
+* ``rb_apply`` (:func:`_exec_apply`) — the Adam-mode optimizer step
+  (the paper's BERT mode): every rank would apply the same averaged
+  update to bit-equal parameters and moments, so rank 0's step runs once
+  and its parameters, moments and step counter are copied to the other
+  ranks (under the sanitizer, after checking they really were equal);
 * Ok-Topk's local selection is no longer a rendezvous of its own: it is
   the first stage of the scheme's one ``oktopk_reduce`` rendezvous per
   reduction (:func:`repro.allreduce.oktopk._exec_reduce`), which stacks
@@ -50,7 +55,7 @@ caller runs the ordinary per-rank code.  Ragged data is not a fallback:
 uneven shards after a 16 -> 15 shrink run the world module once per
 contiguous run of equal shard shapes, into the one gradient matrix.
 Inside the rendezvous the executors keep per-rank fallbacks only for
-what is not SPMD (diverged weights or scales).
+what is not SPMD (diverged weights, scales, updates or optimizer steps).
 ``REPRO_RANK_BATCH=0`` disables batching globally.
 
 World state: the stacked model, the accumulate buffers and the scratch of
@@ -74,7 +79,10 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
+from ..errors import ReplicaDivergenceError
 from ..nn.stacked import StackedModel, mapped_zeros, supports_stacking
+from ..optim.adam import Adam
+from ..sparse import COOVector
 
 #: set to ``0``/``false``/``off`` to force per-rank execution everywhere
 RANK_BATCH_ENV = "REPRO_RANK_BATCH"
@@ -207,6 +215,79 @@ def _exec_accumulate(net, sig, payloads):
     return [buf[r] for r in range(res.shape[0])]
 
 
+def _same_update(a, b) -> bool:
+    """Whether two ranks' allreduced updates are equal: the same object,
+    or equal indices and values, or an equal dense vector (values are
+    compared, so a NaN never is)."""
+    if a is b or type(a) is not type(b):
+        return a is b
+    if isinstance(a, COOVector):
+        return a == b
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _bits_equal(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    if a is None or b is None:
+        return a is b
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _check_replicas(payloads) -> None:
+    """Sanitizer: every rank's parameters, Adam moments and step counter
+    are bit-equal to rank 0's (what copying rank 0's step relies on)."""
+    params, _, opt = payloads[0]
+    for r, (prm, _, o) in enumerate(payloads[1:], 1):
+        for what, a, b in (("parameters", prm, params),
+                           ("Adam first moments", o._m, opt._m),
+                           ("Adam second moments", o._v, opt._v)):
+            if not _bits_equal(a, b):
+                raise ReplicaDivergenceError(r, what)
+        if o.t != opt.t:
+            raise ReplicaDivergenceError(r, "Adam step counters")
+
+
+def _adam_config(o: Adam) -> tuple:
+    return (o.t, o.lr, o.beta1, o.beta2, o.eps, o.weight_decay)
+
+
+def _exec_apply(net, sig, payloads):
+    """The Adam-mode optimizer step, once for the world.
+
+    ``payloads[r]`` is rank ``r``'s ``(params, result, inner)``.  Every
+    rank would run the identical step on bit-equal inputs, so rank 0's
+    step runs once (same expression as the per-rank path) and its new
+    parameters, moments and step counter are copied to every other rank
+    — one ``pmat[1:] = pmat[0]`` for stacked rows.  Every rank keeps its
+    own materialized state, so whatever reads it afterwards (a crash
+    iteration, a checkpoint, a re-stack after a shrink, evaluation)
+    reads exactly what per-rank execution leaves there."""
+    p = len(payloads)
+    params, result, opt = payloads[0]
+    if net.sanitize:
+        _check_replicas(payloads)
+    cfg = _adam_config(opt)
+    if not all(prm.shape == params.shape and _adam_config(o) == cfg
+               and _same_update(res.update, result.update)
+               for prm, res, o in payloads[1:]):
+        # Not SPMD (diverged updates or optimizer states): every rank
+        # runs its own step (same expression).
+        for prm, res, o in payloads:
+            o.step(prm, res.update_dense(prm.size) / p)
+        return [True] * p
+    opt.step(params, result.update_dense(params.size) / p)
+    rows = [prm for prm, _, _ in payloads]
+    base = _shared_base(rows)
+    if base is not None:
+        base[1:] = base[0]
+    else:
+        for prm in rows[1:]:
+            np.copyto(prm, params)
+    for _, _, o in payloads[1:]:
+        o.assign(opt)
+    return [True] * p
+
+
 # ---------------------------------------------------------------------------
 # Per-rank handle
 # ---------------------------------------------------------------------------
@@ -265,3 +346,13 @@ class RankBatch:
             return None
         return self.comm.fused_collective(
             ("rb_accumulate", t), (residual, scale, grad), _exec_accumulate)
+
+    def apply(self, t: int, params: np.ndarray, result, inner):
+        """The Adam-mode step ``inner.step(params, update / P)`` applied
+        once for the world.  Returns ``True`` once this rank's
+        parameters and optimizer state hold the step, or ``None`` when
+        not engaged (or ``inner`` is not :class:`~repro.optim.Adam`)."""
+        if type(inner) is not Adam or not self.engaged():
+            return None
+        return self.comm.fused_collective(
+            ("rb_apply", t), (params, result, inner), _exec_apply)

@@ -127,6 +127,21 @@ def _traced_messages(prog, p, *args):
                    for t in res.network.trace)
 
 
+def _uneven_sizes(p, seed):
+    """Seeded uneven word counts for ``p`` ranks, about a third (and at
+    least one) of them zero."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 40, p) * (rng.random(p) > 0.35)
+    sizes[seed % p] = 0
+    return tuple(sizes.tolist())
+
+
+def _assert_int_totals(sched):
+    """Per-rank totals are Python ints, like the counters they add to."""
+    for name in ("words_sent", "words_recv", "msgs_sent", "msgs_recv"):
+        assert all(type(v) is int for v in getattr(sched, name)), name
+
+
 class TestScheduleCompiler:
     @pytest.mark.parametrize("p", PS + [16])
     @pytest.mark.parametrize("algo,n,wpe", [
@@ -160,18 +175,26 @@ class TestScheduleCompiler:
                 == _traced_messages(prog, p))
 
     @pytest.mark.parametrize("p", PS + [16])
-    def test_allgatherv_schedule_matches_trace(self, p):
+    @pytest.mark.parametrize("sizes", ["monotone", "uneven"])
+    def test_allgatherv_schedule_matches_trace(self, p, sizes):
+        if sizes == "monotone":
+            sizes = tuple(r + 2 for r in range(p))
+        else:
+            sizes = _uneven_sizes(p, p)
+
         def prog(comm):
-            coll.allgatherv(comm, np.arange(comm.rank + 2,
+            coll.allgatherv(comm, np.arange(sizes[comm.rank],
                                             dtype=np.float32))
 
-        sizes = tuple(r + 2 for r in range(p))
         sched = fused_mod.compile_allgatherv(p, sizes)
         assert Counter(sched.messages()) == _traced_messages(prog, p)
+        _assert_int_totals(sched)
 
-    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("p", PS + [16])
     def test_small_collective_schedules_match_trace(self, p):
         root = p - 1
+        # non-uniform alltoallv rows, zero-word blocks included
+        rows = tuple(_uneven_sizes(p, 1000 + r) for r in range(p))
 
         def prog(comm):
             coll.barrier(comm)
@@ -181,7 +204,8 @@ class TestScheduleCompiler:
             coll.scatter(comm,
                          [np.arange(2, dtype=np.float32)] * comm.size
                          if comm.rank == root else None, root=root)
-            coll.alltoallv(comm, [np.arange(j + 1, dtype=np.float32)
+            coll.alltoallv(comm, [np.arange(rows[comm.rank][j],
+                                            dtype=np.float32)
                                   for j in range(comm.size)])
 
         expect = Counter()
@@ -192,9 +216,10 @@ class TestScheduleCompiler:
             fused_mod.compile_gather(p, root, (3,) * p).messages())
         expect += Counter(
             fused_mod.compile_scatter(p, root, (2,) * p).messages())
-        rows = tuple(tuple(j + 1 for j in range(p)) for _ in range(p))
-        expect += Counter(fused_mod.compile_alltoallv(p, rows).messages())
+        a2a = fused_mod.compile_alltoallv(p, rows)
+        expect += Counter(a2a.messages())
         assert expect == _traced_messages(prog, p)
+        _assert_int_totals(a2a)
 
     @pytest.mark.parametrize("p", PS + [16])
     def test_schedule_totals_are_symmetric(self, p):

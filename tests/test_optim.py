@@ -49,9 +49,68 @@ class TestAdam:
             opt.step(w, 2 * w)
         assert np.linalg.norm(w) < 1e-2
 
-    def test_invalid_betas(self):
+    @pytest.mark.parametrize("kwargs", [
+        dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=1.0),
+        # eps = 0 turns every coordinate without gradient history
+        # (m = v = 0) into 0 / 0
+        dict(eps=0.0), dict(eps=-1e-8), dict(eps=float("nan")),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_invalid_hyperparameters(self, kwargs):
         with pytest.raises(ValueError):
-            Adam(beta1=1.0)
+            Adam(**kwargs)
+
+    @staticmethod
+    def _textbook(params, grad, m, v, t, lr, b1, b2, eps, wd):
+        """The allocating expression the in-place step must reproduce."""
+        g = grad.astype(np.float32, copy=False)
+        if wd:
+            g = g + wd * params
+        m = m * b1 + (1 - b1) * g
+        v = v * b2 + (1 - b2) * np.square(g)
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        return params - lr * mhat / (np.sqrt(vhat) + eps), m, v
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    @pytest.mark.parametrize("t", [1, 2, 1000])
+    def test_in_place_step_bit_equals_textbook(self, t, wd):
+        rng = np.random.default_rng(t)
+        n = 4097
+        params = rng.normal(size=n).astype(np.float32)
+        grad = (rng.normal(size=n) * 10.0 ** rng.integers(-6, 3, n)
+                ).astype(np.float32)
+        grad[::7] = 0.0
+        opt = Adam(lr=2e-3, weight_decay=wd)
+        opt._init_state(params.shape)
+        if t > 1:
+            opt.t = t - 1
+            opt._m[:] = rng.normal(size=n).astype(np.float32)
+            opt._v[:] = rng.exponential(size=n).astype(np.float32)
+            opt._v[::5] = 0.0
+        want, m, v = self._textbook(params, grad, opt._m, opt._v, t, 2e-3,
+                                    0.9, 0.999, 1e-8, wd)
+        opt.step(params, grad)
+        for got, ref in ((params, want), (opt._m, m), (opt._v, v)):
+            assert got.dtype == ref.dtype == np.float32
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_steady_state_step_allocates_no_vector(self, wd):
+        import tracemalloc
+
+        n = 1 << 16
+        rng = np.random.default_rng(0)
+        params = rng.normal(size=n).astype(np.float32)
+        grad = rng.normal(size=n).astype(np.float32)
+        opt = Adam(lr=1e-3, weight_decay=wd)
+        opt.step(params, grad)              # allocates the state once
+        tracemalloc.start()
+        try:
+            opt.step(params, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n                 # less than one float32 vector
 
     def test_scale_invariance_of_first_steps(self):
         """Adam normalizes by the gradient scale."""

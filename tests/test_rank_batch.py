@@ -19,16 +19,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.allreduce.base import AllreduceResult
 from repro.bench.harness import (bert_proxy, perf_proxy, proxy_network,
                                  train_scheme)
 from repro.comm import run_spmd
 from repro.comm.faults import FaultPlan, RankCrash
+from repro.errors import ReplicaDivergenceError
 from repro.nn.stacked import StackedModel, mapped_zeros, supports_stacking
+from repro.optim import Adam
+from repro.sparse import COOVector
 from repro.sparse.topk import (batched_kth_largest_abs,
                                batched_threshold_select, kth_largest_abs,
                                threshold_select)
 from repro.train.rankbatch import RANK_BATCH_ENV, RankBatch, _WorldState
-from repro.train.rankbatch import _exec_accumulate, _exec_fwd_bwd
+from repro.train.rankbatch import _exec_accumulate, _exec_apply, \
+    _exec_fwd_bwd
 from util_rankbatch import check_grouped_fwd_bwd, runs
 
 RUNNER_ENV = "REPRO_SPMD_RUNNER"
@@ -206,6 +211,123 @@ class TestExecutorFallbacks:
         np.testing.assert_array_equal(out[1], res[1] + 0.5 * grads[1])
 
 
+def _apply_world(p, n, seed, *, mapped=True, dense=False):
+    """``p`` ranks' Adam-mode step inputs: parameter rows (of one mapped
+    matrix, or separate arrays), one update per rank (equal contents,
+    separate objects; sparse, or dense) and one optimizer per rank."""
+    rng = np.random.default_rng(seed)
+    w0 = rng.normal(size=n).astype(np.float32)
+    rows = mapped_zeros((p, n), np.float32) if mapped else [
+        np.empty(n, np.float32) for _ in range(p)]
+    for r in range(p):
+        rows[r][:] = w0
+    idx = np.sort(rng.choice(n, n // 4, replace=False)).astype(np.int32)
+    val = rng.normal(size=idx.size).astype(np.float32)
+    update = COOVector(n, idx, val)
+    results = [AllreduceResult(
+        update=update.to_dense() if dense
+        else COOVector(n, idx.copy(), val.copy()),
+        contributed_indices=idx) for _ in range(p)]
+    opts = [Adam(lr=0.01, weight_decay=0.01) for _ in range(p)]
+    return [rows[r] for r in range(p)], results, opts
+
+
+class TestApplyExecutor:
+    @pytest.mark.parametrize("dense", [False, True], ids=["coo", "dense"])
+    @pytest.mark.parametrize("mapped", [True, False],
+                             ids=["stacked-rows", "separate-rows"])
+    def test_one_step_equals_every_rank_stepping(self, monkeypatch, mapped,
+                                                 dense):
+        net = SimpleNamespace(sanitize=True)
+        p, n = 3, 64
+        rows, results, opts = _apply_world(p, n, 5, mapped=mapped,
+                                           dense=dense)
+        ref_rows, _, ref_opts = _apply_world(p, n, 5)
+        steps = []
+        inner = Adam.step
+
+        def counted(self, params, grad):
+            steps.append(self)
+            return inner(self, params, grad)
+
+        monkeypatch.setattr(Adam, "step", counted)
+        for t in (1, 2, 3):
+            assert _exec_apply(net, ("rb_apply", t),
+                               list(zip(rows, results, opts))) == [True] * p
+            assert steps == [opts[0]]       # one step for the world
+            for w, res, o in zip(ref_rows, results, ref_opts):
+                o.step(w, res.update_dense(n) / p)
+            del steps[:]
+            for r in range(p):
+                np.testing.assert_array_equal(rows[r], ref_rows[r])
+                np.testing.assert_array_equal(opts[r]._m, ref_opts[r]._m)
+                np.testing.assert_array_equal(opts[r]._v, ref_opts[r]._v)
+                assert opts[r].t == ref_opts[r].t == t
+
+    def test_diverged_updates_run_per_rank(self):
+        net = SimpleNamespace(sanitize=False)
+        p, n = 3, 32
+        rows, results, opts = _apply_world(p, n, 6)
+        ref_rows, _, ref_opts = _apply_world(p, n, 6)
+        bumped = results[2].update.values.copy()
+        bumped[0] += 1.0
+        results[2] = AllreduceResult(
+            update=COOVector(n, results[2].update.indices, bumped),
+            contributed_indices=None)
+        _exec_apply(net, ("rb_apply", 1), list(zip(rows, results, opts)))
+        for w, res, o in zip(ref_rows, results, ref_opts):
+            o.step(w, res.update_dense(n) / p)
+        for r in range(p):
+            np.testing.assert_array_equal(rows[r], ref_rows[r])
+        assert not np.array_equal(rows[2], rows[0])
+
+    @pytest.mark.parametrize("part", ["params", "m", "v", "t"])
+    def test_sanitizer_names_the_first_diverged_replica(self, part):
+        net = SimpleNamespace(sanitize=True)
+        p, n = 4, 16
+        rows, results, opts = _apply_world(p, n, 7)
+        _exec_apply(net, ("rb_apply", 1), list(zip(rows, results, opts)))
+        if part == "params":
+            rows[3][1] += 1.0
+            rows[2][0] = np.nextafter(rows[0][0], np.inf)    # one ULP
+        elif part == "t":
+            opts[2].t += 1
+        else:
+            getattr(opts[2], "_" + part)[4] *= 2.0
+        with pytest.raises(ReplicaDivergenceError) as info:
+            _exec_apply(net, ("rb_apply", 2), list(zip(rows, results, opts)))
+        assert info.value.rank == 2
+
+    def test_sanitized_training_flags_a_perturbed_row(self):
+        """End to end: one rank's parameter row is perturbed between two
+        rank-batched Adam steps; the sanitized run refuses to copy rank
+        0's step over it, the unsanitized one does not look."""
+        from repro.allreduce import make_allreduce
+        from repro.optim import SparseOptimWrapper
+
+        n = 256
+
+        def prog(comm, victim):
+            rb = comm.rank_batch = RankBatch(comm)
+            opt = SparseOptimWrapper(make_allreduce("oktopk", density=0.05),
+                                     Adam(lr=0.01), n)
+            w = np.zeros(n, np.float32)
+            rng = np.random.default_rng(comm.rank)
+            for t in (1, 2, 3):
+                if t == 3 and comm.rank == victim:
+                    w[5] += 1.0
+                opt.step(comm, w, rng.standard_normal(n).astype(np.float32),
+                         rb=rb)
+            return w
+
+        clean = run_spmd(4, prog, None, sanitize=True).results
+        assert all(np.array_equal(w, clean[0]) for w in clean)
+        with pytest.raises(ReplicaDivergenceError) as info:
+            run_spmd(4, prog, 2, sanitize=True)
+        assert info.value.rank == 2 and info.value.what == "parameters"
+        run_spmd(4, prog, 2, sanitize=False)
+
+
 class TestRunGrouping:
     """Uneven shards after a shrink stay inside one executor call: one
     world fwd/bwd per contiguous run of equal shapes, no per-rank
@@ -333,14 +455,56 @@ def _train(scheme, p, iters, *, batch_env, runner="coop", faults=None,
                 os.environ[k] = v
 
 
+#: the perfbench BERT workload's session shape: Adam mode, 4096-word
+#: buckets streamed during backward
+BERT_STREAM = dict(bucket_size=4096, overlap_mode="stream")
+
+
+def _train_world(monkeypatch, proxy, scheme, p, iters, *, batch_env,
+                 runner="coop", faults=None, **cfg):
+    """Every rank's ``(records, events, final parameters)``."""
+    from repro.data import ShardedLoader
+    from repro.train import Trainer, TrainerConfig
+
+    def worker(comm):
+        train, _ = proxy.make_splits()
+        model = proxy.make_model()
+        loader = ShardedLoader(train, proxy.global_batch, comm.rank,
+                               comm.size, seed=0)
+        rec = Trainer(comm, model, loader, TrainerConfig(
+            iterations=iters, scheme=scheme, density=0.05, lr=proxy.lr,
+            mode=proxy.mode, **cfg)).run()
+        return _fingerprints(rec), rec.events, model.params_flat.tobytes()
+
+    monkeypatch.setenv(RANK_BATCH_ENV, batch_env)
+    monkeypatch.setenv(RUNNER_ENV, runner)
+    return run_spmd(p, worker, model=proxy_network(), faults=faults).results
+
+
+#: (proxy, scheme, trainer options) of the lockstep identity runs
+IDENTITY_CASES = {
+    "oktopk": (perf_proxy, "oktopk", {}),
+    "gtopk": (perf_proxy, "gtopk", {}),
+    "dense": (perf_proxy, "dense", {}),
+    # Adam mode: the optimizer step runs once per world (``rb_apply``)
+    "bert-bucketed-stream": (bert_proxy, "oktopk", BERT_STREAM),
+}
+
+
 class TestTrainerLockstepIdentity:
-    @pytest.mark.parametrize("scheme", ["oktopk", "gtopk", "dense"])
-    def test_batched_equals_unbatched_equals_threads(self, scheme):
-        batched = _train(scheme, 4, 5, batch_env="1")
-        unbatched = _train(scheme, 4, 5, batch_env="0")
-        threads = _train(scheme, 4, 5, batch_env="1", runner="threads")
-        assert _fingerprints(batched) == _fingerprints(unbatched)
-        assert _fingerprints(batched) == _fingerprints(threads)
+    @pytest.mark.parametrize("case", list(IDENTITY_CASES))
+    def test_batched_equals_unbatched_equals_threads(self, monkeypatch,
+                                                     case):
+        """Records and every rank's final parameters."""
+        proxy, scheme, cfg = IDENTITY_CASES[case]
+
+        def run(batch_env, runner):
+            return _train_world(monkeypatch, proxy(), scheme, 4, 5,
+                                batch_env=batch_env, runner=runner, **cfg)
+
+        batched = run("1", "coop")
+        assert batched == run("0", "coop") == run("1", "threads")
+        assert len({params for _, _, params in batched}) == 1
 
     @pytest.mark.parametrize("bert", [False, True],
                              ids=["mlp", "bert-bucketed-stream"])
@@ -378,10 +542,12 @@ class TestTrainerLockstepIdentity:
 
         res = run_spmd(4, worker, runner="coop")
         per_head = Counter(e.head for e in rendezvous_log)
-        for head in ("rb_fwdbwd", "rb_accumulate"):
+        # Adam mode (BERT) applies its optimizer step once per world too
+        heads = ("rb_fwdbwd", "rb_accumulate") + (("rb_apply",) if bert
+                                                  else ())
+        for head in heads:
             assert per_head[head] == 4 * 3      # every rank, every iteration
-        assert set(per_head) == {"rb_fwdbwd", "rb_accumulate",
-                                 "oktopk_reduce"}
+        assert set(per_head) == {*heads, "oktopk_reduce"}
         if bert:
             # one Ok-Topk rendezvous per funded bucket, every rank
             assert per_head["oktopk_reduce"] % 4 == 0
@@ -435,17 +601,35 @@ class TestWorldLifetime:
 
 
 class TestDivergenceFallback:
-    def test_midrun_crash_identical_to_never_batched(self):
+    @pytest.mark.parametrize("bert", [False, True],
+                             ids=["mlp", "bert-bucketed-stream"])
+    def test_midrun_crash_identical_to_never_batched(
+            self, monkeypatch, rendezvous_log, bert):
         """A rank crash mid-iteration (elastic shrink to P-1) must yield
-        records identical to a run with batching disabled outright."""
-        plan = FaultPlan(crashes=[RankCrash(rank=1, iteration=3)])
-        on = _train("oktopk", 4, 6, batch_env="1", faults=plan,
-                    elastic=True)
-        off = _train("oktopk", 4, 6, batch_env="0", faults=plan,
-                     elastic=True)
-        assert _fingerprints(on) == _fingerprints(off)
-        assert on.events == off.events
-        assert on.events[0]["new_size"] == 3
+        records, events and every survivor's parameters identical to a
+        run with batching disabled outright.  In Adam mode the crash at
+        iteration 3 lands after two world optimizer steps; the
+        interrupted iteration runs per rank and the survivors redo it
+        re-stacked at P-1, led by a rank whose optimizer state so far
+        was copied from rank 0's (the victim)."""
+        victim = 0 if bert else 1
+        plan = FaultPlan(crashes=[RankCrash(rank=victim, iteration=3)])
+        proxy, cfg = (bert_proxy(), BERT_STREAM) if bert else (perf_proxy(),
+                                                              {})
+
+        def run(batch_env):
+            return _train_world(monkeypatch, proxy, "oktopk", 4, 6,
+                                batch_env=batch_env, faults=plan,
+                                elastic=True, **cfg)
+
+        on = run("1")
+        applied = Counter((e.step, e.size) for e in rendezvous_log
+                          if e.head == "rb_apply")
+        assert applied == ({(1, 4): 4, (2, 4): 4, (3, 3): 3, (4, 3): 3,
+                            (5, 3): 3, (6, 3): 3} if bert else {})
+        assert on == run("0")
+        survivor = on[1 - victim]
+        assert on[victim] is None and survivor[1][0]["new_size"] == 3
 
     def test_shrink_16_to_15_stays_rank_batched(self, monkeypatch,
                                                 rendezvous_log, world_fwdbwd):
