@@ -22,6 +22,11 @@ Three checks on the runtime sanitizer mode (``REPRO_SANITIZE=1`` /
   optimizer step (``rb_apply``) flags one rank's parameter row perturbed
   between two rank-batched Adam steps.
 
+The bucketed-stream sessions and the BERT run must also have run on the
+session executor — one ``reduce_session`` rendezvous per rank and
+iteration, no per-bucket ``oktopk_reduce`` — or the transparency and race
+checks would be checking the reference path instead.
+
 Everything is simulated time; the whole smoke takes a few seconds.
 """
 
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +46,7 @@ from repro.allreduce import (PAPER_ORDER, ParamLayout,  # noqa: E402
                              make_allreduce, run_session)
 from repro.bench import bert_proxy, perf_proxy, train_scheme  # noqa: E402
 from repro.bench.harness import proxy_network  # noqa: E402
-from repro.comm import SANITIZE_ENV, run_spmd  # noqa: E402
+from repro.comm import SANITIZE_ENV, SimComm, run_spmd  # noqa: E402
 from repro.data import ShardedLoader  # noqa: E402
 from repro.errors import (LoanViolationError,  # noqa: E402
                           ReplicaDivergenceError, ScheduleRaceError)
@@ -58,16 +64,52 @@ SERVE_CFG = ServeConfig(p=P, rate=2000.0, n_requests=16, prompt_tokens=64,
 #: bucketed-stream sessions: 3 buckets of >= 256 words, Ok-Topk family
 LAYOUT = ParamLayout.from_sizes([384, 128, 256, 160, 96])
 SESSION_SCHEMES = ("oktopk", "oktopk_q")
+#: iterations of each program that must run on the session executor
+SESSION_ITERS = {**{f"{scheme} session": 3 for scheme in SESSION_SCHEMES},
+                 "BERT": 2}
 
 
-def _train_and_serve() -> tuple:
+def _logged(entered: dict, label: str, run):
+    """``run()``, counting the head of every rendezvous it enters in
+    ``entered[label]`` (what the tests' ``rendezvous_log`` fixture
+    records)."""
+    heads = entered[label] = Counter()
+    inner = SimComm.fused_collective
+
+    def logged(self, sig, payload, executor):
+        heads[sig[0]] += 1
+        return inner(self, sig, payload, executor)
+
+    SimComm.fused_collective = logged
+    try:
+        return run()
+    finally:
+        SimComm.fused_collective = inner
+
+
+def _train_and_serve(entered: dict) -> tuple:
+    """The runs the sanitizer must not perturb; ``entered`` collects the
+    rendezvous heads of the :data:`SESSION_ITERS` programs."""
     rec = train_scheme(perf_proxy(), "oktopk", P, 2, density=0.02, seed=0)
     rep = simulate_serving(SERVE_CFG)
     sessions = [[[o.tobytes() for o in outs]
-                 for outs in run_spmd(P, _session_prog, scheme).results]
+                 for outs in _logged(entered, f"{scheme} session",
+                                     lambda: run_spmd(P, _session_prog,
+                                                      scheme).results)]
                 for scheme in SESSION_SCHEMES]
-    bert = run_spmd(P, _bert_prog, model=proxy_network()).results
+    bert = _logged(entered, "BERT", lambda: run_spmd(
+        P, _bert_prog, model=proxy_network()).results)
     return rec.records, rep.requests, rep.summary(), sessions, bert
+
+
+def _off_the_session_executor(entered: dict) -> list:
+    """The programs of :data:`SESSION_ITERS` that did not enter exactly
+    one ``reduce_session`` per rank and iteration, or entered a
+    per-bucket ``oktopk_reduce``."""
+    return [f"{label}: {dict(entered[label])}"
+            for label, iters in SESSION_ITERS.items()
+            if entered[label]["reduce_session"] != P * iters
+            or entered[label]["oktopk_reduce"]]
 
 
 def _bert_prog(comm):
@@ -100,8 +142,9 @@ def _scheme_prog(comm, scheme: str):
 
 
 def _session_prog(comm, scheme: str):
-    """Bucketed, streamed sessions (one rendezvous per bucket on the fast
-    path); ``tau = tau' = 2`` so the periodic work fires too."""
+    """Bucketed, streamed sessions (one rendezvous per session on the fast
+    path, running every bucket); ``tau = tau' = 2`` so the periodic work
+    fires too."""
     algo = make_allreduce(scheme, density=0.05, tau=2, tau_prime=2)
     rng = np.random.default_rng(4321 + comm.rank)
     outs = []
@@ -158,10 +201,19 @@ def _diverged_replica(comm):
 
 def main() -> int:
     # 1. sanitizer transparency on train + serve
-    base = _train_and_serve()
+    entered: dict = {}
+    base = _train_and_serve(entered)
+    off = _off_the_session_executor(entered)
+    if off:
+        print("FAIL: not run on the session executor (one reduce_session "
+              "per rank and iteration): " + "; ".join(off))
+        return 1
+    print("session executor: bucketed-stream sessions and BERT enter one "
+          "reduce_session rendezvous per rank and iteration")
     os.environ[SANITIZE_ENV] = "1"
     try:
-        sane = _train_and_serve()
+        # (the sanitizer replays each section: twice the rendezvous)
+        sane = _train_and_serve({})
     finally:
         os.environ.pop(SANITIZE_ENV, None)
     if sane != base:

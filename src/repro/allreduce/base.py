@@ -137,6 +137,12 @@ class GradientAllreduce(ABC):
     #: backward pass (DenseOvlp's legacy contract); sessions report
     #: ``release_frac = 0.0`` for its buckets
     overlap_from_start: bool = False
+    #: the world bucket body of a native session on the fast path, or
+    #: None: an engine-rendezvous executor ``(net, sig, lanes)`` reducing
+    #: one bucket for every rank, ``lanes[r]`` being rank ``r``'s
+    #: :meth:`_bucket_lane` (Ok-Topk: its ``_exec_reduce``; see
+    #: :func:`repro.allreduce.session._exec_session`)
+    world_bucket = None
 
     def __init__(self, *, k: Optional[int] = None,
                  density: Optional[float] = None):

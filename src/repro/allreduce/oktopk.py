@@ -70,18 +70,23 @@ available (:func:`repro.comm.fused._available` — cooperative engine,
 fusion on, no tracing, the communicator spans the current world and no
 crash is pending in it) every rank parks once in
 ``comm.fused_collective(("oktopk_reduce", t, lo, hi, k))`` and the last
-arrival runs :func:`_exec_reduce` for the whole world: selection for
-every rank (stacked where the accumulators are the rows of one matrix,
-:func:`_select_world`), split-and-reduce as one array program over the
+arrival runs :func:`_exec_reduce` for the whole world.  A multi-bucket
+session goes one step further: :func:`_exec_reduce` is the scheme's
+``world_bucket`` body, so the session parks every rank once per
+iteration (``"reduce_session"``) and runs this body bucket by bucket on
+every rank's :meth:`OkTopkAllreduce._bucket_lane`, pacers, async-region
+clocks and merge included
+(:func:`repro.allreduce.session._exec_session`).  For the whole
+world, the body runs selection for every rank (stacked where the
+accumulators are the rows of one matrix, :func:`_select_world`),
+split-and-reduce as one array program over the
 world (:func:`_exec_split_reduce`: ``(P, m)`` bookings from compiled
 schedule tables, one sort for all P regions), the global-threshold
 selection, phase 2 booked from compiled schedules, and the periodic
 tau / tau' work — consensus allreduce, exact global threshold — inline
 where its (rank-uniform, data-independent) schedule fires.  Simulated
 charges and phase deltas go through each rank's own communicator; the
-data side (``u_t``) is assembled once and shared write-protected.  A
-streamed session's per-rank ``async_region`` and pacer stay outside the
-rendezvous.
+data side (``u_t``) is assembled once and shared write-protected.
 
 Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
 step a planned crash fires in, ``P = 1`` — the per-rank methods below run
@@ -291,7 +296,11 @@ def _select_world(ws, comms, schemes, states, accs, t, k):
     and LSTM proxies or diverged replicas, the slices of a session
     bucket) run
     :meth:`OkTopkAllreduce._select_local` rank by rank — copying them
-    into a stack first measured no faster and cost memory.
+    into a stack first measured no faster and cost memory.  Nor does
+    stacking a session bucket's column slices of the accumulate matrix
+    pay (a strided ``_shared_base`` plus the batched selection on the
+    ``(P, hi - lo)`` view): on the BERT proxy it made this function
+    slower, 300 -> 350 us per bucket.
     """
     from ..train.rankbatch import _shared_base
     xs = _shared_base(accs)
@@ -588,6 +597,10 @@ class OkTopkAllreduce(GradientAllreduce):
     #: encode right before the allgatherv (one more scan) and decode what
     #: it delivers; ``oktopk_q`` plugs its quantizer in here.
     package_codec = None
+    #: a streamed or analytic multi-bucket session on the fast path runs
+    #: Algorithm 1 for the whole world, bucket by bucket, inside its one
+    #: session rendezvous (:func:`repro.allreduce.session._exec_session`)
+    world_bucket = staticmethod(_exec_reduce)
 
     def __init__(self, *, tau: int = 64, tau_prime: int = 32,
                  balanced_partition: bool = True, rotation: bool = True,
@@ -911,11 +924,19 @@ class OkTopkAllreduce(GradientAllreduce):
         always provide it, with the plan's budget ``k``); without one the
         slice is treated as a complete gradient.
         """
+        comm, _, acc, k_b, st = self._bucket_lane(comm, acc, k, view)
+        return self._algorithm1(comm, acc, t, k_b, st,
+                                0 if view is None else view.lo)
+
+    def _bucket_lane(self, comm: SimComm, acc: np.ndarray,
+                     k: Optional[int], view: Optional[BucketView]) -> tuple:
+        """This rank's lane of a bucket reduction: ``(comm, scheme, acc,
+        k, state)`` with the budget clamped to the bucket and the
+        bucket's own state — what :func:`_exec_reduce` takes per rank."""
         n_b = acc.size
         lo, n = (0, n_b) if view is None else (view.lo, view.n)
         k_b = self.resolve_k(n_b) if k is None else max(1, min(int(k), n_b))
-        return self._algorithm1(comm, acc, t, k_b,
-                                self._state_for(n, lo, lo + n_b), lo)
+        return comm, self, acc, k_b, self._state_for(n, lo, lo + n_b)
 
     def _algorithm1(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
                     st: OkTopkState, lo: int) -> AllreduceResult:

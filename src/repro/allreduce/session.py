@@ -86,6 +86,28 @@ is the whole point of running the events.  Per-bucket issue and
 comm-finish times land in ``BucketStat.info["t_issue"]`` /
 ``["t_comm_finish"]``.
 
+One rendezvous per session on the fast path
+-------------------------------------------
+
+Every decision above except the clocks is SPMD, so where the engine
+rendezvous is available (:func:`repro.comm.fused._available`) and the
+scheme has a world bucket body (``GradientAllreduce.world_bucket``:
+Ok-Topk and ``oktopk_q``, whose body is Algorithm 1's world executor),
+:func:`run_session` makes every rank enter **one** rendezvous per
+native session — streamed or analytic — and :func:`_exec_session` runs
+the whole session for the world: per bucket, in plan order, every
+rank's pacer for the bucket's segments, every rank's issue clock, the
+body over every rank's slice (zero-budget buckets skipped), every
+rank's finish clock rewound to its issue clock as the async region
+would; then every rank's :meth:`ReduceSession.finish`, with the merged
+update built once and shared write-protected.  Everywhere else — the
+``threads`` runner, message tracing, ``fused=False``, the step a
+planned crash fires in, explicit ``push`` calls, the other schemes —
+each rank runs :meth:`ReduceSession._run_bucket` per bucket, the
+reference path.  Both book a bucket through the one
+:meth:`ReduceSession._record`, so the stats, the async clocks and the
+deferred selection cost cannot drift apart.
+
 A session opened with ``stream=True`` that cannot stream — the scheme is
 not ``bucketable``, or the plan collapsed to one bucket — falls back to
 the post-backward delegating adapter.  The fallback is **recorded** so
@@ -104,6 +126,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..comm import fused as _fused
 from ..errors import ConfigError
 from ..sparse import COOVector
 from ..sparse.coo import INDEX_DTYPE, VALUE_DTYPE
@@ -505,11 +528,12 @@ class ReduceSession:
         if self._pos != len(self._plan.sequence):
             missing = [s.name for s in self._plan.sequence[self._pos:]]
             raise ValueError(f"session incomplete; missing {missing}")
+        return self._conclude(self._merge() if self._native
+                              else self._delegate())
+
+    def _conclude(self, result: "AllreduceResult") -> "AllreduceResult":
+        """The rank's side of :meth:`finish` once ``result`` exists."""
         self._finished = True
-        if self._native:
-            result = self._merge()
-        else:
-            result = self._delegate()
         if self.stream:
             self.comm._advance_clock(self._outstanding)
             if self._deferred_sparsify > 0.0:
@@ -549,15 +573,52 @@ class ReduceSession:
     # Native path: reduce each bucket eagerly as it completes
     # ------------------------------------------------------------------
     def _run_bucket(self, b: int) -> None:
-        from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult
-        comm = self.comm
+        """Reduce bucket ``b`` on this rank alone — the reference path
+        (the world executor, :func:`_exec_session`, runs every rank's)."""
         plan = self._plan
-        bucket = plan.buckets[b]
-        lo, hi = plan.extents[b]
         k_b = plan.bucket_k[b]
+        if k_b == 0:
+            self._record(b)
+            return
+        comm = self.comm
+        lo, hi = plan.extents[b]
+        mark = self._mark()
+        view = BucketView(lo=lo, hi=hi, n=self.layout.n)
+        if self.stream:
+            # Issue the reduction *now*, at the rank's mid-backward clock:
+            # its messages book (and contend for) links at this simulated
+            # time, while the rank's own timeline continues backward.
+            with comm.async_region() as region:
+                res = self.scheme._reduce_bucket(comm, self._acc[lo:hi],
+                                                 self.t, k=k_b, view=view)
+            span = (region.issue, region.finish)
+        else:
+            res = self.scheme._reduce_bucket(comm, self._acc[lo:hi], self.t,
+                                             k=k_b, view=view)
+            span = None
+        self._record(b, res, mark, span)
+
+    def _mark(self) -> tuple:
+        """What :meth:`_record` measures a bucket's reduction against:
+        the rank's phase times and received words before it."""
+        comm = self.comm
+        return comm.phase_times(), int(comm.net.words_recv[comm.slot])
+
+    def _record(self, b: int, res: Optional["AllreduceResult"] = None,
+                mark: Optional[tuple] = None,
+                span: Optional[tuple] = None) -> None:
+        """Book bucket ``b``'s outcome: its partial result, its
+        :class:`BucketStat` (measured from :meth:`_mark`'s ``mark``) and,
+        streamed, its ``(issue, finish)`` clock ``span`` (the comm-finish
+        to join at :meth:`finish`, the selection cost deferred to it).
+        ``res=None`` is a zero-budget bucket, which never ran."""
+        from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult
+        plan = self._plan
+        lo, hi = plan.extents[b]
+        nseg = len(plan.buckets[b])
         release = (0.0 if self.scheme.overlap_from_start
                    else plan.release[b])
-        if k_b is not None and k_b == 0:
+        if res is None:
             # split_k legally hands out zero-budget buckets when
             # k < nbuckets, but resolve_k floors every reduction at one
             # selected element — a scheme must never see k=0.  The bucket
@@ -571,23 +632,11 @@ class ReduceSession:
                 info={"k": 0, "selected": 0, "skipped_zero_k": True})
             self._partials.append((lo, hi, res))
             self.bucket_stats.append(BucketStat(
-                lo=lo, hi=hi, nsegments=len(bucket), release_frac=release,
+                lo=lo, hi=hi, nsegments=nseg, release_frac=release,
                 k=0, selected=0, info=dict(res.info)))
             return
-        phases0 = comm.phase_times()
-        recv0 = int(comm.net.words_recv[comm.slot])
-        view = BucketView(lo=lo, hi=hi, n=self.layout.n)
-        if self.stream:
-            # Issue the reduction *now*, at the rank's mid-backward clock:
-            # its messages book (and contend for) links at this simulated
-            # time, while the rank's own timeline continues backward.
-            with comm.async_region() as region:
-                res = self.scheme._reduce_bucket(comm, self._acc[lo:hi],
-                                                 self.t, k=k_b, view=view)
-        else:
-            region = None
-            res = self.scheme._reduce_bucket(comm, self._acc[lo:hi], self.t,
-                                             k=k_b, view=view)
+        comm = self.comm
+        phases0, recv0 = mark
         phases1 = comm.phase_times()
         if res.overlappable:
             release = 0.0
@@ -595,19 +644,20 @@ class ReduceSession:
                       - phases0.get(PHASE_SPARSIFY, 0.0))
         self._partials.append((lo, hi, res))
         info = dict(res.info)
-        if region is not None:
+        if span is not None:
             # The bucket's selection cost is deferred to finish() (the
             # analytic timeline keeps sparsification serial), so the comm
             # pipeline is treated as finishing that much earlier.
-            comm_finish = region.finish - sparsify_t
+            issue, finish = span
+            comm_finish = finish - sparsify_t
             if comm_finish > self._outstanding:
                 self._outstanding = comm_finish
             self._deferred_sparsify += sparsify_t
-            info["t_issue"] = region.issue
+            info["t_issue"] = issue
             info["t_comm_finish"] = comm_finish
         self.bucket_stats.append(BucketStat(
-            lo=lo, hi=hi, nsegments=len(bucket), release_frac=release,
-            k=k_b,
+            lo=lo, hi=hi, nsegments=nseg, release_frac=release,
+            k=plan.bucket_k[b],
             comm_time=(phases1.get(PHASE_COMM, 0.0)
                        - phases0.get(PHASE_COMM, 0.0)),
             sparsify_time=sparsify_t,
@@ -617,34 +667,14 @@ class ReduceSession:
             info=info,
         ))
 
-    def _merge(self) -> "AllreduceResult":
+    def _merge(self, update: Union[COOVector, np.ndarray, None] = None
+               ) -> "AllreduceResult":
+        """This rank's merged result; ``update`` is the merged update when
+        another rank already built it (the world executor's shared one)."""
         from .base import AllreduceResult
-        n = self.layout.n
         parts = sorted(self._partials, key=lambda p: p[0])
-        sparse = all(isinstance(res.update, COOVector)
-                     for _, _, res in parts)
-        if not sparse and any(isinstance(res.update, COOVector)
-                              for _, _, res in parts):
-            # No scheme mixes representations across buckets, and merging
-            # them would conflate "contributed everything" (dense) with
-            # sparse error feedback — refuse rather than guess.
-            raise TypeError(
-                f"{type(self.scheme).__name__} returned mixed sparse/"
-                "dense bucket updates; sessions require one representation")
-        if sparse:
-            idx = [ (res.update.indices.astype(INDEX_DTYPE) + INDEX_DTYPE(lo))
-                    for lo, _, res in parts if res.update.nnz]
-            val = [res.update.values for lo, _, res in parts
-                   if res.update.nnz]
-            update: Union[COOVector, np.ndarray] = COOVector(
-                n,
-                np.concatenate(idx) if idx else np.empty(0, INDEX_DTYPE),
-                np.concatenate(val) if val else np.empty(0, VALUE_DTYPE))
-        else:
-            dense = np.zeros(n, dtype=VALUE_DTYPE)
-            for lo, hi, res in parts:
-                dense[lo:hi] = res.update
-            update = dense
+        if update is None:
+            update = self._merge_update(parts)
         if any(res.contributed_indices is None for _, _, res in parts):
             contributed: Optional[np.ndarray] = None
         else:
@@ -667,6 +697,35 @@ class ReduceSession:
         return AllreduceResult(
             update=update, contributed_indices=contributed, info=info,
             overlappable=self.scheme.overlap_from_start)
+
+    def _merge_update(self, parts: List[tuple]
+                      ) -> Union[COOVector, np.ndarray]:
+        """The per-bucket updates of ``parts`` (sorted by extent) as one
+        update over the whole gradient."""
+        sparse = all(isinstance(res.update, COOVector)
+                     for _, _, res in parts)
+        if not sparse and any(isinstance(res.update, COOVector)
+                              for _, _, res in parts):
+            # No scheme mixes representations across buckets, and merging
+            # them would conflate "contributed everything" (dense) with
+            # sparse error feedback — refuse rather than guess.
+            raise TypeError(
+                f"{type(self.scheme).__name__} returned mixed sparse/"
+                "dense bucket updates; sessions require one representation")
+        n = self.layout.n
+        if sparse:
+            idx = [(res.update.indices.astype(INDEX_DTYPE) + INDEX_DTYPE(lo))
+                   for lo, _, res in parts if res.update.nnz]
+            val = [res.update.values for lo, _, res in parts
+                   if res.update.nnz]
+            return COOVector(
+                n,
+                np.concatenate(idx) if idx else np.empty(0, INDEX_DTYPE),
+                np.concatenate(val) if val else np.empty(0, VALUE_DTYPE))
+        dense = np.zeros(n, dtype=VALUE_DTYPE)
+        for lo, hi, res in parts:
+            dense[lo:hi] = res.update
+        return dense
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +765,66 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
     # read-only, same as the one-shot reduce path).  Buckets close at the
     # same positions, the pacer still runs before each segment.
     session._acc = acc
-    for seg in session._plan.sequence:
+    plan = session._plan
+    if (session._native and scheme.world_bucket is not None
+            and _fused._available(comm)):
+        return comm.fused_collective(
+            ("reduce_session", t, layout.n, plan.bucket_k),
+            (session, pacer), _exec_session)
+    for seg in plan.sequence:
         if pacer is not None:
             pacer(seg)
         session._advance()
     return session.finish()
+
+
+def _exec_session(net, sig, lanes):
+    """A native bucketed session for the whole current world in one
+    rendezvous: :func:`run_session`'s loop and :meth:`ReduceSession.finish`
+    for every rank, around the scheme's world bucket body.
+
+    ``lanes[r]`` is rank ``r``'s ``(session, pacer)``.  The plan is walked
+    in bucket order: every rank's pacer for the bucket's segments (the
+    per-segment contract is unchanged), then — a funded bucket only — the
+    issue clocks, the ``world_bucket`` body over every rank's
+    ``acc[lo:hi]`` (``sig[1]`` is the iteration), and each rank's finish
+    clock, rewound to its issue clock when streaming as
+    :class:`~repro.comm.AsyncRegion` does.  Every outcome is booked by
+    the rank's own :meth:`ReduceSession._record`, as on the reference
+    path.  The merged update is built once and handed to all ranks as the
+    same write-protected arrays; everything else is each rank's own.
+    """
+    sessions, pacers = zip(*lanes)
+    lead = sessions[0]
+    plan, n = lead._plan, lead.layout.n
+    body = lead.scheme.world_bucket
+    comms = [s.comm for s in sessions]
+    pacers = [pace for pace in pacers if pace is not None]
+    for b, bucket in enumerate(plan.buckets):
+        for seg in bucket:
+            for pace in pacers:
+                pace(seg)
+        k_b = plan.bucket_k[b]
+        if k_b == 0:
+            for s in sessions:
+                s._record(b)
+            continue
+        lo, hi = plan.extents[b]
+        view = BucketView(lo=lo, hi=hi, n=n)
+        before = [(s._mark(), c.clock) for s, c in zip(sessions, comms)]
+        results = body(net, sig, [
+            s.scheme._bucket_lane(c, s._acc[lo:hi], k_b, view)
+            for s, c in zip(sessions, comms)])
+        for s, c, res, (mark, issue) in zip(sessions, comms, results,
+                                            before):
+            span = None
+            if s.stream:
+                span = (issue, c.clock)
+                c.rewind_clock(issue)
+            s._record(b, res, mark, span)
+    update = lead._merge_update(sorted(lead._partials, key=lambda p: p[0]))
+    if isinstance(update, COOVector):
+        # shared by all P ranks: nobody may write what everybody reads
+        update.indices.setflags(write=False)
+        update.values.setflags(write=False)
+    return [s._conclude(s._merge(update)) for s in sessions]

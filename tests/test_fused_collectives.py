@@ -840,35 +840,56 @@ class TestOkTopkWorldExecutor:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_rendezvous_per_reduction(self, mode, rendezvous_log):
-        """Every rank enters exactly one ``oktopk_reduce`` rendezvous per
-        funded bucket (one per iteration one-shot) and no rendezvous of
-        any sub-collective — in the steady state *and* where the
-        tau / tau' work fires (it is booked inline) — and none at all
+        """Every rank enters exactly one rendezvous per iteration — the
+        ``oktopk_reduce`` of a one-shot reduction, the ``reduce_session``
+        that runs all buckets of a bucketed session — and no rendezvous
+        of any sub-collective or bucket, in the steady state *and* where
+        the tau / tau' work fires (it is booked inline), and none at all
         with fusion off."""
         p, iters = 4, 4
-        nred = 1 if mode == "oneshot" else 4
+        head = "oktopk_reduce" if mode == "oneshot" else "reduce_session"
         run_spmd(p, _oktopk_prog, "oktopk", mode, iters=iters,
                  runner="coop", fused=True)
         assert Counter((e.rank, e.head) for e in rendezvous_log) == {
-            (r, "oktopk_reduce"): iters * nred for r in range(p)}
+            (r, head): iters for r in range(p)}
         del rendezvous_log[:]
         run_spmd(p, _oktopk_prog, "oktopk", mode, iters=iters,
                  runner="coop", fused=False)
         assert not rendezvous_log
 
-    def test_the_shared_update_is_write_protected(self):
-        """All P ranks hold the same ``u_t`` arrays: none may write them."""
+    @pytest.mark.parametrize("mode", ["oneshot", "stream"])
+    def test_the_shared_update_is_write_protected(self, mode,
+                                                  rendezvous_log):
+        """All P ranks hold the same ``u_t`` arrays — one reduction's, or
+        a streamed bucketed session's merged update: none may write them.
+        The contributed indices stay each rank's own."""
         def prog(comm):
-            res = make_allreduce("oktopk", k=30).reduce(
-                comm, _acc_normal(comm.rank, 1), 1)
+            algo = make_allreduce("oktopk", k=30)
+            acc = _acc_normal(comm.rank, 1)
+            if mode == "oneshot":
+                res = algo.reduce(comm, acc, 1)
+            else:
+                res = run_session(algo, comm, OK_LAYOUT, 1, acc,
+                                  bucket_size=OK_BUCKET,
+                                  pacer=lambda seg: comm.compute(2e-6))
+                assert res.nbuckets == 4
             with pytest.raises(ValueError, match="read-only"):
                 res.update.values[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 res.update.indices[0] = 0
-            return res.update
+            return res
 
-        updates = run_spmd(4, prog, runner="coop", fused=True).results
-        assert all(u.values is updates[0].values for u in updates)
+        results = run_spmd(4, prog, runner="coop", fused=True).results
+        assert {e.head for e in rendezvous_log} == {
+            "oktopk_reduce" if mode == "oneshot" else "reduce_session"}
+        lead = results[0]
+        for res in results:
+            assert res.update.values is lead.update.values
+            assert res.update.indices is lead.update.indices
+        mine = [res.contributed_indices for res in results]
+        assert len({id(c) for c in mine}) == len(mine)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(mine) for b in mine[i + 1:])
 
     @pytest.mark.parametrize("scheme", ["oktopk", "oktopk_q"])
     @pytest.mark.parametrize("bucket_size,overlap_mode", [
@@ -878,8 +899,10 @@ class TestOkTopkWorldExecutor:
                                       rendezvous_log):
         """8 -> 7 mid-run under a straggler plan: records, events, the
         re-keyed ``OkTopkState`` and the network agree with the
-        per-message run; one ``oktopk_reduce`` per reduction before and
-        after the shrink, none in the interrupted iteration."""
+        per-message run; one reduction rendezvous per rank and step
+        before and after the shrink (``oktopk_reduce`` one-shot, one
+        ``reduce_session`` for all buckets), none in the interrupted
+        iteration."""
         p, crash_at, iters = 8, 3, 6
         plan = FaultPlan.straggler_skew(p, seed=p)
         plan = dataclasses.replace(plan, crashes=(RankCrash(
@@ -891,14 +914,15 @@ class TestOkTopkWorldExecutor:
         events = next(r for r in fast.results if r is not None)[1]
         assert [(e["old_size"], e["new_size"]) for e in events] == \
             [(p, p - 1)]
-        nred = 1 if bucket_size is None else 2
+        head = "oktopk_reduce" if bucket_size is None else "reduce_session"
         reduces = Counter((e.size, e.step) for e in entries
-                          if e.head == "oktopk_reduce")
-        expect = {(p, t): p * nred for t in range(1, crash_at)}
-        expect.update({(p - 1, t): (p - 1) * nred
+                          if e.head == head)
+        expect = {(p, t): p for t in range(1, crash_at)}
+        expect.update({(p - 1, t): p - 1
                        for t in range(crash_at, iters + 1)})
         assert reduces == expect
         assert not {e.head for e in entries} & {
+            "oktopk_reduce" if bucket_size else "reduce_session",
             "oktopk_select", "oktopk_sr", "allgatherv", "allgather_object",
             "alltoallv"}
 

@@ -547,12 +547,13 @@ class TestTrainerLockstepIdentity:
                                                   else ())
         for head in heads:
             assert per_head[head] == 4 * 3      # every rank, every iteration
-        assert set(per_head) == {*heads, "oktopk_reduce"}
         if bert:
-            # one Ok-Topk rendezvous per funded bucket, every rank
-            assert per_head["oktopk_reduce"] % 4 == 0
-            assert per_head["oktopk_reduce"] > 4 * 3
+            # one rendezvous runs every bucket of the streamed session,
+            # every rank, every iteration
+            assert set(per_head) == {*heads, "reduce_session"}
+            assert per_head["reduce_session"] == 4 * 3
         else:
+            assert set(per_head) == {*heads, "oktopk_reduce"}
             # selection is a stage of the one Ok-Topk rendezvous per
             # reduction (stacked there because the accumulators are rows
             # of the world's accumulate buffer), not a rendezvous of its

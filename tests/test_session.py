@@ -814,8 +814,9 @@ class TestStreamingOverlap:
 
         ALGORITHMS[NonBucketable.name] = NonBucketable
         try:
-            rec = _train(NonBucketable.name, p=2, bucket_size=64,
-                         net=COMM_BOUND_NET, overlap_mode="stream")
+            with pytest.warns(RuntimeWarning, match="not bucketable"):
+                rec = _train(NonBucketable.name, p=2, bucket_size=64,
+                             net=COMM_BOUND_NET, overlap_mode="stream")
         finally:
             del ALGORITHMS[NonBucketable.name]
         assert all(r.stream_fallback for r in rec.records)
