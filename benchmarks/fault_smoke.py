@@ -11,8 +11,7 @@ for the properties the fault subsystem guarantees:
   engine (``REPRO_FUSED=0``, ``REPRO_RANK_BATCH=0``) and on the threaded
   runner,
 * the fast-path leg really is one: it enters the engine rendezvous both
-  before and after the shrink (both worlds sit above
-  ``fused.FUSED_MIN_RANKS``), and not once in the interrupted iteration —
+  before and after the shrink, and not once in the interrupted iteration —
   a plan no longer pushes a run onto the reference path, only the
   iteration a crash interrupts runs there,
 * training keeps converging after the shrink (final loss < first loss).

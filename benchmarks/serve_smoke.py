@@ -36,11 +36,8 @@ CFG = ServeConfig(p=4, rate=2000.0, n_requests=24, prompt_tokens=96,
 
 
 def _signature(rep):
-    # "unfused-small" is a coop+fused-only wall-clock provenance note,
-    # excluded from the cross-runner semantic comparison
-    algos = {k: v for k, v in rep.algorithms.items()
-             if not k.endswith("/unfused-small")}
-    return (rep.requests, rep.summary(), rep.steps, rep.events, algos)
+    return (rep.requests, rep.summary(), rep.steps, rep.events,
+            rep.algorithms)
 
 
 def main() -> int:

@@ -23,12 +23,14 @@ Fused fast path
 Under the cooperative engine each collective first tries the **fused**
 execution path (:mod:`repro.comm.fused`): the whole collective runs as one
 engine-level macro-dispatch — a compiled message schedule booked in a few
-vectorized passes plus one stacked-numpy reduction — bit-identical to the
-per-message rounds below in results, traffic counters and simulated
-makespans.  The per-message implementations in this module remain the
-reference path (threaded runner, traced networks, ``P = 1``, non-``add``
-ops, ``REPRO_FUSED=0``, and — under a fault plan — the step a planned
-crash can fire in; slowdowns, stragglers and shrunk worlds stay fused).
+vectorized passes plus one central reduction in the schedule's own
+association order — bit-identical to the per-message rounds below in
+results, traffic counters and simulated makespans (a ring allreduce is
+one such dispatch, not a reduce-scatter plus an allgather).  The
+per-message implementations in this module remain the reference path
+(threaded runner, traced networks, ``P = 1``, non-``add`` ops,
+``REPRO_FUSED=0``, and — under a fault plan — the step a planned crash
+can fire in; slowdowns, stragglers and shrunk worlds stay fused).
 """
 
 from __future__ import annotations
@@ -281,9 +283,6 @@ def reduce_scatter_ring(comm: SimComm, arr: np.ndarray,
     Returns ``(reduced_block, block_slice)`` where ``block_slice`` is rank
     ``i``'s block ``i`` of the input.
     """
-    out = _fused.fused_reduce_scatter_ring(comm, arr, op)
-    if out is not _UNFUSED:
-        return out
     p, r = comm.size, comm.rank
     work = np.array(arr, copy=True)
     slices = _block_slices(arr.size, p)
@@ -308,12 +307,6 @@ def allgather_ring(comm: SimComm, block: np.ndarray, n: int,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Ring allgather of per-rank contiguous blocks into a length-``n``
     vector partitioned like :func:`_block_slices`."""
-    full = _fused.fused_allgather_ring(comm, block, n)
-    if full is not _UNFUSED:
-        if out is None:
-            return full
-        out[:] = full
-        return out
     p, r = comm.size, comm.rank
     slices = _block_slices(n, p)
     result = np.zeros(n, dtype=block.dtype) if out is None else out
@@ -331,6 +324,9 @@ def allgather_ring(comm: SimComm, block: np.ndarray, n: int,
 
 def allreduce_ring(comm: SimComm, arr: np.ndarray, op=np.add) -> np.ndarray:
     """Ring allreduce: ``2 n (P-1)/P beta`` bandwidth, ``2(P-1) alpha``."""
+    out = _fused.fused_allreduce(comm, arr, op, "ring")
+    if out is not _UNFUSED:
+        return out
     block, _ = reduce_scatter_ring(comm, arr, op)
     return allgather_ring(comm, block, arr.size)
 

@@ -75,9 +75,6 @@ class CoopEngine:
         #: fused-collective fast path (see repro.comm.fused); resolved
         #: from REPRO_FUSED when not given explicitly
         self.fused = _fused.fusion_enabled() if fused is None else bool(fused)
-        #: world-size profitability floor of the dense fused collectives
-        #: (:data:`repro.comm.fused.FUSED_MIN_RANKS`, read once per engine)
-        self.fused_floors = _fused.FUSED_MIN_RANKS
         #: schedule-perturbation source (sanitizer race detector): when
         #: set, :meth:`_pop_ready` picks a seeded-random runnable rank
         #: instead of the FIFO head.  Simulated time is
@@ -249,7 +246,7 @@ class CoopEngine:
         ``(net, sig, payloads)`` and returns the per-rank results.
 
         The last arrival executes while holding the token, so the whole
-        collective — schedule replay and stacked-numpy reduction — runs
+        collective — schedule replay and the central reduction — runs
         as one uninterrupted dispatch; the parked ranks are then made
         runnable in rank order.  Aborts (including the deadlock detector,
         which treats rendezvous-parked ranks as blocked) wake parked

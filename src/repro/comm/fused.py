@@ -23,13 +23,19 @@ simulated timestamp.  Every collective is split into:
   schedule against the shared :class:`~repro.comm.network.Network` state
   in a few vectorized passes (one numpy expression per round phase,
   element-wise and therefore **bit-identical** to the scalar
-  per-message fold), and the ``_data_*`` functions compute every rank's
-  result centrally with stacked numpy — reproducing the exact
-  floating-point association order of the per-message algorithms (the
-  butterfly/halving trees and the ring fold are balanced‑tree /
-  sequential folds of *commutative* ``np.add`` applications, so the
-  vectorized pairings below are bit-equal; fusion is gated on
-  ``op is np.add`` for exactly this reason).
+  per-message fold), and the ``_sum_*`` functions compute every rank's
+  result centrally — reproducing the exact floating-point association
+  order of the per-message algorithms (the butterfly/halving trees and
+  the ring fold are balanced-tree / sequential folds of *commutative*
+  ``np.add`` applications, so the pairings below are bit-equal; fusion
+  is gated on ``op is np.add`` for exactly this reason).  Like the
+  collective it stands in for, a fold reads every rank's input in place
+  and writes only fresh arrays: a dense allreduce folds once and every
+  rank takes its own copy of that sum.
+
+The fused path runs at every world size and payload: there is no
+profitability floor, so P = 2 and 3 worlds take the same dense
+executors as every other world.
 
 Execution model (the engine side lives in :mod:`repro.comm.engine`): a
 rank entering a fused collective parks at a **rendezvous**; when the last
@@ -119,93 +125,11 @@ UNFUSED = object()
 #: environment variable disabling the fused fast path ("0"/"false"/"off")
 FUSED_ENV = "REPRO_FUSED"
 
-#: profitability floor for the dense fused collectives (allreduce,
-#: reduce-scatter/allgather ring, reduce): worlds smaller than this take
-#: the per-message path instead (recorded in ``algorithm_log`` as mode
-#: ``"unfused-small"``).  Simulated time is identical either way; the
-#: floor is wall-clock-only.  Each engine reads it once, at construction
-#: (:attr:`~repro.comm.engine.CoopEngine.fused_floors`).
-#:
-#: Why 4: ms of host time per ``collectives.allreduce`` call (default
-#: ``bandwidth`` role, float32 payload), min-max over 14-21 alternating
-#: runs of 200 calls, on a 2-vCPU Intel Xeon VM pinned to one core.
-#: "fused" sets this floor to 0, "per-message" sets it above P:
-#:
-#:   P  words    fused        per-message
-#:   2  16       0.046-0.077  0.042-0.069   tie
-#:   2  4096     0.050-0.084  0.045-0.073   tie
-#:   2  50 000   0.26-0.43    0.074-0.117   fused ~3x slower
-#:   3  16       0.135-0.238  0.114-0.194   fused ~1.2x slower
-#:   3  50 000   0.44-0.80    0.31-0.56     fused ~1.4x slower
-#:   4  16       0.078-0.147  0.150-0.246   fused ~1.8x faster
-#:   4  4096     0.086-0.162  0.171-0.281   fused ~1.8x faster
-#:   4  50 000   0.53-0.85    0.30-0.46     fused ~1.8x slower
-#:
-#: Below 4 ranks fusion buys nothing at any payload; from 4 ranks it
-#: wins on latency-bound payloads and loses on large dense ones.
-#: Changing the gate (another floor, or a payload term) is its own
-#: measured change: no perfbench workload runs below P = 4 or times
-#: this per-call path at large payloads.  Each row came from
-#: ``PYTHONPATH=src taskset -c 1 python ms.py`` with ``ms.py``::
-#:
-#:   import time, numpy as np
-#:   from repro.comm import collectives, fused, run_spmd
-#:   def ms(p, words, floor, reps=200):
-#:       fused.FUSED_MIN_RANKS = floor
-#:       x = np.ones(words, np.float32)
-#:       def prog(comm):
-#:           for _ in range(reps):
-#:               collectives.allreduce(comm, x)
-#:       run_spmd(p, prog)                       # warm-up
-#:       t0 = time.perf_counter()
-#:       run_spmd(p, prog)
-#:       return (time.perf_counter() - t0) / reps * 1e3
-#:   for p, words in ((2, 16), (2, 4096), (2, 50_000), (3, 16),
-#:                    (3, 50_000), (4, 16), (4, 4096), (4, 50_000)):
-#:       for floor in (0, p + 1) * 7:
-#:           print(p, words, floor, ms(p, words, floor))
-FUSED_MIN_RANKS = 4
-
 
 def fusion_enabled() -> bool:
     """Whether the fused fast path is enabled for new engines (env gate)."""
     return os.environ.get(FUSED_ENV, "1").lower() not in (
         "0", "false", "off", "no")
-
-
-def _below_floors(comm) -> bool:
-    """Whether the world sits below the engine's profitability floor
-    (callers checked :func:`_available`, so ``net._sched`` is the engine
-    that resolved it)."""
-    return comm.size < comm.net._sched.fused_floors
-
-
-def fusable(comm) -> bool:
-    """The whole gate of a dense fused collective: fast path
-    :func:`_available` and the world above the floor.  For callers that
-    fuse *around* the dense entry points (the serving step executor) and
-    leave the skip provenance to the per-call path they fall back to."""
-    return _available(comm) and not _below_floors(comm)
-
-
-def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
-    """Profitability gate for the dense fused entry points.
-
-    Fusion replaces ``O(P log P)`` per-message park/wake cycles with one
-    rendezvous plus a vectorized replay — a win that has to amortize the
-    rendezvous itself.  When the world is below
-    :data:`FUSED_MIN_RANKS`, the per-message path is no slower in
-    wall-clock terms (simulated results/clocks/counters are bit-identical
-    either way), so the entry point returns :data:`UNFUSED` and the skip is
-    recorded once per call in :attr:`Network.algorithm_log` under mode
-    ``"unfused-small"`` — auditable next to the reference path's own
-    ``forced``/``adaptive`` entries."""
-    if not _below_floors(comm):
-        return False
-    if comm.rank == 0:  # once per collective call, not once per rank
-        comm.net.note_algorithm(collective, algorithm, "unfused-small",
-                                nwords_)
-    return True
 
 
 def _available(comm) -> bool:
@@ -897,90 +821,50 @@ def resolve_allreduce(algo: str, p: int, nwords_: int,
 # ---------------------------------------------------------------------------
 # Central data computation (bit-identical association orders)
 # ---------------------------------------------------------------------------
-def _fold_stack(payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """Stack the contributions in core (newrank) order, combining the
-    fold-in pairs: row ``x < rem`` is ``a[2x+1] + a[2x]`` (the odd rank's
-    ``op(acc, got)``), rows ``x >= rem`` pass through."""
-    arr = (payloads if isinstance(payloads, np.ndarray)
-           else np.stack([np.asarray(a) for a in payloads]))
-    m = _core_size(p)
-    rem = p - m
-    if rem == 0:
-        return arr
-    folded = arr[1:2 * rem:2] + arr[0:2 * rem:2]
-    return np.concatenate([folded, arr[2 * rem:]], axis=0)
+def _sum_tree(payloads: Sequence[np.ndarray], p: int,
+              halving: bool) -> np.ndarray:
+    """The halving/doubling trees, folded pairwise straight from the
+    per-rank rows (a sequence of arrays or the rows of one stacked
+    ``(P, n)`` array; no row is ever written).
 
-
-def _sum_recursive_doubling(payloads: Sequence[np.ndarray],
-                            p: int) -> np.ndarray:
-    """The butterfly's balanced tree: adjacent newrank pairs combine at
-    distance 1 first (every core rank ends with the same bits because
-    each combine is a commutative ``op(acc, got)``)."""
-    cur = _fold_stack(payloads, p)
-    while cur.shape[0] > 1:
-        cur = cur[0::2] + cur[1::2]
-    return cur[0]
-
-
-def _sum_rabenseifner(payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """Recursive halving's tree: newranks pair at distance ``m/2`` first
-    (per block the association is the same halving tree, so the whole
-    vector folds in one pass per level)."""
-    cur = _fold_stack(payloads, p)
-    while cur.shape[0] > 1:
-        h = cur.shape[0] // 2
-        cur = cur[:h] + cur[h:]
-    return cur[0]
+    Core (newrank) order first: fold-in pair ``x < rem`` holds
+    ``a[2x+1] + a[2x]`` (the odd rank's ``op(acc, got)``), the other core
+    ranks pass their own row through.  Each level then combines pairs —
+    newranks ``i`` and ``i + m/2`` first for recursive halving
+    (Rabenseifner), adjacent newranks first for the butterfly (recursive
+    doubling).  Every combine is a commutative ``op(acc, got)``, so every
+    core rank ends with these bits.  A combine adds into its left operand
+    when this fold allocated it (``np.add(x, y, out=x)``) and into a fresh
+    array otherwise (the first level, a pass-through row)."""
+    rows = [np.asarray(a) for a in payloads]
+    rem = p - _core_size(p)
+    cur = [rows[2 * x + 1] + rows[2 * x] for x in range(rem)] + rows[2 * rem:]
+    owned = rem  # cur[:owned] are this fold's own arrays
+    while len(cur) > 1:
+        h = len(cur) // 2
+        step, lefts = (h, range(h)) if halving else (1, range(0, 2 * h, 2))
+        cur = [np.add(cur[i], cur[i + step], out=cur[i]) if i < owned
+               else cur[i] + cur[i + step] for i in lefts]
+        owned = h
+    return cur[0] if owned else cur[0].copy()
 
 
 def _sum_ring(payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
     """The ring's sequential fold: block ``b`` accumulates around the
-    ring as ``op(a_b, op(a_{b-1}, ... op(a_{b+2}, a_{b+1})))``.
-
-    Blocks are contiguous, so each block folds over plain slices — no
-    full-width gather is ever materialized (the naive
-    ``stack[(block_of + 1 + j) % p, col]`` formulation costs ``P``
-    fancy-indexed passes over the whole vector and dominated the fused
-    ring path at large ``n``)."""
+    ring as ``op(a_b, op(a_{b-1}, ... op(a_{b+2}, a_{b+1})))``, each
+    block over plain slices of the rows straight into its slice of the
+    result."""
     arrs = [np.asarray(a) for a in payloads]
     n = arrs[0].shape[0]
-    lens = _ring_block_lens(n, p)
     out = np.empty_like(arrs[0])
     off = 0
-    for b, ln in enumerate(lens):
+    for b, ln in enumerate(_ring_block_lens(n, p)):
         sl = slice(off, off + ln)
         off += ln
-        partial = arrs[(b + 1) % p][sl]
+        acc = out[sl]
+        np.copyto(acc, arrs[(b + 1) % p][sl])
         for j in range(1, p):
-            partial = arrs[(b + 1 + j) % p][sl] + partial
-        out[sl] = partial
-    return out
-
-
-#: bytes of one stacked column block of :func:`_sum_blocked`
-_FOLD_BLOCK_BYTES = 1 << 18
-
-
-def _sum_blocked(fold, payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """``fold(payloads, p)`` (a ``_sum_*`` tree above), one block of
-    columns at a time.
-
-    The trees are elementwise across ranks, so folding column blocks
-    gives the same bits as folding whole vectors; what changes is that
-    the ``(P, n)`` stack and its partial sums never exist at full width:
-    the executing rank thread — a different one at every rendezvous —
-    allocates nothing multi-MB for its malloc arena to keep.
-    """
-    first = payloads[0]
-    step = max(1, _FOLD_BLOCK_BYTES // (p * first.itemsize))
-    if first.ndim != 1 or first.size <= step:
-        return fold(payloads, p)
-    stacked = isinstance(payloads, np.ndarray)
-    out = np.empty_like(first)
-    for lo in range(0, first.size, step):
-        hi = lo + step
-        out[lo:hi] = fold(payloads[:, lo:hi] if stacked
-                          else [a[lo:hi] for a in payloads], p)
+            np.add(arrs[(b + 1 + j) % p][sl], acc, out=acc)
     return out
 
 
@@ -1026,19 +910,22 @@ def fused_allreduce(comm, arr: np.ndarray, op, algo: str):
     if op is not np.add or not _available(comm):
         return UNFUSED
     a = np.asarray(arr)
-    if _too_small(comm, "allreduce", algo, a.size * _wpe(a)):
-        return UNFUSED
     sig = ("allreduce", algo, a.size, _wpe(a), a.dtype.str)
-    return comm.fused_collective(sig, a, _exec_allreduce)
+    # each rank copies the one shared sum as it resumes: private, writable
+    # results made one at a time, not P of them in one burst that the
+    # allocator hands back and faults in again on every call
+    return comm.fused_collective(sig, a, _exec_allreduce).copy()
 
 
 def replay_allreduce(net, algo: str, payloads) -> np.ndarray:
     """Book one dense allreduce of the ``P`` equal-shape contributions
     ``payloads`` (a sequence of arrays or one stacked ``(P, n)`` array)
     against ``net`` — :func:`replay` of the cached compiled schedule(s) —
-    and return their sum, folded in that schedule's own association order.
-    The whole fused allreduce except the hand-out of results: shared by
-    :func:`_exec_allreduce` and the serving step executor."""
+    and return their sum, folded in that schedule's own association order
+    into a fresh array (the contributions are only read).  The whole
+    fused allreduce except the hand-out of results: shared by
+    :func:`_exec_allreduce`, Ok-Topk's consensus and the serving step
+    executor."""
     p = len(payloads)
     n, wpe = payloads[0].size, _wpe(payloads[0])
     if algo == "ring":
@@ -1046,55 +933,11 @@ def replay_allreduce(net, algo: str, payloads) -> np.ndarray:
         replay(net, compile_allgather_ring(p, n, wpe))
         return _sum_ring(payloads, p)
     replay(net, compile_allreduce(p, n, wpe, algo))
-    return _sum_blocked(_sum_rabenseifner if algo == "rabenseifner"
-                        else _sum_recursive_doubling, payloads, p)
+    return _sum_tree(payloads, p, halving=algo == "rabenseifner")
 
 
 def _exec_allreduce(net, sig, payloads):
-    total = replay_allreduce(net, sig[1], payloads)
-    return [np.array(total, copy=True) for _ in payloads]
-
-
-def fused_reduce_scatter_ring(comm, arr: np.ndarray, op):
-    if op is not np.add or not _available(comm):
-        return UNFUSED
-    a = np.asarray(arr)
-    if _too_small(comm, "reduce_scatter_ring", "ring", a.size * _wpe(a)):
-        return UNFUSED
-    sig = ("reduce_scatter_ring", a.size, _wpe(a), a.dtype.str)
-    return comm.fused_collective(sig, a, _exec_rs_ring)
-
-
-def _exec_rs_ring(net, sig, payloads):
-    _, n, wpe, _ = sig
-    p = len(payloads)
-    replay(net, compile_reduce_scatter_ring(p, n, wpe))
-    partial = _sum_ring(payloads, p)
-    bounds = np.linspace(0, n, p + 1).astype(np.int64)
-    return [(partial[bounds[r]:bounds[r + 1]].copy(),
-             slice(int(bounds[r]), int(bounds[r + 1])))
-            for r in range(p)]
-
-
-def fused_allgather_ring(comm, block: np.ndarray, n: int):
-    if not _available(comm):
-        return UNFUSED
-    a = np.asarray(block)
-    if _too_small(comm, "allgather_ring", "ring", int(n) * _wpe(a)):
-        return UNFUSED
-    sig = ("allgather_ring", int(n), _wpe(a), a.dtype.str)
-    return comm.fused_collective(sig, a, _exec_ag_ring)
-
-
-def _exec_ag_ring(net, sig, payloads):
-    _, n, wpe, dts = sig
-    p = len(payloads)
-    replay(net, compile_allgather_ring(p, n, wpe))
-    bounds = np.linspace(0, n, p + 1).astype(np.int64)
-    full = np.empty(n, dtype=np.dtype(dts))
-    for r in range(p):
-        full[bounds[r]:bounds[r + 1]] = payloads[r]
-    return [full.copy() for _ in range(p)]
+    return [replay_allreduce(net, sig[1], payloads)] * len(payloads)
 
 
 def fused_allgatherv(comm, block: Any):
@@ -1161,8 +1004,6 @@ def fused_reduce(comm, arr: np.ndarray, root: int, op):
     if op is not np.add or not _available(comm):
         return UNFUSED
     a = np.asarray(arr)
-    if _too_small(comm, "reduce", "binomial_tree", a.size * _wpe(a)):
-        return UNFUSED
     sig = ("reduce", root, a.size, _wpe(a), a.dtype.str)
     return comm.fused_collective(sig, a, _exec_reduce)
 

@@ -61,6 +61,8 @@ class LinearQuantizer:
         if hi == lo:
             codes = np.zeros(v.size, dtype=np.uint8)
             return QuantArray(self._pack(codes), lo, hi, self.bits, v.size)
+        if not self._float32_safe(lo, hi):
+            v = v.astype(np.float64)
         scaled = (v - lo) * (self.levels / (hi - lo))
         if self.stochastic:
             floor = np.floor(scaled)
@@ -81,9 +83,21 @@ class LinearQuantizer:
         if qa.hi == qa.lo:
             return np.full(qa.count, qa.lo, dtype=np.float32)
         step = (qa.hi - qa.lo) / self.levels
-        return (qa.lo + codes.astype(np.float32) * step).astype(np.float32)
+        dtype = np.float32 if self._float32_safe(qa.lo, qa.hi) else np.float64
+        return (qa.lo + codes.astype(dtype) * step).astype(np.float32)
 
     # ------------------------------------------------------------------
+    def _float32_safe(self, lo: float, hi: float) -> bool:
+        """Whether ``v - lo`` and the scale ``levels / (hi - lo)`` are
+        finite in float32 (where the codec computes) for every value in
+        ``[lo, hi]``.  A range wider than float32's (``hi - lo``
+        overflows) or a subnormal one (the scale overflows) computes in
+        float64 instead; every other range keeps its float32 codes."""
+        with np.errstate(over="ignore"):
+            span = np.float32(hi) - np.float32(lo)
+            scale = np.float32(self.levels / (hi - lo))
+        return bool(np.isfinite(span) and np.isfinite(scale))
+
     def step_size(self, lo: float, hi: float) -> float:
         return (hi - lo) / self.levels if hi > lo else 0.0
 

@@ -17,9 +17,8 @@ path the whole of it is **one rendezvous per step** (the world-level
 executor in :mod:`repro.serve.model`) instead of one per layer plus one
 for the sync.  The per-layer loop is the reference path — threads
 runner, ``fused=False``, tracing, a planned crash that can still fire in
-the live world, P below the fusion floor — with identical simulated
-results.  Slowdown/straggler plans and shrunk worlds stay on the step
-executor.
+the live world — with identical simulated results.  Slowdown/straggler
+plans and shrunk worlds stay on the step executor.
 
 Determinism contract
 --------------------

@@ -25,11 +25,10 @@ One rendezvous per step
 
 A step's shapes never change between its layers, so where the fused fast
 path is available (cooperative engine, no tracing, a communicator that
-spans the current world — shrunk or not — with no crash pending in it, P
-at or above the fusion floors — the gate of every dense fused collective;
-slowdown and straggler plans ride along as factors, the FLOP charges go
-through each rank's own communicator) :meth:`TPDecodeModel.step` is **one
-engine dispatch**: every
+spans the current world — shrunk or not — with no crash pending in it —
+the gate of every fused collective; slowdown and straggler plans ride
+along as factors, the FLOP charges go through each rank's own
+communicator) :meth:`TPDecodeModel.step` is **one engine dispatch**: every
 rank parks once and the last arrival runs :func:`_exec_tp_step` for the
 whole world — algorithm role resolved once, per layer the FLOP charges,
 the provenance entry, the replay of the cached compiled schedule and one
@@ -52,9 +51,10 @@ import numpy as np
 
 from ..comm import collectives as coll
 from ..comm.communicator import SimComm
-from ..comm.fused import (LATENCY_OPTIMAL, allreduce_analytic_seconds,
-                          bandwidth_optimal, compile_allgatherv, fusable,
-                          replay, replay_allreduce, resolve_allreduce)
+from ..comm.fused import (LATENCY_OPTIMAL, _available,
+                          allreduce_analytic_seconds, bandwidth_optimal,
+                          compile_allgatherv, replay, replay_allreduce,
+                          resolve_allreduce)
 from ..comm.payload import nwords as payload_nwords
 from ..errors import ConfigError
 
@@ -132,7 +132,7 @@ class TPDecodeModel:
         if tokens < 1:
             raise ConfigError(f"step needs >= 1 token, got {tokens}")
         comm, cfg = self.comm, self.cfg
-        if fusable(comm):
+        if _available(comm):
             return comm.fused_collective(
                 ("tp_step", tokens, self.algorithm), self, _exec_tp_step)
         acts = np.tile(self._base, tokens) * self._carry

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.comm import Network, collectives, run_spmd
-from repro.comm import fused as fused_mod
 from repro.comm.faults import FaultPlan, RankCrash
 from repro.errors import CommError, DeadlockError, RankFailedError, \
     SimulatedRankCrash
@@ -197,9 +196,7 @@ class TestDeadlockDiagnosability:
         assert sorted(e["rank"] for e in exc.blocked) == list(range(p))
         assert all(entry["op"] == "recv" for entry in exc.blocked)
 
-    def test_rendezvous_deadlock_reports_collective_sig(self, monkeypatch):
-        monkeypatch.setattr(fused_mod, "FUSED_MIN_RANKS", 0)
-
+    def test_rendezvous_deadlock_reports_collective_sig(self):
         def prog(comm):
             if comm.rank == 0:
                 return "left early"

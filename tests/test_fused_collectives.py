@@ -36,8 +36,8 @@ from repro.allreduce import ParamLayout, make_allreduce
 from repro.allreduce import oktopk as oktopk_mod
 from repro.allreduce.session import run_session
 from repro.bench.harness import perf_proxy, proxy_network
-from repro.comm import NetworkModel, collectives as coll, fusion_enabled, \
-    run_spmd
+from repro.comm import Network, NetworkModel, collectives as coll, \
+    fusion_enabled, run_spmd
 from repro.comm import fused as fused_mod
 from repro.comm.faults import (ComputeStraggler, FaultPlan, LinkSlowdown,
                                RankCrash)
@@ -48,16 +48,6 @@ from repro.train import Trainer, TrainerConfig
 from repro.train.rankbatch import RANK_BATCH_ENV, _world_state
 
 PS = [2, 3, 4, 5, 8]
-#: the floor as shipped, read before any fixture patches it
-SHIPPED_FLOOR = fused_mod.FUSED_MIN_RANKS
-
-
-@pytest.fixture(autouse=True)
-def _fusion_floors_off(monkeypatch):
-    """Pin the profitability floor to zero so every P in ``PS`` exercises
-    the fused path (the default floor routes P <= 3 to the per-message
-    path for wall-clock reasons — semantics coverage must not shrink)."""
-    monkeypatch.setattr(fused_mod, "FUSED_MIN_RANKS", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +55,14 @@ def _fusion_floors_off(monkeypatch):
 # ---------------------------------------------------------------------------
 def net_state(res):
     """Everything a section leaves on the network, plus who died:
-    clocks, link occupancy, traffic counters, the provenance log (minus
-    "unfused-small", a wall-clock skip note only coop+fused runs can
-    record) and the crashed set."""
+    clocks, link occupancy, traffic counters, the whole provenance log
+    and the crashed set."""
     net = res.network
-    log = {k: v for k, v in net.algorithm_log.items()
-           if k[2] != "unfused-small"}
     return (list(net.clocks), list(net.egress_free),
             list(net.ingress_free), list(net.words_sent),
             list(net.words_recv), list(net.msgs_sent),
-            list(net.msgs_recv), log, sorted(res.crashed))
+            list(net.msgs_recv), dict(net.algorithm_log),
+            sorted(res.crashed))
 
 
 def assert_same(a, b, path=""):
@@ -327,18 +315,20 @@ class TestThreeWayBitIdentity:
         three_way(prog, p)
 
     @pytest.mark.parametrize("p", [4, 5, 16])
-    def test_wide_vectors_fold_in_column_blocks(self, p, monkeypatch):
-        """Past ``_FOLD_BLOCK_BYTES`` per stacked block the dense folds
-        run one block of columns at a time; the blocks must tile the
-        vector exactly (odd widths, a ragged last block) and give the
-        whole-vector bits."""
-        monkeypatch.setattr(fused_mod, "_FOLD_BLOCK_BYTES", 4096)
+    def test_wide_vectors_fold_in_column_blocks(self, p):
+        """An odd width, and at P = 16 a vector wider than 256 KB: the
+        pairwise folds and the ring's contiguous blocks give the
+        per-message bits at every width."""
+        widths = (1237, 70_001) if p == 16 else (1237,)
 
         def prog(comm):
-            x = np.random.default_rng(comm.rank).standard_normal(
-                1237).astype(np.float32)
-            return [coll.allreduce(comm, x, algo=a)
-                    for a in ("rabenseifner", "recursive_doubling", "ring")]
+            outs = []
+            for n in widths:
+                x = np.random.default_rng(comm.rank).standard_normal(
+                    n).astype(np.float32)
+                outs += [coll.allreduce(comm, x, algo=a) for a in
+                         ("rabenseifner", "recursive_doubling", "ring")]
+            return outs
 
         three_way(prog, p)
 
@@ -586,7 +576,6 @@ class TestThreeWayUnderPlans:
         plan = dataclasses.replace(plan, crashes=(RankCrash(
             rank=_victim(plan, p, seed), iteration=crash_at),))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fused_mod, "FUSED_MIN_RANKS", 0)
             train_three_way(mp, [], p, "oktopk", plan, iters=5,
                             seed=seed % 7, threads=False)
 
@@ -1036,74 +1025,63 @@ class TestSplitReduceStage:
 
 
 # ---------------------------------------------------------------------------
-# Profitability floor (world-size gate)
+# The dense fused allreduce at every world size: one rendezvous per call,
+# inputs only read, every rank's result its own
 # ---------------------------------------------------------------------------
-class TestFusionFloors:
-    def _prog(self, comm):
-        coll.allreduce(comm, np.ones(256, dtype=np.float32),
-                       algo="recursive_doubling")
-
-    @pytest.fixture(autouse=True)
-    def _shipped_floor(self, monkeypatch):
-        """These tests run at the shipped floor, not the module's zero."""
-        monkeypatch.setattr(fused_mod, "FUSED_MIN_RANKS", SHIPPED_FLOOR)
-
-    def test_floor_default(self):
-        assert SHIPPED_FLOOR == 4
-
-    def test_floors_are_resolved_at_engine_construction(self, monkeypatch):
-        """The collective hot path reads the engine's floor, never the
-        module constant: a change after ``run_spmd`` started is too
-        late."""
-        def prog(comm):
-            if comm.rank == 0:
-                monkeypatch.setattr(fused_mod, "FUSED_MIN_RANKS", 99)
-            self._prog(comm)
-
-        res = run_spmd(4, prog, runner="coop", fused=True)
-        assert not any(mode == "unfused-small"
-                       for _, _, mode in res.network.algorithm_log)
-
-    def test_small_world_skip_records_provenance(self):
-        res = run_spmd(3, self._prog, runner="coop", fused=True)
-        log = res.network.algorithm_log
-        assert log[("allreduce", "recursive_doubling", "unfused-small")] \
-            == {"calls": 1, "words": 256}
-        # the reference path ran and recorded its own entry
-        assert ("allreduce", "recursive_doubling", "forced") in log
-        # above the floor nothing is skipped
-        res = run_spmd(4, self._prog, runner="coop", fused=True)
-        assert not any(mode == "unfused-small"
-                       for _, _, mode in res.network.algorithm_log)
-
-    @pytest.mark.parametrize("nwords", [4, 256])
-    def test_payload_size_does_not_gate_fusion(self, nwords):
-        """Only the world size is a floor: a tiny payload at P=4 fuses
-        just like a large one."""
+class TestDenseAllreduceEveryWorld:
+    @pytest.mark.parametrize("algo", fused_mod.ALLREDUCE_ALGORITHMS)
+    @pytest.mark.parametrize("p", [2, 3, 5, 6])
+    def test_one_rendezvous_per_call(self, p, algo, rendezvous_log):
+        calls, n = 3, 96
 
         def prog(comm):
-            coll.allreduce(comm, np.ones(nwords, dtype=np.float32),
-                           algo="recursive_doubling")
+            for _ in range(calls):
+                coll.allreduce(comm, np.ones(n, np.float32), algorithm=algo)
 
-        res = run_spmd(4, prog, runner="coop", fused=True)
-        assert not any(mode == "unfused-small"
-                       for _, _, mode in res.network.algorithm_log)
+        res = run_spmd(p, prog, runner="coop", fused=True)
+        assert Counter((e.rank, e.head) for e in rendezvous_log) == {
+            (r, "allreduce"): calls for r in range(p)}
+        assert dict(res.network.algorithm_log) == {
+            ("allreduce", algo, "forced"): {"calls": calls,
+                                            "words": calls * n}}
 
-    def test_ring_decomposition_skip_records_both_phases(self):
+    @pytest.mark.parametrize("algo", fused_mod.ALLREDUCE_ALGORITHMS)
+    @pytest.mark.parametrize("p", [2, 3, 5, 8])
+    def test_inputs_untouched_and_results_private(self, p, algo,
+                                                  rendezvous_log):
+        def contribution(rank):
+            return np.random.default_rng(rank).standard_normal(
+                257).astype(np.float32)
 
         def prog(comm):
-            coll.allreduce(comm, np.ones(256, dtype=np.float32),
-                           algo="ring")
+            x = contribution(comm.rank)
+            return x, coll.allreduce(comm, x, algorithm=algo)
 
-        log = run_spmd(3, prog, runner="coop",
-                       fused=True).network.algorithm_log
-        assert ("reduce_scatter_ring", "ring", "unfused-small") in log
-        assert ("allgather_ring", "ring", "unfused-small") in log
+        res = run_spmd(p, prog, runner="coop", fused=True)
+        assert {e.head for e in rendezvous_log} == {"allreduce"}
+        inputs = [x for x, _ in res.results]
+        outs = [out for _, out in res.results]
+        for r, x in enumerate(inputs):
+            assert x.tobytes() == contribution(r).tobytes()
+        for r, out in enumerate(outs):
+            assert out.flags.writeable
+            assert out.tobytes() == outs[0].tobytes()
+            for other in inputs + outs[:r] + outs[r + 1:]:
+                assert not np.shares_memory(out, other)
 
-    def test_skipped_run_stays_bit_identical(self):
-        """With the default floor tripping (P=2), fused=True must land on
-        exactly the reference execution."""
-        three_way(_collective_torture, 2)
+    @pytest.mark.parametrize("algo", fused_mod.ALLREDUCE_ALGORITHMS)
+    @pytest.mark.parametrize("p", [2, 3, 5, 8])
+    def test_replay_leaves_a_stacked_input_untouched(self, p, algo):
+        """Serving hands :func:`replay_allreduce` one ``(P, n)`` array:
+        it is read, never folded into, and sums like the rows do."""
+        stacked = np.random.default_rng(p).standard_normal(
+            (p, 301)).astype(np.float32)
+        before = stacked.copy()
+        total = fused_mod.replay_allreduce(Network(p), algo, stacked)
+        assert stacked.tobytes() == before.tobytes()
+        assert not np.shares_memory(total, stacked)
+        rows = fused_mod.replay_allreduce(Network(p), algo, list(before))
+        assert total.tobytes() == rows.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,45 @@ class TestCodec:
         v = np.full(7, 3.25, dtype=np.float32)
         np.testing.assert_allclose(q.decode(q.encode(v)), v)
 
+    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("bits", [4, 8, 16])
+    def test_range_wider_than_float32(self, bits, stochastic):
+        """``hi - lo`` overflows float32: codes and values stay finite."""
+        v = np.array([-3e38, 1e38, 3e38], dtype=np.float32)
+        q = LinearQuantizer(bits, stochastic=stochastic)
+        with np.errstate(over="raise", invalid="raise"):
+            out = q.decode(q.encode(v))
+        step = q.step_size(float(v.min()), float(v.max()))
+        assert np.isfinite(out).all()
+        assert out[0] == v[0] and out[-1] == v[-1]
+        assert np.max(np.abs(out.astype(np.float64) - v)) <= step * 1.0001
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    @pytest.mark.parametrize("bits", [4, 8, 16])
+    def test_subnormal_range(self, bits, stochastic):
+        """The scale overflows float32: the range ends still encode as the
+        lowest and highest code, no NaN reaches the integer cast."""
+        v = np.array([0.0, 1e-45], dtype=np.float32)
+        q = LinearQuantizer(bits, stochastic=stochastic)
+        with np.errstate(over="raise", invalid="raise"):
+            qa = q.encode(v)
+            out = q.decode(qa)
+        assert q._unpack(qa).tolist() == [0, q.levels]
+        assert out.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("bits", [4, 8, 16])
+    def test_float32_ranges_keep_their_codes(self, bits):
+        """Where ``v - lo`` and the scale are finite in float32 the codes
+        are the float32 formula's, bit for bit."""
+        q = LinearQuantizer(bits)
+        rng = np.random.default_rng(5)
+        for exp in (-30, -3, 0, 3, 30, 37):
+            v = (rng.standard_normal(999) * 10.0 ** exp).astype(np.float32)
+            lo, hi = float(v.min()), float(v.max())
+            want = np.clip(np.rint((v - lo) * (q.levels / (hi - lo))), 0,
+                           q.levels)
+            assert np.array_equal(q._unpack(q.encode(v)), want)
+
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             LinearQuantizer(3)

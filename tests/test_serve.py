@@ -11,7 +11,7 @@ The load-bearing assertions are the ISSUE-7 acceptance criteria:
 * the size-adaptive allreduce selector matches or beats both fixed
   choices in a latency-bound and a bandwidth-bound regime;
 * (ISSUE 16) the one-rendezvous step executor that coop+fused runs take
-  at P >= 4 leaves the world — records, checksum, every per-rank counter,
+  at P >= 2 leaves the world — records, checksum, every per-rank counter,
   clock and link, the provenance log — exactly where the per-layer
   reference loop leaves it, is entered once per rank per serving step —
   also under slowdown / straggler plans (ISSUE 17) — and is never entered
@@ -165,15 +165,11 @@ ALGORITHMS = ("adaptive", "latency", "bandwidth", "ring", "rabenseifner")
 def world_state(res):
     """Everything an SPMD section leaves behind: per-rank results, makespan,
     per-rank traffic counters, final clocks and link occupancy, and the
-    provenance log entry for entry ("unfused-small" notes a wall-clock
-    profitability skip only coop+fused runs can record, so it is left out
-    of the cross-path comparison)."""
+    whole provenance log, entry for entry."""
     net = res.network
-    log = {k: v for k, v in net.algorithm_log.items()
-           if k[2] != "unfused-small"}
     return (res.results, res.makespan, net.words_sent, net.words_recv,
             net.msgs_sent, net.msgs_recv, net.clocks, net.egress_free,
-            net.ingress_free, log)
+            net.ingress_free, dict(net.algorithm_log))
 
 
 def serve_world(cfg, runner=None, fused=None, **kwargs):
@@ -214,7 +210,7 @@ class TestServing:
         "decode1-prefill320" if v is EXTREMES else f"p{v}")
     def test_bit_identical_across_runners_and_fused(self, shape, p,
                                                     algorithm):
-        # coop + fused at P >= 4 is the one-rendezvous step executor;
+        # coop + fused at P >= 2 is the one-rendezvous step executor;
         # everything else is the per-layer reference loop
         cfg = replace(shape, p=p, seed=11, algorithm=algorithm)
         base = None
@@ -228,11 +224,9 @@ class TestServing:
         # the public entry point reports that same world
         rep = simulate_serving(cfg)
         rank0 = base[0][0]
-        algos = {k: v for k, v in rep.algorithms.items()
-                 if not k.endswith("/unfused-small")}
         assert (rep.requests, rep.checksum, rep.steps, rep.makespan) == (
             rank0["records"], rank0["checksum"], rank0["steps"], base[1])
-        assert algos == {"/".join(k): v for k, v in base[-1].items()}
+        assert rep.algorithms == {"/".join(k): v for k, v in base[-1].items()}
 
     @given(p=st.integers(2, 9), tokens=st.integers(1, 48),
            hidden=st.integers(1, 40), layers=st.integers(1, 3),
@@ -270,9 +264,9 @@ class TestServing:
         ({"faults": FaultPlan(crashes=[RankCrash(rank=1, time=1e9)])},
          4, False),
         ({"trace": True}, 4, False),
-        ({}, 3, False),
+        ({}, 3, True),
     ], ids=["slow-link-plan", "straggler-window-plan", "pending-crash-plan",
-            "tracing", "below-rank-floor"])
+            "tracing", "three-ranks"])
     def test_step_executor_is_transparent(self, rendezvous_log, kwargs, p,
                                           entered):
         cfg = replace(SMOKE, p=p)

@@ -37,12 +37,10 @@ def crash_at(time, rank=1, detect_timeout=1e-4):
 
 
 def signature(rep):
-    """Everything semantically comparable across runners and fused paths
-    ("unfused-small" is a coop+fused-only wall-clock provenance note)."""
-    algos = {k: v for k, v in rep.algorithms.items()
-             if not k.endswith("/unfused-small")}
+    """Everything semantically comparable across runners and fused
+    paths, the whole provenance log included."""
     return (rep.requests, rep.summary(), rep.steps, rep.events,
-            rep.makespan, rep.checksum, algos)
+            rep.makespan, rep.checksum, rep.algorithms)
 
 
 class TestCrashRecovery:
