@@ -17,7 +17,7 @@ macro-collective (see :mod:`repro.comm.fused`): every rank parks at the
 rendezvous with its local top-k, the tree's merges/re-selections are
 computed centrally in the exact per-message order, and the compiled
 message schedule (sizes taken from the evolving per-level nnz) is booked
-in one vectorized pass — bit-identical results, counters and clocks,
+in one replay — bit-identical results, counters and clocks,
 under slowdown/straggler plans and on shrunk worlds too (the replay
 applies the plan's factors to the bookings, the merge charges and the
 per-level ``compute_topk`` seconds alike).

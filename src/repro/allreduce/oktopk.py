@@ -105,7 +105,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -210,17 +210,16 @@ def _book_split_reduce(net, ws, tables, count):
     :meth:`Network._serialize_link` (per-message factors; ``isend_avail``
     stays unscaled, as in ``post_batch``) and the ``o_inject`` / ``gamma``
     charges take the straggler factor at the rank's clock before each
-    charge (``_fused._charge``, i.e. ``SimComm.compute``).
+    charge (:func:`_charge`, i.e. ``SimComm.compute``).
     """
     p = len(count)
     model = net.model
     alpha, o_send = model.alpha, model.o_send
     o_inject, gamma = model.o_inject, model.gamma
     world = net.world
-    ranks = np.arange(p)
-    rows = ranks[:, None]
+    rows = np.arange(p)[:, None]
     nw = 2.0 * count
-    clocks, eg, ing = _fused._gather_links(net)
+    clocks, eg, ing = _gather_links(net)
     cpw, slow = None, ()
     faults = net.faults
     if faults is not None:
@@ -251,10 +250,10 @@ def _book_split_reduce(net, ws, tables, count):
         got[tb.recv_pad] = 0.0
         if o_inject:
             for pad in tb.send_pad.T:
-                _fused._charge(clocks, ranks, o_inject * ~pad, cpw)
+                _charge(clocks, o_inject * ~pad, cpw)
         # overlap: reduce the previous bucket while this one flies
         if prev is not None:
-            _fused._charge(clocks, ranks, gamma * prev, cpw)
+            _charge(clocks, gamma * prev, cpw)
         # waitall: arrival-sorted batched delivery + send waits
         arrival = np.lexsort((tb.recv_from, t_first))
         t_first, got = t_first[rows, arrival], got[rows, arrival]
@@ -268,8 +267,8 @@ def _book_split_reduce(net, ws, tables, count):
         np.maximum(clocks, ing, out=clocks, where=~tb.recv_pad[:, 0])
         np.maximum(clocks, eg + o_send, out=clocks, where=~tb.send_pad[:, 0])
         prev = got.sum(axis=1)          # 2 * prev_words
-    _fused._charge(clocks, ranks, gamma * prev, cpw)
-    _fused._scatter_links(net, clocks, eg, ing)
+    _charge(clocks, gamma * prev, cpw)
+    _scatter_links(net, clocks, eg, ing)
     own = count.diagonal()
     for s, out_w, in_w in zip(world, (2 * (count.sum(axis=1) - own)).tolist(),
                               (2 * (count.sum(axis=0) - own)).tolist()):
@@ -277,6 +276,32 @@ def _book_split_reduce(net, ws, tables, count):
         net.words_recv[s] += in_w
         net.msgs_sent[s] += p - 1
         net.msgs_recv[s] += p - 1
+
+
+def _gather_links(net) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clocks and egress / ingress link-free times of the current world as
+    float64 arrays in group-rank order."""
+    return tuple(np.array([col[s] for s in net.world], dtype=np.float64)
+                 for col in (net.clocks, net.egress_free, net.ingress_free))
+
+
+def _scatter_links(net, clocks, eg, ing) -> None:
+    """Write :func:`_gather_links`' arrays back to their slots."""
+    for col, arr in ((net.clocks, clocks), (net.egress_free, eg),
+                     (net.ingress_free, ing)):
+        for s, v in zip(net.world, arr.tolist()):
+            col[s] = v
+
+
+def _charge(clocks: np.ndarray, seconds, cpw) -> None:
+    """``SimComm.compute`` for every rank of the world at once: rank ``r``
+    pays ``seconds`` (a scalar or a per-rank array) times its straggler
+    factor at its clock before the charge (``cpw`` = the world's compute
+    windows, ``None`` when it has none; a clean rank's factor is 1.0)."""
+    if cpw is not None:
+        seconds = seconds * np.array([cpw.factor(r, t) for r, t in
+                                      enumerate(clocks.tolist())])
+    clocks += seconds
 
 
 def _select_world(ws, comms, schemes, states, accs, t, k):

@@ -21,9 +21,9 @@ the legacy thread-per-rank runner.  Results, traffic counters and simulated
 makespans are identical under both — see :mod:`repro.comm.launcher`.
 
 Collectives additionally run through the **fused fast path** on the
-cooperative engine (whole collectives executed as single vectorized
-dispatches at an engine rendezvous, bit-identical to the per-message
-reference rounds); disable it with ``REPRO_FUSED=0``,
+cooperative engine (whole collectives executed as single dispatches at
+an engine rendezvous that book the compiled message schedule in one walk,
+bit-identical to the per-message reference rounds); disable it with ``REPRO_FUSED=0``,
 ``run_spmd(..., fused=False)`` or ``repro-bench --no-fused`` — see
 :mod:`repro.comm.fused`.
 """

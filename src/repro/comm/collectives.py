@@ -22,8 +22,8 @@ Fused fast path
 
 Under the cooperative engine each collective first tries the **fused**
 execution path (:mod:`repro.comm.fused`): the whole collective runs as one
-engine-level macro-dispatch — a compiled message schedule booked in a few
-vectorized passes plus one central reduction in the schedule's own
+engine-level macro-dispatch — a compiled message schedule booked in one
+walk over its messages plus one central reduction in the schedule's own
 association order — bit-identical to the per-message rounds below in
 results, traffic counters and simulated makespans (a ring allreduce is
 one such dispatch, not a reduce-scatter plus an allgather).  The

@@ -549,7 +549,7 @@ class SimComm:
 
         Parks this rank until every rank of the current world has arrived
         with an identical ``sig``, lets the last arrival run
-        ``executor(net, sig, payloads)`` — one vectorized dispatch
+        ``executor(net, sig, payloads)`` — one central dispatch
         replacing the per-message round trips, ``payloads`` in group-rank
         order — and returns this rank's entry of the result list.
         See :mod:`repro.comm.fused` and

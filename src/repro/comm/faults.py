@@ -37,13 +37,14 @@ Plans and the fast path
 
 Slowdowns and stragglers are per-message and per-rank *multipliers*, so a
 plan does not push a run off the compiled-schedule fast path
-(:mod:`repro.comm.fused`, :mod:`repro.train.rankbatch`): the replay books
-every round with factor arrays read from :meth:`FaultState.by_rank` — the
-plan's windows re-keyed from network slot to the group rank of the current
-world, so a shrunk world replays the same schedules — and only the few
-faulty ranks pay a scalar window lookup.  Crashes are different: survivors
-must detect a death at their own blocking points, with their own clocks
-and partial link bookings, and only the per-message path produces those.
+(:mod:`repro.comm.fused`, :mod:`repro.train.rankbatch`): the replay reads
+the windows from :meth:`FaultState.by_rank` — the plan's windows re-keyed
+from network slot to the group rank of the current world, so a shrunk
+world replays the same schedules — and only a booking or charge by one of
+the few faulty ranks pays a scalar window lookup.  Crashes are different:
+survivors must detect a death at their own blocking points, with their own
+clocks and partial link bookings, and only the per-message path produces
+those.
 The world rendezvous is therefore entered only while
 :meth:`FaultState.crash_free` holds — no live slot carries a time-pinned
 crash, and none is due by the step the ranks announced through
@@ -77,6 +78,12 @@ __all__ = [
 ]
 
 
+def _check_factor(factor: float, what: str) -> None:
+    if not 0.0 < factor < inf:
+        raise ConfigError(f"{what} factor must be finite and > 0, "
+                          f"got {factor}")
+
+
 def _check_window(t_start: float, t_end: float, what: str) -> None:
     if not t_start < t_end:
         raise ConfigError(
@@ -101,9 +108,7 @@ class LinkSlowdown:
     t_end: float = inf
 
     def __post_init__(self) -> None:
-        if self.factor <= 0.0:
-            raise ConfigError(f"link slowdown factor must be > 0, "
-                              f"got {self.factor}")
+        _check_factor(self.factor, "link slowdown")
         if self.direction not in ("egress", "ingress", "both"):
             raise ConfigError(
                 f"unknown link direction {self.direction!r}; expected "
@@ -123,9 +128,7 @@ class ComputeStraggler:
     t_end: float = inf
 
     def __post_init__(self) -> None:
-        if self.factor <= 0.0:
-            raise ConfigError(f"straggler factor must be > 0, "
-                              f"got {self.factor}")
+        _check_factor(self.factor, "straggler")
         _check_window(self.t_start, self.t_end,
                       f"ComputeStraggler(rank={self.rank})")
 
@@ -146,8 +149,8 @@ class RankCrash:
             raise ConfigError(
                 f"RankCrash(rank={self.rank}): exactly one of time= or "
                 "iteration= must be set")
-        if self.time is not None and self.time < 0.0:
-            raise ConfigError("crash time must be >= 0")
+        if self.time is not None and not self.time >= 0.0:
+            raise ConfigError(f"crash time must be >= 0, got {self.time}")
         if self.iteration is not None and self.iteration < 1:
             raise ConfigError("crash iteration must be >= 1 (1-based)")
 
@@ -171,8 +174,9 @@ class FaultPlan:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.detect_timeout < 0.0:
-            raise ConfigError("detect_timeout must be >= 0")
+        if not 0.0 <= self.detect_timeout < inf:
+            raise ConfigError("detect_timeout must be finite and >= 0, "
+                              f"got {self.detect_timeout}")
         seen = set()
         for c in self.crashes:
             if c.rank in seen:
@@ -286,31 +290,16 @@ class RankWindows:
     windows) as one world sees it: keyed by *group rank*, the index the
     compiled schedules address, instead of by network slot."""
 
-    __slots__ = ("windows", "mask")
+    __slots__ = ("windows",)
 
     def __init__(self, windows: List[List[Tuple[float, float, float]]]):
         #: group rank -> that rank's windows (empty for a clean rank)
         self.windows = windows
-        self.mask = np.array([bool(w) for w in windows])
 
     def factor(self, rank: int, t: float) -> float:
         """The factor of one booking or charge of ``rank`` starting at
         ``t`` (1.0 for a clean rank)."""
         return _window_factor(self.windows[rank], t)
-
-    def scale(self, x, ranks: np.ndarray, times: np.ndarray):
-        """``x`` times the per-message factor array of bookings by
-        ``ranks`` starting at ``times``: 1.0 everywhere except on this
-        plan's faulty ranks, the only ones that take a window lookup.
-        ``x`` itself comes back when none of them is in ``ranks`` — a
-        factor of 1.0 is bit-neutral, so that is the same result."""
-        hits = np.flatnonzero(self.mask[ranks])
-        if not hits.size:
-            return x
-        fac = np.ones(ranks.size)
-        for j in hits.tolist():
-            fac[j] = _window_factor(self.windows[ranks[j]], times[j])
-        return x * fac
 
 
 class FaultState:

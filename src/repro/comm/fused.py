@@ -1,4 +1,4 @@
-"""Fused collective fast path: schedule compilation + vectorized execution.
+"""Fused collective fast path: schedule compilation + central execution.
 
 The per-message collectives in :mod:`repro.comm.collectives` are faithful
 but interpreted: every round is a handful of Python-level ``isend``/``recv``
@@ -21,10 +21,11 @@ simulated timestamp.  Every collective is split into:
   signature;
 * a **fused executor** — :func:`replay` books the entire compiled
   schedule against the shared :class:`~repro.comm.network.Network` state
-  in a few vectorized passes (one numpy expression per round phase,
-  element-wise and therefore **bit-identical** to the scalar
-  per-message fold), and the ``_sum_*`` functions compute every rank's
-  result centrally — reproducing the exact floating-point association
+  in one walk over its messages (the per-message path's own scalar
+  ``max`` / ``+`` / ``*`` on Python floats, in its phase order, and
+  therefore **bit-identical** to it), and the ``_sum_*`` functions
+  compute every rank's result centrally — reproducing the exact
+  floating-point association
   order of the per-message algorithms (the butterfly/halving trees and
   the ring fold are balanced-tree / sequential folds of *commutative*
   ``np.add`` applications, so the pairings below are bit-equal; fusion
@@ -46,10 +47,10 @@ park/wake per rank per collective replaces one per blocked receive.
 The rendezvous is one of the network's *current world* — every slot
 until an elastic shrink, the survivor group afterwards
 (``Network.world``).  Schedules are compiled for group ranks ``0..P-1``;
-:func:`replay` gathers the world's clocks and link state by slot, books,
-and scatters back, so a shrunk (and re-numbered, possibly
-non-power-of-two) world replays the same cached schedules the full one
-does.
+for a shrunk world :func:`replay` copies the world's clocks and link
+state by slot, books, and writes them back, so a shrunk (and re-numbered,
+possibly non-power-of-two) world replays the same cached schedules the
+full one does.
 
 Correctness of the central replay relies on two existing invariants:
 
@@ -69,10 +70,10 @@ Correctness of the central replay relies on two existing invariants:
 Fault plans ride the same schedules.  A link slowdown is a per-message
 multiplier on ``beta`` and a compute straggler a per-rank multiplier on
 every charge the replay makes, both evaluated at the booking's own start
-time — so :func:`replay` books each round with factor arrays that are 1.0
-everywhere except on the plan's few faulty ranks (a factor of 1.0 is
-bit-neutral; without a plan no factor is ever built).  What a plan still
-sends to the reference path is the step a planned crash can fire in:
+time — so :func:`replay` looks a factor up only for a booking or charge
+by one of the plan's few faulty ranks and books every other one with the
+bare constants (without a plan no factor is ever looked up).  What a plan
+still sends to the reference path is the step a planned crash can fire in:
 survivors must detect the death at their own blocking points, with their
 own clocks and partial link bookings, which only the per-message run
 produces.  The gate is one world predicate shared with rank batching
@@ -91,6 +92,7 @@ per-message-coop == threads) enforced by
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 from typing import Any, List, Optional, Sequence, Tuple
@@ -160,55 +162,63 @@ def _available(comm) -> bool:
 # Schedule IR
 # ---------------------------------------------------------------------------
 #: round styles: _SENDRECV = post, +o_inject, recv (max), tail (max own
-#: done), reduce; _ONEWAY = blocking posts (tail right after the post, per
-#: sender program order), then recvs (max), then reduce.
+#: done), charges; _ONEWAY = blocking posts (tail right after the post, per
+#: sender program order), then recvs (max), then charges.
 _SENDRECV, _ONEWAY = 0, 1
 
+#: One dependency level of a compiled schedule, in the Python ints
+#: :func:`replay` walks.  ``post`` is ``(message, sender)`` per post in post
+#: order; ``recv`` is ``(position in post, message, receiver)`` per receive
+#: in receive order — a round receives only messages it posts itself.  For
+#: ``_SENDRECV`` rounds post ``i`` and receive ``i`` belong to one actor.
+#: ``reduce`` charges each receiver its message's ``reduce_words``
+#: (``compute_words``) after the round; ``extra`` then charges its
+#: ``extra_seconds`` (gtopk's per-level ``compute_topk``).
+Round = namedtuple("Round", "style post recv reduce extra")
 
-class Round:
-    """One dependency level of a compiled schedule.
 
-    ``post``/``recv`` are index arrays into the schedule's message table.
-    For ``_SENDRECV`` rounds they are aligned by actor: ``post[i]`` is the
-    message actor ``i`` sends and ``recv[i]`` the one it receives.
-    ``post_seq`` marks rounds whose posts share an egress link and must be
-    folded sequentially with the blocking-send clock advance in between
-    (scatter); ``recv_seq`` marks shared-ingress delivery fans (gather).
-    ``reduce_words`` (aligned with ``recv``) charges the receiver's local
-    reduction (``compute_words``) after the round; ``extra_seconds``
-    (same alignment) charges absolute seconds after that — the slot for
-    data-dependent selection costs (gtopk's per-level ``compute_topk``).
-    """
-
-    __slots__ = ("style", "post", "recv", "reduce_words", "post_seq",
-                 "recv_seq", "extra_seconds")
-
-    def __init__(self, style: int, post, recv, reduce_words=None,
-                 post_seq: bool = False, recv_seq: bool = False,
-                 extra_seconds=None):
-        self.style = style
-        self.post = post
-        self.recv = recv
-        self.reduce_words = reduce_words
-        self.post_seq = post_seq
-        self.recv_seq = recv_seq
-        self.extra_seconds = extra_seconds
+@lru_cache(maxsize=512)
+def _structure(p: int, src: Tuple[int, ...], dst: Tuple[int, ...],
+               tag: Tuple[int, ...], specs: Tuple[tuple, ...]) -> tuple:
+    """The size-free part of a schedule, built once: every schedule of one
+    collective at one ``p`` (one root, one algorithm) shares its message
+    table, rounds and message counts, whatever its sizes."""
+    rounds = []
+    for style, post, recv, reduce, extra in specs:
+        at = {i: k for k, i in enumerate(post)}
+        missing = [i for i in recv if i not in at]
+        if missing:
+            raise ValueError(f"round {len(rounds)} receives messages "
+                             f"{missing} it does not post")
+        rounds.append(Round(style, tuple((i, src[i]) for i in post),
+                            tuple((at[i], i, dst[i]) for i in recv),
+                            reduce, extra))
+    src_a, dst_a = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    return (src_a, dst_a, np.array(tag, dtype=np.int64), tuple(rounds),
+            np.bincount(src_a, minlength=p).tolist(),
+            np.bincount(dst_a, minlength=p).tolist())
 
 
 class Schedule:
-    """A compiled collective: message table + rounds + per-rank totals."""
+    """A compiled collective: message table + rounds + per-rank totals.
 
-    __slots__ = ("p", "src", "dst", "nw", "nw_f", "tag", "rounds",
-                 "words_sent", "words_recv", "msgs_sent", "msgs_recv")
+    ``nw`` (int64 array) holds the message sizes and ``reduce_words`` /
+    ``extra_seconds`` (lists, ``None`` when no round charges them) each
+    receiver's charge for its message, all aligned with the message table;
+    the rest is the shared structure of :func:`_structure`."""
 
-    def __init__(self, p: int, src, dst, nw, tag, rounds):
+    __slots__ = ("p", "src", "dst", "nw", "tag", "rounds", "reduce_words",
+                 "extra_seconds", "words_sent", "words_recv", "msgs_sent",
+                 "msgs_recv")
+
+    def __init__(self, p: int, src, dst, nw, tag, specs,
+                 reduce_words=None, extra_seconds=None):
         self.p = p
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.tag = np.asarray(tag, dtype=np.int64)
-        self.rounds = tuple(rounds)
-        self.msgs_sent = np.bincount(self.src, minlength=p).tolist()
-        self.msgs_recv = np.bincount(self.dst, minlength=p).tolist()
+        (self.src, self.dst, self.tag, self.rounds, self.msgs_sent,
+         self.msgs_recv) = _structure(p, tuple(src), tuple(dst), tuple(tag),
+                                      tuple(specs))
+        self.reduce_words = reduce_words
+        self.extra_seconds = extra_seconds
         self._set_words(np.asarray(nw, dtype=np.int64))
 
     def _set_words(self, nw: np.ndarray) -> None:
@@ -216,18 +226,18 @@ class Schedule:
         # sums over the table (Python ints, like the counter lists they
         # are added to; float64 sums of word counts are exact)
         self.nw = nw
-        self.nw_f = nw.astype(np.float64)
-        self.words_sent = np.bincount(self.src, self.nw_f, self.p).astype(
+        self.words_sent = np.bincount(self.src, nw, self.p).astype(
             np.int64).tolist()
-        self.words_recv = np.bincount(self.dst, self.nw_f, self.p).astype(
+        self.words_recv = np.bincount(self.dst, nw, self.p).astype(
             np.int64).tolist()
 
     def with_words(self, nw: np.ndarray) -> "Schedule":
-        """This schedule's structure (message table, rounds) with the
-        message sizes ``nw`` (int64, aligned with the message table)."""
+        """This schedule's structure (message table, rounds, charges) with
+        the message sizes ``nw`` (int64, aligned with the message
+        table)."""
         sched = object.__new__(Schedule)
-        for name in ("p", "src", "dst", "tag", "rounds", "msgs_sent",
-                     "msgs_recv"):
+        for name in ("p", "src", "dst", "tag", "rounds", "reduce_words",
+                     "extra_seconds", "msgs_sent", "msgs_recv"):
             setattr(sched, name, getattr(self, name))
         sched._set_words(nw)
         return sched
@@ -246,7 +256,7 @@ class Schedule:
 class _Builder:
     """Accumulates the message table and rounds during compilation."""
 
-    __slots__ = ("p", "src", "dst", "nw", "tag", "rounds")
+    __slots__ = ("p", "src", "dst", "nw", "tag", "rounds", "charges")
 
     def __init__(self, p: int):
         self.p = p
@@ -254,7 +264,9 @@ class _Builder:
         self.dst: List[int] = []
         self.nw: List[int] = []
         self.tag: List[int] = []
-        self.rounds: List[Round] = []
+        self.rounds: List[tuple] = []
+        #: message -> its receiver's reduce words / extra seconds
+        self.charges: Tuple[dict, dict] = ({}, {})
 
     def msg(self, src: int, dst: int, nwords_: int, tag: int) -> int:
         i = len(self.src)
@@ -266,51 +278,49 @@ class _Builder:
 
     def round(self, style: int, post: Sequence[int], recv: Sequence[int],
               reduce_words: Optional[Sequence[int]] = None,
-              post_seq: bool = False, recv_seq: bool = False,
               extra_seconds: Optional[Sequence[float]] = None) -> None:
-        self.rounds.append(Round(
-            style,
-            np.asarray(post, dtype=np.int64) if len(post) else None,
-            np.asarray(recv, dtype=np.int64) if len(recv) else None,
-            (np.asarray(reduce_words, dtype=np.float64)
-             if reduce_words is not None else None),
-            post_seq, recv_seq,
-            (np.asarray(extra_seconds, dtype=np.float64)
-             if extra_seconds is not None else None)))
+        """Append a round; ``reduce_words`` / ``extra_seconds`` are
+        aligned with ``recv``."""
+        self.rounds.append((style, tuple(post), tuple(recv),
+                            bool(reduce_words), bool(extra_seconds)))
+        for per_msg, values in zip(self.charges,
+                                   (reduce_words, extra_seconds)):
+            per_msg.update(zip(recv, values or ()))
 
     def build(self) -> Schedule:
+        n = len(self.src)
+        rw, ex = ([cast(per_msg.get(i, 0)) for i in range(n)]
+                  if per_msg else None
+                  for cast, per_msg in zip((int, float), self.charges))
         return Schedule(self.p, self.src, self.dst, self.nw, self.tag,
-                        self.rounds)
+                        self.rounds, rw, ex)
 
 
 # ---------------------------------------------------------------------------
-# The vectorized executor
+# The executor
 # ---------------------------------------------------------------------------
 def replay(net, sched: Schedule) -> None:
     """Book a compiled schedule against the network's current world,
     bit-identically to the per-message run.
 
-    Per round: all posts (egress bookings, element-wise ``max``/``+`` over
-    the senders — identical IEEE operations to the scalar path), then all
-    deliveries (ingress bookings in receiver program order), then the
-    senders' completion advance and the receivers' reduction charges.
-    Rounds that share a link across messages (linear gather/scatter) fall
-    back to the exact scalar fold.  Clocks, link occupancy and the traffic
-    counters end up exactly where ``P log P`` individual ``post``/
-    ``deliver`` calls would have left them.
+    Per round, one walk over its messages with the scalar arithmetic of
+    ``Network._post_impl`` / ``_deliver_impl`` / ``SimComm.compute``: the
+    posts in post order (egress booking, then ``o_inject`` for a
+    ``sendrecv`` post or the blocking-send clock advance for a one-way
+    one), the receives in receive order (ingress booking, clock ``max``),
+    the ``sendrecv`` senders' completion advance, then the receivers'
+    ``reduce_words`` and ``extra_seconds`` charges.  A link shared inside
+    a round (a linear gather's root ingress, a scatter's root egress)
+    therefore folds sequentially with no special case.
 
-    The schedule addresses group ranks ``0..P-1``; the world's clocks and
-    link state are gathered by slot on entry and scattered back on exit
-    (the identity for a full world), so a shrunk world replays the same
-    compiled schedules.  Under a fault plan every booking takes a
-    per-message factor — egress ``beta * f(src, booking start)``, ingress
-    ``beta * f(dst, booking start)``, and every compute charge
-    (``o_inject``, the reductions, ``extra_seconds``) times the rank's
-    straggler factor at its clock *before* the charge, exactly as
-    ``Network._post_impl`` / ``_deliver_impl`` / ``SimComm.compute``
-    evaluate them.  The factors are 1.0 except on the plan's few faulty
-    ranks (:class:`~repro.comm.faults.RankWindows`), and multiplying by
-    1.0 is bit-neutral, so this is one booking body for every world.
+    The schedule addresses group ranks ``0..P-1``: a full world books
+    straight into the network's lists, a shrunk one into copies taken by
+    slot and written back.  Under a fault plan a booking or charge by one
+    of the plan's faulty ranks (:class:`~repro.comm.faults.RankWindows`)
+    takes its factor — egress ``beta * f(src, booking start)``, ingress
+    ``beta * f(dst, booking start)``, a compute charge times the
+    straggler factor at the clock *before* it — exactly as the
+    per-message path evaluates them.
     """
     model = net.model
     beta = model.beta
@@ -319,77 +329,67 @@ def replay(net, sched: Schedule) -> None:
     o_inject = model.o_inject
     gamma = model.gamma
     world = net.world
-    clocks, eg, ing = _gather_links(net)
+    full = len(world) == net.nranks
+    if full:
+        clocks, eg, ing = net.clocks, net.egress_free, net.ingress_free
+    else:
+        clocks, eg, ing = ([col[s] for s in world] for col in (
+            net.clocks, net.egress_free, net.ingress_free))
     # the plan's windows by group rank; None = every factor is 1.0
     egw = inw = cpw = None
     faults = net.faults
     if faults is not None:
         egw, inw, cpw = faults.by_rank(world)
-    msrc, mdst, mnw = sched.src, sched.dst, sched.nw_f
-    t_first = np.empty(sched.nmsgs, dtype=np.float64)
-    done = np.empty(sched.nmsgs, dtype=np.float64)
-    for rnd in sched.rounds:
-        pi = rnd.post
-        if pi is not None:
-            if rnd.post_seq:
-                # shared egress link: exact scalar fold, blocking-send
-                # clock advance between posts (scatter's linear loop)
-                for i in pi.tolist():
-                    s = int(msrc[i])
-                    ts = eg[s]
-                    if clocks[s] > ts:
-                        ts = clocks[s]
-                    b = beta if egw is None else beta * egw.factor(s, ts)
-                    te = ts + b * mnw[i]
-                    eg[s] = te
-                    t_first[i] = ts + alpha
-                    dn = te + o_send
-                    done[i] = dn
-                    if dn > clocks[s]:
-                        clocks[s] = dn
-            else:
-                src = msrc[pi]
-                ts = np.maximum(eg[src], clocks[src])
-                b = beta if egw is None else egw.scale(beta, src, ts)
-                te = ts + b * mnw[pi]
-                eg[src] = te
-                t_first[pi] = ts + alpha
-                dn = te + o_send
-                done[pi] = dn
-                if rnd.style == _SENDRECV:
-                    if o_inject:
-                        _charge(clocks, src, o_inject, cpw)
-                else:
-                    clocks[src] = np.maximum(clocks[src], dn)
-        ri = rnd.recv
-        if ri is not None:
-            if rnd.recv_seq:
-                # shared ingress link: exact scalar fold in program order
-                for i in ri.tolist():
-                    d = int(mdst[i])
-                    td = ing[d]
-                    if t_first[i] > td:
-                        td = t_first[i]
-                    b = beta if inw is None else beta * inw.factor(d, td)
-                    td += b * mnw[i]
-                    ing[d] = td
-                    if td > clocks[d]:
-                        clocks[d] = td
-            else:
-                dst = mdst[ri]
-                td = np.maximum(ing[dst], t_first[ri])
-                b = beta if inw is None else inw.scale(beta, dst, td)
-                td += b * mnw[ri]
-                ing[dst] = td
-                clocks[dst] = np.maximum(clocks[dst], td)
-        if rnd.style == _SENDRECV and pi is not None:
-            src = msrc[pi]
-            clocks[src] = np.maximum(clocks[src], done[pi])
-        if rnd.reduce_words is not None:
-            _charge(clocks, mdst[ri], gamma * rnd.reduce_words, cpw)
-        if rnd.extra_seconds is not None:
-            _charge(clocks, mdst[ri], rnd.extra_seconds, cpw)
-    _scatter_links(net, clocks, eg, ing)
+    nw = sched.nw.tolist()
+    for style, post, recv, reduce, extra in sched.rounds:
+        sendrecv = style == _SENDRECV
+        t_first = []
+        done = []
+        for i, s in post:
+            c = clocks[s]
+            ts = eg[s]
+            if c > ts:
+                ts = c
+            b = beta
+            if egw is not None and egw.windows[s]:
+                b = beta * egw.factor(s, ts)
+            te = ts + b * nw[i]
+            eg[s] = te
+            t_first.append(ts + alpha)
+            dn = te + o_send
+            if sendrecv:
+                done.append(dn)
+                if o_inject:
+                    clocks[s] = c + (
+                        o_inject if cpw is None or not cpw.windows[s]
+                        else o_inject * cpw.factor(s, c))
+            elif dn > c:
+                clocks[s] = dn
+        for k, i, d in recv:
+            td = ing[d]
+            tf = t_first[k]
+            if tf > td:
+                td = tf
+            b = beta
+            if inw is not None and inw.windows[d]:
+                b = beta * inw.factor(d, td)
+            td += b * nw[i]
+            ing[d] = td
+            if td > clocks[d]:
+                clocks[d] = td
+        if sendrecv:
+            for (_, s), dn in zip(post, done):
+                if dn > clocks[s]:
+                    clocks[s] = dn
+        if reduce:
+            _charge_receivers(clocks, recv, gamma, sched.reduce_words, cpw)
+        if extra:
+            _charge_receivers(clocks, recv, 1.0, sched.extra_seconds, cpw)
+    if not full:
+        for col, vals in ((net.clocks, clocks), (net.egress_free, eg),
+                          (net.ingress_free, ing)):
+            for s, v in zip(world, vals):
+                col[s] = v
     for r, s in enumerate(world):
         net.words_sent[s] += sched.words_sent[r]
         net.words_recv[s] += sched.words_recv[r]
@@ -397,36 +397,18 @@ def replay(net, sched: Schedule) -> None:
         net.msgs_recv[s] += sched.msgs_recv[r]
 
 
-def _gather_links(net) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clocks and egress / ingress link-free times of the current world as
-    float64 arrays in group-rank order (the identity for a full world)."""
-    world = net.world
-    full = len(world) == net.nranks
-    return tuple(np.array(col if full else [col[s] for s in world],
-                          dtype=np.float64)
-                 for col in (net.clocks, net.egress_free, net.ingress_free))
-
-
-def _scatter_links(net, clocks, eg, ing) -> None:
-    """Write :func:`_gather_links`' arrays back to their slots."""
-    world = net.world
-    full = len(world) == net.nranks
-    for col, arr in ((net.clocks, clocks), (net.egress_free, eg),
-                     (net.ingress_free, ing)):
-        if full:
-            col[:] = arr.tolist()
-        else:
-            for s, v in zip(world, arr.tolist()):
-                col[s] = v
-
-
-def _charge(clocks: np.ndarray, ranks: np.ndarray, seconds, cpw) -> None:
-    """``SimComm.compute`` for distinct ``ranks`` at once: each pays
-    ``seconds`` (a scalar or an array aligned with ``ranks``) times its
-    straggler factor at its clock before the charge (``cpw`` = the
-    world's compute windows, ``None`` when it has none)."""
-    clocks[ranks] += (seconds if cpw is None
-                      else cpw.scale(seconds, ranks, clocks[ranks]))
+def _charge_receivers(clocks: list, recv: tuple, scale: float,
+                      per_msg: list, cpw) -> None:
+    """``SimComm.compute`` of ``scale * per_msg[message]`` seconds by each
+    receiver of a round, in receive order, times its straggler factor at
+    its clock before the charge (``cpw`` = the world's compute windows,
+    ``None`` when it has none; a ``scale`` of 1.0 is bit-neutral)."""
+    for _, i, d in recv:
+        c = clocks[d]
+        x = scale * per_msg[i]
+        if cpw is not None and cpw.windows[d]:
+            x = x * cpw.factor(d, c)
+        clocks[d] = c + x
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +678,7 @@ def compile_gather(p: int, root: int, sizes: Tuple[int, ...]) -> Schedule:
     b = _Builder(p)
     peers = [r for r in range(p) if r != root]
     post = [b.msg(r, root, sizes[r], TAG_GATHER) for r in peers]
-    b.round(_ONEWAY, post, post, recv_seq=True)
+    b.round(_ONEWAY, post, post)
     return b.build()
 
 
@@ -707,7 +689,7 @@ def compile_scatter(p: int, root: int, sizes: Tuple[int, ...]) -> Schedule:
     b = _Builder(p)
     peers = [r for r in range(p) if r != root]
     post = [b.msg(root, r, sizes[r], TAG_SCATTER) for r in peers]
-    b.round(_ONEWAY, post, post, post_seq=True)
+    b.round(_ONEWAY, post, post)
     return b.build()
 
 

@@ -18,6 +18,7 @@ SimComm.compute` using the ``gamma``/``flop_time`` constants here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 
 import numpy as np
 
@@ -53,8 +54,10 @@ class NetworkModel:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "scan_time", "sort_time",
                      "flop_time", "o_send", "o_inject"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"NetworkModel.{name} must be >= 0")
+            v = getattr(self, name)
+            if not (0 <= v < inf):
+                raise ValueError(
+                    f"NetworkModel.{name} must be finite and >= 0, got {v}")
 
     # ------------------------------------------------------------------
     # Presets

@@ -180,3 +180,15 @@ class TestNetworkEdgeCases:
     def test_negative_model_params_rejected(self):
         with pytest.raises(ValueError):
             NetworkModel(alpha=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "scan_time",
+                                      "sort_time", "flop_time", "o_send",
+                                      "o_inject"])
+    def test_non_finite_model_params_rejected(self, name, value):
+        """NaN passes a ``< 0`` guard and inf is no cost constant."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NetworkModel(**{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NetworkModel().with_(**{name: value})

@@ -52,6 +52,36 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="1-based"):
             RankCrash(rank=0, iteration=0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"),
+                                        -float("inf")])
+    @pytest.mark.parametrize("make", [LinkSlowdown, ComputeStraggler])
+    def test_non_finite_factor_rejected(self, make, factor):
+        """NaN and inf pass a ``<= 0`` guard; a NaN slowdown would turn
+        every clock it touches into NaN."""
+        with pytest.raises(ConfigError, match="factor must be finite"):
+            make(rank=0, factor=factor)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"),
+                                         -float("inf")])
+    def test_non_finite_detect_timeout_rejected(self, timeout):
+        with pytest.raises(ConfigError, match="detect_timeout"):
+            FaultPlan(detect_timeout=timeout)
+        with pytest.raises(ConfigError, match="detect_timeout"):
+            FaultPlan.from_dict({"detect_timeout": timeout})
+
+    @pytest.mark.parametrize("time", [float("nan"), -float("inf")])
+    def test_nan_or_negative_crash_time_rejected(self, time):
+        with pytest.raises(ConfigError, match="crash time"):
+            RankCrash(rank=0, time=time)
+
+    @pytest.mark.parametrize("make", [LinkSlowdown, ComputeStraggler])
+    def test_windows_stay_open_ended_but_not_nan(self, make):
+        assert make(rank=0, factor=2.0).t_end == float("inf")
+        with pytest.raises(ConfigError, match="window"):
+            make(rank=0, factor=2.0, t_end=float("nan"))
+        with pytest.raises(ConfigError, match="window"):
+            make(rank=0, factor=2.0, t_start=float("nan"))
+
     def test_duplicate_crash_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             FaultPlan(crashes=[RankCrash(rank=1, time=0.0),

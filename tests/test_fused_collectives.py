@@ -221,6 +221,92 @@ class TestScheduleCompiler:
 
 
 # ---------------------------------------------------------------------------
+# The replay's one structural assumption: a round receives only messages it
+# posts itself (it keeps each post's t_first for the round alone)
+# ---------------------------------------------------------------------------
+def _every_compiled_schedule(p):
+    """Every ``compile_*`` compiler's schedule(s) at ``p`` ranks, both end
+    roots, uneven v sizes."""
+    n = 37
+    sizes = _uneven_sizes(p, p)
+    rows = tuple(_uneven_sizes(p, 100 + r) for r in range(p))
+    scheds = [fused_mod.compile_allreduce(p, n, 1, algo)
+              for algo in ("recursive_doubling", "rabenseifner")]
+    scheds += [fused_mod.compile_reduce_scatter_ring(p, n, 1),
+               fused_mod.compile_allgather_ring(p, n, 1),
+               fused_mod.compile_allgatherv(p, sizes),
+               fused_mod.compile_alltoallv(p, rows),
+               fused_mod.compile_barrier(p)]
+    for root in sorted({0, p - 1}):
+        scheds += [fused_mod.compile_bcast(p, root, 5),
+                   fused_mod.compile_reduce(p, root, n, 1),
+                   fused_mod.compile_gather(p, root, sizes),
+                   fused_mod.compile_scatter(p, root, sizes)]
+    return scheds
+
+
+def _gtopk_schedules(p, monkeypatch):
+    """The schedules gtopk's fused tree builds with ``_Builder`` (and the
+    trailing broadcast), captured at replay."""
+    from repro.allreduce import gtopk as gtopk_mod
+    seen = []
+    replay = fused_mod.replay
+
+    def capture(net, sched):
+        seen.append(sched)
+        replay(net, sched)
+
+    monkeypatch.setattr(fused_mod, "replay", capture)
+    payloads = [exact_topk(np.random.default_rng(r).standard_normal(
+        64).astype(np.float32), 8) for r in range(p)]
+    gtopk_mod._exec_gtopk_tree(Network(p), ("gtopk_tree", 8), payloads)
+    return seen
+
+
+def _assert_rounds_receive_own_posts(sched):
+    posted, received = [], []
+    for rnd in sched.rounds:
+        for k, i, d in rnd.recv:
+            assert rnd.post[k][0] == i
+            assert d == sched.dst[i]
+        posted += [i for i, _ in rnd.post]
+        received += [i for _, i, _ in rnd.recv]
+    # every message is posted once and received once
+    assert sorted(posted) == sorted(received) == list(range(sched.nmsgs))
+
+
+class TestScheduleStructure:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 16])
+    def test_every_compiler_receives_only_its_own_posts(self, p):
+        for sched in _every_compiled_schedule(p):
+            _assert_rounds_receive_own_posts(sched)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 16])
+    def test_gtopk_tree_receives_only_its_own_posts(self, p, monkeypatch):
+        scheds = _gtopk_schedules(p, monkeypatch)
+        assert len(scheds) == 2         # the tree, then the broadcast
+        for sched in scheds:
+            _assert_rounds_receive_own_posts(sched)
+
+    def test_receiving_an_earlier_rounds_post_raises(self):
+        b = fused_mod._Builder(3)
+        i = b.msg(0, 1, 4, fused_mod.TAG_BCAST)
+        b.round(fused_mod._ONEWAY, [i], [])
+        j = b.msg(1, 2, 4, fused_mod.TAG_BCAST)
+        b.round(fused_mod._ONEWAY, [j], [j, i])
+        with pytest.raises(ValueError, match=r"round 1 receives messages "
+                                             r"\[0\] it does not post"):
+            b.build()
+
+    def test_schedules_of_one_structure_share_it(self):
+        """The size-free structure is built once, whatever the sizes."""
+        a = fused_mod.compile_allreduce(5, 100, 1, "rabenseifner")
+        b = fused_mod.compile_allreduce(5, 999, 2, "rabenseifner")
+        assert a.nw.tolist() != b.nw.tolist()
+        assert a.rounds is b.rounds and a.src is b.src
+
+
+# ---------------------------------------------------------------------------
 # Three-way bit identity: every collective, staggered clocks, pending
 # point-to-point traffic, object payloads, both payload word sizes
 # ---------------------------------------------------------------------------
@@ -354,10 +440,12 @@ class TestThreeWayBitIdentity:
 # translation for shrunk worlds, the reference path only where a crash
 # interrupts
 # ---------------------------------------------------------------------------
-def _window_plans(p, prog):
+def _window_plans(p, prog, crashes=None):
     """Slowdown/straggler plans shaped to the clean run of ``prog`` at
-    ``p`` ranks, so their windows open and close inside its collectives."""
-    clean = run_spmd(p, prog, runner="coop", trace=True)
+    ``p`` ranks, so their windows open and close inside its collectives.
+    ``crashes`` (a plan of crashes only) rides along: the run is traced
+    under it, and every plan keeps its crashes and detection timeout."""
+    clean = run_spmd(p, prog, runner="coop", trace=True, faults=crashes)
     span = clean.makespan
     trace = sorted(clean.network.trace, key=lambda t: t.t_start_tx)
     mid = trace[len(trace) // 2]
@@ -365,7 +453,7 @@ def _window_plans(p, prog):
                  if t.src == mid.src and t.t_start_tx > mid.t_start_tx)
     jitter = FaultPlan.jittery(p, seed=p, windows=8, horizon=span,
                                factor=3.0, window_frac=0.07)
-    return {
+    plans = {
         "straggler-skew": FaultPlan.straggler_skew(p, seed=p),
         # eight link bursts of 7 % of the run each (shorter than one
         # collective) plus a straggler that comes and goes
@@ -389,6 +477,29 @@ def _window_plans(p, prog):
                                          t_start=0.2 * span,
                                          t_end=0.7 * span)]),
     }
+    if crashes is None:
+        return plans
+    return {name: dataclasses.replace(
+        plan, crashes=crashes.crashes, detect_timeout=crashes.detect_timeout)
+        for name, plan in plans.items()}
+
+
+#: when :func:`_shrunk_torture`'s victim dies
+SHRINK_AT = 5e-6
+
+
+def _shrunk_torture(comm):
+    """Per-message allreduces until a time-pinned crash (at
+    :data:`SHRINK_AT`) takes one rank out, then :func:`_collective_torture`
+    on the survivors' shrunk world — the only world it is fused on."""
+    try:
+        while True:
+            comm.compute(1e-6)
+            coll.allreduce(comm, np.ones(4, dtype=np.float32))
+    except RankFailedError:
+        pass
+    sub = comm.shrink()
+    return sub.rank, sub.size, _collective_torture(sub)
 
 
 #: factors of 1.0 everywhere a factor can apply: must change no bit
@@ -484,6 +595,34 @@ class TestThreeWayUnderPlans:
         bare = run_spmd(p, _collective_torture, runner="coop", fused=True)
         assert net_state(planned) == net_state(bare)
         assert_same(list(planned.results), list(bare.results))
+
+    @pytest.mark.parametrize("model", [
+        None, NetworkModel(o_inject=3e-8, o_send=1e-8)],
+        ids=["bare", "overheads"])
+    @pytest.mark.parametrize("p", [5, 8])
+    def test_collectives_on_a_shrunk_world_under_window_plans(
+            self, p, model, rendezvous_log):
+        """Every collective, bcast / reduce / gather / scatter / barrier
+        included, replayed on a re-numbered survivor world (5 -> 4,
+        8 -> 7) through each window plan."""
+        skew = FaultPlan.straggler_skew(p, seed=p)
+        taken = {0, 1} | {x.rank for x in skew.links + skew.stragglers}
+        victim = next(r for r in range(2, p) if r not in taken)
+        crashes = FaultPlan(crashes=[RankCrash(rank=victim, time=SHRINK_AT)],
+                            detect_timeout=2e-6)
+        for name, plan in _window_plans(p, _shrunk_torture, crashes).items():
+            run_spmd(p, _shrunk_torture, runner="coop", fused=True,
+                     model=model, faults=plan)
+            assert {e.size for e in rendezvous_log} == {p - 1}, name
+            assert {"bcast", "reduce", "gather", "scatter", "barrier",
+                    "allreduce", "allgatherv", "alltoallv"} <= {
+                        e.head for e in rendezvous_log}, name
+            del rendezvous_log[:]
+            res = three_way(_shrunk_torture, p, model=model, faults=plan,
+                            log=rendezvous_log)
+            assert sorted(res.crashed) == [victim], name
+            survivors = [r[:2] for r in res.results if r is not None]
+            assert survivors == [(r, p - 1) for r in range(p - 1)], name
 
     @pytest.mark.parametrize("p", [4, 5])
     def test_window_plans_with_overheads(self, p, rendezvous_log):
