@@ -12,7 +12,9 @@
   ``perfbench/run.py --smoke`` (every perfbench workload end to end,
   traced digest == untraced digest).  The serving smoke pins the P=4
   tensor-parallel serving loop's cross-runner bit-identity and the
-  size-adaptive allreduce selector.
+  size-adaptive allreduce selector.  The host-cost scripts
+  (``replay_cost.py``, ``select_cost.py``) run once on tiny arguments so
+  that they keep working; their numbers mean nothing at that size.
 
 Usage::
 
@@ -57,6 +59,11 @@ def main(argv=None) -> int:
         rc |= _run([sys.executable, str(BENCH_DIR / "fault_smoke.py")])
         rc |= _run([sys.executable, str(BENCH_DIR / "serve_smoke.py")])
         rc |= _run([sys.executable, str(BENCH_DIR / "sanitize_smoke.py")])
+        rc |= _run([sys.executable, str(BENCH_DIR / "replay_cost.py"),
+                    "--ps", "4", "--calls", "1", "--repeat", "1"])
+        rc |= _run([sys.executable, str(BENCH_DIR / "select_cost.py"),
+                    "--ps", "3", "--sizes", "301:7", "--calls", "1",
+                    "--repeat", "1"])
         rc |= _run([sys.executable, str(PERFBENCH), "--smoke"])
         return rc
 

@@ -78,10 +78,11 @@ every rank's :meth:`OkTopkAllreduce._bucket_lane`, pacers, async-region
 clocks and merge included
 (:func:`repro.allreduce.session._exec_session`).  For the whole
 world, the body runs selection for every rank (stacked where the
-accumulators are the rows of one matrix, :func:`_select_world`),
-split-and-reduce as one array program over the
-world (:func:`_exec_split_reduce`: ``(P, m)`` bookings from compiled
-schedule tables, one sort for all P regions), the global-threshold
+accumulators are the rows of one matrix, :func:`_select_world`; handed on
+rank-major, one ``cols`` / ``vals`` stream with per-rank offsets),
+split-and-reduce as one array program over that stream
+(:func:`_exec_split_reduce`: ``(P, m)`` bookings from compiled schedule
+tables, one sort for all P regions), the global-threshold
 selection, phase 2 booked from compiled schedules, and the periodic
 tau / tau' work — consensus allreduce, exact global threshold — inline
 where its (rank-uniform, data-independent) schedule fires.  Simulated
@@ -125,7 +126,7 @@ from ..sparse import (
     threshold_select,
 )
 from ..sparse.coo import INDEX_DTYPE, VALUE_DTYPE
-from ..sparse.topk import batched_kth_largest_abs, batched_threshold_select
+from ..sparse.topk import batched_threshold_select
 from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, GradientAllreduce
 from .schedule import buckets, compile_split_reduce, make_steps
 from .session import BucketView
@@ -134,50 +135,49 @@ _TAG_SR = (1 << 21) + 21      # split-and-reduce region pieces
 _TAG_BAL = (1 << 21) + 22     # data-balancing moves
 
 
-def _exec_split_reduce(net, ws, rotation, bucket_size, local, boundaries):
+def _exec_split_reduce(net, ws, rotation, bucket_size, cols, vals, offsets,
+                       boundaries):
     """Split-and-reduce for the whole world as one array program — the
     stage of :func:`_exec_reduce` that replaces
     :meth:`OkTopkAllreduce._split_and_reduce`; ``ws`` lends the buffers.
 
-    No piece object and no message exists on the way.  The piece sizes
-    are the differences of one ``searchsorted`` per rank, and
-    :func:`_book_split_reduce` books the exchange from them.  The P
-    regions are reduced by ONE sort of ``idx * P + order[owner, src]``
-    over the concatenated selections: an index's contributions come out
-    adjacent and in its owner's reduction order (own piece, then request
-    order — what ``combine_sum`` concatenates), ``reduceat`` accumulates
-    them in float64 as the per-owner call does, one float32 cast follows,
-    and the consensus boundaries cut the result into regions.
+    The selections come rank-major (:func:`_select_world`): rank ``r``
+    selected ``cols[offsets[r]:offsets[r + 1]]`` with those ``vals``.  No
+    piece object and no message exists on the way.  ONE ``searchsorted``
+    of every rank's boundaries in the global positions ``r * n + col``
+    (ascending over the whole stream) gives the cut matrix, whose
+    differences are the piece sizes :func:`_book_split_reduce` books the
+    exchange from.  The P regions are reduced by ONE sort of
+    ``col * P + order[owner, src]`` over the stream
+    (:func:`_region_order`): an index's contributions come out adjacent
+    and in its owner's reduction order (own piece, then request order —
+    what ``combine_sum`` concatenates), ``reduceat`` accumulates them in
+    float64 as the per-owner call does, one float32 cast follows, and the
+    consensus boundaries cut the result into regions.
 
-    Returns the reduced ``idx`` / ``val`` of all regions in index order,
-    the region cuts (region ``r`` is ``idx[cuts[r]:cuts[r + 1]]``) and
-    the source-order concatenation of the selections (``ws`` scratch,
-    valid until the next call).
+    Returns the reduced ``idx`` / ``val`` of all regions in index order
+    and the region cuts (region ``r`` is ``idx[cuts[r]:cuts[r + 1]]``).
     """
-    p = len(local)
+    p = len(offsets) - 1
     tables, order = compile_split_reduce(p, rotation, bucket_size)
-    inner = np.array(boundaries, dtype=INDEX_DTYPE)[:, 1:-1]
-    cut = np.zeros((p, p + 1), dtype=np.int64)
-    for r, loc in enumerate(local):
-        cut[r, 1:-1] = loc.indices.searchsorted(inner[r])
-        cut[r, -1] = loc.indices.size
+    bnd = np.array(boundaries, dtype=np.int64)
+    n = int(bnd[0, -1])
+    base = np.arange(p, dtype=np.int64) * n
+    gpos = np.add(cols, np.repeat(base, np.diff(offsets)), dtype=np.int64)
+    cut = gpos.searchsorted(bnd + base[:, None])      # cut[src, j]
     count = np.diff(cut)                    # count[src, owner]
     _book_split_reduce(net, ws, tables, count)
 
-    total = int(cut[:, -1].sum())
-    src_idx = np.concatenate([loc.indices for loc in local],
-                             out=ws.flat("sr_idx", total, INDEX_DTYPE))
-    all_val = np.concatenate([loc.values for loc in local],
-                             out=ws.flat("sr_val", total, VALUE_DTYPE))
-    key = np.multiply(src_idx, p, dtype=np.int64,
+    total = cols.size
+    key = np.multiply(cols, p, dtype=np.int64,
                       out=ws.flat("sr_key", total, np.int64))
     # entries run source by source, owners ascending within a source
     key += np.repeat(order.T.ravel(), count.ravel())
-    perm = key.argsort()        # keys are unique: any sort, one answer
-    all_idx = src_idx.take(perm, out=ws.flat("sr_idx_sorted", total,
-                                             INDEX_DTYPE))
-    all_val = all_val.take(perm, out=ws.flat("sr_val_sorted", total,
-                                             VALUE_DTYPE))
+    perm = _region_order(key, n * p)
+    all_idx = cols.take(perm, out=ws.flat("sr_idx_sorted", total,
+                                          INDEX_DTYPE))
+    all_val = vals.take(perm, out=ws.flat("sr_val_sorted", total,
+                                          VALUE_DTYPE))
     first = np.empty(total, dtype=bool)     # of its index's run
     first[:1] = True
     np.not_equal(all_idx[1:], all_idx[:-1], out=first[1:])
@@ -185,8 +185,27 @@ def _exec_split_reduce(net, ws, rotation, bucket_size, local, boundaries):
     idx = all_idx[head]
     val = np.add.reduceat(all_val, head,
                           dtype=np.float64).astype(VALUE_DTYPE)
-    cuts = [0, *idx.searchsorted(inner[0]).tolist(), idx.size]
-    return idx, val, cuts, src_idx
+    cuts = [0, *idx.searchsorted(bnd[0, 1:-1]).tolist(), idx.size]
+    return idx, val, cuts
+
+
+def _region_order(key: np.ndarray, span: int, bits: int = 63) -> np.ndarray:
+    """The permutation that sorts ``key`` — unique, each in
+    ``[0, span)``; clobbered.
+
+    Packs ``key << b | position`` (``b`` bits hold any position) into one
+    int64 and sorts the values, several times cheaper than ``argsort``;
+    unique keys make both give the one ascending order.  Where the packed
+    key would not fit in ``bits`` bits it falls back to ``argsort``.
+    """
+    b = key.size.bit_length()
+    if span << b > 1 << bits:
+        return key.argsort()
+    key <<= b
+    key |= np.arange(key.size)
+    key.sort()
+    key &= (1 << b) - 1
+    return key
 
 
 def _book_split_reduce(net, ws, tables, count):
@@ -305,79 +324,80 @@ def _charge(clocks: np.ndarray, seconds, cpw) -> None:
 
 
 def _select_world(ws, comms, schemes, states, accs, t, k):
-    """Local selection (Algorithm 1 lines 2-4) for every rank.
+    """Local selection (Algorithm 1 lines 2-4) for every rank, handed
+    back rank-major: ``(cols, vals, offsets)``, rank ``r``'s selection
+    being ``cols[offsets[r]:offsets[r + 1]]`` with those values.
 
     Where the accumulators are the consecutive rows of one shared matrix
     (lockstep rank batching: they live in the world's accumulate buffer)
-    the periodic threshold re-evaluation is one row-wise ``np.partition``
-    and the per-iteration selection one stacked threshold scan; compute
+    the per-iteration selection is one stacked threshold scan
+    (:func:`~repro.sparse.topk.batched_threshold_select`) and the periodic
+    threshold re-evaluation is :func:`kth_largest_abs` row by row (the
+    k-th value is unique, so the bits match the per-rank path's); compute
     charges (`compute_sort`/`compute_scan`) run through each rank's own
     communicator, so clocks and phase attribution match the serial path
-    exactly.  Data-dependent divergence — the degenerate all-zero path
-    and the selection-guard re-evaluation — is handled per rank with the
-    scalar primitives.  Uneven shards after a shrink still stack: the
-    world fwd/bwd runs per run of equal shards, into one gradient matrix.
-    Rows that do not stack without a copy (per-rank model math: the VGG
-    and LSTM proxies or diverged replicas, the slices of a session
-    bucket) run
-    :meth:`OkTopkAllreduce._select_local` rank by rank — copying them
-    into a stack first measured no faster and cost memory.  Nor does
-    stacking a session bucket's column slices of the accumulate matrix
-    pay (a strided ``_shared_base`` plus the batched selection on the
-    ``(P, hi - lo)`` view): on the BERT proxy it made this function
-    slower, 300 -> 350 us per bucket.
+    exactly.  Data-dependent divergence — the degenerate path
+    (``local_th <= 0``: all-zero accumulator or ``k >= n``) and the
+    selection-guard re-evaluation, which a NaN threshold always trips —
+    is handled per rank with the scalar primitives and spliced in.
+    Uneven shards after a shrink still stack: the world fwd/bwd runs per
+    run of equal shards, into one gradient matrix.  Rows that do not
+    stack without a copy (per-rank model math: the VGG and LSTM proxies
+    or diverged replicas, the slices of a session bucket) run
+    :meth:`OkTopkAllreduce._select_local` rank by rank and are
+    concatenated — copying them into a stack first measured no faster
+    and cost memory.  Nor does stacking a session bucket's column slices
+    of the accumulate matrix pay (a strided ``_shared_base`` plus the
+    batched selection on the ``(P, hi - lo)`` view): on the BERT proxy it
+    made this function slower, 300 -> 350 us per bucket.
     """
     from ..train.rankbatch import _shared_base
     xs = _shared_base(accs)
     if xs is None:
-        return [ar._select_local(comm, st, acc, k, t)
-                for comm, ar, st, acc in zip(comms, schemes, states, accs)]
+        return _rank_major([ar._select_local(comm, st, acc, k, t)
+                            for comm, ar, st, acc in zip(comms, schemes,
+                                                         states, accs)])
     nranks, n = xs.shape
-    mag = ws.scratch("select_mag", xs.shape, xs.dtype)
     entries = list(zip(comms, schemes, states))
-    due = [st.local_th is None or ar._due(t, ar.tau_prime)
-           for (_, ar, st) in entries]
-    if all(due):
-        ths = batched_kth_largest_abs(xs, k, mag)
-        for r, (comm, _, st) in enumerate(entries):
-            st.local_th = float(ths[r])
+    for r, (comm, ar, st) in enumerate(entries):
+        if st.local_th is None or ar._due(t, ar.tau_prime):
+            st.local_th = kth_largest_abs(xs[r], k)
             st.local_evaluations += 1
             comm.compute_sort(n)
-    else:
-        for r, (comm, _, st) in enumerate(entries):
-            if due[r]:
-                st.local_th = kth_largest_abs(xs[r], k)
-                st.local_evaluations += 1
-                comm.compute_sort(n)
-    for comm, _, _ in entries:
         comm.compute_scan(n)
-    ths_now = [st.local_th for (_, _, st) in entries]
-    if all(th > 0.0 for th in ths_now):
-        selected = batched_threshold_select(
-            xs, ths_now, mag, ws.scratch("select_mask", xs.shape, bool))
-    else:
-        selected = [threshold_select(xs[r], ths_now[r])
-                    if ths_now[r] > 0.0 else None
-                    for r in range(nranks)]
-    out: List[COOVector] = []
+    cols, vals, offsets = batched_threshold_select(
+        xs, [st.local_th for st in states],
+        ws.scratch("select_mask", xs.shape, bool),
+        ws.scratch("select_spare", (min(nranks, 4), n), bool))
+    fixed = {}
     for r, (comm, ar, st) in enumerate(entries):
-        if ths_now[r] <= 0.0:
+        if st.local_th <= 0.0:
             # Degenerate (all-zero accumulator or k >= n): exact
             # selection, no guard — same as the serial early return.
-            out.append(exact_topk(xs[r], k))
+            fixed[r] = exact_topk(xs[r], k)
             continue
-        local = selected[r]
+        nnz = offsets[r + 1] - offsets[r]
         g = ar.selection_guard
-        if local.nnz > g * k or local.nnz * g < k:
+        if nnz > g * k or nnz * g < k:
             st.local_th = kth_largest_abs(xs[r], k)
             st.local_evaluations += 1
             st.guard_evaluations += 1
             comm.compute_sort(n)
             comm.compute_scan(n)
-            local = (threshold_select(xs[r], st.local_th)
-                     if st.local_th > 0 else exact_topk(xs[r], k))
-        out.append(local)
-    return out
+            fixed[r] = (threshold_select(xs[r], st.local_th)
+                        if st.local_th > 0 else exact_topk(xs[r], k))
+    if not fixed:
+        return cols, vals, offsets
+    return _rank_major([
+        fixed[r] if r in fixed else COOVector(n, cols[lo:hi], vals[lo:hi])
+        for r, (lo, hi) in enumerate(zip(offsets, offsets[1:]))])
+
+
+def _rank_major(selected: List[COOVector]):
+    """Per-rank selections as one rank-major ``(cols, vals, offsets)``."""
+    return (np.concatenate([loc.indices for loc in selected]),
+            np.concatenate([loc.values for loc in selected]),
+            np.array([0, *accumulate(loc.nnz for loc in selected)]))
 
 
 @contextmanager
@@ -455,20 +475,24 @@ def _exec_reduce(net, sig, lanes):
 
     # -- lines 2-4: local selection -------------------------------------
     with _world_phase(net, comms, PHASE_SPARSIFY):
-        local = _select_world(ws, comms, schemes, states, accs, t, k)
+        cols, vals, offsets = _select_world(ws, comms, schemes, states,
+                                            accs, t, k)
+    offsets = offsets.tolist()
+    local = [cols[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
     # -- lines 5-8: boundaries, split and reduce ------------------------
     with _world_phase(net, comms, PHASE_COMM):
         if states[0].boundaries is None or lead._due(t, lead.tau):
             _consensus_world(
                 net, schemes, states,
-                [ar._proposal(loc.indices, n, p)
-                 for ar, loc in zip(schemes, local)], n)
+                [ar._proposal(mine, n, p)
+                 for ar, mine in zip(schemes, local)], n)
         boundaries = [st.boundaries for st in states]
-        for comm, loc in zip(comms, local):
-            comm.compute_scan(loc.indices.size)      # the split
-        idx, val, rcuts, src_idx = _exec_split_reduce(
-            net, ws, lead.rotation, lead.bucket_size, local, boundaries)
+        for comm, mine in zip(comms, local):
+            comm.compute_scan(mine.size)             # the split
+        idx, val, rcuts = _exec_split_reduce(
+            net, ws, lead.rotation, lead.bucket_size, cols, vals, offsets,
+            boundaries)
     region = np.diff(rcuts)
 
     # -- lines 9-12: global threshold ------------------------------------
@@ -522,27 +546,26 @@ def _exec_reduce(net, sig, lanes):
     u_val.setflags(write=False)
     u_t = COOVector(n, u_idx, u_val)
     # line 14: one membership mask for all ranks (all-False between calls)
-    # read through the source-order selections, split per rank
+    # read through the rank-major selections, split per rank
     member = ws.flat("member", n, bool)
     member[u_idx] = True
-    hit = np.flatnonzero(member[src_idx])
+    hit = np.flatnonzero(member[cols])
     member[u_idx] = False
-    got = src_idx[hit]
-    ends = hit.searchsorted(
-        list(accumulate(loc.indices.size for loc in local))).tolist()
-    contributed = [got[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    got = cols[hit]
+    ends = hit.searchsorted(offsets).tolist()
+    contributed = [got[lo:hi] for lo, hi in zip(ends, ends[1:])]
     return [AllreduceResult(
         update=u_t,
         contributed_indices=mine_in_u,
         info={
             "k": k,
-            "selected_local": loc.indices.size,
+            "selected_local": mine.size,
             "selected_global": u_idx.size,
             "local_threshold": st.local_th,
             "global_threshold": gth,
             "balancing_triggered": balanced,
             "boundaries": bnd,
-        }) for loc, mine_in_u, st, gth, bnd in zip(
+        }) for mine, mine_in_u, st, gth, bnd in zip(
             local, contributed, states, global_ths, boundaries)]
 
 

@@ -73,52 +73,53 @@ def threshold_select(x: np.ndarray, threshold: float) -> COOVector:
 
 
 # ---------------------------------------------------------------------------
-# Rank-batched variants: one numpy pass over a (P, n) matrix whose rows are
-# the per-rank vectors.  Each row's result is bit-identical to the scalar
-# function applied to that row alone (partition and comparisons are
-# row-independent).  The (P, n) temporaries can be handed in (``mag`` like
-# ``xs``, ``mask`` boolean, contents clobbered): the rendezvous executors
-# pass per-world scratch so that no multi-MB array is allocated per call.
+# Rank-batched selection: one pass over a (P, n) matrix whose rows are the
+# per-rank vectors, handed back rank-major (one ``cols`` / ``vals`` pair and
+# per-rank offsets) so that a sparse reduction can merge it as one stream.
+# Each row's slice is bit-identical to :func:`threshold_select` of that row
+# alone.  The mask is two float32 compares, ``x >= th`` or ``x <= -th``
+# (equal to ``|x| >= th`` for every value and threshold, NaN, infinities,
+# signed zeros and ``th <= 0`` included), built a few rows at a time so
+# that no (P, n) magnitude matrix exists; the indices come from a
+# two-level scan of the packed mask (its nonzero bytes, then the bits of
+# only those), two to three times cheaper than ``flatnonzero`` over
+# P * n bools at Ok-Topk's densities.  Both boolean buffers can be handed in
+# (contents clobbered): the rendezvous executors pass per-world scratch.
 # ---------------------------------------------------------------------------
-def batched_kth_largest_abs(xs: np.ndarray, k: int,
-                            mag: "np.ndarray | None" = None) -> np.ndarray:
-    """Row-wise :func:`kth_largest_abs` — one in-place partition of the
-    magnitudes.
-
-    Returns a float64 array of per-row thresholds.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be >= 1, got {k}")
-    nranks, n = xs.shape
-    if k > n:
-        return np.zeros(nranks, dtype=np.float64)
-    mag = np.abs(xs, out=mag)
-    mag.partition(n - k, axis=1)
-    return mag[:, n - k].astype(np.float64)
-
-
 def batched_threshold_select(xs: np.ndarray,
                              thresholds: "np.ndarray | list",
-                             mag: "np.ndarray | None" = None,
                              mask: "np.ndarray | None" = None,
-                             ) -> "list[COOVector]":
-    """Row-wise :func:`threshold_select` — one mask + one ``nonzero`` pass.
+                             spare: "np.ndarray | None" = None,
+                             ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Row-wise :func:`threshold_select`, rank-major.
 
-    The per-rank path compares float32 data against a Python float, which
-    numpy evaluates as a float32 comparison (weak scalar promotion); to
-    match it bit-for-bit the batched comparison casts the thresholds to a
-    float32 column first.
+    Returns ``(cols, vals, offsets)``: row ``r`` selected
+    ``cols[offsets[r]:offsets[r + 1]]`` (ascending) with those values.
+    ``mask`` is a boolean buffer shaped like ``xs``; ``spare`` a boolean
+    ``(h, n)`` buffer whose row count ``h`` is the block height (default
+    4).  The per-rank path compares float32 data against a Python float,
+    which numpy evaluates as a float32 comparison (weak scalar promotion);
+    to match it bit-for-bit the thresholds are cast to a float32 column
+    first (negation is exact).
     """
     nranks, n = xs.shape
     ths = np.asarray(thresholds, dtype=xs.dtype).reshape(nranks, 1)
-    mask = np.greater_equal(np.abs(xs, out=mag), ths, out=mask)
-    # 1-D nonzero is several times faster than the 2-D path; recover the
-    # per-row split points from the flat indices afterwards.
-    flat = np.flatnonzero(mask)
-    cols = (flat % n).astype(INDEX_DTYPE)
-    vals = np.ascontiguousarray(xs).reshape(-1)[flat]
-    starts = np.searchsorted(flat, np.arange(1, nranks) * n)
-    # direct construction (no validate): per-row flat indices are sorted,
-    # unique and in-range by construction; dtypes already canonical
-    return [COOVector(n, c, v)
-            for c, v in zip(np.split(cols, starts), np.split(vals, starts))]
+    if mask is None:
+        mask = np.empty(xs.shape, dtype=bool)
+    if spare is None:
+        spare = np.empty((min(nranks, 4), n), dtype=bool)
+    h = len(spare)
+    for lo in range(0, nranks, h):
+        x, th, m = xs[lo:lo + h], ths[lo:lo + h], mask[lo:lo + h]
+        s = spare[:len(m)]
+        np.greater_equal(x, th, out=m)
+        np.less_equal(x, -th, out=s)
+        m |= s
+    packed = np.packbits(mask)          # zero padding selects nothing
+    hot = np.flatnonzero(packed != 0)
+    bits = np.flatnonzero(np.unpackbits(packed[hot]).view(bool))
+    flat = (hot[bits >> 3] << 3) | (bits & 7)
+    offsets = flat.searchsorted(np.arange(nranks + 1) * n)
+    cols = flat - np.repeat(np.arange(nranks) * n, np.diff(offsets))
+    vals = xs.reshape(-1)[flat].astype(VALUE_DTYPE, copy=False)
+    return cols.astype(INDEX_DTYPE), vals, offsets

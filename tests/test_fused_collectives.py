@@ -78,7 +78,8 @@ def assert_same(a, b, path=""):
         assert_same(a.indices, b.indices, f"{path}.indices")
         assert_same(a.values, b.values, f"{path}.values")
     else:
-        assert a == b, f"{path}: {a!r} != {b!r}"
+        # a NaN threshold equals itself here
+        assert a == b or a != a and b != b, f"{path}: {a!r} != {b!r}"
 
 
 def three_way(prog, p, *args, model=None, faults=None, log=None):
@@ -863,6 +864,50 @@ class TestOkTopkWorldExecutor:
         # the naive schedule in sub-buckets of two steps
         run(rotation=False, bucket_size=2)
 
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("case", ["nan-one-rank", "nan-every-rank",
+                                      "inf", "zero-rows"])
+    def test_stacked_selection_on_special_values(self, case, k,
+                                                 rendezvous_log,
+                                                 monkeypatch):
+        """Accumulators that are rows of one matrix take the stacked
+        selection.  A NaN makes a rank's k-th largest ``|acc|`` NaN (the
+        partition sorts it last): the scan selects nothing, the guard
+        trips and exact top-k answers, as on the per-rank path.  NaN on
+        one rank or all, ``+inf`` and all-zero rows agree three ways on
+        updates, contributed indices, clocks, traffic and counters."""
+        p, n = 4, 64
+        mats = [np.random.default_rng(t).standard_normal(
+            (p, n)).astype(np.float32) for t in range(4)]
+        for t, m in enumerate(mats):
+            if case == "nan-one-rank":
+                m[0, 3] = np.nan
+            elif case == "nan-every-rank":
+                m[np.arange(p), (np.arange(p) * 7 + t) % n] = np.nan
+            elif case == "inf":
+                m[t % p, 5] = np.inf
+            else:
+                m[1:3] = 0.0
+
+        def prog(comm):
+            algo = make_allreduce("oktopk", k=k, tau=2, tau_prime=2)
+            outs = [(_fingerprint(algo.reduce(comm, m[comm.rank], t)),
+                     comm.clock) for t, m in enumerate(mats, 1)]
+            return outs, _state_leaves(algo)
+
+        scans = []
+        inner = oktopk_mod.batched_threshold_select
+
+        def spy(xs, *args):
+            scans.append(xs.shape[0])
+            return inner(xs, *args)
+
+        monkeypatch.setattr(oktopk_mod, "batched_threshold_select", spy)
+        res = three_way(prog, p, log=rendezvous_log)
+        assert scans == [p] * len(mats)         # the fused run stacked
+        if case.startswith("nan") and k == 1:     # a NaN threshold
+            assert _final_count(res, "guard_evaluations") > 0
+
     @pytest.mark.parametrize("mode", MODES)
     def test_identity_in_the_pairwise_regime(self, mode, rendezvous_log):
         """P = 12, all ranks contributing to the same indices with
@@ -1068,8 +1113,9 @@ def _exec_sr_stage(net, sig, payloads):
     comms, local, boundaries = zip(*payloads)
     for comm, loc in zip(comms, local):
         comm.compute_scan(loc.nnz)
-    idx, val, cuts, _ = oktopk_mod._exec_split_reduce(
-        net, _world_state(net), sig[1], sig[2], local, boundaries)
+    idx, val, cuts = oktopk_mod._exec_split_reduce(
+        net, _world_state(net), sig[1], sig[2],
+        *oktopk_mod._rank_major(local), boundaries)
     return [COOVector(loc.n, idx[lo:hi], val[lo:hi])
             for loc, lo, hi in zip(local, cuts, cuts[1:])]
 
@@ -1141,6 +1187,39 @@ class TestSplitReduceStage:
         for plan in plans.values():
             three_way(prog, p, faults=plan, log=rendezvous_log)
             three_way(prog, p, faults=plan, model=model, log=rendezvous_log)
+
+    @pytest.mark.parametrize("p", [3, 8])
+    @pytest.mark.parametrize("rotation,bucket_size", [(True, 8), (False, 2)])
+    def test_packed_and_argsort_region_orders_agree(
+            self, rotation, bucket_size, p, monkeypatch):
+        """The region sort packs ``key << b | position`` into one int64;
+        with a bit budget too small for any key it falls back to
+        ``argsort``.  Both branches give the same reduced regions."""
+        prog = functools.partial(_sr_prog, rotation=rotation,
+                                 bucket_size=bucket_size)
+        packed = run_spmd(p, prog, runner="coop").results
+        monkeypatch.setattr(oktopk_mod, "_region_order", functools.partial(
+            oktopk_mod._region_order, bits=0))
+        assert_same(list(run_spmd(p, prog, runner="coop").results),
+                    list(packed))
+
+    def test_region_order_falls_back_where_the_packed_key_overflows(self):
+        """1000 positions take 10 bits: keys below a span of 2**53 pack
+        into 63 bits (sorted in place, the key buffer comes back as the
+        permutation); a span of 2**53 + 1 does not, and ``argsort`` runs
+        on a key it only reads."""
+        rng = np.random.default_rng(3)
+        spread = rng.permutation(1000).astype(np.int64) << 43
+        want = spread.argsort()
+        fits = spread.copy()
+        got = oktopk_mod._region_order(fits, 1 << 53)
+        assert got is fits
+        np.testing.assert_array_equal(got, want)
+        over = spread.copy()
+        got = oktopk_mod._region_order(over, (1 << 53) + 1)
+        assert got is not over
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(over, spread)
 
     @pytest.mark.parametrize("p", [4, 7])
     def test_arrival_ties_resolve_in_source_order(self, p, rendezvous_log):

@@ -14,6 +14,7 @@ from repro.sparse import (
     topk_indices,
     validate_boundaries,
 )
+from repro.sparse.topk import batched_threshold_select
 
 floats32 = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False,
                      allow_infinity=False, width=32)
@@ -79,6 +80,64 @@ class TestTopkProperties:
         mask = np.abs(x) >= th
         assert v.nnz == int(mask.sum())
         np.testing.assert_array_equal(np.flatnonzero(mask), v.indices)
+
+
+#: float32 corner values: NaN, infinities, signed zeros, the smallest
+#: subnormal, a mid-range subnormal and the largest finite value
+SPECIAL32 = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-45, -1e-45, 1e-40,
+             -1e-40, 3.4028235e38, -3.4028235e38]
+
+
+@st.composite
+def stacked_selections(draw):
+    """``(xs, thresholds)``: a ``(P, n)`` float32 matrix with P * n not a
+    multiple of 8 (the packed mask ends in padding) and one float32
+    threshold per row — 0, negative, NaN, infinite, subnormal, any
+    float32, or one of the row's magnitudes with exact ties planted at
+    both signs."""
+    p = draw(st.integers(1, 17).filter(lambda p: p % 8))
+    n = draw(st.integers(1, 40).filter(lambda n: (p * n) % 8))
+    elems = st.one_of(st.floats(width=32), st.sampled_from(SPECIAL32))
+    xs = draw(hnp.arrays(np.float32, (p, n), elements=elems))
+    ths = []
+    for r in range(p):
+        kind = draw(st.sampled_from(["tie", "special", "any"]))
+        if kind == "tie":
+            j, a, b = (draw(st.integers(0, n - 1)) for _ in range(3))
+            th = abs(xs[r, j])
+            xs[r, a], xs[r, b] = th, -th
+        elif kind == "special":
+            th = draw(st.sampled_from([0.0, -0.0, -1.5, *SPECIAL32]))
+        else:
+            th = draw(st.floats(width=32))
+        ths.append(float(np.float32(th)))
+    return xs, ths
+
+
+class TestBatchedThresholdSelect:
+    @given(stacked_selections(), st.integers(1, 5), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_threshold_select(self, case, h, seed):
+        """Row ``r``'s slice of the rank-major result is
+        :func:`threshold_select` of row ``r`` — same indices, same value
+        bytes, same dtypes — with dirty mask and block buffers, and the
+        input left as it was."""
+        xs, ths = case
+        before = xs.tobytes()
+        rng = np.random.default_rng(seed)
+        mask = rng.random(xs.shape) < 0.5
+        spare = rng.random((h, xs.shape[1])) < 0.5
+        cols, vals, offsets = batched_threshold_select(xs, ths, mask, spare)
+        assert xs.tobytes() == before
+        assert offsets[0] == 0 and offsets[-1] == cols.size == vals.size
+        for r, th in enumerate(ths):
+            ref = threshold_select(xs[r], th)
+            got_c = cols[offsets[r]:offsets[r + 1]]
+            got_v = vals[offsets[r]:offsets[r + 1]]
+            assert got_c.dtype == ref.indices.dtype
+            assert got_v.dtype == ref.values.dtype
+            np.testing.assert_array_equal(got_c, ref.indices)
+            assert got_v.tobytes() == ref.values.tobytes()
 
 
 class TestCOOAlgebra:

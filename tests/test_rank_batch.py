@@ -28,8 +28,7 @@ from repro.errors import ReplicaDivergenceError
 from repro.nn.stacked import StackedModel, mapped_zeros, supports_stacking
 from repro.optim import Adam
 from repro.sparse import COOVector
-from repro.sparse.topk import (batched_kth_largest_abs,
-                               batched_threshold_select, kth_largest_abs,
+from repro.sparse.topk import (batched_threshold_select, kth_largest_abs,
                                threshold_select)
 from repro.train.rankbatch import RANK_BATCH_ENV, RankBatch, _WorldState
 from repro.train.rankbatch import _exec_accumulate, _exec_apply, \
@@ -125,49 +124,35 @@ class TestWorldStack:
 
 
 class TestBatchedTopk:
-    def test_batched_kth_matches_per_row(self):
-        rng = np.random.default_rng(5)
-        xs = rng.normal(size=(6, 257)).astype(np.float32)
-        for k in (1, 7, 64, 257, 400):
-            ths = batched_kth_largest_abs(xs, k)
-            assert ths.dtype == np.float64
-            for r in range(xs.shape[0]):
-                assert ths[r] == kth_largest_abs(xs[r], k)
-
     def test_batched_threshold_select_matches_per_row(self):
         rng = np.random.default_rng(6)
         xs = rng.normal(size=(5, 300)).astype(np.float32)
         # include exact ties at the threshold magnitude
         xs[2, 10] = xs[2, 20] = -xs[2, 30]
-        ths = batched_kth_largest_abs(xs, 17)
-        outs = batched_threshold_select(xs, ths)
-        for r in range(xs.shape[0]):
-            ref = threshold_select(xs[r], float(ths[r]))
-            np.testing.assert_array_equal(outs[r].indices, ref.indices)
-            np.testing.assert_array_equal(outs[r].values, ref.values)
+        ths = [kth_largest_abs(x, 17) for x in xs]
+        cols, vals, offsets = batched_threshold_select(xs, ths)
+        for r, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            ref = threshold_select(xs[r], ths[r])
+            np.testing.assert_array_equal(cols[lo:hi], ref.indices)
+            np.testing.assert_array_equal(vals[lo:hi], ref.values)
+            assert cols.dtype == ref.indices.dtype
+            assert vals.dtype == ref.values.dtype
 
     def test_scratch_buffers_change_nothing(self):
-        """The rendezvous executors hand in per-world scratch for the
-        (P, n) temporaries; reused (dirty) buffers must give the bits of
-        the allocating calls."""
+        """The rendezvous executors hand in per-world boolean scratch for
+        the mask and the block spare; reused (dirty) buffers, of any
+        block height, must give the bits of the allocating calls."""
         rng = np.random.default_rng(8)
-        mag = np.full((4, 200), np.nan, dtype=np.float32)
         mask = np.ones((4, 200), dtype=bool)
-        for _ in range(3):
+        for h in (1, 3, 4):
+            spare = np.ones((h, 200), dtype=bool)
             xs = rng.normal(size=(4, 200)).astype(np.float32)
             keep = xs.copy()
-            ths = batched_kth_largest_abs(xs, 11, mag)
-            np.testing.assert_array_equal(
-                ths, batched_kth_largest_abs(xs, 11))
-            got = batched_threshold_select(xs, ths, mag, mask)
+            ths = [kth_largest_abs(x, 11) for x in xs]
+            got = batched_threshold_select(xs, ths, mask, spare)
             for a, b in zip(got, batched_threshold_select(xs, ths)):
-                np.testing.assert_array_equal(a.indices, b.indices)
-                np.testing.assert_array_equal(a.values, b.values)
+                np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(xs, keep)     # input untouched
-
-    def test_batched_kth_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            batched_kth_largest_abs(np.zeros((2, 4), np.float32), 0)
 
 
 class TestExecutorFallbacks:
