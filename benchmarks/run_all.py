@@ -13,8 +13,9 @@
   traced digest == untraced digest).  The serving smoke pins the P=4
   tensor-parallel serving loop's cross-runner bit-identity and the
   size-adaptive allreduce selector.  The host-cost scripts
-  (``replay_cost.py``, ``select_cost.py``) run once on tiny arguments so
-  that they keep working; their numbers mean nothing at that size.
+  (``replay_cost.py``, ``select_cost.py`` in its kernel and session
+  modes) run once on tiny arguments so that they keep working; their
+  numbers mean nothing at that size.
 
 Usage::
 
@@ -63,6 +64,9 @@ def main(argv=None) -> int:
                     "--ps", "4", "--calls", "1", "--repeat", "1"])
         rc |= _run([sys.executable, str(BENCH_DIR / "select_cost.py"),
                     "--ps", "3", "--sizes", "301:7", "--calls", "1",
+                    "--repeat", "1"])
+        rc |= _run([sys.executable, str(BENCH_DIR / "select_cost.py"),
+                    "--session", "--session-ps", "2", "3", "--calls", "1",
                     "--repeat", "1"])
         rc |= _run([sys.executable, str(PERFBENCH), "--smoke"])
         return rc

@@ -24,8 +24,10 @@ Three checks on the runtime sanitizer mode (``REPRO_SANITIZE=1`` /
 
 The bucketed-stream sessions and the BERT run must also have run on the
 session executor — one ``reduce_session`` rendezvous per rank and
-iteration, no per-bucket ``oktopk_reduce`` — or the transparency and race
-checks would be checking the reference path instead.
+iteration, no per-bucket ``oktopk_reduce`` — and the rank-batched BERT
+run on its one-pass program — ONE stacked selection scan per iteration
+over all buckets of the world, no per-rank ``_select_local`` — or the
+transparency and race checks would be checking another path instead.
 
 Everything is simulated time; the whole smoke takes a few seconds.
 """
@@ -42,8 +44,9 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.allreduce import (PAPER_ORDER, ParamLayout,  # noqa: E402
-                             make_allreduce, run_session)
+from repro.allreduce import (PAPER_ORDER, OkTopkAllreduce,  # noqa: E402
+                             ParamLayout, make_allreduce, run_session)
+from repro.allreduce import oktopk  # noqa: E402
 from repro.bench import bert_proxy, perf_proxy, train_scheme  # noqa: E402
 from repro.bench.harness import proxy_network  # noqa: E402
 from repro.comm import SANITIZE_ENV, SimComm, run_spmd  # noqa: E402
@@ -70,21 +73,36 @@ SESSION_ITERS = {**{f"{scheme} session": 3 for scheme in SESSION_SCHEMES},
 
 
 def _logged(entered: dict, label: str, run):
-    """``run()``, counting the head of every rendezvous it enters in
-    ``entered[label]`` (what the tests' ``rendezvous_log`` fixture
-    records)."""
+    """``run()``, counting in ``entered[label]`` the head of every
+    rendezvous it enters (what the tests' ``rendezvous_log`` fixture
+    records), its stacked Ok-Topk selection scans (``"stacked scan"``)
+    and its per-rank ones (``"_select_local"``)."""
     heads = entered[label] = Counter()
     inner = SimComm.fused_collective
+    scan, select_local = (oktopk.batched_threshold_select,
+                          OkTopkAllreduce._select_local)
 
     def logged(self, sig, payload, executor):
         heads[sig[0]] += 1
         return inner(self, sig, payload, executor)
 
+    def stacked(*args):
+        heads["stacked scan"] += 1
+        return scan(*args)
+
+    def per_rank(self, *args):
+        heads["_select_local"] += 1
+        return select_local(self, *args)
+
     SimComm.fused_collective = logged
+    oktopk.batched_threshold_select = stacked
+    OkTopkAllreduce._select_local = per_rank
     try:
         return run()
     finally:
         SimComm.fused_collective = inner
+        oktopk.batched_threshold_select = scan
+        OkTopkAllreduce._select_local = select_local
 
 
 def _train_and_serve(entered: dict) -> tuple:
@@ -105,11 +123,17 @@ def _train_and_serve(entered: dict) -> tuple:
 def _off_the_session_executor(entered: dict) -> list:
     """The programs of :data:`SESSION_ITERS` that did not enter exactly
     one ``reduce_session`` per rank and iteration, or entered a
-    per-bucket ``oktopk_reduce``."""
-    return [f"{label}: {dict(entered[label])}"
-            for label, iters in SESSION_ITERS.items()
-            if entered[label]["reduce_session"] != P * iters
-            or entered[label]["oktopk_reduce"]]
+    per-bucket ``oktopk_reduce``; and the BERT run unless it made one
+    stacked selection scan per iteration and no per-rank one."""
+    off = [f"{label}: {dict(entered[label])}"
+           for label, iters in SESSION_ITERS.items()
+           if entered[label]["reduce_session"] != P * iters
+           or entered[label]["oktopk_reduce"]]
+    bert = entered["BERT"]
+    if (bert["stacked scan"] != SESSION_ITERS["BERT"]
+            or bert["_select_local"]):
+        off.append(f"BERT not on the one-pass program: {dict(bert)}")
+    return off
 
 
 def _bert_prog(comm):
@@ -206,10 +230,12 @@ def main() -> int:
     off = _off_the_session_executor(entered)
     if off:
         print("FAIL: not run on the session executor (one reduce_session "
-              "per rank and iteration): " + "; ".join(off))
+              "per rank and iteration) and its one-pass program: "
+              + "; ".join(off))
         return 1
     print("session executor: bucketed-stream sessions and BERT enter one "
-          "reduce_session rendezvous per rank and iteration")
+          "reduce_session rendezvous per rank and iteration; BERT selects "
+          "with one stacked scan per iteration")
     os.environ[SANITIZE_ENV] = "1"
     try:
         # (the sanitizer replays each section: twice the rendezvous)

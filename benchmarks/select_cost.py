@@ -1,22 +1,41 @@
 #!/usr/bin/env python
-"""Host cost of Ok-Topk's stacked selection and region reduction.
+"""Host cost of Ok-Topk's stacked selection, its region reduction and
+the data pass of a whole world reduction.
 
-For every world size ``P`` and gradient shape ``n:k`` this builds a
-seeded ``(P, n)`` float32 accumulator matrix with per-row thresholds at
-the k-th largest magnitude, then prints the median microseconds per call
-over ``--repeat`` timed batches of ``--calls`` calls each of
+Kernel mode (the default): for every world size ``P`` and gradient shape
+``n:k`` this builds a seeded ``(P, n)`` float32 accumulator matrix with
+per-row thresholds at the k-th largest magnitude, then prints the median
+microseconds per call over ``--repeat`` timed batches of ``--calls``
+calls each of
 
 * ``select``: the stacked threshold scan
   (``repro.sparse.topk.batched_threshold_select`` with the executor's
   scratch buffers), and
 * ``reduce``: split-and-reduce of that selection over equal regions
-  (``repro.allreduce.oktopk._exec_split_reduce``: the cut matrix, the
-  ``(P, m)`` exchange booking and the one region sort + ``reduceat``).
+  (``repro.allreduce.oktopk._split_reduce``: the cut matrix, the one
+  region sort + ``reduceat``; then ``_book_split_reduce``, the ``(P, m)``
+  exchange booking).
 
 The defaults cover the mlp proxy's shape (16 x 49 866, k = 997) and a
 BERT-bucket-sized one (8 x 5 300, k = 53)::
 
     PYTHONPATH=src taskset -c 1 python benchmarks/select_cost.py
+
+Session mode (``--session``) times one steady-state iteration of Ok-Topk
+for the whole world with every rank's accumulator a row of one shared
+matrix (the stacked path of lockstep rank batching), after one warm-up
+iteration that sets the thresholds and boundaries:
+
+* ``data``: the data pass (``repro.allreduce.oktopk._world_session``:
+  selection, split-and-reduce, phase 2 and the contributed indices of
+  every funded extent), and
+* ``data+book``: the data pass plus every extent's booking pass.
+
+The shapes are the BERT proxy's streamed session (P = 8, its 31 784-word
+layout in ``bucket_size=4096`` buckets: 6 extents, k = 317) and the mlp
+proxy's one extent (16 x 49 866, k = 997)::
+
+    PYTHONPATH=src taskset -c 1 python benchmarks/select_cost.py --session
 
 Pin it to one CPU, the host clock is noisy.
 """
@@ -33,8 +52,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.allreduce.oktopk import _exec_split_reduce  # noqa: E402
-from repro.comm import Network  # noqa: E402
+from repro.allreduce import OkTopkAllreduce  # noqa: E402
+from repro.allreduce.oktopk import (_book_split_reduce,  # noqa: E402
+                                    _split_reduce, _world_session)
+from repro.allreduce.schedule import compile_split_reduce  # noqa: E402
+from repro.bench import bert_proxy  # noqa: E402
+from repro.comm import Network, SimComm  # noqa: E402
 from repro.sparse import equal_boundaries, kth_largest_abs  # noqa: E402
 from repro.sparse.topk import batched_threshold_select  # noqa: E402
 from repro.train.rankbatch import _WorldState  # noqa: E402
@@ -43,6 +66,12 @@ from repro.train.rankbatch import _WorldState  # noqa: E402
 def _shape(text: str) -> tuple:
     n, k = text.split(":")
     return int(n), int(k)
+
+
+def _median_us(fns: dict, calls: int, repeat: int) -> dict:
+    return {name: statistics.median(timeit.repeat(
+        fn, number=calls, repeat=repeat)) / calls * 1e6
+        for name, fn in fns.items()}
 
 
 def costs(p: int, n: int, k: int, calls: int, repeat: int) -> dict:
@@ -54,18 +83,52 @@ def costs(p: int, n: int, k: int, calls: int, repeat: int) -> dict:
     mask = ws.scratch("select_mask", xs.shape, bool)
     spare = ws.scratch("select_spare", (min(p, 4), n), bool)
     cols, vals, offsets = batched_threshold_select(xs, ths, mask, spare)
-    boundaries = [equal_boundaries(n, p)] * p
+    bounds = np.array([equal_boundaries(n, p)] * p)[:, None]
+    tables, order = compile_split_reduce(p, True, 8)
     net = Network(p)
 
     def select():
         batched_threshold_select(xs, ths, mask, spare)
 
     def reduce():
-        _exec_split_reduce(net, ws, True, 8, cols, vals, offsets, boundaries)
+        count = _split_reduce(ws, order, n, cols, vals, offsets, bounds)[0]
+        _book_split_reduce(net, ws, tables, count[:, 0])
 
-    return {name: statistics.median(timeit.repeat(
-        fn, number=calls, repeat=repeat)) / calls * 1e6
-        for name, fn in (("select", select), ("reduce", reduce))}
+    return _median_us({"select": select, "reduce": reduce}, calls, repeat)
+
+
+def session_costs(p: int, extents: list, calls: int, repeat: int) -> dict:
+    """``name -> median us per call`` of one world reduction over the
+    funded ``extents`` (``(lo, hi, k)``, plan order) of ``p`` ranks."""
+    n = max(hi for _, hi, _ in extents)
+    xs = np.random.default_rng(p * n).standard_normal(
+        (p, n)).astype(np.float32)
+    net = Network(p)
+    lanes = [(SimComm(net, r), OkTopkAllreduce(k=1), xs[r])
+             for r in range(p)]
+
+    def data():
+        return _world_session(net, 2, lanes, extents)
+
+    def whole():
+        program = data()
+        for e in range(len(extents)):
+            program.book(e)
+
+    program = _world_session(net, 1, lanes, extents)    # t = 1: tau work
+    for e in range(len(extents)):
+        program.book(e)
+    return _median_us({"data": data, "data+book": whole}, calls, repeat)
+
+
+def _session_shapes(p_bert: int, p_mlp: int) -> list:
+    """``(label, P, extents)`` of the BERT proxy's streamed session and
+    the mlp proxy's one extent."""
+    layout = bert_proxy().make_model().layout
+    plan = layout.session_plan(4096, 317, True)
+    bert = [(*ext, k) for ext, k in zip(plan.extents, plan.bucket_k) if k]
+    return [("bert session", p_bert, bert),
+            ("mlp one-shot", p_mlp, [(0, 49866, 997)])]
 
 
 def main(argv=None) -> int:
@@ -74,9 +137,23 @@ def main(argv=None) -> int:
     ap.add_argument("--sizes", type=_shape, nargs="+",
                     default=[(49866, 997), (5300, 53)],
                     help="n:k pairs (default 49866:997 5300:53)")
+    ap.add_argument("--session", action="store_true",
+                    help="time the data pass of whole world reductions "
+                         "(BERT session, mlp one-shot) instead")
+    ap.add_argument("--session-ps", type=int, nargs=2, default=[8, 16],
+                    metavar=("P_BERT", "P_MLP"),
+                    help="world sizes of the session mode (default 8 16)")
     ap.add_argument("--calls", type=int, default=50)
     ap.add_argument("--repeat", type=int, default=7)
     args = ap.parse_args(argv)
+    if args.session:
+        print(f"{'shape':>13} {'P':>3} {'extents':>7}  {'data us':>9} "
+              f"{'data+book us':>12}")
+        for label, p, extents in _session_shapes(*args.session_ps):
+            us = session_costs(p, extents, args.calls, args.repeat)
+            print(f"{label:>13} {p:>3} {len(extents):>7}  {us['data']:>9.1f} "
+                  f"{us['data+book']:>12.1f}")
+        return 0
     print(f"{'P':>4} {'n':>7} {'k':>5}  {'select us':>10} {'reduce us':>10}")
     for n, k in args.sizes:
         for p in args.ps:

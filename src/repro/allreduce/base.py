@@ -137,12 +137,16 @@ class GradientAllreduce(ABC):
     #: backward pass (DenseOvlp's legacy contract); sessions report
     #: ``release_frac = 0.0`` for its buckets
     overlap_from_start: bool = False
-    #: the world bucket body of a native session on the fast path, or
-    #: None: an engine-rendezvous executor ``(net, sig, lanes)`` reducing
-    #: one bucket for every rank, ``lanes[r]`` being rank ``r``'s
-    #: :meth:`_bucket_lane` (Ok-Topk: its ``_exec_reduce``; see
+    #: the world program of a native session on the fast path, or None:
+    #: ``(net, t, lanes, extents)`` -> a program over every rank
+    #: (``lanes[r]`` = rank ``r``'s ``(comm, scheme, acc)``) and every
+    #: funded bucket (``extents``: ``(lo, hi, k)`` in plan order) whose
+    #: data side has run; ``book(e)`` books bucket ``extents[e]`` for
+    #: every rank and returns each rank's info, ``update`` is the merged
+    #: update and ``contributed[r]`` rank ``r``'s contributed indices
+    #: (Ok-Topk: its ``_world_session``; see
     #: :func:`repro.allreduce.session._exec_session`)
-    world_bucket = None
+    world_reduce = None
 
     def __init__(self, *, k: Optional[int] = None,
                  density: Optional[float] = None):

@@ -39,7 +39,8 @@ one-shot reduction against its own state, so
 
 * the **local threshold** is the bucket's own ``k_b``-th magnitude,
   evaluated on the ``tau_prime`` schedule and reused in between — one
-  linear scan per bucket per iteration, as Section 3.1.3 promises.  A
+  linear scan per bucket per iteration, as Section 3.1.3 promises (on
+  the fast path one scan covers every bucket of every rank).  A
   selection-guard trip re-evaluates from the bucket's data and is
   **written back** to that bucket's state (its siblings never see it);
 * the **global threshold** is estimated from the bucket's own reduced
@@ -58,47 +59,53 @@ every one of them.  A one-bucket plan never reaches the bucket entry
 (sessions delegate to the one-shot ``_reduce``, bit-identical by
 construction).
 
-Two drivers, one rendezvous per reduction
------------------------------------------
+Two drivers, one rendezvous and one data pass per reduction
+-----------------------------------------------------------
 
 Algorithm 1 is *one* sparse allreduce, and on the fast path it is one
 engine dispatch.  Both entry points — :meth:`OkTopkAllreduce._reduce`
-(one-shot) and :meth:`OkTopkAllreduce._reduce_bucket` (one session
-bucket) — hand ``(acc, k, state)`` to
+(one-shot) and :meth:`OkTopkAllreduce._reduce_bucket` (one bucket, on
+its own) — hand ``(acc, k, state)`` to
 :meth:`OkTopkAllreduce._algorithm1`.  Where the engine rendezvous is
 available (:func:`repro.comm.fused._available` — cooperative engine,
 fusion on, no tracing, the communicator spans the current world and no
 crash is pending in it) every rank parks once in
 ``comm.fused_collective(("oktopk_reduce", t, lo, hi, k))`` and the last
 arrival runs :func:`_exec_reduce` for the whole world.  A multi-bucket
-session goes one step further: :func:`_exec_reduce` is the scheme's
-``world_bucket`` body, so the session parks every rank once per
-iteration (``"reduce_session"``) and runs this body bucket by bucket on
-every rank's :meth:`OkTopkAllreduce._bucket_lane`, pacers, async-region
-clocks and merge included
-(:func:`repro.allreduce.session._exec_session`).  For the whole
-world, the body runs selection for every rank (stacked where the
-accumulators are the rows of one matrix, :func:`_select_world`; handed on
-rank-major, one ``cols`` / ``vals`` stream with per-rank offsets),
-split-and-reduce as one array program over that stream
-(:func:`_exec_split_reduce`: ``(P, m)`` bookings from compiled schedule
-tables, one sort for all P regions), the global-threshold
-selection, phase 2 booked from compiled schedules, and the periodic
-tau / tau' work — consensus allreduce, exact global threshold — inline
-where its (rank-uniform, data-independent) schedule fires.  Simulated
-charges and phase deltas go through each rank's own communicator; the
-data side (``u_t``) is assembled once and shared write-protected.
+session parks every rank once per iteration (``"reduce_session"``,
+:func:`repro.allreduce.session._exec_session`) and calls the scheme's
+``world_reduce`` (:func:`_world_session`) once for all of its buckets.
+
+Both run one program, :class:`_WorldReduction`, over the funded extents
+of the reduction (a one-shot reduction is its one-extent case), in two
+passes.  The data pass reads no clock, so it runs once, before any
+booking: selection for every rank and bucket (stacked into one scan where
+the accumulators are the rows of one matrix, :func:`_select_world`;
+handed on rank-major, one ``cols`` / ``vals`` stream in global
+positions), the consensus sum where tau is due, split-and-reduce of every
+bucket's regions as one sort (:func:`_split_reduce`: a sparse reduction
+is a merge of sorted index streams, as in SparCML), the global threshold
+where tau' is due, the phase-2 keep mask, package sizes, balancing
+decision and ``package_codec`` round trip, ``u_t`` (assembled once,
+shared write-protected) and every rank's contributed indices.  The
+booking pass runs per bucket, in plan order between the session's
+pacers, and replays each rank's charge sequence of the per-rank driver:
+the selection charges :meth:`OkTopkAllreduce._select_local` hands back,
+the split scan, the ``(P, m)`` split-and-reduce bookings from compiled
+schedule tables (:func:`_book_split_reduce`), the consensus / allgatherv
+/ alltoallv replays and the package scans.  Simulated charges and phase
+deltas go through each rank's own communicator.
 
 Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
 step a planned crash fires in, ``P = 1`` — the per-rank methods below run
 Algorithm 1 message by message.  They are the reference path and the
 oracle of the identity suite
 (``tests/test_fused_collectives.py::TestOkTopkWorldExecutor``), which is
-why the executor mirrors them stage by stage instead of sharing their
-code; what the two do share are the purely local halves
-(:meth:`OkTopkAllreduce._select_local`, ``_proposal``,
-``_adopt_boundaries``, ``_estimate_global_th``) and the ``package_codec``
-hook ``oktopk_q`` plugs its quantizer into.
+why the program mirrors them stage by stage instead of sharing their
+code; what the two do share are the purely local halves (the selection's
+``_refresh_local_th`` / ``_recheck``, ``_proposal``,
+``_adopt_boundaries``, :func:`_global_th`) and the ``package_codec`` hook
+``oktopk_q`` plugs its quantizer into.
 """
 
 from __future__ import annotations
@@ -135,44 +142,41 @@ _TAG_SR = (1 << 21) + 21      # split-and-reduce region pieces
 _TAG_BAL = (1 << 21) + 22     # data-balancing moves
 
 
-def _exec_split_reduce(net, ws, rotation, bucket_size, cols, vals, offsets,
-                       boundaries):
-    """Split-and-reduce for the whole world as one array program — the
-    stage of :func:`_exec_reduce` that replaces
-    :meth:`OkTopkAllreduce._split_and_reduce`; ``ws`` lends the buffers.
+def _split_reduce(ws, order, n, cols, vals, offsets, bounds):
+    """Split-and-reduce for the whole world as one array program, data
+    side only: :meth:`OkTopkAllreduce._split_and_reduce`'s reduction for
+    every rank and every extent at once (``ws`` lends the buffers;
+    :func:`_book_split_reduce` books the exchange from ``count``).
 
     The selections come rank-major (:func:`_select_world`): rank ``r``
-    selected ``cols[offsets[r]:offsets[r + 1]]`` with those ``vals``.  No
-    piece object and no message exists on the way.  ONE ``searchsorted``
-    of every rank's boundaries in the global positions ``r * n + col``
-    (ascending over the whole stream) gives the cut matrix, whose
-    differences are the piece sizes :func:`_book_split_reduce` books the
-    exchange from.  The P regions are reduced by ONE sort of
-    ``col * P + order[owner, src]`` over the stream
-    (:func:`_region_order`): an index's contributions come out adjacent
-    and in its owner's reduction order (own piece, then request order —
-    what ``combine_sum`` concatenates), ``reduceat`` accumulates them in
-    float64 as the per-owner call does, one float32 cast follows, and the
-    consensus boundaries cut the result into regions.
+    selected ``cols[offsets[r]:offsets[r + 1]]`` (ascending positions in
+    ``[0, n)``) with those ``vals``.  ``bounds[src, e]`` are the ``P + 1``
+    region cuts of extent ``e`` (ascending, disjoint extents) as rank
+    ``src`` splits it.  No piece object and no message exists on the way.
+    ONE ``searchsorted`` of every rank's cuts in the global positions
+    ``src * n + col`` gives ``count[src, e, owner]``, the piece sizes.
+    Every region of every extent is reduced by ONE sort of
+    ``col * P + order[owner, src]`` (:func:`_region_order`; ``order`` from
+    :func:`~.schedule.compile_split_reduce`): an index's contributions
+    come out adjacent and in its owner's reduction order (own piece, then
+    request order — what ``combine_sum`` concatenates), ``reduceat``
+    accumulates them in float64 as the per-owner call does, and one
+    float32 cast follows.
 
-    Returns the reduced ``idx`` / ``val`` of all regions in index order
-    and the region cuts (region ``r`` is ``idx[cuts[r]:cuts[r + 1]]``).
+    Returns ``count``, the reduced ``idx`` / ``val`` of all regions in
+    index order and the region cuts (region ``r`` of extent ``e`` is
+    ``idx[cuts[e * P + r]:cuts[e * P + r + 1]]``).
     """
     p = len(offsets) - 1
-    tables, order = compile_split_reduce(p, rotation, bucket_size)
-    bnd = np.array(boundaries, dtype=np.int64)
-    n = int(bnd[0, -1])
     base = np.arange(p, dtype=np.int64) * n
     gpos = np.add(cols, np.repeat(base, np.diff(offsets)), dtype=np.int64)
-    cut = gpos.searchsorted(bnd + base[:, None])      # cut[src, j]
-    count = np.diff(cut)                    # count[src, owner]
-    _book_split_reduce(net, ws, tables, count)
-
+    count = np.diff(gpos.searchsorted(bounds + base[:, None, None]))
     total = cols.size
     key = np.multiply(cols, p, dtype=np.int64,
                       out=ws.flat("sr_key", total, np.int64))
-    # entries run source by source, owners ascending within a source
-    key += np.repeat(order.T.ravel(), count.ravel())
+    # entries run source by source, extents and owners ascending within one
+    key += np.repeat(np.broadcast_to(order.T[:, None], count.shape).ravel(),
+                     count.ravel())
     perm = _region_order(key, n * p)
     all_idx = cols.take(perm, out=ws.flat("sr_idx_sorted", total,
                                           INDEX_DTYPE))
@@ -185,8 +189,8 @@ def _exec_split_reduce(net, ws, rotation, bucket_size, cols, vals, offsets,
     idx = all_idx[head]
     val = np.add.reduceat(all_val, head,
                           dtype=np.float64).astype(VALUE_DTYPE)
-    cuts = [0, *idx.searchsorted(bnd[0, 1:-1]).tolist(), idx.size]
-    return idx, val, cuts
+    cuts = [*idx.searchsorted(bounds[0, :, :-1].ravel()).tolist(), idx.size]
+    return count, idx, val, cuts
 
 
 def _region_order(key: np.ndarray, span: int, bits: int = 63) -> np.ndarray:
@@ -323,81 +327,85 @@ def _charge(clocks: np.ndarray, seconds, cpw) -> None:
     clocks += seconds
 
 
-def _select_world(ws, comms, schemes, states, accs, t, k):
-    """Local selection (Algorithm 1 lines 2-4) for every rank, handed
-    back rank-major: ``(cols, vals, offsets)``, rank ``r``'s selection
-    being ``cols[offsets[r]:offsets[r + 1]]`` with those values.
+def _select_world(ws, schemes, accs, span, t):
+    """Local selection (Algorithm 1 lines 2-4) of every rank in every
+    extent of ``span`` (ascending), handed back rank-major:
+    ``(cols, vals, offsets)``, rank ``r``'s selection in extent ``e``
+    being ``cols[offsets[r * E + e]:offsets[r * E + e + 1]]`` (positions
+    in the whole accumulator) with those values.  Sets every extent's
+    ``charges``: each rank's compute charges in the order the per-rank
+    selection makes them, for the booking pass.
 
     Where the accumulators are the consecutive rows of one shared matrix
     (lockstep rank batching: they live in the world's accumulate buffer)
-    the per-iteration selection is one stacked threshold scan
-    (:func:`~repro.sparse.topk.batched_threshold_select`) and the periodic
-    threshold re-evaluation is :func:`kth_largest_abs` row by row (the
-    k-th value is unique, so the bits match the per-rank path's); compute
-    charges (`compute_sort`/`compute_scan`) run through each rank's own
-    communicator, so clocks and phase attribution match the serial path
-    exactly.  Data-dependent divergence — the degenerate path
-    (``local_th <= 0``: all-zero accumulator or ``k >= n``) and the
-    selection-guard re-evaluation, which a NaN threshold always trips —
-    is handled per rank with the scalar primitives and spliced in.
+    the per-iteration selection of every extent is ONE stacked threshold
+    scan over the matrix (:func:`~repro.sparse.topk.batched_threshold_select`,
+    one threshold per rank and extent; a session's buckets are column
+    extents of the rows).  The tau' re-evaluation is :func:`kth_largest_abs`
+    per rank and extent (the k-th value is unique, so the bits match the
+    per-rank path's) and the data-dependent divergence — the degenerate
+    path (``local_th <= 0``: all-zero accumulator or ``k >= n``) and the
+    selection-guard re-evaluation, which a NaN threshold always trips — is
+    :meth:`OkTopkAllreduce._recheck` per rank and extent, spliced in.
     Uneven shards after a shrink still stack: the world fwd/bwd runs per
     run of equal shards, into one gradient matrix.  Rows that do not
     stack without a copy (per-rank model math: the VGG and LSTM proxies
-    or diverged replicas, the slices of a session bucket) run
-    :meth:`OkTopkAllreduce._select_local` rank by rank and are
-    concatenated — copying them into a stack first measured no faster
-    and cost memory.  Nor does stacking a session bucket's column slices
-    of the accumulate matrix pay (a strided ``_shared_base`` plus the
-    batched selection on the ``(P, hi - lo)`` view): on the BERT proxy it
-    made this function slower, 300 -> 350 us per bucket.
+    or diverged replicas) run :meth:`OkTopkAllreduce._select_local` per
+    rank and extent and are concatenated — copying them into a stack
+    first measured no faster and cost memory.  Stacking one bucket's
+    column slice per call did not pay either (300 -> 350 us per bucket
+    on the BERT proxy); one scan over every bucket's extent does.
     """
     from ..train.rankbatch import _shared_base
+    p, m = len(accs), len(span)
+    for x in span:
+        x.charges = [None] * p
     xs = _shared_base(accs)
     if xs is None:
-        return _rank_major([ar._select_local(comm, st, acc, k, t)
-                            for comm, ar, st, acc in zip(comms, schemes,
-                                                         states, accs)])
-    nranks, n = xs.shape
-    entries = list(zip(comms, schemes, states))
-    for r, (comm, ar, st) in enumerate(entries):
-        if st.local_th is None or ar._due(t, ar.tau_prime):
-            st.local_th = kth_largest_abs(xs[r], k)
-            st.local_evaluations += 1
-            comm.compute_sort(n)
-        comm.compute_scan(n)
+        pieces = []
+        for r, (ar, acc) in enumerate(zip(schemes, accs)):
+            for x in span:
+                sel, x.charges[r] = ar._select_local(
+                    x.states[r], acc[x.lo:x.hi], x.k, t)
+                pieces.append((sel.indices + x.lo, sel.values))
+        return _rank_major(pieces)
+    ths = []
+    for r, (ar, row) in enumerate(zip(schemes, xs)):
+        for x in span:
+            x.charges[r] = ar._refresh_local_th(x.states[r], row[x.lo:x.hi],
+                                                x.k, t)
+            ths.append(x.states[r].local_th)
     cols, vals, offsets = batched_threshold_select(
-        xs, [st.local_th for st in states],
-        ws.scratch("select_mask", xs.shape, bool),
-        ws.scratch("select_spare", (min(nranks, 4), n), bool))
+        xs, ths, ws.scratch("select_mask", xs.shape, bool),
+        ws.scratch("select_spare", (min(p, 4), xs.shape[1]), bool),
+        [(x.lo, x.hi) for x in span])
+    ends = offsets.tolist()
     fixed = {}
-    for r, (comm, ar, st) in enumerate(entries):
-        if st.local_th <= 0.0:
-            # Degenerate (all-zero accumulator or k >= n): exact
-            # selection, no guard — same as the serial early return.
-            fixed[r] = exact_topk(xs[r], k)
-            continue
-        nnz = offsets[r + 1] - offsets[r]
-        g = ar.selection_guard
-        if nnz > g * k or nnz * g < k:
-            st.local_th = kth_largest_abs(xs[r], k)
-            st.local_evaluations += 1
-            st.guard_evaluations += 1
-            comm.compute_sort(n)
-            comm.compute_scan(n)
-            fixed[r] = (threshold_select(xs[r], st.local_th)
-                        if st.local_th > 0 else exact_topk(xs[r], k))
+    for r, (ar, row) in enumerate(zip(schemes, xs)):
+        for e, x in enumerate(span):
+            i = r * m + e
+            sel = ar._recheck(x.states[r], row[x.lo:x.hi], x.k,
+                              ends[i + 1] - ends[i], x.charges[r])
+            if sel is not None:
+                fixed[i] = (sel.indices + x.lo, sel.values)
     if not fixed:
         return cols, vals, offsets
-    return _rank_major([
-        fixed[r] if r in fixed else COOVector(n, cols[lo:hi], vals[lo:hi])
-        for r, (lo, hi) in enumerate(zip(offsets, offsets[1:]))])
+    return _rank_major([fixed.get(i, (cols[a:b], vals[a:b]))
+                        for i, (a, b) in enumerate(zip(ends, ends[1:]))])
 
 
-def _rank_major(selected: List[COOVector]):
-    """Per-rank selections as one rank-major ``(cols, vals, offsets)``."""
-    return (np.concatenate([loc.indices for loc in selected]),
-            np.concatenate([loc.values for loc in selected]),
-            np.array([0, *accumulate(loc.nnz for loc in selected)]))
+def _rank_major(pieces):
+    """``(cols, vals)`` pieces as one rank-major ``(cols, vals, offsets)``."""
+    return (np.concatenate([c for c, _ in pieces]),
+            np.concatenate([v for _, v in pieces]),
+            np.array([0, *accumulate(c.size for c, _ in pieces)]))
+
+
+def _pay(comm: SimComm, charges) -> None:
+    """Book handed-back compute ``charges`` (``(SimComm method, words)``
+    pairs) on ``comm``, in order."""
+    for charge, words in charges:
+        charge(comm, words)
 
 
 @contextmanager
@@ -413,160 +421,221 @@ def _world_phase(net, comms, name: str):
         times[name] = times.get(name, 0.0) + clocks[c.slot] - start
 
 
-def _consensus_world(net, schemes, states, proposals, n: int) -> None:
-    """:meth:`OkTopkAllreduce._consensus_boundaries` for the world: the
-    (P+1)-element recursive-doubling allreduce booked inline, every rank
-    adopting the same averaged boundaries."""
-    summed = _fused.replay_allreduce(net, "recursive_doubling", proposals)
-    for ar, st in zip(schemes, states):
-        ar._adopt_boundaries(st, summed, len(schemes), n)
+class _Extent:
+    """One funded extent ``[lo, hi)`` of a world reduction: its budget
+    ``k`` and every rank's state, then what the data pass leaves for the
+    booking pass to replay and each rank's ``infos``."""
+
+    __slots__ = ("lo", "hi", "k", "states", "charges", "nsel", "consensus",
+                 "count", "region", "gathered", "rows", "encoded", "words",
+                 "infos")
+
+    def __init__(self, lo: int, hi: int, k: int, states):
+        self.lo, self.hi, self.k, self.states = lo, hi, k, states
+        self.consensus = self.gathered = self.rows = None
+        self.encoded = ()
 
 
-def _global_th_world(net, comms, schemes, states, merged, words,
-                     k: int) -> None:
-    """The exact global-threshold estimate for the world: the allgatherv
-    of the reduced pieces (``words[r]`` wire words each; ``merged`` is
-    their values in rank order) booked inline, then every rank's own sort
-    charge and counter (:meth:`OkTopkAllreduce._estimate_global_th`)."""
-    with _world_phase(net, comms, PHASE_COMM):
-        _fused.replay(net, _fused.compile_allgatherv(len(comms),
-                                                     tuple(words)))
-    for comm, ar, st in zip(comms, schemes, states):
-        ar._estimate_global_th(comm, st, merged, k)
+class _WorldReduction:
+    """Algorithm 1 for the whole current world over the funded extents of
+    one reduction (module docstring, "Two drivers"): the constructor is
+    the data pass, :meth:`book` the booking pass of one extent.
+
+    The data pass updates every rank's :class:`OkTopkState` exactly as
+    the per-rank driver does.  Balancing moves whole runs of the
+    rank-ordered package sequence, so with or without it the allgatherv
+    delivers the selected region packages in rank order: ``update``
+    (``u_t`` over all extents, in index order) is built once and shared
+    write-protected by all P ranks; ``contributed[r]`` is rank ``r``'s
+    Algorithm 1 line 14.  Every booking lands on the same links at the
+    same times as the per-rank driver's (simulated time is schedule
+    independent; see :mod:`repro.comm.fused`).
+    """
+
+    def __init__(self, net, t: int, comms, schemes, accs, extents):
+        from ..train.rankbatch import _world_state
+        self.net, self.comms, self.extents = net, comms, extents
+        self.ws = ws = _world_state(net)
+        p, n = len(comms), accs[0].size
+        lead = schemes[0]           # SPMD: one configuration
+        self.tables, order = compile_split_reduce(p, lead.rotation,
+                                                  lead.bucket_size)
+        span = sorted(extents, key=lambda x: x.lo)
+        m = len(span)
+
+        # -- lines 2-4: local selection ----------------------------------
+        cols, vals, offsets = _select_world(ws, schemes, accs, span, t)
+        nsel = np.diff(offsets).reshape(p, m)
+
+        # -- lines 5-7: consensus boundaries where tau is due -------------
+        for e, x in enumerate(span):
+            x.nsel = nsel[:, e].tolist()
+            if x.states[0].boundaries is None or lead._due(t, lead.tau):
+                n_e = x.hi - x.lo
+                proposals = [ar._proposal(cols[offsets[r * m + e]:
+                                               offsets[r * m + e + 1]] - x.lo,
+                                          n_e, p)
+                             for r, ar in enumerate(schemes)]
+                summed = _fused._sum_tree(proposals, p, halving=False)
+                for ar, st in zip(schemes, x.states):
+                    ar._adopt_boundaries(st, summed, p, n_e)
+                x.consensus = (summed.size, _fused._wpe(summed))
+
+        # -- line 8: split and reduce -------------------------------------
+        bounds = np.array([[x.states[r].boundaries for x in span]
+                           for r in range(p)], dtype=np.int64)
+        bounds += np.array([x.lo for x in span])[:, None]
+        count, idx, val, cuts = _split_reduce(ws, order, n, cols, vals,
+                                              offsets[::m], bounds)
+        region = np.diff(cuts).tolist()
+
+        # -- lines 9-12: global threshold where tau' is due ---------------
+        for e, x in enumerate(span):
+            x.count = count[:, e]
+            x.region = region[e * p:(e + 1) * p]
+            if x.states[0].global_th is None or lead._due(t, lead.tau_prime):
+                reduced = val[cuts[e * p]:cuts[(e + 1) * p]]
+                gth = _global_th(reduced, x.k)
+                for st in x.states:
+                    st.global_th = gth
+                    st.global_evaluations += 1
+                x.gathered = reduced.size
+
+        # -- line 13: balance and allgatherv -------------------------------
+        # one masked pass: a region keeps |val| >= its rank's global
+        # threshold (float32, as COOVector.select_threshold compares)
+        ths = [st.global_th for x in span for st in x.states]
+        keep = np.abs(val) >= np.repeat(np.array(ths, dtype=VALUE_DTYPE),
+                                        region)
+        for th, a, b in zip(ths, cuts, cuts[1:]):
+            if not th > 0:
+                keep[a:b] = True        # no threshold: the region ships whole
+        kept = np.flatnonzero(keep)
+        at = kept.searchsorted(cuts).tolist()   # the regions' runs of u_t
+        u_idx, u_val = idx[kept], val[kept]
+        codec = lead.package_codec
+        for x in extents:       # plan order: each rank's codec draws in it
+            e = span.index(x)
+            base = at[e * p]
+            sizes = [b - a for a, b in zip(at[e * p:(e + 1) * p],
+                                           at[e * p + 1:(e + 1) * p + 1])]
+            total = sum(sizes)
+            balanced = (lead.data_balancing and total > 0
+                        and max(sizes) > lead.balance_trigger * total / p)
+            # pk[r]:pk[r+1] = the run of the rank-ordered package sequence
+            # rank r holds when the allgatherv starts
+            if balanced:
+                x.rows, pk = _rebalance_plan(sizes)
+                for st in x.states:
+                    st.balancing_triggered += 1
+            else:
+                pk = list(accumulate(sizes, initial=0))
+            held = [b - a for a, b in zip(pk, pk[1:])]
+            if codec is None:
+                x.words = tuple(2 * w for w in held)
+            else:
+                # each rank encodes the package it holds after balancing
+                wires = [ar.package_codec.encode(u_val[base + a:base + b])
+                         for ar, a, b in zip(schemes, pk, pk[1:])]
+                x.encoded = held
+                x.words = tuple(w + payload_nwords(wire)
+                                for w, wire in zip(held, wires))
+                u_val[base:base + total] = np.concatenate(
+                    [codec.decode(wire) for wire in wires])
+            x.infos = [{
+                "k": x.k,
+                "selected_local": mine,
+                "selected_global": total,
+                "local_threshold": st.local_th,
+                "global_threshold": st.global_th,
+                "balancing_triggered": balanced,
+                "boundaries": st.boundaries,
+            } for mine, st in zip(x.nsel, x.states)]
+
+        # shared by all P ranks: nobody may write what everybody reads
+        u_idx.setflags(write=False)
+        u_val.setflags(write=False)
+        self.update = COOVector(n, u_idx, u_val)
+        # line 14: one membership mask for all ranks (all-False between
+        # calls) read through the rank-major selections, split per rank
+        member = ws.flat("member", n, bool)
+        member[u_idx] = True
+        hit = np.flatnonzero(member[cols])
+        member[u_idx] = False
+        got = cols[hit]
+        ends = hit.searchsorted(offsets[::m]).tolist()
+        self.contributed = [got[a:b] for a, b in zip(ends, ends[1:])]
+
+    def book(self, e: int) -> list:
+        """The booking pass of extent ``extents[e]``; returns each rank's
+        reduction info."""
+        x = self.extents[e]
+        net, comms = self.net, self.comms
+        p = len(comms)
+        with _world_phase(net, comms, PHASE_SPARSIFY):
+            for comm, charges in zip(comms, x.charges):
+                _pay(comm, charges)
+        with _world_phase(net, comms, PHASE_COMM):
+            if x.consensus is not None:
+                _fused.replay(net, _fused.compile_allreduce(
+                    p, *x.consensus, "recursive_doubling"))
+            for comm, words in zip(comms, x.nsel):
+                comm.compute_scan(words)             # the split
+            _book_split_reduce(net, self.ws, self.tables, x.count)
+        if x.gathered is not None:
+            with _world_phase(net, comms, PHASE_COMM):
+                _fused.replay(net, _fused.compile_allgatherv(
+                    p, tuple(2 * words for words in x.region)))
+            for comm in comms:
+                with comm.phase(PHASE_SPARSIFY):
+                    comm.compute_sort(x.gathered)
+        with _world_phase(net, comms, PHASE_COMM):
+            for comm, words in zip(comms, x.region):
+                comm.compute_scan(words)
+            _fused.replay(net, _fused.compile_allgatherv(p, (1,) * p))
+            if x.rows is not None:
+                _fused.replay(net, _fused.compile_alltoallv(p, x.rows))
+            for comm, words in zip(comms, x.encoded):
+                comm.compute_scan(words)
+            _fused.replay(net, _fused.compile_allgatherv(p, x.words))
+        return x.infos
 
 
 def _exec_reduce(net, sig, lanes):
-    """Algorithm 1 for the whole current world in one rendezvous — the
-    fast path of :meth:`OkTopkAllreduce._algorithm1` (a one-shot
-    reduction or one session bucket; the executor cannot tell them
-    apart).
-
-    ``lanes[r]`` is rank ``r``'s ``(comm, scheme, acc, k, state)``.  Stage
-    by stage this is the per-rank driver: local selection for every rank,
-    split-and-reduce against the consensus boundaries
-    (:func:`_exec_split_reduce`), the global-threshold selection, then
-    phase 2 booked directly from compiled schedules — the size exchange,
-    the balancing moves exactly as :meth:`OkTopkAllreduce._rebalance`
-    would ship them, the package allgatherv — and the periodic
-    tau / tau' work (consensus allreduce, exact global threshold) inline
-    where its schedule fires.  Every simulated charge goes through the
-    rank's own communicator and every phase delta to its own phase
-    table, every rank's :class:`OkTopkState` is updated exactly as the
-    per-rank driver does it, and the bookings land on the same links at
-    the same times (simulated time is schedule independent; see
-    :mod:`repro.comm.fused`).
-
-    The data side runs once.  Balancing moves whole runs of the
-    rank-ordered package sequence, so with or without it the allgatherv
-    delivers the concatenation of the selected region packages in rank
-    order: ``u_t`` is assembled once and handed to all P ranks as the
-    same write-protected arrays; the contributed indices (Algorithm 1
-    line 14) are each rank's selection read through one membership mask
-    of ``u_t``.
-    """
-    from ..train.rankbatch import _world_state
-    ws = _world_state(net)
-    t = sig[1]
-    p = len(lanes)
+    """One Ok-Topk reduction for the whole current world in one
+    rendezvous — the fast path of :meth:`OkTopkAllreduce._algorithm1`
+    (``sig[1]`` is the iteration): the one-extent case of
+    :class:`_WorldReduction`.  ``lanes[r]`` is rank ``r``'s ``(comm,
+    scheme, acc, k, state)``."""
     comms, schemes, accs, ks, states = zip(*lanes)
-    # SPMD: one configuration, one budget, one extent
-    lead, k = schemes[0], ks[0]
+    run = _WorldReduction(net, sig[1], comms, schemes, accs,
+                          [_Extent(0, accs[0].size, ks[0], states)])
+    return [AllreduceResult(update=run.update, contributed_indices=mine,
+                            info=info)
+            for mine, info in zip(run.contributed, run.book(0))]
+
+
+def _world_session(net, t: int, lanes, extents) -> _WorldReduction:
+    """The world program of a multi-bucket session (the scheme's
+    ``world_reduce``): ``lanes[r]`` is rank ``r``'s ``(comm, scheme,
+    acc)`` over the whole gradient and ``extents`` the funded buckets'
+    ``(lo, hi, k)`` in plan order, each run on every rank's state of that
+    bucket with the budget clamped to it."""
+    comms, schemes, accs = zip(*lanes)
     n = accs[0].size
+    runs = []
+    for lo, hi, k in extents:
+        lane = [ar._extent(n, lo, hi, k) for ar in schemes]
+        runs.append(_Extent(lo, hi, lane[0][0], [st for _, st in lane]))
+    return _WorldReduction(net, t, comms, schemes, accs, runs)
 
-    # -- lines 2-4: local selection -------------------------------------
-    with _world_phase(net, comms, PHASE_SPARSIFY):
-        cols, vals, offsets = _select_world(ws, comms, schemes, states,
-                                            accs, t, k)
-    offsets = offsets.tolist()
-    local = [cols[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
 
-    # -- lines 5-8: boundaries, split and reduce ------------------------
-    with _world_phase(net, comms, PHASE_COMM):
-        if states[0].boundaries is None or lead._due(t, lead.tau):
-            _consensus_world(
-                net, schemes, states,
-                [ar._proposal(mine, n, p)
-                 for ar, mine in zip(schemes, local)], n)
-        boundaries = [st.boundaries for st in states]
-        for comm, mine in zip(comms, local):
-            comm.compute_scan(mine.size)             # the split
-        idx, val, rcuts = _exec_split_reduce(
-            net, ws, lead.rotation, lead.bucket_size, cols, vals, offsets,
-            boundaries)
-    region = np.diff(rcuts)
-
-    # -- lines 9-12: global threshold ------------------------------------
-    if states[0].global_th is None or lead._due(t, lead.tau_prime):
-        _global_th_world(net, comms, schemes, states, val,
-                         (2 * region).tolist(), k)
-
-    # -- line 13: balance and allgatherv ---------------------------------
-    with _world_phase(net, comms, PHASE_COMM):
-        # one masked pass: region r keeps |val| >= its rank's global
-        # threshold (float32, as COOVector.select_threshold compares)
-        global_ths = [st.global_th for st in states]
-        keep = np.abs(val) >= np.repeat(
-            np.array(global_ths, dtype=VALUE_DTYPE), region)
-        for comm, gth, lo, hi in zip(comms, global_ths, rcuts, rcuts[1:]):
-            if not gth > 0:
-                keep[lo:hi] = True      # no threshold: the region ships whole
-            comm.compute_scan(hi - lo)
-        kept = np.flatnonzero(keep)
-        sizes = np.diff(kept.searchsorted(rcuts)).tolist()
-        _fused.replay(net, _fused.compile_allgatherv(p, (1,) * p))
-        total = sum(sizes)
-        balanced = (lead.data_balancing and total > 0
-                    and max(sizes) > lead.balance_trigger * total / p)
-        # cuts[r]:cuts[r+1] = the run of the rank-ordered package
-        # sequence rank r holds when the allgatherv starts
-        if balanced:
-            rows, cuts = _rebalance_plan(sizes)
-            _fused.replay(net, _fused.compile_alltoallv(p, rows))
-            for st in states:
-                st.balancing_triggered += 1
-        else:
-            cuts = list(accumulate(sizes, initial=0))
-        u_idx, u_val = idx[kept], val[kept]
-        if lead.package_codec is None:
-            words = [2 * (hi - lo) for lo, hi in zip(cuts, cuts[1:])]
-        else:
-            # each rank encodes the package it holds after balancing
-            wires, words = [], []
-            for comm, ar, lo, hi in zip(comms, schemes, cuts, cuts[1:]):
-                wires.append(ar.package_codec.encode(u_val[lo:hi]))
-                comm.compute_scan(hi - lo)
-                words.append(hi - lo + payload_nwords(wires[-1]))
-            u_val = np.concatenate(
-                [lead.package_codec.decode(w) for w in wires]
-            ).astype(VALUE_DTYPE, copy=False)
-        _fused.replay(net, _fused.compile_allgatherv(p, tuple(words)))
-
-    # shared by all P ranks: nobody may write what everybody reads
-    u_idx.setflags(write=False)
-    u_val.setflags(write=False)
-    u_t = COOVector(n, u_idx, u_val)
-    # line 14: one membership mask for all ranks (all-False between calls)
-    # read through the rank-major selections, split per rank
-    member = ws.flat("member", n, bool)
-    member[u_idx] = True
-    hit = np.flatnonzero(member[cols])
-    member[u_idx] = False
-    got = cols[hit]
-    ends = hit.searchsorted(offsets).tolist()
-    contributed = [got[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    return [AllreduceResult(
-        update=u_t,
-        contributed_indices=mine_in_u,
-        info={
-            "k": k,
-            "selected_local": mine.size,
-            "selected_global": u_idx.size,
-            "local_threshold": st.local_th,
-            "global_threshold": gth,
-            "balancing_triggered": balanced,
-            "boundaries": bnd,
-        }) for mine, mine_in_u, st, gth, bnd in zip(
-            local, contributed, states, global_ths, boundaries)]
+def _global_th(reduced: np.ndarray, k: int) -> float:
+    """The global threshold from the gathered reduced values: their
+    ``k``-th magnitude (0 when nothing was reduced)."""
+    if reduced.size:
+        return kth_largest_abs(reduced, min(k, reduced.size))
+    return 0.0
 
 
 def _rebalance_plan(sizes: List[int]):
@@ -646,9 +715,10 @@ class OkTopkAllreduce(GradientAllreduce):
     #: it delivers; ``oktopk_q`` plugs its quantizer in here.
     package_codec = None
     #: a streamed or analytic multi-bucket session on the fast path runs
-    #: Algorithm 1 for the whole world, bucket by bucket, inside its one
-    #: session rendezvous (:func:`repro.allreduce.session._exec_session`)
-    world_bucket = staticmethod(_exec_reduce)
+    #: Algorithm 1 for the whole world over all of its buckets at once,
+    #: inside its one session rendezvous
+    #: (:func:`repro.allreduce.session._exec_session`)
+    world_reduce = staticmethod(_world_session)
 
     def __init__(self, *, tau: int = 64, tau_prime: int = 32,
                  balanced_partition: bool = True, rotation: bool = True,
@@ -762,32 +832,53 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     # Local selection (Algorithm 1 lines 2-4)
     # ------------------------------------------------------------------
-    def _select_local(self, comm: SimComm, st: OkTopkState,
-                      acc: np.ndarray, k: int, t: int) -> COOVector:
-        """Threshold selection of one rank (the world executor stacks it
-        across ranks where the accumulators share a matrix; see
+    def _select_local(self, st: OkTopkState, acc: np.ndarray, k: int,
+                      t: int) -> Tuple[COOVector, list]:
+        """Threshold selection of one rank: the selection and its compute
+        charges, handed back in order instead of charged as it scans
+        (:func:`_pay` books them — at once on the reference path, in the
+        booking pass of the world executor, which stacks the scan across
+        ranks where the accumulators share a matrix; see
         :func:`_select_world`)."""
-        n = acc.size
+        charges = self._refresh_local_th(st, acc, k, t)
+        local = (None if st.local_th <= 0.0
+                 else threshold_select(acc, st.local_th))
+        fixed = self._recheck(st, acc, k, 0 if local is None else local.nnz,
+                              charges)
+        return (local if fixed is None else fixed), charges
+
+    def _refresh_local_th(self, st: OkTopkState, acc: np.ndarray, k: int,
+                          t: int) -> list:
+        """Re-evaluate the local threshold where tau' is due (or none
+        exists yet); returns the charges of the selection's first part:
+        that sort, if any, and the scan."""
+        charges = []
         if st.local_th is None or self._due(t, self.tau_prime):
             st.local_th = kth_largest_abs(acc, k)
             st.local_evaluations += 1
-            comm.compute_sort(n)
-        comm.compute_scan(n)
+            charges.append((SimComm.compute_sort, acc.size))
+        charges.append((SimComm.compute_scan, acc.size))
+        return charges
+
+    def _recheck(self, st: OkTopkState, acc: np.ndarray, k: int, nnz: int,
+                 charges: list) -> Optional[COOVector]:
+        """The selection that replaces a threshold scan which selected
+        ``nnz`` entries, or None when the scan stands; appends the
+        re-evaluation's charges."""
         if st.local_th <= 0.0:
             # Degenerate (all-zero accumulator or k >= n): exact selection.
             return exact_topk(acc, k)
-        local = threshold_select(acc, st.local_th)
         g = self.selection_guard
-        if local.nnz > g * k or local.nnz * g < k:
+        if nnz > g * k or nnz * g < k:
             # Stale threshold drifted too far: re-evaluate immediately.
             st.local_th = kth_largest_abs(acc, k)
             st.local_evaluations += 1
             st.guard_evaluations += 1
-            comm.compute_sort(n)
-            comm.compute_scan(n)
-            local = (threshold_select(acc, st.local_th)
-                     if st.local_th > 0 else exact_topk(acc, k))
-        return local
+            charges += [(SimComm.compute_sort, acc.size),
+                        (SimComm.compute_scan, acc.size)]
+            return (threshold_select(acc, st.local_th)
+                    if st.local_th > 0 else exact_topk(acc, k))
+        return None
 
     # ------------------------------------------------------------------
     # Space repartition (Algorithm 1 lines 5-7)
@@ -869,14 +960,10 @@ class OkTopkAllreduce(GradientAllreduce):
         """Store the ``k``-th magnitude of the gathered reduced values as
         the shared global threshold (0 when nothing was reduced); charges
         the sort and bumps the evaluation counter."""
-        with comm.phase(PHASE_SPARSIFY):
-            if merged_values.size:
-                st.global_th = kth_largest_abs(
-                    merged_values, min(k, merged_values.size))
-            else:
-                st.global_th = 0.0
-            comm.compute_sort(merged_values.size)
+        st.global_th = _global_th(merged_values, k)
         st.global_evaluations += 1
+        with comm.phase(PHASE_SPARSIFY):
+            comm.compute_sort(merged_values.size)
         return st.global_th
 
     def _global_threshold(self, comm: SimComm, st: OkTopkState,
@@ -972,19 +1059,19 @@ class OkTopkAllreduce(GradientAllreduce):
         always provide it, with the plan's budget ``k``); without one the
         slice is treated as a complete gradient.
         """
-        comm, _, acc, k_b, st = self._bucket_lane(comm, acc, k, view)
-        return self._algorithm1(comm, acc, t, k_b, st,
-                                0 if view is None else view.lo)
-
-    def _bucket_lane(self, comm: SimComm, acc: np.ndarray,
-                     k: Optional[int], view: Optional[BucketView]) -> tuple:
-        """This rank's lane of a bucket reduction: ``(comm, scheme, acc,
-        k, state)`` with the budget clamped to the bucket and the
-        bucket's own state — what :func:`_exec_reduce` takes per rank."""
         n_b = acc.size
         lo, n = (0, n_b) if view is None else (view.lo, view.n)
-        k_b = self.resolve_k(n_b) if k is None else max(1, min(int(k), n_b))
-        return comm, self, acc, k_b, self._state_for(n, lo, lo + n_b)
+        k_b, st = self._extent(n, lo, lo + n_b, k)
+        return self._algorithm1(comm, acc, t, k_b, st, lo)
+
+    def _extent(self, n: int, lo: int, hi: int,
+                k: Optional[int]) -> Tuple[int, OkTopkState]:
+        """The budget and state of extent ``[lo, hi)`` of an ``n``-word
+        gradient: the plan's ``k`` clamped to the extent (``resolve_k``
+        without one) and the extent's own state."""
+        k_b = (self.resolve_k(hi - lo) if k is None
+               else max(1, min(int(k), hi - lo)))
+        return k_b, self._state_for(n, lo, hi)
 
     def _algorithm1(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
                     st: OkTopkState, lo: int) -> AllreduceResult:
@@ -1005,7 +1092,8 @@ class OkTopkAllreduce(GradientAllreduce):
                                          _exec_reduce)
 
         with comm.phase(PHASE_SPARSIFY):                 # lines 2-4
-            local = self._select_local(comm, st, acc, k, t)
+            local, charges = self._select_local(st, acc, k, t)
+            _pay(comm, charges)
         with comm.phase(PHASE_COMM):                      # lines 5-7
             boundaries = self._repartition(comm, st, local, n, t)
             reduced = self._split_and_reduce(comm, local, boundaries)  # l.8

@@ -91,22 +91,23 @@ One rendezvous per session on the fast path
 
 Every decision above except the clocks is SPMD, so where the engine
 rendezvous is available (:func:`repro.comm.fused._available`) and the
-scheme has a world bucket body (``GradientAllreduce.world_bucket``:
-Ok-Topk and ``oktopk_q``, whose body is Algorithm 1's world executor),
+scheme has a world program (``GradientAllreduce.world_reduce``: Ok-Topk
+and ``oktopk_q``, whose program is Algorithm 1 for the whole world),
 :func:`run_session` makes every rank enter **one** rendezvous per
 native session — streamed or analytic — and :func:`_exec_session` runs
-the whole session for the world: per bucket, in plan order, every
+the whole session for the world: the program's data pass once over every
+funded bucket (it reads no clock), then per bucket, in plan order, every
 rank's pacer for the bucket's segments, every rank's issue clock, the
-body over every rank's slice (zero-budget buckets skipped), every
-rank's finish clock rewound to its issue clock as the async region
-would; then every rank's :meth:`ReduceSession.finish`, with the merged
-update built once and shared write-protected.  Everywhere else — the
-``threads`` runner, message tracing, ``fused=False``, the step a
-planned crash fires in, explicit ``push`` calls, the other schemes —
-each rank runs :meth:`ReduceSession._run_bucket` per bucket, the
-reference path.  Both book a bucket through the one
-:meth:`ReduceSession._record`, so the stats, the async clocks and the
-deferred selection cost cannot drift apart.
+program's booking pass of the bucket (zero-budget buckets skipped),
+every rank's finish clock rewound to its issue clock as the async region
+would; then every rank's :meth:`ReduceSession.finish` around the merged
+update the program built once and shares write-protected.  Everywhere
+else — the ``threads`` runner, message tracing, ``fused=False``, the
+step a planned crash fires in, explicit ``push`` calls, the other
+schemes — each rank runs :meth:`ReduceSession._run_bucket` per bucket
+and merges its partials, the reference path.  Both book a bucket through
+the one :meth:`ReduceSession._record`, so the stats, the async clocks and
+the deferred selection cost cannot drift apart.
 
 A session opened with ``stream=True`` that cannot stream — the scheme is
 not ``bucketable``, or the plan collapsed to one bucket — falls back to
@@ -596,7 +597,8 @@ class ReduceSession:
             res = self.scheme._reduce_bucket(comm, self._acc[lo:hi], self.t,
                                              k=k_b, view=view)
             span = None
-        self._record(b, res, mark, span)
+        self._partials.append((lo, hi, res))
+        self._record(b, res.info, mark, span, res.overlappable)
 
     def _mark(self) -> tuple:
         """What :meth:`_record` measures a bucket's reduction against:
@@ -604,46 +606,40 @@ class ReduceSession:
         comm = self.comm
         return comm.phase_times(), int(comm.net.words_recv[comm.slot])
 
-    def _record(self, b: int, res: Optional["AllreduceResult"] = None,
-                mark: Optional[tuple] = None,
-                span: Optional[tuple] = None) -> None:
-        """Book bucket ``b``'s outcome: its partial result, its
+    def _record(self, b: int, info: Optional[Dict[str, Any]] = None,
+                mark: Optional[tuple] = None, span: Optional[tuple] = None,
+                overlappable: bool = False) -> None:
+        """Book bucket ``b``'s outcome — the reduction's ``info`` — as its
         :class:`BucketStat` (measured from :meth:`_mark`'s ``mark``) and,
         streamed, its ``(issue, finish)`` clock ``span`` (the comm-finish
         to join at :meth:`finish`, the selection cost deferred to it).
-        ``res=None`` is a zero-budget bucket, which never ran."""
-        from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult
+        ``info=None`` is a zero-budget bucket, which never ran."""
+        from .base import PHASE_COMM, PHASE_SPARSIFY
         plan = self._plan
         lo, hi = plan.extents[b]
         nseg = len(plan.buckets[b])
         release = (0.0 if self.scheme.overlap_from_start
                    else plan.release[b])
-        if res is None:
+        if info is None:
             # split_k legally hands out zero-budget buckets when
             # k < nbuckets, but resolve_k floors every reduction at one
             # selected element — a scheme must never see k=0.  The bucket
-            # is skipped outright: nothing selected, nothing sent, an
-            # empty partial (deterministic across ranks, which all compute
-            # the same split).
-            res = AllreduceResult(
-                update=COOVector(hi - lo, np.empty(0, INDEX_DTYPE),
-                                 np.empty(0, VALUE_DTYPE)),
-                contributed_indices=np.empty(0, INDEX_DTYPE),
-                info={"k": 0, "selected": 0, "skipped_zero_k": True})
-            self._partials.append((lo, hi, res))
+            # is skipped outright: nothing selected, nothing sent, nothing
+            # merged (deterministic across ranks, which all compute the
+            # same split).
             self.bucket_stats.append(BucketStat(
                 lo=lo, hi=hi, nsegments=nseg, release_frac=release,
-                k=0, selected=0, info=dict(res.info)))
+                k=0, selected=0, info={"k": 0, "selected": 0,
+                                       "skipped_zero_k": True}))
             return
         comm = self.comm
         phases0, recv0 = mark
         phases1 = comm.phase_times()
-        if res.overlappable:
+        if overlappable:
             release = 0.0
         sparsify_t = (phases1.get(PHASE_SPARSIFY, 0.0)
                       - phases0.get(PHASE_SPARSIFY, 0.0))
-        self._partials.append((lo, hi, res))
-        info = dict(res.info)
+        info = dict(info)
         if span is not None:
             # The bucket's selection cost is deferred to finish() (the
             # analytic timeline keeps sparsification serial), so the comm
@@ -662,19 +658,14 @@ class ReduceSession:
                        - phases0.get(PHASE_COMM, 0.0)),
             sparsify_time=sparsify_t,
             words_recv=int(comm.net.words_recv[comm.slot]) - recv0,
-            selected=res.info.get("selected",
-                                  res.info.get("selected_local")),
+            selected=info.get("selected", info.get("selected_local")),
             info=info,
         ))
 
-    def _merge(self, update: Union[COOVector, np.ndarray, None] = None
-               ) -> "AllreduceResult":
-        """This rank's merged result; ``update`` is the merged update when
-        another rank already built it (the world executor's shared one)."""
-        from .base import AllreduceResult
+    def _merge(self) -> "AllreduceResult":
+        """This rank's merged result from its per-bucket partials (the
+        reference path)."""
         parts = sorted(self._partials, key=lambda p: p[0])
-        if update is None:
-            update = self._merge_update(parts)
         if any(res.contributed_indices is None for _, _, res in parts):
             contributed: Optional[np.ndarray] = None
         else:
@@ -684,6 +675,13 @@ class ReduceSession:
                       if res.contributed_indices.size]
             contributed = (np.concatenate(pieces) if pieces
                            else np.empty(0, INDEX_DTYPE))
+        return self._result(self._merge_update(parts), contributed)
+
+    def _result(self, update: Union[COOVector, np.ndarray],
+                contributed: Optional[np.ndarray]) -> "AllreduceResult":
+        """This rank's session result around the merged ``update`` and its
+        contributed indices."""
+        from .base import AllreduceResult
         selected = [st.selected for st in self.bucket_stats
                     if st.selected is not None]
         info: Dict[str, Any] = {
@@ -766,7 +764,7 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
     # same positions, the pacer still runs before each segment.
     session._acc = acc
     plan = session._plan
-    if (session._native and scheme.world_bucket is not None
+    if (session._native and scheme.world_reduce is not None
             and _fused._available(comm)):
         return comm.fused_collective(
             ("reduce_session", t, layout.n, plan.bucket_k),
@@ -781,50 +779,45 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
 def _exec_session(net, sig, lanes):
     """A native bucketed session for the whole current world in one
     rendezvous: :func:`run_session`'s loop and :meth:`ReduceSession.finish`
-    for every rank, around the scheme's world bucket body.
+    for every rank, around the scheme's world program.
 
-    ``lanes[r]`` is rank ``r``'s ``(session, pacer)``.  The plan is walked
-    in bucket order: every rank's pacer for the bucket's segments (the
-    per-segment contract is unchanged), then — a funded bucket only — the
-    issue clocks, the ``world_bucket`` body over every rank's
-    ``acc[lo:hi]`` (``sig[1]`` is the iteration), and each rank's finish
-    clock, rewound to its issue clock when streaming as
-    :class:`~repro.comm.AsyncRegion` does.  Every outcome is booked by
-    the rank's own :meth:`ReduceSession._record`, as on the reference
-    path.  The merged update is built once and handed to all ranks as the
-    same write-protected arrays; everything else is each rank's own.
+    ``lanes[r]`` is rank ``r``'s ``(session, pacer)``.  The scheme's
+    ``world_reduce`` first runs the data side of every funded bucket at
+    once (``sig[1]`` is the iteration; no clock is read).  The plan is
+    then walked in bucket order: every rank's pacer for the bucket's
+    segments (the per-segment contract is unchanged), then — a funded
+    bucket only — the issue clocks, the program's booking pass of the
+    bucket, and each rank's finish clock, rewound to its issue clock when
+    streaming as :class:`~repro.comm.AsyncRegion` does.  Every outcome is
+    booked by the rank's own :meth:`ReduceSession._record`, as on the
+    reference path.  The merged update comes out of the program once, the
+    same write-protected arrays for all ranks; everything else is each
+    rank's own.
     """
     sessions, pacers = zip(*lanes)
     lead = sessions[0]
-    plan, n = lead._plan, lead.layout.n
-    body = lead.scheme.world_bucket
+    plan = lead._plan
     comms = [s.comm for s in sessions]
+    funded = [b for b, k in enumerate(plan.bucket_k) if k]
+    program = lead.scheme.world_reduce(
+        net, sig[1], [(s.comm, s.scheme, s._acc) for s in sessions],
+        [(*plan.extents[b], plan.bucket_k[b]) for b in funded])
     pacers = [pace for pace in pacers if pace is not None]
     for b, bucket in enumerate(plan.buckets):
         for seg in bucket:
             for pace in pacers:
                 pace(seg)
-        k_b = plan.bucket_k[b]
-        if k_b == 0:
+        if not plan.bucket_k[b]:
             for s in sessions:
                 s._record(b)
             continue
-        lo, hi = plan.extents[b]
-        view = BucketView(lo=lo, hi=hi, n=n)
         before = [(s._mark(), c.clock) for s, c in zip(sessions, comms)]
-        results = body(net, sig, [
-            s.scheme._bucket_lane(c, s._acc[lo:hi], k_b, view)
-            for s, c in zip(sessions, comms)])
-        for s, c, res, (mark, issue) in zip(sessions, comms, results,
-                                            before):
+        infos = program.book(funded.index(b))
+        for s, c, info, (mark, issue) in zip(sessions, comms, infos, before):
             span = None
             if s.stream:
                 span = (issue, c.clock)
                 c.rewind_clock(issue)
-            s._record(b, res, mark, span)
-    update = lead._merge_update(sorted(lead._partials, key=lambda p: p[0]))
-    if isinstance(update, COOVector):
-        # shared by all P ranks: nobody may write what everybody reads
-        update.indices.setflags(write=False)
-        update.values.setflags(write=False)
-    return [s._conclude(s._merge(update)) for s in sessions]
+            s._record(b, info, mark, span)
+    return [s._conclude(s._result(program.update, mine))
+            for s, mine in zip(sessions, program.contributed)]

@@ -75,12 +75,13 @@ def threshold_select(x: np.ndarray, threshold: float) -> COOVector:
 # ---------------------------------------------------------------------------
 # Rank-batched selection: one pass over a (P, n) matrix whose rows are the
 # per-rank vectors, handed back rank-major (one ``cols`` / ``vals`` pair and
-# per-rank offsets) so that a sparse reduction can merge it as one stream.
-# Each row's slice is bit-identical to :func:`threshold_select` of that row
-# alone.  The mask is two float32 compares, ``x >= th`` or ``x <= -th``
-# (equal to ``|x| >= th`` for every value and threshold, NaN, infinities,
-# signed zeros and ``th <= 0`` included), built a few rows at a time so
-# that no (P, n) magnitude matrix exists; the indices come from a
+# offsets per rank and column extent — a session's buckets) so that a sparse
+# reduction can merge it as one stream.  Each piece is bit-identical to
+# :func:`threshold_select` of that row's extent alone.  The mask is two
+# float32 compares, ``x >= th`` or ``x <= -th`` (equal to ``|x| >= th``
+# for every value and threshold, NaN, infinities, signed zeros and
+# ``th <= 0`` included), built a few rows at a time so that no (P, n)
+# magnitude matrix exists; the indices come from a
 # two-level scan of the packed mask (its nonzero bytes, then the bits of
 # only those), two to three times cheaper than ``flatnonzero`` over
 # P * n bools at Ok-Topk's densities.  Both boolean buffers can be handed in
@@ -90,36 +91,53 @@ def batched_threshold_select(xs: np.ndarray,
                              thresholds: "np.ndarray | list",
                              mask: "np.ndarray | None" = None,
                              spare: "np.ndarray | None" = None,
+                             extents: "tuple | list" = None,
                              ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Row-wise :func:`threshold_select`, rank-major.
+    """Row-wise :func:`threshold_select`, rank-major, per column extent.
 
-    Returns ``(cols, vals, offsets)``: row ``r`` selected
-    ``cols[offsets[r]:offsets[r + 1]]`` (ascending) with those values.
+    ``extents`` are ascending, disjoint column ranges ``(lo, hi)``
+    (default: the whole row) and ``thresholds`` holds one threshold per
+    row and extent, ``(P, E)`` (or ``(P,)`` for one extent).  Row ``r``
+    selects inside extent ``e`` by ``thresholds[r, e]`` — bit-identical to
+    :func:`threshold_select` of ``xs[r, lo:hi]`` — and nothing outside
+    every extent.  Returns ``(cols, vals, offsets)``: row ``r``'s
+    selection in extent ``e`` is ``cols[offsets[r * E + e]:offsets[r * E
+    + e + 1]]`` (ascending positions in the row) with those values.
     ``mask`` is a boolean buffer shaped like ``xs``; ``spare`` a boolean
     ``(h, n)`` buffer whose row count ``h`` is the block height (default
     4).  The per-rank path compares float32 data against a Python float,
     which numpy evaluates as a float32 comparison (weak scalar promotion);
-    to match it bit-for-bit the thresholds are cast to a float32 column
-    first (negation is exact).
+    to match it bit-for-bit the thresholds are cast to float32 first
+    (negation is exact).
     """
     nranks, n = xs.shape
-    ths = np.asarray(thresholds, dtype=xs.dtype).reshape(nranks, 1)
+    if extents is None:
+        extents = ((0, n),)
+    ths = np.asarray(thresholds, dtype=xs.dtype).reshape(nranks, -1)
     if mask is None:
         mask = np.empty(xs.shape, dtype=bool)
     if spare is None:
         spare = np.empty((min(nranks, 4), n), dtype=bool)
     h = len(spare)
-    for lo in range(0, nranks, h):
-        x, th, m = xs[lo:lo + h], ths[lo:lo + h], mask[lo:lo + h]
-        s = spare[:len(m)]
-        np.greater_equal(x, th, out=m)
-        np.less_equal(x, -th, out=s)
-        m |= s
+    gap = 0
+    for e, (a, b) in enumerate(extents):
+        mask[:, gap:a] = False
+        gap = b
+        for lo in range(0, nranks, h):
+            x, th = xs[lo:lo + h, a:b], ths[lo:lo + h, e:e + 1]
+            m = mask[lo:lo + h, a:b]
+            s = spare[:len(m), :b - a]
+            np.greater_equal(x, th, out=m)
+            np.less_equal(x, -th, out=s)
+            m |= s
+    mask[:, gap:] = False
     packed = np.packbits(mask)          # zero padding selects nothing
     hot = np.flatnonzero(packed != 0)
     bits = np.flatnonzero(np.unpackbits(packed[hot]).view(bool))
     flat = (hot[bits >> 3] << 3) | (bits & 7)
-    offsets = flat.searchsorted(np.arange(nranks + 1) * n)
-    cols = flat - np.repeat(np.arange(nranks) * n, np.diff(offsets))
+    starts = np.arange(nranks)[:, None] * n + [a for a, _ in extents]
+    offsets = flat.searchsorted(np.append(starts.ravel(), nranks * n))
+    cols = flat - np.repeat(np.arange(nranks) * n,
+                            np.diff(offsets[::len(extents)]))
     vals = xs.reshape(-1)[flat].astype(VALUE_DTYPE, copy=False)
     return cols.astype(INDEX_DTYPE), vals, offsets

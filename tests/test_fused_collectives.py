@@ -34,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.allreduce import ParamLayout, make_allreduce
 from repro.allreduce import oktopk as oktopk_mod
+from repro.allreduce.schedule import compile_split_reduce
 from repro.allreduce.session import run_session
 from repro.bench.harness import perf_proxy, proxy_network
 from repro.comm import Network, NetworkModel, collectives as coll, \
@@ -823,6 +824,46 @@ def _final_count(res, counter, rank=0):
                for _, leaves in res.results[rank][1])
 
 
+def _shared_rows(p, special=True, iters=4):
+    """Per iteration, every rank's accumulator as a row of one ``(P, n)``
+    matrix: the same data every iteration (a reused threshold selects
+    what it did) except that segment 1 is 1000x louder at even
+    iterations (the guard trips in its bucket only), segment 2 is all
+    zero (``local_th = 0``: exact top-k) and, ``special``, rank 1 holds a
+    NaN in segment 4 at t = 3 and the last rank +inf in segment 0 at
+    t = 2."""
+    base = np.random.default_rng(p).standard_normal(
+        (p, OK_N)).astype(np.float32)
+    mats = []
+    for t in range(1, iters + 1):
+        m = base.copy()
+        m[:, OK_LAYOUT[2].sl] = 0.0
+        if t % 2 == 0:
+            m[:, OK_LAYOUT[1].sl] *= np.float32(1000.0)
+        if special and t == 3:
+            m[1, OK_LAYOUT[4].offset + 5] = np.nan
+        if special and t == 2:
+            m[p - 1, OK_LAYOUT[0].offset + 7] = np.inf
+        mats.append(m)
+    return mats
+
+
+def _shared_prog(comm, scheme, mode, mats, k):
+    """Chained one-segment-bucket sessions over this rank's rows of
+    ``mats`` (``tau = tau' = 2``)."""
+    algo = make_allreduce(scheme, k=k, tau=2, tau_prime=2)
+    outs = []
+    for t, m in enumerate(mats, 1):
+        def pacer(seg, _c=comm):
+            _c.compute(2e-6)
+
+        res = run_session(algo, comm, OK_LAYOUT, t, m[comm.rank],
+                          bucket_size=1,
+                          pacer=pacer if mode == "stream" else None)
+        outs.append((_fingerprint(res), comm.clock))
+    return outs, _state_leaves(algo)
+
+
 class TestOkTopkWorldExecutor:
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("mode", MODES)
@@ -986,15 +1027,132 @@ class TestOkTopkWorldExecutor:
                     # fresh thresholds: every bucket ships all it has
                     assert idx.size == layout.n
 
+    @pytest.mark.parametrize("k", [5, 40])
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    @pytest.mark.parametrize("mode", ["analytic", "stream"])
+    @pytest.mark.parametrize("scheme", ["oktopk", "oktopk_q"])
+    def test_session_on_rows_of_one_matrix(self, scheme, mode, p, k,
+                                           rendezvous_log, monkeypatch):
+        """Every rank's accumulator a row of one shared ``(P, n)`` matrix
+        — the stacked path the rank-batched BERT proxy takes — in a
+        six-bucket session (:func:`_shared_rows`): consensus at t = 1 and
+        3, reused thresholds at t = 2 and 4, a guard trip in one bucket
+        only, an all-zero bucket, NaN and +inf in one rank's buckets (not
+        for ``oktopk_q``: its quantizer has no code for a non-finite
+        value, on either path) and, at k = 5, zero-budget buckets.
+        Three-way identical, and the fused run selected with ONE stacked
+        scan per iteration over all buckets and never ran the per-rank
+        selection."""
+        mats = _shared_rows(p, special=scheme == "oktopk")
+        scans, per_rank = [], []
+        inner = oktopk_mod.batched_threshold_select
+        select_local = oktopk_mod.OkTopkAllreduce._select_local
+
+        def spy(xs, *args):
+            scans.append(xs.shape)
+            return inner(xs, *args)
+
+        def spy_local(self, *args):
+            per_rank.append(args)
+            return select_local(self, *args)
+
+        monkeypatch.setattr(oktopk_mod, "batched_threshold_select", spy)
+        monkeypatch.setattr(oktopk_mod.OkTopkAllreduce, "_select_local",
+                            spy_local)
+        run_spmd(p, _shared_prog, scheme, mode, mats, k, runner="coop",
+                 fused=True)
+        assert scans == [(p, OK_N)] * len(mats)
+        assert not per_rank
+        assert Counter(e.head for e in rendezvous_log) == {
+            "reduce_session": p * len(mats)}
+        del rendezvous_log[:]
+
+        three_way(_shared_prog, p, scheme, mode, mats, k, log=rendezvous_log,
+                  faults=FaultPlan.straggler_skew(p, seed=p))
+        res = three_way(_shared_prog, p, scheme, mode, mats, k,
+                        log=rendezvous_log)
+        from repro.allreduce import OkTopkState
+        guards = [{ext: OkTopkState(*leaves).guard_evaluations
+                   for ext, leaves in states}
+                  for _, states in res.results]
+        outs = res.results[0][0]
+        budgets = outs[0][0][5][-1]
+        loud, zero, nan = OK_LAYOUT[1], OK_LAYOUT[2], OK_LAYOUT[4]
+        # rank 0's guard tripped in the loud bucket only; rank 1's also
+        # where its NaN became the threshold (a budget of one)
+        assert {ext for ext, g in guards[0].items() if g} == {
+            (loud.offset, loud.end)}
+        assert (guards[1][(nan.offset, nan.end)] > 0) == (
+            k == 5 and scheme == "oktopk")
+        # the all-zero bucket ships its budget as explicit zeros
+        for (idx, val, *_), _clock in outs:
+            in_zero = (idx >= zero.offset) & (idx < zero.end)
+            assert in_zero.sum() == budgets[3] and not val[in_zero].any()
+        # zero-budget buckets get no state
+        assert len(guards[0]) == sum(1 for kb in budgets if kb)
+        assert (0 in budgets) == (k == 5)
+
+    @pytest.mark.parametrize("loud", [False, True])
+    def test_selection_hands_back_interleaved_charges(self, loud):
+        """``_select_local`` hands its compute charges back and the
+        reference path books them after the scan (``_pay``).  Under a
+        straggler whose window opens in the middle of the selection —
+        inside its first charge — clocks and phase tables are bit-equal
+        to charging each step as the selection makes it: the fresh
+        threshold's sort then the scan at t = 1, and at t = 2 the scan on
+        the reused threshold plus, on a 1000x louder accumulator, the
+        guard's sort and scan."""
+        n, k = OK_N, 30
+        model = NetworkModel()
+        sort = model.sort_time * n * np.log2(n)
+        plan = FaultPlan(stragglers=[ComputeStraggler(
+            rank=0, factor=3.0, t_start=sort / 2)])
+        steps = {1: ["sort", "scan"],
+                 2: ["scan", "sort", "scan"] if loud else ["scan"]}
+
+        def prog(comm, interleaved):
+            algo = make_allreduce("oktopk", k=k, tau_prime=2)
+            st = algo._state_for(n, 0, n)
+            out = []
+            for t in (1, 2):
+                acc = _acc_normal(0, 1) * np.float32(
+                    1000.0 if loud and t == 2 else 1.0)
+                with comm.phase("sparsification"):
+                    if interleaved:
+                        for step in steps[t]:
+                            getattr(comm, f"compute_{step}")(n)
+                    else:
+                        local, charges = algo._select_local(st, acc, k, t)
+                        assert [c.__name__ for c, _ in charges] == [
+                            f"compute_{step}" for step in steps[t]]
+                        assert all(words == n for _, words in charges)
+                        oktopk_mod._pay(comm, charges)
+                out.append((comm.clock, comm.phase_times()))
+            return out
+
+        got, want, clean = (run_spmd(2, prog, interleaved, runner="coop",
+                                     fused=False, faults=faults).results
+                            for interleaved, faults in ((False, plan),
+                                                        (True, plan),
+                                                        (False, None)))
+        assert got == want
+        assert got[0][0] != clean[0][0]             # the window did open
+        assert got[1] == clean[1]
+
     @given(p=st.integers(2, 6), n=st.integers(24, 400),
            k=st.integers(1, 40), bucket_size=st.integers(1, 200),
-           seed=st.integers(0, 10**6))
+           seed=st.integers(0, 10**6), shared=st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_identity_is_a_property(self, p, n, k, bucket_size, seed):
-        """Any (P, n, k, session bucket size, seed): two chained
-        iterations, one-shot and streamed, agree three ways."""
+    def test_identity_is_a_property(self, p, n, k, bucket_size, seed,
+                                    shared):
+        """Any (P, n, k, session bucket size, seed), with every rank's
+        accumulator its own array or a row of one shared matrix (the
+        stacked path): two chained iterations, one-shot and streamed,
+        agree three ways."""
         layout = ParamLayout.from_sizes(
             [n // 3, n // 4, n - n // 3 - n // 4])
+        mats = [np.random.default_rng(seed + t).standard_normal(
+            (p, n)).astype(np.float32) for t in (1, 2)]
 
         def prog(comm):
             rng = np.random.default_rng(seed + comm.rank)
@@ -1002,7 +1160,8 @@ class TestOkTopkWorldExecutor:
             bucketed = make_allreduce("oktopk_q", k=k, tau=2, tau_prime=1)
             outs = []
             for t in (1, 2):
-                acc = rng.standard_normal(n).astype(np.float32)
+                acc = (mats[t - 1][comm.rank] if shared
+                       else rng.standard_normal(n).astype(np.float32))
                 outs.append(_fingerprint(oneshot.reduce(comm, acc, t)))
                 outs.append(_fingerprint(run_session(
                     bucketed, comm, layout, t, acc, bucket_size=bucket_size,
@@ -1108,14 +1267,19 @@ SR_N, SR_K = 600, 48
 
 
 def _exec_sr_stage(net, sig, payloads):
-    """The executor half of :func:`_sr_prog`: what ``_exec_reduce`` does
-    around its split-and-reduce stage."""
+    """The executor half of :func:`_sr_prog`: what the world reduction
+    does around its split-and-reduce stage, for one extent."""
     comms, local, boundaries = zip(*payloads)
     for comm, loc in zip(comms, local):
         comm.compute_scan(loc.nnz)
-    idx, val, cuts = oktopk_mod._exec_split_reduce(
-        net, _world_state(net), sig[1], sig[2],
-        *oktopk_mod._rank_major(local), boundaries)
+    ws = _world_state(net)
+    tables, order = compile_split_reduce(len(comms), sig[1], sig[2])
+    count, idx, val, cuts = oktopk_mod._split_reduce(
+        ws, order, local[0].n,
+        *oktopk_mod._rank_major([(loc.indices, loc.values)
+                                 for loc in local]),
+        np.array(boundaries)[:, None])
+    oktopk_mod._book_split_reduce(net, ws, tables, count[:, 0])
     return [COOVector(loc.n, idx[lo:hi], val[lo:hi])
             for loc, lo, hi in zip(local, cuts, cuts[1:])]
 

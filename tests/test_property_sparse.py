@@ -139,6 +139,34 @@ class TestBatchedThresholdSelect:
             np.testing.assert_array_equal(got_c, ref.indices)
             assert got_v.tobytes() == ref.values.tobytes()
 
+    @given(stacked_selections(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_extents_match_threshold_select(self, case, data):
+        """With column ``extents`` (ascending, disjoint, gaps allowed) and
+        one threshold per row and extent, piece ``(r, e)`` is
+        :func:`threshold_select` of ``xs[r, lo:hi]`` shifted by ``lo``,
+        and nothing outside every extent is selected."""
+        xs, ths = case
+        n = xs.shape[1]
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=2,
+                                         max_size=8)))
+        extents = [(a, b) for a, b in zip(cuts[::2], cuts[1::2])]
+        if not extents:
+            extents = [(0, n)]
+        per = np.array([np.roll(ths, e) for e in range(len(extents))]).T
+        cols, vals, offsets = batched_threshold_select(xs, per,
+                                                       extents=extents)
+        assert offsets.size == len(ths) * len(extents) + 1
+        assert offsets[0] == 0 and offsets[-1] == cols.size == vals.size
+        for r in range(len(ths)):
+            for e, (lo, hi) in enumerate(extents):
+                i = r * len(extents) + e
+                ref = threshold_select(xs[r, lo:hi], float(per[r, e]))
+                np.testing.assert_array_equal(
+                    cols[offsets[i]:offsets[i + 1]], ref.indices + lo)
+                assert (vals[offsets[i]:offsets[i + 1]].tobytes()
+                        == ref.values.tobytes())
+
 
 class TestCOOAlgebra:
     @given(coo_vectors(), coo_vectors())
