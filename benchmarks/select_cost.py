@@ -26,10 +26,12 @@ for the whole world with every rank's accumulator a row of one shared
 matrix (the stacked path of lockstep rank batching), after one warm-up
 iteration that sets the thresholds and boundaries:
 
-* ``data``: the data pass (``repro.allreduce.oktopk._world_session``:
-  selection, split-and-reduce, phase 2 and the contributed indices of
-  every funded extent), and
-* ``data+book``: the data pass plus every extent's booking pass.
+* ``data``: the data pass, the kernel called directly
+  (``repro.allreduce.oktopk.stages``: selection, split-and-reduce,
+  phase 2 and the contributed indices of every funded extent; no
+  network), and
+* ``data+book``: the data pass plus every extent's booking pass
+  (``repro.allreduce.oktopk.book`` on a bare ``Network``).
 
 The shapes are the BERT proxy's streamed session (P = 8, its 31 784-word
 layout in ``bucket_size=4096`` buckets: 6 extents, k = 317) and the mlp
@@ -52,9 +54,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.allreduce import OkTopkAllreduce  # noqa: E402
+from repro.allreduce import OkTopkAllreduce, OkTopkState  # noqa: E402
 from repro.allreduce.oktopk import (_book_split_reduce,  # noqa: E402
-                                    _split_reduce, _world_session)
+                                    _split_reduce, book, stages)
 from repro.allreduce.schedule import compile_split_reduce  # noqa: E402
 from repro.bench import bert_proxy  # noqa: E402
 from repro.comm import Network, SimComm  # noqa: E402
@@ -92,7 +94,7 @@ def costs(p: int, n: int, k: int, calls: int, repeat: int) -> dict:
 
     def reduce():
         count = _split_reduce(ws, order, n, cols, vals, offsets, bounds)[0]
-        _book_split_reduce(net, ws, tables, count[:, 0])
+        _book_split_reduce(net, tables, count[:, 0])
 
     return _median_us({"select": select, "reduce": reduce}, calls, repeat)
 
@@ -103,21 +105,21 @@ def session_costs(p: int, extents: list, calls: int, repeat: int) -> dict:
     n = max(hi for _, hi, _ in extents)
     xs = np.random.default_rng(p * n).standard_normal(
         (p, n)).astype(np.float32)
+    scheme, ws = OkTopkAllreduce(k=1), _WorldState()
+    states = [[OkTopkState(hi - lo) for _ in range(p)]
+              for lo, hi, _ in extents]
     net = Network(p)
-    lanes = [(SimComm(net, r), OkTopkAllreduce(k=1), xs[r])
-             for r in range(p)]
+    comms = [SimComm(net, r) for r in range(p)]
 
-    def data():
-        return _world_session(net, 2, lanes, extents)
+    def data(t=2):
+        return stages(scheme, xs, extents, states, t, ws)
 
-    def whole():
-        program = data()
+    def whole(t=2):
+        stg = data(t)
         for e in range(len(extents)):
-            program.book(e)
+            book(net, comms, stg, e)
 
-    program = _world_session(net, 1, lanes, extents)    # t = 1: tau work
-    for e in range(len(extents)):
-        program.book(e)
+    whole(1)                                    # t = 1: tau work
     return _median_us({"data": data, "data+book": whole}, calls, repeat)
 
 

@@ -137,16 +137,15 @@ class GradientAllreduce(ABC):
     #: backward pass (DenseOvlp's legacy contract); sessions report
     #: ``release_frac = 0.0`` for its buckets
     overlap_from_start: bool = False
-    #: the world program of a native session on the fast path, or None:
-    #: ``(net, t, lanes, extents)`` -> a program over every rank
-    #: (``lanes[r]`` = rank ``r``'s ``(comm, scheme, acc)``) and every
-    #: funded bucket (``extents``: ``(lo, hi, k)`` in plan order) whose
-    #: data side has run; ``book(e)`` books bucket ``extents[e]`` for
-    #: every rank and returns each rank's info, ``update`` is the merged
-    #: update and ``contributed[r]`` rank ``r``'s contributed indices
-    #: (Ok-Topk: its ``_world_session``; see
-    #: :func:`repro.allreduce.session._exec_session`)
-    world_reduce = None
+    #: the world hooks of a native session on the fast path, or None:
+    #: ``world_reduce(net, t, lanes, extents)`` runs the data side for
+    #: every rank (``lanes[r]``: its ``(comm, scheme, acc)``) and funded
+    #: bucket (``extents``: ``(lo, hi, k)`` in plan order) -> a record
+    #: with the merged ``update`` and each rank's ``contributed`` indices;
+    #: ``world_book(net, comms, record, e)`` books bucket ``extents[e]``
+    #: for every rank -> each rank's info (Ok-Topk: ``oktopk.stages`` and
+    #: ``oktopk.book``; see :func:`repro.allreduce.session._exec_session`)
+    world_reduce = world_book = None
 
     def __init__(self, *, k: Optional[int] = None,
                  density: Optional[float] = None):

@@ -59,8 +59,8 @@ every one of them.  A one-bucket plan never reaches the bucket entry
 (sessions delegate to the one-shot ``_reduce``, bit-identical by
 construction).
 
-Two drivers, one rendezvous and one data pass per reduction
------------------------------------------------------------
+Two drivers; on the fast path one kernel and one booking pass
+-------------------------------------------------------------
 
 Algorithm 1 is *one* sparse allreduce, and on the fast path it is one
 engine dispatch.  Both entry points — :meth:`OkTopkAllreduce._reduce`
@@ -76,34 +76,33 @@ session parks every rank once per iteration (``"reduce_session"``,
 :func:`repro.allreduce.session._exec_session`) and calls the scheme's
 ``world_reduce`` (:func:`_world_session`) once for all of its buckets.
 
-Both run one program, :class:`_WorldReduction`, over the funded extents
-of the reduction (a one-shot reduction is its one-extent case), in two
-passes.  The data pass reads no clock, so it runs once, before any
-booking: selection for every rank and bucket (stacked into one scan where
-the accumulators are the rows of one matrix, :func:`_select_world`;
-handed on rank-major, one ``cols`` / ``vals`` stream in global
-positions), the consensus sum where tau is due, split-and-reduce of every
-bucket's regions as one sort (:func:`_split_reduce`: a sparse reduction
-is a merge of sorted index streams, as in SparCML), the global threshold
-where tau' is due, the phase-2 keep mask, package sizes, balancing
-decision and ``package_codec`` round trip, ``u_t`` (assembled once,
-shared write-protected) and every rank's contributed indices.  The
-booking pass runs per bucket, in plan order between the session's
-pacers, and replays each rank's charge sequence of the per-rank driver:
-the selection charges :meth:`OkTopkAllreduce._select_local` hands back,
-the split scan, the ``(P, m)`` split-and-reduce bookings from compiled
-schedule tables (:func:`_book_split_reduce`), the consensus / allgatherv
-/ alltoallv replays and the package scans.  Simulated charges and phase
-deltas go through each rank's own communicator.
+Both stack the accumulators into one ``(P, n)`` matrix (zero-copy where
+they already are its rows, as under lockstep rank batching) and call
+:func:`stages`, Algorithm 1's data side as one clock-free kernel over the
+funded extents: one stacked selection scan (:func:`_select_world`,
+handed on rank-major), the consensus sum where tau is due,
+split-and-reduce of every extent's regions as one sort
+(:func:`_split_reduce`: a sparse reduction is a merge of sorted index
+streams, as in SparCML), the global threshold where tau' is due, the
+phase-2 keep mask, package sizes, balancing decision and
+``package_codec`` round trip, ``u_t`` and every rank's contributed
+indices, all in a frozen :class:`Stages` record.  It needs no network,
+so tests and offline experiments call it directly.  :func:`book` (the
+scheme's ``world_book``) is the only code that touches a clock: per
+extent, in plan order between the session's pacers, it replays each
+rank's charge sequence of the per-rank driver — the selection charges
+:meth:`OkTopkAllreduce._select_local` would hand back, the split scan,
+the split-and-reduce bookings (:func:`_book_split_reduce`), the
+consensus / allgatherv / alltoallv replays and the package scans —
+through each rank's own communicator.
 
 Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
 step a planned crash fires in, ``P = 1`` — the per-rank methods below run
 Algorithm 1 message by message.  They are the reference path and the
-oracle of the identity suite
-(``tests/test_fused_collectives.py::TestOkTopkWorldExecutor``), which is
-why the program mirrors them stage by stage instead of sharing their
-code; what the two do share are the purely local halves (the selection's
-``_refresh_local_th`` / ``_recheck``, ``_proposal``,
+oracle of the identity suites (``tests/test_oktopk_stages.py`` stage by
+stage, ``tests/test_fused_collectives.py::TestOkTopkWorldExecutor`` on
+results, clocks and traffic); what the two share are the purely local
+halves (``_refresh_local_th`` / ``_recheck``, ``_proposal``,
 ``_adopt_boundaries``, :func:`_global_th`) and the ``package_codec`` hook
 ``oktopk_q`` plugs its quantizer into.
 """
@@ -212,7 +211,7 @@ def _region_order(key: np.ndarray, span: int, bits: int = 63) -> np.ndarray:
     return key
 
 
-def _book_split_reduce(net, ws, tables, count):
+def _book_split_reduce(net, tables, count):
     """Book the exchange of ``count[src, owner]``-entry pieces (2 wire
     words each) for the whole world: the reference path's exact booking
     sequence, a few operations on ``(P, m)`` matrices per bucket of
@@ -248,7 +247,7 @@ def _book_split_reduce(net, ws, tables, count):
     if faults is not None:
         cpw = faults.by_rank(world)[2]
         slow = [(r, s) for r, s in enumerate(world) if faults.link_faulty[s]]
-    links = ws.scratch("sr_links", (3, p, p), np.float64)   # rows: < p long
+    links = np.empty((3, p, p))     # rows: < p long
     prev = None
     for tb in tables:
         # posts: one batched egress booking per rank (isend_batch)
@@ -327,18 +326,16 @@ def _charge(clocks: np.ndarray, seconds, cpw) -> None:
     clocks += seconds
 
 
-def _select_world(ws, schemes, accs, span, t):
-    """Local selection (Algorithm 1 lines 2-4) of every rank in every
-    extent of ``span`` (ascending), handed back rank-major:
-    ``(cols, vals, offsets)``, rank ``r``'s selection in extent ``e``
-    being ``cols[offsets[r * E + e]:offsets[r * E + e + 1]]`` (positions
-    in the whole accumulator) with those values.  Sets every extent's
-    ``charges``: each rank's compute charges in the order the per-rank
-    selection makes them, for the booking pass.
+def _select_world(ws, scheme, xs, span, t):
+    """Local selection (Algorithm 1 lines 2-4) of every rank (row of the
+    ``(P, n)`` matrix ``xs``) in every extent ``(lo, hi, k, states)`` of
+    ``span`` (ascending), handed back rank-major: ``(cols, vals,
+    offsets, charges)``, rank ``r``'s selection in extent ``i`` being
+    ``cols[offsets[r * E + i]:offsets[r * E + i + 1]]`` (positions in the
+    whole row) with those values and ``charges[i][r]`` its compute
+    charges in the order the per-rank selection makes them.
 
-    Where the accumulators are the consecutive rows of one shared matrix
-    (lockstep rank batching: they live in the world's accumulate buffer)
-    the per-iteration selection of every extent is ONE stacked threshold
+    The per-iteration selection of every extent is ONE stacked threshold
     scan over the matrix (:func:`~repro.sparse.topk.batched_threshold_select`,
     one threshold per rank and extent; a session's buckets are column
     extents of the rows).  The tau' re-evaluation is :func:`kth_largest_abs`
@@ -347,51 +344,35 @@ def _select_world(ws, schemes, accs, span, t):
     path (``local_th <= 0``: all-zero accumulator or ``k >= n``) and the
     selection-guard re-evaluation, which a NaN threshold always trips — is
     :meth:`OkTopkAllreduce._recheck` per rank and extent, spliced in.
-    Uneven shards after a shrink still stack: the world fwd/bwd runs per
-    run of equal shards, into one gradient matrix.  Rows that do not
-    stack without a copy (per-rank model math: the VGG and LSTM proxies
-    or diverged replicas) run :meth:`OkTopkAllreduce._select_local` per
-    rank and extent and are concatenated — copying them into a stack
-    first measured no faster and cost memory.  Stacking one bucket's
-    column slice per call did not pay either (300 -> 350 us per bucket
-    on the BERT proxy); one scan over every bucket's extent does.
+    Stacking one bucket's column slice per call did not pay (300 -> 350
+    us per bucket on the BERT proxy); one scan over every bucket's extent
+    does.
     """
-    from ..train.rankbatch import _shared_base
-    p, m = len(accs), len(span)
-    for x in span:
-        x.charges = [None] * p
-    xs = _shared_base(accs)
-    if xs is None:
-        pieces = []
-        for r, (ar, acc) in enumerate(zip(schemes, accs)):
-            for x in span:
-                sel, x.charges[r] = ar._select_local(
-                    x.states[r], acc[x.lo:x.hi], x.k, t)
-                pieces.append((sel.indices + x.lo, sel.values))
-        return _rank_major(pieces)
+    p, m = len(xs), len(span)
+    charges = [[None] * p for _ in span]
     ths = []
-    for r, (ar, row) in enumerate(zip(schemes, xs)):
-        for x in span:
-            x.charges[r] = ar._refresh_local_th(x.states[r], row[x.lo:x.hi],
-                                                x.k, t)
-            ths.append(x.states[r].local_th)
+    for r, row in enumerate(xs):
+        for i, (lo, hi, k, sts) in enumerate(span):
+            charges[i][r] = scheme._refresh_local_th(sts[r], row[lo:hi], k, t)
+            ths.append(sts[r].local_th)
     cols, vals, offsets = batched_threshold_select(
         xs, ths, ws.scratch("select_mask", xs.shape, bool),
         ws.scratch("select_spare", (min(p, 4), xs.shape[1]), bool),
-        [(x.lo, x.hi) for x in span])
+        [x[:2] for x in span])
     ends = offsets.tolist()
     fixed = {}
-    for r, (ar, row) in enumerate(zip(schemes, xs)):
-        for e, x in enumerate(span):
-            i = r * m + e
-            sel = ar._recheck(x.states[r], row[x.lo:x.hi], x.k,
-                              ends[i + 1] - ends[i], x.charges[r])
+    for r, row in enumerate(xs):
+        for i, (lo, hi, k, sts) in enumerate(span):
+            j = r * m + i
+            sel = scheme._recheck(sts[r], row[lo:hi], k,
+                                  ends[j + 1] - ends[j], charges[i][r])
             if sel is not None:
-                fixed[i] = (sel.indices + x.lo, sel.values)
-    if not fixed:
-        return cols, vals, offsets
-    return _rank_major([fixed.get(i, (cols[a:b], vals[a:b]))
-                        for i, (a, b) in enumerate(zip(ends, ends[1:]))])
+                fixed[j] = (sel.indices + lo, sel.values)
+    if fixed:
+        cols, vals, offsets = _rank_major(
+            [fixed.get(j, (cols[a:b], vals[a:b]))
+             for j, (a, b) in enumerate(zip(ends, ends[1:]))])
+    return cols, vals, offsets, charges
 
 
 def _rank_major(pieces):
@@ -421,213 +402,241 @@ def _world_phase(net, comms, name: str):
         times[name] = times.get(name, 0.0) + clocks[c.slot] - start
 
 
-class _Extent:
-    """One funded extent ``[lo, hi)`` of a world reduction: its budget
-    ``k`` and every rank's state, then what the data pass leaves for the
-    booking pass to replay and each rank's ``infos``."""
+@dataclass(frozen=True)
+class Stages:
+    """Every data stage of Algorithm 1 for the whole world over the funded
+    extents of one reduction (:func:`stages`).  Per-extent fields are
+    tuples in the order the extents were given; ``[e][r]`` is rank
+    ``r``'s entry in extent ``e``.  ``infos[e][r]`` is rank ``r``'s
+    reduction info: its local and global thresholds, selected count,
+    boundaries and the balance decision.  Selections are positions in
+    the rows; their values are the accumulator's."""
 
-    __slots__ = ("lo", "hi", "k", "states", "charges", "nsel", "consensus",
-                 "count", "region", "gathered", "rows", "encoded", "words",
-                 "infos")
+    guard_trips: tuple  #: [e][r] the selection guard re-evaluated
+    charges: tuple      #: [e][r] selection charges, ``(SimComm method, words)``
+    selection: tuple    #: rank-major ``(cols, offsets)``, :func:`_select_world`
+    consensus: tuple    #: [e] ``(words, words per entry)`` if tau was due, else None
+    count: tuple        #: [e] piece sizes ``count[src, owner]``
+    reduced: tuple      #: [e] ``(idx, val)`` of the regions, owner by owner
+    region: tuple       #: [e][r] entries of rank ``r``'s reduced region
+    gathered: tuple     #: [e] how many values the tau' gather sorted, or None
+    sizes: tuple        #: [e][r] package sizes before balancing
+    rows: tuple         #: [e] balancing alltoallv word matrix, or None
+    encoded: tuple      #: [e][r] values the package codec encoded, or ()
+    words: tuple        #: [e][r] wire words of the package allgatherv
+    infos: tuple        #: [e][r] reduction infos
+    tables: tuple       #: split-and-reduce schedule of :func:`book`
+    update: COOVector   #: ``u_t`` over all extents, shared write-protected
+    contributed: tuple  #: [r] Algorithm 1 line 14
 
-    def __init__(self, lo: int, hi: int, k: int, states):
-        self.lo, self.hi, self.k, self.states = lo, hi, k, states
-        self.consensus = self.gathered = self.rows = None
-        self.encoded = ()
 
+def stages(scheme, acc, extents, states, t: int, scratch=None) -> Stages:
+    """Algorithm 1's data side for the whole world: ``acc`` is the ``(P,
+    n)`` float32 matrix of every rank's accumulator (or its rows, stacked
+    by :meth:`~repro.train.rankbatch._WorldState.stack`), ``extents`` the
+    funded ``(lo, hi, k)`` (disjoint; codecs draw in this order) and
+    ``states[e][r]`` rank ``r``'s :class:`OkTopkState` of extent ``e``,
+    updated exactly as the per-rank driver updates it.  ``scheme`` is the
+    scheme, or each rank's (a stochastic ``package_codec`` draws from the
+    rank's own generator); ``scratch`` lends the world-sized temporaries
+    (a :class:`~repro.train.rankbatch._WorldState`).  Reads no clock and
+    needs no network: :func:`book` replays the charges.
 
-class _WorldReduction:
-    """Algorithm 1 for the whole current world over the funded extents of
-    one reduction (module docstring, "Two drivers"): the constructor is
-    the data pass, :meth:`book` the booking pass of one extent.
-
-    The data pass updates every rank's :class:`OkTopkState` exactly as
-    the per-rank driver does.  Balancing moves whole runs of the
-    rank-ordered package sequence, so with or without it the allgatherv
-    delivers the selected region packages in rank order: ``update``
-    (``u_t`` over all extents, in index order) is built once and shared
-    write-protected by all P ranks; ``contributed[r]`` is rank ``r``'s
-    Algorithm 1 line 14.  Every booking lands on the same links at the
-    same times as the per-rank driver's (simulated time is schedule
-    independent; see :mod:`repro.comm.fused`).
+    Balancing moves whole runs of the rank-ordered package sequence, so
+    with or without it the allgatherv delivers the selected region
+    packages in rank order: ``u_t`` over all extents, in index order, is
+    built once.  A ``P = 1`` world ships its package as it is (no codec),
+    as the per-rank driver does.
     """
+    from ..train.rankbatch import _WorldState
+    ws = _WorldState() if scratch is None else scratch
+    acc = acc if isinstance(acc, np.ndarray) else ws.stack("oktopk_acc", acc)
+    p, n = acc.shape
+    schemes = scheme if isinstance(scheme, (list, tuple)) else [scheme] * p
+    lead = schemes[0]           # SPMD: one configuration
+    tables, order = compile_split_reduce(p, lead.rotation, lead.bucket_size)
+    m = len(extents)
+    span = sorted(range(m), key=lambda e: extents[e][0])
+    guards = [[st.guard_evaluations for st in sts] for sts in states]
 
-    def __init__(self, net, t: int, comms, schemes, accs, extents):
-        from ..train.rankbatch import _world_state
-        self.net, self.comms, self.extents = net, comms, extents
-        self.ws = ws = _world_state(net)
-        p, n = len(comms), accs[0].size
-        lead = schemes[0]           # SPMD: one configuration
-        self.tables, order = compile_split_reduce(p, lead.rotation,
-                                                  lead.bucket_size)
-        span = sorted(extents, key=lambda x: x.lo)
-        m = len(span)
+    # -- lines 2-4: local selection ----------------------------------------
+    cols, vals, offsets, charges = _select_world(
+        ws, lead, acc, [(*extents[e], states[e]) for e in span], t)
+    nsel = np.diff(offsets).reshape(p, m)
+    consensus, count, reduced, region, gathered = ([None] * m
+                                                   for _ in range(5))
 
-        # -- lines 2-4: local selection ----------------------------------
-        cols, vals, offsets = _select_world(ws, schemes, accs, span, t)
-        nsel = np.diff(offsets).reshape(p, m)
+    # -- lines 5-7: consensus boundaries where tau is due ------------------
+    for i, e in enumerate(span):
+        lo, hi, _ = extents[e]
+        if states[e][0].boundaries is None or lead._due(t, lead.tau):
+            proposals = [lead._proposal(cols[offsets[r * m + i]:
+                                             offsets[r * m + i + 1]] - lo,
+                                        hi - lo, p) for r in range(p)]
+            summed = _fused._sum_tree(proposals, p, halving=False)
+            for st in states[e]:
+                lead._adopt_boundaries(st, summed, p, hi - lo)
+            consensus[e] = (summed.size, _fused._wpe(summed))
 
-        # -- lines 5-7: consensus boundaries where tau is due -------------
-        for e, x in enumerate(span):
-            x.nsel = nsel[:, e].tolist()
-            if x.states[0].boundaries is None or lead._due(t, lead.tau):
-                n_e = x.hi - x.lo
-                proposals = [ar._proposal(cols[offsets[r * m + e]:
-                                               offsets[r * m + e + 1]] - x.lo,
-                                          n_e, p)
-                             for r, ar in enumerate(schemes)]
-                summed = _fused._sum_tree(proposals, p, halving=False)
-                for ar, st in zip(schemes, x.states):
-                    ar._adopt_boundaries(st, summed, p, n_e)
-                x.consensus = (summed.size, _fused._wpe(summed))
+    # -- line 8: split and reduce --------------------------------------------
+    bounds = np.array([[states[e][r].boundaries for e in span]
+                       for r in range(p)], dtype=np.int64)
+    bounds += np.array([extents[e][0] for e in span])[:, None]
+    counts, idx, val, cuts = _split_reduce(ws, order, n, cols, vals,
+                                           offsets[::m], bounds)
+    sizes_all = np.diff(cuts).tolist()
 
-        # -- line 8: split and reduce -------------------------------------
-        bounds = np.array([[x.states[r].boundaries for x in span]
-                           for r in range(p)], dtype=np.int64)
-        bounds += np.array([x.lo for x in span])[:, None]
-        count, idx, val, cuts = _split_reduce(ws, order, n, cols, vals,
-                                              offsets[::m], bounds)
-        region = np.diff(cuts).tolist()
+    # -- lines 9-12: global threshold where tau' is due --------------------
+    for i, e in enumerate(span):
+        a, b = cuts[i * p], cuts[(i + 1) * p]
+        count[e], reduced[e] = counts[:, i], (idx[a:b], val[a:b])
+        region[e] = sizes_all[i * p:(i + 1) * p]
+        if states[e][0].global_th is None or lead._due(t, lead.tau_prime):
+            gth = _global_th(val[a:b], extents[e][2])
+            for st in states[e]:
+                st.global_th = gth
+                st.global_evaluations += 1
+            gathered[e] = b - a
 
-        # -- lines 9-12: global threshold where tau' is due ---------------
-        for e, x in enumerate(span):
-            x.count = count[:, e]
-            x.region = region[e * p:(e + 1) * p]
-            if x.states[0].global_th is None or lead._due(t, lead.tau_prime):
-                reduced = val[cuts[e * p]:cuts[(e + 1) * p]]
-                gth = _global_th(reduced, x.k)
-                for st in x.states:
-                    st.global_th = gth
-                    st.global_evaluations += 1
-                x.gathered = reduced.size
+    # -- line 13: balance and allgatherv -------------------------------------
+    # one masked pass: a region keeps |val| >= its rank's global
+    # threshold (float32, as COOVector.select_threshold compares)
+    ths = [st.global_th for e in span for st in states[e]]
+    keep = np.abs(val) >= np.repeat(np.array(ths, dtype=VALUE_DTYPE),
+                                    sizes_all)
+    for th, a, b in zip(ths, cuts, cuts[1:]):
+        if not th > 0:
+            keep[a:b] = True        # no threshold: the region ships whole
+    kept = np.flatnonzero(keep)
+    at = kept.searchsorted(cuts).tolist()   # the regions' runs of u_t
+    u_idx, u_val = idx[kept], val[kept]
+    codec = lead.package_codec if p > 1 else None
+    sizes, rows, encoded, words, infos = ([None] * m for _ in range(5))
+    packages = np.diff(at).tolist()
+    for e in range(m):          # given order: each rank's codec draws in it
+        i = span.index(e)
+        base, sizes[e] = at[i * p], packages[i * p:(i + 1) * p]
+        total = sum(sizes[e])
+        balanced = (p > 1 and lead.data_balancing and total > 0
+                    and max(sizes[e]) > lead.balance_trigger * total / p)
+        # pk[r]:pk[r+1] = the run of the rank-ordered package sequence
+        # rank r holds when the allgatherv starts
+        if balanced:
+            rows[e], pk = _rebalance_plan(sizes[e])
+            for st in states[e]:
+                st.balancing_triggered += 1
+        else:
+            pk = list(accumulate(sizes[e], initial=0))
+        held = [b - a for a, b in zip(pk, pk[1:])]
+        encoded[e], words[e] = (), tuple(2 * w for w in held)
+        if codec is not None:
+            # each rank encodes the package it holds after balancing
+            wires = [ar.package_codec.encode(u_val[base + a:base + b])
+                     for ar, a, b in zip(schemes, pk, pk[1:])]
+            encoded[e] = held
+            words[e] = tuple(w + payload_nwords(wire)
+                             for w, wire in zip(held, wires))
+            u_val[base:base + total] = np.concatenate(
+                [codec.decode(wire) for wire in wires])
+        infos[e] = tuple({
+            "k": extents[e][2],
+            "selected_local": mine,
+            "selected_global": total,
+            "local_threshold": st.local_th,
+            "global_threshold": st.global_th,
+            "balancing_triggered": balanced,
+            "boundaries": st.boundaries,
+        } for mine, st in zip(nsel[:, i].tolist(), states[e]))
 
-        # -- line 13: balance and allgatherv -------------------------------
-        # one masked pass: a region keeps |val| >= its rank's global
-        # threshold (float32, as COOVector.select_threshold compares)
-        ths = [st.global_th for x in span for st in x.states]
-        keep = np.abs(val) >= np.repeat(np.array(ths, dtype=VALUE_DTYPE),
-                                        region)
-        for th, a, b in zip(ths, cuts, cuts[1:]):
-            if not th > 0:
-                keep[a:b] = True        # no threshold: the region ships whole
-        kept = np.flatnonzero(keep)
-        at = kept.searchsorted(cuts).tolist()   # the regions' runs of u_t
-        u_idx, u_val = idx[kept], val[kept]
-        codec = lead.package_codec
-        for x in extents:       # plan order: each rank's codec draws in it
-            e = span.index(x)
-            base = at[e * p]
-            sizes = [b - a for a, b in zip(at[e * p:(e + 1) * p],
-                                           at[e * p + 1:(e + 1) * p + 1])]
-            total = sum(sizes)
-            balanced = (lead.data_balancing and total > 0
-                        and max(sizes) > lead.balance_trigger * total / p)
-            # pk[r]:pk[r+1] = the run of the rank-ordered package sequence
-            # rank r holds when the allgatherv starts
-            if balanced:
-                x.rows, pk = _rebalance_plan(sizes)
-                for st in x.states:
-                    st.balancing_triggered += 1
-            else:
-                pk = list(accumulate(sizes, initial=0))
-            held = [b - a for a, b in zip(pk, pk[1:])]
-            if codec is None:
-                x.words = tuple(2 * w for w in held)
-            else:
-                # each rank encodes the package it holds after balancing
-                wires = [ar.package_codec.encode(u_val[base + a:base + b])
-                         for ar, a, b in zip(schemes, pk, pk[1:])]
-                x.encoded = held
-                x.words = tuple(w + payload_nwords(wire)
-                                for w, wire in zip(held, wires))
-                u_val[base:base + total] = np.concatenate(
-                    [codec.decode(wire) for wire in wires])
-            x.infos = [{
-                "k": x.k,
-                "selected_local": mine,
-                "selected_global": total,
-                "local_threshold": st.local_th,
-                "global_threshold": st.global_th,
-                "balancing_triggered": balanced,
-                "boundaries": st.boundaries,
-            } for mine, st in zip(x.nsel, x.states)]
+    # shared by all P ranks: nobody may write what everybody reads
+    u_idx.setflags(write=False)
+    u_val.setflags(write=False)
+    # line 14: one membership mask for all ranks (all-False between
+    # calls) read through the rank-major selections, split per rank
+    member = ws.flat("member", n, bool)
+    member[u_idx] = True
+    hit = np.flatnonzero(member[cols])
+    member[u_idx] = False
+    got = cols[hit]
+    ends = hit.searchsorted(offsets[::m]).tolist()
+    return Stages(
+        guard_trips=tuple(tuple(st.guard_evaluations > g
+                                for st, g in zip(sts, gs))
+                          for sts, gs in zip(states, guards)),
+        charges=tuple(charges[span.index(e)] for e in range(m)),
+        selection=(cols, offsets), consensus=tuple(consensus),
+        count=tuple(count), reduced=tuple(reduced), region=tuple(region),
+        gathered=tuple(gathered), sizes=tuple(sizes), rows=tuple(rows),
+        encoded=tuple(encoded), words=tuple(words), infos=tuple(infos),
+        tables=tables, update=COOVector(n, u_idx, u_val),
+        contributed=tuple(got[a:b] for a, b in zip(ends, ends[1:])))
 
-        # shared by all P ranks: nobody may write what everybody reads
-        u_idx.setflags(write=False)
-        u_val.setflags(write=False)
-        self.update = COOVector(n, u_idx, u_val)
-        # line 14: one membership mask for all ranks (all-False between
-        # calls) read through the rank-major selections, split per rank
-        member = ws.flat("member", n, bool)
-        member[u_idx] = True
-        hit = np.flatnonzero(member[cols])
-        member[u_idx] = False
-        got = cols[hit]
-        ends = hit.searchsorted(offsets[::m]).tolist()
-        self.contributed = [got[a:b] for a, b in zip(ends, ends[1:])]
 
-    def book(self, e: int) -> list:
-        """The booking pass of extent ``extents[e]``; returns each rank's
-        reduction info."""
-        x = self.extents[e]
-        net, comms = self.net, self.comms
-        p = len(comms)
-        with _world_phase(net, comms, PHASE_SPARSIFY):
-            for comm, charges in zip(comms, x.charges):
-                _pay(comm, charges)
+def book(net, comms, stg: Stages, e: int) -> tuple:
+    """Book extent ``e`` of ``stg`` for every rank of the current world
+    (``comms[r]`` is rank ``r``'s communicator), replaying the per-rank
+    driver's charge sequence: the selection charges, the split scan,
+    split-and-reduce (:func:`_book_split_reduce`), the consensus /
+    allgatherv / alltoallv replays and the package scans, each at the
+    same times on the same links.  Returns each rank's info."""
+    p = len(comms)
+    with _world_phase(net, comms, PHASE_SPARSIFY):
+        for comm, charges in zip(comms, stg.charges[e]):
+            _pay(comm, charges)
+    with _world_phase(net, comms, PHASE_COMM):
+        if stg.consensus[e] is not None:
+            _fused.replay(net, _fused.compile_allreduce(
+                p, *stg.consensus[e], "recursive_doubling"))
+        for comm, info in zip(comms, stg.infos[e]):
+            comm.compute_scan(info["selected_local"])    # the split
+        _book_split_reduce(net, stg.tables, stg.count[e])
+    if stg.gathered[e] is not None:
         with _world_phase(net, comms, PHASE_COMM):
-            if x.consensus is not None:
-                _fused.replay(net, _fused.compile_allreduce(
-                    p, *x.consensus, "recursive_doubling"))
-            for comm, words in zip(comms, x.nsel):
-                comm.compute_scan(words)             # the split
-            _book_split_reduce(net, self.ws, self.tables, x.count)
-        if x.gathered is not None:
-            with _world_phase(net, comms, PHASE_COMM):
-                _fused.replay(net, _fused.compile_allgatherv(
-                    p, tuple(2 * words for words in x.region)))
-            for comm in comms:
-                with comm.phase(PHASE_SPARSIFY):
-                    comm.compute_sort(x.gathered)
-        with _world_phase(net, comms, PHASE_COMM):
-            for comm, words in zip(comms, x.region):
-                comm.compute_scan(words)
-            _fused.replay(net, _fused.compile_allgatherv(p, (1,) * p))
-            if x.rows is not None:
-                _fused.replay(net, _fused.compile_alltoallv(p, x.rows))
-            for comm, words in zip(comms, x.encoded):
-                comm.compute_scan(words)
-            _fused.replay(net, _fused.compile_allgatherv(p, x.words))
-        return x.infos
+            _fused.replay(net, _fused.compile_allgatherv(
+                p, tuple(2 * words for words in stg.region[e])))
+        for comm in comms:
+            with comm.phase(PHASE_SPARSIFY):
+                comm.compute_sort(stg.gathered[e])
+    with _world_phase(net, comms, PHASE_COMM):
+        for comm, words in zip(comms, stg.region[e]):
+            comm.compute_scan(words)
+        _fused.replay(net, _fused.compile_allgatherv(p, (1,) * p))
+        if stg.rows[e] is not None:
+            _fused.replay(net, _fused.compile_alltoallv(p, stg.rows[e]))
+        for comm, words in zip(comms, stg.encoded[e]):
+            comm.compute_scan(words)
+        _fused.replay(net, _fused.compile_allgatherv(p, stg.words[e]))
+    return stg.infos[e]
 
 
 def _exec_reduce(net, sig, lanes):
     """One Ok-Topk reduction for the whole current world in one
     rendezvous — the fast path of :meth:`OkTopkAllreduce._algorithm1`
-    (``sig[1]`` is the iteration): the one-extent case of
-    :class:`_WorldReduction`.  ``lanes[r]`` is rank ``r``'s ``(comm,
-    scheme, acc, k, state)``."""
+    (``sig[1]`` is the iteration): :func:`stages` over one extent, then
+    :func:`book`.  ``lanes[r]`` is rank ``r``'s ``(comm, scheme, acc, k,
+    state)``."""
+    from ..train.rankbatch import _world_state
     comms, schemes, accs, ks, states = zip(*lanes)
-    run = _WorldReduction(net, sig[1], comms, schemes, accs,
-                          [_Extent(0, accs[0].size, ks[0], states)])
-    return [AllreduceResult(update=run.update, contributed_indices=mine,
+    stg = stages(schemes, accs, [(0, accs[0].size, ks[0])], [states],
+                 sig[1], _world_state(net))
+    return [AllreduceResult(update=stg.update, contributed_indices=mine,
                             info=info)
-            for mine, info in zip(run.contributed, run.book(0))]
+            for mine, info in zip(stg.contributed, book(net, comms, stg, 0))]
 
 
-def _world_session(net, t: int, lanes, extents) -> _WorldReduction:
-    """The world program of a multi-bucket session (the scheme's
+def _world_session(net, t: int, lanes, extents) -> Stages:
+    """The data side of a multi-bucket session (the scheme's
     ``world_reduce``): ``lanes[r]`` is rank ``r``'s ``(comm, scheme,
     acc)`` over the whole gradient and ``extents`` the funded buckets'
     ``(lo, hi, k)`` in plan order, each run on every rank's state of that
     bucket with the budget clamped to it."""
-    comms, schemes, accs = zip(*lanes)
-    n = accs[0].size
-    runs = []
-    for lo, hi, k in extents:
-        lane = [ar._extent(n, lo, hi, k) for ar in schemes]
-        runs.append(_Extent(lo, hi, lane[0][0], [st for _, st in lane]))
-    return _WorldReduction(net, t, comms, schemes, accs, runs)
+    from ..train.rankbatch import _world_state
+    _, schemes, accs = zip(*lanes)
+    fitted = [[ar._extent(accs[0].size, lo, hi, k) for ar in schemes]
+              for lo, hi, k in extents]
+    return stages(schemes, accs, [(lo, hi, f[0][0]) for (lo, hi, _), f
+                                  in zip(extents, fitted)],
+                  [[st for _, st in f] for f in fitted], t, _world_state(net))
 
 
 def _global_th(reduced: np.ndarray, k: int) -> float:
@@ -719,6 +728,7 @@ class OkTopkAllreduce(GradientAllreduce):
     #: inside its one session rendezvous
     #: (:func:`repro.allreduce.session._exec_session`)
     world_reduce = staticmethod(_world_session)
+    world_book = staticmethod(book)
 
     def __init__(self, *, tau: int = 64, tau_prime: int = 32,
                  balanced_partition: bool = True, rotation: bool = True,
@@ -778,11 +788,6 @@ class OkTopkAllreduce(GradientAllreduce):
     def guard_evaluations(self) -> int:
         return self._total("guard_evaluations")
 
-    @property
-    def _local_th(self) -> Optional[float]:
-        st = self.state
-        return st.local_th if st else None
-
     # ------------------------------------------------------------------
     def _due(self, t: int, period: int) -> bool:
         """Is periodic work scheduled at iteration ``t``?
@@ -834,12 +839,11 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     def _select_local(self, st: OkTopkState, acc: np.ndarray, k: int,
                       t: int) -> Tuple[COOVector, list]:
-        """Threshold selection of one rank: the selection and its compute
-        charges, handed back in order instead of charged as it scans
-        (:func:`_pay` books them — at once on the reference path, in the
-        booking pass of the world executor, which stacks the scan across
-        ranks where the accumulators share a matrix; see
-        :func:`_select_world`)."""
+        """Threshold selection of one rank (the reference path): the
+        selection and its compute charges, handed back in order instead
+        of charged as it scans (:func:`_pay` books them).  The world
+        kernel runs the same two halves around one stacked scan
+        (:func:`_select_world`)."""
         charges = self._refresh_local_th(st, acc, k, t)
         local = (None if st.local_th <= 0.0
                  else threshold_select(acc, st.local_th))
@@ -955,26 +959,20 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     # Global threshold (Algorithm 1 lines 9-12)
     # ------------------------------------------------------------------
-    def _estimate_global_th(self, comm: SimComm, st: OkTopkState,
-                            merged_values: np.ndarray, k: int) -> float:
-        """Store the ``k``-th magnitude of the gathered reduced values as
-        the shared global threshold (0 when nothing was reduced); charges
-        the sort and bumps the evaluation counter."""
-        st.global_th = _global_th(merged_values, k)
-        st.global_evaluations += 1
-        with comm.phase(PHASE_SPARSIFY):
-            comm.compute_sort(merged_values.size)
-        return st.global_th
-
     def _global_threshold(self, comm: SimComm, st: OkTopkState,
                           reduced: COOVector, k: int, t: int) -> float:
-        if st.global_th is not None and not self._due(t, self.tau_prime):
-            return st.global_th
-        with comm.phase(PHASE_COMM):
-            all_reduced = coll.allgatherv_coo(comm, reduced)
-        merged_values = np.concatenate(
-            [v.values for v in all_reduced]) if all_reduced else np.empty(0)
-        return self._estimate_global_th(comm, st, merged_values, k)
+        """The shared global threshold, re-evaluated where tau' is due:
+        the ``k``-th magnitude of the gathered reduced values (0 when
+        nothing was reduced), charged as their sort."""
+        if st.global_th is None or self._due(t, self.tau_prime):
+            with comm.phase(PHASE_COMM):
+                gathered = coll.allgatherv_coo(comm, reduced)
+            values = np.concatenate([v.values for v in gathered])
+            st.global_th = _global_th(values, k)
+            st.global_evaluations += 1
+            with comm.phase(PHASE_SPARSIFY):
+                comm.compute_sort(values.size)
+        return st.global_th
 
     # ------------------------------------------------------------------
     # Phase 2: balance and allgatherv (Section 3.1.2)

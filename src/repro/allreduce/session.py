@@ -91,17 +91,17 @@ One rendezvous per session on the fast path
 
 Every decision above except the clocks is SPMD, so where the engine
 rendezvous is available (:func:`repro.comm.fused._available`) and the
-scheme has a world program (``GradientAllreduce.world_reduce``: Ok-Topk
-and ``oktopk_q``, whose program is Algorithm 1 for the whole world),
-:func:`run_session` makes every rank enter **one** rendezvous per
+scheme has world hooks (``GradientAllreduce.world_reduce`` and
+``world_book``: Ok-Topk and ``oktopk_q``, Algorithm 1 for the whole
+world), :func:`run_session` makes every rank enter **one** rendezvous per
 native session — streamed or analytic — and :func:`_exec_session` runs
-the whole session for the world: the program's data pass once over every
-funded bucket (it reads no clock), then per bucket, in plan order, every
+the whole session for the world: the data pass once over every funded
+bucket (it reads no clock), then per bucket, in plan order, every
 rank's pacer for the bucket's segments, every rank's issue clock, the
-program's booking pass of the bucket (zero-budget buckets skipped),
+booking pass of the bucket (zero-budget buckets skipped),
 every rank's finish clock rewound to its issue clock as the async region
 would; then every rank's :meth:`ReduceSession.finish` around the merged
-update the program built once and shares write-protected.  Everywhere
+update the data pass built once and shares write-protected.  Everywhere
 else — the ``threads`` runner, message tracing, ``fused=False``, the
 step a planned crash fires in, explicit ``push`` calls, the other
 schemes — each rank runs :meth:`ReduceSession._run_bucket` per bucket
@@ -779,27 +779,27 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
 def _exec_session(net, sig, lanes):
     """A native bucketed session for the whole current world in one
     rendezvous: :func:`run_session`'s loop and :meth:`ReduceSession.finish`
-    for every rank, around the scheme's world program.
+    for every rank, around the scheme's world hooks.
 
     ``lanes[r]`` is rank ``r``'s ``(session, pacer)``.  The scheme's
     ``world_reduce`` first runs the data side of every funded bucket at
     once (``sig[1]`` is the iteration; no clock is read).  The plan is
     then walked in bucket order: every rank's pacer for the bucket's
     segments (the per-segment contract is unchanged), then — a funded
-    bucket only — the issue clocks, the program's booking pass of the
+    bucket only — the issue clocks, the scheme's ``world_book`` of the
     bucket, and each rank's finish clock, rewound to its issue clock when
     streaming as :class:`~repro.comm.AsyncRegion` does.  Every outcome is
     booked by the rank's own :meth:`ReduceSession._record`, as on the
-    reference path.  The merged update comes out of the program once, the
-    same write-protected arrays for all ranks; everything else is each
-    rank's own.
+    reference path.  The merged update comes out of the data side once,
+    the same write-protected arrays for all ranks; everything else is
+    each rank's own.
     """
     sessions, pacers = zip(*lanes)
     lead = sessions[0]
     plan = lead._plan
     comms = [s.comm for s in sessions]
     funded = [b for b, k in enumerate(plan.bucket_k) if k]
-    program = lead.scheme.world_reduce(
+    data = lead.scheme.world_reduce(
         net, sig[1], [(s.comm, s.scheme, s._acc) for s in sessions],
         [(*plan.extents[b], plan.bucket_k[b]) for b in funded])
     pacers = [pace for pace in pacers if pace is not None]
@@ -812,12 +812,12 @@ def _exec_session(net, sig, lanes):
                 s._record(b)
             continue
         before = [(s._mark(), c.clock) for s, c in zip(sessions, comms)]
-        infos = program.book(funded.index(b))
+        infos = lead.scheme.world_book(net, comms, data, funded.index(b))
         for s, c, info, (mark, issue) in zip(sessions, comms, infos, before):
             span = None
             if s.stream:
                 span = (issue, c.clock)
                 c.rewind_clock(issue)
             s._record(b, info, mark, span)
-    return [s._conclude(s._result(program.update, mine))
-            for s, mine in zip(sessions, program.contributed)]
+    return [s._conclude(s._result(data.update, mine))
+            for s, mine in zip(sessions, data.contributed)]

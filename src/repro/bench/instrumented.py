@@ -61,7 +61,7 @@ def threshold_snapshot(proxy: ProxySpec, *, p: int = 2, iterations: int = 8,
                 k = algo.resolve_k(acc.size)
                 accurate = exact_threshold(acc, k)
                 gauss = gaussian_threshold(acc, k)
-                reused = algo._local_th
+                reused = algo.state.local_th
                 mag = np.abs(acc)
                 return ThresholdSnapshot(
                     k=k,

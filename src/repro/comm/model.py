@@ -97,10 +97,6 @@ class NetworkModel:
     # ------------------------------------------------------------------
     # Analytic helpers (shared with repro.costmodel)
     # ------------------------------------------------------------------
-    def ptp_cost(self, nwords: int) -> float:
-        """Cost of a single uncontended point-to-point message."""
-        return self.alpha + self.beta * float(nwords)
-
     def topk_seconds(self, n: int, k: int) -> float:
         """Seconds of a GPU top-k selection over ``n`` words.
 
@@ -130,33 +126,6 @@ class NetworkModel:
     # ------------------------------------------------------------------
     # Batched link booking
     # ------------------------------------------------------------------
-    def occupancy_scan(self, free: float, avail: np.ndarray,
-                       nwords: np.ndarray) -> np.ndarray:
-        """Closed-form link-occupancy scan over a message batch.
-
-        A link that was free at ``free`` serializes messages that become
-        available at ``avail[i]`` (sender clock for egress, ``t_first`` for
-        ingress) and occupy it for ``beta * nwords[i]`` seconds each::
-
-            end[i] = max(end[i-1], avail[i]) + beta * nwords[i]
-
-        evaluated here without a Python-level fold: with the prefix sums
-        ``c[i] = sum_{j<=i} beta*nwords[j]`` the recurrence collapses to
-        ``end[i] = c[i] + max(free, max_{j<=i}(avail[j] - c[j-1]))``, one
-        ``cumsum`` plus one ``maximum.accumulate``.
-
-        Note the closed form re-associates the additions, so it can differ
-        from the message-by-message fold in the final ulp.  The simulator's
-        bit-reproducibility contract therefore books real messages through
-        :meth:`serialize_batch` (which falls back to the exact fold outside
-        its provably-identical fast paths) and keeps this form for batch
-        sizing, analysis and cross-checks.
-        """
-        b = self.beta * np.asarray(nwords, dtype=np.float64)
-        c = np.cumsum(b)
-        slack = np.asarray(avail, dtype=np.float64) - (c - b)  # avail - c[i-1]
-        return c + np.maximum(free, np.maximum.accumulate(slack))
-
     def serialize_batch(self, free: float, avail: np.ndarray,
                         nwords: np.ndarray,
                         ) -> "tuple[np.ndarray, np.ndarray]":
@@ -173,8 +142,8 @@ class NetworkModel:
           ``end[i] = avail[i] + b[i]`` independently.
 
         A batch that switches regimes mid-way falls back to the scalar
-        fold (plain-float loop): the re-associated closed form
-        (:meth:`occupancy_scan`) would drift in the last ulp, breaking the
+        fold (plain-float loop): a re-associated closed form (prefix sums
+        and a running maximum) would drift in the last ulp, breaking the
         bit-identical-across-runners/makespan contract.  Start times are
         the fold's ``max(end[i-1], avail[i])`` selections (never re-derived
         as ``end - beta*nwords``, which would also drift).

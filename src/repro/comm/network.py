@@ -731,34 +731,6 @@ class Network:
             ends[i] = end
         return starts, ends
 
-    # ------------------------------------------------------------------
-    # Diagnostic save/restore (used by xi measurement so that the extra
-    # gather traffic does not perturb timing or volume statistics)
-    # ------------------------------------------------------------------
-    def save_state(self) -> dict:
-        """Snapshot clocks, link occupancy and counters (NOT mailboxes or
-        sequence numbers).  Must be taken when no messages are in flight."""
-        with self._lock:
-            return {
-                "clocks": list(self.clocks),
-                "egress": list(self.egress_free),
-                "ingress": list(self.ingress_free),
-                "words_sent": list(self.words_sent),
-                "words_recv": list(self.words_recv),
-                "msgs_sent": list(self.msgs_sent),
-                "msgs_recv": list(self.msgs_recv),
-            }
-
-    def restore_state(self, state: dict) -> None:
-        with self._lock:
-            self.clocks[:] = state["clocks"]
-            self.egress_free[:] = state["egress"]
-            self.ingress_free[:] = state["ingress"]
-            self.words_sent[:] = state["words_sent"]
-            self.words_recv[:] = state["words_recv"]
-            self.msgs_sent[:] = state["msgs_sent"]
-            self.msgs_recv[:] = state["msgs_recv"]
-
     def save_rank_state(self, rank: int) -> tuple:
         """Snapshot ``rank``'s own clock, link occupancy and counters.
 

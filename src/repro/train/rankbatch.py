@@ -21,17 +21,18 @@ world, then readies the others in rank order).  The executors:
   and its parameters, moments and step counter are copied to the other
   ranks (under the sanitizer, after checking they really were equal);
 * Ok-Topk's local selection is no longer a rendezvous of its own: it is
-  the first stage of the scheme's world program
-  (:class:`repro.allreduce.oktopk._WorldReduction`) — one
-  ``oktopk_reduce`` rendezvous per one-shot reduction, one
-  ``reduce_session`` rendezvous per bucketed session running it once for
-  all buckets — which stacks it exactly when the accumulators are the
-  rows of that matrix (:func:`_shared_base`; a session's buckets are
-  column extents of those rows) and borrows this module's
-  :class:`_WorldState` scratch for the ``(P, n)`` temporaries.  Both
-  are gated by :func:`repro.comm.fused._available`, not by
-  :meth:`RankBatch.engaged`: a model that does not stack still gets one
-  rendezvous per reduction, with per-rank selection inside it.
+  the first stage of the scheme's data kernel
+  (:func:`repro.allreduce.oktopk.stages`), run in one ``oktopk_reduce``
+  rendezvous per one-shot reduction and once for all buckets in one
+  ``reduce_session`` rendezvous per bucketed session.  The kernel takes
+  the accumulators as one matrix through :meth:`_WorldState.stack`
+  (zero-copy where they already are the rows of the accumulate matrix,
+  :func:`_shared_base`; a session's buckets are column extents of those
+  rows) and borrows this module's :class:`_WorldState` scratch for the
+  ``(P, n)`` temporaries.  Both rendezvous are gated by
+  :func:`repro.comm.fused._available`, not by :meth:`RankBatch.engaged`:
+  a model that does not stack still gets one rendezvous per reduction,
+  its rows copied into one matrix inside it.
 
 Bit-identity contract: every batched kernel is elementwise,
 row-independent or a gufunc looping the identical 2-D kernel per rank

@@ -67,18 +67,6 @@ class TestSerializeBatch:
         starts, ends = m.serialize_batch(0.5, np.empty(0), np.empty(0))
         assert starts.size == 0 and ends.size == 0
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_occupancy_scan_matches_fold_analytically(self, seed):
-        """The cumsum/maximum.accumulate closed form agrees with the fold
-        to fp re-association tolerance (it is the analytic view of the
-        same serialization)."""
-        m = NetworkModel()
-        rng = np.random.default_rng(100 + seed)
-        free, avail, nwords = self._random_case(rng, 50)
-        ends = m.occupancy_scan(free, avail, nwords)
-        _, ref = _fold(free, avail, nwords, m.beta)
-        np.testing.assert_allclose(ends, ref, rtol=1e-12)
-
 
 class TestSerializeStacked:
     """The stacked fold books P links at once; every row must carry the

@@ -158,20 +158,6 @@ class TestNetworkEdgeCases:
         assert (rec.src, rec.dst, rec.tag, rec.nwords) == (0, 1, 3, 5)
         assert rec.t_done >= rec.t_first
 
-    def test_save_restore_roundtrip(self):
-        net = Network(2)
-
-        def prog(comm):
-            if comm.rank == 0:
-                state = comm.net.save_state()
-                comm.send(np.zeros(100, dtype=np.float32), dest=1)
-                comm.net.restore_state(state)
-            else:
-                comm.recv(0)
-
-        run_spmd(2, prog, network=net)
-        assert net.stats().words_sent[0] == 0  # rolled back
-
     def test_mismatched_network_size(self):
         net = Network(4)
         with pytest.raises(ValueError):

@@ -1279,7 +1279,7 @@ def _exec_sr_stage(net, sig, payloads):
         *oktopk_mod._rank_major([(loc.indices, loc.values)
                                  for loc in local]),
         np.array(boundaries)[:, None])
-    oktopk_mod._book_split_reduce(net, ws, tables, count[:, 0])
+    oktopk_mod._book_split_reduce(net, tables, count[:, 0])
     return [COOVector(loc.n, idx[lo:hi], val[lo:hi])
             for loc, lo, hi in zip(local, cuts, cuts[1:])]
 
