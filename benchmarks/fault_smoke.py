@@ -16,6 +16,10 @@ for the properties the fault subsystem guarantees:
   iteration a crash interrupts runs there,
 * training keeps converging after the shrink (final loss < first loss).
 
+All of it twice: on the proxy network, and on the proxy network with
+per-post CPU overheads (``o_inject`` / ``o_send``), where the straggler
+pays a scaled ``o_inject`` after each of its posts.
+
 Exits non-zero on any violation.  Takes a few seconds.
 """
 
@@ -46,6 +50,15 @@ LEGS = {
     "threads": {"REPRO_SPMD_RUNNER": "threads"},
 }
 MODE_ENV = ("REPRO_SPMD_RUNNER", "REPRO_FUSED", "REPRO_RANK_BATCH")
+#: every leg runs on each: the bare proxy network, and the same with
+#: per-post CPU overheads that the straggler's factor scales (``o_inject``
+#: near a piece's transfer time on the slow proxy link, so the scaled
+#: charges reach the straggler's post starts)
+NETWORKS = {
+    "proxy": proxy_network(),
+    "proxy + o_inject/o_send": proxy_network().with_(o_inject=2.5e-4,
+                                                     o_send=5e-5),
+}
 
 
 def _log_rendezvous(entries: list) -> None:
@@ -59,14 +72,10 @@ def _log_rendezvous(entries: list) -> None:
     SimComm.fused_collective = logged
 
 
-def main() -> int:
-    plan = FaultPlan(
-        links=[LinkSlowdown(rank=3, factor=4.0)],
-        stragglers=[ComputeStraggler(rank=2, factor=4.0)],
-        crashes=[RankCrash(rank=1, iteration=CRASH_ITER)],
-    )
-    entries: list = []
-    _log_rendezvous(entries)
+def _check(name: str, network, plan: FaultPlan, entries: list) -> bool:
+    """Run the three legs on ``network`` and check them; True when every
+    property holds."""
+    print(f"--- network: {name}")
     recs, entered = {}, {}
     for leg, env in LEGS.items():
         for key in MODE_ENV:
@@ -75,7 +84,7 @@ def main() -> int:
         del entries[:]
         recs[leg] = train_scheme(
             perf_proxy(), "oktopk", P, ITERS, density=0.05,
-            network=proxy_network(), faults=plan, elastic=True)
+            network=network, faults=plan, elastic=True)
         entered[leg] = list(entries)
     for key in MODE_ENV:
         os.environ.pop(key, None)
@@ -129,7 +138,20 @@ def main() -> int:
         if entered[leg]:
             print(f"FAIL: the {leg} leg entered the rendezvous")
             ok = False
+    return ok
 
+
+def main() -> int:
+    plan = FaultPlan(
+        links=[LinkSlowdown(rank=3, factor=4.0)],
+        stragglers=[ComputeStraggler(rank=2, factor=4.0)],
+        crashes=[RankCrash(rank=1, iteration=CRASH_ITER)],
+    )
+    entries: list = []
+    _log_rendezvous(entries)
+    ok = True
+    for name, network in NETWORKS.items():
+        ok &= _check(name, network, plan, entries)
     print("fault smoke:", "OK" if ok else "FAILED")
     return 0 if ok else 1
 

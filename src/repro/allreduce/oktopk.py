@@ -217,22 +217,24 @@ def _book_split_reduce(net, tables, count):
     sequence, a few operations on ``(P, m)`` matrices per bucket of
     :func:`~.schedule.compile_split_reduce`'s ``tables``.
 
-    ``isend_batch`` is the sizes gathered from the piece-size matrix,
-    ``isend_avail``'s chain as a row-wise ``cumsum``, all P egress links
-    in one :meth:`NetworkModel.serialize_stacked` fold and one
-    ``o_inject`` charge per post; ``waitall`` reads each ``t_first`` at
-    the message's column of its sender's row, sorts the inbox by a
-    row-wise ``lexsort`` on ``(t_first, src)`` (one message per source:
-    the word count never breaks a tie), books the ingress links with the
-    same fold and ends the send waits with the row's last egress booking
-    (ends only grow).  The filler of ragged rows is zero-word messages
-    available at ``-inf``, which no fold, charge or maximum can see.
+    The ``isend`` loop is the sizes gathered from the piece-size matrix,
+    posted column by column: a post is available at its sender's clock,
+    which then pays the ``o_inject`` charge before the next post; all P
+    egress links are booked in one :meth:`NetworkModel.serialize_stacked`
+    fold.  ``waitall`` reads each ``t_first`` at the message's column of
+    its sender's row, sorts the inbox by a row-wise ``lexsort`` on
+    ``(t_first, src)`` (one message per source: the word count never
+    breaks a tie), books the ingress links with the same fold and ends
+    the send waits with the row's last egress booking (ends only grow).
+    The filler of ragged rows is zero-word messages available at
+    ``-inf``, which no fold, charge or maximum can see.
 
     Under a plan the rows of a ``link_faulty`` slot are re-booked through
-    :meth:`Network._serialize_link` (per-message factors; ``isend_avail``
-    stays unscaled, as in ``post_batch``) and the ``o_inject`` / ``gamma``
-    charges take the straggler factor at the rank's clock before each
-    charge (:func:`_charge`, i.e. ``SimComm.compute``).
+    :meth:`Network._serialize_link` (per-message factors) and the
+    ``o_inject`` / ``gamma`` charges take the straggler factor at the
+    rank's clock before each charge (:func:`_charge`, i.e.
+    ``SimComm.compute``), so a straggler's later posts start later, as
+    its ``isend`` loop's do.
     """
     p = len(count)
     model = net.model
@@ -246,44 +248,42 @@ def _book_split_reduce(net, tables, count):
     faults = net.faults
     if faults is not None:
         cpw = faults.by_rank(world)[2]
-        slow = [(r, s) for r, s in enumerate(world) if faults.link_faulty[s]]
+        slow = [(r, faults.egress[s], faults.ingress[s])
+                for r, s in enumerate(world) if faults.link_faulty[s]]
     links = np.empty((3, p, p))     # rows: < p long
     prev = None
     for tb in tables:
-        # posts: one batched egress booking per rank (isend_batch)
+        # posts: the isend loop, one column of every rank's row at a time
         avail, starts, ends = links[:, :, :tb.send_to.shape[1]]
         sent = nw[rows, tb.send_to]
         sent[tb.send_pad] = 0.0
         if o_inject:
-            avail[:] = o_inject
-            avail[:, 0] = clocks
-            np.cumsum(avail, axis=1, out=avail)
+            for j, pad in enumerate(tb.send_pad.T):
+                avail[:, j] = clocks
+                _charge(clocks, o_inject * ~pad, cpw)
         else:
             avail[:] = clocks[:, None]
         avail[tb.send_pad] = -np.inf
         model.serialize_stacked(eg, avail, sent, starts, ends)
-        for r, s in slow:
-            starts[r], ends[r] = net._serialize_link(True, s, eg[r],
+        for r, windows, _ in slow:
+            starts[r], ends[r] = net._serialize_link(windows, eg[r],
                                                      avail[r], sent[r])
         eg = ends[:, -1].copy()
         t_first = starts[tb.recv_from, tb.recv_col] + alpha
         t_first[tb.recv_pad] = -np.inf
         got = sent[tb.recv_from, tb.recv_col]
         got[tb.recv_pad] = 0.0
-        if o_inject:
-            for pad in tb.send_pad.T:
-                _charge(clocks, o_inject * ~pad, cpw)
         # overlap: reduce the previous bucket while this one flies
         if prev is not None:
             _charge(clocks, gamma * prev, cpw)
-        # waitall: arrival-sorted batched delivery + send waits
+        # waitall: deliveries in arrival order + send waits
         arrival = np.lexsort((tb.recv_from, t_first))
         t_first, got = t_first[rows, arrival], got[rows, arrival]
         m = arrival.shape[1]
         _, ends = model.serialize_stacked(ing, t_first, got,
                                           links[0, :, :m], links[1, :, :m])
-        for r, s in slow:
-            ends[r] = net._serialize_link(False, s, ing[r], t_first[r],
+        for r, _, windows in slow:
+            ends[r] = net._serialize_link(windows, ing[r], t_first[r],
                                           got[r])[1]
         ing = ends[:, -1].copy()
         np.maximum(clocks, ing, out=clocks, where=~tb.recv_pad[:, 0])
@@ -914,8 +914,8 @@ class OkTopkAllreduce(GradientAllreduce):
     def _split_and_reduce(self, comm: SimComm, local: COOVector,
                           boundaries: np.ndarray) -> COOVector:
         """The per-message exchange (reference path): rotation/naive
-        schedule in buckets of ``bucket_size`` steps, batched egress
-        posts, the previous bucket's reduction overlapped with this one's
+        schedule in buckets of ``bucket_size`` steps, one ``isend`` per
+        piece, the previous bucket's reduction overlapped with this one's
         transfers.  :func:`_book_split_reduce` books the identical
         sequence for the whole world inside the fast path's executor."""
         p, r = comm.size, comm.rank
@@ -934,15 +934,11 @@ class OkTopkAllreduce(GradientAllreduce):
         prev_words = 0
         for bucket in buckets(steps, self.bucket_size):
             reqs = []
-            sends = []
             for step in bucket:
                 for src in step.recv_from:
                     reqs.append(comm.irecv(src, _TAG_SR))
                 for dst in step.send_to:
-                    sends.append((pieces[dst], dst, _TAG_SR))
-            # One egress-booking pass for the whole bucket's fan-out
-            # (bit-identical to per-message isend; see isend_batch).
-            reqs.extend(comm.isend_batch(sends))
+                    reqs.append(comm.isend(pieces[dst], dst, _TAG_SR))
             # Overlap: reduce the previous bucket while this one flies.
             if prev_words:
                 comm.compute_words(2 * prev_words)

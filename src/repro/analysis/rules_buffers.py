@@ -1,10 +1,9 @@
 """RL002 — buffer ownership: received payloads are loaned, not owned.
 
 Under the coop runner every array delivered by ``comm.recv`` /
-``comm.sendrecv`` / ``comm.waitall`` / ``request.wait`` (and every array
-handed back by ``Network.deliver_batch``) is a *loan*: the same object
-the sender posted, made read-only for the delivery window.  A scheme
-that writes into it (``got += x``, ``got[lo:hi] = x``,
+``comm.sendrecv`` / ``comm.waitall`` / ``request.wait`` is a *loan*:
+the same object the sender posted, made read-only for the delivery
+window.  A scheme that writes into it (``got += x``, ``got[lo:hi] = x``,
 ``np.add(a, b, out=got)``, ``got.sort()``) corrupts the sender's buffer
 — exactly the SparCML-style reuse bug the sanitizer mode catches at
 runtime.  This rule catches it statically, inside ``allreduce/`` scheme
@@ -36,7 +35,7 @@ CODE = "RL002"
 NAME = "loaned-buffer-mutation"
 
 #: receive-API attribute names whose results are loaned buffers
-_SOURCE_METHODS = {"recv", "sendrecv", "waitall", "wait", "deliver_batch"}
+_SOURCE_METHODS = {"recv", "sendrecv", "waitall", "wait"}
 #: ndarray methods that mutate in place
 _MUTATING_METHODS = {
     "sort", "fill", "put", "partition", "itemset", "setfield", "setflags",

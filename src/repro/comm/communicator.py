@@ -418,45 +418,6 @@ class SimComm:
         self.compute(self.net.model.o_inject)
         return SendRequest(self, done, _message=msg)
 
-    def isend_batch(self, items: Sequence[Tuple[Any, int, int]],
-                    ) -> List[SendRequest]:
-        """Post a batch of non-blocking sends in one link-booking pass.
-
-        ``items`` is a sequence of ``(obj, dest, tag)`` tuples in program
-        order.  Bit-identical (clocks, link bookings, counters, payload
-        ownership) to calling :meth:`isend` once per tuple, but the egress
-        link is booked for the whole batch by one
-        :meth:`NetworkModel.serialize_batch` scan and the per-message
-        Python overhead is paid once — the fan-out shape of Ok-Topk's
-        split-and-reduce buckets and of eager per-bucket session
-        reductions.
-        """
-        if not items:
-            return []
-        net = self.net
-        coop = net.cooperative
-        batch: List[Tuple[int, int, Any, int]] = []
-        all_loans: List[List[int]] = []
-        for obj, dest, tag in items:
-            size = payload_nwords(obj)
-            loan_keys: List[int] = []
-            if coop:
-                payload = _view_with_loans(obj, net, loan_keys)
-            else:
-                payload = _freeze(obj, readonly=net.sanitize)
-            all_loans.append(loan_keys)
-            batch.append((self._to_slot(dest), tag, payload, size))
-        msgs, dones = net.post_batch(self.slot, batch, self.clock)
-        for msg, loan_keys in zip(msgs, all_loans):
-            if loan_keys:
-                msg.loans = tuple(loan_keys)
-        o_inject = net.model.o_inject
-        if o_inject:
-            for _ in msgs:
-                self.compute(o_inject)
-        return [SendRequest(self, float(done), _message=msg)
-                for msg, done in zip(msgs, dones)]
-
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive from ``(source, tag)``."""
         msg = self._match_blocking(source, tag)
@@ -504,15 +465,14 @@ class SimComm:
             msgs.append((self._match_blocking(r.source, r.tag), r))
         msgs.sort(key=lambda mr: (mr[0].t_first, mr[0].src, mr[0].seq))
         if msgs:
-            # One batched ingress-booking scan over the sorted arrivals
-            # (bit-identical to delivering them one by one); the clock
-            # advances to the last completion, which the serialization
-            # fold guarantees is the latest.
-            t_done = self.net.deliver_batch([m for m, _ in msgs])
-            self._advance_clock(t_done)
+            # Ingress bookings in arrival order; the clock advances to the
+            # last completion, which the link fold guarantees is the latest.
+            deliver = self.net.deliver
             for msg, req in msgs:
+                t_done = deliver(msg)
                 req._message = msg
                 req.completed = True
+            self._advance_clock(t_done)
         results: List[Any] = []
         for r in requests:
             if isinstance(r, RecvRequest):

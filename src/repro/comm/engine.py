@@ -191,22 +191,6 @@ class CoopEngine:
             del self._waiting[msg.dst]
             self._ready.append(msg.dst)
 
-    def on_post_batch(self, msgs) -> None:
-        """Batched :meth:`on_post`: one waiting-map probe per message, no
-        per-message call overhead (the :meth:`Network.post_batch` path).
-        Semantically identical to calling ``on_post`` in message order —
-        once a destination is woken it leaves the waiting map, so later
-        messages of the batch cannot re-wake it."""
-        waiting = self._waiting
-        if not waiting:
-            return
-        ready = self._ready
-        for msg in msgs:
-            want = waiting.get(msg.dst)
-            if want is not None and msg.matches(*want):
-                del waiting[msg.dst]
-                ready.append(msg.dst)
-
     def match_blocking(self, dst: int, source: int, tag: int) -> Message:
         """Pop the earliest matching message for ``dst``, suspending the
         rank until one is available."""

@@ -65,7 +65,7 @@ Correctness of the central replay relies on two existing invariants:
   per-message run).  Fused collectives issued inside an
   :class:`~repro.comm.communicator.AsyncRegion` therefore contend with
   in-flight bucket traffic through the link-occupancy state alone, the
-  same way ``serialize_batch`` bookings do.
+  same way per-message ``post`` / ``deliver`` bookings do.
 
 Fault plans ride the same schedules.  A link slowdown is a per-message
 multiplier on ``beta`` and a compute straggler a per-rank multiplier on

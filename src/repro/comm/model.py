@@ -110,88 +110,21 @@ class NetworkModel:
         n, k = max(0, n), max(2, k)
         return self.sort_time * n * np.log2(k)
 
-    def isend_avail(self, sender_clock: float, n: int) -> np.ndarray:
-        """Egress availability times of ``n`` back-to-back ``isend``
-        posts: the sender's clock advances by ``o_inject`` per post, so
-        message ``i`` becomes available after ``i`` charges (left-fold
-        prefix sum, matching the scalar clock accumulation).  Shared by
-        :meth:`repro.comm.network.Network.post_batch` and the fused
-        Ok-Topk split-and-reduce executor."""
-        if self.o_inject:
-            seq = np.full(n, self.o_inject)
-            seq[0] = sender_clock
-            return seq.cumsum()
-        return np.full(n, sender_clock)
-
     # ------------------------------------------------------------------
-    # Batched link booking
+    # Stacked link booking (the fused executors' fold)
     # ------------------------------------------------------------------
-    def serialize_batch(self, free: float, avail: np.ndarray,
-                        nwords: np.ndarray,
-                        ) -> "tuple[np.ndarray, np.ndarray]":
-        """Book a message batch on one link, bit-identical to booking each
-        message individually.  Returns ``(starts, ends)``.
-
-        Two vectorized regimes reproduce the scalar fold exactly:
-
-        * **saturated** — every message is already waiting when its
-          predecessor ends; the recurrence is the left fold
-          ``((free + b0) + b1) + ...``, which is exactly what ``np.cumsum``
-          over ``[free, b0, b1, ...]`` computes;
-        * **idle** — the link frees before each message becomes available;
-          ``end[i] = avail[i] + b[i]`` independently.
-
-        A batch that switches regimes mid-way falls back to the scalar
-        fold (plain-float loop): a re-associated closed form (prefix sums
-        and a running maximum) would drift in the last ulp, breaking the
-        bit-identical-across-runners/makespan contract.  Start times are
-        the fold's ``max(end[i-1], avail[i])`` selections (never re-derived
-        as ``end - beta*nwords``, which would also drift).
-        """
-        b = self.beta * np.asarray(nwords, dtype=np.float64)
-        n = b.size
-        avail = np.asarray(avail, dtype=np.float64)
-        if n == 0:
-            return b, b
-        # saturated fast path: prev_end[i] >= avail[i] for all i
-        # (ndarray method calls skip the np.* dispatch wrappers — this
-        # booking runs 64+ times per fused split-reduce dispatch)
-        seq = np.empty(n + 1)
-        seq[0] = free
-        seq[1:] = b
-        chain = seq.cumsum()            # chain[i] = end of message i-1
-        if (avail <= chain[:-1]).all():
-            return chain[:-1], chain[1:]
-        # idle fast path: link free before every message becomes available
-        ends = avail + b
-        if avail[0] >= free and (n == 1 or (avail[1:] >= ends[:-1]).all()):
-            return avail, ends
-        # mixed regime: exact scalar fold over plain floats
-        end = free
-        starts = np.empty(n)
-        out = np.empty(n)
-        bl = b.tolist()
-        al = avail.tolist()
-        for i in range(n):
-            a = al[i]
-            if a > end:
-                end = a
-            starts[i] = end
-            end += bl[i]
-            out[i] = end
-        return starts, out
-
     def serialize_stacked(self, free: np.ndarray, avail: np.ndarray,
                           nwords: np.ndarray, starts=None, ends=None,
                           ) -> "tuple[np.ndarray, np.ndarray]":
-        """:meth:`serialize_batch` on P links at once: row ``r`` of the
+        """Book a message batch on each of P links: row ``r`` of the
         ``(P, m)`` matrices is the batch of the link free at ``free[r]``;
         ``(starts, ends)`` land in the float64 buffers given, if any.
-        The scalar fold runs column by column over all rows — per row the
-        message-by-message operations all three regimes of
-        :meth:`serialize_batch` reproduce, so bit-identical to P calls of
-        it.  Pad ragged rows with ``nwords = 0``, ``avail = -inf``: such
-        a message starts where the link stands and adds 0.0."""
+        The scalar fold of :meth:`repro.comm.network.Network.post` /
+        ``deliver`` (``start = max(end, avail)``, ``end = start + beta *
+        nwords``) runs column by column over all rows, so every row is
+        bit-identical to booking its messages one by one.  Pad ragged
+        rows with ``nwords = 0``, ``avail = -inf``: such a message starts
+        where the link stands and adds 0.0."""
         ends = np.multiply(self.beta, nwords, out=ends, dtype=np.float64)
         if starts is None:
             starts = np.empty_like(ends)

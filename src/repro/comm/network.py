@@ -47,7 +47,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import CommError, RankFailedError, SimulatedRankCrash
-from .faults import FaultPlan, FaultState
+from .faults import FaultPlan, FaultState, _window_factor
 from .message import Message, TraceRecord
 from .model import NetworkModel
 from .payload import freeze as _freeze
@@ -226,79 +226,6 @@ class Network:
             self._conds[dst].notify_all()
         return msg, t_end_tx + m.o_send
 
-    def post_batch(self, src: int, items: List[Tuple[int, int, Any, int]],
-                   sender_clock: float) -> Tuple[List[Message], np.ndarray]:
-        """Book the egress link for a batch of messages posted back to back.
-
-        ``items`` is a list of ``(dst, tag, payload, nwords)`` tuples in
-        program order.  Equivalent — bit-identically, including the
-        ``o_inject`` charge between posts — to calling :meth:`post` once
-        per message from an ``isend`` loop, but the per-message Python
-        overhead (lock round-trips, attribute lookups, scalar link math)
-        is paid once per batch: the egress bookings are computed by
-        :meth:`NetworkModel.serialize_batch`.
-
-        Returns ``(messages, done_times)`` where ``done_times[i]`` is the
-        simulated time at which sender buffer ``i`` is reusable
-        (egress serialization + ``o_send``).
-        """
-        if self._sched is not None:  # single-threaded: lock-free
-            return self._post_batch_impl(src, items, sender_clock)
-        with self._lock:
-            return self._post_batch_impl(src, items, sender_clock)
-
-    def _post_batch_impl(self, src: int, items: List[Tuple[int, int, Any, int]],
-                         sender_clock: float,
-                         ) -> Tuple[List[Message], np.ndarray]:
-        if self._abort_exc is not None:
-            self._check_abort()
-        m = self.model
-        n = len(items)
-        nranks = self.nranks
-        nwords_arr = np.empty(n, dtype=np.float64)
-        for i, it in enumerate(items):
-            dst = it[0]
-            if not 0 <= dst < nranks:
-                raise CommError(f"invalid destination rank {dst}")
-            nwords_arr[i] = it[3]
-        avail = m.isend_avail(sender_clock, n)
-        if self.faults is not None:
-            self._crash_check(src)
-        starts, ends = self._serialize_link(True, src, self.egress_free[src],
-                                            avail, nwords_arr)
-        self.egress_free[src] = float(ends[-1])
-        alpha = m.alpha
-        row = self._seq[src]
-        queues = self._queues
-        sched = self._sched
-        msgs: List[Message] = []
-        total_words = 0
-        starts_l = starts.tolist()
-        for i, (dst, tag, payload, nwords_) in enumerate(items):
-            t_start = starts_l[i]
-            msg = Message(src, dst, tag, row[dst], payload, nwords_,
-                          t_start, t_start + alpha)
-            row[dst] += 1
-            total_words += nwords_
-            mailbox = queues[dst]
-            key = (src, tag)
-            chan = mailbox.get(key)
-            if chan is None:
-                chan = mailbox[key] = deque()
-            chan.append(msg)
-            msgs.append(msg)
-        self.words_sent[src] += total_words
-        self.msgs_sent[src] += n
-        if sched is not None:
-            sched.on_post_batch(msgs)
-        else:
-            # repro-lint: ignore[RL001] -- per-dst wakeup order only decides
-            # which threads-runner waiter polls first; matching is by
-            # sequence number, so simulated state cannot depend on it.
-            for dst in {it[0] for it in items}:
-                self._conds[dst].notify_all()
-        return msgs, ends + m.o_send
-
     def try_match(self, dst: int, source: int, tag: int) -> Optional[Message]:
         """Pop the earliest-sequence matching message, or return None.
 
@@ -383,57 +310,6 @@ class Network:
                 msg.src, dst, msg.tag, msg.nwords,
                 msg.t_start_tx, msg.t_first, t_done))
         return t_done
-
-    def deliver_batch(self, msgs: List[Message]) -> float:
-        """Book the ingress link for a batch of matched messages, in list
-        order; returns the completion time of the last one.
-
-        Equivalent — bit-identically — to calling :meth:`deliver` once per
-        message, with the per-message Python overhead amortized: the
-        ingress bookings come from one :meth:`NetworkModel.serialize_batch`
-        scan over the batch (``avail`` = the messages' ``t_first``).  All
-        messages must share one destination (one ``waitall`` caller).
-        """
-        if self._sched is not None:
-            return self._deliver_batch_impl(msgs)
-        with self._lock:
-            return self._deliver_batch_impl(msgs)
-
-    def _deliver_batch_impl(self, msgs: List[Message]) -> float:
-        if len(msgs) == 1:
-            return self._deliver_impl(msgs[0])
-        dst = msgs[0].dst
-        if self.faults is not None and self.faults.link_faulty[dst]:
-            # Per-message ingress factors: take the exact scalar path.
-            t_done = 0.0
-            for msg in msgs:
-                t_done = self._deliver_impl(msg)
-            return t_done
-        n = len(msgs)
-        nwords_arr = np.empty(n, dtype=np.float64)
-        avail = np.empty(n, dtype=np.float64)
-        total_words = 0
-        for i, msg in enumerate(msgs):
-            nwords_arr[i] = msg.nwords
-            avail[i] = msg.t_first
-            total_words += msg.nwords
-        _, ends = self.model.serialize_batch(self.ingress_free[dst], avail,
-                                             nwords_arr)
-        self.ingress_free[dst] = float(ends[-1])
-        self.words_recv[dst] += total_words
-        self.msgs_recv[dst] += n
-        ends_l = ends.tolist()
-        trace = self.trace if self.trace_enabled else None
-        for i, msg in enumerate(msgs):
-            msg.t_done = ends_l[i]
-            if msg.loans:
-                msg.payload = _freeze(msg.payload, readonly=True)
-                self.release_loans(msg)
-            if trace is not None:
-                trace.append(TraceRecord(
-                    msg.src, dst, msg.tag, msg.nwords,
-                    msg.t_start_tx, msg.t_first, msg.t_done))
-        return ends_l[-1]
 
     # ------------------------------------------------------------------
     # Send-buffer loans (cooperative zero-copy mode)
@@ -690,46 +566,23 @@ class Network:
                                 "seq": msg.seq, "nwords": msg.nwords})
         return out
 
-    def _serialize_link(self, egress: bool, slot: int, free: float,
+    def _serialize_link(self, windows: list, free: float,
                         avail: np.ndarray, nwords: np.ndarray,
                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Book a message batch on ``slot``'s egress (or ingress) link,
-        free at ``free``: :meth:`NetworkModel.serialize_batch`, or the
-        per-message-factor fold when a plan slows a link of the slot.
-        Shared by :meth:`post_batch` and the fused Ok-Topk
-        split-and-reduce executor (which books both directions with it)."""
-        f = self.faults
-        if f is not None and f.link_faulty[slot]:
-            return self._serialize_batch_faulted(
-                (f.egress if egress else f.ingress)[slot], free, avail,
-                nwords)
-        return self.model.serialize_batch(free, avail, nwords)
-
-    def _serialize_batch_faulted(self, windows: list, free: float,
-                                 avail: np.ndarray, nwords: np.ndarray,
-                                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scalar link fold with the per-message slowdown factor
-        evaluated at each booking start — the faulted counterpart of
-        :meth:`NetworkModel.serialize_batch` (plain-float fold, so a
-        factor-1.0 window set reproduces the unfaulted times exactly)."""
+        """Book a message batch on a link free at ``free`` that a plan
+        slows in ``windows``: the fold of :meth:`_post_impl` (egress) or
+        :meth:`_deliver_impl` (ingress) message by message, each factor
+        evaluated at its booking's start.  The fused Ok-Topk
+        split-and-reduce executor books its slow-link rows with it."""
         beta = self.model.beta
-        n = len(nwords)
-        starts = np.empty(n)
-        ends = np.empty(n)
+        starts, ends = [], []
         end = free
-        al = np.asarray(avail, dtype=np.float64).tolist()
-        nl = np.asarray(nwords, dtype=np.float64).tolist()
-        for i in range(n):
-            a = al[i]
+        for a, n in zip(avail.tolist(), nwords.tolist()):
             start = end if end > a else a
-            fac = 1.0
-            for t0, t1, f in windows:
-                if t0 <= start < t1:
-                    fac *= f
-            end = start + beta * fac * nl[i]
-            starts[i] = start
-            ends[i] = end
-        return starts, ends
+            end = start + beta * _window_factor(windows, start) * n
+            starts.append(start)
+            ends.append(end)
+        return np.array(starts), np.array(ends)
 
     def save_rank_state(self, rank: int) -> tuple:
         """Snapshot ``rank``'s own clock, link occupancy and counters.

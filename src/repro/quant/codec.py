@@ -56,6 +56,12 @@ class LinearQuantizer:
         if v.size == 0:
             return QuantArray(np.empty(0, np.uint8), 0.0, 0.0,
                               self.bits, 0)
+        bad = v.size - np.count_nonzero(np.isfinite(v))
+        if bad:
+            # a min-max range over a NaN or inf would decode every value
+            # of the package as NaN
+            raise ValueError(f"cannot quantize {bad} non-finite value(s) "
+                             f"of {v.size}")
         lo = float(v.min())
         hi = float(v.max())
         if hi == lo:

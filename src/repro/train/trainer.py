@@ -96,7 +96,6 @@ class TrainerConfig:
     k: Optional[int] = None
     mode: str = "sgd"                 # "sgd" (Algorithm 2) | "adam" (wrapped)
     lr: Any = 0.1
-    momentum: float = 0.0
     weight_decay: float = 0.0
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -295,18 +294,11 @@ class Trainer:
 
             sparsify = res.sparsify_time
             comm_t = max(0.0, step_time - sparsify)
-            if res.bucket_stats is not None:
-                # Generic timeline: replay the buckets' communication
-                # against their backward-release times.
-                visible_comm = visible_comm_time(
-                    res.bucket_stats, compute_time,
-                    cfg.overlap_backward_fraction, comm_t)
-            elif res.overlappable:
-                # Legacy one-shot path (direct reduce, no session).
-                credit = cfg.overlap_backward_fraction * compute_time
-                visible_comm = max(0.0, comm_t - credit)
-            else:
-                visible_comm = comm_t
+            # Every step is a session: replay the buckets' communication
+            # against their backward-release times.
+            visible_comm = visible_comm_time(
+                res.bucket_stats, compute_time,
+                cfg.overlap_backward_fraction, comm_t)
             iter_time = compute_time + sparsify + visible_comm
 
         rec = IterationRecord(

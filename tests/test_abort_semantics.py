@@ -67,8 +67,8 @@ class TestAbortWakesBlockedPrimitives:
             if comm.rank == 0:
                 comm.compute(1e-6)
                 raise RuntimeError("boom")
-            reqs = comm.isend_batch(
-                [(np.zeros(16, np.float32), 0, t) for t in range(4)])
+            reqs = [comm.isend(np.zeros(16, np.float32), 0, t)
+                    for t in range(4)]
             try:
                 for r in reqs:
                     r.wait()

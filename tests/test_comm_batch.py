@@ -1,16 +1,19 @@
-"""Batched link-booking API: bit-identity with per-message booking,
-closed-form occupancy scan, and the async-region issue-at-time hook."""
+"""Link booking against the scalar fold: the per-message ``post`` /
+``deliver`` chain, the slow-link fold and the fused executors' stacked
+fold; ``waitall``'s arrival-order delivery; and the async-region
+issue-at-time hook."""
 
 import numpy as np
 import pytest
 
 from repro.comm import NetworkModel, run_spmd
+from repro.comm.network import Network
 
 RUNNERS = ("coop", "threads")
 
 
 # ---------------------------------------------------------------------------
-# NetworkModel scan primitives
+# NetworkModel.serialize_stacked
 # ---------------------------------------------------------------------------
 def _fold(free, avail, nwords, beta):
     """Reference scalar fold: end_i = max(end_{i-1}, avail_i) + b_i."""
@@ -25,52 +28,78 @@ def _fold(free, avail, nwords, beta):
     return np.array(starts), np.array(ends)
 
 
-class TestSerializeBatch:
+class TestPostDeliverFold:
+    """``Network.post`` books the egress link and ``deliver`` the ingress
+    link one message at a time; either chain must carry the bits of the
+    scalar fold, as must ``_serialize_link`` with no slow window."""
+
     def _random_case(self, rng, n):
         free = float(rng.uniform(0, 1e-3))
         avail = np.sort(rng.uniform(0, 2e-3, size=n))
         nwords = rng.integers(0, 5000, size=n)
         return free, avail, nwords
 
+    def _book(self, model, free, avail, nwords):
+        """Post the batch from ranks 0 and 2 to rank 1, then deliver both
+        in arrival order; returns rank 0's egress ``(starts, ends)``, the
+        delivered messages and the receiver's link start."""
+        net = Network(3, model)
+        net.egress_free[0] = net.egress_free[2] = free
+        in_free = net.ingress_free[1] = free + 1e-3
+        msgs, ends = [], []
+        for src in (0, 2):
+            for a, n in zip(avail.tolist(), nwords.tolist()):
+                msg, done = net.post(src, 1, 0, None, n, a)
+                msgs.append(msg)
+                if src == 0:
+                    ends.append(done - model.o_send)
+        starts = np.array([m.t_start_tx for m in msgs[:len(ends)]])
+        msgs.sort(key=lambda m: (m.t_first, m.src))
+        for msg in msgs:
+            assert net.deliver(msg) == msg.t_done
+        return starts, np.array(ends), msgs, in_free
+
     @pytest.mark.parametrize("seed", range(8))
     def test_bitwise_identical_to_scalar_fold(self, seed):
-        """serialize_batch must reproduce message-by-message booking
-        exactly (not approximately) in every regime: saturated, idle and
-        mixed batches all hit it through waitall/isend_batch."""
-        m = NetworkModel()
+        model = NetworkModel()
         rng = np.random.default_rng(seed)
         for n in (1, 2, 7, 40):
             free, avail, nwords = self._random_case(rng, n)
-            starts, ends = m.serialize_batch(free, avail, nwords)
-            ref_s, ref_e = _fold(free, avail, nwords, m.beta)
+            starts, ends, msgs, in_free = self._book(model, free, avail,
+                                                     nwords)
+            ref_s, ref_e = _fold(free, avail, nwords, model.beta)
             assert np.array_equal(starts, ref_s)
             assert np.array_equal(ends, ref_e)
+            link_s, link_e = Network(2, model)._serialize_link(
+                [], free, avail, nwords)
+            assert np.array_equal(link_s, ref_s)
+            assert np.array_equal(link_e, ref_e)
+            _, ref_done = _fold(in_free, np.array([m.t_first for m in msgs]),
+                                np.array([m.nwords for m in msgs]),
+                                model.beta)
+            assert np.array_equal([m.t_done for m in msgs], ref_done)
 
     def test_saturated_regime(self):
-        m = NetworkModel()
+        model = NetworkModel()
         nwords = np.array([1000, 2000, 500])
         avail = np.zeros(3)
-        starts, ends = m.serialize_batch(1.0, avail, nwords)
-        ref_s, ref_e = _fold(1.0, avail, nwords, m.beta)
-        assert np.array_equal(ends, ref_e) and np.array_equal(starts, ref_s)
+        starts, ends, _, _ = self._book(model, 1.0, avail, nwords)
+        ref_s, ref_e = _fold(1.0, avail, nwords, model.beta)
+        assert np.array_equal(starts, ref_s) and np.array_equal(ends, ref_e)
+        assert starts[0] == 1.0 and np.array_equal(starts[1:], ends[:-1])
 
     def test_idle_regime(self):
-        m = NetworkModel()
+        model = NetworkModel()
         nwords = np.array([10, 10, 10])
         avail = np.array([1.0, 2.0, 3.0])
-        starts, ends = m.serialize_batch(0.0, avail, nwords)
+        starts, ends, _, _ = self._book(model, 0.0, avail, nwords)
         assert np.array_equal(starts, avail)
-        assert np.array_equal(ends, avail + m.beta * nwords)
-
-    def test_empty_batch(self):
-        m = NetworkModel()
-        starts, ends = m.serialize_batch(0.5, np.empty(0), np.empty(0))
-        assert starts.size == 0 and ends.size == 0
+        assert np.array_equal(ends, avail + model.beta * nwords)
 
 
 class TestSerializeStacked:
     """The stacked fold books P links at once; every row must carry the
-    bits of its own ``serialize_batch`` call and of the scalar fold."""
+    bits of the scalar fold."""
 
     def _rows(self, rng, p, m):
         """``p`` links of ``m`` messages: saturated rows (everything
@@ -92,11 +121,9 @@ class TestSerializeStacked:
             free, avail, nwords = self._rows(rng, p, m)
             starts, ends = model.serialize_stacked(free, avail, nwords)
             for r in range(p):
-                for ref in (model.serialize_batch(free[r], avail[r],
-                                                  nwords[r]),
-                            _fold(free[r], avail[r], nwords[r], model.beta)):
-                    assert np.array_equal(starts[r], ref[0])
-                    assert np.array_equal(ends[r], ref[1])
+                ref_s, ref_e = _fold(free[r], avail[r], nwords[r], model.beta)
+                assert np.array_equal(starts[r], ref_s)
+                assert np.array_equal(ends[r], ref_e)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_padding_is_neutral_wherever_it_sits(self, seed):
@@ -134,64 +161,87 @@ class TestSerializeStacked:
 
 
 # ---------------------------------------------------------------------------
-# isend_batch == sequential isend (clocks, traffic, payloads)
+# waitall: ingress bookings in arrival order
 # ---------------------------------------------------------------------------
-def _exchange_prog(comm, batched):
+def _exchange_prog(comm, reverse):
+    """Three all-to-all rounds of ragged isends; ``waitall`` gets the
+    round's requests as posted or reversed.  Returns the per-request
+    payload sums in posted order and the final clock."""
     p, r = comm.size, comm.rank
     rng = np.random.default_rng(r)
-    total = 0.0
+    sums = []
     for _ in range(3):
-        reqs, sends = [], []
+        reqs = []
         for s in range(1, p):
             reqs.append(comm.irecv((r - s) % p, 9))
             payload = rng.normal(
                 size=int(rng.integers(1, 3000))).astype(np.float32)
-            if batched:
-                sends.append((payload, (r + s) % p, 9))
-            else:
-                reqs.append(comm.isend(payload, (r + s) % p, 9))
-        if batched:
-            reqs.extend(comm.isend_batch(sends))
-        got = comm.waitall(reqs)
-        total += sum(float(g.sum()) for g in got if g is not None)
+            reqs.append(comm.isend(payload, (r + s) % p, 9))
+        if reverse:
+            got = comm.waitall(reqs[::-1])[::-1]
+        else:
+            got = comm.waitall(reqs)
+        sums.append([None if g is None else float(g.sum()) for g in got])
         comm.compute(1e-7 * r)  # stagger clocks -> mixed link regimes
-    return total, comm.clock
+    return sums, comm.clock
 
 
-class TestIsendBatch:
+class TestWaitall:
     @pytest.mark.parametrize("runner", RUNNERS)
-    def test_bit_identical_to_isend_loop(self, runner):
+    def test_independent_of_request_order(self, runner):
+        """Ingress slots are booked in arrival order, so the order the
+        caller lists the requests in moves no clock, byte or payload."""
         for model in (NetworkModel(),
                       NetworkModel(o_inject=3e-8, o_send=1e-8),
                       NetworkModel.commodity()):
-            seq = run_spmd(5, _exchange_prog, False, model=model,
+            fwd = run_spmd(5, _exchange_prog, False, model=model,
                            runner=runner)
-            bat = run_spmd(5, _exchange_prog, True, model=model,
+            rev = run_spmd(5, _exchange_prog, True, model=model,
                            runner=runner)
-            assert list(seq.results) == list(bat.results)
-            assert [seq.network.clocks[i] for i in range(5)] == \
-                   [bat.network.clocks[i] for i in range(5)]
+            assert list(fwd.results) == list(rev.results)
+            assert [fwd.network.clocks[i] for i in range(5)] == \
+                   [rev.network.clocks[i] for i in range(5)]
             for field in ("words_sent", "words_recv", "msgs_sent",
                           "msgs_recv"):
-                assert np.array_equal(getattr(seq.stats, field),
-                                      getattr(bat.stats, field))
+                assert np.array_equal(getattr(fwd.stats, field),
+                                      getattr(rev.stats, field))
 
-    def test_empty_batch_is_noop(self):
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_clock_ends_at_last_delivery(self, runner):
+        """The receiver's clock lands on its latest ingress completion,
+        and its deliveries are booked in order of first arrival."""
+        def prog(comm):
+            if comm.rank == 0:
+                reqs = [comm.irecv(src, 3) for src in (3, 1, 2)]
+                comm.waitall(reqs)
+                return comm.clock
+            comm.compute(1e-6 * (4 - comm.rank))
+            comm.isend(np.ones(500 * comm.rank, np.float32), 0, 3).wait()
+            return None
+
+        res = run_spmd(4, prog, trace=True, runner=runner)
+        recs = [t for t in res.network.trace if t.dst == 0]
+        assert len(recs) == 3
+        assert res[0] == max(t.t_done for t in recs)
+        firsts = [t.t_first for t in recs]
+        assert firsts == sorted(firsts)
+
+    def test_empty_waitall_is_noop(self):
         def prog(comm):
             clock0 = comm.clock
-            assert comm.isend_batch([]) == []
+            assert comm.waitall([]) == []
             return comm.clock == clock0
 
         assert all(run_spmd(2, prog).results)
 
-    def test_wakes_blocked_receiver(self):
-        """A rank already parked in recv() must be woken by a message
-        posted mid-batch (the engine's on_post_batch hook)."""
+    def test_isend_wakes_blocked_receiver(self):
+        """A rank already parked in recv() is woken by the message an
+        isend loop posts for it, wherever in the loop that is."""
         def prog(comm):
             if comm.rank == 0:
-                payloads = [(np.full(4, i, np.float32), 1, i)
-                            for i in range(3)]
-                for req in comm.isend_batch(payloads):
+                reqs = [comm.isend(np.full(4, i, np.float32), 1, i)
+                        for i in range(3)]
+                for req in reqs:
                     req.wait()
                 return None
             # rank 1 blocks on the *last* tag first
@@ -200,24 +250,6 @@ class TestIsendBatch:
 
         res = run_spmd(2, prog)
         assert res[1] == [2.0, 0.0, 1.0]
-
-    def test_loaned_buffer_write_locked_in_flight(self):
-        """Zero-copy loans survive the batched path: mutating a sent
-        buffer before delivery raises instead of corrupting the
-        receiver."""
-        def prog(comm):
-            if comm.rank == 0:
-                buf = np.ones(64, dtype=np.float32)
-                comm.isend_batch([(buf, 1, 0)])
-                with pytest.raises(ValueError):
-                    buf[0] = 7.0          # on loan: write-locked
-                comm.send(None, 1, 1)     # let the receiver proceed
-                return None
-            comm.recv(0, 1)
-            got = comm.recv(0, 0)
-            return float(got.sum())
-
-        assert run_spmd(2, prog)[1] == 64.0
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.allreduce import ParamLayout, make_allreduce
 from repro.allreduce import oktopk as oktopk_mod
-from repro.allreduce.schedule import compile_split_reduce
+from repro.allreduce.schedule import buckets, compile_split_reduce, \
+    make_steps
 from repro.allreduce.session import run_session
 from repro.bench.harness import perf_proxy, proxy_network
 from repro.comm import Network, NetworkModel, collectives as coll, \
@@ -1284,11 +1285,36 @@ def _exec_sr_stage(net, sig, payloads):
             for loc, lo, hi in zip(local, cuts, cuts[1:])]
 
 
-def _sr_prog(comm, rotation, bucket_size, stagger=True, rounds=3):
+def _isend_loop_sr(algo, comm, local, boundaries):
+    """Ok-Topk's split-and-reduce exchange written out as a plain
+    ``isend`` loop per bucket, with the scheme's compute charges (the
+    reduction itself is left out: returns the rank's own piece)."""
+    p, r = comm.size, comm.rank
+    pieces = local.split(boundaries)
+    comm.compute_scan(local.nnz)
+    prev_words = 0
+    for bucket in buckets(make_steps(r, p, algo.rotation), algo.bucket_size):
+        reqs = []
+        for step in bucket:
+            for src in step.recv_from:
+                reqs.append(comm.irecv(src, oktopk_mod._TAG_SR))
+            for dst in step.send_to:
+                reqs.append(comm.isend(pieces[dst], dst, oktopk_mod._TAG_SR))
+        if prev_words:
+            comm.compute_words(2 * prev_words)
+        got = comm.waitall(reqs)
+        prev_words = sum(g.nnz for g in got if g is not None)
+    if prev_words:
+        comm.compute_words(2 * prev_words)
+    return pieces[r]
+
+
+def _sr_prog(comm, rotation, bucket_size, stagger=True, rounds=3,
+             exchange=None):
     """``rounds`` chained split-and-reduce exchanges (the links carry one
     exchange's bookings into the next: every fold regime shows), through
     the rendezvous where the run has one and message by message where it
-    does not."""
+    does not (by ``exchange(algo, comm, local, boundaries)`` if given)."""
     p, r = comm.size, comm.rank
     algo = make_allreduce("oktopk", k=SR_K, rotation=rotation,
                           bucket_size=bucket_size)
@@ -1308,6 +1334,8 @@ def _sr_prog(comm, rotation, bucket_size, stagger=True, rounds=3):
             red = comm.fused_collective(
                 ("sr_stage", rotation, bucket_size, t),
                 (comm, local, boundaries), _exec_sr_stage)
+        elif exchange is not None:
+            red = exchange(algo, comm, local, boundaries)
         else:
             red = algo._split_and_reduce(comm, local, boundaries)
         outs.append((red.indices, red.values, red.n, comm.clock))
@@ -1329,6 +1357,32 @@ class TestSplitReduceStage:
         three_way(_sr_prog, p, rotation, bucket_size, model=overheads,
                   faults=FaultPlan.straggler_skew(p, seed=p),
                   log=rendezvous_log)
+
+    @pytest.mark.parametrize("p", [4, 5])
+    @pytest.mark.parametrize("rotation,bucket_size", [(True, 8), (False, 2)])
+    def test_posts_follow_the_isend_loop_under_a_straggler(
+            self, rotation, bucket_size, p):
+        """A straggler pays a scaled ``o_inject`` after every post, so
+        each of its posts starts that much later: every piece leaves when
+        the plain ``isend`` loop's would, and the stage's clocks are the
+        loop's."""
+        plan = FaultPlan(stragglers=[ComputeStraggler(rank=1, factor=3.0)])
+        model = NetworkModel(o_inject=1e-6)
+
+        def run(exchange):
+            res = run_spmd(p, _sr_prog, rotation, bucket_size,
+                           exchange=exchange, model=model, faults=plan,
+                           runner="coop", trace=True)
+            sr = sorted((t.src, t.dst, t.t_start_tx, t.t_first, t.t_done)
+                        for t in res.network.trace
+                        if t.tag == oktopk_mod._TAG_SR)
+            return sr, [[o[3] for o in outs] for outs in res.results]
+
+        sr, clocks = run(None)
+        ref_sr, ref_clocks = run(_isend_loop_sr)
+        assert len(sr) == 3 * p * (p - 1)
+        assert sr == ref_sr
+        assert clocks == ref_clocks
 
     @pytest.mark.parametrize("p", [4, 5])
     @pytest.mark.parametrize("rotation,bucket_size", SCHEDULES)

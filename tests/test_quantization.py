@@ -1,5 +1,7 @@
 """Quantization extension: codec properties and quantized allreduces."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,16 @@ class TestCodec:
             want = np.clip(np.rint((v - lo) * (q.levels / (hi - lo))), 0,
                            q.levels)
             assert np.array_equal(q._unpack(q.encode(v)), want)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_are_rejected(self, bad):
+        """One NaN or inf would make the whole package decode as NaN: the
+        encoder refuses it by name, with numpy's warnings silenced."""
+        q = LinearQuantizer(8)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="1 non-finite value"):
+                q.encode(np.array([bad, 1.0, 2.0], dtype=np.float32))
 
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
