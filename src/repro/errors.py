@@ -174,9 +174,8 @@ class ReplicaDivergenceError(SanitizerError):
     with the same optimizer (Algorithm 2), so every rank's parameters and
     optimizer state stay bit-equal.  Rank-batched training relies on it:
     the ``rb_apply`` executor (:mod:`repro.train.rankbatch`) runs one
-    optimizer step for the world and copies the result to every rank.
-    Under the sanitizer it first compares each rank's replica with rank
-    0's.
+    optimizer step for the world, on state the ranks share.  Under the
+    sanitizer it first compares each rank's replica with rank 0's.
 
     Attributes:
         rank: the first rank whose replica differs from rank 0's.

@@ -186,8 +186,7 @@ class FlatModel:
         The caller is responsible for having copied the current parameter
         values into ``flat`` beforehand; ``grad`` contents are irrelevant
         (``loss_and_grad`` zeroes them).  Used by the rank-batched executor
-        to place every rank's vector as one row of a shared ``(P, n)``
-        matrix, so stacked math and per-rank views address the same memory.
+        to bind every rank to the world's one parameter vector.
         """
         if flat.shape != self._flat.shape or grad.shape != self._flat_grad.shape:
             raise ValueError("rebind_storage: shape mismatch")

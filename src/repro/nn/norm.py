@@ -61,10 +61,15 @@ class LayerNorm(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # x.mean and x.var as numpy computes them, the mean taken once
+        d = np.intp(x.shape[-1])
+        mean = np.add.reduce(x, axis=-1, keepdims=True)
+        np.true_divide(mean, d, out=mean, casting="unsafe")
+        xc = x - mean
+        var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+        np.true_divide(var, d, out=var, casting="unsafe")
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv
+        xhat = xc * inv
         self._cache = (xhat, inv)
         return self.gamma.data * xhat + self.beta.data
 

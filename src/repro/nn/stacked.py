@@ -3,9 +3,9 @@
 Data-parallel ranks run the *same* model graph on different data shards,
 so the per-rank fwd/bwd calls are P independent invocations of identical
 numpy kernels.  :class:`StackedModel` binds P :class:`FlatModel` replicas
-onto two shared ``(P, n)`` matrices (parameters and gradients) and runs
-the whole world's fwd/bwd as one call of a *world module*: a copy of rank
-0's module whose inputs carry a leading rank axis.
+onto one shared parameter vector and one ``(P, n)`` gradient matrix and
+runs the whole world's fwd/bwd as one call of a *world module*: a copy of
+rank 0's module whose inputs carry a leading rank axis.
 
 There is one body per layer.  The world copy is marked ``_rank_axes = 1``
 (:class:`~repro.nn.module.Module` defaults to 0) and its parameter
@@ -20,13 +20,13 @@ types written that way; convolution, pooling, batch norm and the LSTM
 stay per rank.
 
 Weights: the SPMD invariant (identical init, identical allreduced
-updates) makes every row of the parameter matrix bit-equal, so the world
-module reads rank 0's row.  The constructor verifies the invariant once
-at bind time and refuses to bind diverged replicas; callers then run
-per-rank.  A fault plan does not break the invariant (stragglers and slow
-links scale simulated time, not the math), and neither does an elastic
-shrink: the survivors hold identical parameters and are simply re-stacked
-as a ``(P-1, n)`` world.
+updates) makes every rank's parameters bit-equal, so every rank model's
+``params_flat`` is one shared vector (``params``), which the world module
+reads too.  The constructor verifies the invariant once at bind time and
+refuses to bind diverged replicas; callers then run per-rank.  A fault
+plan does not break the invariant (stragglers and slow links scale
+simulated time, not the math), and neither does an elastic shrink: the
+survivors are simply re-stacked as a (P-1)-rank world.
 
 Ragged data does not make a world less SPMD.  When the shards stop
 dividing the global batch (16 over 15 ranks gives shards of 1 and 2),
@@ -35,9 +35,9 @@ equal input shapes: its gradient views are re-pointed at the rows
 ``gmat[lo:hi]``, and every layer and the loss take the leading size from
 the data.
 
-The ``(P, n)`` matrices live on their own memory mappings
-(:func:`mapped_zeros`), not in the malloc arena of whichever rank thread
-happened to build the world.
+The shared vector and the gradient matrix live on their own memory
+mappings (:func:`mapped_zeros`), not in the malloc arena of whichever rank
+thread happened to build the world.
 """
 
 from __future__ import annotations
@@ -102,28 +102,27 @@ def supports_stacking(model) -> bool:
 
 
 class StackedModel:
-    """P FlatModel replicas re-homed onto shared (P, n) matrices, run
-    through one world module."""
+    """P FlatModel replicas bound to one shared parameter vector and a
+    shared (P, n) gradient matrix, run through one world module."""
 
     def __init__(self, models: Sequence[FlatModel]):
         self.models = list(models)
         m0 = self.models[0]
         nranks = len(self.models)
         n = m0.nparams
-        self.pmat = mapped_zeros((nranks, n), DTYPE)
-        self.gmat = mapped_zeros((nranks, n), DTYPE)
-        for r, m in enumerate(self.models):
-            if m.nparams != n:
-                raise ValueError("stacked models must have equal nparams")
-            self.pmat[r, :] = m.params_flat
         # Check the SPMD invariant *before* rebinding so a rejected bind
         # leaves the models untouched.
-        if not all(np.array_equal(self.pmat[r], self.pmat[0])
-                   for r in range(1, nranks)):
-            raise ValueError("SPMD invariant violated: rank parameter "
-                             "vectors differ at bind time")
+        for m in self.models[1:]:
+            if m.nparams != n:
+                raise ValueError("stacked models must have equal nparams")
+            if not np.array_equal(m.params_flat, m0.params_flat):
+                raise ValueError("SPMD invariant violated: rank parameter "
+                                 "vectors differ at bind time")
+        self.params = mapped_zeros((n,), DTYPE)
+        self.params[:] = m0.params_flat
+        self.gmat = mapped_zeros((nranks, n), DTYPE)
         for r, m in enumerate(self.models):
-            m.rebind_storage(self.pmat[r], self.gmat[r])
+            m.rebind_storage(self.params, self.gmat[r])
         params = m0.module.parameters()
         # The world module: parameter storage is re-pointed below, so the
         # copy skips it (the memo maps each array to a placeholder).
@@ -132,7 +131,7 @@ class StackedModel:
         self._segments = []
         ofs = 0
         for p, wp in zip(params, self.world.parameters()):
-            wp.data = self.pmat[0, ofs:ofs + p.size].reshape(p.data.shape)
+            wp.data = self.params[ofs:ofs + p.size].reshape(p.data.shape)
             self._segments.append((wp, slice(ofs, ofs + p.size)))
             ofs += p.size
         self._point_grads(0, nranks)

@@ -18,6 +18,9 @@ temporary per ufunc costs a round of page faults every step, which is
 most of what the step costs at the BERT proxy's size.  The state and the
 arithmetic are float32; the hyperparameters are Python floats, so they
 never promote it.
+
+Rank-batched training steps rank 0's instance once for the world and
+binds every rank's state to its arrays (:mod:`repro.train.rankbatch`).
 """
 
 from __future__ import annotations
@@ -52,16 +55,6 @@ class Adam:
         self._m = np.zeros(shape, dtype=np.float32)
         self._v = np.zeros(shape, dtype=np.float32)
         self._scratch = np.empty((2,) + tuple(shape), dtype=np.float32)
-
-    def assign(self, other: "Adam") -> None:
-        """Take ``other``'s step counter and moments (rank-batched
-        training runs one step for the world and hands its state to every
-        other rank; see :mod:`repro.train.rankbatch`)."""
-        self.t = other.t
-        if self._m is None:
-            self._init_state(other._m.shape)
-        np.copyto(self._m, other._m)
-        np.copyto(self._v, other._v)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1

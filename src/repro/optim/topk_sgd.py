@@ -56,25 +56,6 @@ class StepInfo:
         return self.result.phase_times
 
 
-def _session_or_reduce(allreduce: GradientAllreduce, comm: SimComm,
-                       acc: np.ndarray, t: int,
-                       layout: Optional[ParamLayout],
-                       bucket_size: Optional[int],
-                       pacer=None) -> AllreduceResult:
-    """Run the allreduce: session-based when a layout is configured
-    (bit-identical to one-shot at the default ``bucket_size=None``).
-
-    ``pacer`` (segment -> None) switches the session to streaming
-    execution: it is invoked before each push to charge the backward
-    compute the segment represents, and bucket reductions are issued on
-    the simulated clock mid-backward (see :mod:`repro.allreduce.session`).
-    """
-    if layout is not None:
-        return run_session(allreduce, comm, layout, t, acc,
-                           bucket_size=bucket_size, pacer=pacer)
-    return allreduce.reduce(comm, acc, t)
-
-
 def _apply_update(params: np.ndarray, update, scale: float) -> None:
     """``params -= scale * update`` for sparse or dense updates."""
     if isinstance(update, COOVector):
@@ -99,6 +80,10 @@ class TopkSGD:
             :mod:`repro.allreduce.session`).
     """
 
+    #: the optimizer the averaged update feeds (:class:`SparseOptimWrapper`);
+    #: ``None`` applies it as Algorithm 2's ``w -= u / P``
+    inner: Any = None
+
     def __init__(self, allreduce: GradientAllreduce, lr, n: int, *,
                  layout: Optional[ParamLayout] = None,
                  bucket_size: Optional[int] = None):
@@ -113,71 +98,59 @@ class TopkSGD:
              grad: np.ndarray, *, pacer=None, rb=None) -> StepInfo:
         """One synchronous data-parallel step; mutates ``params``.
 
-        ``pacer`` enables streaming sessions (see
-        :func:`_session_or_reduce`); ``rb`` (a
+        ``pacer`` (segment -> None) switches a session to streaming: it
+        charges each segment's backward compute before its push, and
+        bucket reductions issue mid-backward on the simulated clock (see
+        :mod:`repro.allreduce.session`).  ``rb`` (a
         :class:`repro.train.rankbatch.RankBatch`) batches the residual
-        accumulation across the world when lockstep execution is engaged
-        — bit-identical to the per-rank expression."""
+        accumulation and applies the update once for the world when
+        lockstep execution is engaged — bit-identical to the per-rank
+        expressions."""
         self.t += 1
         lr = self.lr(self.t)
         acc = rb.accumulate(self.t, self.residual, lr, grad) \
             if rb is not None else None
         if acc is None:
             acc = self.residual + lr * grad.astype(np.float32, copy=False)
-        result = _session_or_reduce(self.allreduce, comm, acc, self.t,
-                                    self.layout, self.bucket_size,
-                                    pacer=pacer)
+        if self.layout is None:
+            result = self.allreduce.reduce(comm, acc, self.t)
+        else:
+            result = run_session(self.allreduce, comm, self.layout, self.t,
+                                 acc, bucket_size=self.bucket_size,
+                                 pacer=pacer)
         # residual update: keep what did not contribute
         self.residual = acc
         if result.contributed_indices is None:
             self.residual = np.zeros_like(acc)
         else:
             self.residual[result.contributed_indices] = 0.0
-        _apply_update(params, result.update, 1.0 / comm.size)
-        return StepInfo(t=self.t, lr=lr, result=result,
+        # one step for the whole world when rank-batched (see
+        # repro.train.rankbatch), else this rank's own
+        inner = self.inner
+        own = rb.apply(self.t, params, result, inner) if rb else params
+        if own is not None and inner is None:
+            _apply_update(own, result.update, 1.0 / comm.size)
+        elif own is not None:
+            inner.step(own, result.update_dense(own.size) / comm.size)
+        if inner is not None:
+            lr = inner.lr(inner.t) if hasattr(inner, "lr") else 0.0
+        return StepInfo(t=self.t, lr=float(lr), result=result,
                         _residual=self.residual)
 
 
-class SparseOptimWrapper:
+class SparseOptimWrapper(TopkSGD):
     """Error-feedback sparsification around an inner (adaptive) optimizer.
 
     The paper's BERT mode: "sparse allreduce is conducted on the gradients
     and Adam optimizer is applied afterwards" (Section 5).  Residuals are
-    accumulated on raw gradients; the inner optimizer consumes the averaged
-    sparse update as its gradient estimate.
+    accumulated on raw gradients (Algorithm 2 at ``alpha = 1``); the inner
+    optimizer consumes the averaged sparse update as its gradient
+    estimate.
     """
 
     def __init__(self, allreduce: GradientAllreduce, inner: Any, n: int, *,
                  layout: Optional[ParamLayout] = None,
                  bucket_size: Optional[int] = None):
-        self.allreduce = allreduce
+        super().__init__(allreduce, 1.0, n, layout=layout,
+                         bucket_size=bucket_size)
         self.inner = inner
-        self.residual = np.zeros(n, dtype=np.float32)
-        self.t = 0
-        self.layout = layout
-        self.bucket_size = bucket_size
-
-    def step(self, comm: SimComm, params: np.ndarray,
-             grad: np.ndarray, *, pacer=None, rb=None) -> StepInfo:
-        self.t += 1
-        acc = rb.accumulate(self.t, self.residual, 1.0, grad) \
-            if rb is not None else None
-        if acc is None:
-            acc = self.residual + grad.astype(np.float32, copy=False)
-        result = _session_or_reduce(self.allreduce, comm, acc, self.t,
-                                    self.layout, self.bucket_size,
-                                    pacer=pacer)
-        self.residual = acc
-        if result.contributed_indices is None:
-            self.residual = np.zeros_like(acc)
-        else:
-            self.residual[result.contributed_indices] = 0.0
-        # one step for the whole world when rank-batched (every rank's
-        # is identical; see repro.train.rankbatch), else this rank's own
-        if rb is None or rb.apply(self.t, params, result,
-                                  self.inner) is None:
-            self.inner.step(params,
-                            result.update_dense(params.size) / comm.size)
-        lr = self.inner.lr(self.inner.t) if hasattr(self.inner, "lr") else 0.0
-        return StepInfo(t=self.t, lr=float(lr), result=result,
-                        _residual=self.residual)

@@ -15,11 +15,11 @@ world, then readies the others in rank order).  The executors:
   proxies stack, the VGG and LSTM proxies run per rank);
 * ``rb_accumulate`` (:func:`_exec_accumulate`) — the optimizer's residual
   accumulation, into the world's double-buffered accumulate matrix;
-* ``rb_apply`` (:func:`_exec_apply`) — the Adam-mode optimizer step
-  (the paper's BERT mode): every rank would apply the same averaged
-  update to bit-equal parameters and moments, so rank 0's step runs once
-  and its parameters, moments and step counter are copied to the other
-  ranks (under the sanitizer, after checking they really were equal);
+* ``rb_apply`` (:func:`_exec_apply`) — the optimizer step (Algorithm
+  2's SGD update, or the Adam step of the paper's BERT mode): every rank
+  would apply the same averaged update to bit-equal state, so it runs
+  once, on state the world holds once (under the sanitizer, after
+  checking the replicas really were equal);
 * Ok-Topk's local selection is no longer a rendezvous of its own: it is
   the first stage of the scheme's data kernel
   (:func:`repro.allreduce.oktopk.stages`), run in one ``oktopk_reduce``
@@ -62,6 +62,12 @@ Inside the rendezvous the executors keep per-rank fallbacks only for
 what is not SPMD (diverged weights, scales, updates or optimizer steps).
 ``REPRO_RANK_BATCH=0`` disables batching globally.
 
+Replicated state is held once: every rank model's ``params_flat`` is the
+stacked model's one vector, and every rank's Adam holds rank 0's moments.
+A rank that steps on its own first takes private copies and drops the
+world's binding (:meth:`RankBatch.apply`), so it runs exactly the
+never-batched code.
+
 World state: the stacked model, the accumulate buffers and the scratch of
 the executors' ``(P, n)`` temporaries live in one :class:`_WorldState`
 per network and section (the engine drops it when the section closes).
@@ -86,6 +92,7 @@ import numpy as np
 from ..errors import ReplicaDivergenceError
 from ..nn.stacked import StackedModel, mapped_zeros, supports_stacking
 from ..optim.adam import Adam
+from ..optim.topk_sgd import _apply_update
 from ..sparse import COOVector
 
 #: set to ``0``/``false``/``off`` to force per-rank execution everywhere
@@ -238,12 +245,15 @@ def _bits_equal(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
 
 
 def _check_replicas(payloads) -> None:
-    """Sanitizer: every rank's parameters, Adam moments and step counter
-    are bit-equal to rank 0's (what copying rank 0's step relies on)."""
+    """Sanitizer: every rank's parameters (and Adam moments and step
+    counter) are bit-equal to rank 0's (what stepping once relies on)."""
     params, _, opt = payloads[0]
     for r, (prm, _, o) in enumerate(payloads[1:], 1):
-        for what, a, b in (("parameters", prm, params),
-                           ("Adam first moments", o._m, opt._m),
+        if not _bits_equal(prm, params):
+            raise ReplicaDivergenceError(r, "parameters")
+        if opt is None or o is None:
+            continue
+        for what, a, b in (("Adam first moments", o._m, opt._m),
                            ("Adam second moments", o._v, opt._v)):
             if not _bits_equal(a, b):
                 raise ReplicaDivergenceError(r, what)
@@ -251,44 +261,37 @@ def _check_replicas(payloads) -> None:
             raise ReplicaDivergenceError(r, "Adam step counters")
 
 
-def _adam_config(o: Adam) -> tuple:
-    return (o.t, o.lr, o.beta1, o.beta2, o.eps, o.weight_decay)
+def _config(o: Optional[Adam]) -> Optional[tuple]:
+    return o and (o.t, o.lr, o.beta1, o.beta2, o.eps, o.weight_decay)
 
 
 def _exec_apply(net, sig, payloads):
-    """The Adam-mode optimizer step, once for the world.
+    """The optimizer step, once for the world.
 
-    ``payloads[r]`` is rank ``r``'s ``(params, result, inner)``.  Every
-    rank would run the identical step on bit-equal inputs, so rank 0's
-    step runs once (same expression as the per-rank path) and its new
-    parameters, moments and step counter are copied to every other rank
-    — one ``pmat[1:] = pmat[0]`` for stacked rows.  Every rank keeps its
-    own materialized state, so whatever reads it afterwards (a crash
-    iteration, a checkpoint, a re-stack after a shrink, evaluation)
-    reads exactly what per-rank execution leaves there."""
+    ``payloads[r]`` is rank ``r``'s ``(params, result, inner)``, ``inner``
+    an Adam or ``None`` (SGD).  The step runs once, on rank 0's
+    parameters (the world's one vector, unless the callers passed their
+    own arrays: those get the result copied in), and binds every rank's
+    Adam to rank 0's moments.  ``False`` for every rank when the world is
+    not SPMD (diverged updates or settings): each then steps on its own."""
     p = len(payloads)
     params, result, opt = payloads[0]
     if net.sanitize:
         _check_replicas(payloads)
-    cfg = _adam_config(opt)
-    if not all(prm.shape == params.shape and _adam_config(o) == cfg
+    cfg = _config(opt)
+    if not all(prm.shape == params.shape and _config(o) == cfg
                and _same_update(res.update, result.update)
                for prm, res, o in payloads[1:]):
-        # Not SPMD (diverged updates or optimizer states): every rank
-        # runs its own step (same expression).
-        for prm, res, o in payloads:
-            o.step(prm, res.update_dense(prm.size) / p)
-        return [True] * p
-    opt.step(params, result.update_dense(params.size) / p)
-    rows = [prm for prm, _, _ in payloads]
-    base = _shared_base(rows)
-    if base is not None:
-        base[1:] = base[0]
+        return [False] * p
+    if opt is None:
+        _apply_update(params, result.update, 1.0 / p)
     else:
-        for prm in rows[1:]:
+        opt.step(params, result.update_dense(params.size) / p)
+        for _, _, o in payloads[1:]:
+            o._m, o._v, o._scratch, o.t = opt._m, opt._v, opt._scratch, opt.t
+    for prm, _, _ in payloads[1:]:
+        if prm is not params:
             np.copyto(prm, params)
-    for _, _, o in payloads[1:]:
-        o.assign(opt)
     return [True] * p
 
 
@@ -304,20 +307,27 @@ class RankBatch:
     """
 
     def __init__(self, comm, model: Any = None):
+        self.comm = comm
+        self.model = model
+        self._supported = rank_batching_enabled() and (
+            model is None or supports_stacking(model))
+        #: whether an engaged call may have bound this rank's state to
+        #: the world's
+        self._bound = False
+
+    @property
+    def comm(self):
+        """The communicator this handle batches for (``None`` once it is
+        gone; re-pointed at the survivors' after a shrink)."""
+        return self._comm()
+
+    @comm.setter
+    def comm(self, comm) -> None:
         # Weak: ``comm.rank_batch`` points back here, and a strong cycle
         # would leave the finished world (communicator -> network ->
         # stacked model, (P, n) matrices) to the cyclic collector.  The
         # handle is only ever used through a live communicator.
         self._comm = weakref.ref(comm)
-        self.model = model
-        self._supported = rank_batching_enabled() and (
-            model is None or supports_stacking(model))
-
-    @property
-    def comm(self):
-        """The communicator this handle batches for (``None`` once it is
-        gone)."""
-        return self._comm()
 
     def engaged(self) -> bool:
         """Deterministic, rank-uniform gate (see module docstring)."""
@@ -338,6 +348,7 @@ class RankBatch:
         fwd/bwd (the trainer consumes it within the iteration)."""
         if self.model is None or not self.engaged():
             return None
+        self._bound = True
         return self.comm.fused_collective(
             ("rb_fwdbwd", t), (self.model, x, y), _exec_fwd_bwd)
 
@@ -352,11 +363,25 @@ class RankBatch:
             ("rb_accumulate", t), (residual, scale, grad), _exec_accumulate)
 
     def apply(self, t: int, params: np.ndarray, result, inner):
-        """The Adam-mode step ``inner.step(params, update / P)`` applied
-        once for the world.  Returns ``True`` once this rank's
-        parameters and optimizer state hold the step, or ``None`` when
-        not engaged (or ``inner`` is not :class:`~repro.optim.Adam`)."""
-        if type(inner) is not Adam or not self.engaged():
+        """The optimizer step on ``update / P`` (Adam's, or SGD's when
+        ``inner`` is ``None``), once for the world: returns ``None``.
+        Otherwise returns the array this rank steps itself, with private
+        copies of whatever it held of the world's (stepping shared state
+        would step it once per rank) and the world's binding dropped."""
+        if ((inner is None or type(inner) is Adam) and self.engaged()
+                and self.comm.fused_collective(
+                    ("rb_apply", t), (params, result, inner), _exec_apply)):
+            self._bound = True
             return None
-        return self.comm.fused_collective(
-            ("rb_apply", t), (params, result, inner), _exec_apply)
+        if not self._bound:
+            return params
+        self._bound = False
+        _world_state(self.comm.net).stacked = None
+        model = self.model
+        if model is not None and params is model.params_flat:
+            params = params.copy()
+            model.rebind_storage(params, model.grad_flat)
+        if type(inner) is Adam and inner._m is not None:
+            inner._m, inner._v, inner._scratch = (
+                a.copy() for a in (inner._m, inner._v, inner._scratch))
+        return params

@@ -338,7 +338,7 @@ class Trainer:
         ckpt = self.checkpoint()
         new = old.shrink()
         self.comm = new
-        self._rb = RankBatch(new, self.model)
+        self._rb.comm = new
         new.rank_batch = self._rb
         self.model.params_flat[:] = ckpt["params"]
         self.driver.residual[:] = ckpt["residual"]

@@ -153,6 +153,27 @@ class TestNorms:
         gradcheck_model(LayerNorm(6), _x(4, 6, seed=14))
         gradcheck_input(LayerNorm(6), _x(2, 3, 6, seed=14))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 31, 32, 33, 100, 768])
+    def test_layernorm_statistics_are_numpys_bits(self, d, dtype):
+        """The mean computed once and reused by the variance gives the
+        bits of ``x.mean`` / ``x.var``, NaN and ±inf rows included."""
+        x = (_x(3, 4, d, seed=d, scale=10.0) + 3.0).astype(dtype)
+        x[0, 1, 0] = np.nan
+        x[0, 2, -1] = np.inf
+        x[1, 0, d // 2] = -np.inf
+        x[2, 3] = 0.0
+        ln = LayerNorm(d)
+        with np.errstate(all="ignore"):
+            ln.forward(x)
+            mean = x.mean(axis=-1, keepdims=True)
+            inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + ln.eps)
+            xhat = (x - mean) * inv
+        got_xhat, got_inv = ln._cache
+        assert got_inv.dtype == inv.dtype and got_xhat.dtype == xhat.dtype
+        assert got_inv.tobytes() == inv.tobytes()
+        assert got_xhat.tobytes() == xhat.tobytes()
+
 
 class TestDropout:
     def test_eval_is_identity(self):
@@ -250,6 +271,26 @@ class TestAttention:
         gradcheck_model(
             TransformerEncoderLayer(4, 2, 8, rng=np.random.default_rng(31)),
             _x(2, 3, 4, seed=32), n_checks=20)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 16, 17])
+    def test_softmax_row_max_by_halving(self, t):
+        """The halving row max gives the softmax of ``x.max(axis=-1)``:
+        odd widths, signed zeros, ±inf and NaN included."""
+        from repro.nn.attention import _softmax
+        x = _x(4, 3, t, seed=t, scale=5.0)
+        x[0, 0, 0] = np.nan
+        x[0, 1] = 0.0
+        x[0, 1, ::2] = -0.0
+        x[1, 0, -1] = np.inf
+        x[1, 1, 0] = -np.inf
+        x[2, 2] = -np.inf
+        x[3, 0, t // 2] = 1e30
+        with np.errstate(all="ignore"):
+            e = np.exp(x - x.max(axis=-1, keepdims=True))
+            want = e / e.sum(axis=-1, keepdims=True)
+            got = _softmax(x)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
     def test_permutation_equivariance(self):
         """Self-attention without masks is permutation-equivariant."""

@@ -250,6 +250,9 @@ class TestApplyExecutor:
                 assert opts[r].t == ref_opts[r].t == t
 
     def test_diverged_updates_run_per_rank(self):
+        """Diverged updates are not stepped for the world: the executor
+        touches nothing and answers ``False``, and each rank's own step
+        (what :meth:`RankBatch.apply` hands back) is the per-rank run."""
         net = SimpleNamespace(sanitize=False)
         p, n = 3, 32
         rows, results, opts = _apply_world(p, n, 6)
@@ -259,8 +262,13 @@ class TestApplyExecutor:
         results[2] = AllreduceResult(
             update=COOVector(n, results[2].update.indices, bumped),
             contributed_indices=None)
-        _exec_apply(net, ("rb_apply", 1), list(zip(rows, results, opts)))
-        for w, res, o in zip(ref_rows, results, ref_opts):
+        assert _exec_apply(net, ("rb_apply", 1),
+                           list(zip(rows, results, opts))) == [False] * p
+        for r in range(p):
+            np.testing.assert_array_equal(rows[r], ref_rows[r])
+            assert opts[r].t == 0 and opts[r]._m is None
+        for w, res, o in [*zip(rows, results, opts),
+                          *zip(ref_rows, results, ref_opts)]:
             o.step(w, res.update_dense(n) / p)
         for r in range(p):
             np.testing.assert_array_equal(rows[r], ref_rows[r])
@@ -278,7 +286,12 @@ class TestApplyExecutor:
         elif part == "t":
             opts[2].t += 1
         else:
-            getattr(opts[2], "_" + part)[4] *= 2.0
+            # the step bound every rank to rank 0's moments: rank 2 gets
+            # separate arrays, one entry diverged
+            name = "_" + part
+            assert getattr(opts[2], name) is getattr(opts[0], name)
+            setattr(opts[2], name, getattr(opts[2], name).copy())
+            getattr(opts[2], name)[4] *= 2.0
         with pytest.raises(ReplicaDivergenceError) as info:
             _exec_apply(net, ("rb_apply", 2), list(zip(rows, results, opts)))
         assert info.value.rank == 2
@@ -527,9 +540,8 @@ class TestTrainerLockstepIdentity:
 
         res = run_spmd(4, worker, runner="coop")
         per_head = Counter(e.head for e in rendezvous_log)
-        # Adam mode (BERT) applies its optimizer step once per world too
-        heads = ("rb_fwdbwd", "rb_accumulate") + (("rb_apply",) if bert
-                                                  else ())
+        # both drivers (SGD and Adam) apply their update once per world
+        heads = ("rb_fwdbwd", "rb_accumulate", "rb_apply")
         for head in heads:
             assert per_head[head] == 4 * 3      # every rank, every iteration
         if bert:
@@ -546,6 +558,98 @@ class TestTrainerLockstepIdentity:
             assert per_head["oktopk_reduce"] == 4 * 3
             assert stacked_scans == [4] * 3     # one (P, n) scan per iteration
         assert res.network._rank_batch_state is None
+
+
+#: (proxy, trainer options) of the mlp / SGD and BERT / Adam runs
+DRIVERS = {"mlp-sgd": (perf_proxy, {}),
+           "bert-adam": (bert_proxy, BERT_STREAM)}
+
+
+class TestStateHeldOnce:
+    """While batching is engaged, replicated training state is held once
+    per world; a rank that steps on its own first takes private copies."""
+
+    @pytest.mark.parametrize("case", list(DRIVERS))
+    def test_one_parameter_vector_and_one_optimizer_state(self, case):
+        from repro.data import ShardedLoader
+        from repro.train import Trainer, TrainerConfig
+
+        proxy, cfg = DRIVERS[case][0](), DRIVERS[case][1]
+
+        def worker(comm):
+            train, _ = proxy.make_splits()
+            model = proxy.make_model()
+            loader = ShardedLoader(train, proxy.global_batch, comm.rank,
+                                   comm.size, seed=0)
+            trainer = Trainer(comm, model, loader, TrainerConfig(
+                iterations=2, scheme="oktopk", density=0.05, lr=proxy.lr,
+                mode=proxy.mode, **cfg))
+            trainer.run()
+            return (model.params_flat, getattr(trainer.driver, "inner", None),
+                    comm.net._rank_batch_state.stacked)
+
+        params, opts, stacked = zip(*run_spmd(4, worker).results)
+        world = stacked[0]
+        assert all(s is world for s in stacked)
+        assert world.params.shape == (params[0].size,)
+        assert all(np.shares_memory(w, world.params) for w in params)
+        # the world's only (P, n) array is the per-rank gradient matrix
+        assert [a for a in vars(world).values()
+                if isinstance(a, np.ndarray) and a.ndim == 2] == [world.gmat]
+        if opts[0] is not None:
+            for name in ("_m", "_v", "_scratch"):
+                assert all(getattr(o, name) is getattr(opts[0], name)
+                           for o in opts)
+            assert [o.t for o in opts] == [2] * 4
+
+    @pytest.mark.parametrize("how", ["disengaged", "diverged"])
+    @pytest.mark.parametrize("case", list(DRIVERS))
+    def test_a_step_of_its_own_matches_never_batched(
+            self, monkeypatch, rendezvous_log, case, how):
+        """Iteration 3 of 6 steps per rank — batching disengaged for the
+        whole iteration, or the world step refused as if the updates had
+        diverged — between world steps on either side.  Records and every
+        rank's final parameters must equal the never-batched and the
+        threaded runs: stepping the shared vector per rank, or re-using
+        the world's stale binding at iteration 4, moves them."""
+        from repro.train import rankbatch
+
+        proxy, cfg = DRIVERS[case]
+        if how == "disengaged":
+            engaged = RankBatch.engaged
+
+            def at(name):
+                inner = getattr(RankBatch, name)
+
+                def entry(self, t, *args):
+                    self.iteration = t
+                    return inner(self, t, *args)
+                return entry
+
+            for name in ("loss_and_grad", "accumulate", "apply"):
+                monkeypatch.setattr(RankBatch, name, at(name))
+            monkeypatch.setattr(
+                RankBatch, "engaged",
+                lambda self: getattr(self, "iteration", 0) != 3
+                and engaged(self))
+        else:
+            world_step = rankbatch._exec_apply
+            monkeypatch.setattr(
+                rankbatch, "_exec_apply",
+                lambda net, sig, payloads: [False] * len(payloads)
+                if sig[1] == 3 else world_step(net, sig, payloads))
+
+        def run(batch_env, runner):
+            return _train_world(monkeypatch, proxy(), "oktopk", 4, 6,
+                                batch_env=batch_env, runner=runner, **cfg)
+
+        batched = run("1", "coop")
+        # every rank at every world call: 5 of 6 iterations, or all 6
+        per_head = Counter(e.head for e in rendezvous_log)
+        calls = 4 * (6 if how == "diverged" else 5)
+        assert per_head["rb_fwdbwd"] == per_head["rb_apply"] == calls
+        assert batched == run("0", "coop") == run("1", "threads")
+        assert len({params for _, _, params in batched}) == 1
 
 
 class TestWorldLifetime:
@@ -597,7 +701,7 @@ class TestDivergenceFallback:
         iteration 3 lands after two world optimizer steps; the
         interrupted iteration runs per rank and the survivors redo it
         re-stacked at P-1, led by a rank whose optimizer state so far
-        was copied from rank 0's (the victim)."""
+        was bound to rank 0's (the victim's)."""
         victim = 0 if bert else 1
         plan = FaultPlan(crashes=[RankCrash(rank=victim, iteration=3)])
         proxy, cfg = (bert_proxy(), BERT_STREAM) if bert else (perf_proxy(),
@@ -611,8 +715,8 @@ class TestDivergenceFallback:
         on = run("1")
         applied = Counter((e.step, e.size) for e in rendezvous_log
                           if e.head == "rb_apply")
-        assert applied == ({(1, 4): 4, (2, 4): 4, (3, 3): 3, (4, 3): 3,
-                            (5, 3): 3, (6, 3): 3} if bert else {})
+        assert applied == {(1, 4): 4, (2, 4): 4, (3, 3): 3, (4, 3): 3,
+                           (5, 3): 3, (6, 3): 3}
         assert on == run("0")
         survivor = on[1 - victim]
         assert on[victim] is None and survivor[1][0]["new_size"] == 3

@@ -52,11 +52,13 @@ class TestWorldEqualsPerRank:
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_chained_adam_updates(self, p):
         """World and per-rank replicas stay bit-identical, losses and every
-        gradient row, across Adam updates of the averaged gradient."""
+        gradient row, across Adam updates of the averaged gradient: one
+        step on the world's shared vector, one per rank on the
+        references."""
         proxy = bert_proxy()
         world = StackedModel([proxy.make_model() for _ in range(p)])
         ref = [proxy.make_model() for _ in range(p)]
-        opt_w = [Adam(lr=proxy.lr) for _ in range(p)]
+        opt_w = Adam(lr=proxy.lr)
         opt_r = [Adam(lr=proxy.lr) for _ in range(p)]
         for t in range(1, 5):
             xs, ys = _shards(p, t)
@@ -64,14 +66,13 @@ class TestWorldEqualsPerRank:
             pairs = [m.loss_and_grad(xs[r], ys[r]) for r, m in enumerate(ref)]
             _assert_rows_match(losses, gmat, pairs)
             avg = np.mean(np.stack([g for _, g in pairs]), axis=0)
-            for m, o in zip(world.models, opt_w):
-                o.step(m.params_flat, avg)
+            opt_w.step(world.params, avg)
             for m, o in zip(ref, opt_r):
                 o.step(m.params_flat, avg)
             for m, r in zip(world.models, ref):
                 np.testing.assert_array_equal(m.params_flat, r.params_flat)
-        # the updates reached the world module: row 0 is what it reads
-        np.testing.assert_array_equal(world.pmat[0], ref[0].params_flat)
+        # every rank model holds the one vector the world module reads
+        assert all(m.params_flat is world.params for m in world.models)
 
     def test_masked_targets_and_a_rank_with_none_valid(self):
         p = 3
@@ -88,9 +89,9 @@ class TestWorldEqualsPerRank:
 
     def test_world_module_is_a_marked_copy_on_the_shared_matrices(self):
         """Every module of the world copy carries the rank axis, rank 0's
-        own modules do not; the copy's weights are rank 0's parameter row
-        and its gradients ``(P,) + shape`` views of the gradient matrix,
-        transformer blocks included."""
+        own modules do not; the copy's weights are the world's one shared
+        parameter vector and its gradients ``(P,) + shape`` views of the
+        gradient matrix, transformer blocks included."""
         def tree(mod):
             yield mod
             for m in mod._modules:
@@ -103,7 +104,7 @@ class TestWorldEqualsPerRank:
         params = world.world.parameters()
         assert sum(p.data.size for p in params) == world.gmat.shape[1]
         for p in params:
-            assert np.shares_memory(p.data, world.pmat[0])
+            assert np.shares_memory(p.data, world.params)
             assert p.grad.shape == (2,) + p.data.shape
             assert np.shares_memory(p.grad, world.gmat)
 
