@@ -78,7 +78,8 @@ def _exec_gtopk_tree(net, sig, payloads):
     # message sequence to the reference's separate coll.bcast call) and
     # hand every rank the root's vector (COO payloads travel zero-copy).
     final = cur[0]
-    _fused.replay(net, _fused.compile_bcast(p, 0, final.comm_nwords()))
+    _fused.replay(net, _fused.compiled(
+        net, _fused.compile_bcast, p, 0, final.comm_nwords()))
     return [(final, levels[r]) for r in range(p)]
 
 

@@ -585,27 +585,32 @@ def book(net, comms, stg: Stages, e: int) -> tuple:
             _pay(comm, charges)
     with _world_phase(net, comms, PHASE_COMM):
         if stg.consensus[e] is not None:
-            _fused.replay(net, _fused.compile_allreduce(
-                p, *stg.consensus[e], "recursive_doubling"))
+            _fused.replay(net, _fused.compiled(
+                net, _fused.compile_allreduce, p, *stg.consensus[e],
+                "recursive_doubling"))
         for comm, info in zip(comms, stg.infos[e]):
             comm.compute_scan(info["selected_local"])    # the split
         _book_split_reduce(net, stg.tables, stg.count[e])
     if stg.gathered[e] is not None:
         with _world_phase(net, comms, PHASE_COMM):
-            _fused.replay(net, _fused.compile_allgatherv(
-                p, tuple(2 * words for words in stg.region[e])))
+            _fused.replay(net, _fused.compiled(
+                net, _fused.compile_allgatherv, p,
+                tuple(2 * words for words in stg.region[e])))
         for comm in comms:
             with comm.phase(PHASE_SPARSIFY):
                 comm.compute_sort(stg.gathered[e])
     with _world_phase(net, comms, PHASE_COMM):
         for comm, words in zip(comms, stg.region[e]):
             comm.compute_scan(words)
-        _fused.replay(net, _fused.compile_allgatherv(p, (1,) * p))
+        _fused.replay(net, _fused.compiled(
+            net, _fused.compile_allgatherv, p, (1,) * p))
         if stg.rows[e] is not None:
-            _fused.replay(net, _fused.compile_alltoallv(p, stg.rows[e]))
+            _fused.replay(net, _fused.compiled(
+                net, _fused.compile_alltoallv, p, stg.rows[e]))
         for comm, words in zip(comms, stg.encoded[e]):
             comm.compute_scan(words)
-        _fused.replay(net, _fused.compile_allgatherv(p, stg.words[e]))
+        _fused.replay(net, _fused.compiled(
+            net, _fused.compile_allgatherv, p, stg.words[e]))
     return stg.infos[e]
 
 

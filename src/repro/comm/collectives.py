@@ -35,8 +35,7 @@ can fire in; slowdowns, stragglers and shrunk worlds stay fused).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,19 +65,6 @@ _UNFUSED = _fused.UNFUSED
 
 def _is_pow2(p: int) -> bool:
     return p > 0 and (p & (p - 1)) == 0
-
-
-@lru_cache(maxsize=4096)
-def _block_slices(n: int, p: int) -> Tuple[slice, ...]:
-    """Contiguous near-equal partition of ``range(n)`` into ``p`` blocks.
-
-    Cached per ``(n, p)``: the ring/allgather collectives recompute the same
-    partition on every call of every rank of every iteration, so this sits
-    on the per-message hot path.
-    """
-    bounds = np.linspace(0, n, p + 1).astype(np.int64)
-    return tuple(slice(int(bounds[i]), int(bounds[i + 1]))
-                 for i in range(p))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +271,7 @@ def reduce_scatter_ring(comm: SimComm, arr: np.ndarray,
     """
     p, r = comm.size, comm.rank
     work = np.array(arr, copy=True)
-    slices = _block_slices(arr.size, p)
+    slices = _fused.compiled(comm.net, _fused._block_slices, arr.size, p)
     if p == 1:
         return work, slices[0]
     # Virtual relabeling so rank i finishes owning real block i: virtual
@@ -306,9 +292,9 @@ def reduce_scatter_ring(comm: SimComm, arr: np.ndarray,
 def allgather_ring(comm: SimComm, block: np.ndarray, n: int,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Ring allgather of per-rank contiguous blocks into a length-``n``
-    vector partitioned like :func:`_block_slices`."""
+    vector partitioned like :func:`repro.comm.fused._block_slices`."""
     p, r = comm.size, comm.rank
-    slices = _block_slices(n, p)
+    slices = _fused.compiled(comm.net, _fused._block_slices, n, p)
     result = np.zeros(n, dtype=block.dtype) if out is None else out
     result[slices[r]] = block
     if p == 1:
@@ -430,7 +416,7 @@ def allgatherv_coo(comm: SimComm, vec: Any) -> List[Any]:
 
 def allgather_object(comm: SimComm, obj: Any) -> List[Any]:
     """Allgather of small Python objects (sizes, flags); Bruck schedule."""
-    out = _fused.fused_allgather_object(comm, obj)
+    out = _fused.fused_allgatherv(comm, obj, "allgather_object")
     if out is not _UNFUSED:
         return out
     p, r = comm.size, comm.rank

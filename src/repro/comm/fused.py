@@ -17,8 +17,10 @@ simulated timestamp.  Every collective is split into:
   schedule: per-round ``(src, dst, nwords, tag)`` including the
   non-power-of-two fold-in/fold-out ranks, Rabenseifner block slices,
   ring segments and Bruck dissemination hops, together with the local
-  reduction charges.  Compilation never touches data and is cached per
-  signature;
+  reduction charges.  Compilation never touches data.  A schedule whose
+  key holds a message size is memoized on the run's network
+  (:func:`compiled`) and dropped with it; only size-free structure is
+  cached per process;
 * a **fused executor** — :func:`replay` books the entire compiled
   schedule against the shared :class:`~repro.comm.network.Network` state
   in one walk over its messages (the per-message path's own scalar
@@ -49,8 +51,8 @@ until an elastic shrink, the survivor group afterwards
 (``Network.world``).  Schedules are compiled for group ranks ``0..P-1``;
 for a shrunk world :func:`replay` copies the world's clocks and link
 state by slot, books, and writes them back, so a shrunk (and re-numbered,
-possibly non-power-of-two) world replays the same cached schedules the
-full one does.
+possibly non-power-of-two) world replays the same schedules the full one
+does.
 
 Correctness of the central replay relies on two existing invariants:
 
@@ -99,6 +101,10 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# results are handed out as the per-message path delivers them: a
+# ``sendrecv`` receiver holds a read-only view (``_view``), a blocking
+# ``send``'s the snapshot taken at post time (``send_snapshot``)
+from .communicator import _view, send_snapshot
 from .payload import nwords as payload_nwords
 
 # ---------------------------------------------------------------------------
@@ -296,6 +302,29 @@ class _Builder:
                         self.rounds, rw, ex)
 
 
+#: entries a run's schedule memo holds before it starts over: Ok-Topk's
+#: package sizes change every iteration, and a long run must not keep all
+#: of them
+MEMO_ENTRIES = 1024
+
+
+def compiled(net, compile_, *key):
+    """``compile_(*key)``, compiled once per run: the one lookup of every
+    schedule keyed on a message size or vector length (the ``compile_*``
+    compilers below, the per-message ring's block slices).  The memo is
+    the run's network's (``net.schedules``), so a run never replays a
+    schedule an earlier run compiled, and it is freed with the network.
+    Under the threads runner two ranks may both miss one key: they
+    compile equal values, and either may stay."""
+    memo = net.schedules
+    sched = memo.get((compile_, key))
+    if sched is None:
+        if len(memo) >= MEMO_ENTRIES:
+            memo.clear()
+        sched = memo[compile_, key] = compile_(*key)
+    return sched
+
+
 # ---------------------------------------------------------------------------
 # The executor
 # ---------------------------------------------------------------------------
@@ -441,9 +470,9 @@ def _emit_fold_out(b: _Builder, p: int, m: int, nw: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Schedule compilers (pure: P + sizes in, message schedule out)
+# Schedule compilers (pure: P + sizes in, message schedule out; a caller
+# looks every one but the size-free barrier up through :func:`compiled`)
 # ---------------------------------------------------------------------------
-@lru_cache(maxsize=1024)
 def compile_allreduce(p: int, n: int, wpe: int, algo: str) -> Schedule:
     """Message schedule of a dense allreduce over ``n`` elements of
     ``wpe`` words each (``recursive_doubling`` | ``rabenseifner`` |
@@ -519,17 +548,19 @@ def _compile_allreduce_rab(p: int, n: int, wpe: int) -> Schedule:
     return b.build()
 
 
-def _ring_block_lens(n: int, p: int) -> List[int]:
-    bounds = np.linspace(0, n, p + 1).astype(np.int64)
-    return [int(bounds[i + 1] - bounds[i]) for i in range(p)]
+def _block_slices(n: int, p: int) -> Tuple[slice, ...]:
+    """Contiguous near-equal partition of ``range(n)`` into ``p`` blocks,
+    the ring collectives' blocks (the per-message ring looks it up per
+    run through :func:`compiled`: every rank needs it on every call)."""
+    bounds = np.linspace(0, n, p + 1).astype(np.int64).tolist()
+    return tuple(map(slice, bounds[:-1], bounds[1:]))
 
 
-@lru_cache(maxsize=1024)
 def compile_reduce_scatter_ring(p: int, n: int, wpe: int) -> Schedule:
     """Ring reduce-scatter: ``P - 1`` permutation steps over the
-    near-equal contiguous blocks of :func:`_ring_block_lens`."""
+    near-equal contiguous blocks of :func:`_block_slices`."""
     b = _Builder(p)
-    lens = _ring_block_lens(n, p)
+    lens = [sl.stop - sl.start for sl in _block_slices(n, p)]
     for s in range(1, p):
         post = [b.msg(r, (r + 1) % p, lens[(r - s) % p] * wpe, TAG_RS)
                 for r in range(p)]
@@ -539,10 +570,9 @@ def compile_reduce_scatter_ring(p: int, n: int, wpe: int) -> Schedule:
     return b.build()
 
 
-@lru_cache(maxsize=1024)
 def compile_allgather_ring(p: int, n: int, wpe: int) -> Schedule:
     b = _Builder(p)
-    lens = _ring_block_lens(n, p)
+    lens = [sl.stop - sl.start for sl in _block_slices(n, p)]
     for s in range(p - 1):
         post = [b.msg(r, (r + 1) % p, lens[(r - s) % p] * wpe, TAG_AG)
                 for r in range(p)]
@@ -554,7 +584,7 @@ def compile_allgather_ring(p: int, n: int, wpe: int) -> Schedule:
 # The v collectives change sizes on almost every call (Ok-Topk's package
 # exchanges), so their compilers cache the size-free structure per P — the
 # message table, the rounds and where each message's words come from —
-# and only fill in the words on a miss of the per-signature cache.
+# and only fill in the words on a miss of the run's memo (:func:`compiled`).
 @lru_cache(maxsize=64)
 def _allgatherv_template(p: int, tag: int) -> Tuple[Schedule, np.ndarray]:
     """Bruck dissemination at ``p`` ranks: the schedule with zero-word
@@ -578,7 +608,6 @@ def _allgatherv_template(p: int, tag: int) -> Tuple[Schedule, np.ndarray]:
     return b.build(), np.array(blocks, dtype=np.int64).reshape(-1, p)
 
 
-@lru_cache(maxsize=1024)
 def compile_allgatherv(p: int, sizes: Tuple[int, ...],
                        tag: int = TAG_AGV) -> Schedule:
     """Bruck dissemination with per-rank contribution sizes (in words):
@@ -605,7 +634,6 @@ def _alltoallv_template(p: int) -> Tuple[Schedule, np.ndarray]:
     return b.build(), np.array(cell, dtype=np.int64)
 
 
-@lru_cache(maxsize=256)
 def compile_alltoallv(p: int, rows: Tuple[Tuple[int, ...], ...]) -> Schedule:
     """Pairwise rotation: at step ``s`` rank ``r`` sends block
     ``(r+s) % P`` and receives from ``(r-s) % P``; ``rows[i][j]`` is the
@@ -615,7 +643,6 @@ def compile_alltoallv(p: int, rows: Tuple[Tuple[int, ...], ...]) -> Schedule:
     return sched.with_words(flat[cell])
 
 
-@lru_cache(maxsize=1024)
 def compile_bcast(p: int, root: int, nw: int) -> Schedule:
     """Binomial broadcast, levels in descending mask order (a rank
     receives at its virtual rank's lowest set bit, then forwards)."""
@@ -637,7 +664,6 @@ def compile_bcast(p: int, root: int, nw: int) -> Schedule:
     return b.build()
 
 
-@lru_cache(maxsize=1024)
 def compile_reduce(p: int, root: int, n: int, wpe: int) -> Schedule:
     """Binomial reduction to ``root``, levels in ascending mask order."""
     b = _Builder(p)
@@ -671,7 +697,6 @@ def compile_barrier(p: int) -> Schedule:
     return b.build()
 
 
-@lru_cache(maxsize=512)
 def compile_gather(p: int, root: int, sizes: Tuple[int, ...]) -> Schedule:
     """Linear gather: every non-root posts, the root's ingress link
     serializes the deliveries in ascending rank order."""
@@ -682,7 +707,6 @@ def compile_gather(p: int, root: int, sizes: Tuple[int, ...]) -> Schedule:
     return b.build()
 
 
-@lru_cache(maxsize=512)
 def compile_scatter(p: int, root: int, sizes: Tuple[int, ...]) -> Schedule:
     """Linear scatter: the root's egress link serializes the blocking
     sends in ascending rank order."""
@@ -837,12 +861,8 @@ def _sum_ring(payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
     block over plain slices of the rows straight into its slice of the
     result."""
     arrs = [np.asarray(a) for a in payloads]
-    n = arrs[0].shape[0]
     out = np.empty_like(arrs[0])
-    off = 0
-    for b, ln in enumerate(_ring_block_lens(n, p)):
-        sl = slice(off, off + ln)
-        off += ln
+    for b, sl in enumerate(_block_slices(out.shape[0], p)):
         acc = out[sl]
         np.copyto(acc, arrs[(b + 1) % p][sl])
         for j in range(1, p):
@@ -861,24 +881,6 @@ def _sum_reduce_tree(payloads: Sequence[Any], p: int, root: int):
                 cur[v] = cur[v] + cur.pop(v + mask)
         mask <<= 1
     return cur[0]
-
-
-# ---------------------------------------------------------------------------
-# Payload views/snapshots matching the per-message delivery semantics
-# ---------------------------------------------------------------------------
-def _view(obj: Any) -> Any:
-    """Read-only zero-copy view (the ``sendrecv`` delivery semantics):
-    mirrors :func:`repro.comm.communicator._view`."""
-    from .communicator import _view as cview
-    return cview(obj)
-
-
-def _recv_snapshot(obj: Any, net) -> Any:
-    """What a blocking-``send`` receiver would hold: the payload snapshot
-    taken at post time (zero-copy for immutable arrays — see
-    :func:`repro.comm.communicator.send_snapshot`)."""
-    from .communicator import send_snapshot
-    return send_snapshot(obj, net)
 
 
 # ---------------------------------------------------------------------------
@@ -902,19 +904,19 @@ def fused_allreduce(comm, arr: np.ndarray, op, algo: str):
 def replay_allreduce(net, algo: str, payloads) -> np.ndarray:
     """Book one dense allreduce of the ``P`` equal-shape contributions
     ``payloads`` (a sequence of arrays or one stacked ``(P, n)`` array)
-    against ``net`` — :func:`replay` of the cached compiled schedule(s) —
-    and return their sum, folded in that schedule's own association order
-    into a fresh array (the contributions are only read).  The whole
-    fused allreduce except the hand-out of results: shared by
-    :func:`_exec_allreduce`, Ok-Topk's consensus and the serving step
-    executor."""
+    against ``net`` — :func:`replay` of the schedule(s) the run compiled
+    (:func:`compiled`) — and return their sum, folded in that schedule's
+    own association order into a fresh array (the contributions are only
+    read).  The whole fused allreduce except the hand-out of results:
+    shared by :func:`_exec_allreduce`, Ok-Topk's consensus and the serving
+    step executor."""
     p = len(payloads)
     n, wpe = payloads[0].size, _wpe(payloads[0])
     if algo == "ring":
-        replay(net, compile_reduce_scatter_ring(p, n, wpe))
-        replay(net, compile_allgather_ring(p, n, wpe))
+        replay(net, compiled(net, compile_reduce_scatter_ring, p, n, wpe))
+        replay(net, compiled(net, compile_allgather_ring, p, n, wpe))
         return _sum_ring(payloads, p)
-    replay(net, compile_allreduce(p, n, wpe, algo))
+    replay(net, compiled(net, compile_allreduce, p, n, wpe, algo))
     return _sum_tree(payloads, p, halving=algo == "rabenseifner")
 
 
@@ -922,29 +924,21 @@ def _exec_allreduce(net, sig, payloads):
     return [replay_allreduce(net, sig[1], payloads)] * len(payloads)
 
 
-def fused_allgatherv(comm, block: Any):
+def fused_allgatherv(comm, block: Any, head: str = "allgatherv"):
     if not _available(comm):
         return UNFUSED
     return comm.fused_collective(
-        ("allgatherv",), (block, payload_nwords(block)), _exec_allgatherv)
+        (head,), (block, payload_nwords(block)), _exec_allgatherv)
 
 
 def _exec_allgatherv(net, sig, payloads):
     p = len(payloads)
     sizes = tuple(nw for _, nw in payloads)
-    replay(net, compile_allgatherv(p, sizes))
+    replay(net, compiled(net, compile_allgatherv, p, sizes))
     blocks = [b for b, _ in payloads]
     views = [_view(b) for b in blocks]
     return [[blocks[j] if j == r else views[j] for j in range(p)]
             for r in range(p)]
-
-
-def fused_allgather_object(comm, obj: Any):
-    if not _available(comm):
-        return UNFUSED
-    return comm.fused_collective(
-        ("allgather_object",), (obj, payload_nwords(obj)),
-        _exec_allgatherv)
 
 
 def fused_alltoallv(comm, blocks: Sequence[Any]):
@@ -958,7 +952,7 @@ def fused_alltoallv(comm, blocks: Sequence[Any]):
 def _exec_alltoallv(net, sig, payloads):
     p = len(payloads)
     rows = tuple(row for _, row in payloads)
-    replay(net, compile_alltoallv(p, rows))
+    replay(net, compiled(net, compile_alltoallv, p, rows))
     out = []
     for r in range(p):
         out.append([payloads[j][0][r] if j == r
@@ -977,8 +971,8 @@ def _exec_bcast(net, sig, payloads):
     _, root = sig
     p = len(payloads)
     obj = payloads[root]
-    replay(net, compile_bcast(p, root, payload_nwords(obj)))
-    snap = _recv_snapshot(obj, net)
+    replay(net, compiled(net, compile_bcast, p, root, payload_nwords(obj)))
+    snap = send_snapshot(obj, net)
     return [obj if r == root else snap for r in range(p)]
 
 
@@ -993,7 +987,7 @@ def fused_reduce(comm, arr: np.ndarray, root: int, op):
 def _exec_reduce(net, sig, payloads):
     _, root, n, wpe, _ = sig
     p = len(payloads)
-    replay(net, compile_reduce(p, root, n, wpe))
+    replay(net, compiled(net, compile_reduce, p, root, n, wpe))
     total = _sum_reduce_tree(payloads, p, root)
     return [total if r == root else None for r in range(p)]
 
@@ -1021,9 +1015,9 @@ def _exec_gather(net, sig, payloads):
     _, root = sig
     p = len(payloads)
     sizes = tuple(nw for _, nw in payloads)
-    replay(net, compile_gather(p, root, sizes))
+    replay(net, compiled(net, compile_gather, p, root, sizes))
     out = [payloads[j][0] if j == root
-           else _recv_snapshot(payloads[j][0], net) for j in range(p)]
+           else send_snapshot(payloads[j][0], net) for j in range(p)]
     return [out if r == root else None for r in range(p)]
 
 
@@ -1041,6 +1035,6 @@ def _exec_scatter(net, sig, payloads):
     _, root = sig
     p = len(payloads)
     objs, sizes = payloads[root]
-    replay(net, compile_scatter(p, root, sizes))
-    return [objs[r] if r == root else _recv_snapshot(objs[r], net)
+    replay(net, compiled(net, compile_scatter, p, root, sizes))
+    return [objs[r] if r == root else send_snapshot(objs[r], net)
             for r in range(p)]

@@ -132,6 +132,9 @@ class Network:
         #: ``{"calls", "words"}`` totals; recorded once per collective call
         #: (rank 0) by the dispatchers in :mod:`repro.comm.collectives`
         self.algorithm_log: Dict[Tuple[str, str, str], Dict[str, int]] = {}
+        #: this run's schedules keyed on message sizes (see
+        #: :func:`repro.comm.fused.compiled`), built and freed with it
+        self.schedules: Dict[tuple, Any] = {}
         self._abort_exc: Optional[BaseException] = None
         #: cooperative scheduler, attached by the engine for the duration of
         #: a run; ``None`` means threaded (locked) mode

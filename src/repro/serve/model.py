@@ -31,13 +31,14 @@ along as factors, the FLOP charges go through each rank's own
 communicator) :meth:`TPDecodeModel.step` is **one engine dispatch**: every
 rank parks once and the last arrival runs :func:`_exec_tp_step` for the
 whole world — algorithm role resolved once, per layer the FLOP charges,
-the provenance entry, the replay of the cached compiled schedule and one
-stacked ``(P, tokens * hidden)`` reduction in the schedule's association
-order, then the decision-clock sync the serving loop needs after every
-step.  Every link booking, clock and counter lands exactly where
-``layers`` separate allreduces plus one allgather would have left it;
-only the ``layers + 1`` park/wake cycles per rank, the P-fold redundant
-``tile``/``tanh`` and the per-call dispatch disappear.  Everywhere else
+the provenance entry, the replay of the schedule the run compiled for
+that size and one stacked ``(P, tokens * hidden)`` reduction in the
+schedule's association order, then the decision-clock sync the serving
+loop needs after every step.  Every link booking, clock and counter
+lands exactly where ``layers`` separate allreduces plus one allgather
+would have left it; only the ``layers + 1`` park/wake cycles per rank,
+the P-fold redundant ``tile``/``tanh`` and the per-call dispatch
+disappear.  Everywhere else
 the per-layer loop below runs — it is the reference path the identity
 tests compare the executor against.
 """
@@ -53,8 +54,8 @@ from ..comm import collectives as coll
 from ..comm.communicator import SimComm
 from ..comm.fused import (LATENCY_OPTIMAL, _available,
                           allreduce_analytic_seconds, bandwidth_optimal,
-                          compile_allgatherv, replay, replay_allreduce,
-                          resolve_allreduce)
+                          compile_allgatherv, compiled, replay,
+                          replay_allreduce, resolve_allreduce)
 from ..comm.payload import nwords as payload_nwords
 from ..errors import ConfigError
 
@@ -234,7 +235,8 @@ def _exec_tp_step(net, sig, models):
     clocks = net.clocks
     world = net.world
     t = max(clocks[s] for s in world)
-    replay(net, compile_allgatherv(p, (payload_nwords(t),) * p))
+    replay(net, compiled(net, compile_allgatherv, p,
+                         (payload_nwords(t),) * p))
     for s in world:
         if clocks[s] < t:
             clocks[s] = t

@@ -302,11 +302,23 @@ class TestScheduleStructure:
             b.build()
 
     def test_schedules_of_one_structure_share_it(self):
-        """The size-free structure is built once, whatever the sizes."""
-        a = fused_mod.compile_allreduce(5, 100, 1, "rabenseifner")
-        b = fused_mod.compile_allreduce(5, 999, 2, "rabenseifner")
-        assert a.nw.tolist() != b.nw.tolist()
-        assert a.rounds is b.rounds and a.src is b.src
+        """The size-free structure is built once, whatever the sizes: a
+        schedule of new sizes only fills in its words (the v collectives
+        get new sizes on almost every call)."""
+        p = 5
+        pairs = [
+            (fused_mod.compile_allreduce(p, 100, 1, "rabenseifner"),
+             fused_mod.compile_allreduce(p, 999, 2, "rabenseifner")),
+            (fused_mod.compile_allgatherv(p, _uneven_sizes(p, 1)),
+             fused_mod.compile_allgatherv(p, _uneven_sizes(p, 2))),
+            (fused_mod.compile_alltoallv(p, tuple(
+                _uneven_sizes(p, 10 + r) for r in range(p))),
+             fused_mod.compile_alltoallv(p, tuple(
+                 _uneven_sizes(p, 20 + r) for r in range(p)))),
+        ]
+        for a, b in pairs:
+            assert a.nw.tolist() != b.nw.tolist()
+            assert a.rounds is b.rounds and a.src is b.src
 
 
 # ---------------------------------------------------------------------------
