@@ -11,9 +11,8 @@ is the link / clock arithmetic alone, the part of every fused collective
 that grows with the number of messages.
 
 The ``us/compile`` column is what a miss of a run's schedule memo
-(``repro.comm.fused.compiled``) costs: the same schedules compiled anew
-on every call, with only the process caches of their size-free
-structure warm.
+(``repro.comm.fused.compiled``) costs: one fill of the schedule's
+size-free template (cached per process, warm) with the call's sizes.
 
     PYTHONPATH=src taskset -c 1 python benchmarks/replay_cost.py
 
@@ -69,7 +68,7 @@ def us_per_booking(p: int, specs, calls: int, repeat: int) -> float:
 
 
 def us_per_compile(specs, calls: int, repeat: int) -> float:
-    for compile_, args in specs:    # the size-free structure, once
+    for compile_, args in specs:    # the size-free template, once
         compile_(*args)
 
     def run():

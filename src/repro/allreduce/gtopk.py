@@ -15,9 +15,9 @@ sparsification.
 Under the cooperative engine the whole reduction tree runs as one fused
 macro-collective (see :mod:`repro.comm.fused`): every rank parks at the
 rendezvous with its local top-k, the tree's merges/re-selections are
-computed centrally in the exact per-message order, and the compiled
-message schedule (sizes taken from the evolving per-level nnz) is booked
-in one replay — bit-identical results, counters and clocks,
+computed centrally in the exact per-message order, and the binomial
+reduction's cached schedule template, filled with the evolving per-level
+nnz, is booked in one replay — bit-identical results, counters and clocks,
 under slowdown/straggler plans and on shrunk worlds too (the replay
 applies the plan's factors to the bookings, the merge charges and the
 per-level ``compute_topk`` seconds alike).
@@ -36,13 +36,15 @@ _TAG_REDUCE = (1 << 21) + 1
 
 
 def _exec_gtopk_tree(net, sig, payloads):
-    """Fused executor for the binomial combine-and-reselect tree.
+    """Fused executor for the binomial combine-and-reselect tree: the
+    tree of :func:`repro.comm.fused.compile_reduce` at root 0, in the same
+    message order, under gtopk's own tag.
 
-    Data first (the per-level message sizes depend on it): at each mask
-    level the surviving even virtual rank merges its partner's current
-    vector (``combine_sum([current, got])``, same operand order as the
-    per-message loop) and re-selects top-k.  The message schedule is then
-    compiled from the recorded per-level sizes and replayed in one pass:
+    Data first (the message sizes depend on it): at each level the parent
+    merges its child's current vector (``combine_sum([current, got])``,
+    same operand order as the per-message loop) and re-selects top-k.
+    The tree's cached template is then filled with each message's nnz (two
+    words an entry, ``COOVector.comm_nwords``) and replayed in one pass:
     blocking sends up the tree, the receiver charging
     ``compute_words(got.nnz)`` + ``compute_topk(merged.nnz, k)`` exactly
     as the reference loop does.
@@ -52,27 +54,18 @@ def _exec_gtopk_tree(net, sig, payloads):
     model = net.model
     cur = list(payloads)
     levels = [0] * p
-    b = _fused._Builder(p)
-    mask = 1
-    while mask < p:
-        post, recv, reduce_w, extra = [], [], [], []
-        for r in range(0, p, 2 * mask):
-            src = r | mask
-            if src < p:
-                got = cur[src]
-                i = b.msg(src, r, got.comm_nwords(), _TAG_REDUCE)
-                post.append(i)
-                recv.append(i)
-                merged = combine_sum([cur[r], got])
-                reduce_w.append(got.nnz)
-                cur[r] = merged.topk(k)
-                extra.append(model.topk_seconds(merged.nnz, k))
-                levels[r] += 1
-                cur[src] = None
-        b.round(_fused._ONEWAY, post, recv, reduce_words=reduce_w,
-                extra_seconds=extra)
-        mask <<= 1
-    _fused.replay(net, b.build())
+    nnz, topk_seconds = [], []
+    for level in _fused._binomial_levels(p):
+        for src, r in level:
+            got = cur[src]
+            merged = combine_sum([cur[r], got])
+            nnz.append(got.nnz)
+            cur[r] = merged.topk(k)
+            topk_seconds.append(model.topk_seconds(merged.nnz, k))
+            levels[r] += 1
+            cur[src] = None
+    tree = _fused._template(_fused._emit_reduce, p, 0, _TAG_REDUCE)
+    _fused.replay(net, tree.fill(nnz, 2, topk_seconds))
     # The trailing broadcast of the surviving top-k rides the same
     # rendezvous: replay its compiled schedule back to back (identical
     # message sequence to the reference's separate coll.bcast call) and

@@ -17,10 +17,14 @@ simulated timestamp.  Every collective is split into:
   schedule: per-round ``(src, dst, nwords, tag)`` including the
   non-power-of-two fold-in/fold-out ranks, Rabenseifner block slices,
   ring segments and Bruck dissemination hops, together with the local
-  reduction charges.  Compilation never touches data.  A schedule whose
-  key holds a message size is memoized on the run's network
-  (:func:`compiled`) and dropped with it; only size-free structure is
-  cached per process;
+  reduction charges.  Every compiler has one form: a size-free
+  **template** — the message table, the rounds and, for each message and
+  each reduce charge, the contiguous run of a per-call block-length
+  vector it carries — laid out once per P and algorithm or root and tag
+  and cached per process, plus one :meth:`_Template.fill` that turns the
+  call's block lengths into words and charges.  Compilation never
+  touches data.  A filled schedule is memoized on the run's network
+  (:func:`compiled`) and dropped with it;
 * a **fused executor** — :func:`replay` books the entire compiled
   schedule against the shared :class:`~repro.comm.network.Network` state
   in one walk over its messages (the per-message path's own scalar
@@ -96,7 +100,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -177,76 +181,41 @@ _SENDRECV, _ONEWAY = 0, 1
 #: order; ``recv`` is ``(position in post, message, receiver)`` per receive
 #: in receive order — a round receives only messages it posts itself.  For
 #: ``_SENDRECV`` rounds post ``i`` and receive ``i`` belong to one actor.
-#: ``reduce`` charges each receiver its message's ``reduce_words``
-#: (``compute_words``) after the round; ``extra`` then charges its
-#: ``extra_seconds`` (gtopk's per-level ``compute_topk``).
-Round = namedtuple("Round", "style post recv reduce extra")
+#: A ``reduce`` round charges each receiver its message's ``reduce_words``
+#: (``compute_words``) after the round, then its ``extra_seconds`` when the
+#: schedule has them (gtopk's per-level ``compute_topk``).
+Round = namedtuple("Round", "style post recv reduce")
 
 
-@lru_cache(maxsize=512)
-def _structure(p: int, src: Tuple[int, ...], dst: Tuple[int, ...],
-               tag: Tuple[int, ...], specs: Tuple[tuple, ...]) -> tuple:
-    """The size-free part of a schedule, built once: every schedule of one
-    collective at one ``p`` (one root, one algorithm) shares its message
-    table, rounds and message counts, whatever its sizes."""
-    rounds = []
-    for style, post, recv, reduce, extra in specs:
-        at = {i: k for k, i in enumerate(post)}
-        missing = [i for i in recv if i not in at]
-        if missing:
-            raise ValueError(f"round {len(rounds)} receives messages "
-                             f"{missing} it does not post")
-        rounds.append(Round(style, tuple((i, src[i]) for i in post),
-                            tuple((at[i], i, dst[i]) for i in recv),
-                            reduce, extra))
-    src_a, dst_a = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-    return (src_a, dst_a, np.array(tag, dtype=np.int64), tuple(rounds),
-            np.bincount(src_a, minlength=p).tolist(),
-            np.bincount(dst_a, minlength=p).tolist())
+#: no block / the first one (the whole vector of a ``[n]`` block vector)
+_NO_BLOCKS, _WHOLE = (0, 0), (0, 1)
 
 
 class Schedule:
-    """A compiled collective: message table + rounds + per-rank totals.
+    """A compiled collective: its :class:`_Template`'s message table
+    (``src``, ``dst``, ``tag``), rounds and message counts, shared by every
+    schedule of it, and one call's sizes — ``nw`` (int64 array) and each
+    receiver's ``reduce_words`` / ``extra_seconds`` (lists, ``None`` when
+    none is charged) aligned with the table, and the per-rank word totals."""
 
-    ``nw`` (int64 array) holds the message sizes and ``reduce_words`` /
-    ``extra_seconds`` (lists, ``None`` when no round charges them) each
-    receiver's charge for its message, all aligned with the message table;
-    the rest is the shared structure of :func:`_structure`."""
+    __slots__ = ("p", "src", "dst", "tag", "rounds", "msgs_sent",
+                 "msgs_recv", "nw", "reduce_words", "extra_seconds",
+                 "words_sent", "words_recv")
 
-    __slots__ = ("p", "src", "dst", "nw", "tag", "rounds", "reduce_words",
-                 "extra_seconds", "words_sent", "words_recv", "msgs_sent",
-                 "msgs_recv")
-
-    def __init__(self, p: int, src, dst, nw, tag, specs,
-                 reduce_words=None, extra_seconds=None):
-        self.p = p
-        (self.src, self.dst, self.tag, self.rounds, self.msgs_sent,
-         self.msgs_recv) = _structure(p, tuple(src), tuple(dst), tuple(tag),
-                                      tuple(specs))
+    def __init__(self, t: _Template, nw: np.ndarray, reduce_words,
+                 extra_seconds):
+        (self.p, self.src, self.dst, self.tag, self.rounds, self.msgs_sent,
+         self.msgs_recv) = t[:7]
+        self.nw = nw
         self.reduce_words = reduce_words
         self.extra_seconds = extra_seconds
-        self._set_words(np.asarray(nw, dtype=np.int64))
-
-    def _set_words(self, nw: np.ndarray) -> None:
         # every compiled message is delivered, so the totals are symmetric
         # sums over the table (Python ints, like the counter lists they
         # are added to; float64 sums of word counts are exact)
-        self.nw = nw
-        self.words_sent = np.bincount(self.src, nw, self.p).astype(
+        self.words_sent = np.bincount(t.src, nw, t.p).astype(
             np.int64).tolist()
-        self.words_recv = np.bincount(self.dst, nw, self.p).astype(
+        self.words_recv = np.bincount(t.dst, nw, t.p).astype(
             np.int64).tolist()
-
-    def with_words(self, nw: np.ndarray) -> "Schedule":
-        """This schedule's structure (message table, rounds, charges) with
-        the message sizes ``nw`` (int64, aligned with the message
-        table)."""
-        sched = object.__new__(Schedule)
-        for name in ("p", "src", "dst", "tag", "rounds", "reduce_words",
-                     "extra_seconds", "msgs_sent", "msgs_recv"):
-            setattr(sched, name, getattr(self, name))
-        sched._set_words(nw)
-        return sched
 
     @property
     def nmsgs(self) -> int:
@@ -259,47 +228,96 @@ class Schedule:
                         self.nw.tolist(), self.tag.tolist()))
 
 
-class _Builder:
-    """Accumulates the message table and rounds during compilation."""
+class _Template(namedtuple("_Template", "p src dst tag rounds msgs_sent "
+                                        "msgs_recv runs")):
+    """The size-free part of a schedule, fixed by P and the algorithm or
+    root and tag: the message table, rounds and message counts, and
+    ``runs``, the rows ``lo``, ``hi`` of the run of a per-call block-length
+    vector each message carries (then the rows of its receiver's reduce
+    charge, if a round reduces).  :meth:`fill` turns one vector into a
+    :class:`Schedule`."""
 
-    __slots__ = ("p", "src", "dst", "nw", "tag", "rounds", "charges")
+    __slots__ = ()
+
+    def fill(self, lens, wpe: int = 1, extra_seconds=None) -> Schedule:
+        """The schedule of the block lengths ``lens`` (in elements): a
+        message carries ``wpe`` words per element of its run, a reduce
+        charge is its run's element count, and ``extra_seconds`` (aligned
+        with the message table) are charged by the reducing rounds."""
+        ends = np.fromiter(accumulate(lens, initial=0), np.int64,
+                           len(lens) + 1)
+        at = ends[self.runs]
+        nw = (at[1] - at[0]) * wpe
+        if len(at) == 2:            # no round reduces
+            return Schedule(self, nw, None, None)
+        return Schedule(self, nw, (at[3] - at[2]).tolist(), extra_seconds)
+
+
+class _Builder:
+    """Lays out a template: messages with the block run each carries,
+    rounds with the run each receiver reduces.  :meth:`build` checks that
+    a round receives only messages it posts itself."""
+
+    __slots__ = ("p", "src", "dst", "tag", "runs", "rounds")
 
     def __init__(self, p: int):
         self.p = p
         self.src: List[int] = []
         self.dst: List[int] = []
-        self.nw: List[int] = []
         self.tag: List[int] = []
+        #: per message ``(lo, hi)`` of its run + its receiver's charge's
+        self.runs: List[Tuple[int, int, int, int]] = []
         self.rounds: List[tuple] = []
-        #: message -> its receiver's reduce words / extra seconds
-        self.charges: Tuple[dict, dict] = ({}, {})
 
-    def msg(self, src: int, dst: int, nwords_: int, tag: int) -> int:
+    def msg(self, src: int, dst: int, run: Tuple[int, int],
+            tag: int) -> int:
+        """Message ``src -> dst`` carrying blocks ``run = (lo, hi)``."""
         i = len(self.src)
         self.src.append(src)
         self.dst.append(dst)
-        self.nw.append(int(nwords_))
         self.tag.append(tag)
+        self.runs.append(run + _NO_BLOCKS)
         return i
 
     def round(self, style: int, post: Sequence[int], recv: Sequence[int],
-              reduce_words: Optional[Sequence[int]] = None,
-              extra_seconds: Optional[Sequence[float]] = None) -> None:
-        """Append a round; ``reduce_words`` / ``extra_seconds`` are
-        aligned with ``recv``."""
-        self.rounds.append((style, tuple(post), tuple(recv),
-                            bool(reduce_words), bool(extra_seconds)))
-        for per_msg, values in zip(self.charges,
-                                   (reduce_words, extra_seconds)):
-            per_msg.update(zip(recv, values or ()))
+              reduce: Optional[Sequence[Tuple[int, int]]] = None) -> None:
+        """Append a round; ``reduce`` (aligned with ``recv``) holds the
+        block run each receiver reduces."""
+        for i, run in zip(recv, reduce or ()):
+            self.runs[i] = self.runs[i][:2] + run
+        self.rounds.append((style, tuple(post), tuple(recv), bool(reduce)))
 
-    def build(self) -> Schedule:
-        n = len(self.src)
-        rw, ex = ([cast(per_msg.get(i, 0)) for i in range(n)]
-                  if per_msg else None
-                  for cast, per_msg in zip((int, float), self.charges))
-        return Schedule(self.p, self.src, self.dst, self.nw, self.tag,
-                        self.rounds, rw, ex)
+    def build(self) -> _Template:
+        src, dst = self.src, self.dst
+        rounds = []
+        for style, post, recv, reduce in self.rounds:
+            at = {i: k for k, i in enumerate(post)}
+            missing = [i for i in recv if i not in at]
+            if missing:
+                raise ValueError(f"round {len(rounds)} receives messages "
+                                 f"{missing} it does not post")
+            rounds.append(Round(style, tuple((i, src[i]) for i in post),
+                                tuple((at[i], i, dst[i]) for i in recv),
+                                reduce))
+        src_a, dst_a = (np.array(a, dtype=np.int64) for a in (src, dst))
+        runs = np.array(self.runs, dtype=np.int64).reshape(-1, 4)
+        if not any(r.reduce for r in rounds):
+            runs = runs[:, :2]
+        return _Template(self.p, src_a, dst_a,
+                         np.array(self.tag, dtype=np.int64), tuple(rounds),
+                         np.bincount(src_a, minlength=self.p).tolist(),
+                         np.bincount(dst_a, minlength=self.p).tolist(),
+                         np.ascontiguousarray(runs.T))
+
+
+@lru_cache(maxsize=512)
+def _template(emit, p: int, *key) -> _Template:
+    """The template ``emit(builder, p, *key)`` lays out: the one place a
+    :class:`_Builder` runs, once per structure key (P and the emitter's
+    algorithm, root or tag) — never per size."""
+    b = _Builder(p)
+    emit(b, p, *key)
+    return b.build()
 
 
 #: entries a run's schedule memo holds before it starts over: Ok-Topk's
@@ -311,7 +329,9 @@ MEMO_ENTRIES = 1024
 def compiled(net, compile_, *key):
     """``compile_(*key)``, compiled once per run: the one lookup of every
     schedule keyed on a message size or vector length (the ``compile_*``
-    compilers below, the per-message ring's block slices).  The memo is
+    compilers below, the per-message ring's block slices).  A miss costs
+    one :meth:`_Template.fill` of a cached template; the memo keeps the
+    filled schedule, since serving and Ok-Topk hit it every step.  It is
     the run's network's (``net.schedules``), so a run never replays a
     schedule an earlier run compiled, and it is freed with the network.
     Under the threads runner two ranks may both miss one key: they
@@ -370,7 +390,8 @@ def replay(net, sched: Schedule) -> None:
     if faults is not None:
         egw, inw, cpw = faults.by_rank(world)
     nw = sched.nw.tolist()
-    for style, post, recv, reduce, extra in sched.rounds:
+    extra = sched.extra_seconds
+    for style, post, recv, reduce in sched.rounds:
         sendrecv = style == _SENDRECV
         t_first = []
         done = []
@@ -412,8 +433,8 @@ def replay(net, sched: Schedule) -> None:
                     clocks[s] = dn
         if reduce:
             _charge_receivers(clocks, recv, gamma, sched.reduce_words, cpw)
-        if extra:
-            _charge_receivers(clocks, recv, 1.0, sched.extra_seconds, cpw)
+            if extra is not None:
+                _charge_receivers(clocks, recv, 1.0, extra, cpw)
     if not full:
         for col, vals in ((net.clocks, clocks), (net.egress_free, eg),
                           (net.ingress_free, ing)):
@@ -441,7 +462,8 @@ def _charge_receivers(clocks: list, recv: tuple, scale: float,
 
 
 # ---------------------------------------------------------------------------
-# Fold helpers shared by the allreduce compilers (non-power-of-two P)
+# Template emitters (size-free: P + structure key in, messages and rounds
+# with their block runs out; :func:`_template` runs each once per key)
 # ---------------------------------------------------------------------------
 def _core_size(p: int) -> int:
     return 1 << (p.bit_length() - 1)
@@ -452,26 +474,173 @@ def _fold_real(newrank: int, p: int, m: int) -> int:
     return newrank * 2 + 1 if newrank < rem else newrank + rem
 
 
-def _emit_fold_in(b: _Builder, p: int, m: int, nw: int,
-                  n_elems: int) -> None:
+def _emit_fold(b: _Builder, p: int, m: int, whole: Tuple[int, int],
+               out: bool) -> None:
+    """The fold of the ``P - m`` extra ranks: rank ``2i`` ships its vector
+    to ``2i + 1``, which reduces it, or (``out``) takes the result back."""
     rem = p - m
-    if rem == 0:
-        return
-    post = [b.msg(2 * i, 2 * i + 1, nw, TAG_FOLD) for i in range(rem)]
-    b.round(_ONEWAY, post, post, reduce_words=[n_elems] * rem)
+    if rem:
+        post = [b.msg(2 * i + out, 2 * i + 1 - out, whole, TAG_FOLD)
+                for i in range(rem)]
+        b.round(_ONEWAY, post, post, reduce=None if out else [whole] * rem)
 
 
-def _emit_fold_out(b: _Builder, p: int, m: int, nw: int) -> None:
-    rem = p - m
-    if rem == 0:
-        return
-    post = [b.msg(2 * i + 1, 2 * i, nw, TAG_FOLD) for i in range(rem)]
+def _emit_rd(b: _Builder, p: int) -> None:
+    """Recursive doubling over the core ranks, every message the whole
+    vector (block lengths ``[n]``)."""
+    m = _core_size(p)
+    _emit_fold(b, p, m, _WHOLE, False)
+    d = 1
+    while d < m:
+        post = [b.msg(_fold_real(x, p, m), _fold_real(x ^ d, p, m), _WHOLE,
+                      TAG_ALLREDUCE) for x in range(m)]
+        recv = [post[x ^ d] for x in range(m)]
+        b.round(_SENDRECV, post, recv, reduce=[_WHOLE] * m)
+        d <<= 1
+    _emit_fold(b, p, m, _WHOLE, True)
+
+
+def _halving_leaves(n: int, m: int) -> List[int]:
+    """The ``m`` (a power of two) leaves of recursively halving ``n``
+    elements, in position order (an interval of ``L`` splits into its
+    lower ``L // 2`` and upper ``L - L // 2``); core rank ``x`` ends
+    Rabenseifner's reduce-scatter holding leaf ``x``."""
+    lens = [n]
+    while len(lens) < m:
+        lens = [h for x in lens for h in (x >> 1, x - (x >> 1))]
+    return lens
+
+
+def _emit_rab(b: _Builder, p: int) -> None:
+    """Rabenseifner in units of the halving leaves: recursive halving
+    (a core rank ships the half of its run on its partner's side and
+    reduces the other), then a recursive-doubling allgather of the runs."""
+    m = _core_size(p)
+    whole = (0, m)
+    _emit_fold(b, p, m, whole, False)
+    run = [whole] * m
+    d = m >> 1
+    while d >= 1:
+        post, keep = [0] * m, [whole] * m
+        for x in range(m):
+            lo, hi = run[x]
+            mid = (lo + hi) >> 1
+            lower = x < (x ^ d)
+            keep[x] = (lo, mid) if lower else (mid, hi)
+            post[x] = b.msg(_fold_real(x, p, m), _fold_real(x ^ d, p, m),
+                            (mid, hi) if lower else (lo, mid), TAG_RS)
+        run = keep
+        b.round(_SENDRECV, post, [post[x ^ d] for x in range(m)],
+                reduce=run)
+        d >>= 1
+    d = 1
+    while d < m:
+        post = [b.msg(_fold_real(x, p, m), _fold_real(x ^ d, p, m), run[x],
+                      TAG_AG) for x in range(m)]
+        b.round(_SENDRECV, post, [post[x ^ d] for x in range(m)])
+        run = [(run[x ^ d][0], run[x][1]) if x & d
+               else (run[x][0], run[x ^ d][1]) for x in range(m)]
+        d <<= 1
+    _emit_fold(b, p, m, whole, True)
+
+
+def _emit_ring(b: _Builder, p: int, tag: int, reduce: bool) -> None:
+    """``P - 1`` ring steps over the ``P`` blocks: at step ``s`` rank
+    ``r`` ships block ``(r - s) % P`` to ``r + 1``.  The reduce-scatter
+    (steps ``1 .. P-1``) reduces the block ``(r - s - 1) % P`` each rank
+    receives; the allgather (steps ``0 .. P-2``) only forwards."""
+    first = 1 if reduce else 0
+    for s in range(first, first + p - 1):
+        post = [b.msg(r, (r + 1) % p, _block((r - s) % p), tag)
+                for r in range(p)]
+        recv = [post[(r - 1) % p] for r in range(p)]
+        b.round(_SENDRECV, post, recv, reduce=[
+            _block((r - s - 1) % p) for r in range(p)] if reduce else None)
+
+
+def _emit_bruck(b: _Builder, p: int, tag: int) -> None:
+    """Bruck dissemination: the step at distance ``d`` ships each rank
+    ``r``'s first ``min(d, P - d)`` held blocks, those of ranks
+    ``r .. r+count-1`` — one run of the sizes laid out twice over."""
+    d = 1
+    while d < p:
+        count = min(d, p - d)
+        post = [b.msg(r, (r - d) % p, (r, r + count), tag) for r in range(p)]
+        recv = [post[(r + d) % p] for r in range(p)]
+        b.round(_SENDRECV, post, recv)
+        d <<= 1
+
+
+def _emit_pairwise(b: _Builder, p: int) -> None:
+    """Pairwise rotation: at step ``s`` rank ``r`` sends block
+    ``r * P + (r+s) % P`` of the flattened size matrix to ``(r+s) % P``."""
+    for s in range(1, p):
+        post = [b.msg(r, (r + s) % p, _block(r * p + (r + s) % p), TAG_A2A)
+                for r in range(p)]
+        recv = [post[(r - s) % p] for r in range(p)]
+        b.round(_SENDRECV, post, recv)
+
+
+def _binomial_levels(p: int) -> List[List[Tuple[int, int]]]:
+    """The binomial tree over virtual ranks, leaves first: per mask level
+    its ``(child, parent)`` pairs by parent — a reduction's message order
+    (reversed, a broadcast's)."""
+    levels = []
+    mask = 1
+    while mask < p:
+        levels.append([(v + mask, v) for v in range(0, p - mask, 2 * mask)])
+        mask <<= 1
+    return levels
+
+
+def _emit_bcast(b: _Builder, p: int, root: int) -> None:
+    """Binomial broadcast (a rank receives at its virtual rank's lowest
+    set bit, then forwards), every message the whole object."""
+    for level in reversed(_binomial_levels(p)):
+        post = [b.msg((v + root) % p, (c + root) % p, _WHOLE, TAG_BCAST)
+                for c, v in level]
+        b.round(_ONEWAY, post, post)
+
+
+def _emit_reduce(b: _Builder, p: int, root: int, tag: int) -> None:
+    """Binomial reduction to ``root``, levels in ascending mask order;
+    message ``i`` carries (and its receiver reduces) block ``i``."""
+    for level in _binomial_levels(p):
+        post = [b.msg((c + root) % p, (v + root) % p, _block(i), tag)
+                for i, (c, v) in enumerate(level, len(b.src))]
+        b.round(_ONEWAY, post, post, reduce=[_block(i) for i in post])
+
+
+def _emit_linear(b: _Builder, p: int, root: int, inward: bool) -> None:
+    """A linear gather (``inward``: the root's ingress link serializes
+    the deliveries in ascending rank order) or scatter (its egress link
+    serializes the blocking sends); rank ``r``'s message is block ``r``."""
+    post = [b.msg(r, root, _block(r), TAG_GATHER) if inward
+            else b.msg(root, r, _block(r), TAG_SCATTER)
+            for r in range(p) if r != root]
     b.round(_ONEWAY, post, post)
 
 
+def _emit_barrier(b: _Builder, p: int) -> None:
+    """Dissemination barrier: ``ceil(log2 P)`` zero-word rounds, each a
+    blocking send to ``r+d`` followed by a receive from ``r-d``."""
+    d = 1
+    while d < p:
+        post = [b.msg(r, (r + d) % p, _NO_BLOCKS, TAG_BARRIER)
+                for r in range(p)]
+        recv = [post[(r - d) % p] for r in range(p)]
+        b.round(_ONEWAY, post, recv)
+        d <<= 1
+
+
+def _block(i: int) -> Tuple[int, int]:
+    return i, i + 1
+
+
 # ---------------------------------------------------------------------------
-# Schedule compilers (pure: P + sizes in, message schedule out; a caller
-# looks every one but the size-free barrier up through :func:`compiled`)
+# Schedule compilers (pure: P + sizes in, message schedule out — one fill
+# of a cached template; a caller looks every one up through
+# :func:`compiled`)
 # ---------------------------------------------------------------------------
 def compile_allreduce(p: int, n: int, wpe: int, algo: str) -> Schedule:
     """Message schedule of a dense allreduce over ``n`` elements of
@@ -479,73 +648,14 @@ def compile_allreduce(p: int, n: int, wpe: int, algo: str) -> Schedule:
     ``ring``), including the fold-in/fold-out of the ``P - 2^floor(log2
     P)`` extra ranks."""
     if algo == "recursive_doubling":
-        return _compile_allreduce_rd(p, n, wpe)
+        return _template(_emit_rd, p).fill((n,), wpe)
     if algo == "rabenseifner":
-        return _compile_allreduce_rab(p, n, wpe)
+        return _template(_emit_rab, p).fill(
+            _halving_leaves(n, _core_size(p)), wpe)
     if algo == "ring":
         raise ValueError("ring allreduce compiles as reduce_scatter_ring "
                          "+ allgather_ring")
     raise ValueError(f"unknown dense allreduce algorithm {algo!r}")
-
-
-def _compile_allreduce_rd(p: int, n: int, wpe: int) -> Schedule:
-    b = _Builder(p)
-    m = _core_size(p)
-    nw = n * wpe
-    _emit_fold_in(b, p, m, nw, n)
-    d = 1
-    while d < m:
-        post = [b.msg(_fold_real(x, p, m), _fold_real(x ^ d, p, m), nw,
-                      TAG_ALLREDUCE) for x in range(m)]
-        recv = [post[x ^ d] for x in range(m)]
-        b.round(_SENDRECV, post, recv, reduce_words=[n] * m)
-        d <<= 1
-    _emit_fold_out(b, p, m, nw)
-    return b.build()
-
-
-def _compile_allreduce_rab(p: int, n: int, wpe: int) -> Schedule:
-    b = _Builder(p)
-    m = _core_size(p)
-    nw = n * wpe
-    _emit_fold_in(b, p, m, nw, n)
-    # recursive-halving reduce-scatter: track each core rank's (lo, hi)
-    lohi = [(0, n)] * m
-    d = m >> 1
-    while d >= 1:
-        post = [0] * m
-        for x in range(m):
-            lo, hi = lohi[x]
-            mid = lo + (hi - lo) // 2
-            elems = (hi - mid) if x < (x ^ d) else (mid - lo)
-            post[x] = b.msg(_fold_real(x, p, m), _fold_real(x ^ d, p, m),
-                            elems * wpe, TAG_RS)
-        recv, reduce_w = [0] * m, [0] * m
-        for x in range(m):
-            lo, hi = lohi[x]
-            mid = lo + (hi - lo) // 2
-            lohi[x] = (lo, mid) if x < (x ^ d) else (mid, hi)
-            recv[x] = post[x ^ d]
-            reduce_w[x] = lohi[x][1] - lohi[x][0]
-        b.round(_SENDRECV, post, recv, reduce_words=reduce_w)
-        d >>= 1
-    # recursive-doubling allgather
-    d = 1
-    while d < m:
-        post = [b.msg(_fold_real(x, p, m), _fold_real(x ^ d, p, m),
-                      (lohi[x][1] - lohi[x][0]) * wpe, TAG_AG)
-                for x in range(m)]
-        recv = [post[x ^ d] for x in range(m)]
-        b.round(_SENDRECV, post, recv)
-        nxt = [0] * m
-        for x in range(m):
-            lo, hi = lohi[x]
-            got = lohi[x ^ d][1] - lohi[x ^ d][0]
-            nxt[x] = (lo - got, hi) if x & d else (lo, hi + got)
-        lohi = nxt
-        d <<= 1
-    _emit_fold_out(b, p, m, nw)
-    return b.build()
 
 
 def _block_slices(n: int, p: int) -> Tuple[slice, ...]:
@@ -557,164 +667,51 @@ def _block_slices(n: int, p: int) -> Tuple[slice, ...]:
 
 
 def compile_reduce_scatter_ring(p: int, n: int, wpe: int) -> Schedule:
-    """Ring reduce-scatter: ``P - 1`` permutation steps over the
-    near-equal contiguous blocks of :func:`_block_slices`."""
-    b = _Builder(p)
-    lens = [sl.stop - sl.start for sl in _block_slices(n, p)]
-    for s in range(1, p):
-        post = [b.msg(r, (r + 1) % p, lens[(r - s) % p] * wpe, TAG_RS)
-                for r in range(p)]
-        recv = [post[(r - 1) % p] for r in range(p)]
-        b.round(_SENDRECV, post, recv,
-                reduce_words=[lens[(r - s - 1) % p] for r in range(p)])
-    return b.build()
+    """Ring reduce-scatter over the blocks of :func:`_block_slices`."""
+    return _template(_emit_ring, p, TAG_RS, True).fill(
+        [sl.stop - sl.start for sl in _block_slices(n, p)], wpe)
 
 
 def compile_allgather_ring(p: int, n: int, wpe: int) -> Schedule:
-    b = _Builder(p)
-    lens = [sl.stop - sl.start for sl in _block_slices(n, p)]
-    for s in range(p - 1):
-        post = [b.msg(r, (r + 1) % p, lens[(r - s) % p] * wpe, TAG_AG)
-                for r in range(p)]
-        recv = [post[(r - 1) % p] for r in range(p)]
-        b.round(_SENDRECV, post, recv)
-    return b.build()
-
-
-# The v collectives change sizes on almost every call (Ok-Topk's package
-# exchanges), so their compilers cache the size-free structure per P — the
-# message table, the rounds and where each message's words come from —
-# and only fill in the words on a miss of the run's memo (:func:`compiled`).
-@lru_cache(maxsize=64)
-def _allgatherv_template(p: int, tag: int) -> Tuple[Schedule, np.ndarray]:
-    """Bruck dissemination at ``p`` ranks: the schedule with zero-word
-    messages and its (messages x P) 0/1 block matrix (row ``i`` marks the
-    ranks whose contributions message ``i`` carries)."""
-    b = _Builder(p)
-    blocks = []
-    d = 1
-    while d < p:
-        count = min(d, p - d)
-        post = []
-        for r in range(p):
-            post.append(b.msg(r, (r - d) % p, 0, tag))
-            row = [0] * p
-            for j in range(count):
-                row[(r + j) % p] = 1
-            blocks.append(row)
-        recv = [post[(r + d) % p] for r in range(p)]
-        b.round(_SENDRECV, post, recv)
-        d <<= 1
-    return b.build(), np.array(blocks, dtype=np.int64).reshape(-1, p)
+    return _template(_emit_ring, p, TAG_AG, False).fill(
+        [sl.stop - sl.start for sl in _block_slices(n, p)], wpe)
 
 
 def compile_allgatherv(p: int, sizes: Tuple[int, ...],
                        tag: int = TAG_AGV) -> Schedule:
-    """Bruck dissemination with per-rank contribution sizes (in words):
-    the step at distance ``d`` ships each rank's first ``min(d, P - d)``
-    held blocks (blocks of ranks ``r .. r+count-1``)."""
-    sched, blocks = _allgatherv_template(p, tag)
-    return sched.with_words(blocks @ np.array(sizes, dtype=np.int64))
-
-
-@lru_cache(maxsize=64)
-def _alltoallv_template(p: int) -> Tuple[Schedule, np.ndarray]:
-    """Pairwise rotation at ``p`` ranks: the schedule with zero-word
-    messages and, per message, its position in the row-major flattened
-    (P x P) size matrix."""
-    b = _Builder(p)
-    cell = []
-    for s in range(1, p):
-        post = []
-        for r in range(p):
-            post.append(b.msg(r, (r + s) % p, 0, TAG_A2A))
-            cell.append(r * p + (r + s) % p)
-        recv = [post[(r - s) % p] for r in range(p)]
-        b.round(_SENDRECV, post, recv)
-    return b.build(), np.array(cell, dtype=np.int64)
+    """Bruck dissemination of per-rank contribution sizes (in words)."""
+    return _template(_emit_bruck, p, tag).fill(tuple(sizes) * 2)
 
 
 def compile_alltoallv(p: int, rows: Tuple[Tuple[int, ...], ...]) -> Schedule:
-    """Pairwise rotation: at step ``s`` rank ``r`` sends block
-    ``(r+s) % P`` and receives from ``(r-s) % P``; ``rows[i][j]`` is the
-    word size of rank ``i``'s block for rank ``j``."""
-    sched, cell = _alltoallv_template(p)
-    flat = np.fromiter(chain.from_iterable(rows), np.int64, p * p)
-    return sched.with_words(flat[cell])
+    """Pairwise rotation; ``rows[i][j]`` words from rank ``i`` to ``j``."""
+    return _template(_emit_pairwise, p).fill(
+        tuple(chain.from_iterable(rows)))
 
 
 def compile_bcast(p: int, root: int, nw: int) -> Schedule:
-    """Binomial broadcast, levels in descending mask order (a rank
-    receives at its virtual rank's lowest set bit, then forwards)."""
-    b = _Builder(p)
-    top = 1
-    while top < p:
-        top <<= 1
-    mask = top >> 1
-    while mask >= 1:
-        post, recv = [], []
-        for v in range(0, p, 2 * mask):
-            if v + mask < p:
-                i = b.msg((v + root) % p, (v + mask + root) % p, nw,
-                          TAG_BCAST)
-                post.append(i)
-                recv.append(i)
-        b.round(_ONEWAY, post, recv)
-        mask >>= 1
-    return b.build()
+    """Binomial broadcast of an ``nw``-word object."""
+    return _template(_emit_bcast, p, root).fill((nw,))
 
 
 def compile_reduce(p: int, root: int, n: int, wpe: int) -> Schedule:
-    """Binomial reduction to ``root``, levels in ascending mask order."""
-    b = _Builder(p)
-    nw = n * wpe
-    mask = 1
-    while mask < p:
-        post, recv, reduce_w = [], [], []
-        for v in range(0, p, 2 * mask):
-            if v + mask < p:
-                i = b.msg((v + mask + root) % p, (v + root) % p, nw,
-                          TAG_REDUCE)
-                post.append(i)
-                recv.append(i)
-                reduce_w.append(n)
-        b.round(_ONEWAY, post, recv, reduce_words=reduce_w)
-        mask <<= 1
-    return b.build()
+    """Binomial reduction to ``root``, every message ``n`` elements."""
+    return _template(_emit_reduce, p, root, TAG_REDUCE).fill(
+        (n,) * (p - 1), wpe)
 
 
-@lru_cache(maxsize=256)
 def compile_barrier(p: int) -> Schedule:
-    """Dissemination barrier: ``ceil(log2 P)`` zero-word rounds, each a
-    blocking send to ``r+d`` followed by a receive from ``r-d``."""
-    b = _Builder(p)
-    d = 1
-    while d < p:
-        post = [b.msg(r, (r + d) % p, 0, TAG_BARRIER) for r in range(p)]
-        recv = [post[(r - d) % p] for r in range(p)]
-        b.round(_ONEWAY, post, recv)
-        d <<= 1
-    return b.build()
+    return _template(_emit_barrier, p).fill(())
 
 
 def compile_gather(p: int, root: int, sizes: Tuple[int, ...]) -> Schedule:
-    """Linear gather: every non-root posts, the root's ingress link
-    serializes the deliveries in ascending rank order."""
-    b = _Builder(p)
-    peers = [r for r in range(p) if r != root]
-    post = [b.msg(r, root, sizes[r], TAG_GATHER) for r in peers]
-    b.round(_ONEWAY, post, post)
-    return b.build()
+    """Linear gather of the per-rank sizes (in words) to ``root``."""
+    return _template(_emit_linear, p, root, True).fill(sizes)
 
 
 def compile_scatter(p: int, root: int, sizes: Tuple[int, ...]) -> Schedule:
-    """Linear scatter: the root's egress link serializes the blocking
-    sends in ascending rank order."""
-    b = _Builder(p)
-    peers = [r for r in range(p) if r != root]
-    post = [b.msg(root, r, sizes[r], TAG_SCATTER) for r in peers]
-    b.round(_ONEWAY, post, post)
-    return b.build()
+    """Linear scatter of the per-rank sizes (in words) from ``root``."""
+    return _template(_emit_linear, p, root, False).fill(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -871,15 +868,13 @@ def _sum_ring(payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
 
 
 def _sum_reduce_tree(payloads: Sequence[Any], p: int, root: int):
-    """Binomial-tree association: at each mask level the surviving
-    virtual rank folds its child subtree in (``op(acc, got)``)."""
+    """Binomial-tree association (:func:`_binomial_levels`): at each
+    level the parent virtual rank folds its child subtree in
+    (``op(acc, got)``)."""
     cur = {v: np.asarray(payloads[(root + v) % p]) for v in range(p)}
-    mask = 1
-    while mask < p:
-        for v in range(0, p, 2 * mask):
-            if v + mask < p:
-                cur[v] = cur[v] + cur.pop(v + mask)
-        mask <<= 1
+    for level in _binomial_levels(p):
+        for c, v in level:
+            cur[v] = cur[v] + cur.pop(c)
     return cur[0]
 
 
@@ -1000,7 +995,7 @@ def fused_barrier(comm):
 
 def _exec_barrier(net, sig, payloads):
     p = len(payloads)
-    replay(net, compile_barrier(p))
+    replay(net, compiled(net, compile_barrier, p))
     return [None] * p
 
 

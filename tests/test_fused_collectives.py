@@ -140,6 +140,11 @@ class TestScheduleCompiler:
         ("recursive_doubling", 7, 2),
         ("rabenseifner", 257, 1),
         ("rabenseifner", 64, 1),
+        # fewer elements than core ranks: empty halving leaves
+        ("recursive_doubling", 1, 1),
+        ("recursive_doubling", 3, 1),
+        ("rabenseifner", 1, 1),
+        ("rabenseifner", 3, 1),
     ])
     def test_allreduce_schedule_matches_trace(self, p, algo, n, wpe):
         dtype = np.float32 if wpe == 1 else np.float64
@@ -154,9 +159,8 @@ class TestScheduleCompiler:
         assert Counter(sched.messages()) == _traced_messages(prog, p)
 
     @pytest.mark.parametrize("p", PS + [16])
-    def test_ring_schedules_match_trace(self, p):
-        n = 101
-
+    @pytest.mark.parametrize("n", [101, 3])   # 3 < P: empty ring blocks
+    def test_ring_schedules_match_trace(self, p, n):
         def prog(comm):
             coll.allreduce_ring(comm, np.arange(n, dtype=np.float32))
 
@@ -227,12 +231,11 @@ class TestScheduleCompiler:
 # The replay's one structural assumption: a round receives only messages it
 # posts itself (it keeps each post's t_first for the round alone)
 # ---------------------------------------------------------------------------
-def _every_compiled_schedule(p):
-    """Every ``compile_*`` compiler's schedule(s) at ``p`` ranks, both end
-    roots, uneven v sizes."""
-    n = 37
-    sizes = _uneven_sizes(p, p)
-    rows = tuple(_uneven_sizes(p, 100 + r) for r in range(p))
+def _every_compiled_schedule(p, n=37, seed=0):
+    """Every ``compile_*`` compiler's schedule(s) at ``p`` ranks over
+    ``n`` elements, both end roots, uneven v sizes drawn from ``seed``."""
+    sizes = _uneven_sizes(p, p + seed)
+    rows = tuple(_uneven_sizes(p, 100 * (seed + 1) + r) for r in range(p))
     scheds = [fused_mod.compile_allreduce(p, n, 1, algo)
               for algo in ("recursive_doubling", "rabenseifner")]
     scheds += [fused_mod.compile_reduce_scatter_ring(p, n, 1),
@@ -241,16 +244,16 @@ def _every_compiled_schedule(p):
                fused_mod.compile_alltoallv(p, rows),
                fused_mod.compile_barrier(p)]
     for root in sorted({0, p - 1}):
-        scheds += [fused_mod.compile_bcast(p, root, 5),
+        scheds += [fused_mod.compile_bcast(p, root, n),
                    fused_mod.compile_reduce(p, root, n, 1),
                    fused_mod.compile_gather(p, root, sizes),
                    fused_mod.compile_scatter(p, root, sizes)]
     return scheds
 
 
-def _gtopk_schedules(p, monkeypatch):
-    """The schedules gtopk's fused tree builds with ``_Builder`` (and the
-    trailing broadcast), captured at replay."""
+def _gtopk_schedules(p, monkeypatch, k=8):
+    """The schedules gtopk's fused tree replays (its binomial tree, then
+    the trailing broadcast) at top-``k``, captured at replay."""
     from repro.allreduce import gtopk as gtopk_mod
     seen = []
     replay = fused_mod.replay
@@ -259,10 +262,11 @@ def _gtopk_schedules(p, monkeypatch):
         seen.append(sched)
         replay(net, sched)
 
-    monkeypatch.setattr(fused_mod, "replay", capture)
     payloads = [exact_topk(np.random.default_rng(r).standard_normal(
-        64).astype(np.float32), 8) for r in range(p)]
-    gtopk_mod._exec_gtopk_tree(Network(p), ("gtopk_tree", 8), payloads)
+        64).astype(np.float32), k) for r in range(p)]
+    with monkeypatch.context() as patch:
+        patch.setattr(fused_mod, "replay", capture)
+        gtopk_mod._exec_gtopk_tree(Network(p), ("gtopk_tree", k), payloads)
     return seen
 
 
@@ -293,32 +297,39 @@ class TestScheduleStructure:
 
     def test_receiving_an_earlier_rounds_post_raises(self):
         b = fused_mod._Builder(3)
-        i = b.msg(0, 1, 4, fused_mod.TAG_BCAST)
+        i = b.msg(0, 1, (0, 1), fused_mod.TAG_BCAST)
         b.round(fused_mod._ONEWAY, [i], [])
-        j = b.msg(1, 2, 4, fused_mod.TAG_BCAST)
+        j = b.msg(1, 2, (0, 1), fused_mod.TAG_BCAST)
         b.round(fused_mod._ONEWAY, [j], [j, i])
         with pytest.raises(ValueError, match=r"round 1 receives messages "
                                              r"\[0\] it does not post"):
             b.build()
 
-    def test_schedules_of_one_structure_share_it(self):
-        """The size-free structure is built once, whatever the sizes: a
-        schedule of new sizes only fills in its words (the v collectives
-        get new sizes on almost every call)."""
-        p = 5
-        pairs = [
-            (fused_mod.compile_allreduce(p, 100, 1, "rabenseifner"),
-             fused_mod.compile_allreduce(p, 999, 2, "rabenseifner")),
-            (fused_mod.compile_allgatherv(p, _uneven_sizes(p, 1)),
-             fused_mod.compile_allgatherv(p, _uneven_sizes(p, 2))),
-            (fused_mod.compile_alltoallv(p, tuple(
-                _uneven_sizes(p, 10 + r) for r in range(p))),
-             fused_mod.compile_alltoallv(p, tuple(
-                 _uneven_sizes(p, 20 + r) for r in range(p)))),
-        ]
-        for a, b in pairs:
-            assert a.nw.tolist() != b.nw.tolist()
+    @pytest.mark.parametrize("p", [5, 8])
+    def test_schedules_of_one_structure_share_it(self, p, monkeypatch):
+        """The size-free template is built once per structure, whatever
+        the sizes: every compiler's schedule of new sizes, and gtopk's
+        tree of a new k, is one fill of it — no ``_Builder`` runs."""
+        first = (_every_compiled_schedule(p, 100, seed=1)
+                 + _gtopk_schedules(p, monkeypatch, k=8))
+        built = []
+
+        class CountingBuilder(fused_mod._Builder):
+            __slots__ = ()
+
+            def __init__(self, p):
+                built.append(p)
+                super().__init__(p)
+
+        monkeypatch.setattr(fused_mod, "_Builder", CountingBuilder)
+        second = (_every_compiled_schedule(p, 999, seed=2)
+                  + _gtopk_schedules(p, monkeypatch, k=5))
+        assert not built
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
             assert a.rounds is b.rounds and a.src is b.src
+            if b.nw.any():      # the barrier has no sizes
+                assert a.nw.tolist() != b.nw.tolist()
 
 
 # ---------------------------------------------------------------------------

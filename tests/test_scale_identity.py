@@ -1,10 +1,10 @@
-"""Large-world (P >= 64) cross-runner identity.
+"""Large-world (P >= 64) identities.
 
 An Ok-Topk ``train_scheme`` run at P=64 and P=128 must complete on the
-cooperative engine and be bit-identical to the threads oracle.  These
-worlds take seconds per iteration, so the tests are marked ``scale``
-(excluded from the fast CI job; the push-only slow job and
-``pytest -m scale`` run them).
+cooperative engine and be bit-identical to the threads oracle, and the
+dense allreduce schedules at P = 64 and 256 must match the alpha-beta
+cost model.  The tests are marked ``scale`` (run them alone with
+``pytest -m scale``; CI's fast job, ``-m "not slow"``, includes them).
 """
 
 import os
@@ -13,6 +13,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.bench.harness import perf_proxy, proxy_network, train_scheme
+from repro.comm import fused
 
 RUNNER_ENV = "REPRO_SPMD_RUNNER"
 
@@ -47,3 +48,29 @@ def test_p64_identical_across_all_runners():
 def test_p128_coop_matches_threads_oracle():
     oracle = _fingerprints(_train(128, 2, "threads"))
     assert _fingerprints(_train(128, 2, "coop")) == oracle
+
+
+def _dense_allreduce_schedules(p, n, algo):
+    if algo == "ring":
+        return [fused.compile_reduce_scatter_ring(p, n, 1),
+                fused.compile_allgather_ring(p, n, 1)]
+    return [fused.compile_allreduce(p, n, 1, algo)]
+
+
+@pytest.mark.parametrize("p", [64, 256])
+@pytest.mark.parametrize("algo", fused.ALLREDUCE_ALGORITHMS)
+def test_dense_allreduce_schedules_match_the_cost_model(p, algo):
+    """``(A, B) = allreduce_alpha_beta_terms(p, algo)``: the schedule
+    takes A rounds and every rank sends B * n words (n a multiple of P,
+    so every block and halving leaf is whole) and receives as many;
+    every message sent is received."""
+    n = 16 * p
+    a, b = fused.allreduce_alpha_beta_terms(p, algo)
+    scheds = _dense_allreduce_schedules(p, n, algo)
+    assert sum(len(s.rounds) for s in scheds) == a
+    sent = [sum(col) for col in zip(*(s.words_sent for s in scheds))]
+    recv = [sum(col) for col in zip(*(s.words_recv for s in scheds))]
+    assert sent == [b * n] * p
+    assert recv == sent
+    assert sum(sum(s.msgs_sent) for s in scheds) == sum(
+        sum(s.msgs_recv) for s in scheds)

@@ -100,7 +100,7 @@ def _serve(seed):
 def test_caches_do_not_grow_with_input_data(run, compilers, runs):
     refs, stored = runs
     caches = _module_caches()
-    assert "repro.comm.fused._structure" in caches
+    assert "repro.comm.fused._template" in caches
     sizes = []
     for seed in SEEDS:
         run(seed)
