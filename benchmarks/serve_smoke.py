@@ -5,7 +5,9 @@ two hard invariants:
 
 * **determinism** — the report (request records, percentiles, goodput,
   checksum, algorithm provenance) is bit-identical across the ``coop``
-  and ``threads`` runners and the fused/unfused collective paths;
+  and ``threads`` runners and the fused/unfused collective paths, and an
+  empty ``FaultPlan()`` (the loop's plan branches, no fault) admits and
+  stamps every request exactly as the plan-less run in each of them;
 * **adaptive selection** — the size-adaptive allreduce selector matches
   or beats both fixed algorithm choices on the mixed workload, and its
   provenance shows both the latency-optimal (decode) and
@@ -40,6 +42,10 @@ def _signature(rep):
             rep.algorithms)
 
 
+def _stamps(rep):
+    return [(r.rid, r.admitted, r.token_times) for r in rep.requests]
+
+
 def main() -> int:
     base = None
     for runner in ("coop", "threads"):
@@ -52,8 +58,18 @@ def main() -> int:
                 print(f"FAIL: serving report diverged under "
                       f"runner={runner} fused={fused}")
                 return 1
+            # an empty plan takes the loop's plan branches without a
+            # fault: it must admit and stamp exactly as the plan-less run
+            planned = simulate_serving(CFG, runner=runner, fused=fused,
+                                       faults=FaultPlan())
+            if _stamps(planned) != _stamps(rep):
+                print(f"FAIL: empty-plan admissions/stamps diverged from "
+                      f"the plan-less run under runner={runner} "
+                      f"fused={fused}")
+                return 1
     print(f"determinism: bit-identical across coop/threads x "
-          f"fused/unfused (checksum {base[1]['checksum']:.6f})")
+          f"fused/unfused, empty plan == no plan "
+          f"(checksum {base[1]['checksum']:.6f})")
 
     makespans = {}
     for alg in ("latency", "bandwidth", "adaptive"):

@@ -13,10 +13,12 @@ RL001     no nondeterminism sources (wall clock, global RNG, ``os.urandom``,
 RL002     no in-place mutation of buffers received from the communicator
           (``recv``/``waitall``/``sendrecv`` results are loaned, read-only
           views) inside ``allreduce/`` schemes
-RL003     every dereference of the ``faults`` fault-state on the
-          ``comm/network.py`` / ``comm/communicator.py`` hot paths is
-          dominated by a ``faults is not None`` guard (the no-plan path
-          must stay byte-identical to a plan-less network)
+RL003     every dereference of the ``faults`` fault-state in
+          ``comm/network.py`` / ``comm/communicator.py`` /
+          ``comm/engine.py`` / ``comm/fused.py`` /
+          ``allreduce/oktopk.py`` / ``serve/loop.py`` is dominated by a
+          ``faults is not None`` guard (the no-plan path must stay
+          byte-identical to a plan-less network)
 ========  ==================================================================
 
 Run it as ``repro-lint [paths...]`` (console script) or

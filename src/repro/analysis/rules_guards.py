@@ -8,12 +8,11 @@ test therefore either crashes the common case or — worse — silently
 institutionalises a fault-plan dependency in the hot path.
 
 Scope: ``comm/network.py``, ``comm/communicator.py``, ``serve/loop.py``
-(the hot paths; the serving loop's fault-free dispatch must stay a single
-``faults is not None`` test) and the fast path that now runs under plans
+(the hot paths; the one serving loop skips its robustness work behind
+``faults is not None`` tests) and the fast path that now runs under plans
 too — ``comm/engine.py``, ``comm/fused.py`` (the schedule replay) and
 ``allreduce/oktopk.py`` (the split-and-reduce executor).  The rule
-recognises as
-a *fault expression* any attribute chain
+recognises as a *fault expression* any attribute chain
 ending in ``.faults`` / ``._faults``, the bare names ``faults`` /
 ``_faults`` (parameters), and local aliases bound from one
 (``f = net.faults``).  A dereference is an attribute access **on** a

@@ -194,6 +194,7 @@ def _parse_token_spec(spec: str, what: str):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .comm.faults import FaultPlan
     from .serve import ServeConfig, Workload, simulate_serving, sweep_load
 
     cfg = ServeConfig(
@@ -210,6 +211,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     workload = None
     if args.trace:
         workload = Workload.from_json(open(args.trace).read())
+    traced_deadlines = workload is not None and any(
+        rq.deadline is not None for rq in workload.requests)
+    if faults is None and (args.fault_plan or args.deadline is not None
+                           or traced_deadlines):
+        # deadlines are read only under a plan: a fault-free one will do
+        faults = (FaultPlan.from_json(open(args.fault_plan).read())
+                  if args.fault_plan else FaultPlan())
     if args.sweep:
         print(f"serve sweep: P={cfg.p} algorithm={cfg.algorithm} "
               f"requests={cfg.n_requests}")

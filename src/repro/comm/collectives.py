@@ -451,10 +451,6 @@ def alltoallv(comm: SimComm, blocks: Sequence[Any]) -> List[Any]:
     return out
 
 
-def alltoall(comm: SimComm, blocks: Sequence[Any]) -> List[Any]:
-    return alltoallv(comm, blocks)
-
-
 # ---------------------------------------------------------------------------
 # Gather / scatter (linear)
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ class RankFailedError(CommError):
     on every *surviving* rank when a peer fail-stops under a fault plan
     (see :mod:`repro.comm.faults`) — there ``failures`` maps each dead
     rank to its :class:`SimulatedRankCrash`.  Elastic recovery loops (the
-    trainer's shrink-and-resume and the fault-aware serving loop in
-    :mod:`repro.serve.loop`) catch this on the survivors, ``shrink()``
+    trainer's shrink-and-resume and the serving loop's recovery branch
+    in :mod:`repro.serve.loop`) catch this on the survivors, ``shrink()``
     the communicator and continue; request-level outcomes under serving
     (shed/timeout/retry) are terminal record states, never exceptions.
 

@@ -23,8 +23,8 @@ stragglers degrade the clock honestly while rank crashes trigger elastic
 shrink-and-resume (checkpointed batcher state, consensus rollback, model
 rebuild at P-1, deterministic re-enqueue with capped backoff).  Request
 deadlines, timeout reaping and deadline-aware shedding ride the same
-fault-aware loop; the plan-less path stays byte-identical to a loop that
-has never heard of faults.
+plan (an empty ``FaultPlan()`` turns them on); one serving loop serves
+both, and a plan-less run skips the robustness work.
 
 Runs are a pure function of ``(seed, config, plan)`` and bit-identical
 across the ``coop`` and ``threads`` runners — see

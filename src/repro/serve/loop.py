@@ -67,10 +67,14 @@ synchronization points and run elastic recovery:
    budget are shed.
 
 Request-level robustness (deadlines, timeout reaping, deadline-aware
-admission shedding) rides the same fault-aware loop.  The fault-free
-path is dispatched by a single ``faults is not None`` test (RL003-checked
-for this module) and stays byte-identical to a loop that has never heard
-of faults.  A faulted run remains a pure function of ``(seed, config,
+admission shedding) rides the same plan.  There is one decision loop; a
+plan-less run skips what only a plan needs — the boundary checkpoints,
+``comm.maybe_crash``, timeout reaping, admission shedding and the
+recovery branch — each behind a ``faults is not None`` test (RL003
+checks this module).  Without a plan the loop reads none of the
+robustness knobs, its records carry no deadline and it reports no
+events; with an empty ``FaultPlan()`` it makes the same admissions and
+token stamps.  A faulted run remains a pure function of ``(seed, config,
 plan)``: recovery decisions only consume synchronized or consensus data,
 so reports stay bit-identical across runners and fused/unfused paths.
 """
@@ -115,8 +119,8 @@ class ServeConfig:
     #: "adaptive" | "latency" | "bandwidth" | concrete name
     algorithm: str = "adaptive"
     seed: int = 0
-    # --- request-level robustness (consulted by the fault-aware loop;
-    # --- the plan-less fast path never reads them) ---
+    # --- request-level robustness (read only under a fault plan; an
+    # --- empty ``FaultPlan()`` turns them on without faults) ---
     #: completion SLO relative to arrival (simulated s); ``None`` = none.
     #: Per-request ``Request.deadline`` values override it.
     deadline: Optional[float] = None
@@ -150,71 +154,12 @@ def _retry_release(cfg: ServeConfig, rid: int, attempt: int,
 
 
 def _rank_serve(comm: SimComm, cfg: ServeConfig, workload: Workload) -> Dict:
+    """The serving loop (see the module docstring's recovery walkthrough).
+    A fault plan adds per-boundary checkpoints, deadline/timeout/shed
+    handling and elastic shrink-and-resume on
+    :class:`~repro.errors.RankFailedError`; a plan-less run skips each of
+    them behind a ``faults is not None`` test."""
     faults = comm.net.faults
-    if faults is not None:  # the plan-less fast path stays this one test
-        return _rank_serve_faulted(comm, cfg, workload, faults)
-    model = TPDecodeModel(cfg.model_config, comm,
-                          algorithm=cfg.algorithm, seed=cfg.seed)
-    batcher = DynamicBatcher(workload, cfg.max_batch_size, cfg.max_wait)
-    admitted_at: Dict[int, float] = {}
-    token_times: Dict[int, List[float]] = {}
-    active: List[List] = []  # [request, tokens_emitted]
-    prefill_batches = 0
-    decode_steps = 0
-
-    with comm.phase("serve"):
-        t = sync_decision_time(comm)
-        while True:
-            batch = batcher.admit(t, cfg.max_batch_size - len(active),
-                                  bool(active))
-            if batch:
-                for rq in batch:
-                    admitted_at[rq.rid] = t
-                t = model.step(sum(rq.prompt_tokens for rq in batch))
-                prefill_batches += 1
-                for rq in batch:
-                    token_times[rq.rid] = [t]
-                    if rq.output_tokens > 1:
-                        active.append([rq, 1])
-                continue
-            if active:
-                t = model.step(len(active))
-                decode_steps += 1
-                still: List[List] = []
-                for rq, emitted in active:
-                    emitted += 1
-                    token_times[rq.rid].append(t)
-                    if emitted < rq.output_tokens:
-                        still.append([rq, emitted])
-                active = still
-                continue
-            t_next = batcher.next_decision(t)
-            if t_next is None:
-                break
-            comm._advance_clock(t_next)
-            t = sync_decision_time(comm)
-
-    records = [
-        RequestRecord(rq.rid, rq.arrival, rq.prompt_tokens,
-                      rq.output_tokens, admitted_at[rq.rid],
-                      tuple(token_times[rq.rid]))
-        for rq in workload.requests]
-    return {
-        "records": records,
-        "checksum": model.checksum,
-        "steps": {"prefill_batches": prefill_batches,
-                  "decode_steps": decode_steps},
-    }
-
-
-def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
-                        workload: Workload, faults) -> Dict:
-    """The fault-aware serving loop (see the module docstring's recovery
-    walkthrough).  Same decision structure as :func:`_rank_serve`, plus
-    per-boundary checkpoints, deadline/timeout/shed handling, and elastic
-    shrink-and-resume on :class:`~repro.errors.RankFailedError`."""
-    assert faults is not None  # dispatch contract; guards every deref below
-    detect_timeout = faults.detect_timeout
     model = TPDecodeModel(cfg.model_config, comm,
                           algorithm=cfg.algorithm, seed=cfg.seed)
     batcher = DynamicBatcher(workload, cfg.max_batch_size, cfg.max_wait)
@@ -230,7 +175,7 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
     step_no = 0                         # decision-loop pass (1-based)
 
     def deadline_at(rq: Request) -> Optional[float]:
-        return rq.deadline_at(cfg.deadline)
+        return rq.deadline_at(cfg.deadline) if faults is not None else None
 
     def snap() -> Dict:
         """Checkpoint of everything a step boundary determines.  The
@@ -251,12 +196,14 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
         }
 
     boundary = 0                        # completed stamping boundaries
-    ckpts: Dict[int, Dict] = {0: snap()}
+    ckpts: Dict[int, Dict] = {0: snap()} if faults is not None else {}
     failure: Optional[RankFailedError] = None
     t: Optional[float] = None
 
     def commit_boundary() -> None:
         nonlocal boundary
+        if faults is None:
+            return
         boundary += 1
         ckpts[boundary] = snap()
         ckpts.pop(boundary - 3, None)
@@ -268,6 +215,7 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
     while True:
         try:
             if failure is not None:
+                assert faults is not None  # only a plan fails a rank
                 exc, failure = failure, None
                 new_failed = sorted(set(exc.failures) - known_dead)
                 if not new_failed:
@@ -275,7 +223,7 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                         "RankFailedError without fresh failures after "
                         "recovery") from exc
                 detected = max(exc.failures[r].time
-                               for r in new_failed) + detect_timeout
+                               for r in new_failed) + faults.detect_timeout
                 old_size = comm.size
                 comm = comm.shrink()
                 # Rollback consensus: survivors may have caught the
@@ -330,15 +278,17 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                                   dropped=dropped)
             elif t is None:
                 t = sync_decision_time(comm)
-            step_no += 1
-            comm.maybe_crash(iteration=step_no)
-            # Timeout detection on the simulated clock: queued requests
-            # whose completion deadline already passed are reaped here.
-            for rq in batcher.expire(t, deadline_at):
-                terminal[rq.rid] = "timeout"
+            if faults is not None:
+                step_no += 1
+                comm.maybe_crash(iteration=step_no)
+                # Timeout detection on the simulated clock: queued
+                # requests whose completion deadline already passed are
+                # reaped here.
+                for rq in batcher.expire(t, deadline_at):
+                    terminal[rq.rid] = "timeout"
             batch = batcher.admit(t, cfg.max_batch_size - len(active),
                                   bool(active))
-            if batch:
+            if batch and faults is not None:
                 # Deadline-aware admission control: shed what even an
                 # uncontended run at the current world size cannot finish
                 # in time (post-shrink capacity raises this bound).
@@ -352,11 +302,13 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                         kept.append(rq)
                 if not kept:
                     continue
-                for rq in kept:
+                batch = kept
+            if batch:
+                for rq in batch:
                     admitted_at[rq.rid] = t
-                t = model.step(sum(rq.prompt_tokens for rq in kept))
+                t = model.step(sum(rq.prompt_tokens for rq in batch))
                 prefill_batches += 1
-                for rq in kept:
+                for rq in batch:
                     token_times[rq.rid] = [t]
                     if rq.output_tokens > 1:
                         active.append([rq, 1])
@@ -437,7 +389,7 @@ def simulate_serving(cfg: ServeConfig, *,
                 "max_wait": cfg.max_wait, "hidden": cfg.hidden,
                 "layers": cfg.layers, "seed": cfg.seed},
         faulted=faults is not None,
-        events=list(first.get("events", ())),
+        events=list(first["events"]),
     )
 
 

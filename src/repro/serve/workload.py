@@ -43,8 +43,9 @@ class Request:
     output_tokens: int
     #: completion SLO relative to arrival (simulated seconds); ``None``
     #: defers to the serving config's global deadline (which may also be
-    #: ``None`` — no deadline).  Consulted by the fault-aware serving
-    #: loop for timeout detection and deadline-aware admission control.
+    #: ``None`` — no deadline).  Read by the serving loop under a fault
+    #: plan (an empty ``FaultPlan()`` will do) for timeout detection and
+    #: deadline-aware admission control; a plan-less run ignores it.
     deadline: Optional[float] = None
 
     def deadline_at(self, default: Optional[float] = None) -> Optional[float]:

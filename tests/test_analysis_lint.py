@@ -313,8 +313,8 @@ class TestRL003:
         assert codes(src, "src/repro/comm/faults.py") == []
 
     def test_serve_loop_unguarded_deref_fires(self):
-        # the serving loop is a hot path too: its fault-free dispatch
-        # must stay a single `faults is not None` test
+        # the serving loop is a hot path too: its plan-only work must
+        # sit behind `faults is not None` tests
         src = """
         def _rank_serve(comm, cfg, workload):
             faults = comm.net.faults
@@ -325,10 +325,12 @@ class TestRL003:
 
     def test_serve_loop_assert_guard_passes(self):
         src = """
-        def _rank_serve_faulted(comm, cfg, workload, faults):
-            assert faults is not None
-            timeout = faults.detect_timeout
-            return timeout
+        def _rank_serve(comm, cfg, workload, failure):
+            faults = comm.net.faults
+            if failure is not None:
+                assert faults is not None
+                return faults.detect_timeout
+            return 0.0
         """
         assert codes(src, "src/repro/serve/loop.py") == []
 

@@ -1,5 +1,7 @@
 """CLI smoke tests: every subcommand runs and prints sane output."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -86,6 +88,48 @@ class TestCli:
                      "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "requests=5" in out
+
+    def test_serve_deadline_applies_without_faults(self, capsys):
+        # a 1 ns SLO: nothing can finish, so every request is shed or
+        # timed out, and the report carries its degradation section
+        assert main(["serve", "--workers", "2", "--requests", "6",
+                     "--deadline", "1e-9"]) == 0
+        out = capsys.readouterr().out
+        assert "requests=6 tokens=0" in out
+        m = re.search(r"\(0/6 ok, (\d+) shed, (\d+) timeout", out)
+        assert m and int(m[1]) + int(m[2]) == 6
+        assert "SLO attainment  : 0.0%" in out
+
+    def test_serve_sweep_deadline_applies_without_faults(self, capsys):
+        assert main(["serve", "--workers", "2", "--requests", "6",
+                     "--deadline", "1e-9", "--sweep", "500", "4000"]) == 0
+        rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+                if ln.strip() and ln.lstrip()[0].isdigit()]
+        assert len(rows) == 2
+        assert all(float(row[1]) == 0.0 for row in rows)  # goodput req/s
+
+    def test_serve_trace_deadlines_apply_without_faults(self, capsys,
+                                                        tmp_path):
+        from repro.serve import Workload
+
+        wl = Workload.poisson(5, 1000.0, seed=3, deadline=1e-9)
+        trace = tmp_path / "trace.json"
+        trace.write_text(wl.to_json())
+        assert main(["serve", "--workers", "2",
+                     "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "requests=5 tokens=0" in out
+        assert "availability    : 0.0%" in out
+
+    def test_serve_fault_free_plan_file_is_kept(self, capsys, tmp_path):
+        from repro.comm.faults import FaultPlan
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(FaultPlan(detect_timeout=5e-4).to_json())
+        assert main(["serve", "--workers", "2", "--requests", "6",
+                     "--fault-plan", str(plan)]) == 0
+        out = capsys.readouterr().out
+        assert "availability    : 100.0%  (6/6 ok" in out
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

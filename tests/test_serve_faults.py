@@ -20,9 +20,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.comm.communicator import SimComm
 from repro.comm.faults import (ComputeStraggler, FaultPlan, LinkSlowdown,
                                RankCrash)
-from repro.serve import ServeConfig, simulate_serving
+from repro.serve import DynamicBatcher, ServeConfig, simulate_serving
 from repro.serve.loop import _retry_release
 
 SMOKE = ServeConfig(p=4, rate=2000.0, n_requests=12, prompt_tokens=32,
@@ -191,8 +192,8 @@ class TestRequestRobustness:
 
 class TestTransparency:
     def test_plan_less_run_ignores_robustness_knobs(self):
-        # deadline/retry knobs are only consulted by the fault-aware loop;
-        # without a plan the fast path must not even read them
+        # deadline/retry knobs are only consulted under a plan; without
+        # one the loop must not even read them
         base = simulate_serving(SMOKE)
         knobs = simulate_serving(replace(SMOKE, deadline=1e-9,
                                          retry_budget=0,
@@ -214,15 +215,33 @@ class TestTransparency:
         assert signature(simulate_serving(SMOKE)) == \
             signature(simulate_serving(SMOKE, faults=None))
 
-    def test_empty_plan_reports_healthy_degradation_section(self):
-        rep = simulate_serving(SMOKE, faults=FaultPlan())
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_plan_less_run_calls_no_robustness_code(self, runner,
+                                                    monkeypatch):
+        # checkpoints, crash announcements and timeout reaping are plan
+        # work: a plan-less run must not reach any of them
+        def boom(*args, **kwargs):
+            raise AssertionError("plan-less run reached plan-only code")
+
+        clean = simulate_serving(SMOKE, runner=runner)
+        monkeypatch.setattr(DynamicBatcher, "expire", boom)
+        monkeypatch.setattr(DynamicBatcher, "snapshot", boom)
+        monkeypatch.setattr(SimComm, "maybe_crash", boom)
+        assert signature(simulate_serving(SMOKE, runner=runner)) == \
+            signature(clean)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_empty_plan_reports_healthy_degradation_section(self, p):
+        # P = 3: per-rank clocks diverge after a dense allreduce
+        cfg = replace(SMOKE, p=p)
+        rep = simulate_serving(cfg, faults=FaultPlan())
         assert rep.faulted is True
         assert rep.events == []
         s = rep.summary()
         assert s["availability"] == 1.0
         assert s["slo_attainment"] == 1.0
         assert s["recovery_time"] == 0.0
-        # same admissions and stamps as the plan-less fast path
-        clean = simulate_serving(SMOKE)
+        # same admissions and stamps as the plan-less run
+        clean = simulate_serving(cfg)
         assert [(r.rid, r.admitted, r.token_times) for r in rep.requests] \
             == [(r.rid, r.admitted, r.token_times) for r in clean.requests]
