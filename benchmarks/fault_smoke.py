@@ -7,9 +7,9 @@ for the properties the fault subsystem guarantees:
 
 * the run survives the planned crash (shrinks 8 -> 7 and resumes),
 * the same plan produces the bit-identical run on the fast path
-  (fused rendezvous + rank batching), on the per-message path of the same
-  engine (``REPRO_FUSED=0``, ``REPRO_RANK_BATCH=0``) and on the threaded
-  runner,
+  (fused rendezvous + rank batching), on the reference path of the same
+  engine (``REPRO_FUSED=0``: per-message collectives, per-rank compute)
+  and on the threaded runner,
 * the fast-path leg really is one: it enters the engine rendezvous both
   before and after the shrink, and not once in the interrupted iteration —
   a plan no longer pushes a run onto the reference path, only the
@@ -45,11 +45,10 @@ CRASH_ITER = 4
 #: leg -> the execution-mode environment it runs under
 LEGS = {
     "coop": {"REPRO_SPMD_RUNNER": "coop"},
-    "coop-per-message": {"REPRO_SPMD_RUNNER": "coop", "REPRO_FUSED": "0",
-                         "REPRO_RANK_BATCH": "0"},
+    "coop-per-message": {"REPRO_SPMD_RUNNER": "coop", "REPRO_FUSED": "0"},
     "threads": {"REPRO_SPMD_RUNNER": "threads"},
 }
-MODE_ENV = ("REPRO_SPMD_RUNNER", "REPRO_FUSED", "REPRO_RANK_BATCH")
+MODE_ENV = ("REPRO_SPMD_RUNNER", "REPRO_FUSED")
 #: every leg runs on each: the bare proxy network, and the same with
 #: per-post CPU overheads that the straggler's factor scales (``o_inject``
 #: near a piece's transfer time on the slow proxy link, so the scaled

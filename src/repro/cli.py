@@ -247,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
              "thread-per-rank fallback")
     ap.add_argument(
         "--no-fused", action="store_true",
-        help="force the per-message reference path for collectives "
-             "(disables the fused fast path; same as REPRO_FUSED=0)")
+        help="force the reference path: per-message collectives and "
+             "per-rank compute (disables the fused fast path and rank "
+             "batching; same as REPRO_FUSED=0)")
     ap.add_argument(
         "--sanitize", action="store_true",
         help="run under the runtime sanitizer (same as REPRO_SANITIZE=1): "
@@ -347,13 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-layer allreduce schedule: size-adaptive "
                          "(default), a forced role, or a concrete algorithm")
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--trace", default=None, metavar="PATH",
-                    help="JSON arrival trace (overrides the Poisson "
-                         "generator; see repro.serve.Workload.to_json)")
-    sv.add_argument("--sweep", type=float, nargs="+", default=None,
-                    metavar="RATE",
-                    help="goodput-vs-offered-load sweep over these rates "
-                         "(prints one table row per rate)")
+    # a sweep draws each rate's Poisson workload: it cannot replay a trace
+    workload = sv.add_mutually_exclusive_group()
+    workload.add_argument("--trace", default=None, metavar="PATH",
+                          help="JSON arrival trace (overrides the Poisson "
+                               "generator; see repro.serve.Workload.to_json)")
+    workload.add_argument("--sweep", type=float, nargs="+", default=None,
+                          metavar="RATE",
+                          help="goodput-vs-offered-load sweep over these "
+                               "rates (prints one table row per rate)")
     sv.add_argument("--deadline", type=float, default=None,
                     metavar="SECONDS",
                     help="per-request completion SLO relative to arrival "

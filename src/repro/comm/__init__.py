@@ -23,7 +23,8 @@ makespans are identical under both — see :mod:`repro.comm.launcher`.
 Collectives additionally run through the **fused fast path** on the
 cooperative engine (whole collectives executed as single dispatches at
 an engine rendezvous that book the compiled message schedule in one walk,
-bit-identical to the per-message reference rounds); disable it with ``REPRO_FUSED=0``,
+bit-identical to the per-message reference rounds); disable it — and rank
+batching, which rides the same gate — with ``REPRO_FUSED=0``,
 ``run_spmd(..., fused=False)`` or ``repro-bench --no-fused`` — see
 :mod:`repro.comm.fused`.
 """

@@ -278,7 +278,8 @@ class SimComm:
             tuple(range(size)) if group is None else group)
         #: the step last announced through :meth:`maybe_crash` (under a
         #: fault plan only, else None): the one an iteration-pinned crash
-        #: is tested against, here and in :meth:`_rendezvous_safe`
+        #: is tested against, here and in the rendezvous gate
+        #: (:func:`repro.comm.fused._available`)
         self.announced_step: Optional[int] = None
         self._phase_times: dict[str, float] = {}
         #: lockstep rank-batching handle, published by the trainer
@@ -485,24 +486,6 @@ class SimComm:
     # ------------------------------------------------------------------
     # Fused collectives (engine-level macro-collectives)
     # ------------------------------------------------------------------
-    def _rendezvous_safe(self) -> bool:
-        """The world predicate every rendezvous gate shares
-        (:func:`repro.comm.fused._available`,
-        :meth:`repro.train.rankbatch.RankBatch.engaged`): a rendezvous
-        entered now is certain to complete.  That takes a communicator
-        spanning the network's current world (the rendezvous counts
-        exactly those slots — a full-world communicator after a shrink, or
-        a hand-built subgroup, does not qualify), no declared death inside
-        it, and no planned crash that could fire before the world leaves
-        the rendezvous (:meth:`repro.comm.faults.FaultState.crash_free`).
-        Deterministic and rank-uniform: every input is network state or
-        the step all ranks announced at the same program point."""
-        net = self.net
-        if self.slots != net.world or net._world_dead:
-            return False
-        f = net.faults
-        return f is None or f.crash_free(net.world, self.announced_step)
-
     def fused_collective(self, sig: tuple, payload: Any, executor) -> Any:
         """Enter a fused collective rendezvous (cooperative engine only;
         callers gate on :func:`repro.comm.fused._available` first).
@@ -543,8 +526,9 @@ class SimComm:
         iteration-pinned crash if the fault plan has one for it.  Called
         by the trainer and the serving loop at the top of every step; a
         no-op without a plan.  The announcement is what keeps the step a
-        peer dies in off the world rendezvous (:meth:`_rendezvous_safe`):
-        its survivors must detect the death per message.
+        peer dies in off the world rendezvous
+        (:func:`repro.comm.fused._available`): its survivors must detect
+        the death per message.
         """
         f = self.net.faults
         if f is None or iteration is None:

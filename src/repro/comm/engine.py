@@ -72,7 +72,8 @@ class CoopEngine:
                  schedule_seed: Optional[int] = None):
         self.net = net
         self.nranks = nranks
-        #: fused-collective fast path (see repro.comm.fused); resolved
+        #: the fast path — every rendezvous: fused collectives, world
+        #: executors and rank batching (see repro.comm.fused); resolved
         #: from REPRO_FUSED when not given explicitly
         self.fused = _fused.fusion_enabled() if fused is None else bool(fused)
         #: schedule-perturbation source (sanitizer race detector): when
@@ -217,9 +218,9 @@ class CoopEngine:
         ``slot`` (equal until an elastic shrink re-numbers the survivors):
         the rendezvous is sized by the world, payloads and results are
         indexed by group rank, parking and waking go by slot.  Callers
-        gate on :meth:`SimComm._rendezvous_safe` — the communicator spans
-        the current world and nothing planned can kill a participant
-        before the rendezvous completes.
+        gate on :func:`repro.comm.fused._available` — the communicator
+        spans the current world and nothing planned can kill a
+        participant before the rendezvous completes.
 
         ``sig`` is the collective's structural signature — it must be
         identical on every rank (same collective, entered in the same

@@ -82,16 +82,17 @@ bare constants (without a plan no factor is ever looked up).  What a plan
 still sends to the reference path is the step a planned crash can fire in:
 survivors must detect the death at their own blocking points, with their
 own clocks and partial link bookings, which only the per-message run
-produces.  The gate is one world predicate shared with rank batching
-(:meth:`repro.comm.SimComm._rendezvous_safe`, used by :func:`_available`).
+produces.  The gate, :func:`_available`, is the one every rendezvous
+shares, rank batching's included.
 
 The per-message implementations remain the reference path (and the only
 path for the threaded runner, traced networks, ``P = 1``, non-``add``
 reduction ops, group communicators that are not the current world, and
 the step a crash interrupts); ``REPRO_FUSED=0`` /
 ``run_spmd(..., fused=False)`` / ``repro-bench --no-fused`` force it
-everywhere, giving a three-way bit-identity oracle (fused-coop ==
-per-message-coop == threads) enforced by
+everywhere — per-message collectives and, because rank batching shares
+the gate, per-rank compute — giving a three-way bit-identity oracle
+(fused-coop == per-message-coop == threads) enforced by
 ``tests/test_fused_collectives.py`` — with and without plans.
 """
 
@@ -145,27 +146,32 @@ def fusion_enabled() -> bool:
 
 
 def _available(comm) -> bool:
-    """Cheap gate: fused execution needs the cooperative engine (with
-    fusion on), more than one rank, no message tracing (the reference
-    path emits per-message ``TraceRecord``\\ s the replay does not) and a
-    rendezvous that is certain to complete
-    (:meth:`SimComm._rendezvous_safe`, the world predicate shared with
-    rank batching): the communicator spans the network's current world —
-    the full one, or the survivor group after an elastic shrink — with no
-    death declared inside it and no planned crash that could fire before
-    the world leaves the rendezvous.
-
-    Link slowdowns and compute stragglers do *not* close the gate: they
-    are per-message and per-rank multipliers the replay applies itself
-    (see :func:`replay`).  What stays on the reference path is the step a
-    planned crash fires in — survivors must detect the death at their own
-    blocking points, with their own clocks and partial link bookings —
-    and a hand-built group communicator that is not the current world."""
+    """The one rendezvous gate — of the fused collectives, of every
+    scheme's world executor and of rank batching
+    (:meth:`repro.train.rankbatch.RankBatch.engaged`).  It needs the
+    cooperative engine with fusion on, more than one rank, no message
+    tracing (the reference path emits per-message ``TraceRecord``\\ s
+    the replay does not) and a rendezvous that is certain to complete: a
+    communicator spanning the network's current world (the full one, or
+    the survivor group after an elastic shrink — not a full-world
+    communicator after a shrink, nor a hand-built subgroup), no declared
+    death inside it, and no planned crash that could fire before the
+    world leaves the rendezvous
+    (:meth:`repro.comm.faults.FaultState.crash_free`; survivors must
+    detect a death at their own blocking points, with their own clocks
+    and partial link bookings).  Deterministic and rank-uniform: every
+    input is network state or the step all ranks announced at the same
+    program point.  Link slowdowns and compute stragglers do *not* close
+    the gate: they are per-message and per-rank multipliers the replay
+    applies itself (see :func:`replay`)."""
     net = comm.net
     sched = net._sched
-    return (sched is not None and getattr(sched, "fused", False)
-            and not net.trace_enabled and comm.size > 1
-            and comm._rendezvous_safe())
+    if (sched is None or not getattr(sched, "fused", False)
+            or net.trace_enabled or comm.size <= 1
+            or comm.slots != net.world or net._world_dead):
+        return False
+    f = net.faults
+    return f is None or f.crash_free(net.world, comm.announced_step)
 
 
 # ---------------------------------------------------------------------------

@@ -163,15 +163,17 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
         trace: record a message trace on the fresh network.
         runner: ``"coop"`` (default) or ``"threads"``; ``None`` defers to
             the ``REPRO_SPMD_RUNNER`` environment variable.
-        fused: enable the fused collective fast path on the cooperative
-            engine (see :mod:`repro.comm.fused`); ``None`` (default)
+        fused: enable the fast path on the cooperative engine — every
+            rendezvous: fused collectives, world executors and rank-batched
+            model math (see :mod:`repro.comm.fused`); ``None`` (default)
             defers to the ``REPRO_FUSED`` environment variable (on unless
-            set to ``0``).  The threaded runner always takes the
-            per-message reference path.  Under a fault plan the fast path
-            stays on — slowdowns and stragglers are factors on the
-            compiled schedules, a shrunk world replays them through a
-            slot translation — except in the step a planned crash can
-            fire in (see :mod:`repro.comm.faults`).
+            set to ``0``).  ``False``, and the threaded runner always, take
+            the reference path: per-message collectives and per-rank
+            compute.  Under a fault plan the fast path stays on —
+            slowdowns and stragglers are factors on the compiled
+            schedules, a shrunk world replays them through a slot
+            translation — except in the step a planned crash can fire in
+            (see :mod:`repro.comm.faults`).
         faults: declarative fault plan for this section (see module
             docstring); only valid with a fresh network.
         sanitize: runtime sanitizer mode; ``None`` (default) defers to

@@ -270,16 +270,22 @@ class ServeReport:
             f"  offered load    : {s['offered_req_per_s']:10.1f} req/s",
             f"  goodput         : {s['goodput_req_per_s']:10.1f} req/s  "
             f"({s['goodput_tokens_per_s']:.0f} tok/s)",
-            f"  TTFT            : p50 {s['ttft_p50'] * ms:8.3f} ms   "
-            f"p99 {s['ttft_p99'] * ms:8.3f} ms",
-            f"  inter-token     : p50 {s['itl_p50'] * ms:8.3f} ms   "
-            f"p99 {s['itl_p99'] * ms:8.3f} ms",
-            f"  request latency : p50 {s['latency_p50'] * ms:8.3f} ms   "
-            f"p99 {s['latency_p99'] * ms:8.3f} ms",
+        ]
+        if self.completed_requests:
+            lines += [
+                f"  TTFT            : p50 {s['ttft_p50'] * ms:8.3f} ms   "
+                f"p99 {s['ttft_p99'] * ms:8.3f} ms",
+                f"  inter-token     : p50 {s['itl_p50'] * ms:8.3f} ms   "
+                f"p99 {s['itl_p99'] * ms:8.3f} ms",
+                f"  request latency : p50 {s['latency_p50'] * ms:8.3f} ms   "
+                f"p99 {s['latency_p99'] * ms:8.3f} ms",
+            ]
+        else:
+            lines.append("  latency         : no request completed")
+        lines.append(
             f"  makespan        : {self.makespan * ms:.3f} ms simulated  "
             f"(prefill batches {self.steps.get('prefill_batches', 0)}, "
-            f"decode steps {self.steps.get('decode_steps', 0)})",
-        ]
+            f"decode steps {self.steps.get('decode_steps', 0)})")
         if self.faulted:
             n = len(self.requests)
             lines.append(

@@ -30,9 +30,10 @@ world, then readies the others in rank order).  The executors:
   :func:`_shared_base`; a session's buckets are column extents of those
   rows) and borrows this module's :class:`_WorldState` scratch for the
   ``(P, n)`` temporaries.  Both rendezvous are gated by
-  :func:`repro.comm.fused._available`, not by :meth:`RankBatch.engaged`:
-  a model that does not stack still gets one rendezvous per reduction,
-  its rows copied into one matrix inside it.
+  :func:`repro.comm.fused._available` alone, without
+  :meth:`RankBatch.engaged`'s model check: a model that does not stack
+  still gets one rendezvous per reduction, its rows copied into one
+  matrix inside it.
 
 Bit-identity contract: every batched kernel is elementwise,
 row-independent or a gufunc looping the identical 2-D kernel per rank
@@ -41,26 +42,28 @@ slice, and all simulated-time charges run through each rank's own
 included), so results, traffic counters, clocks and phase times are
 bit-identical to per-rank execution under any runner.
 
-Fallback rules (``engaged()``): batching needs a rendezvous that is
-certain to complete — the world predicate it shares with the fused
-collectives (:meth:`repro.comm.SimComm._rendezvous_safe`: the
+Fallback rules (``engaged()``): batching rides the fused collectives'
+switch and gate, :func:`repro.comm.fused._available` — fusion on (off
+under ``run_spmd(..., fused=False)``, ``REPRO_FUSED=0`` and
+``repro-bench --no-fused``, which therefore run per-message collectives
+*and* per-rank compute), the cooperative engine, more than one rank, no
+message tracing, and a rendezvous that is certain to complete (the
 communicator spans the network's current world, shrunk or not, nothing
 inside it is dead and no planned crash can fire before the world leaves
-the rendezvous).  Slowdown and straggler plans do not disengage it — they
-scale simulated compute, not the host math — and neither does a shrunk
-world: after an elastic resize the survivors re-stack at P-1.  It
-disengages — deterministically and identically on every rank — in the
-step a planned crash fires in (so detection, rollback and shrink run on
-exactly the code a never-batched run executes), on group communicators
-that are not the current world, under message tracing, under the
-threaded/inline runners (no rendezvous engine), and for a model without
-a stacked execution path.  A disengaged call returns ``None`` and the
-caller runs the ordinary per-rank code.  Ragged data is not a fallback:
-uneven shards after a 16 -> 15 shrink run the world module once per
-contiguous run of equal shard shapes, into the one gradient matrix.
-Inside the rendezvous the executors keep per-rank fallbacks only for
-what is not SPMD (diverged weights, scales, updates or optimizer steps).
-``REPRO_RANK_BATCH=0`` disables batching globally.
+the rendezvous).  The one gate of its own is the model: one without a
+stacked execution path (the VGG and LSTM proxies) runs per rank.
+Slowdown and straggler plans do not disengage it — they scale simulated
+compute, not the host math — and neither does a shrunk world: after an
+elastic resize the survivors re-stack at P-1.  It disengages —
+deterministically and identically on every rank — in the step a planned
+crash fires in, so detection, rollback and shrink run on exactly the
+code a never-batched run executes.  A disengaged call returns ``None``
+and the caller runs the ordinary per-rank code.  Ragged data is not a
+fallback: uneven shards after a 16 -> 15 shrink run the world module
+once per contiguous run of equal shard shapes, into the one gradient
+matrix.  Inside the rendezvous the executors keep per-rank fallbacks
+only for what is not SPMD (diverged weights, scales, updates or
+optimizer steps).
 
 Replicated state is held once: every rank model's ``params_flat`` is the
 stacked model's one vector, and every rank's Adam holds rank 0's moments.
@@ -82,27 +85,18 @@ by one rank thread and dropped by another, section after section.
 
 from __future__ import annotations
 
-import os
 import weakref
 from itertools import groupby
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
+from ..comm.fused import _available
 from ..errors import ReplicaDivergenceError
 from ..nn.stacked import StackedModel, mapped_zeros, supports_stacking
 from ..optim.adam import Adam
 from ..optim.topk_sgd import _apply_update
 from ..sparse import COOVector
-
-#: set to ``0``/``false``/``off`` to force per-rank execution everywhere
-RANK_BATCH_ENV = "REPRO_RANK_BATCH"
-
-
-def rank_batching_enabled() -> bool:
-    return os.environ.get(RANK_BATCH_ENV, "1").strip().lower() not in (
-        "0", "false", "off")
-
 
 def _shared_base(rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     """The matrix whose consecutive rows ``rows`` already are, if any."""
@@ -309,8 +303,7 @@ class RankBatch:
     def __init__(self, comm, model: Any = None):
         self.comm = comm
         self.model = model
-        self._supported = rank_batching_enabled() and (
-            model is None or supports_stacking(model))
+        self._supported = model is None or supports_stacking(model)
         #: whether an engaged call may have bound this rank's state to
         #: the world's
         self._bound = False
@@ -330,15 +323,11 @@ class RankBatch:
         self._comm = weakref.ref(comm)
 
     def engaged(self) -> bool:
-        """Deterministic, rank-uniform gate (see module docstring)."""
+        """Deterministic, rank-uniform gate: the model stacks, the
+        communicator is alive and the fused collectives' gate is open
+        (see module docstring)."""
         comm = self.comm
-        if not self._supported or comm is None:
-            return False
-        net = comm.net
-        sched = net._sched
-        return (sched is not None and hasattr(sched, "collective")
-                and comm.size > 1 and not net.trace_enabled
-                and comm._rendezvous_safe())
+        return self._supported and comm is not None and _available(comm)
 
     # -- trainer entry points ------------------------------------------
     def loss_and_grad(self, t: int, x: np.ndarray, y: np.ndarray):

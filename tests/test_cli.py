@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.comm import FUSED_ENV
 
 
 class TestCli:
@@ -40,6 +41,21 @@ class TestCli:
                      "--workers", "2", "--iters", "3"]) == 0
         out = capsys.readouterr().out
         assert "final loss" in out and "breakdown" in out
+
+    def test_no_fused_is_the_reference_path(self, capsys, monkeypatch,
+                                            rendezvous_log):
+        # main() writes REPRO_FUSED: setenv makes monkeypatch restore it
+        monkeypatch.setenv(FUSED_ENV, "1")
+        argv = ["train", "--workload", "perf_mlp", "--scheme", "oktopk",
+                "--workers", "4", "--iters", "3"]
+        assert main(argv) == 0
+        fast = capsys.readouterr().out
+        assert {"rb_fwdbwd", "oktopk_reduce"} <= {e.head
+                                                  for e in rendezvous_log}
+        del rendezvous_log[:]
+        assert main(["--no-fused", *argv]) == 0
+        assert capsys.readouterr().out == fast
+        assert not rendezvous_log   # no collective, no rank-batched math
 
     def test_serve(self, capsys):
         assert main(["serve", "--workers", "4", "--requests", "8",
@@ -99,6 +115,9 @@ class TestCli:
         m = re.search(r"\(0/6 ok, (\d+) shed, (\d+) timeout", out)
         assert m and int(m[1]) + int(m[2]) == 6
         assert "SLO attainment  : 0.0%" in out
+        # no percentile of an empty set: one line says so instead
+        assert "nan" not in out
+        assert "latency         : no request completed" in out
 
     def test_serve_sweep_deadline_applies_without_faults(self, capsys):
         assert main(["serve", "--workers", "2", "--requests", "6",
@@ -120,6 +139,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "requests=5 tokens=0" in out
         assert "availability    : 0.0%" in out
+
+    def test_serve_sweep_rejects_trace(self, capsys, tmp_path):
+        # a sweep draws each rate's Poisson workload: a trace would be
+        # ignored, so the combination is a usage error
+        from repro.serve import Workload
+
+        trace = tmp_path / "trace.json"
+        trace.write_text(Workload.poisson(3, 1000.0, seed=3).to_json())
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workers", "2", "--trace", str(trace),
+                  "--sweep", "500"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--sweep" in err and "--trace" in err
 
     def test_serve_fault_free_plan_file_is_kept(self, capsys, tmp_path):
         from repro.comm.faults import FaultPlan

@@ -577,8 +577,8 @@ class TestRevokeRendezvous:
 
 
 # ---------------------------------------------------------------------------
-# The world predicate: which worlds may enter the engine rendezvous
-# (one gate behind fused._available and RankBatch.engaged)
+# The rendezvous gate: which worlds may enter the engine rendezvous
+# (fused._available, which RankBatch.engaged rides)
 # ---------------------------------------------------------------------------
 def _gates(comm):
     """(fused gate, rank-batch gate) of ``comm`` right now."""
@@ -612,7 +612,7 @@ class TestFastPathGate:
         del rendezvous_log[:]
         ref = run_spmd(4, prog, runner="coop", fused=False, faults=plan)
         assert not rendezvous_log
-        assert [r[0] for r in ref.results] == [(False, True)] * 4
+        assert [r[0] for r in ref.results] == [(False, False)] * 4
         for a, b in zip(fast.results, ref.results):
             np.testing.assert_array_equal(a[1], b[1])
             assert a[2] == b[2]

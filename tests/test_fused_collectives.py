@@ -47,7 +47,7 @@ from repro.data import ShardedLoader
 from repro.errors import RankFailedError
 from repro.sparse import COOVector, exact_topk
 from repro.train import Trainer, TrainerConfig
-from repro.train.rankbatch import RANK_BATCH_ENV, _world_state
+from repro.train.rankbatch import _world_state
 
 PS = [2, 3, 4, 5, 8]
 
@@ -572,19 +572,18 @@ def _train_prog(comm, scheme, iters, seed, bucket_size=None,
             _plain(_state_leaves(trainer.allreduce)))
 
 
-def train_three_way(monkeypatch, log, p, scheme, plan, iters=6, seed=0,
-                    threads=True, **train_kwargs):
+def train_three_way(log, p, scheme, plan, iters=6, seed=0, threads=True,
+                    **train_kwargs):
     """Training under ``plan`` on the fast path (fused + rank-batched),
-    on the per-message path (``fused=False``, ``REPRO_RANK_BATCH=0``) and
-    under ``threads``: every rank's records and events, the network state
-    and the crashed set must agree.  Returns the fast run and its
-    rendezvous entries."""
-    modes = [("coop", True, "1"), ("coop", False, "0")]
+    on the reference path (``fused=False``: per-message collectives and
+    per-rank compute) and under ``threads``: every rank's records and
+    events, the network state and the crashed set must agree.  Returns the
+    fast run and its rendezvous entries."""
+    modes = [("coop", True), ("coop", False)]
     if threads:
-        modes.append(("threads", None, "1"))
+        modes.append(("threads", None))
     runs = []
-    for runner, fused, batch in modes:
-        monkeypatch.setenv(RANK_BATCH_ENV, batch)
+    for runner, fused in modes:
         del log[:]
         res = run_spmd(p, _train_prog, scheme, iters, seed, runner=runner,
                        fused=fused, faults=plan, model=proxy_network(),
@@ -662,15 +661,14 @@ class TestThreeWayUnderPlans:
     @pytest.mark.parametrize("scheme", ["oktopk", "gtopk", "dense", "topka"])
     @pytest.mark.parametrize("p", [8, 16])
     def test_training_through_an_iteration_pinned_crash(
-            self, p, scheme, monkeypatch, rendezvous_log):
+            self, p, scheme, rendezvous_log):
         """P -> P-1 with the fast path engaged before and after the
         shrink and not once in the interrupted iteration."""
         crash_at = 3
         plan = FaultPlan.straggler_skew(p, seed=p)
         plan = dataclasses.replace(plan, crashes=(RankCrash(
             rank=_victim(plan, p), iteration=crash_at),))
-        fast, entries = train_three_way(monkeypatch, rendezvous_log, p,
-                                        scheme, plan)
+        fast, entries = train_three_way(rendezvous_log, p, scheme, plan)
         events = next(r for r in fast.results if r is not None)[1]
         assert [(e["old_size"], e["new_size"]) for e in events] == \
             [(p, p - 1)]
@@ -685,8 +683,7 @@ class TestThreeWayUnderPlans:
         assert sum(e.step == crash_at and e.head == "rb_fwdbwd"
                    for e in after) == p - 1
 
-    def test_training_through_a_time_pinned_crash(self, monkeypatch,
-                                                  rendezvous_log):
+    def test_training_through_a_time_pinned_crash(self, rendezvous_log):
         """A crash time could be reached inside any collective: nothing
         enters the rendezvous until the shrink removed the slot."""
         p = 8
@@ -695,12 +692,11 @@ class TestThreeWayUnderPlans:
         plan = FaultPlan.straggler_skew(p, seed=1)
         plan = dataclasses.replace(plan, crashes=(RankCrash(
             rank=_victim(plan, p), time=0.4 * clean.makespan),))
-        fast, entries = train_three_way(monkeypatch, rendezvous_log, p,
-                                        "oktopk", plan)
+        fast, entries = train_three_way(rendezvous_log, p, "oktopk", plan)
         assert len(fast.crashed) == 1
         assert entries and {e.size for e in entries} == {p - 1}
 
-    def test_two_crashes_in_one_run(self, monkeypatch, rendezvous_log):
+    def test_two_crashes_in_one_run(self, rendezvous_log):
         p = 8
         plan = FaultPlan.straggler_skew(p, seed=2)
         a = _victim(plan, p)
@@ -708,8 +704,7 @@ class TestThreeWayUnderPlans:
         assert a != b
         plan = dataclasses.replace(plan, crashes=(
             RankCrash(rank=a, iteration=2), RankCrash(rank=b, iteration=4)))
-        fast, entries = train_three_way(monkeypatch, rendezvous_log, p,
-                                        "oktopk", plan)
+        fast, entries = train_three_way(rendezvous_log, p, "oktopk", plan)
         assert sorted(fast.crashed) == sorted((a, b))
         by_size = Counter(e.size for e in entries)
         assert set(by_size) == {8, 7, 6}
@@ -717,7 +712,7 @@ class TestThreeWayUnderPlans:
                     {(8, 2), (7, 4)}]
 
     def test_simultaneous_crashes_and_zero_detect_timeout(
-            self, monkeypatch, rendezvous_log):
+            self, rendezvous_log):
         p = 8
         plan = FaultPlan(
             links=[LinkSlowdown(rank=0, factor=3.0)],
@@ -725,8 +720,7 @@ class TestThreeWayUnderPlans:
             crashes=[RankCrash(rank=1, iteration=3),
                      RankCrash(rank=5, iteration=3)],
             detect_timeout=0.0)
-        fast, entries = train_three_way(monkeypatch, rendezvous_log, p,
-                                        "oktopk", plan)
+        fast, entries = train_three_way(rendezvous_log, p, "oktopk", plan)
         assert sorted(fast.crashed) == [1, 5]
         assert {e.size for e in entries} == {8, 6}
 
@@ -740,9 +734,8 @@ class TestThreeWayUnderPlans:
         plan = FaultPlan.straggler_skew(p, seed=seed)
         plan = dataclasses.replace(plan, crashes=(RankCrash(
             rank=_victim(plan, p, seed), iteration=crash_at),))
-        with pytest.MonkeyPatch.context() as mp:
-            train_three_way(mp, [], p, "oktopk", plan, iters=5,
-                            seed=seed % 7, threads=False)
+        train_three_way([], p, "oktopk", plan, iters=5, seed=seed % 7,
+                        threads=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1251,8 +1244,7 @@ class TestOkTopkWorldExecutor:
     @pytest.mark.parametrize("bucket_size,overlap_mode", [
         (None, "analytic"), (512, "analytic"), (512, "stream")])
     def test_across_an_elastic_shrink(self, scheme, bucket_size,
-                                      overlap_mode, monkeypatch,
-                                      rendezvous_log):
+                                      overlap_mode, rendezvous_log):
         """8 -> 7 mid-run under a straggler plan: records, events, the
         re-keyed ``OkTopkState`` and the network agree with the
         per-message run; one reduction rendezvous per rank and step
@@ -1264,7 +1256,7 @@ class TestOkTopkWorldExecutor:
         plan = dataclasses.replace(plan, crashes=(RankCrash(
             rank=_victim(plan, p), iteration=crash_at),))
         fast, entries = train_three_way(
-            monkeypatch, rendezvous_log, p, scheme, plan, iters=iters,
+            rendezvous_log, p, scheme, plan, iters=iters,
             bucket_size=bucket_size, overlap_mode=overlap_mode,
             scheme_kwargs={"tau": 2, "tau_prime": 2})
         events = next(r for r in fast.results if r is not None)[1]

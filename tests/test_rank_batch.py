@@ -3,15 +3,14 @@
 The batched executors (:mod:`repro.train.rankbatch`,
 :mod:`repro.nn.stacked`, the batched top-k of :mod:`repro.sparse.topk`)
 must produce results bit-identical to per-rank execution, and must
-disengage — deterministically, on every rank — wherever a rendezvous
-could be left incomplete (a planned crash that can still fire, group
-communicators that are not the current world, tracing, runners without a
-rendezvous engine).  Slowdown/straggler plans and shrunk worlds stay
-batched; the iteration a crash interrupts must land on exactly the code
-a never-batched run executes.
+disengage — deterministically, on every rank — with fusion off and
+wherever a rendezvous could be left incomplete (a planned crash that can
+still fire, group communicators that are not the current world, tracing,
+runners without a rendezvous engine).  Slowdown/straggler plans and
+shrunk worlds stay batched; the iteration a crash interrupts must land
+on exactly the code a never-batched run executes.
 """
 
-import os
 from collections import Counter
 from dataclasses import asdict, replace
 from types import SimpleNamespace
@@ -30,7 +29,7 @@ from repro.optim import Adam
 from repro.sparse import COOVector
 from repro.sparse.topk import (batched_threshold_select, kth_largest_abs,
                                threshold_select)
-from repro.train.rankbatch import RANK_BATCH_ENV, RankBatch, _WorldState
+from repro.train.rankbatch import RankBatch, _WorldState
 from repro.train.rankbatch import _exec_accumulate, _exec_apply, \
     _exec_fwd_bwd
 from util_rankbatch import check_grouped_fwd_bwd, runs
@@ -353,22 +352,15 @@ class TestRunGrouping:
 
 
 class TestEngagementGate:
-    def _gate(self, p=2, *, trace=False, runner="coop", env="1"):
+    def _gate(self, p=2, *, trace=False, runner="coop", fused=True):
         proxy = perf_proxy()
 
         def worker(comm):
             rb = RankBatch(comm, proxy.make_model())
             return rb.engaged()
 
-        old = os.environ.get(RANK_BATCH_ENV)
-        os.environ[RANK_BATCH_ENV] = env
-        try:
-            return run_spmd(p, worker, trace=trace, runner=runner).results
-        finally:
-            if old is None:
-                del os.environ[RANK_BATCH_ENV]
-            else:
-                os.environ[RANK_BATCH_ENV] = old
+        return run_spmd(p, worker, trace=trace, runner=runner,
+                        fused=fused).results
 
     def test_engaged_on_coop_multirank(self):
         assert self._gate() == [True, True]
@@ -379,8 +371,8 @@ class TestEngagementGate:
     def test_disengaged_under_tracing(self):
         assert self._gate(trace=True) == [False, False]
 
-    def test_disengaged_by_env(self):
-        assert self._gate(env="0") == [False, False]
+    def test_disengaged_without_fusion(self):
+        assert self._gate(fused=False) == [False, False]
 
     @pytest.mark.parametrize("plan, engaged", [
         (FaultPlan(crashes=[RankCrash(rank=1, iteration=10**6)]), True),
@@ -435,22 +427,12 @@ def _fingerprints(rec):
     return [asdict(r) for r in rec.records]
 
 
-def _train(scheme, p, iters, *, batch_env, runner="coop", faults=None,
+def _train(monkeypatch, scheme, p, iters, *, runner="coop", faults=None,
            elastic=False):
-    proxy = perf_proxy()
-    old = {k: os.environ.get(k) for k in (RANK_BATCH_ENV, RUNNER_ENV)}
-    os.environ[RANK_BATCH_ENV] = batch_env
-    os.environ[RUNNER_ENV] = runner
-    try:
-        return train_scheme(proxy, scheme, p, iters, density=0.05,
-                            network=proxy_network(), faults=faults,
-                            elastic=elastic)
-    finally:
-        for k, v in old.items():
-            if v is None:
-                del os.environ[k]
-            else:
-                os.environ[k] = v
+    monkeypatch.setenv(RUNNER_ENV, runner)
+    return train_scheme(perf_proxy(), scheme, p, iters, density=0.05,
+                        network=proxy_network(), faults=faults,
+                        elastic=elastic)
 
 
 #: the perfbench BERT workload's session shape: Adam mode, 4096-word
@@ -458,8 +440,8 @@ def _train(scheme, p, iters, *, batch_env, runner="coop", faults=None,
 BERT_STREAM = dict(bucket_size=4096, overlap_mode="stream")
 
 
-def _train_world(monkeypatch, proxy, scheme, p, iters, *, batch_env,
-                 runner="coop", faults=None, **cfg):
+def _train_world(proxy, scheme, p, iters, *, fused=True, runner="coop",
+                 faults=None, **cfg):
     """Every rank's ``(records, events, final parameters)``."""
     from repro.data import ShardedLoader
     from repro.train import Trainer, TrainerConfig
@@ -474,9 +456,8 @@ def _train_world(monkeypatch, proxy, scheme, p, iters, *, batch_env,
             mode=proxy.mode, **cfg)).run()
         return _fingerprints(rec), rec.events, model.params_flat.tobytes()
 
-    monkeypatch.setenv(RANK_BATCH_ENV, batch_env)
-    monkeypatch.setenv(RUNNER_ENV, runner)
-    return run_spmd(p, worker, model=proxy_network(), faults=faults).results
+    return run_spmd(p, worker, model=proxy_network(), runner=runner,
+                    fused=fused, faults=faults).results
 
 
 #: (proxy, scheme, trainer options) of the lockstep identity runs
@@ -491,17 +472,16 @@ IDENTITY_CASES = {
 
 class TestTrainerLockstepIdentity:
     @pytest.mark.parametrize("case", list(IDENTITY_CASES))
-    def test_batched_equals_unbatched_equals_threads(self, monkeypatch,
-                                                     case):
+    def test_batched_equals_unbatched_equals_threads(self, case):
         """Records and every rank's final parameters."""
         proxy, scheme, cfg = IDENTITY_CASES[case]
 
-        def run(batch_env, runner):
-            return _train_world(monkeypatch, proxy(), scheme, 4, 5,
-                                batch_env=batch_env, runner=runner, **cfg)
+        def run(fused, runner):
+            return _train_world(proxy(), scheme, 4, 5, fused=fused,
+                                runner=runner, **cfg)
 
-        batched = run("1", "coop")
-        assert batched == run("0", "coop") == run("1", "threads")
+        batched = run(True, "coop")
+        assert batched == run(False, "coop") == run(True, "threads")
         assert len({params for _, _, params in batched}) == 1
 
     @pytest.mark.parametrize("bert", [False, True],
@@ -639,16 +619,16 @@ class TestStateHeldOnce:
                 lambda net, sig, payloads: [False] * len(payloads)
                 if sig[1] == 3 else world_step(net, sig, payloads))
 
-        def run(batch_env, runner):
-            return _train_world(monkeypatch, proxy(), "oktopk", 4, 6,
-                                batch_env=batch_env, runner=runner, **cfg)
+        def run(fused, runner):
+            return _train_world(proxy(), "oktopk", 4, 6, fused=fused,
+                                runner=runner, **cfg)
 
-        batched = run("1", "coop")
+        batched = run(True, "coop")
         # every rank at every world call: 5 of 6 iterations, or all 6
         per_head = Counter(e.head for e in rendezvous_log)
         calls = 4 * (6 if how == "diverged" else 5)
         assert per_head["rb_fwdbwd"] == per_head["rb_apply"] == calls
-        assert batched == run("0", "coop") == run("1", "threads")
+        assert batched == run(False, "coop") == run(True, "threads")
         assert len({params for _, _, params in batched}) == 1
 
 
@@ -694,10 +674,11 @@ class TestDivergenceFallback:
     @pytest.mark.parametrize("bert", [False, True],
                              ids=["mlp", "bert-bucketed-stream"])
     def test_midrun_crash_identical_to_never_batched(
-            self, monkeypatch, rendezvous_log, bert):
+            self, rendezvous_log, bert):
         """A rank crash mid-iteration (elastic shrink to P-1) must yield
-        records, events and every survivor's parameters identical to a
-        run with batching disabled outright.  In Adam mode the crash at
+        records, events and every survivor's parameters identical to the
+        reference path (``fused=False``: per-message collectives and
+        per-rank compute).  In Adam mode the crash at
         iteration 3 lands after two world optimizer steps; the
         interrupted iteration runs per rank and the survivors redo it
         re-stacked at P-1, led by a rank whose optimizer state so far
@@ -707,25 +688,24 @@ class TestDivergenceFallback:
         proxy, cfg = (bert_proxy(), BERT_STREAM) if bert else (perf_proxy(),
                                                               {})
 
-        def run(batch_env):
-            return _train_world(monkeypatch, proxy, "oktopk", 4, 6,
-                                batch_env=batch_env, faults=plan,
-                                elastic=True, **cfg)
+        def run(fused):
+            return _train_world(proxy, "oktopk", 4, 6, fused=fused,
+                                faults=plan, elastic=True, **cfg)
 
-        on = run("1")
+        on = run(True)
         applied = Counter((e.step, e.size) for e in rendezvous_log
                           if e.head == "rb_apply")
         assert applied == {(1, 4): 4, (2, 4): 4, (3, 3): 3, (4, 3): 3,
                            (5, 3): 3, (6, 3): 3}
-        assert on == run("0")
+        assert on == run(False)
         survivor = on[1 - victim]
         assert on[victim] is None and survivor[1][0]["new_size"] == 3
 
-    def test_shrink_16_to_15_stays_rank_batched(self, monkeypatch,
-                                                rendezvous_log, world_fwdbwd):
+    def test_shrink_16_to_15_stays_rank_batched(self, rendezvous_log,
+                                                world_fwdbwd):
         """The faulted perfbench workload's shape: straggler skew plus a
         crash that leaves 15 ranks with shards of 1 and 2 samples.
-        Rank-batched coop == ``REPRO_RANK_BATCH=0`` == ``threads`` —
+        Rank-batched coop == ``fused=False`` == ``threads`` —
         records, final parameters, network state — and every iteration
         after the shrink runs its model math as the two runs of the
         15-rank world, inside ``rb_fwdbwd``."""
@@ -748,29 +728,27 @@ class TestDivergenceFallback:
             return (_fingerprints(rec), rec.events,
                     model.params_flat.tobytes())
 
-        def run(batch_env, runner):
-            monkeypatch.setenv(RANK_BATCH_ENV, batch_env)
-            monkeypatch.setenv(RUNNER_ENV, runner)
-            res = run_spmd(16, worker, model=proxy_network(), faults=plan)
+        def run(fused, runner):
+            res = run_spmd(16, worker, model=proxy_network(), runner=runner,
+                           fused=fused, faults=plan)
             net = res.network
             return res.results, (float(res.makespan).hex(), list(net.clocks),
                                  list(net.words_sent), list(net.words_recv),
                                  list(net.msgs_sent), list(net.msgs_recv))
 
-        batched = run("1", "coop")
+        batched = run(True, "coop")
         fwdbwd = Counter((e.step, e.size) for e in rendezvous_log
                          if e.head == "rb_fwdbwd")
         assert fwdbwd == {(1, 16): 16, (2, 16): 16,
                           (3, 15): 15, (4, 15): 15, (5, 15): 15}
         assert world_fwdbwd == [16, 16] + [14, 1] * 3
-        assert batched == run("0", "coop") == run("1", "threads")
+        assert batched == run(False, "coop") == run(True, "threads")
         assert batched[0][5] is None and batched[0][0][1][0]["new_size"] == 15
 
-    def test_midrun_crash_identical_across_runners(self):
+    def test_midrun_crash_identical_across_runners(self, monkeypatch):
         plan = FaultPlan(crashes=[RankCrash(rank=0, iteration=2)])
-        coop = _train("oktopk", 4, 5, batch_env="1", faults=plan,
-                      elastic=True)
-        threads = _train("oktopk", 4, 5, batch_env="1", runner="threads",
+        coop = _train(monkeypatch, "oktopk", 4, 5, faults=plan, elastic=True)
+        threads = _train(monkeypatch, "oktopk", 4, 5, runner="threads",
                          faults=plan, elastic=True)
         assert _fingerprints(coop) == _fingerprints(threads)
         assert coop.events == threads.events

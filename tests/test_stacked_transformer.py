@@ -9,7 +9,6 @@ shrink), the gate must refuse what cannot stack, and a bucketed-stream
 training run must not move whichever way its model math ran.
 """
 
-import os
 from collections import Counter
 from dataclasses import asdict
 
@@ -28,10 +27,7 @@ from repro.nn.module import Loss
 from repro.nn.stacked import StackedModel, supports_stacking
 from repro.optim.adam import Adam
 from repro.train import Trainer, TrainerConfig
-from repro.train.rankbatch import RANK_BATCH_ENV
 from util_rankbatch import check_grouped_fwd_bwd
-
-RUNNER_ENV = "REPRO_SPMD_RUNNER"
 
 
 def _shards(p, t, b=2):
@@ -214,7 +210,7 @@ class TestGate:
 # ---------------------------------------------------------------------------
 # Training: bucketed-stream BERT, rank-batched vs per-rank vs threads
 # ---------------------------------------------------------------------------
-def _train_bert(p, iters, *, batch_env, runner="coop", faults=None):
+def _train_bert(p, iters, *, fused=True, runner="coop", faults=None):
     proxy = bert_proxy()
 
     def worker(comm):
@@ -231,17 +227,8 @@ def _train_bert(p, iters, *, batch_env, runner="coop", faults=None):
         return ([asdict(r) for r in rec.records], rec.events,
                 model.params_flat.tobytes(), trainer.comm.rank_batch.engaged())
 
-    old = {k: os.environ.get(k) for k in (RANK_BATCH_ENV, RUNNER_ENV)}
-    os.environ[RANK_BATCH_ENV] = batch_env
-    os.environ[RUNNER_ENV] = runner
-    try:
-        res = run_spmd(p, worker, model=proxy_network(), faults=faults)
-    finally:
-        for k, v in old.items():
-            if v is None:
-                del os.environ[k]
-            else:
-                os.environ[k] = v
+    res = run_spmd(p, worker, model=proxy_network(), runner=runner,
+                   fused=fused, faults=faults)
     net = res.network
     state = (float(res.makespan).hex(), list(net.clocks),
              list(net.words_sent), list(net.words_recv),
@@ -251,11 +238,11 @@ def _train_bert(p, iters, *, batch_env, runner="coop", faults=None):
 
 class TestBertTraining:
     def test_bucketed_stream_three_way(self):
-        """Rank-batched coop == ``REPRO_RANK_BATCH=0`` == ``threads``:
+        """Rank-batched coop == ``fused=False`` == ``threads``:
         records, final parameters of every rank and network state."""
-        batched, net_b = _train_bert(4, 4, batch_env="1")
-        unbatched, net_u = _train_bert(4, 4, batch_env="0")
-        threads, net_t = _train_bert(4, 4, batch_env="1", runner="threads")
+        batched, net_b = _train_bert(4, 4)
+        unbatched, net_u = _train_bert(4, 4, fused=False)
+        threads, net_t = _train_bert(4, 4, runner="threads")
         assert [r[3] for r in batched] == [True] * 4
         assert [r[3] for r in unbatched] == [False] * 4
         assert [r[:3] for r in batched] == [r[:3] for r in unbatched]
@@ -269,12 +256,12 @@ class TestBertTraining:
         module runs once per run of equal shards and lands on the bits of
         a never-batched run."""
         plan = FaultPlan(crashes=[RankCrash(rank=3, iteration=2)])
-        on, _ = _train_bert(8, 3, batch_env="1", faults=plan)
+        on, _ = _train_bert(8, 3, faults=plan)
         sizes = Counter(e.size for e in rendezvous_log
                         if e.head == "rb_fwdbwd")
         assert sizes[8] == 8 and sizes[7] == 7 * 2   # iterations 1 | 2, 3
         assert world_fwdbwd == [8] + [3, 1, 2, 1] * 2
-        off, _ = _train_bert(8, 3, batch_env="0", faults=plan)
+        off, _ = _train_bert(8, 3, fused=False, faults=plan)
         assert on[3] is None and off[3] is None
         assert [r[:3] for r in on if r] == [r[:3] for r in off if r]
         assert on[0][1][0]["new_size"] == 7
