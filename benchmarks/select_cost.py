@@ -31,11 +31,14 @@ iteration that sets the thresholds and boundaries:
   phase 2 and the contributed indices of every funded extent; no
   network), and
 * ``data+book``: the data pass plus every extent's booking pass
-  (``repro.allreduce.oktopk.book`` on a bare ``Network``).
+  (``repro.allreduce.oktopk.book`` on a bare ``Network``), and
+* ``book``: their difference, the booking pass alone.
 
 The shapes are the BERT proxy's streamed session (P = 8, its 31 784-word
-layout in ``bucket_size=4096`` buckets: 6 extents, k = 317) and the mlp
-proxy's one extent (16 x 49 866, k = 997)::
+layout in ``bucket_size=4096`` buckets: 6 extents, k = 317), once on a
+clean network and once under ``FaultPlan.straggler_skew(P, seed=0)``
+(the booking walk's planned branch: straggler factors and a slow link),
+and the mlp proxy's one extent (16 x 49 866, k = 997)::
 
     PYTHONPATH=src taskset -c 1 python benchmarks/select_cost.py --session
 
@@ -60,6 +63,7 @@ from repro.allreduce.oktopk import (_book_split_reduce,  # noqa: E402
 from repro.allreduce.schedule import compile_split_reduce  # noqa: E402
 from repro.bench import bert_proxy  # noqa: E402
 from repro.comm import Network, SimComm  # noqa: E402
+from repro.comm.faults import FaultPlan  # noqa: E402
 from repro.sparse import equal_boundaries, kth_largest_abs  # noqa: E402
 from repro.sparse.topk import batched_threshold_select  # noqa: E402
 from repro.train.rankbatch import _WorldState  # noqa: E402
@@ -99,16 +103,18 @@ def costs(p: int, n: int, k: int, calls: int, repeat: int) -> dict:
     return _median_us({"select": select, "reduce": reduce}, calls, repeat)
 
 
-def session_costs(p: int, extents: list, calls: int, repeat: int) -> dict:
+def session_costs(p: int, extents: list, calls: int, repeat: int,
+                  faults=None) -> dict:
     """``name -> median us per call`` of one world reduction over the
-    funded ``extents`` (``(lo, hi, k)``, plan order) of ``p`` ranks."""
+    funded ``extents`` (``(lo, hi, k)``, plan order) of ``p`` ranks, on
+    a network under ``faults`` (a ``FaultPlan``, or None)."""
     n = max(hi for _, hi, _ in extents)
     xs = np.random.default_rng(p * n).standard_normal(
         (p, n)).astype(np.float32)
     scheme, ws = OkTopkAllreduce(k=1), _WorldState()
     states = [[OkTopkState(hi - lo) for _ in range(p)]
               for lo, hi, _ in extents]
-    net = Network(p)
+    net = Network(p, faults=faults)
     comms = [SimComm(net, r) for r in range(p)]
 
     def data(t=2):
@@ -120,17 +126,22 @@ def session_costs(p: int, extents: list, calls: int, repeat: int) -> dict:
             book(net, comms, stg, e)
 
     whole(1)                                    # t = 1: tau work
-    return _median_us({"data": data, "data+book": whole}, calls, repeat)
+    us = _median_us({"data": data, "data+book": whole}, calls, repeat)
+    us["book"] = us["data+book"] - us["data"]
+    return us
 
 
 def _session_shapes(p_bert: int, p_mlp: int) -> list:
-    """``(label, P, extents)`` of the BERT proxy's streamed session and
-    the mlp proxy's one extent."""
+    """``(label, P, extents, faults)`` of the BERT proxy's streamed
+    session, clean and under a straggler skew, and the mlp proxy's one
+    extent."""
     layout = bert_proxy().make_model().layout
     plan = layout.session_plan(4096, 317, True)
     bert = [(*ext, k) for ext, k in zip(plan.extents, plan.bucket_k) if k]
-    return [("bert session", p_bert, bert),
-            ("mlp one-shot", p_mlp, [(0, 49866, 997)])]
+    return [("bert session", p_bert, bert, None),
+            ("bert skewed", p_bert, bert,
+             FaultPlan.straggler_skew(p_bert, seed=0)),
+            ("mlp one-shot", p_mlp, [(0, 49866, 997)], None)]
 
 
 def main(argv=None) -> int:
@@ -150,11 +161,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.session:
         print(f"{'shape':>13} {'P':>3} {'extents':>7}  {'data us':>9} "
-              f"{'data+book us':>12}")
-        for label, p, extents in _session_shapes(*args.session_ps):
-            us = session_costs(p, extents, args.calls, args.repeat)
+              f"{'data+book us':>12} {'book us':>9}")
+        for label, p, extents, faults in _session_shapes(*args.session_ps):
+            us = session_costs(p, extents, args.calls, args.repeat, faults)
             print(f"{label:>13} {p:>3} {len(extents):>7}  {us['data']:>9.1f} "
-                  f"{us['data+book']:>12.1f}")
+                  f"{us['data+book']:>12.1f} {us['book']:>9.1f}")
         return 0
     print(f"{'P':>4} {'n':>7} {'k':>5}  {'select us':>10} {'reduce us':>10}")
     for n, k in args.sizes:

@@ -64,10 +64,8 @@ import numpy as np
 from ..comm import SimComm
 from ..errors import ConfigError
 from ..sparse import COOVector
-from .session import BucketStat, BucketView, ParamLayout, ReduceSession
-
-PHASE_SPARSIFY = "sparsification"
-PHASE_COMM = "communication"
+from .session import (PHASE_COMM, PHASE_SPARSIFY, BucketStat, BucketView,
+                      ParamLayout, ReduceSession)
 
 
 @dataclass

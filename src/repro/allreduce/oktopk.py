@@ -62,49 +62,43 @@ construction).
 Two drivers; on the fast path one kernel and one booking pass
 -------------------------------------------------------------
 
-Algorithm 1 is *one* sparse allreduce, and on the fast path it is one
-engine dispatch.  Both entry points — :meth:`OkTopkAllreduce._reduce`
-(one-shot) and :meth:`OkTopkAllreduce._reduce_bucket` (one bucket, on
-its own) — hand ``(acc, k, state)`` to
-:meth:`OkTopkAllreduce._algorithm1`.  Where the engine rendezvous is
-available (:func:`repro.comm.fused._available` — cooperative engine,
-fusion on, no tracing, the communicator spans the current world and no
-crash is pending in it) every rank parks once in
-``comm.fused_collective(("oktopk_reduce", t, lo, hi, k))`` and the last
-arrival runs :func:`_exec_reduce` for the whole world.  A multi-bucket
-session parks every rank once per iteration (``"reduce_session"``,
-:func:`repro.allreduce.session._exec_session`) and calls the scheme's
+Both entry points — :meth:`OkTopkAllreduce._reduce` (one-shot) and
+:meth:`OkTopkAllreduce._reduce_bucket` (one bucket on its own) — hand
+``(acc, k, state)`` to :meth:`OkTopkAllreduce._algorithm1`.  Where the
+engine rendezvous is available (:func:`repro.comm.fused._available`) a
+reduction is one ``oktopk_reduce`` rendezvous whose last arrival runs
+:func:`_exec_reduce` for the whole world; a multi-bucket session is one
+``reduce_session`` rendezvous per iteration
+(:func:`repro.allreduce.session._exec_session`) that calls the scheme's
 ``world_reduce`` (:func:`_world_session`) once for all of its buckets.
 
-Both stack the accumulators into one ``(P, n)`` matrix (zero-copy where
-they already are its rows, as under lockstep rank batching) and call
-:func:`stages`, Algorithm 1's data side as one clock-free kernel over the
-funded extents: one stacked selection scan (:func:`_select_world`,
-handed on rank-major), the consensus sum where tau is due,
-split-and-reduce of every extent's regions as one sort
-(:func:`_split_reduce`: a sparse reduction is a merge of sorted index
-streams, as in SparCML), the global threshold where tau' is due, the
-phase-2 keep mask, package sizes, balancing decision and
+Both stack the accumulators into one ``(P, n)`` matrix (zero-copy for
+the rows lockstep rank batching handed out) and call :func:`stages`,
+Algorithm 1's data side as one clock-free kernel over the funded
+extents: one stacked selection scan (:func:`_select_world`), the
+consensus sum where tau is due, split-and-reduce of every extent's
+regions as one sort (:func:`_split_reduce`: a sparse reduction is a
+merge of sorted index streams, as in SparCML), the global threshold
+where tau' is due, the phase-2 keep mask, package sizes, balancing and
 ``package_codec`` round trip, ``u_t`` and every rank's contributed
-indices, all in a frozen :class:`Stages` record.  It needs no network,
-so tests and offline experiments call it directly.  :func:`book` (the
-scheme's ``world_book``) is the only code that touches a clock: per
-extent, in plan order between the session's pacers, it replays each
-rank's charge sequence of the per-rank driver — the selection charges
-:meth:`OkTopkAllreduce._select_local` would hand back, the split scan,
-the split-and-reduce bookings (:func:`_book_split_reduce`), the
-consensus / allgatherv / alltoallv replays and the package scans —
-through each rank's own communicator.
+indices, all in a frozen :class:`Stages` record that needs no network.
+:func:`book` (the scheme's ``world_book``) is the only code that touches
+a clock: per extent, in plan order between the session's pacers, it
+replays the per-rank driver's charge sequence, each compute charge as
+one walk over the world's slots (:func:`_compute`, clean or planned
+world) and split-and-reduce as a numpy fold (:func:`_book_split_reduce`:
+a scalar walk gives the same bits but is faster only up to P = 8, and
+the paper scales to P = 256).
 
 Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
 step a planned crash fires in, ``P = 1`` — the per-rank methods below run
-Algorithm 1 message by message.  They are the reference path and the
-oracle of the identity suites (``tests/test_oktopk_stages.py`` stage by
-stage, ``tests/test_fused_collectives.py::TestOkTopkWorldExecutor`` on
-results, clocks and traffic); what the two share are the purely local
-halves (``_refresh_local_th`` / ``_recheck``, ``_proposal``,
-``_adopt_boundaries``, :func:`_global_th`) and the ``package_codec`` hook
-``oktopk_q`` plugs its quantizer into.
+Algorithm 1 message by message: the reference path and the oracle of the
+identity suites (``tests/test_oktopk_stages.py`` stage by stage,
+``tests/test_fused_collectives.py::TestOkTopkWorldExecutor`` on results,
+clocks and traffic).  The two share the purely local halves
+(``_refresh_local_th`` / ``_recheck``, ``_proposal``,
+``_adopt_boundaries``, :func:`_global_th`) and the ``package_codec``
+hook ``oktopk_q`` plugs its quantizer into.
 """
 
 from __future__ import annotations
@@ -116,7 +110,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..comm import SimComm, collectives as coll
+from ..comm import NetworkModel, SimComm, collectives as coll
 from ..comm import fused as _fused
 from ..comm.payload import nwords as payload_nwords
 from ..errors import ConfigError
@@ -383,10 +377,23 @@ def _rank_major(pieces):
 
 
 def _pay(comm: SimComm, charges) -> None:
-    """Book handed-back compute ``charges`` (``(SimComm method, words)``
-    pairs) on ``comm``, in order."""
-    for charge, words in charges:
-        charge(comm, words)
+    """Book handed-back compute ``charges`` (``(cost, words)``: a
+    :class:`NetworkModel` method and its argument) on ``comm``, in order."""
+    for cost, words in charges:
+        comm.compute(cost(comm.net.model, words))
+
+
+def _compute(net, charges) -> None:
+    """:func:`_pay` of ``charges[r]`` for every rank ``r`` of the world on
+    ``net.clocks``: :meth:`SimComm.compute`'s expression, no crash check
+    (the rendezvous gate rules a crash out)."""
+    clocks, model, faults = net.clocks, net.model, net.faults
+    for s, pairs in zip(net.world, charges):
+        for cost, words in pairs:
+            sec = cost(model, words)
+            if faults is not None and faults.straggler[s]:
+                sec *= faults.compute_factor(s, clocks[s])
+            clocks[s] += sec
 
 
 @contextmanager
@@ -413,7 +420,7 @@ class Stages:
     the rows; their values are the accumulator's."""
 
     guard_trips: tuple  #: [e][r] the selection guard re-evaluated
-    charges: tuple      #: [e][r] selection charges, ``(SimComm method, words)``
+    charges: tuple      #: [e][r] selection charges, ``(cost, words)`` (:func:`_pay`)
     selection: tuple    #: rank-major ``(cols, offsets)``, :func:`_select_world`
     consensus: tuple    #: [e] ``(words, words per entry)`` if tau was due, else None
     count: tuple        #: [e] piece sizes ``count[src, owner]``
@@ -574,43 +581,38 @@ def stages(scheme, acc, extents, states, t: int, scratch=None) -> Stages:
 
 def book(net, comms, stg: Stages, e: int) -> tuple:
     """Book extent ``e`` of ``stg`` for every rank of the current world
-    (``comms[r]`` is rank ``r``'s communicator), replaying the per-rank
-    driver's charge sequence: the selection charges, the split scan,
-    split-and-reduce (:func:`_book_split_reduce`), the consensus /
-    allgatherv / alltoallv replays and the package scans, each at the
-    same times on the same links.  Returns each rank's info."""
-    p = len(comms)
+    (``comms[r]``'s phase table gets rank ``r``'s phase totals),
+    replaying the per-rank driver's charge sequence: the selection
+    charges, the split scan, split-and-reduce (:func:`_book_split_reduce`),
+    the consensus / allgatherv / alltoallv replays and the package scans,
+    each at the same times on the same links.  Returns each rank's info."""
+    p, scan = len(comms), NetworkModel.scan_seconds
+
+    def replay(compiler, *key):
+        _fused.replay(net, _fused.compiled(net, compiler, p, *key))
+
     with _world_phase(net, comms, PHASE_SPARSIFY):
-        for comm, charges in zip(comms, stg.charges[e]):
-            _pay(comm, charges)
+        _compute(net, stg.charges[e])
     with _world_phase(net, comms, PHASE_COMM):
         if stg.consensus[e] is not None:
-            _fused.replay(net, _fused.compiled(
-                net, _fused.compile_allreduce, p, *stg.consensus[e],
-                "recursive_doubling"))
-        for comm, info in zip(comms, stg.infos[e]):
-            comm.compute_scan(info["selected_local"])    # the split
+            replay(_fused.compile_allreduce, *stg.consensus[e],
+                   "recursive_doubling")
+        _compute(net, [[(scan, info["selected_local"])]     # the split
+                       for info in stg.infos[e]])
         _book_split_reduce(net, stg.tables, stg.count[e])
     if stg.gathered[e] is not None:
         with _world_phase(net, comms, PHASE_COMM):
-            _fused.replay(net, _fused.compiled(
-                net, _fused.compile_allgatherv, p,
-                tuple(2 * words for words in stg.region[e])))
-        for comm in comms:
-            with comm.phase(PHASE_SPARSIFY):
-                comm.compute_sort(stg.gathered[e])
+            replay(_fused.compile_allgatherv,
+                   tuple(2 * words for words in stg.region[e]))
+        with _world_phase(net, comms, PHASE_SPARSIFY):
+            _compute(net, [[(NetworkModel.sort_seconds, stg.gathered[e])]] * p)
     with _world_phase(net, comms, PHASE_COMM):
-        for comm, words in zip(comms, stg.region[e]):
-            comm.compute_scan(words)
-        _fused.replay(net, _fused.compiled(
-            net, _fused.compile_allgatherv, p, (1,) * p))
+        _compute(net, [[(scan, words)] for words in stg.region[e]])
+        replay(_fused.compile_allgatherv, (1,) * p)
         if stg.rows[e] is not None:
-            _fused.replay(net, _fused.compiled(
-                net, _fused.compile_alltoallv, p, stg.rows[e]))
-        for comm, words in zip(comms, stg.encoded[e]):
-            comm.compute_scan(words)
-        _fused.replay(net, _fused.compiled(
-            net, _fused.compile_allgatherv, p, stg.words[e]))
+            replay(_fused.compile_alltoallv, stg.rows[e])
+        _compute(net, [[(scan, words)] for words in stg.encoded[e]])
+        replay(_fused.compile_allgatherv, stg.words[e])
     return stg.infos[e]
 
 
@@ -865,8 +867,8 @@ class OkTopkAllreduce(GradientAllreduce):
         if st.local_th is None or self._due(t, self.tau_prime):
             st.local_th = kth_largest_abs(acc, k)
             st.local_evaluations += 1
-            charges.append((SimComm.compute_sort, acc.size))
-        charges.append((SimComm.compute_scan, acc.size))
+            charges.append((NetworkModel.sort_seconds, acc.size))
+        charges.append((NetworkModel.scan_seconds, acc.size))
         return charges
 
     def _recheck(self, st: OkTopkState, acc: np.ndarray, k: int, nnz: int,
@@ -883,8 +885,8 @@ class OkTopkAllreduce(GradientAllreduce):
             st.local_th = kth_largest_abs(acc, k)
             st.local_evaluations += 1
             st.guard_evaluations += 1
-            charges += [(SimComm.compute_sort, acc.size),
-                        (SimComm.compute_scan, acc.size)]
+            charges += [(NetworkModel.sort_seconds, acc.size),
+                        (NetworkModel.scan_seconds, acc.size)]
             return (threshold_select(acc, st.local_th)
                     if st.local_th > 0 else exact_topk(acc, k))
         return None

@@ -20,9 +20,7 @@ the pieces of that execution model:
   remainder, deterministic);
 * :class:`SessionPlan` — everything above that depends only on
   ``(layout, bucket_size, k, sparse)`` (buckets, extents, closing
-  positions, per-bucket k, release fractions), derived once and cached on
-  the layout: every rank opens one session per iteration, and re-deriving
-  the plan each time was pure overhead;
+  positions, per-bucket k, release fractions), derived once per layout;
 * :class:`ReduceSession` — created by :meth:`GradientAllreduce.begin`;
   accepts ``push(segment, grad)`` calls as backward emits per-layer
   gradients and runs the scheme when buckets complete.  Two execution
@@ -37,11 +35,9 @@ the pieces of that execution model:
     multi-bucket plan): each bucket is reduced independently — eagerly,
     the moment its last segment is pushed — with its proportional ``k``
     share, and :meth:`ReduceSession.finish` merges the per-bucket results
-    back into one :class:`AllreduceResult`.  Each reduction receives a
-    :class:`BucketView` locating the bucket inside the full gradient;
-    stateless schemes ignore it, while Ok-Topk keys the bucket's own
-    periodic state (thresholds, consensus boundaries) by it, so every
-    bucket reuses *its* estimates from iteration to iteration (see
+    into one :class:`AllreduceResult`.  Each reduction receives a
+    :class:`BucketView` locating the bucket in the full gradient, by
+    which Ok-Topk keys the bucket's own periodic state (see
     :mod:`repro.allreduce.oktopk`);
 
 * :class:`BucketStat` / :func:`visible_comm_time` — the generic overlap
@@ -62,28 +58,23 @@ reductions still run after the backward lump, so their messages never
 contend with anything else during backward.  A session opened with
 ``stream=True`` instead runs each native bucket reduction inside an
 :class:`repro.comm.AsyncRegion` **at the rank's current simulated time**:
-the caller charges backward compute incrementally between pushes (the
-trainer's pacer), so when a bucket's last segment arrives the clock *is*
-the bucket's release time, its messages book egress/ingress links right
-there — contending against any other traffic in flight — and the clock
-then rewinds to the backward timeline (the NIC progresses the reduction
-off the critical path).  :meth:`ReduceSession.finish` joins the
-outstanding bucket completions (``max`` over their comm-finish times) and
-only then charges the selection (sparsification) cost, mirroring the
-analytic convention that keeps sparsification serial.  Under zero
-contention — no foreign traffic, buckets spaced wider than their
-communication — the streamed timeline reproduces the analytic
-:func:`visible_comm_time` replay (same releases, same uncontended
-durations).  Under contention the two genuinely diverge, in either
-direction: links pipeline at message granularity (a bucket's first hop
-starts as soon as the egress link frees, before its predecessor's final
-delivery — earlier than the serial replay), but multi-round collectives
-interleaving on shared links also suffer head-of-line blocking the
-analytic model cannot see (a forwarding round waits on both its data
-dependency and a link busy with the other bucket), which can push the
-last finish past the idealized clean-link serial replay.  Resolving that
-is the whole point of running the events.  Per-bucket issue and
-comm-finish times land in ``BucketStat.info["t_issue"]`` /
+the caller's pacer charges backward compute segment by segment before
+each bucket closes, so the clock *is* the bucket's release time, its
+messages book egress/ingress links right there — contending against any
+other traffic in flight — and the clock then rewinds to the backward
+timeline (the NIC progresses the reduction off the critical path).
+:meth:`ReduceSession.finish` joins the outstanding bucket completions
+(``max`` over their comm-finish times) and only then charges the
+selection (sparsification) cost, mirroring the analytic convention that
+keeps sparsification serial.  Under zero contention — no foreign
+traffic, buckets spaced wider than their communication — the streamed
+timeline reproduces the analytic :func:`visible_comm_time` replay.
+Under contention the two diverge in either direction: links pipeline at
+message granularity (a bucket's first hop starts before its
+predecessor's final delivery), but interleaved multi-round collectives
+also suffer head-of-line blocking the analytic model cannot see.
+Resolving that is the whole point of running the events.  Per-bucket
+issue and comm-finish times land in ``BucketStat.info["t_issue"]`` /
 ``["t_comm_finish"]``.
 
 One rendezvous per session on the fast path
@@ -92,22 +83,21 @@ One rendezvous per session on the fast path
 Every decision above except the clocks is SPMD, so where the engine
 rendezvous is available (:func:`repro.comm.fused._available`) and the
 scheme has world hooks (``GradientAllreduce.world_reduce`` and
-``world_book``: Ok-Topk and ``oktopk_q``, Algorithm 1 for the whole
-world), :func:`run_session` makes every rank enter **one** rendezvous per
-native session — streamed or analytic — and :func:`_exec_session` runs
-the whole session for the world: the data pass once over every funded
-bucket (it reads no clock), then per bucket, in plan order, every
-rank's pacer for the bucket's segments, every rank's issue clock, the
-booking pass of the bucket (zero-budget buckets skipped),
-every rank's finish clock rewound to its issue clock as the async region
-would; then every rank's :meth:`ReduceSession.finish` around the merged
-update the data pass built once and shares write-protected.  Everywhere
-else — the ``threads`` runner, message tracing, ``fused=False``, the
-step a planned crash fires in, explicit ``push`` calls, the other
-schemes — each rank runs :meth:`ReduceSession._run_bucket` per bucket
-and merges its partials, the reference path.  Both book a bucket through
-the one :meth:`ReduceSession._record`, so the stats, the async clocks and
-the deferred selection cost cannot drift apart.
+``world_book``: Ok-Topk and ``oktopk_q``), :func:`run_session` makes
+every rank enter **one** rendezvous per native session, streamed or
+analytic, and :func:`_exec_session` runs the session for the world: the
+data pass once over every funded bucket (it reads no clock), then per
+bucket every rank's pacer, the bucket's booking pass and the async
+region's clock rewind, then every rank's :meth:`ReduceSession.finish`
+around the merged update the data pass built once (shared
+write-protected).  Everywhere else — ``threads``, tracing,
+``fused=False``, the step a planned crash fires in, explicit ``push``
+calls, the other schemes — each rank runs
+:meth:`ReduceSession._run_bucket` per bucket, the reference path.  Both
+call the pacer once per bucket with its segments and book the bucket
+through the one :meth:`ReduceSession._record` from the rank's
+:func:`_totals` before and after the reduction, so the stats, the async
+clocks and the deferred selection cost cannot drift apart.
 
 A session opened with ``stream=True`` that cannot stream — the scheme is
 not ``bucketable``, or the plan collapsed to one bucket — falls back to
@@ -122,6 +112,7 @@ requested for a non-bucketable scheme.
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
@@ -135,6 +126,9 @@ from ..sparse.coo import INDEX_DTYPE, VALUE_DTYPE
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..comm import SimComm
     from .base import AllreduceResult, GradientAllreduce
+
+PHASE_SPARSIFY = "sparsification"
+PHASE_COMM = "communication"
 
 #: scheme names already warned about falling back from stream=True to the
 #: delegating adapter (one warning per scheme per process is enough)
@@ -548,10 +542,9 @@ class ReduceSession:
     # ------------------------------------------------------------------
     def _delegate(self) -> "AllreduceResult":
         comm = self.comm
-        clock0, recv0 = comm.clock, int(comm.net.words_recv[comm.slot])
+        clock0, recv0 = comm.clock, _totals(comm)[2]
         result = self.scheme._reduce(comm, self._acc, self.t)
-        phases = comm.phase_times()
-        from .base import PHASE_COMM, PHASE_SPARSIFY
+        comm_t, sparsify_t, recv = _totals(comm)
         release = 0.0 if (self.scheme.overlap_from_start
                           or result.overlappable) else 1.0
         info: Dict[str, Any] = {"delegated": True,
@@ -560,10 +553,8 @@ class ReduceSession:
             info["stream_fallback"] = True
         self.bucket_stats.append(BucketStat(
             lo=0, hi=self.layout.n, nsegments=len(self.layout),
-            release_frac=release,
-            comm_time=phases.get(PHASE_COMM, 0.0),
-            sparsify_time=phases.get(PHASE_SPARSIFY, 0.0),
-            words_recv=int(comm.net.words_recv[comm.slot]) - recv0,
+            release_frac=release, comm_time=comm_t,
+            sparsify_time=sparsify_t, words_recv=recv - recv0,
             selected=result.info.get(
                 "selected", result.info.get("selected_local")),
             info=info,
@@ -583,43 +574,34 @@ class ReduceSession:
             return
         comm = self.comm
         lo, hi = plan.extents[b]
-        mark = self._mark()
+        before = _totals(comm)
         view = BucketView(lo=lo, hi=hi, n=self.layout.n)
-        if self.stream:
-            # Issue the reduction *now*, at the rank's mid-backward clock:
-            # its messages book (and contend for) links at this simulated
-            # time, while the rank's own timeline continues backward.
-            with comm.async_region() as region:
-                res = self.scheme._reduce_bucket(comm, self._acc[lo:hi],
-                                                 self.t, k=k_b, view=view)
-            span = (region.issue, region.finish)
-        else:
+        # Streamed, the reduction is issued *now*, at the rank's
+        # mid-backward clock: its messages book (and contend for) links at
+        # this simulated time, while the rank's own timeline continues
+        # backward.
+        region = comm.async_region() if self.stream else nullcontext()
+        with region:
             res = self.scheme._reduce_bucket(comm, self._acc[lo:hi], self.t,
                                              k=k_b, view=view)
-            span = None
         self._partials.append((lo, hi, res))
-        self._record(b, res.info, mark, span, res.overlappable)
-
-    def _mark(self) -> tuple:
-        """What :meth:`_record` measures a bucket's reduction against:
-        the rank's phase times and received words before it."""
-        comm = self.comm
-        return comm.phase_times(), int(comm.net.words_recv[comm.slot])
+        self._record(b, res.info, before, _totals(comm),
+                     (region.issue, region.finish) if self.stream else None,
+                     res.overlappable)
 
     def _record(self, b: int, info: Optional[Dict[str, Any]] = None,
-                mark: Optional[tuple] = None, span: Optional[tuple] = None,
+                before: tuple = (), after: tuple = (),
+                span: Optional[tuple] = None,
                 overlappable: bool = False) -> None:
-        """Book bucket ``b``'s outcome — the reduction's ``info`` — as its
-        :class:`BucketStat` (measured from :meth:`_mark`'s ``mark``) and,
-        streamed, its ``(issue, finish)`` clock ``span`` (the comm-finish
-        to join at :meth:`finish`, the selection cost deferred to it).
-        ``info=None`` is a zero-budget bucket, which never ran."""
-        from .base import PHASE_COMM, PHASE_SPARSIFY
+        """Book bucket ``b``'s outcome — the reduction's ``info`` and its
+        :func:`_totals` ``before`` and ``after`` it — as its
+        :class:`BucketStat` and, streamed, its ``(issue, finish)`` clock
+        ``span`` (the comm-finish to join at :meth:`finish`, the selection
+        cost deferred to it).  ``info=None``: a zero-budget bucket."""
         plan = self._plan
         lo, hi = plan.extents[b]
         nseg = len(plan.buckets[b])
-        release = (0.0 if self.scheme.overlap_from_start
-                   else plan.release[b])
+        release = 0.0 if self.scheme.overlap_from_start else plan.release[b]
         if info is None:
             # split_k legally hands out zero-budget buckets when
             # k < nbuckets, but resolve_k floors every reduction at one
@@ -632,13 +614,9 @@ class ReduceSession:
                 k=0, selected=0, info={"k": 0, "selected": 0,
                                        "skipped_zero_k": True}))
             return
-        comm = self.comm
-        phases0, recv0 = mark
-        phases1 = comm.phase_times()
         if overlappable:
             release = 0.0
-        sparsify_t = (phases1.get(PHASE_SPARSIFY, 0.0)
-                      - phases0.get(PHASE_SPARSIFY, 0.0))
+        sparsify_t = after[1] - before[1]
         info = dict(info)
         if span is not None:
             # The bucket's selection cost is deferred to finish() (the
@@ -653,11 +631,8 @@ class ReduceSession:
             info["t_comm_finish"] = comm_finish
         self.bucket_stats.append(BucketStat(
             lo=lo, hi=hi, nsegments=nseg, release_frac=release,
-            k=plan.bucket_k[b],
-            comm_time=(phases1.get(PHASE_COMM, 0.0)
-                       - phases0.get(PHASE_COMM, 0.0)),
-            sparsify_time=sparsify_t,
-            words_recv=int(comm.net.words_recv[comm.slot]) - recv0,
+            k=plan.bucket_k[b], comm_time=after[0] - before[0],
+            sparsify_time=sparsify_t, words_recv=after[2] - before[2],
             selected=info.get("selected", info.get("selected_local")),
             info=info,
         ))
@@ -740,12 +715,13 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
     default ``bucket_size=None`` it is bit-identical to it (results,
     traffic counters, simulated makespans).
 
-    ``pacer``, when given, is called with each :class:`ParamSegment` just
-    before its push; the trainer uses it to charge backward compute
-    incrementally so the simulated clock tracks the backward timeline
-    between pushes.  A pacer implies streaming execution (bucket
-    reductions issued on the clock mid-backward); pass ``stream``
-    explicitly to decouple the two.
+    ``pacer``, when given, is called once per bucket of the plan with the
+    bucket's :class:`ParamSegment` tuple, in push order, just before the
+    bucket closes; the trainer's (:class:`repro.train.trainer._BackwardPacer`)
+    charges each segment's share of backward compute in turn, so the
+    simulated clock tracks the backward timeline segment by segment.  A
+    pacer implies streaming execution (bucket reductions issued on the
+    clock mid-backward); pass ``stream`` explicitly to decouple the two.
     """
     acc = np.ascontiguousarray(acc, dtype=VALUE_DTYPE)
     if acc.ndim != 1:
@@ -761,7 +737,7 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
     # over its segments directly: every push would alias ``acc``, so
     # there is nothing to validate or copy (the schemes treat acc as
     # read-only, same as the one-shot reduce path).  Buckets close at the
-    # same positions, the pacer still runs before each segment.
+    # same positions; the pacer runs once per bucket, before it closes.
     session._acc = acc
     plan = session._plan
     if (session._native and scheme.world_reduce is not None
@@ -769,11 +745,20 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
         return comm.fused_collective(
             ("reduce_session", t, layout.n, plan.bucket_k),
             (session, pacer), _exec_session)
-    for seg in plan.sequence:
+    for bucket in plan.buckets:
         if pacer is not None:
-            pacer(seg)
-        session._advance()
+            pacer(bucket)
+        for _ in bucket:
+            session._advance()
     return session.finish()
+
+
+def _totals(comm: "SimComm") -> tuple:
+    """The rank's communication and sparsification phase totals and its
+    received words, which :meth:`ReduceSession._record` differences."""
+    times = comm._phase_times
+    return (times.get(PHASE_COMM, 0.0), times.get(PHASE_SPARSIFY, 0.0),
+            int(comm.net.words_recv[comm.slot]))
 
 
 def _exec_session(net, sig, lanes):
@@ -782,17 +767,15 @@ def _exec_session(net, sig, lanes):
     for every rank, around the scheme's world hooks.
 
     ``lanes[r]`` is rank ``r``'s ``(session, pacer)``.  The scheme's
-    ``world_reduce`` first runs the data side of every funded bucket at
-    once (``sig[1]`` is the iteration; no clock is read).  The plan is
-    then walked in bucket order: every rank's pacer for the bucket's
-    segments (the per-segment contract is unchanged), then — a funded
-    bucket only — the issue clocks, the scheme's ``world_book`` of the
-    bucket, and each rank's finish clock, rewound to its issue clock when
-    streaming as :class:`~repro.comm.AsyncRegion` does.  Every outcome is
-    booked by the rank's own :meth:`ReduceSession._record`, as on the
-    reference path.  The merged update comes out of the data side once,
-    the same write-protected arrays for all ranks; everything else is
-    each rank's own.
+    ``world_reduce`` runs the data side of every funded bucket at once
+    (``sig[1]`` is the iteration; no clock is read).  Then, bucket by
+    bucket: every rank's pacer with the bucket's segments and — a funded
+    bucket only — the scheme's ``world_book``, each rank's clock and
+    :func:`_totals` read before and after it, the clock rewound to its
+    issue time when streaming (as :class:`~repro.comm.AsyncRegion`
+    does), and the rank's own :meth:`ReduceSession._record`.  The merged
+    update comes out of the data side once, the same write-protected
+    arrays for all ranks.
     """
     sessions, pacers = zip(*lanes)
     lead = sessions[0]
@@ -803,21 +786,21 @@ def _exec_session(net, sig, lanes):
         net, sig[1], [(s.comm, s.scheme, s._acc) for s in sessions],
         [(*plan.extents[b], plan.bucket_k[b]) for b in funded])
     pacers = [pace for pace in pacers if pace is not None]
+    clocks = net.clocks
     for b, bucket in enumerate(plan.buckets):
-        for seg in bucket:
-            for pace in pacers:
-                pace(seg)
+        for pace in pacers:
+            pace(bucket)
         if not plan.bucket_k[b]:
             for s in sessions:
                 s._record(b)
             continue
-        before = [(s._mark(), c.clock) for s, c in zip(sessions, comms)]
+        before = [(float(clocks[c.slot]), _totals(c)) for c in comms]
         infos = lead.scheme.world_book(net, comms, data, funded.index(b))
-        for s, c, info, (mark, issue) in zip(sessions, comms, infos, before):
+        for s, c, info, (t0, b0) in zip(sessions, comms, infos, before):
             span = None
             if s.stream:
-                span = (issue, c.clock)
-                c.rewind_clock(issue)
-            s._record(b, info, mark, span)
+                span = (t0, float(clocks[c.slot]))
+                clocks[c.slot] = t0
+            s._record(b, info, b0, _totals(c), span)
     return [s._conclude(s._result(data.update, mine))
             for s, mine in zip(sessions, data.contributed)]

@@ -15,6 +15,7 @@ Installed as ``repro-bench``::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -383,22 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.runner:
-        import os
-
-        from .comm import RUNNER_ENV
-        os.environ[RUNNER_ENV] = args.runner
-    if args.no_fused:
-        import os
-
-        from .comm import FUSED_ENV
-        os.environ[FUSED_ENV] = "0"
-    if args.sanitize:
-        import os
-
-        from .comm import SANITIZE_ENV
-        os.environ[SANITIZE_ENV] = "1"
-    return args.fn(args)
+    from .comm import FUSED_ENV, RUNNER_ENV, SANITIZE_ENV
+    knobs = {name: value for name, value in (
+        (RUNNER_ENV, args.runner), (FUSED_ENV, args.no_fused and "0"),
+        (SANITIZE_ENV, args.sanitize and "1")) if value}
+    # the run reads the knobs from the environment; an in-process caller
+    # gets its own environment back when the command returns
+    saved = {name: os.environ.get(name) for name in knobs}
+    os.environ.update(knobs)
+    try:
+        return args.fn(args)
+    finally:
+        for name, value in saved.items():
+            os.environ.pop(name, None)
+            if value is not None:
+                os.environ[name] = value
 
 
 if __name__ == "__main__":

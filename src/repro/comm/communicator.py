@@ -347,12 +347,11 @@ class SimComm:
 
     def compute_scan(self, n: int) -> None:
         """Charge a linear scan/compaction over ``n`` words."""
-        self.compute(self.net.model.scan_time * max(0, n))
+        self.compute(self.net.model.scan_seconds(n))
 
     def compute_sort(self, n: int) -> None:
         """Charge an accelerator sort of ``n`` words (n log n scaling)."""
-        n = max(0, n)
-        self.compute(self.net.model.sort_time * n * max(1.0, np.log2(max(n, 2))))
+        self.compute(self.net.model.sort_seconds(n))
 
     def compute_topk(self, n: int, k: int) -> None:
         """Charge a GPU top-k selection over ``n`` words (the formula

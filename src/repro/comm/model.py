@@ -97,6 +97,15 @@ class NetworkModel:
     # ------------------------------------------------------------------
     # Analytic helpers (shared with repro.costmodel)
     # ------------------------------------------------------------------
+    def scan_seconds(self, n: int) -> float:
+        """Seconds of a linear scan / compaction over ``n`` words."""
+        return self.scan_time * max(0, n)
+
+    def sort_seconds(self, n: int) -> float:
+        """Seconds of an accelerator sort of ``n`` words (``n log n``)."""
+        n = max(0, n)
+        return self.sort_time * n * max(1.0, np.log2(max(n, 2)))
+
     def topk_seconds(self, n: int, k: int) -> float:
         """Seconds of a GPU top-k selection over ``n`` words.
 

@@ -98,9 +98,9 @@ class TopkSGD:
              grad: np.ndarray, *, pacer=None, rb=None) -> StepInfo:
         """One synchronous data-parallel step; mutates ``params``.
 
-        ``pacer`` (segment -> None) switches a session to streaming: it
-        charges each segment's backward compute before its push, and
-        bucket reductions issue mid-backward on the simulated clock (see
+        ``pacer`` (a bucket's segments -> None) switches a session to
+        streaming: it charges their backward compute before the bucket
+        closes, and bucket reductions issue mid-backward on the clock (see
         :mod:`repro.allreduce.session`).  ``rb`` (a
         :class:`repro.train.rankbatch.RankBatch`) batches the residual
         accumulation and applies the update once for the world when

@@ -1,86 +1,77 @@
 """Lockstep rank-batched compute: per-world numpy instead of per-rank.
 
-SPMD data-parallel ranks execute the same numpy kernels at the same
-program points on different data.  Under a rendezvous-capable engine
-(:class:`repro.comm.engine.CoopEngine` and subclasses) this module turns
-the per-rank compute hot spots of a training iteration into *one*
-stacked numpy dispatch over a ``(P, ...)`` rank-major axis, using the
-same engine-level rendezvous that carries the fused collectives of
-:mod:`repro.comm.fused` (the last rank to arrive executes for the whole
-world, then readies the others in rank order).  The executors:
+SPMD data-parallel ranks run the same numpy kernels at the same program
+points on different data.  Under a rendezvous-capable engine
+(:class:`repro.comm.engine.CoopEngine`) this module turns the per-rank
+compute hot spots of a training iteration into *one* stacked numpy
+dispatch over a ``(P, ...)`` rank-major axis, through the engine
+rendezvous that carries the fused collectives of :mod:`repro.comm.fused`
+(the last rank to arrive executes for the whole world).  The executors:
 
 * ``rb_fwdbwd`` (:func:`_exec_fwd_bwd`) — model forward/backward, one
   call of the world module of :class:`repro.nn.stacked.StackedModel` (the
-  same layer code as per-rank, with a leading rank axis; the mlp and BERT
-  proxies stack, the VGG and LSTM proxies run per rank);
+  same layer code with a leading rank axis; the mlp and BERT proxies
+  stack, the VGG and LSTM proxies run per rank);
 * ``rb_accumulate`` (:func:`_exec_accumulate`) — the optimizer's residual
   accumulation, into the world's double-buffered accumulate matrix;
-* ``rb_apply`` (:func:`_exec_apply`) — the optimizer step (Algorithm
-  2's SGD update, or the Adam step of the paper's BERT mode): every rank
-  would apply the same averaged update to bit-equal state, so it runs
-  once, on state the world holds once (under the sanitizer, after
-  checking the replicas really were equal);
-* Ok-Topk's local selection is no longer a rendezvous of its own: it is
-  the first stage of the scheme's data kernel
-  (:func:`repro.allreduce.oktopk.stages`), run in one ``oktopk_reduce``
-  rendezvous per one-shot reduction and once for all buckets in one
-  ``reduce_session`` rendezvous per bucketed session.  The kernel takes
-  the accumulators as one matrix through :meth:`_WorldState.stack`
-  (zero-copy where they already are the rows of the accumulate matrix,
-  :func:`_shared_base`; a session's buckets are column extents of those
-  rows) and borrows this module's :class:`_WorldState` scratch for the
-  ``(P, n)`` temporaries.  Both rendezvous are gated by
-  :func:`repro.comm.fused._available` alone, without
-  :meth:`RankBatch.engaged`'s model check: a model that does not stack
-  still gets one rendezvous per reduction, its rows copied into one
-  matrix inside it.
+* ``rb_apply`` (:func:`_exec_apply`) — the optimizer step (Algorithm 2's
+  SGD update, or the Adam step of the paper's BERT mode), run once on
+  state the world holds once (under the sanitizer, after checking the
+  replicas really were equal).
+
+Ok-Topk's selection is the first stage of its data kernel
+(:func:`repro.allreduce.oktopk.stages`), run in the ``oktopk_reduce`` /
+``reduce_session`` rendezvous, which are gated by
+:func:`repro.comm.fused._available` alone (a model that does not stack
+still gets them, its rows copied into one matrix); the kernel takes the
+accumulators through :meth:`_WorldState.stack` and borrows its scratch.
+
+Rows known by identity: the world state remembers the row views it hands
+out with their matrix — ``rb_fwdbwd``'s gradient rows and
+``rb_accumulate``'s accumulator rows, which come back as the next step's
+residuals and as the reductions' accumulators — so stacking them is one
+``is`` test per row.  Other rows are tested by address
+(:func:`_shared_base`) and copied when they are not one matrix's;
+residual rows that are not (per-rank zeros at t = 1, the first step after
+a shrink) are added row by row instead.
 
 Bit-identity contract: every batched kernel is elementwise,
 row-independent or a gufunc looping the identical 2-D kernel per rank
-slice, and all simulated-time charges run through each rank's own
-:class:`~repro.comm.SimComm` (straggler scaling and phase attribution
-included), so results, traffic counters, clocks and phase times are
-bit-identical to per-rank execution under any runner.
+slice, and every simulated-time charge is each rank's own
+:meth:`~repro.comm.SimComm.compute` or its expression slot by slot
+(straggler scaling and phase attribution included), so results, traffic
+counters, clocks and phase times are bit-identical to per-rank execution
+under any runner.
 
 Fallback rules (``engaged()``): batching rides the fused collectives'
-switch and gate, :func:`repro.comm.fused._available` — fusion on (off
-under ``run_spmd(..., fused=False)``, ``REPRO_FUSED=0`` and
-``repro-bench --no-fused``, which therefore run per-message collectives
-*and* per-rank compute), the cooperative engine, more than one rank, no
-message tracing, and a rendezvous that is certain to complete (the
-communicator spans the network's current world, shrunk or not, nothing
-inside it is dead and no planned crash can fire before the world leaves
-the rendezvous).  The one gate of its own is the model: one without a
-stacked execution path (the VGG and LSTM proxies) runs per rank.
-Slowdown and straggler plans do not disengage it — they scale simulated
-compute, not the host math — and neither does a shrunk world: after an
-elastic resize the survivors re-stack at P-1.  It disengages —
-deterministically and identically on every rank — in the step a planned
-crash fires in, so detection, rollback and shrink run on exactly the
-code a never-batched run executes.  A disengaged call returns ``None``
-and the caller runs the ordinary per-rank code.  Ragged data is not a
-fallback: uneven shards after a 16 -> 15 shrink run the world module
-once per contiguous run of equal shard shapes, into the one gradient
-matrix.  Inside the rendezvous the executors keep per-rank fallbacks
-only for what is not SPMD (diverged weights, scales, updates or
-optimizer steps).
+gate, :func:`repro.comm.fused._available` — fusion on (off under
+``fused=False``, ``REPRO_FUSED=0`` and ``--no-fused``, which run
+per-message collectives *and* per-rank compute), the cooperative engine,
+more than one rank, no message tracing, and a rendezvous certain to
+complete (the communicator spans the current world, nothing in it is
+dead and no planned crash can fire inside).  Its own gate is the model:
+one without a stacked path runs per rank.  Straggler plans and shrunk
+worlds stay batched (the survivors re-stack at P-1; ragged shards run
+the world module once per run of equal shard shapes); the step a planned
+crash fires in disengages on every rank, so detection, rollback and
+shrink run the never-batched code.  A disengaged call returns ``None``
+and the caller runs its per-rank code.  Inside the rendezvous the
+executors fall back per rank only for what is not SPMD (diverged
+weights, scales, updates or optimizer steps).
 
 Replicated state is held once: every rank model's ``params_flat`` is the
 stacked model's one vector, and every rank's Adam holds rank 0's moments.
 A rank that steps on its own first takes private copies and drops the
-world's binding (:meth:`RankBatch.apply`), so it runs exactly the
-never-batched code.
+world's binding (:meth:`RankBatch.apply`).
 
-World state: the stacked model, the accumulate buffers and the scratch of
-the executors' ``(P, n)`` temporaries live in one :class:`_WorldState`
-per network and section (the engine drops it when the section closes).
-The temporaries are written with ``out=`` into buffers sized once per
-shape: the executor runs on whichever rank thread arrives last, and a
-multi-MB array allocated and freed by a different thread every iteration
-leaves its high-water mark in every thread's malloc arena.  For the same
-reason everything world-sized sits on its own memory mapping
-(:func:`repro.nn.stacked.mapped_zeros`) — the section's buffers are made
-by one rank thread and dropped by another, section after section.
+World state: the stacked model, the accumulate buffers, the handed-out
+rows and the executors' scratch live in one :class:`_WorldState` per
+network and section (the engine drops it when the section closes).
+Temporaries are written with ``out=`` into buffers sized once per shape,
+each on its own memory mapping (:func:`repro.nn.stacked.mapped_zeros`):
+the executor runs on whichever rank thread arrives last, and world-sized
+arrays allocated and freed by different threads leave their high-water
+mark in every thread's malloc arena.
 """
 
 from __future__ import annotations
@@ -116,17 +107,18 @@ def _shared_base(rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
 
 class _WorldState:
     """Per-network lockstep state shared by the executors: the stacked
-    model, the double-buffered accumulate matrices (two buffers
-    alternate so the new accumulator never overwrites the residual rows
-    that still point into the previous one) and the scratch buffers of
-    the executors' world-sized temporaries."""
+    model, the double-buffered accumulate matrices (the new accumulator
+    never overwrites the residual rows still pointing into the other),
+    the rows handed out and the scratch of world-sized temporaries."""
 
-    __slots__ = ("stacked", "bufs", "flip", "_scratch")
+    __slots__ = ("stacked", "bufs", "flip", "handed", "_scratch")
 
     def __init__(self):
         self.stacked: Optional[StackedModel] = None
         self.bufs: List[Optional[np.ndarray]] = [None, None]
         self.flip = 0
+        #: kind -> (the row views last handed out, their matrix)
+        self.handed: dict = {}
         self._scratch: dict = {}
 
     def scratch(self, name: str, shape, dtype) -> np.ndarray:
@@ -147,14 +139,26 @@ class _WorldState:
             buf = self._scratch[name] = mapped_zeros((size * 3 // 2,), dtype)
         return buf[:size]
 
-    def stack(self, name: str, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """A ``(P, ...)`` matrix over per-rank arrays.
+    def hand_out(self, kind: str, matrix: np.ndarray) -> List[np.ndarray]:
+        """``matrix``'s row views, remembered as the rows of ``kind``."""
+        rows = list(matrix)
+        self.handed[kind] = (rows, matrix)
+        return rows
 
-        Zero-copy when they already are the consecutive rows of one
-        shared base matrix (the steady state: gradients live in the
-        stacked model's gradient matrix, residuals in the accumulate
-        buffers); copied into scratch ``name`` otherwise."""
-        base = _shared_base(rows)
+    def rows_of(self, rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+        """The matrix whose rows ``rows`` are, if any: known by identity
+        when they were handed out, else by address (:func:`_shared_base`)."""
+        for mine, matrix in self.handed.values():
+            if len(mine) == len(rows) and all(
+                    a is b for a, b in zip(rows, mine)):
+                return matrix
+        return _shared_base(rows)
+
+    def stack(self, name: str, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """A ``(P, ...)`` matrix over per-rank arrays: zero-copy when they
+        already are the consecutive rows of one matrix (:meth:`rows_of`),
+        copied into scratch ``name`` otherwise."""
+        base = self.rows_of(rows)
         if base is not None:
             return base
         return np.stack(rows, out=self.scratch(
@@ -191,7 +195,7 @@ def _exec_fwd_bwd(net, sig, payloads):
         out, _ = stacked.loss_and_grad(st.stack(f"fwdbwd_x{lo}", xs),
                                        st.stack(f"fwdbwd_y{lo}", ys), lo)
         losses.extend(out.tolist())
-    return list(zip(losses, stacked.gmat))
+    return list(zip(losses, st.hand_out("grad", stacked.gmat)))
 
 
 def _exec_accumulate(net, sig, payloads):
@@ -201,23 +205,27 @@ def _exec_accumulate(net, sig, payloads):
         # Diverged schedules: per-rank arithmetic (same expression).
         return [res + s * g.astype(np.float32, copy=False)
                 for res, s, g in payloads]
-    res = st.stack("accumulate_res", [p[0] for p in payloads])
+    rows = [p[0] for p in payloads]
+    res = st.rows_of(rows)
     grads = st.stack("accumulate_grad",
                      [p[2].astype(np.float32, copy=False) for p in payloads])
     buf = st.bufs[st.flip]
-    if buf is None or buf.shape != res.shape or buf is res or buf is grads:
-        buf = mapped_zeros(res.shape, res.dtype)
+    if (buf is None or buf.shape != grads.shape or buf is res or buf is grads
+            or res is None and any(r.base is buf for r in rows)):
+        buf = mapped_zeros(grads.shape, rows[0].dtype)
     st.bufs[st.flip] = buf
     st.flip ^= 1
     # Same expression as the per-rank path (``residual + scale * grad``):
     # scalar-times-float32 stays float32, and IEEE addition commutes
-    # bit-for-bit.
-    if scale == 1.0:
+    # bit-for-bit.  Foreign residual rows are added row by row.
+    if scale != 1.0:
+        grads = np.multiply(grads, scale, out=buf)
+    if res is not None:
         np.add(res, grads, out=buf)
     else:
-        np.multiply(grads, scale, out=buf)
-        buf += res
-    return [buf[r] for r in range(res.shape[0])]
+        for r, row in enumerate(rows):
+            np.add(row, grads[r], out=buf[r])
+    return st.hand_out("acc", buf)
 
 
 def _same_update(a, b) -> bool:

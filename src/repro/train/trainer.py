@@ -132,18 +132,16 @@ DENSE_SCHEMES = {"dense", "dense_ovlp"}
 
 
 class _BackwardPacer:
-    """Charges backward compute incrementally as segments are pushed.
-
-    Keeps the rank's clock on the backward timeline of the analytic
-    model: after segment pushes totalling fraction ``frac`` of the
-    parameter mass, the clock sits at
-    ``t0 + compute * (1 - f * (1 - frac))`` — exactly the release time
-    :func:`repro.allreduce.visible_comm_time` attributes to a bucket
-    closing there (same expression, so the streamed and analytic
-    timelines agree bit-for-bit on releases).  The non-overlappable
-    share ``(1 - f) * compute`` (forward + the backward part that cannot
-    overlap) is charged by the first call; ``f = 0`` degenerates to the
-    whole lump before the first push.
+    """Charges backward compute incrementally as segments are pushed:
+    called once per bucket with its segments, it charges each segment's
+    increment as its own :meth:`SimComm.compute` (a straggler window that
+    opens between two segments scales only the charges after it).  After
+    segments totalling fraction ``frac`` of the parameter mass the clock
+    sits at ``t0 + compute * (1 - f * (1 - frac))`` — the release time
+    :func:`repro.allreduce.visible_comm_time` gives a bucket closing there
+    (same expression, so streamed and analytic releases agree bit for
+    bit).  The first call charges the non-overlappable ``(1 - f) *
+    compute``; ``f = 0`` charges the whole lump before the first push.
     """
 
     __slots__ = ("comm", "compute_time", "f", "n", "_t0", "_emitted")
@@ -157,13 +155,14 @@ class _BackwardPacer:
         self._t0 = comm.clock
         self._emitted = 0
 
-    def __call__(self, segment) -> None:
-        self._emitted += segment.size
-        frac = self._emitted / self.n
-        target = self._t0 + self.compute_time * (1.0 - self.f * (1.0 - frac))
-        dt = target - self.comm.clock
-        if dt > 0.0:
-            self.comm.compute(dt)
+    def __call__(self, segments) -> None:
+        comm, t0, lump, f, n = (self.comm, self._t0, self.compute_time,
+                                self.f, self.n)
+        for segment in segments:
+            self._emitted += segment.size
+            dt = t0 + lump * (1.0 - f * (1.0 - self._emitted / n)) - comm.clock
+            if dt > 0.0:
+                comm.compute(dt)
 
 
 def build_allreduce(cfg: TrainerConfig):

@@ -1,11 +1,12 @@
 """CLI smoke tests: every subcommand runs and prints sane output."""
 
+import os
 import re
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.comm import FUSED_ENV
+from repro.comm import FUSED_ENV, RUNNER_ENV, SANITIZE_ENV
 
 
 class TestCli:
@@ -44,7 +45,7 @@ class TestCli:
 
     def test_no_fused_is_the_reference_path(self, capsys, monkeypatch,
                                             rendezvous_log):
-        # main() writes REPRO_FUSED: setenv makes monkeypatch restore it
+        # the first run is the fast path whatever the caller's REPRO_FUSED
         monkeypatch.setenv(FUSED_ENV, "1")
         argv = ["train", "--workload", "perf_mlp", "--scheme", "oktopk",
                 "--workers", "4", "--iters", "3"]
@@ -56,6 +57,25 @@ class TestCli:
         assert main(["--no-fused", *argv]) == 0
         assert capsys.readouterr().out == fast
         assert not rendezvous_log   # no collective, no rank-batched math
+
+    @pytest.mark.parametrize("prior", ["unset", "set"])
+    def test_flags_last_as_long_as_the_command(self, capsys, monkeypatch,
+                                               prior):
+        """``--no-fused``, ``--runner`` and ``--sanitize`` write their
+        variable for the command only: after each in-process ``main``
+        every variable is back to its prior state, unset or set."""
+        before = {FUSED_ENV: "1", RUNNER_ENV: "coop", SANITIZE_ENV: "0"}
+        for name, value in before.items():
+            monkeypatch.setenv(name, value)     # undone at teardown
+            if prior == "unset":
+                monkeypatch.delenv(name)
+        argv = ["volume", "--n", "1000", "--p", "2", "--density", "0.05"]
+        for flag in (["--no-fused"], ["--runner", "threads"],
+                     ["--sanitize"]):
+            assert main([*flag, *argv]) == 0
+            assert {name: os.environ.get(name) for name in before} == {
+                name: value if prior == "set" else None
+                for name, value in before.items()}, flag
 
     def test_serve(self, capsys):
         assert main(["serve", "--workers", "4", "--requests", "8",

@@ -415,8 +415,9 @@ class TestThreeWayBitIdentity:
             for t in range(1, 4):
                 acc = rng.standard_normal(layout.n).astype(np.float32)
 
-                def pacer(seg, _c=comm):
-                    _c.compute(2e-6)
+                def pacer(segs, _c=comm):
+                    for _ in segs:
+                        _c.compute(2e-6)
 
                 res = run_session(sch, comm, layout, t, acc,
                                   bucket_size=64, pacer=pacer)
@@ -466,12 +467,14 @@ class TestThreeWayBitIdentity:
 # translation for shrunk worlds, the reference path only where a crash
 # interrupts
 # ---------------------------------------------------------------------------
-def _window_plans(p, prog, crashes=None):
+def _window_plans(p, prog, crashes=None, model=None):
     """Slowdown/straggler plans shaped to the clean run of ``prog`` at
-    ``p`` ranks, so their windows open and close inside its collectives.
-    ``crashes`` (a plan of crashes only) rides along: the run is traced
-    under it, and every plan keeps its crashes and detection timeout."""
-    clean = run_spmd(p, prog, runner="coop", trace=True, faults=crashes)
+    ``p`` ranks on ``model``, so their windows open and close inside its
+    collectives.  ``crashes`` (a plan of crashes only) rides along: the
+    run is traced under it, and every plan keeps its crashes and
+    detection timeout."""
+    clean = run_spmd(p, prog, runner="coop", trace=True, faults=crashes,
+                     model=model)
     span = clean.makespan
     trace = sorted(clean.network.trace, key=lambda t: t.t_start_tx)
     mid = trace[len(trace) // 2]
@@ -573,12 +576,13 @@ def _train_prog(comm, scheme, iters, seed, bucket_size=None,
 
 
 def train_three_way(log, p, scheme, plan, iters=6, seed=0, threads=True,
-                    **train_kwargs):
-    """Training under ``plan`` on the fast path (fused + rank-batched),
-    on the reference path (``fused=False``: per-message collectives and
-    per-rank compute) and under ``threads``: every rank's records and
-    events, the network state and the crashed set must agree.  Returns the
-    fast run and its rendezvous entries."""
+                    model=None, **train_kwargs):
+    """Training under ``plan`` on ``model`` (default: the proxy network)
+    on the fast path (fused + rank-batched), on the reference path
+    (``fused=False``: per-message collectives and per-rank compute) and
+    under ``threads``: every rank's records and events, the network state
+    and the crashed set must agree.  Returns the fast run and its
+    rendezvous entries."""
     modes = [("coop", True), ("coop", False)]
     if threads:
         modes.append(("threads", None))
@@ -586,8 +590,8 @@ def train_three_way(log, p, scheme, plan, iters=6, seed=0, threads=True,
     for runner, fused in modes:
         del log[:]
         res = run_spmd(p, _train_prog, scheme, iters, seed, runner=runner,
-                       fused=fused, faults=plan, model=proxy_network(),
-                       **train_kwargs)
+                       fused=fused, faults=plan,
+                       model=model or proxy_network(), **train_kwargs)
         runs.append((res, list(log)))
     (fast, entries), *others = runs
     for res, ref_entries in others:
@@ -657,6 +661,27 @@ class TestThreeWayUnderPlans:
         for plan in _window_plans(p, _collective_torture).values():
             three_way(_collective_torture, p, model=model, faults=plan,
                       log=rendezvous_log)
+
+    @pytest.mark.parametrize("model", [
+        proxy_network(), NetworkModel(o_inject=3e-8, o_send=1e-8)],
+        ids=["proxy", "overheads"])
+    def test_streamed_buckets_under_window_plans(self, model,
+                                                 rendezvous_log):
+        """Streamed multi-bucket Ok-Topk training under every window
+        plan, shaped to the run: windows open and close inside a bucket's
+        pacing and inside its collectives, where the session executor's
+        booking walk must take each charge's straggler factor at the
+        clock before it, as ``SimComm.compute`` does."""
+        p = 8
+        prog = functools.partial(_train_prog, scheme="oktopk", iters=4,
+                                 seed=0, bucket_size=512,
+                                 overlap_mode="stream")
+        for name, plan in _window_plans(p, prog, model=model).items():
+            _, entries = train_three_way(
+                rendezvous_log, p, "oktopk", plan, iters=4, model=model,
+                bucket_size=512, overlap_mode="stream")
+            assert Counter(e.head for e in entries)["reduce_session"] == \
+                4 * p, name
 
     @pytest.mark.parametrize("scheme", ["oktopk", "gtopk", "dense", "topka"])
     @pytest.mark.parametrize("p", [8, 16])
@@ -823,8 +848,9 @@ def _oktopk_prog(comm, scheme, mode, make_acc=_acc_normal, iters=4,
         if mode == "oneshot":
             res = algo.reduce(comm, acc, t)
         else:
-            def pacer(seg, _c=comm):
-                _c.compute(2e-6)
+            def pacer(segs, _c=comm):
+                for _ in segs:
+                    _c.compute(2e-6)
 
             res = run_session(algo, comm, OK_LAYOUT, t, acc,
                               bucket_size=bucket_size,
@@ -871,8 +897,9 @@ def _shared_prog(comm, scheme, mode, mats, k):
     algo = make_allreduce(scheme, k=k, tau=2, tau_prime=2)
     outs = []
     for t, m in enumerate(mats, 1):
-        def pacer(seg, _c=comm):
-            _c.compute(2e-6)
+        def pacer(segs, _c=comm):
+            for _ in segs:
+                _c.compute(2e-6)
 
         res = run_session(algo, comm, OK_LAYOUT, t, m[comm.rank],
                           bucket_size=1,
@@ -1141,7 +1168,7 @@ class TestOkTopkWorldExecutor:
                     else:
                         local, charges = algo._select_local(st, acc, k, t)
                         assert [c.__name__ for c, _ in charges] == [
-                            f"compute_{step}" for step in steps[t]]
+                            f"{step}_seconds" for step in steps[t]]
                         assert all(words == n for _, words in charges)
                         oktopk_mod._pay(comm, charges)
                 out.append((comm.clock, comm.phase_times()))
@@ -1182,7 +1209,7 @@ class TestOkTopkWorldExecutor:
                 outs.append(_fingerprint(oneshot.reduce(comm, acc, t)))
                 outs.append(_fingerprint(run_session(
                     bucketed, comm, layout, t, acc, bucket_size=bucket_size,
-                    pacer=lambda seg: comm.compute(1e-6))))
+                    pacer=lambda segs: [comm.compute(1e-6) for _ in segs])))
             return outs, _state_leaves(oneshot), _state_leaves(bucketed)
 
         three_way(prog, p)
@@ -1220,7 +1247,8 @@ class TestOkTopkWorldExecutor:
             else:
                 res = run_session(algo, comm, OK_LAYOUT, 1, acc,
                                   bucket_size=OK_BUCKET,
-                                  pacer=lambda seg: comm.compute(2e-6))
+                                  pacer=lambda segs: [comm.compute(2e-6)
+                                                      for _ in segs])
                 assert res.nbuckets == 4
             with pytest.raises(ValueError, match="read-only"):
                 res.update.values[0] = 0.0

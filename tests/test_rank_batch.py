@@ -29,6 +29,7 @@ from repro.optim import Adam
 from repro.sparse import COOVector
 from repro.sparse.topk import (batched_threshold_select, kth_largest_abs,
                                threshold_select)
+from repro.train import rankbatch
 from repro.train.rankbatch import RankBatch, _WorldState
 from repro.train.rankbatch import _exec_accumulate, _exec_apply, \
     _exec_fwd_bwd
@@ -122,6 +123,34 @@ class TestWorldStack:
         assert _WorldState().stack("x", list(base)) is base
 
 
+    def test_rows_the_executors_handed_out_are_known_by_identity(
+            self, monkeypatch):
+        """Gradient rows (``rb_fwdbwd``) and accumulator rows
+        (``rb_accumulate``) stack zero-copy without reading one row
+        address: ``_shared_base`` is only the fallback for rows no
+        executor handed out."""
+        net, p = SimpleNamespace(), 2
+        xs, ys = _batch(np.random.default_rng(5), p)
+        grads = [g for _, g in _exec_fwd_bwd(
+            net, ("rb_fwdbwd", 1),
+            [(m, xs[r], ys[r]) for r, m in enumerate(_models(p))])]
+        acc = _exec_accumulate(net, ("rb_accumulate", 1),
+                               [(np.zeros_like(g), 0.1, g) for g in grads])
+
+        def unusable(rows):
+            raise AssertionError("a row address was read")
+
+        monkeypatch.setattr(rankbatch, "_shared_base", unusable)
+        ws = net._rank_batch_state
+        assert ws.stack("x", grads) is ws.stacked.gmat
+        assert ws.stack("x", acc) is acc[0].base
+        nxt = _exec_accumulate(net, ("rb_accumulate", 2),
+                               [(a, 0.1, g) for a, g in zip(acc, grads)])
+        for a, g, row in zip(acc, grads, nxt):
+            np.testing.assert_array_equal(row, a + 0.1 * g)
+        assert ws.stack("x", nxt) is nxt[0].base is not acc[0].base
+
+
 class TestBatchedTopk:
     def test_batched_threshold_select_matches_per_row(self):
         rng = np.random.default_rng(6)
@@ -182,6 +211,26 @@ class TestExecutorFallbacks:
             for r in range(3):
                 np.testing.assert_array_equal(
                     out[r], res[r] + scale * grads[r])
+
+    def test_foreign_residual_rows_take_no_world_copy(
+            self, monkeypatch, rendezvous_log):
+        """Per-rank zero residuals at t = 1 and the survivors' rows after
+        a 4 -> 3 shrink are not one matrix's rows: ``rb_accumulate``
+        adds them row by row and never asks for an ``accumulate_res``
+        scratch matrix."""
+        requested = []
+        scratch = _WorldState.scratch
+
+        def spy(self, name, shape, dtype):
+            requested.append(name)
+            return scratch(self, name, shape, dtype)
+
+        monkeypatch.setattr(_WorldState, "scratch", spy)
+        plan = FaultPlan(crashes=[RankCrash(rank=1, iteration=3)])
+        _train(monkeypatch, "oktopk", 4, 5, faults=plan, elastic=True)
+        assert Counter(e.size for e in rendezvous_log
+                       if e.head == "rb_accumulate") == {4: 8, 3: 9}
+        assert requested and "accumulate_res" not in requested
 
     def test_accumulate_diverged_scales_run_per_rank(self):
         net = SimpleNamespace()

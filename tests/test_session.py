@@ -485,7 +485,8 @@ class TestNativeBucketed:
                 else:
                     res = run_session(algo, comm, lay, t, acc,
                                       bucket_size=128,
-                                      pacer=lambda seg: comm.compute(1e-6))
+                                      pacer=lambda segs: [
+                                          comm.compute(1e-6) for _ in segs])
                 outs.append((res.update_dense(n).tobytes(),
                              res.phase_times, comm.clock,
                              [(b.lo, b.hi, b.k, b.release_frac, b.comm_time,
