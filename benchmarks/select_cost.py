@@ -32,7 +32,13 @@ iteration that sets the thresholds and boundaries:
   network), and
 * ``data+book``: the data pass plus every extent's booking pass
   (``repro.allreduce.oktopk.book`` on a bare ``Network``), and
-* ``book``: their difference, the booking pass alone.
+* ``book``: the booking pass alone, the median of the per-repetition
+  differences ``data+book - data`` with their interquartile range
+  (``book IQR``).  The two sides are timed alternately inside each
+  repetition (their order flipping every repetition), so a slow episode
+  of the host lands on both sides of a pair rather than on one side of
+  the whole comparison, and each repetition times every shape, so a
+  shape's pairs span the whole run rather than one stretch of it.
 
 The shapes are the BERT proxy's streamed session (P = 8, its 31 784-word
 layout in ``bucket_size=4096`` buckets: 6 extents, k = 317), once on a
@@ -103,11 +109,11 @@ def costs(p: int, n: int, k: int, calls: int, repeat: int) -> dict:
     return _median_us({"select": select, "reduce": reduce}, calls, repeat)
 
 
-def session_costs(p: int, extents: list, calls: int, repeat: int,
-                  faults=None) -> dict:
-    """``name -> median us per call`` of one world reduction over the
-    funded ``extents`` (``(lo, hi, k)``, plan order) of ``p`` ranks, on
-    a network under ``faults`` (a ``FaultPlan``, or None)."""
+def session_timers(p: int, extents: list, faults=None) -> tuple:
+    """``(data, whole)``: one world reduction over the funded ``extents``
+    (``(lo, hi, k)``, plan order) of ``p`` ranks without and with its
+    booking pass, on a network under ``faults`` (a ``FaultPlan``, or
+    None), after the warm-up iteration."""
     n = max(hi for _, hi, _ in extents)
     xs = np.random.default_rng(p * n).standard_normal(
         (p, n)).astype(np.float32)
@@ -126,9 +132,28 @@ def session_costs(p: int, extents: list, calls: int, repeat: int,
             book(net, comms, stg, e)
 
     whole(1)                                    # t = 1: tau work
-    us = _median_us({"data": data, "data+book": whole}, calls, repeat)
-    us["book"] = us["data+book"] - us["data"]
-    return us
+    return data, whole
+
+
+def session_costs(timers: list, calls: int, repeat: int) -> list:
+    """Per ``(data, whole)`` pair of ``timers``: ``name -> median us per
+    call``, ``book`` the median of the paired per-repetition differences
+    and ``book IQR`` their interquartile range.  Every repetition times
+    every pair, so each pair's samples span the whole run."""
+    pairs = [[] for _ in timers]
+    for i in range(repeat):
+        for (data, whole), got in zip(timers, pairs):
+            order = (data, whole) if i % 2 == 0 else (whole, data)
+            took = {fn: timeit.timeit(fn, number=calls) / calls * 1e6
+                    for fn in order}
+            got.append((took[data], took[whole]))
+    out = []
+    for got in pairs:
+        d, w = np.array(got).T
+        q1, mid, q3 = np.percentile(w - d, [25, 50, 75])
+        out.append({"data": np.median(d), "data+book": np.median(w),
+                    "book": mid, "book IQR": q3 - q1})
+    return out
 
 
 def _session_shapes(p_bert: int, p_mlp: int) -> list:
@@ -161,11 +186,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.session:
         print(f"{'shape':>13} {'P':>3} {'extents':>7}  {'data us':>9} "
-              f"{'data+book us':>12} {'book us':>9}")
-        for label, p, extents, faults in _session_shapes(*args.session_ps):
-            us = session_costs(p, extents, args.calls, args.repeat, faults)
+              f"{'data+book us':>12} {'book us':>9} {'book IQR':>9}")
+        shapes = _session_shapes(*args.session_ps)
+        measured = session_costs([session_timers(p, extents, faults)
+                                  for _, p, extents, faults in shapes],
+                                 args.calls, args.repeat)
+        for (label, p, extents, _), us in zip(shapes, measured):
             print(f"{label:>13} {p:>3} {len(extents):>7}  {us['data']:>9.1f} "
-                  f"{us['data+book']:>12.1f} {us['book']:>9.1f}")
+                  f"{us['data+book']:>12.1f} {us['book']:>9.1f} "
+                  f"{us['book IQR']:>9.1f}")
         return 0
     print(f"{'P':>4} {'n':>7} {'k':>5}  {'select us':>10} {'reduce us':>10}")
     for n, k in args.sizes:

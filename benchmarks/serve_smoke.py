@@ -7,7 +7,8 @@ two hard invariants:
   checksum, algorithm provenance) is bit-identical across the ``coop``
   and ``threads`` runners and the fused/unfused collective paths, and an
   empty ``FaultPlan()`` (the loop's plan branches, no fault) admits and
-  stamps every request exactly as the plan-less run in each of them;
+  stamps every request exactly as the plan-less run in each of them —
+  at P=4 and at a clean P=3, whose adaptive prefills take the ring;
 * **adaptive selection** — the size-adaptive allreduce selector matches
   or beats both fixed algorithm choices on the mixed workload, and its
   provenance shows both the latency-optimal (decode) and
@@ -46,30 +47,46 @@ def _stamps(rep):
     return [(r.rid, r.admitted, r.token_times) for r in rep.requests]
 
 
-def main() -> int:
+def _determinism(cfg):
+    """The report of ``cfg`` under coop/threads x fused/unfused, and with
+    an empty plan; None (after a FAIL line) when any of them diverges."""
     base = None
     for runner in ("coop", "threads"):
         for fused in (True, False):
-            rep = simulate_serving(CFG, runner=runner, fused=fused)
+            rep = simulate_serving(cfg, runner=runner, fused=fused)
             sig = (rep.requests, rep.summary(), rep.steps, rep.algorithms)
             if base is None:
                 base = sig
             elif sig != base:
-                print(f"FAIL: serving report diverged under "
+                print(f"FAIL: P={cfg.p} serving report diverged under "
                       f"runner={runner} fused={fused}")
-                return 1
+                return None
             # an empty plan takes the loop's plan branches without a
             # fault: it must admit and stamp exactly as the plan-less run
-            planned = simulate_serving(CFG, runner=runner, fused=fused,
+            planned = simulate_serving(cfg, runner=runner, fused=fused,
                                        faults=FaultPlan())
             if _stamps(planned) != _stamps(rep):
-                print(f"FAIL: empty-plan admissions/stamps diverged from "
-                      f"the plan-less run under runner={runner} "
-                      f"fused={fused}")
-                return 1
-    print(f"determinism: bit-identical across coop/threads x "
-          f"fused/unfused, empty plan == no plan "
-          f"(checksum {base[1]['checksum']:.6f})")
+                print(f"FAIL: P={cfg.p} empty-plan admissions/stamps "
+                      f"diverged from the plan-less run under "
+                      f"runner={runner} fused={fused}")
+                return None
+    return base
+
+
+def main() -> int:
+    # P = 3 takes the ring for its prefills (adaptive, non-power-of-two):
+    # the step executor's per-block rows at a real prefill size
+    for cfg in (CFG, replace(CFG, p=3)):
+        base = _determinism(cfg)
+        if base is None:
+            return 1
+        if cfg.p == 3 and "allreduce/ring/adaptive" not in base[3]:
+            print("FAIL: the P=3 prefills did not take the ring")
+            return 1
+        print(f"determinism P={cfg.p}: bit-identical across coop/threads "
+              f"x fused/unfused, empty plan == no plan "
+              f"(checksum {base[1]['checksum']:.6f}, "
+              f"{', '.join(sorted(base[3]))})")
 
     makespans = {}
     for alg in ("latency", "bandwidth", "adaptive"):

@@ -902,17 +902,21 @@ def fused_allreduce(comm, arr: np.ndarray, op, algo: str):
     return comm.fused_collective(sig, a, _exec_allreduce).copy()
 
 
-def replay_allreduce(net, algo: str, payloads) -> np.ndarray:
-    """Book one dense allreduce of the ``P`` equal-shape contributions
-    ``payloads`` (a sequence of arrays or one stacked ``(P, n)`` array)
-    against ``net`` — :func:`replay` of the schedule(s) the run compiled
-    (:func:`compiled`) — and return their sum, folded in that schedule's
-    own association order into a fresh array (the contributions are only
-    read).  The whole fused allreduce except the hand-out of results:
-    shared by :func:`_exec_allreduce`, Ok-Topk's consensus and the serving
-    step executor."""
-    p = len(payloads)
-    n, wpe = payloads[0].size, _wpe(payloads[0])
+def replay_allreduce(net, algo: str, payloads,
+                     n: Optional[int] = None) -> np.ndarray:
+    """Book one dense allreduce of ``n`` words per rank (by default the
+    size of the ``P`` equal-shape contributions ``payloads``, a sequence
+    of arrays or one stacked ``(P, width)`` array) against ``net`` —
+    :func:`replay` of the schedule(s) the run compiled (:func:`compiled`)
+    for that size — and return the sum of ``payloads``, folded in that
+    schedule's own association order into a fresh array (the
+    contributions are only read).  The whole fused allreduce except the
+    hand-out of results: shared by :func:`_exec_allreduce`, Ok-Topk's
+    consensus and the serving step executor, which books its
+    ``tokens * hidden``-word schedule but folds only one row per fold
+    order (a schedule size apart from the payload's)."""
+    p, wpe = len(payloads), _wpe(payloads[0])
+    n = payloads[0].size if n is None else n
     if algo == "ring":
         replay(net, compiled(net, compile_reduce_scatter_ring, p, n, wpe))
         replay(net, compiled(net, compile_allgather_ring, p, n, wpe))

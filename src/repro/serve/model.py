@@ -31,16 +31,21 @@ along as factors, the FLOP charges go through each rank's own
 communicator) :meth:`TPDecodeModel.step` is **one engine dispatch**: every
 rank parks once and the last arrival runs :func:`_exec_tp_step` for the
 whole world — algorithm role resolved once, per layer the FLOP charges,
-the provenance entry, the replay of the schedule the run compiled for
-that size and one stacked ``(P, tokens * hidden)`` reduction in the
-schedule's association order, then the decision-clock sync the serving
-loop needs after every step.  Every link booking, clock and counter
+the provenance entry and the replay of the schedule the run compiled for
+the ``tokens * hidden``-word message, then the decision-clock sync the
+serving loop needs after every step.  Its data side is one row per fold
+order, expanded once: every token row of the activations is the same
+``hidden``-word row and the layer math is elementwise, so each layer
+folds one ``hidden``-word row per distinct association order of the
+schedule (one for the trees, P for the ring, whose blocks start their
+fold at different ranks) instead of the ``(P, tokens * hidden)``
+matrix, and the last layer's rows are expanded once to the
+``tokens * hidden`` activations.  Every link booking, clock and counter
 lands exactly where ``layers`` separate allreduces plus one allgather
 would have left it; only the ``layers + 1`` park/wake cycles per rank,
-the P-fold redundant ``tile``/``tanh`` and the per-call dispatch
-disappear.  Everywhere else
-the per-layer loop below runs — it is the reference path the identity
-tests compare the executor against.
+the P-fold and token-fold redundant ``tile``/``tanh`` and the per-call
+dispatch disappear.  Everywhere else the per-layer loop below runs — it
+is the reference path the identity tests compare the executor against.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import numpy as np
 
 from ..comm import collectives as coll
 from ..comm.communicator import SimComm
-from ..comm.fused import (LATENCY_OPTIMAL, _available,
+from ..comm.fused import (LATENCY_OPTIMAL, _available, _block_slices,
                           allreduce_analytic_seconds, bandwidth_optimal,
                           compile_allgatherv, compiled, replay,
                           replay_allreduce, resolve_allreduce)
@@ -198,18 +203,40 @@ def _step_outcome(acts: np.ndarray) -> Tuple[np.float32, float]:
     return carry, float(np.asarray(acts, dtype=np.float64).sum())
 
 
+def _expand(rows: np.ndarray, blocks, hidden: int) -> np.ndarray:
+    """The activations of a step's fold-order rows (``rows``, one
+    ``hidden``-word row per block, laid end to end): the activation at
+    position ``i`` in block ``sl`` is that block's row at ``i mod hidden``,
+    so the block is its row repeated from the block's start offset mod
+    ``hidden`` on."""
+    parts = []
+    for row, sl in zip(rows.reshape(len(blocks), hidden), blocks):
+        lo = sl.start % hidden
+        hi = lo + sl.stop - sl.start
+        parts.append(np.tile(row, -(-hi // hidden))[lo:hi])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _exec_tp_step(net, sig, models):
     """Rendezvous executor of :meth:`TPDecodeModel.step`: the whole world's
     step in one dispatch (``models[r]`` is rank ``r``'s shard).
 
     Mirrors the reference loop operation for operation on the simulated
     side — per layer every rank's FLOP charge, rank 0's provenance entry
-    and the allreduce's schedule replay, then the decision-clock
-    allgather — while the data side runs once instead of P times: the
-    ranks' inputs are bit-identical (replicated ``_base``/``_carry``) and
-    so are their reduced outputs, so one stacked ``(P, n)`` product, one
-    fold in the schedule's association order and one ``tanh`` per layer
-    serve everybody.  Returns the synchronized decision time per rank.
+    and the replay of the ``n = tokens * hidden``-word schedule, then the
+    decision-clock allgather — while the data side runs once instead of
+    P times, on one ``hidden``-word row per fold order instead of n
+    words.  The ranks' inputs are bit-identical (replicated
+    ``_base``/``_carry``) and every token row of them is the same
+    ``hidden``-word row; the product, the fold and ``tanh`` are
+    elementwise, so a word's value depends only on its position mod
+    ``hidden`` and on the order its fold visits the ranks.  The trees
+    fold every word alike: one row.  The ring folds block ``b`` of
+    :func:`~repro.comm.fused._block_slices` from rank ``b + 1`` on:
+    P rows, which laid end to end are the blocks of a ``P * hidden``-word
+    ring fold.  After the last layer each block's row, rotated to the
+    block's start offset, is expanded once to the n-word activations.
+    Returns the synchronized decision time per rank.
     """
     _, tokens, algorithm = sig
     p = len(models)
@@ -218,14 +245,16 @@ def _exec_tp_step(net, sig, models):
     n = tokens * cfg.words_per_token_layer
     concrete, mode = resolve_allreduce(algorithm, p, n, net.model)
     flops_shard = cfg.flops_per_token_layer * tokens / p
-    acts = np.tile(lead._base, tokens) * lead._carry
+    blocks = (compiled(net, _block_slices, n, p) if concrete == "ring"
+              else (slice(0, n),))
+    rows = np.tile(lead._base, len(blocks)) * lead._carry
     for gain in lead._gain:
         for m in models:
             m.comm.compute_flops(flops_shard)
         net.note_algorithm("allreduce", concrete, mode, n)
-        acts = np.tanh(replay_allreduce(
-            net, concrete, acts[None, :] * gain[:, None]))
-    carry, emitted = _step_outcome(acts)
+        rows = np.tanh(replay_allreduce(
+            net, concrete, rows[None, :] * gain[:, None], n))
+    carry, emitted = _step_outcome(_expand(rows, blocks, cfg.hidden))
     for m in models:
         m._carry = carry
         m.checksum += emitted

@@ -8,7 +8,6 @@ from .coo import (
     combine_sum,
     intersect_sorted,
 )
-from .metrics import SelectionStats, density, fill_in_ratio, selection_stats
 from .partition import (
     balanced_boundaries_local,
     equal_boundaries,
@@ -54,8 +53,4 @@ __all__ = [
     "region_counts",
     "imbalance",
     "validate_boundaries",
-    "SelectionStats",
-    "density",
-    "fill_in_ratio",
-    "selection_stats",
 ]

@@ -343,3 +343,75 @@ class TestServing:
             simulate_serving(replace(SMOKE, p=0))
         with pytest.raises(ConfigError):
             simulate_serving(replace(SMOKE, n_requests=0))
+
+
+class TestStepExecutorRows:
+    """The step executor folds one ``hidden``-word row per fold order
+    (one for the trees, P for the ring) and expands the last layer's rows
+    once; these pin the premise that makes that exact, the expansion at
+    prefill sizes, and the width of every fold it runs."""
+
+    @pytest.mark.parametrize("hidden", [1, 7, 8, 15, 16, 17, 64, 256])
+    def test_elementwise_float32_is_position_independent(self, hidden):
+        # the executor's row math (a product, a sum, tanh) at every token
+        # row and rotation of the activations, against the row itself,
+        # also at an unaligned start (the ring's blocks)
+        rng = np.random.default_rng(hidden)
+        row, other = (3 * rng.standard_normal((2, hidden))).astype(
+            np.float32)
+        gain = np.float32(rng.standard_normal())
+        want = np.tanh(row * gain + other)
+        for tiles in (1, 2, 3, 97, 320, 601):
+            for shift in sorted({0, 1, hidden // 2, hidden - 1}):
+                r, o = np.roll(row, -shift), np.roll(other, -shift)
+                for lead in (0, 1, 3):
+                    window = slice(lead, lead + tiles * hidden)
+                    x = np.tile(r, tiles + 4)[window]
+                    y = np.tile(o, tiles + 4)[window]
+                    got = np.tanh(x * gain + y)
+                    exp = np.tile(np.roll(want, -(shift + lead)),
+                                  tiles)
+                    assert got.tobytes() == exp.tobytes(), (tiles, shift,
+                                                            lead)
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    @pytest.mark.parametrize("algorithm",
+                             ["recursive_doubling", "rabenseifner", "ring"])
+    @pytest.mark.parametrize("tokens, hidden", [
+        (1, 256), (97, 256), (320, 256),
+        (1, 1),  # n < P: the ring's leading blocks are empty
+    ])
+    def test_prefill_sizes_match_reference(self, p, algorithm, tokens,
+                                           hidden):
+        # 97 and 320 tokens put ring block starts off multiples of hidden
+        # (97 * 256 / 3, 320 * 256 / 3, every fifth at P = 5)
+        mcfg = TPModelConfig(hidden=hidden, layers=2)
+        fused, reference = (
+            world_state(run_spmd(p, _two_steps, mcfg, algorithm, tokens,
+                                 runner="coop", fused=flag))
+            for flag in (True, False))
+        assert fused == reference
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("algorithm",
+                             ["recursive_doubling", "rabenseifner", "ring"])
+    def test_folds_are_at_most_p_rows_wide(self, monkeypatch, p, algorithm):
+        from repro.comm import fused
+
+        widths = []
+
+        def recording(fold):
+            def wrapped(payloads, *args, **kwargs):
+                widths.append(payloads[0].size)
+                return fold(payloads, *args, **kwargs)
+            return wrapped
+
+        for name in ("_sum_tree", "_sum_ring"):
+            monkeypatch.setattr(fused, name,
+                                recording(getattr(fused, name)))
+        tokens, hidden = 97, 16
+        mcfg = TPModelConfig(hidden=hidden, layers=2)
+        run_spmd(p, _two_steps, mcfg, algorithm, tokens, runner="coop",
+                 fused=True)
+        assert len(widths) == 2 * mcfg.layers
+        assert max(widths) <= p * hidden < tokens * hidden
