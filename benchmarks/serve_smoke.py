@@ -85,7 +85,7 @@ def main() -> int:
             return 1
         print(f"determinism P={cfg.p}: bit-identical across coop/threads "
               f"x fused/unfused, empty plan == no plan "
-              f"(checksum {base[1]['checksum']:.6f}, "
+              f"(checksum {base[1]['checksum']:#x}, "
               f"{', '.join(sorted(base[3]))})")
 
     makespans = {}

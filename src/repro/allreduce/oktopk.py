@@ -85,10 +85,10 @@ indices, all in a frozen :class:`Stages` record that needs no network.
 :func:`book` (the scheme's ``world_book``) is the only code that touches
 a clock: per extent, in plan order between the session's pacers, it
 replays the per-rank driver's charge sequence, each compute charge as
-one walk over the world's slots (:func:`_compute`, clean or planned
-world) and split-and-reduce as a numpy fold (:func:`_book_split_reduce`:
-a scalar walk gives the same bits but is faster only up to P = 8, and
-the paper scales to P = 256).
+one walk over the world's slots (:func:`~repro.comm.fused.charge_world`,
+clean or planned world) and split-and-reduce as a numpy fold
+(:func:`_book_split_reduce`: a scalar walk gives the same bits but is
+faster only up to P = 8, and the paper scales to P = 256).
 
 Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
 step a planned crash fires in, ``P = 1`` — the per-rank methods below run
@@ -112,6 +112,7 @@ import numpy as np
 
 from ..comm import NetworkModel, SimComm, collectives as coll
 from ..comm import fused as _fused
+from ..comm.fused import charge_world
 from ..comm.payload import nwords as payload_nwords
 from ..errors import ConfigError
 from ..sparse import (
@@ -383,19 +384,6 @@ def _pay(comm: SimComm, charges) -> None:
         comm.compute(cost(comm.net.model, words))
 
 
-def _compute(net, charges) -> None:
-    """:func:`_pay` of ``charges[r]`` for every rank ``r`` of the world on
-    ``net.clocks``: :meth:`SimComm.compute`'s expression, no crash check
-    (the rendezvous gate rules a crash out)."""
-    clocks, model, faults = net.clocks, net.model, net.faults
-    for s, pairs in zip(net.world, charges):
-        for cost, words in pairs:
-            sec = cost(model, words)
-            if faults is not None and faults.straggler[s]:
-                sec *= faults.compute_factor(s, clocks[s])
-            clocks[s] += sec
-
-
 @contextmanager
 def _world_phase(net, comms, name: str):
     """:meth:`SimComm.phase` for every rank of the world at once: each
@@ -592,26 +580,26 @@ def book(net, comms, stg: Stages, e: int) -> tuple:
         _fused.replay(net, _fused.compiled(net, compiler, p, *key))
 
     with _world_phase(net, comms, PHASE_SPARSIFY):
-        _compute(net, stg.charges[e])
+        charge_world(net, stg.charges[e])
     with _world_phase(net, comms, PHASE_COMM):
         if stg.consensus[e] is not None:
             replay(_fused.compile_allreduce, *stg.consensus[e],
                    "recursive_doubling")
-        _compute(net, [[(scan, info["selected_local"])]     # the split
-                       for info in stg.infos[e]])
+        charge_world(net, [[(scan, info["selected_local"])]     # the split
+                           for info in stg.infos[e]])
         _book_split_reduce(net, stg.tables, stg.count[e])
     if stg.gathered[e] is not None:
         with _world_phase(net, comms, PHASE_COMM):
             replay(_fused.compile_allgatherv,
                    tuple(2 * words for words in stg.region[e]))
         with _world_phase(net, comms, PHASE_SPARSIFY):
-            _compute(net, [[(NetworkModel.sort_seconds, stg.gathered[e])]] * p)
+            charge_world(net, [[(NetworkModel.sort_seconds, stg.gathered[e])]] * p)
     with _world_phase(net, comms, PHASE_COMM):
-        _compute(net, [[(scan, words)] for words in stg.region[e]])
+        charge_world(net, [[(scan, words)] for words in stg.region[e]])
         replay(_fused.compile_allgatherv, (1,) * p)
         if stg.rows[e] is not None:
             replay(_fused.compile_alltoallv, stg.rows[e])
-        _compute(net, [[(scan, words)] for words in stg.encoded[e]])
+        charge_world(net, [[(scan, words)] for words in stg.encoded[e]])
         replay(_fused.compile_allgatherv, stg.words[e])
     return stg.infos[e]
 

@@ -360,7 +360,7 @@ class SimComm:
 
     def compute_flops(self, flops: float) -> None:
         """Charge ``flops`` floating point operations of model compute."""
-        self.compute(self.net.model.flop_time * max(0.0, flops))
+        self.compute(self.net.model.flop_seconds(flops))
 
     # ------------------------------------------------------------------
     # Phase accounting (used for the paper's runtime breakdowns)

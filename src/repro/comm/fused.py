@@ -100,7 +100,7 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -467,6 +467,22 @@ def _charge_receivers(clocks: list, recv: tuple, scale: float,
         clocks[d] = c + x
 
 
+def charge_world(net, charges) -> None:
+    """:meth:`SimComm.compute` of ``charges[r]`` for every rank ``r`` of
+    the current world, in one walk over ``net.clocks`` by slot: each
+    charge is a ``(cost, words)`` pair, a :class:`NetworkModel` method
+    and its argument, times the rank's straggler factor at its clock
+    before the charge.  No crash check: the rendezvous gate rules a
+    pending crash out."""
+    clocks, model, faults = net.clocks, net.model, net.faults
+    for s, pairs in zip(net.world, charges):
+        for cost, words in pairs:
+            sec = cost(model, words)
+            if faults is not None and faults.straggler[s]:
+                sec *= faults.compute_factor(s, clocks[s])
+            clocks[s] += sec
+
+
 # ---------------------------------------------------------------------------
 # Template emitters (size-free: P + structure key in, messages and rounds
 # with their block runs out; :func:`_template` runs each once per key)
@@ -830,32 +846,52 @@ def resolve_allreduce(algo: str, p: int, nwords_: int,
 # ---------------------------------------------------------------------------
 # Central data computation (bit-identical association orders)
 # ---------------------------------------------------------------------------
-def _sum_tree(payloads: Sequence[np.ndarray], p: int,
-              halving: bool) -> np.ndarray:
-    """The halving/doubling trees, folded pairwise straight from the
-    per-rank rows (a sequence of arrays or the rows of one stacked
-    ``(P, n)`` array; no row is ever written).
+def _shared_base(rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """The matrix whose consecutive rows ``rows`` already are, if any."""
+    base = rows[0].base
+    if (base is not None and base.ndim == 2
+            and base.shape[0] == len(rows)
+            and all(r.base is base
+                    # whole rows only: a session bucket's prefix slice
+                    # starts where its row does
+                    and r.shape == base.shape[1:]
+                    and r.strides == base.strides[1:]
+                    and r.ctypes.data == base.ctypes.data + i * base.strides[0]
+                    for i, r in enumerate(rows))):
+        return base
+    return None
+
+
+def _sum_tree(payloads, p: int, halving: bool) -> np.ndarray:
+    """The halving/doubling trees, folded level by level over the rows of
+    one ``(P, width)`` array: ``payloads`` itself, the matrix whose whole
+    rows a sequence of arrays already is (:func:`_shared_base`), or else
+    the sequence stacked.  No row of the caller's is ever written.
 
     Core (newrank) order first: fold-in pair ``x < rem`` holds
     ``a[2x+1] + a[2x]`` (the odd rank's ``op(acc, got)``), the other core
-    ranks pass their own row through.  Each level then combines pairs —
-    newranks ``i`` and ``i + m/2`` first for recursive halving
-    (Rabenseifner), adjacent newranks first for the butterfly (recursive
-    doubling).  Every combine is a commutative ``op(acc, got)``, so every
-    core rank ends with these bits.  A combine adds into its left operand
-    when this fold allocated it (``np.add(x, y, out=x)``) and into a fresh
-    array otherwise (the first level, a pass-through row)."""
-    rows = [np.asarray(a) for a in payloads]
+    ranks pass their own row through.  Each level then combines pairs in
+    one add — newranks ``i`` and ``i + m/2`` for recursive halving
+    (Rabenseifner, ``a[:h] + a[h:]``), adjacent newranks for the
+    butterfly (recursive doubling, ``a[0::2] + a[1::2]``).  Every combine
+    is a commutative ``op(acc, got)``, so every core rank ends with these
+    bits.  A level adds in place into an array this fold made (the
+    stacked copy, the fold-in's, an earlier level's) and into a fresh one
+    otherwise; the last level's sum is a fresh row of its own, so the
+    result holds no level's array alive."""
+    a = payloads if isinstance(payloads, np.ndarray) else _shared_base(
+        payloads)
+    owned = a is None
+    a = np.stack(payloads) if owned else a
     rem = p - _core_size(p)
-    cur = [rows[2 * x + 1] + rows[2 * x] for x in range(rem)] + rows[2 * rem:]
-    owned = rem  # cur[:owned] are this fold's own arrays
-    while len(cur) > 1:
-        h = len(cur) // 2
-        step, lefts = (h, range(h)) if halving else (1, range(0, 2 * h, 2))
-        cur = [np.add(cur[i], cur[i + step], out=cur[i]) if i < owned
-               else cur[i] + cur[i + step] for i in lefts]
-        owned = h
-    return cur[0] if owned else cur[0].copy()
+    if rem:
+        a, owned = np.concatenate((a[1:2 * rem:2] + a[:2 * rem:2],
+                                   a[2 * rem:])), True
+    while len(a) > 2:
+        h = len(a) // 2
+        x, y = (a[:h], a[h:]) if halving else (a[0::2], a[1::2])
+        a, owned = np.add(x, y, out=x if owned else None), True
+    return a[0] + a[1] if len(a) == 2 else a[0].copy()
 
 
 def _sum_ring(payloads: Sequence[np.ndarray], p: int) -> np.ndarray:
@@ -902,31 +938,29 @@ def fused_allreduce(comm, arr: np.ndarray, op, algo: str):
     return comm.fused_collective(sig, a, _exec_allreduce).copy()
 
 
-def replay_allreduce(net, algo: str, payloads,
-                     n: Optional[int] = None) -> np.ndarray:
-    """Book one dense allreduce of ``n`` words per rank (by default the
-    size of the ``P`` equal-shape contributions ``payloads``, a sequence
-    of arrays or one stacked ``(P, width)`` array) against ``net`` —
-    :func:`replay` of the schedule(s) the run compiled (:func:`compiled`)
-    for that size — and return the sum of ``payloads``, folded in that
-    schedule's own association order into a fresh array (the
-    contributions are only read).  The whole fused allreduce except the
-    hand-out of results: shared by :func:`_exec_allreduce`, Ok-Topk's
-    consensus and the serving step executor, which books its
-    ``tokens * hidden``-word schedule but folds only one row per fold
-    order (a schedule size apart from the payload's)."""
-    p, wpe = len(payloads), _wpe(payloads[0])
-    n = payloads[0].size if n is None else n
+def allreduce_plan(net, algo: str, p: int, n: int, wpe: int):
+    """One dense allreduce of ``n`` elements of ``wpe`` words per rank:
+    the schedule(s) the run compiled for it (:func:`compiled`; the ring's
+    reduce-scatter and allgather) and its fold — ``fold(payloads)`` sums
+    the ``P`` contributions (a sequence of arrays or one stacked
+    ``(P, width)`` array, only read) in that schedule's association
+    order into a fresh array.  A caller replays the schedules and folds:
+    :func:`_exec_allreduce` once, the serving step executor once per
+    layer, on rows narrower than the ``n`` words it books."""
     if algo == "ring":
-        replay(net, compiled(net, compile_reduce_scatter_ring, p, n, wpe))
-        replay(net, compiled(net, compile_allgather_ring, p, n, wpe))
-        return _sum_ring(payloads, p)
-    replay(net, compiled(net, compile_allreduce, p, n, wpe, algo))
-    return _sum_tree(payloads, p, halving=algo == "rabenseifner")
+        return ((compiled(net, compile_reduce_scatter_ring, p, n, wpe),
+                 compiled(net, compile_allgather_ring, p, n, wpe)),
+                partial(_sum_ring, p=p))
+    return ((compiled(net, compile_allreduce, p, n, wpe, algo),),
+            partial(_sum_tree, p=p, halving=algo == "rabenseifner"))
 
 
 def _exec_allreduce(net, sig, payloads):
-    return [replay_allreduce(net, sig[1], payloads)] * len(payloads)
+    _, algo, n, wpe, _ = sig
+    scheds, fold = allreduce_plan(net, algo, len(payloads), n, wpe)
+    for sched in scheds:
+        replay(net, sched)
+    return [fold(payloads)] * len(payloads)
 
 
 def fused_allgatherv(comm, block: Any, head: str = "allgatherv"):

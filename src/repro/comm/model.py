@@ -101,6 +101,10 @@ class NetworkModel:
         """Seconds of a linear scan / compaction over ``n`` words."""
         return self.scan_time * max(0, n)
 
+    def flop_seconds(self, flops: float) -> float:
+        """Seconds of ``flops`` floating point operations of model compute."""
+        return self.flop_time * max(0.0, flops)
+
     def sort_seconds(self, n: int) -> float:
         """Seconds of an accelerator sort of ``n`` words (``n log n``)."""
         n = max(0, n)

@@ -74,10 +74,6 @@ class Module:
             out.extend(m.parameters())
         return out
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad[...] = 0.0
-
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
 

@@ -39,8 +39,3 @@ class SGD:
             self._velocity += g
             g = self._velocity
         params -= (lr * g).astype(params.dtype, copy=False)
-
-    def state_dict(self) -> dict:
-        return {"t": self.t,
-                "velocity": None if self._velocity is None
-                else self._velocity.copy()}

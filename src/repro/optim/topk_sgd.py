@@ -32,24 +32,11 @@ from .lr_schedules import LRSchedule, as_schedule
 
 @dataclass
 class StepInfo:
-    """Diagnostics of one distributed optimizer step.
-
-    ``residual_norm`` is evaluated lazily from a snapshot-free reference:
-    the eager per-step ``np.linalg.norm`` over the full residual was pure
-    overhead on the training hot path (nothing in the trainer consumes
-    it).  Read it before the *next* ``step`` call mutates the residual.
-    """
+    """Diagnostics of one distributed optimizer step."""
 
     t: int
     lr: float
     result: AllreduceResult
-    _residual: Optional[np.ndarray] = None
-
-    @property
-    def residual_norm(self) -> float:
-        if self._residual is None:
-            return 0.0
-        return float(np.linalg.norm(self._residual))
 
     @property
     def phase_times(self) -> Dict[str, float]:
@@ -134,8 +121,7 @@ class TopkSGD:
             inner.step(own, result.update_dense(own.size) / comm.size)
         if inner is not None:
             lr = inner.lr(inner.t) if hasattr(inner, "lr") else 0.0
-        return StepInfo(t=self.t, lr=float(lr), result=result,
-                        _residual=self.residual)
+        return StepInfo(t=self.t, lr=float(lr), result=result)
 
 
 class SparseOptimWrapper(TopkSGD):

@@ -118,8 +118,9 @@ class ServeReport:
     requests: List[RequestRecord]
     #: latest simulated clock across ranks at drain
     makespan: float
-    #: float64 activation checksum (bit-identity witness)
-    checksum: float
+    #: sum of the emitted activations' float32 bit patterns modulo 2^53
+    #: (bit-identity witness)
+    checksum: int
     #: collective-algorithm provenance snapshot
     #: (``"collective/algorithm/mode" -> {"calls", "words"}``)
     algorithms: Dict[str, Dict[str, int]]

@@ -13,8 +13,10 @@ exactly the size regimes the adaptive allreduce selector
 The arithmetic is a surrogate (a per-(layer, rank) gain plus a bounded
 nonlinearity, carried across steps), but it is *real data moving through
 the real collectives*: the reduced values chain into the next layer and
-into a float64 checksum, so bit-identity across runners and fused/unfused
-paths is a meaningful end-to-end assertion, not a clock comparison.
+into an exact integer checksum (the sum of the emitted activations'
+float32 bit patterns, modulo 2^53), so bit-identity across runners and
+fused/unfused paths is a meaningful end-to-end assertion, not a clock
+comparison — a one-bit change in any activation moves the checksum.
 Compute is charged analytically as this rank's 1/P shard of the dense
 transformer FLOPs (attention projections + MLP; attention scores are
 sequence-length dependent and deliberately excluded — the reduction
@@ -27,25 +29,28 @@ A step's shapes never change between its layers, so where the fused fast
 path is available (cooperative engine, no tracing, a communicator that
 spans the current world — shrunk or not — with no crash pending in it —
 the gate of every fused collective; slowdown and straggler plans ride
-along as factors, the FLOP charges go through each rank's own
-communicator) :meth:`TPDecodeModel.step` is **one engine dispatch**: every
-rank parks once and the last arrival runs :func:`_exec_tp_step` for the
-whole world — algorithm role resolved once, per layer the FLOP charges,
-the provenance entry and the replay of the schedule the run compiled for
-the ``tokens * hidden``-word message, then the decision-clock sync the
+along as factors) :meth:`TPDecodeModel.step` is **one engine dispatch**:
+every rank parks once and the last arrival runs :func:`_exec_tp_step` for
+the whole world — algorithm role and compiled schedules resolved once,
+per layer the world's FLOP charges in one walk over its clocks, the
+provenance entry and the replay of the schedules compiled for the
+``tokens * hidden``-word message, then the decision-clock sync the
 serving loop needs after every step.  Its data side is one row per fold
-order, expanded once: every token row of the activations is the same
-``hidden``-word row and the layer math is elementwise, so each layer
-folds one ``hidden``-word row per distinct association order of the
-schedule (one for the trees, P for the ring, whose blocks start their
-fold at different ranks) instead of the ``(P, tokens * hidden)``
-matrix, and the last layer's rows are expanded once to the
-``tokens * hidden`` activations.  Every link booking, clock and counter
-lands exactly where ``layers`` separate allreduces plus one allgather
-would have left it; only the ``layers + 1`` park/wake cycles per rank,
-the P-fold and token-fold redundant ``tile``/``tanh`` and the per-call
-dispatch disappear.  Everywhere else the per-layer loop below runs — it
-is the reference path the identity tests compare the executor against.
+order: every token row of the activations is the same ``hidden``-word
+row and the layer math is elementwise, so each layer folds one
+``hidden``-word row per distinct association order of the schedule (one
+for the trees, P for the ring, whose blocks start their fold at
+different ranks) instead of the ``(P, tokens * hidden)`` matrix.  The
+``tokens * hidden`` activations are never built: the checksum is an
+integer sum, so each row word counts as often as it fills a position,
+and the carry reads only the first token's row.  Every link booking,
+clock and counter lands exactly where ``layers`` separate allreduces
+plus one allgather would have left it; only the ``layers + 1``
+park/wake cycles per rank, the P-fold and token-fold redundant
+``tile``/``tanh`` and the per-call dispatch disappear.  Everywhere else
+the per-layer loop below runs, on the full ``tokens * hidden`` words —
+it is the reference path the identity tests compare the executor
+against.
 """
 
 from __future__ import annotations
@@ -55,12 +60,13 @@ from typing import Tuple
 
 import numpy as np
 
-from ..comm import collectives as coll
+from ..comm import NetworkModel, collectives as coll
 from ..comm.communicator import SimComm
-from ..comm.fused import (LATENCY_OPTIMAL, _available, _block_slices,
-                          allreduce_analytic_seconds, bandwidth_optimal,
+from ..comm.fused import (LATENCY_OPTIMAL, _available,
+                          allreduce_analytic_seconds, allreduce_plan,
+                          bandwidth_optimal, charge_world,
                           compile_allgatherv, compiled, replay,
-                          replay_allreduce, resolve_allreduce)
+                          resolve_allreduce)
 from ..comm.payload import nwords as payload_nwords
 from ..errors import ConfigError
 
@@ -118,9 +124,10 @@ class TPDecodeModel:
                       .astype(np.float32) / np.float32(comm.size))
         self._base = rng.standard_normal(cfg.hidden).astype(np.float32)
         self._carry = np.float32(1.0)
-        #: float64 sum over every activation this model emitted — the
-        #: bit-identity witness across runners and fused/unfused paths
-        self.checksum = 0.0
+        #: sum of the float32 bit patterns of every activation this model
+        #: emitted, modulo 2^53 — the bit-identity witness across runners
+        #: and fused/unfused paths
+        self.checksum = 0
 
     def step(self, tokens: int) -> float:
         """Run ``tokens`` activation rows through every layer and return
@@ -149,25 +156,26 @@ class TPDecodeModel:
             reduced = coll.allreduce(comm, partial,
                                      algorithm=self.algorithm)
             acts = np.tanh(reduced)
-        self._carry, emitted = _step_outcome(acts)
-        self.checksum += emitted
+        self._carry = _carry(acts[:cfg.hidden])
+        self.checksum = (self.checksum + int(
+            acts.view(np.uint32).sum(dtype=np.uint64))) % CHECKSUM_MODULUS
         return sync_decision_time(comm)
 
     # ------------------------------------------------------------------
     # Elastic recovery support (see repro.serve.loop)
     # ------------------------------------------------------------------
-    def snapshot(self) -> Tuple[float, float]:
+    def snapshot(self) -> Tuple[float, int]:
         """The cross-step state ``(carry, checksum)``.  World-size
         independent, so a snapshot taken at P restores into a model
         rebuilt at the shrunken P-1 (gain tables are re-derived there by
         consensus from the replicated seed)."""
         return (float(self._carry), self.checksum)
 
-    def restore(self, snap: Tuple[float, float]) -> None:
+    def restore(self, snap: Tuple[float, int]) -> None:
         """Restore :meth:`snapshot` state into this (possibly resized)
         model; the checksum keeps accumulating across the failure."""
         self._carry = np.float32(snap[0])
-        self.checksum = float(snap[1])
+        self.checksum = int(snap[1])
 
     def min_service_seconds(self, prompt_tokens: int,
                             output_tokens: int) -> float:
@@ -189,32 +197,41 @@ class TPDecodeModel:
                                            LATENCY_OPTIMAL),
                 allreduce_analytic_seconds(p, words, net_model,
                                            bandwidth_optimal(p)))
-            return cfg.layers * (flops * net_model.flop_time + ar)
+            return cfg.layers * (net_model.flop_seconds(flops) + ar)
 
         return (step_seconds(prompt_tokens)
                 + (output_tokens - 1) * step_seconds(1))
 
 
-def _step_outcome(acts: np.ndarray) -> Tuple[np.float32, float]:
-    """What a step's last-layer activations leave behind: the next step's
-    carry (the input scale depends on this step's reduced output, so any
-    cross-runner divergence compounds) and the checksum increment."""
-    carry = np.float32(1.0) + np.float32(0.5) * np.tanh(acts.mean())
-    return carry, float(np.asarray(acts, dtype=np.float64).sum())
+#: the checksum accumulates modulo 2^53, so its ``float()`` is exact
+CHECKSUM_MODULUS = 1 << 53
 
 
-def _expand(rows: np.ndarray, blocks, hidden: int) -> np.ndarray:
-    """The activations of a step's fold-order rows (``rows``, one
-    ``hidden``-word row per block, laid end to end): the activation at
-    position ``i`` in block ``sl`` is that block's row at ``i mod hidden``,
-    so the block is its row repeated from the block's start offset mod
-    ``hidden`` on."""
-    parts = []
-    for row, sl in zip(rows.reshape(len(blocks), hidden), blocks):
-        lo = sl.start % hidden
-        hi = lo + sl.stop - sl.start
-        parts.append(np.tile(row, -(-hi // hidden))[lo:hi])
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _carry(first_token: np.ndarray) -> np.float32:
+    """The next step's input scale from this step's first token's
+    last-layer activations (it depends on this step's reduced output, so
+    any cross-runner divergence compounds).  ``sum() / size`` is
+    ``mean()``'s float32 expression without its dispatch."""
+    return np.float32(1.0) + np.float32(0.5) * np.tanh(
+        first_token.sum() / first_token.size)
+
+
+def _row_weights(n: int, blocks: int, hidden: int):
+    """How a step's fold-order rows fill its ``n`` activations: row ``b``
+    (``hidden`` words, the rows laid end to end) fills block ``b`` of the
+    ``blocks`` near-equal blocks of ``range(n)`` (the partition of
+    :func:`~repro.comm.fused._block_slices`; one block for the trees)
+    with its word ``i mod hidden`` at position ``i``.  Returns, flat, how
+    many positions each row word fills — block ``[lo, hi)`` holds word
+    ``j`` at ``ceil((hi - j) / hidden) - ceil((lo - j) / hidden)`` of
+    them — and the row word at each of the first token's ``hidden``
+    positions (the one of the block that ends first past it)."""
+    bounds = np.linspace(0, n, blocks + 1).astype(np.int64)
+    j = np.arange(hidden)
+    fills = ((j - bounds[:-1, None]) // hidden
+             - (j - bounds[1:, None]) // hidden)
+    first = np.searchsorted(bounds[1:], j, side="right") * hidden + j
+    return fills.astype(np.uint64).ravel(), first
 
 
 def _exec_tp_step(net, sig, models):
@@ -222,20 +239,23 @@ def _exec_tp_step(net, sig, models):
     step in one dispatch (``models[r]`` is rank ``r``'s shard).
 
     Mirrors the reference loop operation for operation on the simulated
-    side — per layer every rank's FLOP charge, rank 0's provenance entry
-    and the replay of the ``n = tokens * hidden``-word schedule, then the
-    decision-clock allgather — while the data side runs once instead of
-    P times, on one ``hidden``-word row per fold order instead of n
-    words.  The ranks' inputs are bit-identical (replicated
-    ``_base``/``_carry``) and every token row of them is the same
-    ``hidden``-word row; the product, the fold and ``tanh`` are
+    side — per layer every rank's FLOP charge (one walk over the world's
+    clocks), rank 0's provenance entry and the replay of the schedules
+    compiled for the ``n = tokens * hidden``-word message (looked up once
+    per step), then the decision-clock allgather — while the data side
+    runs once instead of P times, on one ``hidden``-word row per fold
+    order instead of n words.  The ranks' inputs are bit-identical
+    (replicated ``_base``/``_carry``) and every token row of them is the
+    same ``hidden``-word row; the product, the fold and ``tanh`` are
     elementwise, so a word's value depends only on its position mod
     ``hidden`` and on the order its fold visits the ranks.  The trees
     fold every word alike: one row.  The ring folds block ``b`` of
     :func:`~repro.comm.fused._block_slices` from rank ``b + 1`` on:
     P rows, which laid end to end are the blocks of a ``P * hidden``-word
-    ring fold.  After the last layer each block's row, rotated to the
-    block's start offset, is expanded once to the n-word activations.
+    ring fold.  No n-word array is ever built: the checksum increment
+    (an integer sum of bit patterns, so order-free) weighs each row word
+    by the positions it fills, and the carry reads the first token's row
+    gathered from the rows that cover it (:func:`_row_weights`).
     Returns the synchronized decision time per rank.
     """
     _, tokens, algorithm = sig
@@ -244,20 +264,24 @@ def _exec_tp_step(net, sig, models):
     cfg = lead.cfg
     n = tokens * cfg.words_per_token_layer
     concrete, mode = resolve_allreduce(algorithm, p, n, net.model)
-    flops_shard = cfg.flops_per_token_layer * tokens / p
-    blocks = (compiled(net, _block_slices, n, p) if concrete == "ring"
-              else (slice(0, n),))
-    rows = np.tile(lead._base, len(blocks)) * lead._carry
+    scheds, fold = allreduce_plan(net, concrete, p, n, 1)
+    blocks = p if concrete == "ring" else 1
+    charges = [[(NetworkModel.flop_seconds,
+                 cfg.flops_per_token_layer * tokens / p)]] * p
+    rows = np.tile(lead._base, blocks) * lead._carry
     for gain in lead._gain:
-        for m in models:
-            m.comm.compute_flops(flops_shard)
+        charge_world(net, charges)
         net.note_algorithm("allreduce", concrete, mode, n)
-        rows = np.tanh(replay_allreduce(
-            net, concrete, rows[None, :] * gain[:, None], n))
-    carry, emitted = _step_outcome(_expand(rows, blocks, cfg.hidden))
+        for sched in scheds:
+            replay(net, sched)
+        rows = np.tanh(fold(gain[:, None] * rows))
+    fills, first = compiled(net, _row_weights, n, blocks, cfg.hidden)
+    carry = _carry(rows[first])
+    # < n * 2^32 words: exact in uint64
+    emitted = int(np.dot(rows.view(np.uint32).astype(np.uint64), fills))
     for m in models:
         m._carry = carry
-        m.checksum += emitted
+        m.checksum = (m.checksum + emitted) % CHECKSUM_MODULUS
     # sync_decision_time for the whole world: the 1-word allgather, then
     # every clock advances to the max of the pre-gather clocks (per-slot
     # state: group rank r lives at world[r])

@@ -31,9 +31,9 @@ out with their matrix — ``rb_fwdbwd``'s gradient rows and
 ``rb_accumulate``'s accumulator rows, which come back as the next step's
 residuals and as the reductions' accumulators — so stacking them is one
 ``is`` test per row.  Other rows are tested by address
-(:func:`_shared_base`) and copied when they are not one matrix's;
-residual rows that are not (per-rank zeros at t = 1, the first step after
-a shrink) are added row by row instead.
+(:func:`~repro.comm.fused._shared_base`) and copied when they are not
+one matrix's; residual rows that are not (per-rank zeros at t = 1, the
+first step after a shrink) are added row by row instead.
 
 Bit-identity contract: every batched kernel is elementwise,
 row-independent or a gufunc looping the identical 2-D kernel per rank
@@ -82,27 +82,12 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from ..comm.fused import _available
+from ..comm.fused import _available, _shared_base
 from ..errors import ReplicaDivergenceError
 from ..nn.stacked import StackedModel, mapped_zeros, supports_stacking
 from ..optim.adam import Adam
 from ..optim.topk_sgd import _apply_update
 from ..sparse import COOVector
-
-def _shared_base(rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """The matrix whose consecutive rows ``rows`` already are, if any."""
-    base = rows[0].base
-    if (base is not None and base.ndim == 2
-            and base.shape[0] == len(rows)
-            and all(r.base is base
-                    # whole rows only: a session bucket's prefix slice
-                    # starts where its row does
-                    and r.shape == base.shape[1:]
-                    and r.strides == base.strides[1:]
-                    and r.ctypes.data == base.ctypes.data + i * base.strides[0]
-                    for i, r in enumerate(rows))):
-        return base
-    return None
 
 
 class _WorldState:

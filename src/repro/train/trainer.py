@@ -246,8 +246,8 @@ class Trainer:
             # The compute lump is charged incrementally by the pacer
             # between segment pushes (inside driver.step), so the
             # clock tracks the backward timeline while buckets issue.
-            compute_time = comm.net.model.flop_time * max(
-                0.0, model.train_flops(len(x)))
+            compute_time = comm.net.model.flop_seconds(
+                model.train_flops(len(x)))
         else:
             comm.compute(0.0)  # anchor
             with comm.phase("compute"):

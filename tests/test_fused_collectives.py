@@ -1551,16 +1551,93 @@ class TestDenseAllreduceEveryWorld:
     @pytest.mark.parametrize("algo", fused_mod.ALLREDUCE_ALGORITHMS)
     @pytest.mark.parametrize("p", [2, 3, 5, 8])
     def test_replay_leaves_a_stacked_input_untouched(self, p, algo):
-        """Serving hands :func:`replay_allreduce` one ``(P, n)`` array:
-        it is read, never folded into, and sums like the rows do."""
+        """Serving hands the fold of :func:`allreduce_plan` one ``(P, n)``
+        array: it is read, never folded into, and sums like the rows do."""
         stacked = np.random.default_rng(p).standard_normal(
             (p, 301)).astype(np.float32)
         before = stacked.copy()
-        total = fused_mod.replay_allreduce(Network(p), algo, stacked)
+        _, fold = fused_mod.allreduce_plan(Network(p), algo, p, 301, 1)
+        total = fold(stacked)
         assert stacked.tobytes() == before.tobytes()
         assert not np.shares_memory(total, stacked)
-        rows = fused_mod.replay_allreduce(Network(p), algo, list(before))
+        rows = fold(list(before))
         assert total.tobytes() == rows.tobytes()
+
+
+def _tree_oracle(rows, halving):
+    """The halving/doubling trees' association, written recursively: the
+    fold-in (odd rank ``2x + 1`` folds its even neighbour in) onto a
+    power-of-two core, then the butterfly sums each half of the core
+    first (recursive doubling pairs neighbours at its first level) and
+    recursive halving the even and the odd newranks (it pairs ``i`` with
+    ``i + m/2`` first)."""
+    p = len(rows)
+    rem = p - (1 << (p.bit_length() - 1))
+    core = [rows[2 * x + 1] + rows[2 * x] for x in range(rem)] + list(
+        rows[2 * rem:])
+
+    def fold(c):
+        if len(c) == 1:
+            return c[0]
+        if halving:
+            return fold(c[0::2]) + fold(c[1::2])
+        return fold(c[:len(c) // 2]) + fold(c[len(c) // 2:])
+
+    return fold(core)
+
+
+class TestStackedTreeFold:
+    """``fused._sum_tree`` folds one ``(P, width)`` array level by level:
+    the association is the trees', inputs are only read, and the rows of
+    one matrix are folded where they lie."""
+
+    @pytest.mark.parametrize("p", range(1, 18))
+    @pytest.mark.parametrize("halving", [False, True])
+    @pytest.mark.parametrize("form", ["stacked", "rows", "separate"])
+    def test_matches_the_recursive_association(self, p, halving, form):
+        rng = np.random.default_rng(p)
+        # row scales spread over eight decades: every association rounds
+        # differently
+        mat = (rng.standard_normal((p, 67))
+               * 10.0 ** rng.integers(-4, 5, (p, 1))).astype(np.float32)
+        before = mat.copy()
+        payloads = {"stacked": mat, "rows": list(mat),
+                    "separate": [r.copy() for r in mat]}[form]
+        got = fused_mod._sum_tree(payloads, p, halving)
+        want = _tree_oracle(list(before), halving)
+        assert got.tobytes() == want.tobytes()
+        if p >= 4:
+            assert want.tobytes() != _tree_oracle(
+                list(before), not halving).tobytes()
+        assert mat.tobytes() == before.tobytes()
+        for row, orig in zip(payloads, before):
+            assert row.tobytes() == orig.tobytes()
+        assert got.base is None  # keeps no stacked or level array alive
+        assert not np.shares_memory(got, mat)
+        for row in payloads:
+            assert not np.shares_memory(got, row)
+
+    @pytest.mark.parametrize("halving", [False, True])
+    def test_whole_rows_fold_without_a_copy(self, halving):
+        import tracemalloc
+
+        p, n = 16, 49866
+        mat = np.random.default_rng(0).standard_normal((p, n)).astype(
+            np.float32)
+        separate = [r.copy() for r in mat]
+
+        def peak(payloads):
+            tracemalloc.start()
+            try:
+                total = fused_mod._sum_tree(payloads, p, halving)
+                return tracemalloc.get_traced_memory()[1], total
+            finally:
+                tracemalloc.stop()
+
+        whole, total = peak(list(mat))
+        stacked, again = peak(separate)
+        assert whole < mat.nbytes <= stacked  # the measure tells them apart
+        assert total.tobytes() == again.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,13 @@ from hypothesis import given, settings, strategies as st
 from repro.comm import run_spmd
 from repro.comm.faults import (ComputeStraggler, FaultPlan, LinkSlowdown,
                                RankCrash)
-from repro.comm.fused import LATENCY_OPTIMAL
+from repro.comm.fused import LATENCY_OPTIMAL, _block_slices
 from repro.errors import ConfigError
 from repro.serve import (DynamicBatcher, Request, ServeConfig, Workload,
                          percentile, simulate_serving, sweep_load)
 from repro.serve.loop import _rank_serve
-from repro.serve.model import TPDecodeModel, TPModelConfig
+from repro.serve.model import (CHECKSUM_MODULUS, TPDecodeModel,
+                               TPModelConfig, _row_weights)
 
 
 class TestWorkload:
@@ -345,11 +346,27 @@ class TestServing:
             simulate_serving(replace(SMOKE, n_requests=0))
 
 
+def _expand(rows, n, blocks, hidden):
+    """The ``n`` activations a step's fold-order rows stand for (the
+    oracle of the executor's row arithmetic): position ``i`` of block
+    ``b`` holds row ``b``'s word ``i mod hidden``."""
+    rows = rows.reshape(blocks, hidden)
+    return np.concatenate([rows[b, np.arange(sl.start, sl.stop) % hidden]
+                           for b, sl in enumerate(_block_slices(n, blocks))])
+
+
+def _row_checksum(rows, fills):
+    """The executor's checksum increment of ``rows``."""
+    return int(np.dot(rows.view(np.uint32).astype(np.uint64), fills))
+
+
 class TestStepExecutorRows:
     """The step executor folds one ``hidden``-word row per fold order
-    (one for the trees, P for the ring) and expands the last layer's rows
-    once; these pin the premise that makes that exact, the expansion at
-    prefill sizes, and the width of every fold it runs."""
+    (one for the trees, P for the ring) and never builds the ``n``-word
+    activations: the checksum and the carry are read off the rows.  These
+    pin the premise that makes that exact, the row arithmetic against the
+    expanded activations, the executor against the reference loop at
+    prefill sizes, and the width of every array it makes."""
 
     @pytest.mark.parametrize("hidden", [1, 7, 8, 15, 16, 17, 64, 256])
     def test_elementwise_float32_is_position_independent(self, hidden):
@@ -415,3 +432,89 @@ class TestStepExecutorRows:
                  fused=True)
         assert len(widths) == 2 * mcfg.layers
         assert max(widths) <= p * hidden < tokens * hidden
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("hidden", [1, 7, 256])
+    @pytest.mark.parametrize("tokens", [1, 3, 97, 320])
+    def test_row_checksum_and_first_token_match_the_expansion(
+            self, p, hidden, tokens):
+        # blocks = 1 is the trees' one fold order, P the ring's: n < P
+        # leaves leading ring blocks empty, 97 and 320 tokens start ring
+        # blocks off multiples of hidden
+        n = tokens * hidden
+        rng = np.random.default_rng([p, hidden, tokens])
+        for blocks in sorted({1, p}):
+            rows = np.tanh(3 * rng.standard_normal(blocks * hidden)).astype(
+                np.float32)
+            acts = _expand(rows, n, blocks, hidden)
+            fills, first = _row_weights(n, blocks, hidden)
+            assert _row_checksum(rows, fills) == int(
+                acts.view(np.uint32).sum(dtype=np.uint64))
+            assert rows[first].tobytes() == acts[:hidden].tobytes()
+
+    @pytest.mark.parametrize("p, tokens", [(1, 3), (3, 1), (4, 97), (6, 3)])
+    def test_every_emitted_bit_moves_the_checksum(self, p, tokens):
+        hidden = 7
+        n = tokens * hidden
+        rng = np.random.default_rng(p)
+        for blocks in sorted({1, p}):
+            rows = rng.standard_normal(blocks * hidden).astype(np.float32)
+            fills, _ = _row_weights(n, blocks, hidden)
+            base = _row_checksum(rows, fills) % CHECKSUM_MODULUS
+            # the row words the activations hold (an empty ring block's
+            # row holds none)
+            emitted = set(_expand(np.arange(blocks * hidden), n, blocks,
+                                  hidden).tolist())
+            for w in range(blocks * hidden):
+                for bit in range(32):
+                    flipped = rows.copy()
+                    flipped.view(np.uint32)[w] ^= np.uint32(1 << bit)
+                    moved = _row_checksum(flipped, fills) % CHECKSUM_MODULUS
+                    assert (moved != base) == (w in emitted), (w, bit)
+
+    def test_checksum_wraps_below_2_53(self):
+        # a 320-token step adds ~2^47; started one below the modulus the
+        # sum wraps, on both paths alike
+        def prog(comm, start):
+            model = TPDecodeModel(TPModelConfig(layers=1), comm, seed=3)
+            model.restore((1.0, start))
+            model.step(320)
+            return model.checksum
+
+        got = {}
+        for fused in (True, False):
+            for start in (0, CHECKSUM_MODULUS - 1):
+                got[fused, start] = run_spmd(4, prog, start, runner="coop",
+                                             fused=fused).results
+        increment = got[True, 0][0]
+        assert got[True, 0] == got[False, 0] == [increment] * 4
+        wrapped = (CHECKSUM_MODULUS - 1 + increment) % CHECKSUM_MODULUS
+        assert wrapped < increment
+        assert got[True, CHECKSUM_MODULUS - 1] == [wrapped] * 4
+        assert got[False, CHECKSUM_MODULUS - 1] == [wrapped] * 4
+
+    @pytest.mark.parametrize("algorithm",
+                             ["recursive_doubling", "rabenseifner", "ring"])
+    def test_prefill_step_makes_no_n_word_array(self, monkeypatch,
+                                                algorithm):
+        import tracemalloc
+
+        from repro.serve import model as serve_model
+
+        inner = serve_model._exec_tp_step
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return inner(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(serve_model, "_exec_tp_step", traced)
+        tokens, hidden = 320, 256
+        run_spmd(4, _two_steps, TPModelConfig(hidden=hidden), algorithm,
+                 tokens, runner="coop", fused=True)
+        assert len(peaks) == 2
+        assert max(peaks) < tokens * hidden * 4
