@@ -22,9 +22,10 @@ Three checks on the runtime sanitizer mode (``REPRO_SANITIZE=1`` /
   optimizer step (``rb_apply``) flags one rank's parameter row perturbed
   between two rank-batched Adam steps.
 
-The bucketed-stream sessions and the BERT run must also have run on the
-session executor — one ``reduce_session`` rendezvous per rank and
-iteration, no per-bucket ``oktopk_reduce`` — and the rank-batched BERT
+The one-shot P=4 training run, the bucketed-stream sessions and the BERT
+run must also have run on the session executor — one ``reduce_session``
+rendezvous per rank and iteration, no other reduction head — and the
+rank-batched BERT
 run on its one-pass program — ONE stacked selection scan per iteration
 over all buckets of the world, no per-rank ``_select_local`` — or the
 transparency and race checks would be checking another path instead.
@@ -68,8 +69,13 @@ SERVE_CFG = ServeConfig(p=P, rate=2000.0, n_requests=16, prompt_tokens=64,
 LAYOUT = ParamLayout.from_sizes([384, 128, 256, 160, 96])
 SESSION_SCHEMES = ("oktopk", "oktopk_q")
 #: iterations of each program that must run on the session executor
-SESSION_ITERS = {**{f"{scheme} session": 3 for scheme in SESSION_SCHEMES},
+SESSION_ITERS = {"one-shot train": 2,
+                 **{f"{scheme} session": 3 for scheme in SESSION_SCHEMES},
                  "BERT": 2}
+#: what :func:`_logged` counts besides reductions: the rank-batched
+#: model and optimizer rendezvous and the selection scans
+NOT_REDUCTIONS = {"rb_fwdbwd", "rb_accumulate", "rb_apply", "stacked scan",
+                  "_select_local"}
 
 
 def _logged(entered: dict, label: str, run):
@@ -108,7 +114,9 @@ def _logged(entered: dict, label: str, run):
 def _train_and_serve(entered: dict) -> tuple:
     """The runs the sanitizer must not perturb; ``entered`` collects the
     rendezvous heads of the :data:`SESSION_ITERS` programs."""
-    rec = train_scheme(perf_proxy(), "oktopk", P, 2, density=0.02, seed=0)
+    rec = _logged(entered, "one-shot train", lambda: train_scheme(
+        perf_proxy(), "oktopk", P, SESSION_ITERS["one-shot train"],
+        density=0.02, seed=0))
     rep = simulate_serving(SERVE_CFG)
     sessions = [[[o.tobytes() for o in outs]
                  for outs in _logged(entered, f"{scheme} session",
@@ -122,13 +130,13 @@ def _train_and_serve(entered: dict) -> tuple:
 
 def _off_the_session_executor(entered: dict) -> list:
     """The programs of :data:`SESSION_ITERS` that did not enter exactly
-    one ``reduce_session`` per rank and iteration, or entered a
-    per-bucket ``oktopk_reduce``; and the BERT run unless it made one
-    stacked selection scan per iteration and no per-rank one."""
+    one ``reduce_session`` per rank and iteration, or entered another
+    reduction head; and the BERT run unless it made one stacked selection
+    scan per iteration and no per-rank one."""
     off = [f"{label}: {dict(entered[label])}"
            for label, iters in SESSION_ITERS.items()
            if entered[label]["reduce_session"] != P * iters
-           or entered[label]["oktopk_reduce"]]
+           or set(entered[label]) - NOT_REDUCTIONS - {"reduce_session"}]
     bert = entered["BERT"]
     if (bert["stacked scan"] != SESSION_ITERS["BERT"]
             or bert["_select_local"]):
@@ -233,9 +241,10 @@ def main() -> int:
               "per rank and iteration) and its one-pass program: "
               + "; ".join(off))
         return 1
-    print("session executor: bucketed-stream sessions and BERT enter one "
-          "reduce_session rendezvous per rank and iteration; BERT selects "
-          "with one stacked scan per iteration")
+    print("session executor: one-shot training, bucketed-stream sessions "
+          "and BERT enter one reduce_session rendezvous per rank and "
+          "iteration and no other reduction; BERT selects with one stacked "
+          "scan per iteration")
     os.environ[SANITIZE_ENV] = "1"
     try:
         # (the sanitizer replays each section: twice the rendezvous)

@@ -1,9 +1,12 @@
 """Common protocol for the paper's (sparse) gradient allreduce schemes.
 
-Every algorithm implements :class:`GradientAllreduce._reduce` and gets two
-public entry points:
+Every algorithm implements :class:`GradientAllreduce._reduce`, and every
+reduction is a :class:`~repro.allreduce.session.ReduceSession` (see
+:mod:`repro.allreduce.session`), opened one of two ways:
 
-* **one-shot** :meth:`GradientAllreduce.reduce`:
+* **one-shot** :meth:`GradientAllreduce.reduce` — a one-bucket session
+  over the one-segment layout the scheme holds
+  (:func:`~repro.allreduce.session.run_session`):
 
   - input: the local accumulated gradient ``acc`` (residuals + fresh
     gradient, Algorithm 2 line 4) as a dense float32 vector, plus the
@@ -11,11 +14,11 @@ public entry points:
     off ``t``);
   - output: an :class:`AllreduceResult` whose ``update`` holds the
     *summed* update across the P workers (the optimizer divides by P),
-    and whose ``contributed_indices`` identify which local entries made
-    it into the update and must therefore be cleared from the residual.
+    whose ``contributed_indices`` identify which local entries made it
+    into the update and must therefore be cleared from the residual, and
+    whose ``info`` is its one bucket's.
 
-* **session-based** :meth:`GradientAllreduce.begin` (see
-  :mod:`repro.allreduce.session`): returns a
+* **session-based** :meth:`GradientAllreduce.begin`: returns a
   :class:`~repro.allreduce.session.ReduceSession` accepting
   ``push(segment, grad)`` calls as backward emits per-layer gradients
   (reverse layout order) and a ``finish()`` returning the same
@@ -26,15 +29,13 @@ Session execution semantics
 
 Segments are fused into buckets by the configurable policy
 (``bucket_size`` in words; a bucket closes once it holds at least that
-many words).  With the default ``bucket_size=None`` every scheme runs
-through the delegating adapter — the pushes are concatenated and the
-one-shot ``_reduce`` runs at ``finish()`` — so sessions are **bit
-identical** to ``reduce`` in results, traffic counters and simulated
-makespans.  Schemes that declare ``bucketable = True`` additionally
-support a native multi-bucket path: each bucket is reduced independently
+many words).  Each bucket of a multi-bucket plan is reduced independently
 (eagerly, when its last segment is pushed) with a top-k budget split
 proportionally to bucket length (:func:`repro.allreduce.session.split_k`),
-and the per-bucket results are merged.
+and the per-bucket results are merged.  The default ``bucket_size=None``
+is one bucket: Ok-Topk runs it like any other bucket (its world executor
+sees one extent), and every other scheme's session delegates it to the
+scheme's ``_reduce`` over the whole gradient.
 
 Overlap accounting
 ------------------
@@ -56,66 +57,17 @@ so the trainer constructs one instance per rank via ``make_per_rank``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..comm import SimComm
 from ..errors import ConfigError
 from ..sparse import COOVector
-from .session import (PHASE_COMM, PHASE_SPARSIFY, BucketStat, BucketView,
-                      ParamLayout, ReduceSession)
-
-
-@dataclass
-class AllreduceResult:
-    """Outcome of one gradient allreduce.
-
-    Attributes:
-        update: the reduced update, summed over workers; a :class:`COOVector`
-            for sparse schemes or a dense ndarray for the dense baselines.
-        contributed_indices: sorted indices of *local* ``acc`` entries that
-            contributed to ``update`` (``None`` means "all of them", as for
-            dense allreduce).
-        phase_times: simulated seconds spent per phase
-            (``sparsification`` / ``communication``) for the Figure 8/10/12
-            breakdowns.
-        info: algorithm-specific metrics (selected counts, fill-in, whether
-            data balancing triggered, ...).
-        overlappable: True when the communication can be overlapped with
-            backpropagation (DenseOvlp); sessions translate it into
-            ``release_frac = 0.0`` bucket stats and the trainer's generic
-            timeline applies the credit.
-        bucket_stats: per-bucket breakdown in push order when the result
-            came from a :class:`~repro.allreduce.session.ReduceSession`
-            (``None`` for a plain one-shot ``reduce``).
-    """
-
-    update: Union[COOVector, np.ndarray]
-    contributed_indices: Optional[np.ndarray]
-    phase_times: Dict[str, float] = field(default_factory=dict)
-    info: Dict[str, Any] = field(default_factory=dict)
-    overlappable: bool = False
-    bucket_stats: Optional[List[BucketStat]] = None
-
-    def update_dense(self, n: int) -> np.ndarray:
-        """The update as a dense vector of length ``n``."""
-        if isinstance(self.update, COOVector):
-            return self.update.to_dense()
-        return self.update
-
-    @property
-    def comm_time(self) -> float:
-        return self.phase_times.get(PHASE_COMM, 0.0)
-
-    @property
-    def sparsify_time(self) -> float:
-        return self.phase_times.get(PHASE_SPARSIFY, 0.0)
-
-    @property
-    def nbuckets(self) -> int:
-        return len(self.bucket_stats) if self.bucket_stats else 1
+from ..sparse.coo import INDEX_DTYPE, VALUE_DTYPE
+from .session import PHASE_COMM, PHASE_SPARSIFY  # noqa: F401  (re-exported)
+from .session import (AllreduceResult, BucketView, ParamLayout, ReduceSession,
+                      run_session)
 
 
 class GradientAllreduce(ABC):
@@ -125,12 +77,6 @@ class GradientAllreduce(ABC):
     name: str = "?"
     #: whether the scheme sparsifies (False for the dense baselines)
     sparse: bool = True
-    #: whether the scheme supports the native per-bucket session path —
-    #: either ``_reduce`` is stateless and position-independent (it is run
-    #: on each bucket slice as if it were a full gradient vector), or the
-    #: scheme overrides ``_reduce_bucket`` and keys its periodic state by
-    #: the session's ``BucketView`` (Ok-Topk: one state per bucket)
-    bucketable: bool = False
     #: True when the scheme's communication may overlap the *entire*
     #: backward pass (DenseOvlp's legacy contract); sessions report
     #: ``release_frac = 0.0`` for its buckets
@@ -144,6 +90,9 @@ class GradientAllreduce(ABC):
     #: for every rank -> each rank's info (Ok-Topk: ``oktopk.stages`` and
     #: ``oktopk.book``; see :func:`repro.allreduce.session._exec_session`)
     world_reduce = world_book = None
+    #: the one-segment layout :meth:`reduce` runs its session over, kept
+    #: while the gradient length holds
+    _layout: Optional[ParamLayout] = None
 
     def __init__(self, *, k: Optional[int] = None,
                  density: Optional[float] = None):
@@ -183,23 +132,28 @@ class GradientAllreduce(ABC):
     # ------------------------------------------------------------------
     def reduce(self, comm: SimComm, acc: np.ndarray,
                t: int) -> AllreduceResult:
-        """Run one allreduce at iteration ``t``.
+        """Run one allreduce at iteration ``t``: a one-bucket session over
+        the one-segment layout of ``acc`` (:func:`run_session`).
 
         ``t`` is **1-based** (the first training iteration is ``t = 1``).
         Periodic schemes — Ok-Topk's tau/tau_prime schedules — key their
         re-evaluation cadence off ``t - 1``, so a zero or negative ``t``
         would silently shift every periodic re-evaluation by a full
         period; it raises :class:`~repro.errors.ConfigError` instead.
+        A zero-length ``acc`` has no segment to hold it and reduces to an
+        empty update without communicating.
         """
-        if acc.ndim != 1:
-            raise ValueError("acc must be a flat gradient vector")
-        if t < 1:
-            raise ConfigError(f"iteration t must be >= 1, got {t}")
-        acc = np.ascontiguousarray(acc, dtype=np.float32)
-        comm.phase_times(reset=True)
-        result = self._reduce(comm, acc, t)
-        result.phase_times = comm.phase_times(reset=True)
-        return result
+        n = acc.size
+        if n == 0 and acc.ndim == 1:
+            return AllreduceResult(
+                update=(COOVector.empty(0) if self.sparse
+                        else np.zeros(0, VALUE_DTYPE)),
+                contributed_indices=(np.empty(0, INDEX_DTYPE) if self.sparse
+                                     else None))
+        layout = self._layout
+        if layout is None or layout.n != n:
+            layout = self._layout = ParamLayout.single(n)
+        return run_session(self, comm, layout, t, acc)
 
     # ------------------------------------------------------------------
     # Session API
@@ -213,13 +167,11 @@ class GradientAllreduce(ABC):
         call ``finish()``.  ``t`` is **1-based**, same contract as
         :meth:`reduce` (periodic schemes key their schedules off
         ``t - 1``; ``t < 1`` raises ``ConfigError``).
-        ``bucket_size=None`` (one bucket) is bit identical to
-        :meth:`reduce`; a multi-bucket plan uses the native per-bucket
-        path when ``bucketable`` and the delegating adapter otherwise.
-        ``stream=True`` issues each native bucket reduction at the rank's
-        current simulated time inside an async region (discrete-event
-        overlap; see :mod:`repro.allreduce.session`), with ``finish()``
-        joining the outstanding completions; a scheme that cannot stream
+        ``bucket_size=None`` (one bucket) is what :meth:`reduce` runs.
+        ``stream=True`` issues each bucket reduction at the rank's current
+        simulated time inside an async region (discrete-event overlap; see
+        :mod:`repro.allreduce.session`), with ``finish()`` joining the
+        outstanding completions; a one-bucket plan cannot stream and
         records the fallback in its bucket stats.
         """
         return ReduceSession(self, comm, layout, t, bucket_size=bucket_size,
@@ -228,7 +180,7 @@ class GradientAllreduce(ABC):
     def _reduce_bucket(self, comm: SimComm, acc: np.ndarray, t: int, *,
                        k: Optional[int] = None,
                        view: Optional[BucketView] = None) -> AllreduceResult:
-        """Reduce one session bucket (``bucketable`` schemes only).
+        """Reduce one bucket of a session that runs bucket by bucket.
 
         Default: the one-shot algorithm on the bucket slice with ``k``
         overriding the scheme's budget for the slice — the stateless

@@ -1,16 +1,17 @@
 """Dense baselines: ``Dense`` and ``DenseOvlp`` (Section 5, Table 1 row 1).
 
 ``Dense`` performs a single allreduce on the full flat gradient with
-Rabenseifner's algorithm — bandwidth-optimal ``2 n (P-1)/P``.  It is
-``bucketable``: under a session with ``bucket_size`` set, each bucket is
-one dense allreduce over its slice and its communication overlaps the
-backward compute still outstanding when the bucket was pushed.
+Rabenseifner's algorithm — bandwidth-optimal ``2 n (P-1)/P``.  Under a
+multi-bucket session each bucket is one dense allreduce over its slice
+and its communication overlaps the backward compute still outstanding
+when the bucket was pushed.
 
-``DenseOvlp`` is dense + bucketing + overlap-from-start.  One-shot, it
+``DenseOvlp`` is dense + bucketing + overlap-from-start.  Over one bucket
+(a one-shot ``reduce``, which the session delegates to ``_reduce``) it
 groups the gradient into ``nbuckets`` equal buckets and fires one
 allreduce per bucket (the bucketed execution is real — extra latency
-terms and all); under a session, the session's bucket-fusion policy *is*
-the bucketing and each bucket is a single dense allreduce.  Its
+terms and all); under a multi-bucket session, the session's bucket-fusion
+policy *is* the bucketing and each bucket is a single dense allreduce.  Its
 ``overlap_from_start`` contract pins every bucket's ``release_frac`` to
 0.0, so the trainer's generic timeline reproduces the legacy credit
 ``max(0, comm - f * compute)`` exactly (``result.overlappable = True``
@@ -32,7 +33,6 @@ class DenseAllreduce(GradientAllreduce):
 
     name = "dense"
     sparse = False
-    bucketable = True
 
     def __init__(self, *, algo: str = "bandwidth", **kwargs):
         super().__init__(**kwargs)
@@ -50,7 +50,6 @@ class DenseOvlpAllreduce(DenseAllreduce):
 
     name = "dense_ovlp"
     sparse = False
-    bucketable = True
     overlap_from_start = True
 
     def __init__(self, *, nbuckets: int = 4, algo: str = "bandwidth",

@@ -25,7 +25,6 @@ class GaussiankAllreduce(GradientAllreduce):
     # The Gaussian threshold fit is per-vector, so each session bucket
     # fits its own slice (native bucketed path).
     name = "gaussiank"
-    bucketable = True
 
     def __init__(self, *, adjust_min_fraction: float = 0.75,
                  adjust_shrink: float = 0.8, adjust_max_rounds: int = 32,

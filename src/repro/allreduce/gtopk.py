@@ -80,7 +80,6 @@ class GTopkAllreduce(GradientAllreduce):
     # Stateless tree reduction: sessions can run one tree per bucket with
     # the bucket's proportional k share (native bucketed path).
     name = "gtopk"
-    bucketable = True
 
     def _reduce(self, comm: SimComm, acc: np.ndarray,
                 t: int) -> AllreduceResult:

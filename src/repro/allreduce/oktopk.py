@@ -29,13 +29,12 @@ Periodic state and bucketed sessions
 All periodic quantities — the reused local/global thresholds, the
 consensus region boundaries, and the evaluation/repartition counters —
 live in an :class:`OkTopkState`, and the scheme keeps **one per extent it
-reduces**: the whole gradient ``[0, n)`` for the one-shot
-:meth:`OkTopkAllreduce._reduce`, and one per bucket ``[lo, hi)`` of a
-multi-bucket :class:`~repro.allreduce.session.ReduceSession`.  A session
-bucket is a complete Ok-Topk instance on its slice (the bucket is this
-repo's *block*, cf. SparDL's per-block top-k): with the plan's
-proportional ``split_k`` budget ``k_b`` it runs the same driver as the
-one-shot reduction against its own state, so
+reduces**: one per bucket ``[lo, hi)`` of a
+:class:`~repro.allreduce.session.ReduceSession`, the whole gradient
+``[0, n)`` being the one bucket of a one-shot ``reduce``.  A bucket is a
+complete Ok-Topk instance on its slice (the bucket is this repo's
+*block*, cf. SparDL's per-block top-k): with the plan's proportional
+``split_k`` budget ``k_b`` it runs Algorithm 1 against its own state, so
 
 * the **local threshold** is the bucket's own ``k_b``-th magnitude,
   evaluated on the ``tau_prime`` schedule and reused in between — one
@@ -55,25 +54,18 @@ Each funded bucket therefore pays its own periodic work at due
 iterations (one sort, one (P+1)-word consensus allreduce, one allgatherv
 of its reduced slice) and nothing but scans in between.  A gradient-layout
 change discards every state together; :meth:`on_world_resize` re-keys
-every one of them.  A one-bucket plan never reaches the bucket entry
-(sessions delegate to the one-shot ``_reduce``, bit-identical by
-construction).
+every one of them.
 
-Two drivers; on the fast path one kernel and one booking pass
--------------------------------------------------------------
+One world executor on the fast path: one kernel and one booking pass
+--------------------------------------------------------------------
 
-Both entry points — :meth:`OkTopkAllreduce._reduce` (one-shot) and
-:meth:`OkTopkAllreduce._reduce_bucket` (one bucket on its own) — hand
-``(acc, k, state)`` to :meth:`OkTopkAllreduce._algorithm1`.  Where the
-engine rendezvous is available (:func:`repro.comm.fused._available`) a
-reduction is one ``oktopk_reduce`` rendezvous whose last arrival runs
-:func:`_exec_reduce` for the whole world; a multi-bucket session is one
-``reduce_session`` rendezvous per iteration
+Where the engine rendezvous is available
+(:func:`repro.comm.fused._available`) a session — one-shot or bucketed —
+is one ``reduce_session`` rendezvous per iteration
 (:func:`repro.allreduce.session._exec_session`) that calls the scheme's
 ``world_reduce`` (:func:`_world_session`) once for all of its buckets.
-
-Both stack the accumulators into one ``(P, n)`` matrix (zero-copy for
-the rows lockstep rank batching handed out) and call :func:`stages`,
+That stacks the accumulators into one ``(P, n)`` matrix (zero-copy for
+the rows lockstep rank batching handed out) and calls :func:`stages`,
 Algorithm 1's data side as one clock-free kernel over the funded
 extents: one stacked selection scan (:func:`_select_world`), the
 consensus sum where tau is due, split-and-reduce of every extent's
@@ -91,7 +83,9 @@ clean or planned world) and split-and-reduce as a numpy fold
 faster only up to P = 8, and the paper scales to P = 256).
 
 Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
-step a planned crash fires in, ``P = 1`` — the per-rank methods below run
+step a planned crash fires in, ``P = 1``, explicit ``push`` calls — each
+bucket goes through :meth:`OkTopkAllreduce._reduce_bucket` to
+:meth:`OkTopkAllreduce._algorithm1`, the per-rank driver, which runs
 Algorithm 1 message by message: the reference path and the oracle of the
 identity suites (``tests/test_oktopk_stages.py`` stage by stage,
 ``tests/test_fused_collectives.py::TestOkTopkWorldExecutor`` on results,
@@ -604,34 +598,19 @@ def book(net, comms, stg: Stages, e: int) -> tuple:
     return stg.infos[e]
 
 
-def _exec_reduce(net, sig, lanes):
-    """One Ok-Topk reduction for the whole current world in one
-    rendezvous — the fast path of :meth:`OkTopkAllreduce._algorithm1`
-    (``sig[1]`` is the iteration): :func:`stages` over one extent, then
-    :func:`book`.  ``lanes[r]`` is rank ``r``'s ``(comm, scheme, acc, k,
-    state)``."""
-    from ..train.rankbatch import _world_state
-    comms, schemes, accs, ks, states = zip(*lanes)
-    stg = stages(schemes, accs, [(0, accs[0].size, ks[0])], [states],
-                 sig[1], _world_state(net))
-    return [AllreduceResult(update=stg.update, contributed_indices=mine,
-                            info=info)
-            for mine, info in zip(stg.contributed, book(net, comms, stg, 0))]
-
-
 def _world_session(net, t: int, lanes, extents) -> Stages:
-    """The data side of a multi-bucket session (the scheme's
-    ``world_reduce``): ``lanes[r]`` is rank ``r``'s ``(comm, scheme,
-    acc)`` over the whole gradient and ``extents`` the funded buckets'
-    ``(lo, hi, k)`` in plan order, each run on every rank's state of that
-    bucket with the budget clamped to it."""
+    """The data side of a session (the scheme's ``world_reduce``):
+    ``lanes[r]`` is rank ``r``'s ``(comm, scheme, acc)`` over the whole
+    gradient and ``extents`` the funded buckets' ``(lo, hi, k)`` in plan
+    order, each run on every rank's state of that bucket with the budget
+    clamped to it."""
     from ..train.rankbatch import _world_state
     _, schemes, accs = zip(*lanes)
-    fitted = [[ar._extent(accs[0].size, lo, hi, k) for ar in schemes]
-              for lo, hi, k in extents]
-    return stages(schemes, accs, [(lo, hi, f[0][0]) for (lo, hi, _), f
-                                  in zip(extents, fitted)],
-                  [[st for _, st in f] for f in fitted], t, _world_state(net))
+    n, lead = accs[0].size, schemes[0]
+    return stages(schemes, accs,
+                  [(lo, hi, lead._budget(hi - lo, k)) for lo, hi, k in extents],
+                  [[ar._state_for(n, lo, hi) for ar in schemes]
+                   for lo, hi, _ in extents], t, _world_state(net))
 
 
 def _global_th(reduced: np.ndarray, k: int) -> float:
@@ -707,10 +686,7 @@ class OkTopkAllreduce(GradientAllreduce):
             catches pathological drift).
     """
 
-    # Bucketable: a session bucket is a complete Ok-Topk instance on its
-    # slice, with its own OkTopkState (module docstring).
     name = "oktopk"
-    bucketable = True
     #: value codec of the phase-2 packages (``encode(values)`` -> a
     #: self-sizing wire object, ``decode(wire)`` -> float32 values), or
     #: None to ship the float32 values themselves.  Both drivers — the
@@ -718,9 +694,9 @@ class OkTopkAllreduce(GradientAllreduce):
     #: encode right before the allgatherv (one more scan) and decode what
     #: it delivers; ``oktopk_q`` plugs its quantizer in here.
     package_codec = None
-    #: a streamed or analytic multi-bucket session on the fast path runs
-    #: Algorithm 1 for the whole world over all of its buckets at once,
-    #: inside its one session rendezvous
+    #: a session on the fast path — one-shot or bucketed, streamed or
+    #: analytic — runs Algorithm 1 for the whole world over all of its
+    #: buckets at once, inside its one session rendezvous
     #: (:func:`repro.allreduce.session._exec_session`)
     world_reduce = staticmethod(_world_session)
     world_book = staticmethod(book)
@@ -1034,9 +1010,7 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     def _reduce(self, comm: SimComm, acc: np.ndarray,
                 t: int) -> AllreduceResult:
-        n = acc.size
-        return self._algorithm1(comm, acc, t, self.resolve_k(n),
-                                self._state_for(n, 0, n), 0)
+        return self._reduce_bucket(comm, acc, t)
 
     def _reduce_bucket(self, comm: SimComm, acc: np.ndarray, t: int, *,
                        k: Optional[int] = None,
@@ -1050,36 +1024,22 @@ class OkTopkAllreduce(GradientAllreduce):
         """
         n_b = acc.size
         lo, n = (0, n_b) if view is None else (view.lo, view.n)
-        k_b, st = self._extent(n, lo, lo + n_b, k)
-        return self._algorithm1(comm, acc, t, k_b, st, lo)
+        return self._algorithm1(comm, acc, t, self._budget(n_b, k),
+                                self._state_for(n, lo, lo + n_b))
 
-    def _extent(self, n: int, lo: int, hi: int,
-                k: Optional[int]) -> Tuple[int, OkTopkState]:
-        """The budget and state of extent ``[lo, hi)`` of an ``n``-word
-        gradient: the plan's ``k`` clamped to the extent (``resolve_k``
-        without one) and the extent's own state."""
-        k_b = (self.resolve_k(hi - lo) if k is None
-               else max(1, min(int(k), hi - lo)))
-        return k_b, self._state_for(n, lo, hi)
+    def _budget(self, size: int, k: Optional[int]) -> int:
+        """The budget of a ``size``-word extent: the plan's ``k`` clamped
+        to it (``resolve_k`` without one)."""
+        return (self.resolve_k(size) if k is None
+                else max(1, min(int(k), size)))
 
     def _algorithm1(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
-                    st: OkTopkState, lo: int) -> AllreduceResult:
-        """Algorithm 1 over ``acc`` with budget ``k`` on state ``st``.
-
-        Where the engine rendezvous is available (cooperative engine with
-        fusion on, no tracing, a communicator spanning the current world
-        with no crash pending in it — :func:`repro.comm.fused._available`)
-        the whole reduction is ONE rendezvous whose executor
-        (:func:`_exec_reduce`) runs it for every rank; ``lo`` only tells
-        the extents of one iteration apart in its signature.  Everywhere
-        else the per-rank, per-message stages below run — the reference
-        path the identity suite compares the executor against."""
+                    st: OkTopkState) -> AllreduceResult:
+        """Algorithm 1 over ``acc`` with budget ``k`` on state ``st``, per
+        rank and per message — the reference path the identity suite
+        compares the world executor (:func:`stages` + :func:`book`)
+        against."""
         n = acc.size
-        if _fused._available(comm):
-            return comm.fused_collective(("oktopk_reduce", t, lo, lo + n, k),
-                                         (comm, self, acc, k, st),
-                                         _exec_reduce)
-
         with comm.phase(PHASE_SPARSIFY):                 # lines 2-4
             local, charges = self._select_local(st, acc, k, t)
             _pay(comm, charges)

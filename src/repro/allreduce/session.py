@@ -21,24 +21,26 @@ the pieces of that execution model:
 * :class:`SessionPlan` — everything above that depends only on
   ``(layout, bucket_size, k, sparse)`` (buckets, extents, closing
   positions, per-bucket k, release fractions), derived once per layout;
-* :class:`ReduceSession` — created by :meth:`GradientAllreduce.begin`;
-  accepts ``push(segment, grad)`` calls as backward emits per-layer
-  gradients and runs the scheme when buckets complete.  Two execution
-  paths:
+* :class:`ReduceSession` — created by :meth:`GradientAllreduce.begin`
+  (and by :meth:`GradientAllreduce.reduce`, which is a one-bucket session
+  over the one-segment layout the scheme holds); accepts
+  ``push(segment, grad)`` calls as backward emits per-layer gradients and
+  runs the scheme when buckets complete.  Two execution paths:
 
-  - **delegating adapter** (every scheme, and the default when
-    ``bucket_size`` is ``None``): pushes are concatenated into the flat
-    accumulator and the scheme's one-shot ``_reduce`` runs at
-    :meth:`ReduceSession.finish` — *bit-identical* results, traffic and
-    simulated makespans to :meth:`GradientAllreduce.reduce`;
-  - **native bucketed path** (schemes with ``bucketable = True`` and a
-    multi-bucket plan): each bucket is reduced independently — eagerly,
-    the moment its last segment is pushed — with its proportional ``k``
-    share, and :meth:`ReduceSession.finish` merges the per-bucket results
-    into one :class:`AllreduceResult`.  Each reduction receives a
-    :class:`BucketView` locating the bucket in the full gradient, by
-    which Ok-Topk keys the bucket's own periodic state (see
+  - **native bucket path** (every multi-bucket plan, and every plan of a
+    scheme with world hooks — Ok-Topk and ``oktopk_q`` — one bucket
+    included): each bucket is reduced independently — eagerly, the moment
+    its last segment is pushed — with its proportional ``k`` share, and
+    :meth:`ReduceSession.finish` merges the per-bucket results into one
+    :class:`AllreduceResult`.  Each reduction receives a
+    :class:`BucketView` locating the bucket in the full gradient, by which
+    Ok-Topk keys the bucket's own periodic state (see
     :mod:`repro.allreduce.oktopk`);
+  - **delegating adapter** (a one-bucket plan of every other scheme): the
+    scheme's own ``_reduce`` runs over the whole gradient at
+    :meth:`ReduceSession.finish` (DenseOvlp splits it into its
+    ``nbuckets`` there).  A one-bucket result carries its bucket's info
+    (``k``, the selected counts, ...), whichever path built it;
 
 * :class:`BucketStat` / :func:`visible_comm_time` — the generic overlap
   timeline.  Every bucket records the fraction of the backward pass that
@@ -84,34 +86,31 @@ Every decision above except the clocks is SPMD, so where the engine
 rendezvous is available (:func:`repro.comm.fused._available`) and the
 scheme has world hooks (``GradientAllreduce.world_reduce`` and
 ``world_book``: Ok-Topk and ``oktopk_q``), :func:`run_session` makes
-every rank enter **one** rendezvous per native session, streamed or
-analytic, and :func:`_exec_session` runs the session for the world: the
-data pass once over every funded bucket (it reads no clock), then per
-bucket every rank's pacer, the bucket's booking pass and the async
-region's clock rewind, then every rank's :meth:`ReduceSession.finish`
-around the merged update the data pass built once (shared
-write-protected).  Everywhere else — ``threads``, tracing,
+every rank enter **one** ``reduce_session`` rendezvous per session —
+one-shot or bucketed, streamed or analytic — and :func:`_exec_session`
+runs the session for the world: the data pass once over every funded
+bucket (it reads no clock), then per bucket every rank's pacer, the
+bucket's booking pass and the async region's clock rewind, then every
+rank's :meth:`ReduceSession.finish` around the merged update the data
+pass built once (shared write-protected).  Everywhere else — ``threads``, tracing,
 ``fused=False``, the step a planned crash fires in, explicit ``push``
-calls, the other schemes — each rank runs
+calls, multi-bucket plans of the other schemes — each rank runs
 :meth:`ReduceSession._run_bucket` per bucket, the reference path.  Both
 call the pacer once per bucket with its segments and book the bucket
 through the one :meth:`ReduceSession._record` from the rank's
 :func:`_totals` before and after the reduction, so the stats, the async
 clocks and the deferred selection cost cannot drift apart.
 
-A session opened with ``stream=True`` that cannot stream — the scheme is
-not ``bucketable``, or the plan collapsed to one bucket — falls back to
-the post-backward delegating adapter.  The fallback is **recorded** so
-benchmark readers cannot misattribute analytic numbers to streaming: the
-delegated bucket's ``BucketStat.info["stream_fallback"]`` is set (the
-trainer mirrors it into ``IterationRecord.stream_fallback``), and a
-one-time ``RuntimeWarning`` is emitted when a multi-bucket plan was
-requested for a non-bucketable scheme.
+A one-bucket plan cannot stream (its one reduction needs the whole
+gradient), so a session opened with ``stream=True`` over one bucket runs
+it post-backward, as an analytic session does.  The fallback is
+**recorded** so benchmark readers cannot misattribute analytic numbers to
+streaming: the bucket's ``BucketStat.info["stream_fallback"]`` is set
+(the trainer mirrors it into ``IterationRecord.stream_fallback``).
 """
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
@@ -125,14 +124,10 @@ from ..sparse.coo import INDEX_DTYPE, VALUE_DTYPE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..comm import SimComm
-    from .base import AllreduceResult, GradientAllreduce
+    from .base import GradientAllreduce
 
 PHASE_SPARSIFY = "sparsification"
 PHASE_COMM = "communication"
-
-#: scheme names already warned about falling back from stream=True to the
-#: delegating adapter (one warning per scheme per process is enough)
-_STREAM_FALLBACK_WARNED: set = set()
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +377,57 @@ class BucketStat:
         return self.hi - self.lo
 
 
+@dataclass
+class AllreduceResult:
+    """Outcome of one gradient allreduce.
+
+    Attributes:
+        update: the reduced update, summed over workers; a :class:`COOVector`
+            for sparse schemes or a dense ndarray for the dense baselines.
+        contributed_indices: sorted indices of *local* ``acc`` entries that
+            contributed to ``update`` (``None`` means "all of them", as for
+            dense allreduce).
+        phase_times: simulated seconds spent per phase
+            (``sparsification`` / ``communication``) for the Figure 8/10/12
+            breakdowns.
+        info: algorithm-specific metrics (selected counts, fill-in, whether
+            data balancing triggered, ...).
+        overlappable: True when the communication can be overlapped with
+            backpropagation (DenseOvlp); sessions translate it into
+            ``release_frac = 0.0`` bucket stats and the trainer's generic
+            timeline applies the credit.
+        bucket_stats: per-bucket breakdown in push order, filled in by the
+            :class:`ReduceSession` that returned the result (one entry for
+            a one-shot ``reduce``; ``None`` on a scheme's own partial
+            results).
+    """
+
+    update: Union[COOVector, np.ndarray]
+    contributed_indices: Optional[np.ndarray]
+    phase_times: Dict[str, float] = field(default_factory=dict)
+    info: Dict[str, Any] = field(default_factory=dict)
+    overlappable: bool = False
+    bucket_stats: Optional[List[BucketStat]] = None
+
+    def update_dense(self, n: int) -> np.ndarray:
+        """The update as a dense vector of length ``n``."""
+        if isinstance(self.update, COOVector):
+            return self.update.to_dense()
+        return self.update
+
+    @property
+    def comm_time(self) -> float:
+        return self.phase_times.get(PHASE_COMM, 0.0)
+
+    @property
+    def sparsify_time(self) -> float:
+        return self.phase_times.get(PHASE_SPARSIFY, 0.0)
+
+    @property
+    def nbuckets(self) -> int:
+        return len(self.bucket_stats) if self.bucket_stats else 1
+
+
 def visible_comm_time(bucket_stats: Optional[Sequence[BucketStat]],
                       compute_time: float, overlap_fraction: float,
                       total_comm_time: float) -> float:
@@ -431,6 +477,18 @@ class ReduceSession:
     collectives match up across ranks.
     """
 
+    #: cursor into ``plan.sequence``
+    _pos = 0
+    #: allocated on first push (np.empty is enough: finish() requires
+    #: every segment pushed, so every word is written before read);
+    #: run_session adopts the caller's buffer instead and never pushes
+    _acc: Optional[np.ndarray] = None
+    _finished = False
+    #: latest comm-finish time over async bucket reductions (stream)
+    _outstanding = 0.0
+    #: selection time deferred off the async regions, charged at finish
+    _deferred_sparsify = 0.0
+
     def __init__(self, scheme: "GradientAllreduce", comm: "SimComm",
                  layout: ParamLayout, t: int, *,
                  bucket_size: Optional[int] = None, stream: bool = False):
@@ -442,34 +500,19 @@ class ReduceSession:
         self.comm = comm
         self.layout = layout
         self.t = t
-        self.bucket_size = bucket_size
-        self.stream = bool(stream)
-        #: latest comm-finish time over async bucket reductions (stream)
-        self._outstanding = 0.0
-        #: selection time deferred off the async regions, charged at finish
-        self._deferred_sparsify = 0.0
         plan = self._plan = layout.session_plan(
             bucket_size, scheme.resolve_k(layout.n), bool(scheme.sparse))
-        self._native = bool(scheme.bucketable) and len(plan.buckets) > 1
-        self._pos = 0                # cursor into plan.sequence
-        # Allocated on first push (np.empty is enough: finish() requires
-        # every segment pushed, so every word is written before read);
-        # run_session adopts the caller's buffer instead and never pushes.
-        self._acc: Optional[np.ndarray] = None
+        multi = len(plan.buckets) > 1
+        #: bucket by bucket: every multi-bucket plan, and any plan of a
+        #: scheme with world hooks (its one world executor); the other
+        #: schemes delegate a one-bucket plan to their own ``_reduce``
+        self._native = multi or scheme.world_reduce is not None
+        #: stream=True over one bucket cannot stream: its one reduction
+        #: runs post-backward, so the timings are analytic
+        self.stream_fallback = bool(stream) and not multi
+        self.stream = bool(stream) and multi
         self._partials: List[tuple] = []      # (lo, hi, AllreduceResult)
         self.bucket_stats: List[BucketStat] = []
-        self._finished = False
-        #: stream=True that cannot stream: the delegating adapter runs
-        #: post-backward, so the timings are analytic, not discrete-event.
-        self.stream_fallback = self.stream and not self._native
-        if (self.stream and not scheme.bucketable and len(plan.buckets) > 1
-                and scheme.name not in _STREAM_FALLBACK_WARNED):
-            _STREAM_FALLBACK_WARNED.add(scheme.name)
-            warnings.warn(
-                f"scheme {scheme.name!r} is not bucketable: stream=True "
-                f"falls back to the post-backward delegating adapter (no "
-                f"discrete-event overlap; timings are analytic)",
-                RuntimeWarning, stacklevel=3)
         comm.phase_times(reset=True)
 
     # ------------------------------------------------------------------
@@ -510,7 +553,7 @@ class ReduceSession:
         if b >= 0 and self._native:
             self._run_bucket(b)
 
-    def finish(self) -> "AllreduceResult":
+    def finish(self) -> AllreduceResult:
         """Complete the session; returns the merged AllreduceResult.
 
         In streaming mode this is where the rank *waits for outstanding
@@ -526,21 +569,23 @@ class ReduceSession:
         return self._conclude(self._merge() if self._native
                               else self._delegate())
 
-    def _conclude(self, result: "AllreduceResult") -> "AllreduceResult":
+    def _conclude(self, result: AllreduceResult) -> AllreduceResult:
         """The rank's side of :meth:`finish` once ``result`` exists."""
         self._finished = True
         if self.stream:
             self.comm._advance_clock(self._outstanding)
             if self._deferred_sparsify > 0.0:
                 self.comm.compute(self._deferred_sparsify)
+        if self.stream_fallback:
+            self.bucket_stats[0].info["stream_fallback"] = True
         result.phase_times = self.comm.phase_times(reset=True)
         result.bucket_stats = self.bucket_stats
         return result
 
     # ------------------------------------------------------------------
-    # Delegating adapter: one-shot reduce at finish (bit-identical)
+    # Delegating adapter: the scheme's own reduce at finish
     # ------------------------------------------------------------------
-    def _delegate(self) -> "AllreduceResult":
+    def _delegate(self) -> AllreduceResult:
         comm = self.comm
         clock0, recv0 = comm.clock, _totals(comm)[2]
         result = self.scheme._reduce(comm, self._acc, self.t)
@@ -549,8 +594,6 @@ class ReduceSession:
                           or result.overlappable) else 1.0
         info: Dict[str, Any] = {"delegated": True,
                                 "clock_delta": comm.clock - clock0}
-        if self.stream_fallback:
-            info["stream_fallback"] = True
         self.bucket_stats.append(BucketStat(
             lo=0, hi=self.layout.n, nsegments=len(self.layout),
             release_frac=release, comm_time=comm_t,
@@ -617,7 +660,6 @@ class ReduceSession:
         if overlappable:
             release = 0.0
         sparsify_t = after[1] - before[1]
-        info = dict(info)
         if span is not None:
             # The bucket's selection cost is deferred to finish() (the
             # analytic timeline keeps sparsification serial), so the comm
@@ -637,7 +679,7 @@ class ReduceSession:
             info=info,
         ))
 
-    def _merge(self) -> "AllreduceResult":
+    def _merge(self) -> AllreduceResult:
         """This rank's merged result from its per-bucket partials (the
         reference path)."""
         parts = sorted(self._partials, key=lambda p: p[0])
@@ -653,20 +695,22 @@ class ReduceSession:
         return self._result(self._merge_update(parts), contributed)
 
     def _result(self, update: Union[COOVector, np.ndarray],
-                contributed: Optional[np.ndarray]) -> "AllreduceResult":
+                contributed: Optional[np.ndarray]) -> AllreduceResult:
         """This rank's session result around the merged ``update`` and its
-        contributed indices."""
-        from .base import AllreduceResult
-        selected = [st.selected for st in self.bucket_stats
-                    if st.selected is not None]
-        info: Dict[str, Any] = {
-            "nbuckets": self.nbuckets,
-            "bucket_k": list(self._plan.bucket_k),
-        }
-        if selected:
-            info["selected"] = int(sum(selected))
-        if self.scheme.sparse and isinstance(update, COOVector):
-            info["output_nnz"] = update.nnz
+        contributed indices; a one-bucket plan's carries its bucket's
+        info."""
+        stats = self.bucket_stats
+        if len(stats) == 1:
+            info = stats[0].info
+        else:
+            info = {"nbuckets": len(stats),
+                    "bucket_k": list(self._plan.bucket_k)}
+            selected = [st.selected for st in stats
+                        if st.selected is not None]
+            if selected:
+                info["selected"] = int(sum(selected))
+            if self.scheme.sparse and isinstance(update, COOVector):
+                info["output_nnz"] = update.nnz
         return AllreduceResult(
             update=update, contributed_indices=contributed, info=info,
             overlappable=self.scheme.overlap_from_start)
@@ -708,12 +752,12 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
                 layout: ParamLayout, t: int, acc: np.ndarray, *,
                 bucket_size: Optional[int] = None,
                 pacer: Optional[Any] = None,
-                stream: Optional[bool] = None) -> "AllreduceResult":
+                stream: Optional[bool] = None) -> AllreduceResult:
     """Push a full accumulator through a session in backward order.
 
-    The session equivalent of ``scheme.reduce(comm, acc, t)`` — with the
-    default ``bucket_size=None`` it is bit-identical to it (results,
-    traffic counters, simulated makespans).
+    With the default ``bucket_size=None`` over a one-segment layout this
+    is ``scheme.reduce(comm, acc, t)``; over a model's layout one bucket
+    gives the same results, traffic counters and simulated makespans.
 
     ``pacer``, when given, is called once per bucket of the plan with the
     bucket's :class:`ParamSegment` tuple, in push order, just before the
@@ -731,17 +775,16 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
             f"acc has {acc.size} words but layout covers {layout.n}")
     if stream is None:
         stream = pacer is not None
-    session = scheme.begin(comm, layout, t, bucket_size=bucket_size,
-                           stream=stream)
+    session = ReduceSession(scheme, comm, layout, t,
+                            bucket_size=bucket_size, stream=stream)
     # Adopt the already-assembled accumulator and advance the session
     # over its segments directly: every push would alias ``acc``, so
     # there is nothing to validate or copy (the schemes treat acc as
-    # read-only, same as the one-shot reduce path).  Buckets close at the
-    # same positions; the pacer runs once per bucket, before it closes.
+    # read-only).  Buckets close at the same positions; the pacer runs
+    # once per bucket, before it closes.
     session._acc = acc
     plan = session._plan
-    if (session._native and scheme.world_reduce is not None
-            and _fused._available(comm)):
+    if scheme.world_reduce is not None and _fused._available(comm):
         return comm.fused_collective(
             ("reduce_session", t, layout.n, plan.bucket_k),
             (session, pacer), _exec_session)
@@ -762,9 +805,9 @@ def _totals(comm: "SimComm") -> tuple:
 
 
 def _exec_session(net, sig, lanes):
-    """A native bucketed session for the whole current world in one
-    rendezvous: :func:`run_session`'s loop and :meth:`ReduceSession.finish`
-    for every rank, around the scheme's world hooks.
+    """A session of a scheme with world hooks for the whole current world
+    in one rendezvous: :func:`run_session`'s loop and
+    :meth:`ReduceSession.finish` for every rank, around those hooks.
 
     ``lanes[r]`` is rank ``r``'s ``(session, pacer)``.  The scheme's
     ``world_reduce`` runs the data side of every funded bucket at once
@@ -794,12 +837,12 @@ def _exec_session(net, sig, lanes):
             for s in sessions:
                 s._record(b)
             continue
-        before = [(float(clocks[c.slot]), _totals(c)) for c in comms]
+        before = [(clocks[c.slot], _totals(c)) for c in comms]
         infos = lead.scheme.world_book(net, comms, data, funded.index(b))
         for s, c, info, (t0, b0) in zip(sessions, comms, infos, before):
             span = None
             if s.stream:
-                span = (t0, float(clocks[c.slot]))
+                span = (t0, clocks[c.slot])
                 clocks[c.slot] = t0
             s._record(b, info, b0, _totals(c), span)
     return [s._conclude(s._result(data.update, mine))

@@ -25,7 +25,6 @@ class TopkAAllreduce(GradientAllreduce):
     # proportional to bucket length) and the union of bucket supports is
     # the merged update.
     name = "topka"
-    bucketable = True
 
     def _reduce(self, comm: SimComm, acc: np.ndarray,
                 t: int) -> AllreduceResult:

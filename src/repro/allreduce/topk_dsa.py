@@ -107,7 +107,6 @@ class TopkDSAAllreduce(GradientAllreduce):
     # Recursive halving works on any index range, so sessions may run the
     # SSAR exchange independently per bucket (native bucketed path).
     name = "topkdsa"
-    bucketable = True
 
     def __init__(self, *, allow_dense_switch: bool = True, **kwargs):
         super().__init__(**kwargs)

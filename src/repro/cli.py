@@ -163,8 +163,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print(f"  buckets    : {nb} (bucket_size={args.bucket_size} words), "
               f"overlap hid {saved * 1e3:.3f} ms of comm")
     if any(r.stream_fallback for r in rec.records):
-        print("  note       : stream mode fell back to the post-backward "
-              "delegating adapter (timings are analytic)")
+        print("  note       : stream mode ran its one bucket "
+              "post-backward (timings are analytic)")
     for ev in rec.events:
         print(f"  fault      : iteration {ev['t']}: rank(s) "
               f"{ev['failed_ranks']} failed, shrank "

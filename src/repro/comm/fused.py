@@ -1020,10 +1020,10 @@ def fused_reduce(comm, arr: np.ndarray, root: int, op):
         return UNFUSED
     a = np.asarray(arr)
     sig = ("reduce", root, a.size, _wpe(a), a.dtype.str)
-    return comm.fused_collective(sig, a, _exec_reduce)
+    return comm.fused_collective(sig, a, _exec_rooted_reduce)
 
 
-def _exec_reduce(net, sig, payloads):
+def _exec_rooted_reduce(net, sig, payloads):
     _, root, n, wpe, _ = sig
     p = len(payloads)
     replay(net, compiled(net, compile_reduce, p, root, n, wpe))

@@ -59,10 +59,10 @@ class TopkSGD:
         allreduce: the gradient reduction scheme (one instance per worker).
         lr: learning rate or schedule (the paper's ``alpha``).
         n: number of model parameters (residual buffer size).
-        layout: when given, steps run through the session-based bucketed
-            allreduce (``allreduce.begin`` + per-segment pushes in
-            backward order) instead of the one-shot ``reduce``; with the
-            default ``bucket_size=None`` the two are bit-identical.
+        layout: the parameter segments each step's session fuses into
+            buckets (:func:`repro.allreduce.run_session`); the default
+            ``ParamLayout.single(n)`` with ``bucket_size=None`` is the
+            one-shot ``reduce``.
         bucket_size: bucket-fusion threshold in words (see
             :mod:`repro.allreduce.session`).
     """
@@ -78,7 +78,7 @@ class TopkSGD:
         self.lr: LRSchedule = as_schedule(lr)
         self.residual = np.zeros(n, dtype=np.float32)
         self.t = 0
-        self.layout = layout
+        self.layout = ParamLayout.single(n) if layout is None else layout
         self.bucket_size = bucket_size
 
     def step(self, comm: SimComm, params: np.ndarray,
@@ -99,12 +99,8 @@ class TopkSGD:
             if rb is not None else None
         if acc is None:
             acc = self.residual + lr * grad.astype(np.float32, copy=False)
-        if self.layout is None:
-            result = self.allreduce.reduce(comm, acc, self.t)
-        else:
-            result = run_session(self.allreduce, comm, self.layout, self.t,
-                                 acc, bucket_size=self.bucket_size,
-                                 pacer=pacer)
+        result = run_session(self.allreduce, comm, self.layout, self.t, acc,
+                             bucket_size=self.bucket_size, pacer=pacer)
         # residual update: keep what did not contribute
         self.residual = acc
         if result.contributed_indices is None:

@@ -28,7 +28,6 @@ class QuantizedTopkAAllreduce(GradientAllreduce):
     """TopkA with quantized values (sparsification + quantization)."""
 
     name = "topka_q"
-    bucketable = True  # stateless, like TopkA
 
     def __init__(self, *, bits: int = 8, stochastic: bool = True, **kwargs):
         super().__init__(**kwargs)

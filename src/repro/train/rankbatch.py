@@ -20,10 +20,10 @@ rendezvous that carries the fused collectives of :mod:`repro.comm.fused`
   replicas really were equal).
 
 Ok-Topk's selection is the first stage of its data kernel
-(:func:`repro.allreduce.oktopk.stages`), run in the ``oktopk_reduce`` /
-``reduce_session`` rendezvous, which are gated by
-:func:`repro.comm.fused._available` alone (a model that does not stack
-still gets them, its rows copied into one matrix); the kernel takes the
+(:func:`repro.allreduce.oktopk.stages`), run in the ``reduce_session``
+rendezvous, which is gated by :func:`repro.comm.fused._available` alone
+(a model that does not stack still gets it, its rows copied into one
+matrix); the kernel takes the
 accumulators through :meth:`_WorldState.stack` and borrows its scratch.
 
 Rows known by identity: the world state remembers the row views it hands

@@ -34,10 +34,10 @@ class IterationRecord:
     #: under contention the measurement may fall on either side of the
     #: replay); ``None`` in analytic mode
     analytic_visible_comm: Optional[float] = None
-    #: True when ``overlap_mode="stream"`` was requested but the session
-    #: fell back to the post-backward delegating adapter (non-bucketable
-    #: scheme or one-bucket plan) — the timings of this iteration are
-    #: analytic, not discrete-event; never True in analytic mode
+    #: True when ``overlap_mode="stream"`` was requested but the plan has
+    #: one bucket, which cannot stream and runs post-backward — the
+    #: timings of this iteration are analytic, not discrete-event; never
+    #: True in analytic mode
     stream_fallback: bool = False
 
 

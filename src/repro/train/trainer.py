@@ -11,7 +11,7 @@ Each rank runs :class:`Trainer` inside an SPMD program (see
    the configured allreduce scheme through a bucketed
    :class:`~repro.allreduce.ReduceSession` (per-layer gradients pushed in
    backward order; ``bucket_size`` configures the fusion policy, and the
-   default ``None`` is bit-identical to the one-shot ``reduce``) and
+   default ``None`` is one bucket, what the one-shot ``reduce`` runs) and
    charges sparsification + communication time,
 4. record the per-phase breakdown under one of two overlap models
    (``overlap_mode``):
@@ -103,7 +103,7 @@ class TrainerConfig:
     xi_every: int = 0
     overlap_backward_fraction: float = 2.0 / 3.0
     #: bucket-fusion threshold in words for the session-based allreduce;
-    #: None = one bucket (bit-identical to the one-shot reduce)
+    #: None = one bucket (what the one-shot reduce runs)
     bucket_size: Optional[int] = None
     #: "analytic" (default, PR-2 replay accounting) or "stream"
     #: (discrete-event overlap on the simulated clock; see module doc)

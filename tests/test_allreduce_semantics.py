@@ -13,7 +13,8 @@ Reference semantics (Section 3.1):
 import numpy as np
 import pytest
 
-from repro.allreduce import make_allreduce
+import repro.quant  # noqa: F401  (registers topka_q / oktopk_q)
+from repro.allreduce import ALGORITHMS, make_allreduce
 from repro.comm import run_spmd
 from repro.sparse import COOVector, combine_sum, exact_topk
 
@@ -293,3 +294,20 @@ class TestOddWorkerCounts:
         for t in range(4):
             for r in range(1, p):
                 assert res[r][t] == res[0][t]
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_empty_gradient_reduces_to_an_empty_update(name, fused):
+    """A zero-length accumulator has no one-segment layout to run its
+    session over; ``reduce`` still hands back an empty update (and no
+    contributed entry) for every registered scheme, on both paths."""
+    def prog(comm):
+        algo = make_allreduce(name, **({} if name.startswith("dense")
+                                       else {"density": 0.01}))
+        return algo.reduce(comm, np.zeros(0, np.float32), 1)
+
+    for res in run_spmd(2, prog, fused=fused):
+        assert res.update_dense(0).shape == (0,)
+        assert res.contributed_indices is None or \
+            res.contributed_indices.size == 0

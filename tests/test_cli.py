@@ -51,8 +51,8 @@ class TestCli:
                 "--workers", "4", "--iters", "3"]
         assert main(argv) == 0
         fast = capsys.readouterr().out
-        assert {"rb_fwdbwd", "oktopk_reduce"} <= {e.head
-                                                  for e in rendezvous_log}
+        assert {"rb_fwdbwd", "reduce_session"} <= {e.head
+                                                   for e in rendezvous_log}
         del rendezvous_log[:]
         assert main(["--no-fused", *argv]) == 0
         assert capsys.readouterr().out == fast

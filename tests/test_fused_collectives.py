@@ -1217,13 +1217,13 @@ class TestOkTopkWorldExecutor:
     @pytest.mark.parametrize("mode", MODES)
     def test_one_rendezvous_per_reduction(self, mode, rendezvous_log):
         """Every rank enters exactly one rendezvous per iteration — the
-        ``oktopk_reduce`` of a one-shot reduction, the ``reduce_session``
-        that runs all buckets of a bucketed session — and no rendezvous
-        of any sub-collective or bucket, in the steady state *and* where
-        the tau / tau' work fires (it is booked inline), and none at all
-        with fusion off."""
+        ``reduce_session`` that runs the one bucket of a one-shot
+        reduction or all buckets of a bucketed session — and no
+        rendezvous of any sub-collective or bucket, in the steady state
+        *and* where the tau / tau' work fires (it is booked inline), and
+        none at all with fusion off."""
         p, iters = 4, 4
-        head = "oktopk_reduce" if mode == "oneshot" else "reduce_session"
+        head = "reduce_session"
         run_spmd(p, _oktopk_prog, "oktopk", mode, iters=iters,
                  runner="coop", fused=True)
         assert Counter((e.rank, e.head) for e in rendezvous_log) == {
@@ -1257,8 +1257,7 @@ class TestOkTopkWorldExecutor:
             return res
 
         results = run_spmd(4, prog, runner="coop", fused=True).results
-        assert {e.head for e in rendezvous_log} == {
-            "oktopk_reduce" if mode == "oneshot" else "reduce_session"}
+        assert {e.head for e in rendezvous_log} == {"reduce_session"}
         lead = results[0]
         for res in results:
             assert res.update.values is lead.update.values
@@ -1275,10 +1274,9 @@ class TestOkTopkWorldExecutor:
                                       overlap_mode, rendezvous_log):
         """8 -> 7 mid-run under a straggler plan: records, events, the
         re-keyed ``OkTopkState`` and the network agree with the
-        per-message run; one reduction rendezvous per rank and step
-        before and after the shrink (``oktopk_reduce`` one-shot, one
-        ``reduce_session`` for all buckets), none in the interrupted
-        iteration."""
+        per-message run; one ``reduce_session`` rendezvous per rank and
+        step before and after the shrink (for the one bucket or all of
+        them), none in the interrupted iteration."""
         p, crash_at, iters = 8, 3, 6
         plan = FaultPlan.straggler_skew(p, seed=p)
         plan = dataclasses.replace(plan, crashes=(RankCrash(
@@ -1290,15 +1288,13 @@ class TestOkTopkWorldExecutor:
         events = next(r for r in fast.results if r is not None)[1]
         assert [(e["old_size"], e["new_size"]) for e in events] == \
             [(p, p - 1)]
-        head = "oktopk_reduce" if bucket_size is None else "reduce_session"
         reduces = Counter((e.size, e.step) for e in entries
-                          if e.head == head)
+                          if e.head == "reduce_session")
         expect = {(p, t): p for t in range(1, crash_at)}
         expect.update({(p - 1, t): p - 1
                        for t in range(crash_at, iters + 1)})
         assert reduces == expect
         assert not {e.head for e in entries} & {
-            "oktopk_reduce" if bucket_size else "reduce_session",
             "oktopk_select", "oktopk_sr", "allgatherv", "allgather_object",
             "alltoallv"}
 

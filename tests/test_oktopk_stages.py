@@ -145,7 +145,7 @@ def _reference(comm, scheme, kwargs, mats, extents):
         per = []
         for (lo, hi, k), state in zip(extents, states):
             guards = state.guard_evaluations
-            res = algo._algorithm1(comm, row[lo:hi], t, k, state, lo)
+            res = algo._algorithm1(comm, row[lo:hi], t, k, state)
             per.append((res, state.guard_evaluations > guards,
                         _snapshot(state)))
         out.append(per)

@@ -573,18 +573,15 @@ class TestTrainerLockstepIdentity:
         heads = ("rb_fwdbwd", "rb_accumulate", "rb_apply")
         for head in heads:
             assert per_head[head] == 4 * 3      # every rank, every iteration
-        if bert:
-            # one rendezvous runs every bucket of the streamed session,
-            # every rank, every iteration
-            assert set(per_head) == {*heads, "reduce_session"}
-            assert per_head["reduce_session"] == 4 * 3
-        else:
-            assert set(per_head) == {*heads, "oktopk_reduce"}
+        # one rendezvous runs every bucket of the session (the mlp's one,
+        # BERT's streamed ones), every rank, every iteration
+        assert set(per_head) == {*heads, "reduce_session"}
+        assert per_head["reduce_session"] == 4 * 3
+        if not bert:
             # selection is a stage of the one Ok-Topk rendezvous per
             # reduction (stacked there because the accumulators are rows
             # of the world's accumulate buffer), not a rendezvous of its
             # own
-            assert per_head["oktopk_reduce"] == 4 * 3
             assert stacked_scans == [4] * 3     # one (P, n) scan per iteration
         assert res.network._rank_batch_state is None
 

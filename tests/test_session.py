@@ -223,8 +223,8 @@ def test_session_bit_identical_to_oneshot(scheme):
 
 @pytest.mark.parametrize("scheme", ["oktopk", "oktopk_q"])
 def test_oktopk_single_bucket_plan_delegates(scheme):
-    """Ok-Topk with a one-bucket plan (bucket_size >= n) delegates to the
-    one-shot reduce — bit-identical results, traffic and makespans."""
+    """Ok-Topk with a one-bucket plan (bucket_size >= n) is the one-shot
+    reduce — bit-identical results, traffic and makespans."""
     p, n, iters = 4, 256, 3
     ref, ref_stats, ref_clocks = _run_mode(scheme, p, n, iters,
                                            "oneshot", "coop")
@@ -234,39 +234,6 @@ def test_oktopk_single_bucket_plan_delegates(scheme):
         assert np.array_equal(ref[t], got[t])
     assert np.array_equal(ref_stats.words_recv, stats.words_recv)
     assert clocks == ref_clocks
-
-
-def test_non_bucketable_scheme_delegates_with_bucket_size():
-    """A scheme without the native path delegates even with bucket_size
-    set — still bit-identical to one-shot."""
-    from repro.allreduce import TopkAAllreduce
-
-    class NonBucketable(TopkAAllreduce):
-        name = "topka_nonbucketable_test"
-        bucketable = False
-
-    p, n, iters = 4, 256, 2
-    lay = _layout(n)
-
-    def prog(comm, mode):
-        algo = NonBucketable(density=0.1)
-        outs = []
-        for t in range(1, iters + 1):
-            acc = _acc(comm.rank, n, t)
-            if mode == "oneshot":
-                res = algo.reduce(comm, acc, t)
-            else:
-                res = run_session(algo, comm, lay, t, acc, bucket_size=64)
-            outs.append(res.update_dense(n).copy())
-        return outs
-
-    ref = run_spmd(p, prog, "oneshot")
-    got = run_spmd(p, prog, "session")
-    for t in range(iters):
-        assert np.array_equal(ref[0][t], got[0][t])
-    assert np.array_equal(ref.stats.words_recv, got.stats.words_recv)
-    assert [ref.network.clocks[r] for r in range(p)] == \
-           [got.network.clocks[r] for r in range(p)]
 
 
 def test_bucketed_identical_across_runners():
@@ -744,16 +711,20 @@ class TestStreamingOverlap:
             assert ra.words_recv == rs.words_recv
             assert ra.selected == rs.selected
 
-    def test_stream_one_bucket_degenerates_to_analytic(self):
-        """bucket_size=None: the delegating adapter needs the full
-        gradient, so streaming changes nothing (release 1.0)."""
-        an = _train("topka", p=2, net=COMM_BOUND_NET)
-        st = _train("topka", p=2, net=COMM_BOUND_NET,
+    @pytest.mark.parametrize("scheme", ["topka", "oktopk"])
+    def test_stream_one_bucket_degenerates_to_analytic(self, scheme):
+        """bucket_size=None: the one bucket needs the full gradient,
+        delegated (topka) or native (oktopk), so streaming changes
+        nothing (release 1.0) and every record says it fell back."""
+        an = _train(scheme, p=2, net=COMM_BOUND_NET)
+        st = _train(scheme, p=2, net=COMM_BOUND_NET,
                     overlap_mode="stream")
         for ra, rs in zip(an.records, st.records):
             assert rs.iteration_time == pytest.approx(ra.iteration_time,
                                                       rel=1e-12)
             assert rs.overlap_saved == 0.0
+        assert all(r.stream_fallback for r in st.records)
+        assert not any(r.stream_fallback for r in an.records)
 
     def test_stream_oktopk_native_buckets(self):
         """oktopk streams natively: multi-bucket plans issue on the clock
@@ -765,61 +736,29 @@ class TestStreamingOverlap:
         assert all(r.nbuckets > 1 for r in rec.records)
         assert not any(r.stream_fallback for r in rec.records)
 
-    def test_stream_fallback_recorded_for_non_bucketable_scheme(self):
-        """stream=True on a non-bucketable scheme is recorded: the
-        delegated bucket carries info["stream_fallback"] and a one-time
-        RuntimeWarning names the scheme."""
-        import warnings as _warnings
-
-        from repro.allreduce import TopkAAllreduce
-        from repro.allreduce.session import _STREAM_FALLBACK_WARNED
-
-        class NonBucketable(TopkAAllreduce):
-            name = "topka_stream_fallback_test"
-            bucketable = False
-
+    @pytest.mark.parametrize("scheme", ["topka", "oktopk"])
+    def test_stream_fallback_recorded_for_one_bucket_plan(self, scheme):
+        """stream=True over a one-bucket plan is recorded: the bucket
+        carries info["stream_fallback"], delegated (topka) or native
+        (oktopk, on the world executor at P = 2)."""
         n = 256
         lay = _layout(n)
-        _STREAM_FALLBACK_WARNED.discard(NonBucketable.name)
 
         def prog(comm):
-            algo = NonBucketable(density=0.1)
-            res = run_session(algo, comm, lay, 1, _acc(comm.rank, n, 1),
-                              bucket_size=64, stream=True)
-            # second session: the warning is one-time per scheme
-            res2 = run_session(algo, comm, lay, 2, _acc(comm.rank, n, 2),
-                               bucket_size=64, stream=True)
-            return res, res2
+            algo = make_allreduce(scheme, density=0.1)
+            return [run_session(algo, comm, lay, t, _acc(comm.rank, n, t),
+                                stream=True) for t in (1, 2)]
 
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            res, res2 = run_spmd(1, prog)[0]
-        warned = [str(w.message) for w in caught
-                  if issubclass(w.category, RuntimeWarning)]
-        for r in (res, res2):
+        for r in run_spmd(2, prog)[0]:
             assert len(r.bucket_stats) == 1
-            assert r.bucket_stats[0].info.get("delegated")
             assert r.bucket_stats[0].info.get("stream_fallback")
-        assert sum(NonBucketable.name in w for w in warned) == 1
 
     def test_stream_fallback_surfaces_in_iteration_records(self):
         """The trainer mirrors the session fallback flag into
         IterationRecord.stream_fallback (benchmark readers must be able
         to tell analytic timings from streamed ones)."""
-        from repro.allreduce import TopkAAllreduce
-        from repro.allreduce.registry import ALGORITHMS
-
-        class NonBucketable(TopkAAllreduce):
-            name = "topka_trainer_fallback_test"
-            bucketable = False
-
-        ALGORITHMS[NonBucketable.name] = NonBucketable
-        try:
-            with pytest.warns(RuntimeWarning, match="not bucketable"):
-                rec = _train(NonBucketable.name, p=2, bucket_size=64,
-                             net=COMM_BOUND_NET, overlap_mode="stream")
-        finally:
-            del ALGORITHMS[NonBucketable.name]
+        rec = _train("topka", p=2, net=COMM_BOUND_NET,
+                     overlap_mode="stream")
         assert all(r.stream_fallback for r in rec.records)
         assert all(r.nbuckets == 1 for r in rec.records)
         # analytic mode never sets the flag
