@@ -70,9 +70,9 @@ from repro.allreduce.schedule import compile_split_reduce  # noqa: E402
 from repro.bench import bert_proxy  # noqa: E402
 from repro.comm import Network, SimComm  # noqa: E402
 from repro.comm.faults import FaultPlan  # noqa: E402
+from repro.comm.fused import _WorldState  # noqa: E402
 from repro.sparse import equal_boundaries, kth_largest_abs  # noqa: E402
 from repro.sparse.topk import batched_threshold_select  # noqa: E402
-from repro.train.rankbatch import _WorldState  # noqa: E402
 
 
 def _shape(text: str) -> tuple:

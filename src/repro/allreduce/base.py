@@ -1,8 +1,13 @@
 """Common protocol for the paper's (sparse) gradient allreduce schemes.
 
-Every algorithm implements :class:`GradientAllreduce._reduce`, and every
-reduction is a :class:`~repro.allreduce.session.ReduceSession` (see
-:mod:`repro.allreduce.session`), opened one of two ways:
+Every algorithm implements one reduction, :meth:`GradientAllreduce._reduce`
+``(comm, acc, t, k, view)``: one block of the gradient — the whole of it
+or a session bucket, located by ``view``
+(:class:`~repro.allreduce.session.BucketView`) — with the plan's budget
+``k`` for it (``None`` for a dense scheme).  Every reduction is a
+:class:`~repro.allreduce.session.ReduceSession` (see
+:mod:`repro.allreduce.session`) that calls it bucket by bucket, opened
+one of two ways:
 
 * **one-shot** :meth:`GradientAllreduce.reduce` — a one-bucket session
   over the one-segment layout the scheme holds
@@ -29,13 +34,11 @@ Session execution semantics
 
 Segments are fused into buckets by the configurable policy
 (``bucket_size`` in words; a bucket closes once it holds at least that
-many words).  Each bucket of a multi-bucket plan is reduced independently
-(eagerly, when its last segment is pushed) with a top-k budget split
-proportionally to bucket length (:func:`repro.allreduce.session.split_k`),
-and the per-bucket results are merged.  The default ``bucket_size=None``
-is one bucket: Ok-Topk runs it like any other bucket (its world executor
-sees one extent), and every other scheme's session delegates it to the
-scheme's ``_reduce`` over the whole gradient.
+many words).  Each bucket is reduced independently (eagerly, when its
+last segment is pushed) with a top-k budget split proportionally to
+bucket length (:func:`repro.allreduce.session.split_k`), and the
+per-bucket results are merged.  The default ``bucket_size=None`` is one
+bucket, the whole gradient with the whole budget.
 
 Overlap accounting
 ------------------
@@ -47,11 +50,11 @@ replays bucket communication against those release times
 communication visible after overlap, generically for **all** schemes.
 ``overlap_from_start = True`` (DenseOvlp) pins ``release_frac`` to 0.0,
 reproducing the legacy trainer credit ``max(0, comm - f * compute)``
-exactly; a one-shot/delegated reduction reports ``release_frac = 1.0``
+exactly; any other one-bucket reduction reports ``release_frac = 1.0``
 (it needs the full gradient) and gets no credit.
 
 Algorithms are stateful per worker (cached thresholds, region boundaries),
-so the trainer constructs one instance per rank via ``make_per_rank``.
+so every rank constructs its own instance.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from ..sparse import COOVector
 from ..sparse.coo import INDEX_DTYPE, VALUE_DTYPE
 from .session import PHASE_COMM, PHASE_SPARSIFY  # noqa: F401  (re-exported)
 from .session import (AllreduceResult, BucketView, ParamLayout, ReduceSession,
-                      run_session)
+                      _flat_acc, run_session)
 
 
 class GradientAllreduce(ABC):
@@ -81,7 +84,7 @@ class GradientAllreduce(ABC):
     #: backward pass (DenseOvlp's legacy contract); sessions report
     #: ``release_frac = 0.0`` for its buckets
     overlap_from_start: bool = False
-    #: the world hooks of a native session on the fast path, or None:
+    #: the world hooks of a session on the fast path, or None:
     #: ``world_reduce(net, t, lanes, extents)`` runs the data side for
     #: every rank (``lanes[r]``: its ``(comm, scheme, acc)``) and funded
     #: bucket (``extents``: ``(lo, hi, k)`` in plan order) -> a record
@@ -104,17 +107,10 @@ class GradientAllreduce(ABC):
             raise ConfigError(f"{type(self).__name__} needs k or density")
         self._k = k
         self._density = density
-        self._k_override: Optional[int] = None
 
     def resolve_k(self, n: int) -> int:
-        """The per-iteration k for a gradient of ``n`` components.
-
-        A session's native bucketed path temporarily overrides this with
-        the bucket's proportional share of the global budget (see
-        :meth:`_reduce_bucket`).
-        """
-        if self._k_override is not None:
-            return min(self._k_override, n)
+        """The per-iteration k for a gradient of ``n`` components: the
+        budget a session splits over its buckets."""
         if self._k is not None:
             return min(self._k, n)
         if self._density is None:
@@ -140,11 +136,13 @@ class GradientAllreduce(ABC):
         re-evaluation cadence off ``t - 1``, so a zero or negative ``t``
         would silently shift every periodic re-evaluation by a full
         period; it raises :class:`~repro.errors.ConfigError` instead.
-        A zero-length ``acc`` has no segment to hold it and reduces to an
-        empty update without communicating.
+        ``acc`` must be a flat vector (``ValueError`` otherwise); a
+        zero-length one has no segment to hold it and reduces to an empty
+        update without communicating.
         """
+        acc = _flat_acc(acc)
         n = acc.size
-        if n == 0 and acc.ndim == 1:
+        if n == 0:
             return AllreduceResult(
                 update=(COOVector.empty(0) if self.sparse
                         else np.zeros(0, VALUE_DTYPE)),
@@ -177,30 +175,13 @@ class GradientAllreduce(ABC):
         return ReduceSession(self, comm, layout, t, bucket_size=bucket_size,
                              stream=stream)
 
-    def _reduce_bucket(self, comm: SimComm, acc: np.ndarray, t: int, *,
-                       k: Optional[int] = None,
-                       view: Optional[BucketView] = None) -> AllreduceResult:
-        """Reduce one bucket of a session that runs bucket by bucket.
-
-        Default: the one-shot algorithm on the bucket slice with ``k``
-        overriding the scheme's budget for the slice — the stateless
-        contract, which ignores ``view``.  Override for schemes whose
-        one-shot path does internal bucketing of its own (DenseOvlp) or
-        that keep periodic state, which must then be kept per bucket
-        (Ok-Topk runs Algorithm 1 on the bucket's own thresholds and
-        boundaries, found through ``view``; see
-        :class:`~repro.allreduce.session.BucketView`).
-        """
-        self._k_override = k
-        try:
-            return self._reduce(comm, np.ascontiguousarray(acc), t)
-        finally:
-            self._k_override = None
-
     @abstractmethod
-    def _reduce(self, comm: SimComm, acc: np.ndarray,
-                t: int) -> AllreduceResult:
-        ...
+    def _reduce(self, comm: SimComm, acc: np.ndarray, t: int,
+                k: Optional[int], view: BucketView) -> AllreduceResult:
+        """Reduce one bucket: ``acc`` is its slice of the gradient, ``k``
+        the plan's budget for it (at least 1 and at most ``acc.size``;
+        ``None`` for a dense scheme) and ``view`` where it sits in the
+        whole gradient."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sel = f"k={self._k}" if self._k is not None else f"density={self._density}"

@@ -6,16 +6,15 @@ multi-bucket session each bucket is one dense allreduce over its slice
 and its communication overlaps the backward compute still outstanding
 when the bucket was pushed.
 
-``DenseOvlp`` is dense + bucketing + overlap-from-start.  Over one bucket
-(a one-shot ``reduce``, which the session delegates to ``_reduce``) it
-groups the gradient into ``nbuckets`` equal buckets and fires one
-allreduce per bucket (the bucketed execution is real — extra latency
-terms and all); under a multi-bucket session, the session's bucket-fusion
-policy *is* the bucketing and each bucket is a single dense allreduce.  Its
-``overlap_from_start`` contract pins every bucket's ``release_frac`` to
-0.0, so the trainer's generic timeline reproduces the legacy credit
-``max(0, comm - f * compute)`` exactly (``result.overlappable = True``
-signals the same on the one-shot path).
+``DenseOvlp`` is dense + bucketing + overlap-from-start, with one
+branch in its bucket reduction: a bucket that is the whole gradient (the
+one bucket of a one-shot ``reduce``) is grouped into ``nbuckets`` equal
+pieces with one allreduce each (the bucketed execution is real — extra
+latency terms and all); under a multi-bucket session the session's
+bucket-fusion policy *is* the bucketing and each bucket is a single dense
+allreduce.  Its ``overlap_from_start`` contract pins every bucket's
+``release_frac`` to 0.0, so the trainer's generic timeline reproduces the
+legacy credit ``max(0, comm - f * compute)`` exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..comm import SimComm, collectives as coll
-from .base import PHASE_COMM, AllreduceResult, GradientAllreduce
+from .base import PHASE_COMM, AllreduceResult, BucketView, GradientAllreduce
 
 
 class DenseAllreduce(GradientAllreduce):
@@ -38,8 +37,8 @@ class DenseAllreduce(GradientAllreduce):
         super().__init__(**kwargs)
         self.algo = algo
 
-    def _reduce(self, comm: SimComm, acc: np.ndarray,
-                t: int) -> AllreduceResult:
+    def _reduce(self, comm: SimComm, acc: np.ndarray, t: int,
+                k: Optional[int], view: BucketView) -> AllreduceResult:
         with comm.phase(PHASE_COMM):
             total = coll.allreduce(comm, acc, algo=self.algo)
         return AllreduceResult(update=total, contributed_indices=None)
@@ -59,10 +58,14 @@ class DenseOvlpAllreduce(DenseAllreduce):
             raise ValueError("nbuckets must be >= 1")
         self.nbuckets = nbuckets
 
-    def _reduce(self, comm: SimComm, acc: np.ndarray,
-                t: int) -> AllreduceResult:
+    def _reduce(self, comm: SimComm, acc: np.ndarray, t: int,
+                k: Optional[int], view: BucketView) -> AllreduceResult:
+        # A bucket that is the whole gradient splits into ``nbuckets``
+        # allreduces; a session bucket IS the overlap bucket (splitting
+        # it again would double the latency terms of the equivalent
+        # dense + bucketing config).
         n = acc.size
-        nb = min(self.nbuckets, max(1, n))
+        nb = min(self.nbuckets, n) if n == view.n else 1
         bounds = np.linspace(0, n, nb + 1).astype(np.int64)
         out = np.empty_like(acc)
         with comm.phase(PHASE_COMM):
@@ -70,15 +73,4 @@ class DenseOvlpAllreduce(DenseAllreduce):
                 lo, hi = int(bounds[b]), int(bounds[b + 1])
                 out[lo:hi] = coll.allreduce(comm, acc[lo:hi], algo=self.algo)
         return AllreduceResult(update=out, contributed_indices=None,
-                               info={"nbuckets": nb}, overlappable=True)
-
-    def _reduce_bucket(self, comm: SimComm, acc: np.ndarray, t: int, *,
-                       k: Optional[int] = None,
-                       view=None) -> AllreduceResult:
-        # The session's bucket IS the overlap bucket: one allreduce per
-        # bucket, no internal nbuckets sub-splitting (that would double
-        # the latency terms vs the equivalent dense + bucketing config).
-        with comm.phase(PHASE_COMM):
-            total = coll.allreduce(comm, acc, algo=self.algo)
-        return AllreduceResult(update=total, contributed_indices=None,
-                               overlappable=True)
+                               info={"nbuckets": nb})

@@ -18,12 +18,13 @@ import numpy as np
 from ..comm import SimComm, collectives as coll
 from ..sparse import combine_sum, threshold_select
 from ..sparse.threshold import gaussian_threshold
-from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, GradientAllreduce
+from .base import (PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, BucketView,
+                   GradientAllreduce)
 
 
 class GaussiankAllreduce(GradientAllreduce):
     # The Gaussian threshold fit is per-vector, so each session bucket
-    # fits its own slice (native bucketed path).
+    # fits its own slice.
     name = "gaussiank"
 
     def __init__(self, *, adjust_min_fraction: float = 0.75,
@@ -56,9 +57,8 @@ class GaussiankAllreduce(GradientAllreduce):
             comm.compute_scan(acc.size)  # each adjustment re-scans
         return t, rounds
 
-    def _reduce(self, comm: SimComm, acc: np.ndarray,
-                t: int) -> AllreduceResult:
-        k = self.resolve_k(acc.size)
+    def _reduce(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
+                view: BucketView) -> AllreduceResult:
         with comm.phase(PHASE_SPARSIFY):
             threshold, rounds = self.estimate_threshold(comm, acc, k)
             local = threshold_select(acc, threshold)

@@ -30,7 +30,8 @@ import numpy as np
 from ..comm import SimComm, collectives as coll
 from ..comm import fused as _fused
 from ..sparse import combine_sum, exact_topk, intersect_sorted
-from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, GradientAllreduce
+from .base import (PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, BucketView,
+                   GradientAllreduce)
 
 _TAG_REDUCE = (1 << 21) + 1
 
@@ -77,14 +78,13 @@ def _exec_gtopk_tree(net, sig, payloads):
 
 
 class GTopkAllreduce(GradientAllreduce):
-    # Stateless tree reduction: sessions can run one tree per bucket with
-    # the bucket's proportional k share (native bucketed path).
+    # Stateless tree reduction: sessions run one tree per bucket with the
+    # bucket's proportional k share.
     name = "gtopk"
 
-    def _reduce(self, comm: SimComm, acc: np.ndarray,
-                t: int) -> AllreduceResult:
+    def _reduce(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
+                view: BucketView) -> AllreduceResult:
         p, r = comm.size, comm.rank
-        k = self.resolve_k(acc.size)
         with comm.phase(PHASE_SPARSIFY):
             local = exact_topk(acc, k)
             comm.compute_topk(acc.size, k)

@@ -84,7 +84,7 @@ faster only up to P = 8, and the paper scales to P = 256).
 
 Everywhere else — the ``threads`` runner, ``fused=False``, tracing, the
 step a planned crash fires in, ``P = 1``, explicit ``push`` calls — each
-bucket goes through :meth:`OkTopkAllreduce._reduce_bucket` to
+bucket goes through :meth:`OkTopkAllreduce._reduce` to
 :meth:`OkTopkAllreduce._algorithm1`, the per-rank driver, which runs
 Algorithm 1 message by message: the reference path and the oracle of the
 identity suites (``tests/test_oktopk_stages.py`` stage by stage,
@@ -106,7 +106,7 @@ import numpy as np
 
 from ..comm import NetworkModel, SimComm, collectives as coll
 from ..comm import fused as _fused
-from ..comm.fused import charge_world
+from ..comm.fused import _world_state, _WorldState, charge_world
 from ..comm.payload import nwords as payload_nwords
 from ..errors import ConfigError
 from ..sparse import (
@@ -422,13 +422,13 @@ class Stages:
 def stages(scheme, acc, extents, states, t: int, scratch=None) -> Stages:
     """Algorithm 1's data side for the whole world: ``acc`` is the ``(P,
     n)`` float32 matrix of every rank's accumulator (or its rows, stacked
-    by :meth:`~repro.train.rankbatch._WorldState.stack`), ``extents`` the
+    by :meth:`~repro.comm.fused._WorldState.stack`), ``extents`` the
     funded ``(lo, hi, k)`` (disjoint; codecs draw in this order) and
     ``states[e][r]`` rank ``r``'s :class:`OkTopkState` of extent ``e``,
     updated exactly as the per-rank driver updates it.  ``scheme`` is the
     scheme, or each rank's (a stochastic ``package_codec`` draws from the
     rank's own generator); ``scratch`` lends the world-sized temporaries
-    (a :class:`~repro.train.rankbatch._WorldState`).  Reads no clock and
+    (a :class:`~repro.comm.fused._WorldState`).  Reads no clock and
     needs no network: :func:`book` replays the charges.
 
     Balancing moves whole runs of the rank-ordered package sequence, so
@@ -437,7 +437,6 @@ def stages(scheme, acc, extents, states, t: int, scratch=None) -> Stages:
     built once.  A ``P = 1`` world ships its package as it is (no codec),
     as the per-rank driver does.
     """
-    from ..train.rankbatch import _WorldState
     ws = _WorldState() if scratch is None else scratch
     acc = acc if isinstance(acc, np.ndarray) else ws.stack("oktopk_acc", acc)
     p, n = acc.shape
@@ -602,13 +601,10 @@ def _world_session(net, t: int, lanes, extents) -> Stages:
     """The data side of a session (the scheme's ``world_reduce``):
     ``lanes[r]`` is rank ``r``'s ``(comm, scheme, acc)`` over the whole
     gradient and ``extents`` the funded buckets' ``(lo, hi, k)`` in plan
-    order, each run on every rank's state of that bucket with the budget
-    clamped to it."""
-    from ..train.rankbatch import _world_state
+    order, each run on every rank's state of that bucket."""
     _, schemes, accs = zip(*lanes)
-    n, lead = accs[0].size, schemes[0]
-    return stages(schemes, accs,
-                  [(lo, hi, lead._budget(hi - lo, k)) for lo, hi, k in extents],
+    n = accs[0].size
+    return stages(schemes, accs, extents,
                   [[ar._state_for(n, lo, hi) for ar in schemes]
                    for lo, hi, _ in extents], t, _world_state(net))
 
@@ -1008,30 +1004,12 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     # Algorithm 1 driver
     # ------------------------------------------------------------------
-    def _reduce(self, comm: SimComm, acc: np.ndarray,
-                t: int) -> AllreduceResult:
-        return self._reduce_bucket(comm, acc, t)
-
-    def _reduce_bucket(self, comm: SimComm, acc: np.ndarray, t: int, *,
-                       k: Optional[int] = None,
-                       view: Optional[BucketView] = None) -> AllreduceResult:
-        """Run Algorithm 1 over one session bucket, on the bucket's own
-        periodic state.
-
-        ``view`` locates the bucket inside the full gradient (sessions
-        always provide it, with the plan's budget ``k``); without one the
-        slice is treated as a complete gradient.
-        """
-        n_b = acc.size
-        lo, n = (0, n_b) if view is None else (view.lo, view.n)
-        return self._algorithm1(comm, acc, t, self._budget(n_b, k),
-                                self._state_for(n, lo, lo + n_b))
-
-    def _budget(self, size: int, k: Optional[int]) -> int:
-        """The budget of a ``size``-word extent: the plan's ``k`` clamped
-        to it (``resolve_k`` without one)."""
-        return (self.resolve_k(size) if k is None
-                else max(1, min(int(k), size)))
+    def _reduce(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
+                view: BucketView) -> AllreduceResult:
+        """Run Algorithm 1 over one session bucket with the plan's budget
+        ``k``, on the periodic state of the bucket ``view`` locates."""
+        return self._algorithm1(comm, acc, t, k,
+                                self._state_for(view.n, view.lo, view.hi))
 
     def _algorithm1(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
                     st: OkTopkState) -> AllreduceResult:

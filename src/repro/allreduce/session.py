@@ -25,22 +25,17 @@ the pieces of that execution model:
   (and by :meth:`GradientAllreduce.reduce`, which is a one-bucket session
   over the one-segment layout the scheme holds); accepts
   ``push(segment, grad)`` calls as backward emits per-layer gradients and
-  runs the scheme when buckets complete.  Two execution paths:
-
-  - **native bucket path** (every multi-bucket plan, and every plan of a
-    scheme with world hooks — Ok-Topk and ``oktopk_q`` — one bucket
-    included): each bucket is reduced independently — eagerly, the moment
-    its last segment is pushed — with its proportional ``k`` share, and
-    :meth:`ReduceSession.finish` merges the per-bucket results into one
-    :class:`AllreduceResult`.  Each reduction receives a
-    :class:`BucketView` locating the bucket in the full gradient, by which
-    Ok-Topk keys the bucket's own periodic state (see
-    :mod:`repro.allreduce.oktopk`);
-  - **delegating adapter** (a one-bucket plan of every other scheme): the
-    scheme's own ``_reduce`` runs over the whole gradient at
-    :meth:`ReduceSession.finish` (DenseOvlp splits it into its
-    ``nbuckets`` there).  A one-bucket result carries its bucket's info
-    (``k``, the selected counts, ...), whichever path built it;
+  runs the scheme when buckets complete.  Every plan, one bucket
+  included, runs bucket by bucket: each bucket is reduced independently —
+  eagerly, the moment its last segment is pushed — by the scheme's one
+  reduction ``_reduce(comm, acc[lo:hi], t, k_b, view)`` with its
+  proportional ``k`` share, and :meth:`ReduceSession.finish` merges the
+  per-bucket results into one :class:`AllreduceResult`.  The
+  :class:`BucketView` locates the bucket in the full gradient: Ok-Topk
+  keys the bucket's own periodic state by it (see
+  :mod:`repro.allreduce.oktopk`), and DenseOvlp splits a bucket that is
+  the whole gradient into its ``nbuckets`` allreduces.  A one-bucket
+  result carries its bucket's info (``k``, the selected counts, ...);
 
 * :class:`BucketStat` / :func:`visible_comm_time` — the generic overlap
   timeline.  Every bucket records the fraction of the backward pass that
@@ -58,7 +53,7 @@ Streaming execution (``stream=True``)
 The replay above is *accounting only*: on the simulated clock the bucket
 reductions still run after the backward lump, so their messages never
 contend with anything else during backward.  A session opened with
-``stream=True`` instead runs each native bucket reduction inside an
+``stream=True`` instead runs each bucket reduction inside an
 :class:`repro.comm.AsyncRegion` **at the rank's current simulated time**:
 the caller's pacer charges backward compute segment by segment before
 each bucket closes, so the clock *is* the bucket's release time, its
@@ -92,9 +87,9 @@ runs the session for the world: the data pass once over every funded
 bucket (it reads no clock), then per bucket every rank's pacer, the
 bucket's booking pass and the async region's clock rewind, then every
 rank's :meth:`ReduceSession.finish` around the merged update the data
-pass built once (shared write-protected).  Everywhere else — ``threads``, tracing,
-``fused=False``, the step a planned crash fires in, explicit ``push``
-calls, multi-bucket plans of the other schemes — each rank runs
+pass built once (shared write-protected).  Everywhere else — ``threads``,
+tracing, ``fused=False``, the step a planned crash fires in, explicit
+``push`` calls, every plan of the other schemes — each rank runs
 :meth:`ReduceSession._run_bucket` per bucket, the reference path.  Both
 call the pacer once per bucket with its segments and book the bucket
 through the one :meth:`ReduceSession._record` from the rank's
@@ -328,18 +323,18 @@ class SessionPlan:
 
 
 # ---------------------------------------------------------------------------
-# Bucket context handed to native per-bucket reductions
+# Bucket context handed to per-bucket reductions
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class BucketView:
     """Where a session bucket sits inside the full gradient: the slice
     ``[lo, hi)`` of an ``n``-word flat vector.
 
-    Passed by the native path to :meth:`GradientAllreduce._reduce_bucket`
-    alongside the bucket slice ``acc[lo:hi]``.  Stateless schemes ignore
-    it; a scheme with periodic state keeps one state per extent and finds
-    the bucket's through it (Ok-Topk: the bucket's own thresholds and
-    region boundaries, reused across iterations).
+    Passed to :meth:`GradientAllreduce._reduce` alongside the bucket
+    slice ``acc[lo:hi]``.  Stateless schemes ignore it; a scheme with
+    periodic state keeps one state per extent and finds the bucket's
+    through it (Ok-Topk: the bucket's own thresholds and region
+    boundaries, reused across iterations).
     """
 
     lo: int
@@ -393,12 +388,12 @@ class AllreduceResult:
         info: algorithm-specific metrics (selected counts, fill-in, whether
             data balancing triggered, ...).
         overlappable: True when the communication can be overlapped with
-            backpropagation (DenseOvlp); sessions translate it into
-            ``release_frac = 0.0`` bucket stats and the trainer's generic
-            timeline applies the credit.
+            the whole backward pass: the scheme's ``overlap_from_start``
+            (DenseOvlp), which sessions also turn into ``release_frac =
+            0.0`` bucket stats for the trainer's generic timeline.
         bucket_stats: per-bucket breakdown in push order, filled in by the
             :class:`ReduceSession` that returned the result (one entry for
-            a one-shot ``reduce``; ``None`` on a scheme's own partial
+            a one-shot ``reduce``; ``None`` on a scheme's per-bucket
             results).
     """
 
@@ -473,8 +468,8 @@ class ReduceSession:
     familiar :class:`AllreduceResult` with ``bucket_stats`` filled in.
 
     Execution is SPMD-deterministic: all ranks share the model layout, so
-    they push the same segment sequence and the native path's per-bucket
-    collectives match up across ranks.
+    they push the same segment sequence and the per-bucket collectives
+    match up across ranks.
     """
 
     #: cursor into ``plan.sequence``
@@ -503,10 +498,6 @@ class ReduceSession:
         plan = self._plan = layout.session_plan(
             bucket_size, scheme.resolve_k(layout.n), bool(scheme.sparse))
         multi = len(plan.buckets) > 1
-        #: bucket by bucket: every multi-bucket plan, and any plan of a
-        #: scheme with world hooks (its one world executor); the other
-        #: schemes delegate a one-bucket plan to their own ``_reduce``
-        self._native = multi or scheme.world_reduce is not None
         #: stream=True over one bucket cannot stream: its one reduction
         #: runs post-backward, so the timings are analytic
         self.stream_fallback = bool(stream) and not multi
@@ -547,10 +538,10 @@ class ReduceSession:
 
     def _advance(self) -> None:
         """Move the cursor past one pushed segment; the push that
-        completes a bucket reduces it on the spot (native path)."""
+        completes a bucket reduces it on the spot."""
         b = self._plan.closes[self._pos]
         self._pos += 1
-        if b >= 0 and self._native:
+        if b >= 0:
             self._run_bucket(b)
 
     def finish(self) -> AllreduceResult:
@@ -566,8 +557,7 @@ class ReduceSession:
         if self._pos != len(self._plan.sequence):
             missing = [s.name for s in self._plan.sequence[self._pos:]]
             raise ValueError(f"session incomplete; missing {missing}")
-        return self._conclude(self._merge() if self._native
-                              else self._delegate())
+        return self._conclude(self._merge())
 
     def _conclude(self, result: AllreduceResult) -> AllreduceResult:
         """The rank's side of :meth:`finish` once ``result`` exists."""
@@ -583,29 +573,7 @@ class ReduceSession:
         return result
 
     # ------------------------------------------------------------------
-    # Delegating adapter: the scheme's own reduce at finish
-    # ------------------------------------------------------------------
-    def _delegate(self) -> AllreduceResult:
-        comm = self.comm
-        clock0, recv0 = comm.clock, _totals(comm)[2]
-        result = self.scheme._reduce(comm, self._acc, self.t)
-        comm_t, sparsify_t, recv = _totals(comm)
-        release = 0.0 if (self.scheme.overlap_from_start
-                          or result.overlappable) else 1.0
-        info: Dict[str, Any] = {"delegated": True,
-                                "clock_delta": comm.clock - clock0}
-        self.bucket_stats.append(BucketStat(
-            lo=0, hi=self.layout.n, nsegments=len(self.layout),
-            release_frac=release, comm_time=comm_t,
-            sparsify_time=sparsify_t, words_recv=recv - recv0,
-            selected=result.info.get(
-                "selected", result.info.get("selected_local")),
-            info=info,
-        ))
-        return result
-
-    # ------------------------------------------------------------------
-    # Native path: reduce each bucket eagerly as it completes
+    # Reduce each bucket eagerly as it completes
     # ------------------------------------------------------------------
     def _run_bucket(self, b: int) -> None:
         """Reduce bucket ``b`` on this rank alone — the reference path
@@ -625,17 +593,15 @@ class ReduceSession:
         # backward.
         region = comm.async_region() if self.stream else nullcontext()
         with region:
-            res = self.scheme._reduce_bucket(comm, self._acc[lo:hi], self.t,
-                                             k=k_b, view=view)
+            res = self.scheme._reduce(comm, self._acc[lo:hi], self.t, k_b,
+                                      view)
         self._partials.append((lo, hi, res))
         self._record(b, res.info, before, _totals(comm),
-                     (region.issue, region.finish) if self.stream else None,
-                     res.overlappable)
+                     (region.issue, region.finish) if self.stream else None)
 
     def _record(self, b: int, info: Optional[Dict[str, Any]] = None,
                 before: tuple = (), after: tuple = (),
-                span: Optional[tuple] = None,
-                overlappable: bool = False) -> None:
+                span: Optional[tuple] = None) -> None:
         """Book bucket ``b``'s outcome — the reduction's ``info`` and its
         :func:`_totals` ``before`` and ``after`` it — as its
         :class:`BucketStat` and, streamed, its ``(issue, finish)`` clock
@@ -657,8 +623,6 @@ class ReduceSession:
                 k=0, selected=0, info={"k": 0, "selected": 0,
                                        "skipped_zero_k": True}))
             return
-        if overlappable:
-            release = 0.0
         sparsify_t = after[1] - before[1]
         if span is not None:
             # The bucket's selection cost is deferred to finish() (the
@@ -681,8 +645,11 @@ class ReduceSession:
 
     def _merge(self) -> AllreduceResult:
         """This rank's merged result from its per-bucket partials (the
-        reference path)."""
+        reference path); a bucket that is the whole gradient is its own."""
         parts = sorted(self._partials, key=lambda p: p[0])
+        if len(parts) == 1 and parts[0][1] - parts[0][0] == self.layout.n:
+            res = parts[0][2]
+            return self._result(res.update, res.contributed_indices)
         if any(res.contributed_indices is None for _, _, res in parts):
             contributed: Optional[np.ndarray] = None
         else:
@@ -767,9 +734,7 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
     pacer implies streaming execution (bucket reductions issued on the
     clock mid-backward); pass ``stream`` explicitly to decouple the two.
     """
-    acc = np.ascontiguousarray(acc, dtype=VALUE_DTYPE)
-    if acc.ndim != 1:
-        raise ValueError("acc must be a flat gradient vector")
+    acc = _flat_acc(acc)
     if acc.size != layout.n:
         raise ValueError(
             f"acc has {acc.size} words but layout covers {layout.n}")
@@ -794,6 +759,15 @@ def run_session(scheme: "GradientAllreduce", comm: "SimComm",
         for _ in bucket:
             session._advance()
     return session.finish()
+
+
+def _flat_acc(acc: np.ndarray) -> np.ndarray:
+    """``acc`` as a contiguous float32 vector; anything but a flat vector
+    raises ``ValueError``."""
+    acc = np.ascontiguousarray(acc, dtype=VALUE_DTYPE)
+    if acc.ndim != 1:
+        raise ValueError("acc must be a flat gradient vector")
+    return acc
 
 
 def _totals(comm: "SimComm") -> tuple:

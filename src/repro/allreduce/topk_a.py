@@ -16,19 +16,18 @@ import numpy as np
 
 from ..comm import SimComm, collectives as coll
 from ..sparse import combine_sum, exact_topk
-from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, GradientAllreduce
+from .base import (PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, BucketView,
+                   GradientAllreduce)
 
 
 class TopkAAllreduce(GradientAllreduce):
-    # Stateless and position-independent, so sessions may run it natively
-    # per bucket: each bucket allgathers its own top-k_b (k split
-    # proportional to bucket length) and the union of bucket supports is
-    # the merged update.
+    # Stateless and position-independent, so sessions run it per bucket:
+    # each bucket allgathers its own top-k_b (k split proportional to
+    # bucket length) and the union of bucket supports is the merged update.
     name = "topka"
 
-    def _reduce(self, comm: SimComm, acc: np.ndarray,
-                t: int) -> AllreduceResult:
-        k = self.resolve_k(acc.size)
+    def _reduce(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
+                view: BucketView) -> AllreduceResult:
         with comm.phase(PHASE_SPARSIFY):
             local = exact_topk(acc, k)
             comm.compute_topk(acc.size, k)

@@ -26,7 +26,8 @@ import numpy as np
 from ..comm import SimComm, collectives as coll
 from ..sparse import COOVector, combine_sum, exact_topk
 from ..sparse.coo import INDEX_DTYPE, VALUE_DTYPE
-from .base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, GradientAllreduce
+from .base import (PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, BucketView,
+                   GradientAllreduce)
 
 _TAG_FOLD = (1 << 21) + 11
 _TAG_HALVE = (1 << 21) + 12
@@ -104,19 +105,18 @@ class _Segment:
 
 
 class TopkDSAAllreduce(GradientAllreduce):
-    # Recursive halving works on any index range, so sessions may run the
-    # SSAR exchange independently per bucket (native bucketed path).
+    # Recursive halving works on any index range, so sessions run the
+    # SSAR exchange independently per bucket.
     name = "topkdsa"
 
     def __init__(self, *, allow_dense_switch: bool = True, **kwargs):
         super().__init__(**kwargs)
         self.allow_dense_switch = allow_dense_switch
 
-    def _reduce(self, comm: SimComm, acc: np.ndarray,
-                t: int) -> AllreduceResult:
+    def _reduce(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
+                view: BucketView) -> AllreduceResult:
         p, r = comm.size, comm.rank
         n = acc.size
-        k = self.resolve_k(n)
         with comm.phase(PHASE_SPARSIFY):
             local = exact_topk(acc, k)
             comm.compute_topk(n, k)

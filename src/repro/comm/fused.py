@@ -98,6 +98,8 @@ the gate, per-rank compute — giving a three-way bit-identity oracle
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 from collections import namedtuple
 from functools import lru_cache, partial
@@ -860,6 +862,92 @@ def _shared_base(rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
                     for i, r in enumerate(rows))):
         return base
     return None
+
+
+def _mapped_zeros(shape, dtype) -> np.ndarray:
+    """A zero-filled array on its own anonymous memory mapping.
+
+    For world-sized ``(P, ...)`` matrices: they are allocated by whichever
+    rank thread reaches a rendezvous last and dropped by another when the
+    section closes.  Taken from malloc, each would land in a different
+    per-thread arena, and an arena keeps its high-water mark — a process
+    that runs section after section ends up holding one world per arena.
+    A private mapping goes back to the OS the moment the array is dropped,
+    whichever thread made it.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = mmap.mmap(-1, max(nbytes, 1), access=mmap.ACCESS_COPY)
+    return np.ndarray(shape, dtype=dtype, buffer=buf)
+
+
+class _WorldState:
+    """Per-network lockstep state shared by the executors: the stacked
+    model, the double-buffered accumulate matrices (the new accumulator
+    never overwrites the residual rows still pointing into the other),
+    the rows handed out and the scratch of world-sized temporaries."""
+
+    __slots__ = ("stacked", "bufs", "flip", "handed", "_scratch")
+
+    def __init__(self):
+        #: the world's :class:`~repro.nn.stacked.StackedModel`, if bound
+        self.stacked = None
+        self.bufs: List[Optional[np.ndarray]] = [None, None]
+        self.flip = 0
+        #: kind -> (the row views last handed out, their matrix)
+        self.handed: dict = {}
+        self._scratch: dict = {}
+
+    def scratch(self, name: str, shape, dtype) -> np.ndarray:
+        """The buffer ``name``, (re)allocated only when its shape or
+        dtype changes (once per world size).  Contents are undefined on
+        return; a buffer is valid until the next request for its name."""
+        buf = self._scratch.get(name)
+        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
+            buf = self._scratch[name] = _mapped_zeros(shape, dtype)
+        return buf
+
+    def flat(self, name: str, size: int, dtype) -> np.ndarray:
+        """The first ``size`` entries of the grow-only 1-D buffer ``name``
+        (for temporaries whose length changes with every call): zeros
+        when it is (re)allocated, undefined otherwise."""
+        buf = self._scratch.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._scratch[name] = _mapped_zeros((size * 3 // 2,), dtype)
+        return buf[:size]
+
+    def hand_out(self, kind: str, matrix: np.ndarray) -> List[np.ndarray]:
+        """``matrix``'s row views, remembered as the rows of ``kind``."""
+        rows = list(matrix)
+        self.handed[kind] = (rows, matrix)
+        return rows
+
+    def rows_of(self, rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+        """The matrix whose rows ``rows`` are, if any: known by identity
+        when they were handed out, else by address (:func:`_shared_base`)."""
+        for mine, matrix in self.handed.values():
+            if len(mine) == len(rows) and all(
+                    a is b for a, b in zip(rows, mine)):
+                return matrix
+        return _shared_base(rows)
+
+    def stack(self, name: str, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """A ``(P, ...)`` matrix over per-rank arrays: zero-copy when they
+        already are the consecutive rows of one matrix (:meth:`rows_of`),
+        copied into scratch ``name`` otherwise."""
+        base = self.rows_of(rows)
+        if base is not None:
+            return base
+        return np.stack(rows, out=self.scratch(
+            name, (len(rows),) + rows[0].shape, rows[0].dtype))
+
+
+def _world_state(net) -> _WorldState:
+    """``net``'s world state, made on first use: shared by the rank-batching
+    executors (:mod:`repro.train.rankbatch`) and Ok-Topk's data kernel."""
+    st = getattr(net, "_rank_batch_state", None)
+    if st is None:
+        st = net._rank_batch_state = _WorldState()
+    return st
 
 
 def _sum_tree(payloads, p: int, halving: bool) -> np.ndarray:

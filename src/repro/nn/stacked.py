@@ -36,19 +36,18 @@ equal input shapes: its gradient views are re-pointed at the rows
 the data.
 
 The shared vector and the gradient matrix live on their own memory
-mappings (:func:`mapped_zeros`), not in the malloc arena of whichever rank
-thread happened to build the world.
+mappings (:func:`~repro.comm.fused._mapped_zeros`), not in the malloc
+arena of whichever rank thread happened to build the world.
 """
 
 from __future__ import annotations
 
 import copy
-import math
-import mmap
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..comm.fused import _mapped_zeros
 from .activation import GELU, ReLU, Sigmoid, Tanh
 from .attention import MultiHeadSelfAttention, TransformerEncoderLayer
 from .dropout import Dropout
@@ -64,22 +63,6 @@ _RANK_AXIS_MODULES = frozenset({
     Sequential, Flatten, Linear, ReLU, GELU, Tanh, Sigmoid, Dropout,
     LayerNorm, Embedding, MultiHeadSelfAttention, TransformerEncoderLayer,
     MiniBertLM})
-
-
-def mapped_zeros(shape, dtype) -> np.ndarray:
-    """A zero-filled array on its own anonymous memory mapping.
-
-    For world-sized ``(P, ...)`` matrices: they are allocated by whichever
-    rank thread reaches a rendezvous last and dropped by another when the
-    section closes.  Taken from malloc, each would land in a different
-    per-thread arena, and an arena keeps its high-water mark — a process
-    that runs section after section ends up holding one world per arena.
-    A private mapping goes back to the OS the moment the array is dropped,
-    whichever thread made it.
-    """
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    buf = mmap.mmap(-1, max(nbytes, 1), access=mmap.ACCESS_COPY)
-    return np.ndarray(shape, dtype=dtype, buffer=buf)
 
 
 def _modules(mod: Module) -> Iterator[Module]:
@@ -118,9 +101,9 @@ class StackedModel:
             if not np.array_equal(m.params_flat, m0.params_flat):
                 raise ValueError("SPMD invariant violated: rank parameter "
                                  "vectors differ at bind time")
-        self.params = mapped_zeros((n,), DTYPE)
+        self.params = _mapped_zeros((n,), DTYPE)
         self.params[:] = m0.params_flat
-        self.gmat = mapped_zeros((nranks, n), DTYPE)
+        self.gmat = _mapped_zeros((nranks, n), DTYPE)
         for r, m in enumerate(self.models):
             m.rebind_storage(self.params, self.gmat[r])
         params = m0.module.parameters()

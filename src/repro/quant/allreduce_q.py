@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..allreduce.base import PHASE_COMM, PHASE_SPARSIFY, AllreduceResult, \
-    GradientAllreduce
+    BucketView, GradientAllreduce
 from ..allreduce.oktopk import OkTopkAllreduce
 from ..comm import SimComm, collectives as coll
 from ..sparse import combine_sum, exact_topk
@@ -33,9 +33,8 @@ class QuantizedTopkAAllreduce(GradientAllreduce):
         super().__init__(**kwargs)
         self.quantizer = LinearQuantizer(bits, stochastic=stochastic)
 
-    def _reduce(self, comm: SimComm, acc: np.ndarray,
-                t: int) -> AllreduceResult:
-        k = self.resolve_k(acc.size)
+    def _reduce(self, comm: SimComm, acc: np.ndarray, t: int, k: int,
+                view: BucketView) -> AllreduceResult:
         with comm.phase(PHASE_SPARSIFY):
             local = exact_topk(acc, k)
             comm.compute_topk(acc.size, k)

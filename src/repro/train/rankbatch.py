@@ -24,7 +24,8 @@ Ok-Topk's selection is the first stage of its data kernel
 rendezvous, which is gated by :func:`repro.comm.fused._available` alone
 (a model that does not stack still gets it, its rows copied into one
 matrix); the kernel takes the
-accumulators through :meth:`_WorldState.stack` and borrows its scratch.
+accumulators through :meth:`~repro.comm.fused._WorldState.stack` and
+borrows its scratch.
 
 Rows known by identity: the world state remembers the row views it hands
 out with their matrix — ``rb_fwdbwd``'s gradient rows and
@@ -65,10 +66,11 @@ A rank that steps on its own first takes private copies and drops the
 world's binding (:meth:`RankBatch.apply`).
 
 World state: the stacked model, the accumulate buffers, the handed-out
-rows and the executors' scratch live in one :class:`_WorldState` per
-network and section (the engine drops it when the section closes).
+rows and the executors' scratch live in one
+:class:`~repro.comm.fused._WorldState` per network and section (the
+engine drops it when the section closes).
 Temporaries are written with ``out=`` into buffers sized once per shape,
-each on its own memory mapping (:func:`repro.nn.stacked.mapped_zeros`):
+each on its own memory mapping (:func:`repro.comm.fused._mapped_zeros`):
 the executor runs on whichever rank thread arrives last, and world-sized
 arrays allocated and freed by different threads leave their high-water
 mark in every thread's malloc arena.
@@ -78,83 +80,16 @@ from __future__ import annotations
 
 import weakref
 from itertools import groupby
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
-from ..comm.fused import _available, _shared_base
+from ..comm.fused import _available, _mapped_zeros, _world_state
 from ..errors import ReplicaDivergenceError
-from ..nn.stacked import StackedModel, mapped_zeros, supports_stacking
+from ..nn.stacked import StackedModel, supports_stacking
 from ..optim.adam import Adam
 from ..optim.topk_sgd import _apply_update
 from ..sparse import COOVector
-
-
-class _WorldState:
-    """Per-network lockstep state shared by the executors: the stacked
-    model, the double-buffered accumulate matrices (the new accumulator
-    never overwrites the residual rows still pointing into the other),
-    the rows handed out and the scratch of world-sized temporaries."""
-
-    __slots__ = ("stacked", "bufs", "flip", "handed", "_scratch")
-
-    def __init__(self):
-        self.stacked: Optional[StackedModel] = None
-        self.bufs: List[Optional[np.ndarray]] = [None, None]
-        self.flip = 0
-        #: kind -> (the row views last handed out, their matrix)
-        self.handed: dict = {}
-        self._scratch: dict = {}
-
-    def scratch(self, name: str, shape, dtype) -> np.ndarray:
-        """The buffer ``name``, (re)allocated only when its shape or
-        dtype changes (once per world size).  Contents are undefined on
-        return; a buffer is valid until the next request for its name."""
-        buf = self._scratch.get(name)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-            buf = self._scratch[name] = mapped_zeros(shape, dtype)
-        return buf
-
-    def flat(self, name: str, size: int, dtype) -> np.ndarray:
-        """The first ``size`` entries of the grow-only 1-D buffer ``name``
-        (for temporaries whose length changes with every call): zeros
-        when it is (re)allocated, undefined otherwise."""
-        buf = self._scratch.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._scratch[name] = mapped_zeros((size * 3 // 2,), dtype)
-        return buf[:size]
-
-    def hand_out(self, kind: str, matrix: np.ndarray) -> List[np.ndarray]:
-        """``matrix``'s row views, remembered as the rows of ``kind``."""
-        rows = list(matrix)
-        self.handed[kind] = (rows, matrix)
-        return rows
-
-    def rows_of(self, rows: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-        """The matrix whose rows ``rows`` are, if any: known by identity
-        when they were handed out, else by address (:func:`_shared_base`)."""
-        for mine, matrix in self.handed.values():
-            if len(mine) == len(rows) and all(
-                    a is b for a, b in zip(rows, mine)):
-                return matrix
-        return _shared_base(rows)
-
-    def stack(self, name: str, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """A ``(P, ...)`` matrix over per-rank arrays: zero-copy when they
-        already are the consecutive rows of one matrix (:meth:`rows_of`),
-        copied into scratch ``name`` otherwise."""
-        base = self.rows_of(rows)
-        if base is not None:
-            return base
-        return np.stack(rows, out=self.scratch(
-            name, (len(rows),) + rows[0].shape, rows[0].dtype))
-
-
-def _world_state(net) -> _WorldState:
-    st = getattr(net, "_rank_batch_state", None)
-    if st is None:
-        st = net._rank_batch_state = _WorldState()
-    return st
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +132,7 @@ def _exec_accumulate(net, sig, payloads):
     buf = st.bufs[st.flip]
     if (buf is None or buf.shape != grads.shape or buf is res or buf is grads
             or res is None and any(r.base is buf for r in rows)):
-        buf = mapped_zeros(grads.shape, rows[0].dtype)
+        buf = _mapped_zeros(grads.shape, rows[0].dtype)
     st.bufs[st.flip] = buf
     st.flip ^= 1
     # Same expression as the per-rank path (``residual + scale * grad``):

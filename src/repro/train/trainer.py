@@ -279,8 +279,8 @@ class Trainer:
             analytic_visible = visible_comm_time(
                 res.bucket_stats, compute_time,
                 cfg.overlap_backward_fraction, comm_t)
-            # Surface a session that could not stream (delegating
-            # adapter ran post-backward): these timings are analytic.
+            # Surface a session that could not stream (its one bucket
+            # ran post-backward): these timings are analytic.
             stream_fallback = bool(
                 res.bucket_stats
                 and res.bucket_stats[0].info.get("stream_fallback"))

@@ -51,9 +51,15 @@ class TestDense:
             assert res[r].contributed_indices is None
 
     def test_dense_ovlp_flag(self):
-        res = run_scheme("dense_ovlp", 4)
+        """A one-shot DenseOvlp splits the whole gradient into its
+        ``nbuckets`` allreduces: ``nbuckets`` times dense's messages."""
+        res = run_scheme("dense_ovlp", 4, nbuckets=3)
         assert res[0].overlappable
-        assert res[0].info["nbuckets"] >= 1
+        assert res[0].info["nbuckets"] == 3
+        dense = run_scheme("dense", 4)
+        assert dense.stats.msgs_sent.sum() > 0
+        np.testing.assert_array_equal(res.stats.msgs_sent,
+                                      3 * dense.stats.msgs_sent)
 
 
 class TestTopkA:
@@ -296,18 +302,37 @@ class TestOddWorkerCounts:
                 assert res[r][t] == res[0][t]
 
 
+def _reduce_any(name, acc):
+    """``reduce`` of ``acc`` at iteration 1 by a fresh ``name`` scheme."""
+    def prog(comm):
+        algo = make_allreduce(name, **({} if name.startswith("dense")
+                                       else {"density": 0.01}))
+        try:
+            return algo.reduce(comm, acc, 1)
+        except ValueError as exc:
+            return exc
+    return prog
+
+
 @pytest.mark.parametrize("fused", [True, False], ids=["fast", "reference"])
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
 def test_empty_gradient_reduces_to_an_empty_update(name, fused):
     """A zero-length accumulator has no one-segment layout to run its
     session over; ``reduce`` still hands back an empty update (and no
     contributed entry) for every registered scheme, on both paths."""
-    def prog(comm):
-        algo = make_allreduce(name, **({} if name.startswith("dense")
-                                       else {"density": 0.01}))
-        return algo.reduce(comm, np.zeros(0, np.float32), 1)
-
+    prog = _reduce_any(name, np.zeros(0, np.float32))
     for res in run_spmd(2, prog, fused=fused):
         assert res.update_dense(0).shape == (0,)
         assert res.contributed_indices is None or \
             res.contributed_indices.size == 0
+
+
+@pytest.mark.parametrize("fused", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_non_flat_empty_gradient_is_refused_as_non_flat(name, fused):
+    """An empty ``(0, 0)`` accumulator is refused as any non-flat one is
+    (``ValueError``), not as a broken one-segment layout."""
+    prog = _reduce_any(name, np.zeros((0, 0), np.float32))
+    for exc in run_spmd(2, prog, fused=fused):
+        assert isinstance(exc, ValueError)
+        assert str(exc) == "acc must be a flat gradient vector"

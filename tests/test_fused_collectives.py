@@ -47,7 +47,6 @@ from repro.data import ShardedLoader
 from repro.errors import RankFailedError
 from repro.sparse import COOVector, exact_topk
 from repro.train import Trainer, TrainerConfig
-from repro.train.rankbatch import _world_state
 
 PS = [2, 3, 4, 5, 8]
 
@@ -1312,7 +1311,7 @@ def _exec_sr_stage(net, sig, payloads):
     comms, local, boundaries = zip(*payloads)
     for comm, loc in zip(comms, local):
         comm.compute_scan(loc.nnz)
-    ws = _world_state(net)
+    ws = fused_mod._world_state(net)
     tables, order = compile_split_reduce(len(comms), sig[1], sig[2])
     count, idx, val, cuts = oktopk_mod._split_reduce(
         ws, order, local[0].n,

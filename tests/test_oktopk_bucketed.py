@@ -76,9 +76,9 @@ def _run_mode(scheme, p, iters, mode, runner, bucket_size=None, stream=False):
 @pytest.mark.parametrize("stream", [False, True])
 def test_one_bucket_plan_bit_identical_to_oneshot(scheme, stream):
     """The acceptance anchor: a one-bucket plan (bucket_size covers the
-    whole layout) delegates — results, traffic counters and simulated
-    makespans all match one-shot ``reduce`` bitwise, under both runners
-    and regardless of stream mode."""
+    whole layout) is the one-shot reduce — results, traffic counters and
+    simulated makespans all match one-shot ``reduce`` bitwise, under both
+    runners and regardless of stream mode."""
     p, iters = 4, 3
     ref, ref_stats, ref_clocks = _run_mode(scheme, p, iters,
                                            "oneshot", "coop")
@@ -94,7 +94,7 @@ def test_one_bucket_plan_bit_identical_to_oneshot(scheme, stream):
 
 
 def test_multi_bucket_identical_across_runners():
-    """The native bucketed path is runner-independent like everything
+    """The bucketed path is runner-independent like everything
     else (results, traffic, makespans)."""
     p, iters = 4, 3
     base = None
@@ -562,21 +562,3 @@ class TestPerBucketPromises:
                 over = max(max(sel, glob) for _, _, sel, glob in per_rank)
                 bound = 6 * k_b * (p - 1) / p * max(1.0, over / k_b) + p - 1
                 assert max(recv for _, recv, _, _ in per_rank) <= bound, (t, b)
-
-
-# ---------------------------------------------------------------------------
-# _reduce_bucket outside a session
-# ---------------------------------------------------------------------------
-def test_reduce_bucket_standalone_without_view():
-    """Calling _reduce_bucket without a session context treats the slice
-    as a complete gradient (it is the one-shot extent)."""
-
-    def prog(comm):
-        algo = _make()
-        res = algo._reduce_bucket(comm, _acc(comm.rank, 1, 256), 1)
-        res.update.validate()
-        return res, algo.state.n
-
-    res, n = run_spmd(2, prog)[0]
-    assert res.update.n == n == 256
-    assert res.info["k"] >= 1

@@ -21,16 +21,17 @@ import pytest
 from repro.allreduce.base import AllreduceResult
 from repro.bench.harness import (bert_proxy, perf_proxy, proxy_network,
                                  train_scheme)
-from repro.comm import run_spmd
+from repro.comm import fused, run_spmd
 from repro.comm.faults import FaultPlan, RankCrash
+from repro.comm.fused import _WorldState, _mapped_zeros
 from repro.errors import ReplicaDivergenceError
-from repro.nn.stacked import StackedModel, mapped_zeros, supports_stacking
+from repro.nn.stacked import StackedModel, supports_stacking
 from repro.optim import Adam
 from repro.sparse import COOVector
 from repro.sparse.topk import (batched_threshold_select, kth_largest_abs,
                                threshold_select)
 from repro.train import rankbatch
-from repro.train.rankbatch import RankBatch, _WorldState
+from repro.train.rankbatch import RankBatch
 from repro.train.rankbatch import _exec_accumulate, _exec_apply, \
     _exec_fwd_bwd
 from util_rankbatch import check_grouped_fwd_bwd, runs
@@ -118,7 +119,7 @@ class TestWorldStack:
     def test_rows_of_a_mapped_matrix_are_recognised(self):
         """World matrices live on their own mappings (not numpy-owned):
         their rows must still stack zero-copy."""
-        base = mapped_zeros((3, 5), np.float32)
+        base = _mapped_zeros((3, 5), np.float32)
         base[...] = np.arange(15, dtype=np.float32).reshape(3, 5)
         assert _WorldState().stack("x", list(base)) is base
 
@@ -140,7 +141,7 @@ class TestWorldStack:
         def unusable(rows):
             raise AssertionError("a row address was read")
 
-        monkeypatch.setattr(rankbatch, "_shared_base", unusable)
+        monkeypatch.setattr(fused, "_shared_base", unusable)
         ws = net._rank_batch_state
         assert ws.stack("x", grads) is ws.stacked.gmat
         assert ws.stack("x", acc) is acc[0].base
@@ -250,7 +251,7 @@ def _apply_world(p, n, seed, *, mapped=True, dense=False):
     separate objects; sparse, or dense) and one optimizer per rank."""
     rng = np.random.default_rng(seed)
     w0 = rng.normal(size=n).astype(np.float32)
-    rows = mapped_zeros((p, n), np.float32) if mapped else [
+    rows = _mapped_zeros((p, n), np.float32) if mapped else [
         np.empty(n, np.float32) for _ in range(p)]
     for r in range(p):
         rows[r][:] = w0

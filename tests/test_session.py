@@ -1,6 +1,6 @@
 """Session-based bucketed allreduce: layout/fusion units, session vs
 one-shot bit-identity (results, traffic, makespans) for every scheme under
-both runners, native per-bucket paths, and the generic overlap timeline
+both runners, per-bucket paths, and the generic overlap timeline
 (DenseOvlp legacy reproduction + comm-bound sparse overlap wins)."""
 
 import numpy as np
@@ -222,7 +222,7 @@ def test_session_bit_identical_to_oneshot(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["oktopk", "oktopk_q"])
-def test_oktopk_single_bucket_plan_delegates(scheme):
+def test_oktopk_single_bucket_plan_is_the_oneshot_reduce(scheme):
     """Ok-Topk with a one-bucket plan (bucket_size >= n) is the one-shot
     reduce — bit-identical results, traffic and makespans."""
     p, n, iters = 4, 256, 3
@@ -236,8 +236,35 @@ def test_oktopk_single_bucket_plan_delegates(scheme):
     assert clocks == ref_clocks
 
 
+@pytest.mark.parametrize("fused", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_one_bucket_session_is_its_one_bucket(scheme, p, fused):
+    """Every scheme runs a one-bucket plan bucket by bucket like any other
+    plan: ``reduce()`` and ``run_session(..., bucket_size=None)`` return
+    their one bucket's info as the result's, and the bucket is released at
+    1.0 (it needs the whole gradient) unless the scheme overlaps from the
+    start (DenseOvlp, 0.0)."""
+    n = 256
+    lay = _layout(n)
+
+    def prog(comm):
+        algo = _make(scheme, n)
+        acc = _acc(comm.rank, n, 1)
+        return [algo.reduce(comm, acc, 1),
+                run_session(algo, comm, lay, 2, acc, bucket_size=None)]
+
+    release = 0.0 if scheme == "dense_ovlp" else 1.0
+    for results in run_spmd(p, prog, fused=fused):
+        for res in results:
+            assert len(res.bucket_stats) == 1
+            assert res.info is res.bucket_stats[0].info
+            assert "delegated" not in res.info
+            assert res.bucket_stats[0].release_frac == release
+
+
 def test_bucketed_identical_across_runners():
-    """The native multi-bucket path is runner-independent (results,
+    """The multi-bucket path is runner-independent (results,
     traffic, makespans) like everything else in the simulator."""
     p, n, iters = 4, 256, 2
     base = None
@@ -331,7 +358,8 @@ class TestNativeBucketed:
         assert [dense.network.clocks[r] for r in range(p)] == \
                [ovlp.network.clocks[r] for r in range(p)]
         np.testing.assert_array_equal(dense[0].update, ovlp[0].update)
-        assert all(st.release_frac == 0.0
+        assert np.array_equal(dense.stats.msgs_sent, ovlp.stats.msgs_sent)
+        assert all(st.release_frac == 0.0 and st.info["nbuckets"] == 1
                    for st in ovlp[0].bucket_stats)
         assert all(st.release_frac > 0.0
                    for st in dense[0].bucket_stats)
@@ -352,9 +380,9 @@ class TestNativeBucketed:
             seen_k = []
             orig = algo._reduce
 
-            def probe(comm_, acc, t):
-                seen_k.append(algo.resolve_k(acc.size))
-                return orig(comm_, acc, t)
+            def probe(comm_, acc, t, k, view):
+                seen_k.append(k)
+                return orig(comm_, acc, t, k, view)
 
             algo._reduce = probe
             res = run_session(algo, comm, lay, 1, _acc(comm.rank, n, 1),
@@ -713,9 +741,9 @@ class TestStreamingOverlap:
 
     @pytest.mark.parametrize("scheme", ["topka", "oktopk"])
     def test_stream_one_bucket_degenerates_to_analytic(self, scheme):
-        """bucket_size=None: the one bucket needs the full gradient,
-        delegated (topka) or native (oktopk), so streaming changes
-        nothing (release 1.0) and every record says it fell back."""
+        """bucket_size=None: the one bucket needs the full gradient, so
+        streaming changes nothing (release 1.0) and every record says it
+        fell back."""
         an = _train(scheme, p=2, net=COMM_BOUND_NET)
         st = _train(scheme, p=2, net=COMM_BOUND_NET,
                     overlap_mode="stream")
@@ -727,8 +755,8 @@ class TestStreamingOverlap:
         assert not any(r.stream_fallback for r in an.records)
 
     def test_stream_oktopk_native_buckets(self):
-        """oktopk streams natively: multi-bucket plans issue on the clock
-        (no delegating fallback, no fallback flags)."""
+        """oktopk streams: multi-bucket plans issue on the clock (no
+        fallback flags)."""
         rec = _train("oktopk", p=2, bucket_size=64, net=COMM_BOUND_NET,
                      overlap_mode="stream",
                      scheme_kwargs={"tau": 2, "tau_prime": 2})
@@ -739,8 +767,8 @@ class TestStreamingOverlap:
     @pytest.mark.parametrize("scheme", ["topka", "oktopk"])
     def test_stream_fallback_recorded_for_one_bucket_plan(self, scheme):
         """stream=True over a one-bucket plan is recorded: the bucket
-        carries info["stream_fallback"], delegated (topka) or native
-        (oktopk, on the world executor at P = 2)."""
+        carries info["stream_fallback"], on the reference path (topka) or
+        the world executor (oktopk at P = 2)."""
         n = 256
         lay = _layout(n)
 
